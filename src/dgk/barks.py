@@ -10,9 +10,10 @@ with the closed forms used as cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from . import chains
 from .graphs import (
@@ -20,6 +21,7 @@ from .graphs import (
     Weights,
     WeightedTree,
     canonical_chain,
+    chain_discriminant,
     exact_solve,
     format_chain,
     is_admissible_chain,
@@ -34,13 +36,18 @@ def is_platonic_triple(triple: tuple[int, int, int]) -> bool:
 
 
 def is_admissible_fork(fork: Fork) -> bool:
-    """Admissible twigs, negative definite matrix, Platonic twig triple."""
+    """Admissible twigs, negative definite matrix, Platonic twig triple.
+
+    With admissible twigs the twig blocks are negative definite, and the
+    Schur complement at the branch vertex is b - e~, so the fork is negative
+    definite exactly when d(F) = d1*d2*d3*(b - e~) > 0, i.e. when b > e~.
+    """
     if not all(t and is_admissible_chain(t) for t in fork.twigs):
         return False
     triple = tuple(sorted(chains.d(t) for t in fork.twigs))
     if not is_platonic_triple(triple):  # type: ignore[arg-type]
         return False
-    return WeightedTree.from_fork(fork).is_negative_definite()
+    return fork.b > sum(chains.e_tilde(t) for t in fork.twigs)
 
 
 @dataclass(frozen=True)
@@ -226,10 +233,7 @@ class ExceptionalShape:
         return self.e_weights[0] if len(self.e_weights) == 1 else None
 
     def key(self) -> str:
-        if isinstance(self.graph, Fork):
-            twigs = ",".join(format_chain(t) for t in self.graph.sorted_twigs())
-            return f"fork(b={self.graph.b};{twigs})"
-        return format_chain(self.graph)
+        return _graph_key(self.graph)
 
     def group_order_for(self, mode: str) -> int:
         """|G| under the chosen convention.
@@ -244,11 +248,22 @@ class ExceptionalShape:
         raise ValueError(f"unknown group order mode {mode!r}")
 
 
+def _graph_key(graph: Weights | Fork) -> str:
+    if isinstance(graph, Fork):
+        twigs = ",".join(format_chain(t) for t in graph.sorted_twigs())
+        return f"fork(b={graph.b};{twigs})"
+    return format_chain(graph)
+
+
 def chain_bark_square(weights: Weights) -> Fraction:
     """Bk^2 of an admissible chain by the closed form -(d'+d'(rev)+2)/d."""
-    return -Fraction(
-        chains.d_prime(weights) + chains.d_prime(weights[::-1]) + 2, chains.d(weights)
-    )
+    # one pass of d = a*d_prev - d_prev2 along the chain and along its tail
+    d_prev, d_full = 1, weights[0]
+    dp_prev, dp = 0, 1
+    for a in weights[1:]:
+        d_prev, d_full = d_full, a * d_full - d_prev
+        dp_prev, dp = dp, a * dp - dp_prev
+    return -Fraction(dp + d_prev + 2, d_full)
 
 
 def fork_bark_square(fork: Fork) -> Fraction:
@@ -258,10 +273,46 @@ def fork_bark_square(fork: Fork) -> Fraction:
     return -((dl - 1) ** 2) / (fork.b - et) - ee
 
 
+def _leading_twos(weights: Weights) -> int:
+    for i, w in enumerate(weights):
+        if w != 2:
+            return i
+    return len(weights)
+
+
+def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
+    """(weights of E, number of external (-2)-components) in closed form.
+
+    Stripping (-2)-tips from a chain removes exactly its leading and trailing
+    runs of 2's.  In a fork every twig loses its tip-side run of 2's and a
+    twig of 2's alone goes entirely; when at most one twig is left and b = 2,
+    the branch becomes a (-2)-tip, and it goes with the vanished twigs and the
+    branch-side run of 2's of the last twig, all in one component.  The tree
+    route is :func:`decompose_exceptional`; tests compare the two.
+    """
+    if isinstance(graph, Fork):
+        leads = [_leading_twos(t) for t in graph.twigs]
+        kept = [(t[n:], n > 0) for t, n in zip(graph.twigs, leads) if n < len(t)]
+        if len(kept) >= 2 or graph.b != 2:
+            e_weights = (graph.b,) + sum((t for t, _ in kept), ())
+            return e_weights, sum(1 for n in leads if n > 0)
+        if not kept:
+            return (), 1
+        ((rest, tip_run),) = kept
+        # the branch, the vanished twigs and the branch-side run of 2's of the
+        # surviving twig form one component
+        rest = rest + (2,)
+        return rest[:len(rest) - _leading_twos(rest[::-1])], 1 + tip_run
+    lead = _leading_twos(graph)
+    if lead == len(graph):
+        return (), 1
+    trail = _leading_twos(graph[::-1])
+    return graph[lead:len(graph) - trail], (lead > 0) + (trail > 0)
+
+
 def _make_shape(graph: Weights | Fork, epsilon: int, family: str) -> ExceptionalShape:
     if isinstance(graph, Fork):
-        tree = WeightedTree.from_fork(graph)
-        size = len(tree.weights)
+        size = 1 + sum(len(t) for t in graph.twigs)
         et = sum(chains.e_tilde(t) for t in graph.twigs)
         dl = sum(chains.delta(t) for t in graph.twigs)
         dd_frac = chains.d(graph.twigs[0]) * chains.d(graph.twigs[1]) * chains.d(
@@ -273,32 +324,26 @@ def _make_shape(graph: Weights | Fork, epsilon: int, family: str) -> Exceptional
         g = int(g_frac)
         bk2 = fork_bark_square(graph)
     else:
-        tree = WeightedTree.from_chain(graph)
         size = len(graph)
-        dd = chains.d(graph)
+        dd = chain_discriminant(graph)
         bk2 = chain_bark_square(graph)
         g = dd
-    kept, removed = strip_external_minus_two(tree)
-    e_weights = tuple(tree.weights[v] for v in kept)
+    e_weights, n_delta = _split_external(graph)
     if not e_weights:
         raise ValueError("exceptional shape consists of (-2)-curves only")
-    ke = sum(w - 2 for w in e_weights)
+    ke = sum(e_weights) - 2 * len(e_weights)
     return ExceptionalShape(
         graph=graph,
         epsilon=epsilon,
         families=(family,),
         e_weights=e_weights,
-        n_delta_components=len(removed),
+        n_delta_components=n_delta,
         ke=ke,
         size=size,
         d=dd,
         bk_square=bk2,
         g_order=g,
     )
-
-
-def _chain_shape(weights: Weights, epsilon: int, family: str) -> ExceptionalShape:
-    return _make_shape(canonical_chain(weights), epsilon, family)
 
 
 def _runs(count: int) -> Weights:
@@ -315,27 +360,18 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     """
     shapes: dict[tuple[str, int], ExceptionalShape] = {}
 
-    def add(shape: ExceptionalShape) -> None:
-        key = (shape.key(), shape.epsilon)
+    def add(graph: Weights | Fork, epsilon: int, family: str) -> None:
+        if not isinstance(graph, Fork):
+            graph = canonical_chain(graph)
+        key = (_graph_key(graph), epsilon)
         prev = shapes.get(key)
         if prev is None:
-            shapes[key] = shape
-        elif shape.families[0] not in prev.families:
-            shapes[key] = ExceptionalShape(
-                graph=prev.graph,
-                epsilon=prev.epsilon,
-                families=prev.families + shape.families,
-                e_weights=prev.e_weights,
-                n_delta_components=prev.n_delta_components,
-                ke=prev.ke,
-                size=prev.size,
-                d=prev.d,
-                bk_square=prev.bk_square,
-                g_order=prev.g_order,
-            )
+            shapes[key] = _make_shape(graph, epsilon, family)
+        elif family not in prev.families:
+            shapes[key] = replace(prev, families=prev.families + (family,))
 
     for w in (5, 6, 7):
-        add(_chain_shape((w,), 0, "a"))
+        add((w,), 0, "a")
 
     # (b1): branch -2 with twigs A, B, [2]
     b1_pairs: list[tuple[Weights, Weights]] = [
@@ -349,7 +385,7 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     for a, b in b1_pairs:
         fork = Fork(2, (a, b, (2,)))
         if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
-            add(_make_shape(fork, 2, "b1"))
+            add(fork, 2, "b1")
 
     # (b2): branch -3 with twigs A, B, [2]
     b2_pairs: list[tuple[Weights, Weights]] = [
@@ -362,31 +398,31 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     for a, b in b2_pairs:
         fork = Fork(3, (a, b, (2,)))
         if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
-            add(_make_shape(fork, 2, "b2"))
+            add(fork, 2, "b2")
 
     # (b3): [(r),3,(x)]
     for r in range(0, max_size):
         for x in range(r, max_size):
             if r + x + 1 <= max_size:
-                add(_chain_shape(_runs(r) + (3,) + _runs(x), 2, "b3"))
+                add(_runs(r) + (3,) + _runs(x), 2, "b3")
 
     # [4] also occurs with epsilon 2
-    add(_chain_shape((4,), 2, "b4"))
+    add((4,), 2, "b4")
 
     # (c1): [(r),4] and [(r),5]
     for r in range(0, max_size):
         for w in (4, 5):
             if r + 1 <= max_size:
-                add(_chain_shape(_runs(r) + (w,), 1, "c1"))
+                add(_runs(r) + (w,), 1, "c1")
 
     # (c2): [(x),3,(y),3], [(x),3,(y),4], [(x),4,(y),3]
     for x in range(0, max_size):
         for y in range(0, max_size):
             if x + y + 2 > max_size:
                 continue
-            add(_chain_shape(_runs(x) + (3,) + _runs(y) + (3,), 1, "c2"))
-            add(_chain_shape(_runs(x) + (3,) + _runs(y) + (4,), 1, "c2"))
-            add(_chain_shape(_runs(x) + (4,) + _runs(y) + (3,), 1, "c2"))
+            add(_runs(x) + (3,) + _runs(y) + (3,), 1, "c2")
+            add(_runs(x) + (3,) + _runs(y) + (4,), 1, "c2")
+            add(_runs(x) + (4,) + _runs(y) + (3,), 1, "c2")
 
     # (c3): [(r),3,(x),3,(y),3]
     for r in range(0, max_size):
@@ -394,11 +430,7 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
             for y in range(0, max_size):
                 if r + x + y + 3 > max_size:
                     continue
-                add(
-                    _chain_shape(
-                        _runs(r) + (3,) + _runs(x) + (3,) + _runs(y) + (3,), 1, "c3"
-                    )
-                )
+                add(_runs(r) + (3,) + _runs(x) + (3,) + _runs(y) + (3,), 1, "c3")
 
     # (c4): the six chains with E.Delta = 2
     for ws in (
@@ -410,21 +442,35 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
         (2, 5, 2, 2),
     ):
         if len(ws) <= max_size:
-            add(_chain_shape(ws, 1, "c4"))
+            add(ws, 1, "c4")
 
-    out = [s for s in shapes.values() if s.size <= max_size]
-    out.sort(key=lambda s: (s.size, s.key(), s.epsilon))
-    return tuple(out)
+    ordered = sorted(shapes.items(), key=lambda item: (item[1].size, item[0]))
+    return tuple(s for _, s in ordered if s.size <= max_size)
 
 
 def enumerate_exceptional_shapes(max_size: int) -> list[ExceptionalShape]:
     return list(eshape_catalog(max_size))
 
 
-@lru_cache(maxsize=None)
-def catalog_index(max_size: int) -> dict[tuple[int, int, int, Fraction], tuple[ExceptionalShape, ...]]:
-    """Catalog keyed by (size, epsilon, K.E, bark square) for search lookups."""
-    index: dict[tuple[int, int, int, Fraction], list[ExceptionalShape]] = {}
-    for shape in eshape_catalog(max_size):
-        index.setdefault((shape.size, shape.epsilon, shape.ke, shape.bk_square), []).append(shape)
+def shape_index(
+    shapes: Iterable[ExceptionalShape],
+) -> dict[tuple[int, int, int], tuple[ExceptionalShape, ...]]:
+    """Shapes keyed for the single scan probe per (twig triple, b).
+
+    The key is (#E - epsilon - K.E, numerator, denominator) of Bk^2(E) +
+    epsilon.  Noether's count pins #E - epsilon - K.E to
+    4 + b + sum K.T_i - sum #T_i and the Zariski identity pins Bk^2(E) +
+    epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
+    """
+    index: dict[tuple[int, int, int], list[ExceptionalShape]] = {}
+    for shape in shapes:
+        num, den = shape.bk_square.numerator, shape.bk_square.denominator
+        key = (shape.size - shape.epsilon - shape.ke, num + shape.epsilon * den, den)
+        index.setdefault(key, []).append(shape)
     return {k: tuple(v) for k, v in index.items()}
+
+
+@lru_cache(maxsize=None)
+def catalog_index(max_size: int) -> dict[tuple[int, int, int], tuple[ExceptionalShape, ...]]:
+    """The catalog up to ``max_size`` components, keyed by :func:`shape_index`."""
+    return shape_index(eshape_catalog(max_size))

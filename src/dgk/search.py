@@ -16,13 +16,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from . import chains
-from .barks import ExceptionalShape, catalog_index, eshape_catalog
+from .barks import ExceptionalShape, catalog_index, eshape_catalog, shape_index
 from .graphs import Weights, format_chain, parse_chain
 from .predicates import (
     BoundaryCandidate,
@@ -31,110 +31,110 @@ from .predicates import (
 )
 from .ruling import TwoFiberSolution, solve_two_fiber
 
+# The scan's index probe and gates enforce these whatever a bounds file
+# lists (zar_b only through b < e~), so a list without them would promise
+# candidates the scan never returns.
+INDEX_PREDICATES = ("noether", "zar_b", "zar_delta", "zar_bk2")
+
 
 @dataclass(frozen=True)
 class ChainRecord:
     ws: Weights
     d: int
-    inv_d: Fraction
-    e: Fraction
-    et: Fraction
+    d_prime: int  # d of the chain without its tip, so e = d'/d
+    d_prime_rev: int  # d' of the reversed chain, so e~ = d'(rev)/d
     kc: int  # sum of (w - 2)
     size: int
 
 
 @lru_cache(maxsize=None)
+def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
+    recs = [
+        ChainRecord(
+            ws,
+            dd,
+            chains.d_prime(ws),
+            chains.d(ws[:-1]),
+            sum(w - 2 for w in ws),
+            len(ws),
+        )
+        for ws in chains.oriented_chains_with_d(dd)
+    ]
+    recs.sort(key=lambda r: r.ws)
+    return tuple(recs)
+
+
 def _records_by_d(d_max: int) -> dict[int, tuple[ChainRecord, ...]]:
-    out: dict[int, list[ChainRecord]] = {}
-    for dd in range(2, d_max + 1):
-        recs = []
-        for ws in chains.oriented_chains_with_d(dd):
-            recs.append(
-                ChainRecord(
-                    ws,
-                    dd,
-                    Fraction(1, dd),
-                    chains.e(ws),
-                    chains.e_tilde(ws),
-                    sum(w - 2 for w in ws),
-                    len(ws),
-                )
-            )
-        recs.sort(key=lambda r: r.ws)
-        out[dd] = recs
-    return {k: tuple(v) for k, v in out.items()}
+    return {dd: _records_with_d(dd) for dd in range(2, d_max + 1)}
 
 
-def _record_for(ws: Weights) -> ChainRecord:
-    dd = chains.d(ws)
-    return ChainRecord(
-        ws, dd, Fraction(1, dd), chains.e(ws), chains.e_tilde(ws),
-        sum(w - 2 for w in ws), len(ws),
-    )
+def _record_of(ws: Weights) -> ChainRecord:
+    found = [r for r in _records_with_d(chains.d(ws)) if r.ws == ws]
+    if not found:
+        raise ValueError(f"twig {format_chain(ws)} is not an admissible chain")
+    return found[0]
 
 
 def load_bounds(name: str, path: str | None = None) -> dict:
-    if path is not None:
+    """A bounds file: the packaged ``name`` or the JSON file at ``path``."""
+    if path is None:
+        return json.loads((resources.files("dgk") / "bounds" / f"{name}.json").read_text())
+    try:
         return json.loads(Path(path).read_text())
-    ref = resources.files("dgk") / "bounds" / f"{name}.json"
-    return json.loads(ref.read_text())
-
-
-def _shape_index(
-    shapes: list[ExceptionalShape],
-) -> dict[tuple[int, int, int, Fraction], tuple[ExceptionalShape, ...]]:
-    index: dict[tuple[int, int, int, Fraction], list[ExceptionalShape]] = {}
-    for s in shapes:
-        index.setdefault((s.size, s.epsilon, s.ke, s.bk_square), []).append(s)
-    return {k: tuple(v) for k, v in index.items()}
-
-
-def _eps_ke_combos(index) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted({(eps, ke) for (_, eps, ke, _) in index}))
+    except OSError as exc:
+        raise ValueError(f"cannot read bounds file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
 def _scan_triples(
     triples,
     b_values,
     index,
-    combos,
     predicate_names,
     group_order_mode,
     delta_gmin,
     exclude_eps2_chains=False,
 ) -> list[tuple[BoundaryCandidate, PredicateReport]]:
-    """Evaluate every (twig triple, b, shape) combination against the suite."""
+    """Evaluate every (twig triple, b, shape) combination against the suite.
+
+    Works in integers over D = d1*d2*d3: delta = S/D, e = E/D, e~ = Et/D.
+    Each (triple, b) passing the gates makes one probe of ``index`` (see
+    :func:`dgk.barks.shape_index`) with Bk^2(E) + epsilon = e - 1 - P^2 as a
+    reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).
+    """
     found: list[tuple[BoundaryCandidate, PredicateReport]] = []
     names = tuple(predicate_names)
     for r1, r2, r3 in triples:
-        delta = r1.inv_d + r2.inv_d + r3.inv_d
-        if delta >= 1:
+        q1 = r2.d * r3.d
+        q2 = r1.d * r3.d
+        q3 = r1.d * r2.d
+        dd = r1.d * q1
+        s = q1 + q2 + q3
+        if s >= dd:  # delta >= 1
             continue
-        if delta_gmin is not None and delta + Fraction(1, delta_gmin) <= 1:
+        if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
             continue
-        e = r1.e + r2.e + r3.e
-        et = r1.et + r2.et + r3.et
-        size_d = 1 + r1.size + r2.size + r3.size
-        kd_twigs = r1.kc + r2.kc + r3.kc
+        e_minus_1 = r1.d_prime * q1 + r2.d_prime * q2 + r3.d_prime * q3 - dd
+        et = r1.d_prime_rev * q1 + r2.d_prime_rev * q2 + r3.d_prime_rev * q3
+        gap_sq = (dd - s) ** 2
+        key = 4 + r1.kc + r2.kc + r3.kc - r1.size - r2.size - r3.size
         for b in b_values:
-            if not b < et:
+            slack = et - b * dd
+            if slack <= 0:  # b >= e~
                 continue
-            p_sq = (1 - delta) ** 2 / (et - b)
-            kd = (b - 2) + kd_twigs
-            for eps, ke in combos:
-                size_e = 7 + eps + kd + ke - size_d
-                if size_e < 1:
+            num = e_minus_1 * slack - gap_sq
+            den = dd * slack
+            g = gcd(num, den)
+            for shape in index.get((key + b, num // g, den // g), ()):
+                if exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
-                req_bk2 = e - 1 - eps - p_sq
-                for shape in index.get((size_e, eps, ke, req_bk2), ()):
-                    if exclude_eps2_chains and eps == 2 and not shape.is_fork:
-                        continue
-                    cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
-                    report = evaluate_predicates(
-                        cand, group_order_mode=group_order_mode
-                    )
-                    if report.passes(names):
-                        found.append((cand, report))
+                cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
+                report = evaluate_predicates(
+                    cand, group_order_mode=group_order_mode
+                )
+                if report.passes(names):
+                    found.append((cand, report))
     return found
 
 
@@ -160,52 +160,70 @@ def _triples_for_rules(rules: list[dict], d_max_needed: int):
                             yield (r1, r2, r3)
 
 
+def _check_index_predicates(cfg: dict) -> None:
+    missing = [p for p in INDEX_PREDICATES if p not in cfg["predicates"]]
+    if missing:
+        raise ValueError(
+            "the indexed scan always enforces "
+            + ", ".join(missing)
+            + "; the predicate list must name them"
+        )
+
+
+def _check_catalog_reach(triples, b_values, index, max_size: int) -> None:
+    """Reject a box whose probes could ask for shapes beyond the catalog.
+
+    A probe for (triple, b) matches shapes with #E - epsilon - K.E = key, so
+    the largest #E any probe can ask for is the largest key plus the largest
+    epsilon + K.E of the catalog.  Gates are ignored: the bound is safe.
+    """
+    if not triples or not b_values:
+        return
+    reach = max(s.epsilon + s.ke for shapes in index.values() for s in shapes)
+    key = max(b_values) + max(
+        4 + r1.kc + r2.kc + r3.kc - r1.size - r2.size - r3.size
+        for r1, r2, r3 in triples
+    )
+    if key + reach > max_size:
+        raise ValueError(
+            f"the box asks for exceptional shapes of up to {key + reach}"
+            f" components but catalog_max_size is {max_size}"
+        )
+
+
 def search_xy(bounds: dict | None = None, jobs: int = 1):
     """Candidates passing the general-type predicate suite in the x,y,z box."""
     cfg = bounds or load_bounds("xy")
-    shapes = _named_shapes(cfg["eshapes"])
-    index = _shape_index(shapes)
-    combos = _eps_ke_combos(index)
+    _check_index_predicates(cfg)
+    index = shape_index(_named_shapes(cfg["eshapes"]))
     rules = [
         {"x": x, "y_min": x, "y_max": cfg["y_max"], "z_max": cfg["z_max"]}
         for x in range(2, cfg["x_max"] + 1)
     ]
     triples = list(_triples_for_rules(rules, max(cfg["y_max"], cfg["z_max"])))
-    found = _run_scan(
-        triples,
+    return _run_scan(triples, cfg, index, jobs)
+
+
+def _run_scan(triples, cfg: dict, index, jobs: int = 1):
+    """Scan ``triples`` under the bounds ``cfg``; canonically sorted hits."""
+    args = (
         tuple(cfg["b"]),
         index,
-        combos,
         tuple(cfg["predicates"]),
         cfg["group_order_mode"],
         cfg.get("delta_gmin"),
-        jobs,
         cfg.get("exclude_eps2_chains", False),
     )
-    found.sort(key=lambda pair: pair[0].sort_key())
-    return found
-
-
-def _run_scan(triples, b_values, index, combos, predicate_names,
-              group_order_mode, delta_gmin, jobs, exclude_eps2_chains=False):
     if jobs <= 1 or len(triples) < 64:
-        return _scan_triples(
-            triples, b_values, index, combos, predicate_names,
-            group_order_mode, delta_gmin, exclude_eps2_chains,
-        )
-    chunks = [triples[i::jobs] for i in range(jobs)]
-    found = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _scan_triples, chunk, b_values, index, combos,
-                predicate_names, group_order_mode, delta_gmin,
-                exclude_eps2_chains,
-            )
-            for chunk in chunks
-        ]
-        for fut in futures:
-            found.extend(fut.result())
+        found = _scan_triples(triples, *args)
+    else:
+        chunks = [triples[i::jobs] for i in range(jobs)]
+        found = []
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_scan_triples, chunk, *args) for chunk in chunks]
+            for fut in futures:
+                found.extend(fut.result())
+    found.sort(key=lambda pair: pair[0].sort_key())
     return found
 
 
@@ -219,22 +237,12 @@ def _named_shapes(entries: list) -> list[ExceptionalShape]:
 def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
     cfg = bounds or load_bounds("final_bounds")
+    _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
-    combos = _eps_ke_combos(index)
     d_max = max(rule["z_max"] for rule in cfg["d_rules"])
     triples = list(_triples_for_rules(cfg["d_rules"], d_max))
-    found = _run_scan(
-        triples,
-        tuple(cfg["b"]),
-        index,
-        combos,
-        tuple(cfg["predicates"]),
-        cfg["group_order_mode"],
-        cfg.get("delta_gmin"),
-        jobs,
-        cfg.get("exclude_eps2_chains", False),
-    )
-    found.sort(key=lambda pair: pair[0].sort_key())
+    _check_catalog_reach(triples, cfg["b"], index, cfg["catalog_max_size"])
+    found = _run_scan(triples, cfg, index, jobs)
     eshapes = sorted({cand.eshape.key() for cand, _ in found})
     return {
         "eshapes": eshapes,
@@ -245,10 +253,10 @@ def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
 def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
     cfg = bounds or load_bounds("k_nonpositive")
+    _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
-    combos = _eps_ke_combos(index)
     t1 = parse_chain(cfg["t1"])
-    rec1 = _record_for(t1)
+    rec1 = _record_of(t1)
     by_d = _records_by_d(max(cfg["d2_max"], cfg["d3_max"]))
 
     def case1_triples():
@@ -268,39 +276,20 @@ def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
                             sorted((rec1, r2, r3), key=lambda r: (r.d, r.ws))
                         )
 
-    found1 = _run_scan(
-        list(case1_triples()),
-        tuple(cfg["b"]),
-        index,
-        combos,
-        tuple(cfg["predicates"]),
-        cfg["group_order_mode"],
-        cfg.get("delta_gmin"),
-        jobs,
-        cfg.get("exclude_eps2_chains", False),
-    )
-    found1.sort(key=lambda pair: pair[0].sort_key())
-
     def case2_triples():
         k_max = cfg["case2_k_max"]
         for k in range(0, k_max + 1):
             for head in ((), (3,), (4,), (2, 3)):
-                ws = head + (2,) * k + (3, 2)
-                r3 = _record_for(ws)
+                r3 = _record_of(head + (2,) * k + (3, 2))
                 yield tuple(sorted((rec1, rec1, r3), key=lambda r: (r.d, r.ws)))
 
-    found2 = _run_scan(
-        list(case2_triples()),
-        tuple(cfg["b"]),
-        index,
-        combos,
-        tuple(cfg["predicates"]),
-        cfg["group_order_mode"],
-        cfg.get("delta_gmin"),
-        1,
-        cfg.get("exclude_eps2_chains", False),
+    triples1 = list(case1_triples())
+    triples2 = list(case2_triples())
+    _check_catalog_reach(
+        triples1 + triples2, cfg["b"], index, cfg["catalog_max_size"]
     )
-    found2.sort(key=lambda pair: pair[0].sort_key())
+    found1 = _run_scan(triples1, cfg, index, jobs)
+    found2 = _run_scan(triples2, cfg, index)
     return {
         "case1": [cand.to_dict() for cand, _ in found1],
         "case2": [cand.to_dict() for cand, _ in found2],

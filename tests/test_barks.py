@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -154,6 +155,33 @@ def test_decompose():
     # an all-(-2) graph strips to nothing
     e, delta = decompose_exceptional((2, 2, 2))
     assert e == () and delta == [(2, 2, 2)]
+
+
+def test_closed_forms_match_tree_routes():
+    # the catalog strips chains and forks in closed form; the tree route is
+    # strip_external_minus_two through decompose_exceptional
+    from dgk.barks import _split_external
+
+    for shape in eshape_catalog(20):
+        e_ws, comps = decompose_exceptional(shape.graph)
+        assert shape.e_weights == e_ws
+        assert shape.n_delta_components == len(comps)
+        assert shape.ke == sum(w - 2 for w in e_ws)
+    # b > e~ decides negative definiteness of forks with admissible twigs
+    twigs = [ws for dd in range(2, 8) for ws in chains.oriented_chains_with_d(dd)]
+    not_definite = 0
+    for triple in combinations_with_replacement(twigs, 3):
+        for b in (1, 2, 3):
+            fork = Fork(b, triple)
+            definite = WeightedTree.from_fork(fork).is_negative_definite()
+            et = sum(chains.e_tilde(t) for t in triple)
+            assert (b > et) == definite
+            platonic = is_platonic_triple(tuple(sorted(chains.d(t) for t in triple)))
+            assert is_admissible_fork(fork) == (platonic and definite)
+            e_ws, comps = decompose_exceptional(fork)
+            assert _split_external(fork) == (e_ws, len(comps))
+            not_definite += not definite
+    assert not_definite > 0
 
 
 def test_catalog_families():

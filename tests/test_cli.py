@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dgk.cli import main
+from dgk.search import load_bounds
 
 
 def run(capsys, *argv):
@@ -61,6 +62,27 @@ def test_domain_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["compute", "nonsense", "[2]"]) == 2
+    # a worker count below one is a usage error, caught before any search
+    code, _, err = run(capsys, "search", "xy", "--jobs", "0")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_bad_bounds_file_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "search", "xy", "--bounds", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert err.startswith("error: cannot read bounds file")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    code, _, err = run(capsys, "search", "xy", "--bounds", str(broken))
+    assert code == 1
+    assert "not valid JSON" in err
+    # a box the catalog cannot cover is a domain error too
+    small = tmp_path / "small_catalog.json"
+    small.write_text(json.dumps(dict(load_bounds("final_bounds"), catalog_max_size=20)))
+    code, _, err = run(capsys, "search", "final-bounds", "--bounds", str(small))
+    assert code == 1
+    assert "catalog_max_size is 20" in err
 
 
 def test_group_order_fork(capsys):

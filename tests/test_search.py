@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
+from dgk import chains
 from dgk.barks import eshape_catalog
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -12,9 +15,11 @@ from dgk.predicates import (
 )
 from dgk.search import (
     GOLDEN_FILES,
+    INDEX_PREDICATES,
     load_bounds,
     run_search,
     search_final_bounds,
+    search_k_nonpositive,
     search_xy,
     verify_suite,
 )
@@ -134,3 +139,162 @@ def test_parallel_scan_is_deterministic():
     seq = run_search("xy", jobs=1)
     par = run_search("xy", jobs=2)
     assert seq == par
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: plain evaluate_predicates over every (triple, b, shape)
+
+
+def oriented(d_max):
+    """Every oriented twig with d <= d_max, sorted by (d, weights)."""
+    return sorted(
+        (chains.d(ws), ws)
+        for dd in range(2, d_max + 1)
+        for ws in chains.oriented_chains_with_d(dd)
+    )
+
+
+def sorted_triples(d_max):
+    for triple in combinations_with_replacement(oriented(d_max), 3):
+        yield tuple(d for d, _ in triple), tuple(ws for _, ws in triple)
+
+
+def brute_force(cfg, triples, shapes):
+    """The canonical candidate list of the box, with no index and no gates.
+
+    When the list names noether, Noether's count #E + #D = 7 + eps + K.D +
+    K.E is tested first in integers; evaluate_predicates then decides.
+    """
+    names = tuple(cfg["predicates"])
+    gmin = cfg.get("delta_gmin")
+    found = []
+    for twigs in triples:
+        delta = sum(Fraction(1, chains.d(t)) for t in twigs)
+        if gmin is not None and delta + Fraction(1, gmin) <= 1:
+            continue
+        size_d = 1 + sum(len(t) for t in twigs)
+        for b in cfg["b"]:
+            k_dot_d = b - 2 + sum(w - 2 for t in twigs for w in t)
+            for shape in shapes:
+                if cfg.get("exclude_eps2_chains") and shape.epsilon == 2 and not shape.is_fork:
+                    continue
+                if "noether" in names and (
+                    shape.size + size_d != 7 + shape.epsilon + k_dot_d + shape.ke
+                ):
+                    continue
+                cand = BoundaryCandidate(b, twigs, shape)
+                report = evaluate_predicates(cand, group_order_mode=cfg["group_order_mode"])
+                if report.passes(names):
+                    found.append(cand)
+    found.sort(key=BoundaryCandidate.sort_key)
+    return [cand.to_dict() for cand in found]
+
+
+def xy_box(cfg):
+    return [
+        twigs
+        for (d1, d2, d3), twigs in sorted_triples(cfg["z_max"])
+        if d1 <= cfg["x_max"] and d2 <= cfg["y_max"]
+    ]
+
+
+def small_xy():
+    return dict(load_bounds("xy"), x_max=2, y_max=5, z_max=12)
+
+
+def named(cfg):
+    return [shape(key, eps) for key, eps in cfg["eshapes"]]
+
+
+def test_xy_scan_matches_brute_force():
+    cfg = small_xy()
+    assert [c.to_dict() for c, _ in search_xy(cfg)] == brute_force(
+        cfg, xy_box(cfg), named(cfg)
+    )
+    # every shape of at most four components, eps-2 chains admitted, with
+    # the file's predicates but square and w2, then with the index's alone
+    cfg["eshapes"] = [[s.key(), s.epsilon] for s in eshape_catalog(4)]
+    weaker = [p for p in cfg["predicates"] if p not in ("square", "w2")]
+    sizes = []
+    for preds in (weaker, list(INDEX_PREDICATES)):
+        cfg.update(predicates=preds, exclude_eps2_chains=False)
+        want = brute_force(cfg, xy_box(cfg), named(cfg))
+        assert [c.to_dict() for c, _ in search_xy(cfg)] == want
+        sizes.append(len(want))
+    assert 0 < sizes[0] < sizes[1]
+
+
+@pytest.mark.parametrize(
+    "name, delta_gmin",
+    [("final_bounds", None), ("final_bounds_relaxed", 2), ("final_bounds_relaxed", 6)],
+)
+def test_final_bounds_scan_matches_brute_force(name, delta_gmin):
+    # delta_gmin 6 puts the triples (2,6,6) and (3,3,6) on its edge
+    rules = [
+        {"x": 2, "y_min": 4, "y_max": 6, "z_max": 6},
+        {"x": 3, "y_min": 3, "y_max": 3, "z_max": 6},
+    ]
+    cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=delta_gmin)
+    box = [
+        twigs
+        for (d1, d2, d3), twigs in sorted_triples(6)
+        if (d1 == 2 and 4 <= d2) or (d1 == 3 and d2 == 3)
+    ]
+    want = brute_force(cfg, box, eshape_catalog(20))
+    assert search_final_bounds(cfg)["candidates"] == want
+    assert want or name == "final_bounds"
+
+
+@pytest.mark.parametrize("index_only", [False, True])
+def test_knonpos_scan_matches_brute_force(index_only):
+    cfg = dict(
+        load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3,
+        catalog_max_size=21,
+    )
+    if index_only:
+        cfg["predicates"] = list(INDEX_PREDICATES)
+    t1 = parse_chain(cfg["t1"])
+    by_key = lambda t: (chains.d(t), t)  # noqa: E731
+    case1 = [
+        tuple(sorted((t1, t2, t3), key=by_key))
+        for (d2, t2), (d3, t3) in combinations_with_replacement(oriented(12), 2)
+        if 3 <= d2 <= 5 and not (t2 == t1 and t3[-2:] == (3, 2))
+    ]
+    case2 = [
+        tuple(sorted((t1, t1, head + (2,) * k + (3, 2)), key=by_key))
+        for k in range(cfg["case2_k_max"] + 1)
+        for head in ((), (3,), (4,), (2, 3))
+    ]
+    shapes = eshape_catalog(21)
+    out = search_k_nonpositive(cfg)
+    assert out["case1"] == brute_force(cfg, case1, shapes)
+    assert out["case2"] == brute_force(cfg, case2, shapes)
+    assert out["case1"] and (out["case2"] or not index_only)
+
+
+def test_scan_rejects_lists_without_index_predicates():
+    # the probe enforces noether and zar_bk2 whatever the list says; without
+    # them the plain evaluation of this box finds four candidates
+    cfg = small_xy()
+    cfg["predicates"] = [p for p in cfg["predicates"] if p not in ("noether", "zar_bk2")]
+    cfg["exclude_eps2_chains"] = False
+    assert len(brute_force(cfg, xy_box(cfg), named(cfg))) == 4
+    with pytest.raises(ValueError, match="noether, zar_bk2"):
+        search_xy(cfg)
+    for name, search in (("final_bounds", search_final_bounds),
+                         ("k_nonpositive", search_k_nonpositive)):
+        cfg = load_bounds(name)
+        cfg["predicates"] = [p for p in cfg["predicates"] if p != "zar_delta"]
+        with pytest.raises(ValueError, match="zar_delta"):
+            search(cfg)
+
+
+def test_catalog_cap_is_checked():
+    cfg = dict(load_bounds("final_bounds"), catalog_max_size=20)
+    with pytest.raises(ValueError, match="catalog_max_size is 20"):
+        search_final_bounds(cfg)
+    # ([3], [5], [12]) with b = 1 asks for 21 components: 20 is one short
+    small = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3)
+    with pytest.raises(ValueError, match="up to 21 components"):
+        search_k_nonpositive(dict(small, catalog_max_size=20))
+    assert search_k_nonpositive(dict(small, catalog_max_size=21))["case1"]
