@@ -10,10 +10,11 @@ with the closed forms used as cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple
 
 from . import chains
 from .graphs import (
@@ -205,7 +206,8 @@ class ExceptionalShape:
     ``graph`` is the full divisor (chain weights or a Fork); ``epsilon`` is
     the family tag.  Derived data: the components left after stripping
     external (-2)-tips (E), the stripped components (delta), K.E summed over
-    E, the discriminant, bark square and local group order.
+    E, the discriminant, bark square and local group order; ``spec`` is the
+    catalog spec the shape was built from.
     """
 
     graph: Weights | Fork
@@ -218,6 +220,7 @@ class ExceptionalShape:
     d: int = field(compare=False)
     bk_square: Fraction = field(compare=False)
     g_order: int = field(compare=False)
+    spec: ShapeSpec = field(compare=False, repr=False)
 
     @property
     def is_fork(self) -> bool:
@@ -310,7 +313,123 @@ def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
     return graph[lead:len(graph) - trail], (lead > 0) + (trail > 0)
 
 
-def _make_shape(graph: Weights | Fork, epsilon: int, family: str) -> ExceptionalShape:
+# ---------------------------------------------------------------------------
+# the catalog of exceptional shapes
+
+
+class Family(NamedTuple):
+    """A catalog family: its tag, its epsilon and the weights other than 2
+    of its chains, in order; empty for the fork families b1 and b2."""
+
+    name: str
+    epsilon: int
+    weights: Weights
+
+
+# A shape spec is (family, r0, r1, ..., rk) for the chain
+# [(r0),w1,(r1),...,wk,(rk)] of a chain family with weights w1..wk, or
+# (family, fork) for a fork family.  Specs are small tuples of small
+# integers sharing their Family, so the size-60 index is cheap to hold.
+ShapeSpec = tuple
+
+_A = tuple(Family("a", 0, (w,)) for w in (5, 6, 7))
+_B1, _B2 = Family("b1", 2, ()), Family("b2", 2, ())
+_B3, _B4 = Family("b3", 2, (3,)), Family("b4", 2, (4,))
+_C1 = tuple(Family("c1", 1, (w,)) for w in (4, 5))
+_C2 = tuple(Family("c2", 1, ws) for ws in ((3, 3), (3, 4), (4, 3)))
+_C3 = Family("c3", 1, (3, 3, 3))
+# (c4): the six chains with E.Delta = 2, [2,4,2], [2,5,2], [2,3,3,2],
+# [2,3,4,2], [(2),4,2] and [(2),5,2], as (weights, runs)
+_C4 = tuple(
+    (Family("c4", 1, ws),) + runs
+    for ws, runs in (
+        ((4,), (1, 1)),
+        ((5,), (1, 1)),
+        ((3, 3), (1, 0, 1)),
+        ((3, 4), (1, 0, 1)),
+        ((4,), (1, 2)),
+        ((5,), (1, 2)),
+    )
+)
+
+
+def _generate_specs(max_size: int) -> Iterator[ShapeSpec]:
+    """Every catalog spec with at most ``max_size`` components, once each.
+
+    Families: (a) single curves [5],[6],[7] with epsilon 0; (b1)/(b2) the
+    forks and (b3) the [(r),3,(x)] chains with epsilon 2, together with [4];
+    (c1)-(c4) the epsilon 1 chains.  [4] and [5] occur with two epsilon tags.
+    A chain and its reversal are one shape, so where a family holds both the
+    parameters of the second are skipped: b3 keeps r <= x, c2 with x = 0
+    keeps [3,(y),4] over [4,(y),3], and c3 with r = 0 keeps x <= y.  No
+    chain lies in two families with the same epsilon (the weights other than
+    2 and the end runs tell the family), so each spec has one family tag.
+    """
+    if max_size >= 1:
+        for family in _A:
+            yield family, 0, 0
+
+    # (b1): branch -2 with twigs A, B, [2]; (b2): branch -3 with the same
+    b1_pairs = [((3,), (2, 2)), ((3,), (2, 2, 2)), ((3,), (2, 2, 2, 2)), ((2, 3), (2, 2))]
+    b1_pairs += [((2,) * n + (3,), (2,)) for n in range(max_size)]
+    b2_pairs = [((2, 2), (2, 2)), ((2, 2), (2, 2, 2)), ((2, 2), (2, 2, 2, 2))]
+    b2_pairs += [((2,), (2,) * n) for n in range(1, max_size)]
+    for family, b, pairs in ((_B1, 2, b1_pairs), (_B2, 3, b2_pairs)):
+        for a, c in pairs:
+            fork = Fork(b, (a, c, (2,)))
+            if 2 + len(a) + len(c) <= max_size and is_admissible_fork(fork):
+                yield family, fork
+
+    # (b3): [(r),3,(x)]; [4] also occurs with epsilon 2
+    for r in range(max_size):
+        for x in range(r, max_size - r):
+            yield _B3, r, x
+    if max_size >= 1:
+        yield _B4, 0, 0
+
+    # (c1): [(r),4] and [(r),5]
+    for r in range(max_size):
+        for family in _C1:
+            yield family, r, 0
+
+    # (c2): [(x),3,(y),3], [(x),3,(y),4], [(x),4,(y),3]
+    for x in range(max_size - 1):
+        for y in range(max_size - 1 - x):
+            for family in _C2:
+                if x or family.weights != (4, 3):
+                    yield family, x, y, 0
+
+    # (c3): [(r),3,(x),3,(y),3]
+    for r in range(max_size - 2):
+        for x in range(max_size - 2 - r):
+            for y in range(0 if r else x, max_size - 2 - r - x):
+                yield _C3, r, x, y, 0
+
+    for spec in _C4:
+        if sum(spec[1:]) + len(spec[0].weights) <= max_size:
+            yield spec
+
+
+@lru_cache(maxsize=None)
+def family_specs(max_size: int) -> tuple[ShapeSpec, ...]:
+    """The specs of :func:`_generate_specs`, shared by the catalog and the
+    index of one size so that each spec is held once."""
+    return tuple(_generate_specs(max_size))
+
+
+def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
+    family = spec[0]
+    if not family.weights:
+        return spec[1]
+    chain = (2,) * spec[1]
+    for w, r in zip(family.weights, spec[2:]):
+        chain += (w,) + (2,) * r
+    return canonical_chain(chain)
+
+
+def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
+    graph = _spec_graph(spec)
+    family = spec[0]
     if isinstance(graph, Fork):
         size = 1 + sum(len(t) for t in graph.twigs)
         et = sum(chains.e_tilde(t) for t in graph.twigs)
@@ -334,8 +453,8 @@ def _make_shape(graph: Weights | Fork, epsilon: int, family: str) -> Exceptional
     ke = sum(e_weights) - 2 * len(e_weights)
     return ExceptionalShape(
         graph=graph,
-        epsilon=epsilon,
-        families=(family,),
+        epsilon=family.epsilon,
+        families=(family.name,),
         e_weights=e_weights,
         n_delta_components=n_delta,
         ke=ke,
@@ -343,134 +462,93 @@ def _make_shape(graph: Weights | Fork, epsilon: int, family: str) -> Exceptional
         d=dd,
         bk_square=bk2,
         g_order=g,
+        spec=spec,
     )
 
 
-def _runs(count: int) -> Weights:
-    return (2,) * count
+@lru_cache(maxsize=None)
+def shape_of(spec: ShapeSpec) -> ExceptionalShape:
+    """The shape of ``spec``, built on first request.
+
+    The scan resolves index hits here, so the cache holds only the shapes
+    some probe asked for; :func:`eshape_catalog` builds its own.
+    """
+    return _make_shape(spec)
 
 
 @lru_cache(maxsize=None)
 def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
-    """All catalog shapes with at most ``max_size`` components.
-
-    Families: (a) single curves [5],[6],[7] with epsilon 0; (b1)/(b2) the
-    forks and (b3) the [(r),3,(x)] chains with epsilon 2, together with [4];
-    (c1)-(c4) the epsilon 1 chains.  [4] and [5] occur with two epsilon tags.
-    """
-    shapes: dict[tuple[str, int], ExceptionalShape] = {}
-
-    def add(graph: Weights | Fork, epsilon: int, family: str) -> None:
-        if not isinstance(graph, Fork):
-            graph = canonical_chain(graph)
-        key = (_graph_key(graph), epsilon)
-        prev = shapes.get(key)
-        if prev is None:
-            shapes[key] = _make_shape(graph, epsilon, family)
-        elif family not in prev.families:
-            shapes[key] = replace(prev, families=prev.families + (family,))
-
-    for w in (5, 6, 7):
-        add((w,), 0, "a")
-
-    # (b1): branch -2 with twigs A, B, [2]
-    b1_pairs: list[tuple[Weights, Weights]] = [
-        ((3,), (2, 2)),
-        ((3,), (2, 2, 2)),
-        ((3,), (2, 2, 2, 2)),
-        ((2, 3), (2, 2)),
-    ]
-    for n in range(0, max_size):
-        b1_pairs.append((_runs(n) + (3,), (2,)))
-    for a, b in b1_pairs:
-        fork = Fork(2, (a, b, (2,)))
-        if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
-            add(fork, 2, "b1")
-
-    # (b2): branch -3 with twigs A, B, [2]
-    b2_pairs: list[tuple[Weights, Weights]] = [
-        ((2, 2), (2, 2)),
-        ((2, 2), (2, 2, 2)),
-        ((2, 2), (2, 2, 2, 2)),
-    ]
-    for n in range(1, max_size):
-        b2_pairs.append(((2,), _runs(n)))
-    for a, b in b2_pairs:
-        fork = Fork(3, (a, b, (2,)))
-        if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
-            add(fork, 2, "b2")
-
-    # (b3): [(r),3,(x)]
-    for r in range(0, max_size):
-        for x in range(r, max_size):
-            if r + x + 1 <= max_size:
-                add(_runs(r) + (3,) + _runs(x), 2, "b3")
-
-    # [4] also occurs with epsilon 2
-    add((4,), 2, "b4")
-
-    # (c1): [(r),4] and [(r),5]
-    for r in range(0, max_size):
-        for w in (4, 5):
-            if r + 1 <= max_size:
-                add(_runs(r) + (w,), 1, "c1")
-
-    # (c2): [(x),3,(y),3], [(x),3,(y),4], [(x),4,(y),3]
-    for x in range(0, max_size):
-        for y in range(0, max_size):
-            if x + y + 2 > max_size:
-                continue
-            add(_runs(x) + (3,) + _runs(y) + (3,), 1, "c2")
-            add(_runs(x) + (3,) + _runs(y) + (4,), 1, "c2")
-            add(_runs(x) + (4,) + _runs(y) + (3,), 1, "c2")
-
-    # (c3): [(r),3,(x),3,(y),3]
-    for r in range(0, max_size):
-        for x in range(0, max_size):
-            for y in range(0, max_size):
-                if r + x + y + 3 > max_size:
-                    continue
-                add(_runs(r) + (3,) + _runs(x) + (3,) + _runs(y) + (3,), 1, "c3")
-
-    # (c4): the six chains with E.Delta = 2
-    for ws in (
-        (2, 4, 2),
-        (2, 5, 2),
-        (2, 3, 3, 2),
-        (2, 3, 4, 2),
-        (2, 4, 2, 2),
-        (2, 5, 2, 2),
-    ):
-        if len(ws) <= max_size:
-            add(ws, 1, "c4")
-
-    ordered = sorted(shapes.items(), key=lambda item: (item[1].size, item[0]))
-    return tuple(s for _, s in ordered if s.size <= max_size)
+    """All catalog shapes with at most ``max_size`` components, ordered by
+    (size, key, epsilon); see :func:`_generate_specs` for the families."""
+    shapes = [_make_shape(spec) for spec in family_specs(max_size)]
+    shapes.sort(key=lambda s: (s.size, s.key(), s.epsilon))
+    return tuple(shapes)
 
 
 def enumerate_exceptional_shapes(max_size: int) -> list[ExceptionalShape]:
     return list(eshape_catalog(max_size))
 
 
-def shape_index(
-    shapes: Iterable[ExceptionalShape],
-) -> dict[tuple[int, int, int], tuple[ExceptionalShape, ...]]:
-    """Shapes keyed for the single scan probe per (twig triple, b).
+def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
+    """(index key, epsilon + K.E) of a spec, with no shape built.
+
+    For a chain the product of [[w, -1], [1, 0]] over its weights is
+    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], a run of r 2's gives
+    [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], and
+    Bk^2 = -(d(ws[1:]) + d(ws[:-1]) + 2)/d, all in integers from the runs.
+    The few forks use :func:`fork_bark_square`.
+    """
+    family = spec[0]
+    if family.weights:
+        r = spec[1]
+        p, q, s, t = 1 + r, -r, r, 1 - r
+        for w, r in zip(family.weights, spec[2:]):
+            p, q, s, t = p * w + q, -p, s * w + t, -s
+            p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
+        size = sum(spec[1:]) + len(family.weights)
+        ke = sum(family.weights) - 2 * len(family.weights)
+        num, den = q - s - 2, p
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    else:
+        fork = spec[1]
+        size = 1 + sum(len(t) for t in fork.twigs)
+        e_weights, _ = _split_external(fork)
+        ke = sum(e_weights) - 2 * len(e_weights)
+        bk2 = fork_bark_square(fork)
+        num, den = bk2.numerator, bk2.denominator
+    eps = family.epsilon
+    return (size - eps - ke, num + eps * den, den), eps + ke
+
+
+@dataclass(frozen=True)
+class SpecIndex:
+    """Specs keyed for the single scan probe per (twig triple, b).
 
     The key is (#E - epsilon - K.E, numerator, denominator) of Bk^2(E) +
     epsilon.  Noether's count pins #E - epsilon - K.E to
     4 + b + sum K.T_i - sum #T_i and the Zariski identity pins Bk^2(E) +
     epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
+    ``reach`` is the largest epsilon + K.E of the entries, so a probe with
+    first key entry k asks for shapes of at most k + reach components.
     """
-    index: dict[tuple[int, int, int], list[ExceptionalShape]] = {}
-    for shape in shapes:
-        num, den = shape.bk_square.numerator, shape.bk_square.denominator
-        key = (shape.size - shape.epsilon - shape.ke, num + shape.epsilon * den, den)
-        index.setdefault(key, []).append(shape)
-    return {k: tuple(v) for k, v in index.items()}
+
+    probes: dict[tuple[int, int, int], tuple[ShapeSpec, ...]]
+    reach: int
+
+
+def spec_index(specs: Iterable[ShapeSpec]) -> SpecIndex:
+    probes: dict[tuple[int, int, int], tuple[ShapeSpec, ...]] = {}
+    reach = 0
+    for spec in specs:
+        key, eps_ke = _probe_key(spec)
+        probes[key] = probes.get(key, ()) + (spec,)
+        reach = max(reach, eps_ke)
+    return SpecIndex(probes, reach)
 
 
 @lru_cache(maxsize=None)
-def catalog_index(max_size: int) -> dict[tuple[int, int, int], tuple[ExceptionalShape, ...]]:
-    """The catalog up to ``max_size`` components, keyed by :func:`shape_index`."""
-    return shape_index(eshape_catalog(max_size))
+def catalog_index(max_size: int) -> SpecIndex:
+    """The catalog up to ``max_size`` components as a :class:`SpecIndex`;
+    it holds exactly the shapes of :func:`eshape_catalog` but builds none."""
+    return spec_index(family_specs(max_size))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .graphs import Weights, canonical_chain, is_admissible_chain, reverse_chain
@@ -29,13 +28,12 @@ class DegenerateChainError(ValueError):
     """Raised when an invariant needs d != 0 but the chain has d == 0."""
 
 
-@lru_cache(maxsize=None)
 def d(weights: Weights) -> int:
-    if len(weights) == 0:
-        return 1
-    if len(weights) == 1:
-        return weights[0]
-    return weights[0] * d(weights[1:]) - d(weights[2:])
+    """The discriminant, by one pass of the recurrence from the far end."""
+    cur, prev = 1, 0
+    for a in reversed(weights):
+        cur, prev = a * cur - prev, cur
+    return cur
 
 
 def d_prime(weights: Weights) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -431,10 +432,16 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ChainParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+        # flush here, so that a closed pipe raises inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (as in "dgk search xy | head -1"); point
+        # stdout at devnull so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

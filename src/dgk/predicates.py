@@ -111,6 +111,27 @@ def is_positive_perfect_square(x: Fraction) -> bool:
     return r * r == n
 
 
+# The names of the predicates evaluate_predicates reports, in its order.
+PREDICATE_NAMES = (
+    "noether",
+    "bmy",
+    "eps2_ii",
+    "eps2_iii",
+    "eps2_iv",
+    "zar_b",
+    "zar_delta",
+    "zar_bk2",
+    "square",
+    "ke",
+    "w2",
+    "w2_delta_g",
+    "delta3",
+    "et_plus_delta_ge_2",
+    "no_212",
+    "min_twig_irreducible",
+)
+
+
 def evaluate_predicates(
     cand: BoundaryCandidate, *, group_order_mode: str = "actual"
 ) -> PredicateReport:

@@ -22,9 +22,10 @@ from math import gcd
 from pathlib import Path
 
 from . import chains
-from .barks import ExceptionalShape, catalog_index, eshape_catalog, shape_index
+from .barks import ShapeSpec, catalog_index, eshape_catalog, shape_of, spec_index
 from .graphs import Weights, format_chain, parse_chain
 from .predicates import (
+    PREDICATE_NAMES,
     BoundaryCandidate,
     PredicateReport,
     evaluate_predicates,
@@ -35,6 +36,21 @@ from .ruling import TwoFiberSolution, solve_two_fiber
 # lists (zar_b only through b < e~), so a list without them would promise
 # candidates the scan never returns.
 INDEX_PREDICATES = ("noether", "zar_b", "zar_delta", "zar_bk2")
+
+# The keys each search reads from a bounds file; the optional ones may be
+# left out.
+_SCAN_KEYS = frozenset(
+    {"description", "b", "predicates", "group_order_mode", "delta_gmin", "exclude_eps2_chains"}
+)
+BOUNDS_KEYS = {
+    "xy": _SCAN_KEYS | {"x_max", "y_max", "z_max", "eshapes"},
+    "final-bounds": _SCAN_KEYS | {"d_rules", "catalog_max_size"},
+    "knonpos": _SCAN_KEYS | {"t1", "d2_max", "d3_max", "case2_k_max", "catalog_max_size"},
+    "fiber-pairs": frozenset(
+        {"description", "twig_d_max", "eshapes", "predicates", "group_order_mode"}
+    ),
+}
+OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,31 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
+def validate_bounds(search: str, cfg: dict) -> None:
+    """Reject bounds the search ``search`` would misread, before any work:
+    unknown or missing keys, unknown predicate names, an unknown
+    group_order_mode and a delta_gmin that is not null or a positive integer."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{search} bounds must be a JSON object")
+    keys = BOUNDS_KEYS[search]
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise ValueError(f"unknown {search} bounds keys: {', '.join(unknown)}")
+    missing = sorted(keys - OPTIONAL_KEYS - set(cfg))
+    if missing:
+        raise ValueError(f"missing {search} bounds keys: {', '.join(missing)}")
+    bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
+    if bad:
+        raise ValueError(f"unknown predicates: {', '.join(bad)}")
+    if cfg["group_order_mode"] not in ("actual", "h1"):
+        raise ValueError(
+            f"group_order_mode must be 'actual' or 'h1', got {cfg['group_order_mode']!r}"
+        )
+    gmin = cfg.get("delta_gmin")
+    if gmin is not None and (type(gmin) is not int or gmin < 1):
+        raise ValueError(f"delta_gmin must be null or a positive integer, got {gmin!r}")
+
+
 def _scan_triples(
     triples,
     b_values,
@@ -99,9 +140,10 @@ def _scan_triples(
     """Evaluate every (twig triple, b, shape) combination against the suite.
 
     Works in integers over D = d1*d2*d3: delta = S/D, e = E/D, e~ = Et/D.
-    Each (triple, b) passing the gates makes one probe of ``index`` (see
-    :func:`dgk.barks.shape_index`) with Bk^2(E) + epsilon = e - 1 - P^2 as a
-    reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).
+    Each (triple, b) passing the gates makes one probe of ``index``, the
+    ``probes`` of a :class:`dgk.barks.SpecIndex`, with Bk^2(E) + epsilon =
+    e - 1 - P^2 as a reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).
+    A hit's spec becomes its shape through :func:`dgk.barks.shape_of`.
     """
     found: list[tuple[BoundaryCandidate, PredicateReport]] = []
     names = tuple(predicate_names)
@@ -126,7 +168,8 @@ def _scan_triples(
             num = e_minus_1 * slack - gap_sq
             den = dd * slack
             g = gcd(num, den)
-            for shape in index.get((key + b, num // g, den // g), ()):
+            for spec in index.get((key + b, num // g, den // g), ()):
+                shape = shape_of(spec)
                 if exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
                 cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
@@ -139,24 +182,30 @@ def _scan_triples(
 
 
 def _triples_for_rules(rules: list[dict], d_max_needed: int):
-    """Sorted oriented-twig triples from per-smallest-discriminant rules."""
+    """Sorted oriented-twig triples from per-smallest-discriminant rules.
+
+    A triple with discriminants (x, y, z) comes from a rule only through
+    (x, y, z), so a discriminant triple an earlier rule covered is skipped
+    whole, and weights are compared only where two discriminants are equal.
+    """
     by_d = _records_by_d(d_max_needed)
-    seen = set()
+    covered: set[tuple[int, int, int]] = set()
     for rule in rules:
         x = rule["x"]
+        yz = []
+        for y in range(max(x, rule["y_min"]), rule["y_max"] + 1):
+            zs = [z for z in range(y, rule["z_max"] + 1) if (x, y, z) not in covered]
+            covered.update((x, y, z) for z in zs)
+            yz.append((y, zs))
         for r1 in by_d.get(x, ()):
-            for y in range(rule["y_min"], rule["y_max"] + 1):
+            for y, zs in yz:
                 for r2 in by_d.get(y, ()):
-                    if (r1.d, r1.ws) > (r2.d, r2.ws):
+                    if y == x and r1.ws > r2.ws:
                         continue
-                    for z in range(y, rule["z_max"] + 1):
+                    for z in zs:
                         for r3 in by_d.get(z, ()):
-                            if (r2.d, r2.ws) > (r3.d, r3.ws):
+                            if z == y and r2.ws > r3.ws:
                                 continue
-                            key = (r1.ws, r2.ws, r3.ws)
-                            if key in seen:
-                                continue
-                            seen.add(key)
                             yield (r1, r2, r3)
 
 
@@ -170,16 +219,16 @@ def _check_index_predicates(cfg: dict) -> None:
         )
 
 
-def _check_catalog_reach(triples, b_values, index, max_size: int) -> None:
+def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
     """Reject a box whose probes could ask for shapes beyond the catalog.
 
     A probe for (triple, b) matches shapes with #E - epsilon - K.E = key, so
-    the largest #E any probe can ask for is the largest key plus the largest
-    epsilon + K.E of the catalog.  Gates are ignored: the bound is safe.
+    the largest #E any probe can ask for is the largest key plus ``reach``,
+    the largest epsilon + K.E of the catalog.  Gates are ignored: the bound
+    is safe.
     """
     if not triples or not b_values:
         return
-    reach = max(s.epsilon + s.ke for shapes in index.values() for s in shapes)
     key = max(b_values) + max(
         4 + r1.kc + r2.kc + r3.kc - r1.size - r2.size - r3.size
         for r1, r2, r3 in triples
@@ -194,14 +243,15 @@ def _check_catalog_reach(triples, b_values, index, max_size: int) -> None:
 def search_xy(bounds: dict | None = None, jobs: int = 1):
     """Candidates passing the general-type predicate suite in the x,y,z box."""
     cfg = bounds or load_bounds("xy")
+    validate_bounds("xy", cfg)
     _check_index_predicates(cfg)
-    index = shape_index(_named_shapes(cfg["eshapes"]))
+    index = spec_index(_named_specs(cfg["eshapes"]))
     rules = [
         {"x": x, "y_min": x, "y_max": cfg["y_max"], "z_max": cfg["z_max"]}
         for x in range(2, cfg["x_max"] + 1)
     ]
     triples = list(_triples_for_rules(rules, max(cfg["y_max"], cfg["z_max"])))
-    return _run_scan(triples, cfg, index, jobs)
+    return _run_scan(triples, cfg, index.probes, jobs)
 
 
 def _run_scan(triples, cfg: dict, index, jobs: int = 1):
@@ -227,22 +277,34 @@ def _run_scan(triples, cfg: dict, index, jobs: int = 1):
     return found
 
 
-def _named_shapes(entries: list) -> list[ExceptionalShape]:
-    """Resolve [key, epsilon] pairs against the catalog."""
-    catalog = eshape_catalog(12)
-    table = {(s.key(), s.epsilon): s for s in catalog}
-    return [table[(key, eps)] for key, eps in (tuple(x) for x in entries)]
+def _named_specs(entries: list) -> list[ShapeSpec]:
+    """Resolve [key, epsilon] pairs against the catalog of size 12."""
+    table = {(s.key(), s.epsilon): s.spec for s in eshape_catalog(12)}
+    specs = []
+    for entry in entries:
+        try:
+            spec = table.get(tuple(entry))
+        except TypeError:  # not a sequence, or unhashable parts
+            spec = None
+        if spec is None:
+            raise ValueError(
+                f"eshapes entry {entry!r} is not a [key, epsilon] pair of a"
+                " catalog shape of at most 12 components"
+            )
+        specs.append(spec)
+    return specs
 
 
 def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
     cfg = bounds or load_bounds("final_bounds")
+    validate_bounds("final-bounds", cfg)
     _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
     d_max = max(rule["z_max"] for rule in cfg["d_rules"])
     triples = list(_triples_for_rules(cfg["d_rules"], d_max))
-    _check_catalog_reach(triples, cfg["b"], index, cfg["catalog_max_size"])
-    found = _run_scan(triples, cfg, index, jobs)
+    _check_catalog_reach(triples, cfg["b"], index.reach, cfg["catalog_max_size"])
+    found = _run_scan(triples, cfg, index.probes, jobs)
     eshapes = sorted({cand.eshape.key() for cand, _ in found})
     return {
         "eshapes": eshapes,
@@ -253,6 +315,7 @@ def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
 def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
     cfg = bounds or load_bounds("k_nonpositive")
+    validate_bounds("knonpos", cfg)
     _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
     t1 = parse_chain(cfg["t1"])
@@ -286,10 +349,10 @@ def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
     triples1 = list(case1_triples())
     triples2 = list(case2_triples())
     _check_catalog_reach(
-        triples1 + triples2, cfg["b"], index, cfg["catalog_max_size"]
+        triples1 + triples2, cfg["b"], index.reach, cfg["catalog_max_size"]
     )
-    found1 = _run_scan(triples1, cfg, index, jobs)
-    found2 = _run_scan(triples2, cfg, index)
+    found1 = _run_scan(triples1, cfg, index.probes, jobs)
+    found2 = _run_scan(triples2, cfg, index.probes)
     return {
         "case1": [cand.to_dict() for cand, _ in found1],
         "case2": [cand.to_dict() for cand, _ in found2],
@@ -300,7 +363,8 @@ def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
     cfg = bounds or load_bounds("fiber_pairs")
-    shapes = _named_shapes(cfg["eshapes"])
+    validate_bounds("fiber-pairs", cfg)
+    shapes = [shape_of(spec) for spec in _named_specs(cfg["eshapes"])]
     sweep = [
         ws
         for dd in range(2, cfg["twig_d_max"] + 1)

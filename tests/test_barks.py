@@ -5,18 +5,24 @@ import pytest
 
 from dgk import chains
 from dgk.barks import (
+    _make_shape,
+    _probe_key,
     bark_chain,
     bark_fork,
     bark_one_sided,
+    catalog_index,
     chain_bark_square,
     decompose_exceptional,
     eshape_catalog,
+    family_specs,
+    fork_bark_square,
     fork_invariants,
     group_order,
     is_admissible_fork,
     is_platonic_triple,
+    shape_of,
 )
-from dgk.graphs import Fork, WeightedTree, parse_chain
+from dgk.graphs import Fork, WeightedTree, canonical_chain, format_chain, parse_chain
 
 
 def F(n, d=1):
@@ -219,10 +225,11 @@ def test_catalog_families():
 
 
 def test_all_minus_two_shape_rejected():
-    from dgk.barks import _make_shape
+    from dgk.barks import Family, _make_shape
 
+    # the spec of the chain [(1),2,(1)] = (2, 2, 2)
     with pytest.raises(ValueError):
-        _make_shape((2, 2, 2), 2, "b3")
+        _make_shape((Family("b3", 2, (2,)), 1, 1))
 
 
 def test_small_dihedral_fork_discriminant():
@@ -230,3 +237,128 @@ def test_small_dihedral_fork_discriminant():
     fk = Fork(2, ((2,), (2,), (3,)))
     assert WeightedTree.from_fork(fk).discriminant() == 8
     assert group_order(fk) == 24
+
+
+# ---------------------------------------------------------------------------
+# the spec enumeration against the enumeration it replaced
+
+
+def reference_catalog(max_size):
+    """(graph, epsilon, families) of every catalog shape, in catalog order.
+
+    The enumeration the catalog used before specs: weight tuples and forks
+    are built and canonicalised, keyed by their bracket string, and a second
+    family adding the same (key, epsilon) joins the first one's tags.
+    """
+    found = {}
+
+    def graph_key(graph):
+        if isinstance(graph, Fork):
+            twigs = ",".join(format_chain(t) for t in graph.sorted_twigs())
+            return f"fork(b={graph.b};{twigs})"
+        return format_chain(graph)
+
+    def add(graph, epsilon, family):
+        if not isinstance(graph, Fork):
+            graph = canonical_chain(graph)
+        key = (graph_key(graph), epsilon)
+        if key not in found:
+            found[key] = (graph, epsilon, (family,))
+        elif family not in found[key][2]:
+            found[key] = found[key][:2] + (found[key][2] + (family,),)
+
+    def runs(count):
+        return (2,) * count
+
+    for w in (5, 6, 7):
+        add((w,), 0, "a")
+    b1_pairs = [((3,), (2, 2)), ((3,), (2, 2, 2)), ((3,), (2, 2, 2, 2)), ((2, 3), (2, 2))]
+    b1_pairs += [(runs(n) + (3,), (2,)) for n in range(0, max_size)]
+    for a, b in b1_pairs:
+        fork = Fork(2, (a, b, (2,)))
+        if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
+            add(fork, 2, "b1")
+    b2_pairs = [((2, 2), (2, 2)), ((2, 2), (2, 2, 2)), ((2, 2), (2, 2, 2, 2))]
+    b2_pairs += [((2,), runs(n)) for n in range(1, max_size)]
+    for a, b in b2_pairs:
+        fork = Fork(3, (a, b, (2,)))
+        if 1 + len(a) + len(b) + 1 <= max_size and is_admissible_fork(fork):
+            add(fork, 2, "b2")
+    for r in range(0, max_size):
+        for x in range(r, max_size):
+            if r + x + 1 <= max_size:
+                add(runs(r) + (3,) + runs(x), 2, "b3")
+    add((4,), 2, "b4")
+    for r in range(0, max_size):
+        for w in (4, 5):
+            add(runs(r) + (w,), 1, "c1")
+    for x in range(0, max_size):
+        for y in range(0, max_size):
+            if x + y + 2 <= max_size:
+                add(runs(x) + (3,) + runs(y) + (3,), 1, "c2")
+                add(runs(x) + (3,) + runs(y) + (4,), 1, "c2")
+                add(runs(x) + (4,) + runs(y) + (3,), 1, "c2")
+    for r in range(0, max_size):
+        for x in range(0, max_size):
+            for y in range(0, max_size):
+                if r + x + y + 3 <= max_size:
+                    add(runs(r) + (3,) + runs(x) + (3,) + runs(y) + (3,), 1, "c3")
+    for ws in ((2, 4, 2), (2, 5, 2), (2, 3, 3, 2), (2, 3, 4, 2), (2, 4, 2, 2), (2, 5, 2, 2)):
+        add(ws, 1, "c4")
+
+    def size(graph):
+        return 1 + sum(map(len, graph.twigs)) if isinstance(graph, Fork) else len(graph)
+
+    ordered = sorted(found.items(), key=lambda item: (size(item[1][0]), item[0]))
+    return [entry for _, entry in ordered if size(entry[0]) <= max_size]
+
+
+def reference_shape_index(shapes):
+    """Shapes keyed as the scan probes them, from their Fraction Bk^2."""
+    index = {}
+    for s in shapes:
+        num, den = s.bk_square.numerator, s.bk_square.denominator
+        key = (s.size - s.epsilon - s.ke, num + s.epsilon * den, den)
+        index.setdefault(key, []).append(s)
+    return index
+
+
+def by_key(shapes):
+    return sorted(shapes, key=lambda s: (s.key(), s.epsilon))
+
+
+@pytest.mark.parametrize("max_size", [0, 3, 20, 60])
+def test_catalog_matches_reference_enumeration(max_size):
+    cat = eshape_catalog(max_size)
+    assert [(s.graph, s.epsilon, s.families) for s in cat] == reference_catalog(max_size)
+    assert {s.spec for s in cat} == set(family_specs(max_size))
+    assert len(family_specs(max_size)) == len(cat)
+
+
+@pytest.mark.parametrize("max_size", [20, 60])
+def test_catalog_index_matches_shape_index(max_size):
+    want = reference_shape_index(eshape_catalog(max_size))
+    index = catalog_index(max_size)
+    assert index.probes.keys() == want.keys()
+    for key, specs in index.probes.items():
+        assert by_key(_make_shape(spec) for spec in specs) == by_key(want[key])
+    assert index.reach == max(s.epsilon + s.ke for s in eshape_catalog(max_size))
+
+
+def test_integer_probe_keys_match_fraction_keys():
+    for s in eshape_catalog(60):
+        bk2 = fork_bark_square(s.graph) if s.is_fork else chain_bark_square(s.graph)
+        key = (s.size - s.epsilon - s.ke, bk2.numerator + s.epsilon * bk2.denominator,
+               bk2.denominator)
+        assert _probe_key(s.spec) == (key, s.epsilon + s.ke)
+
+
+def test_catalog_leaves_the_hit_cache_empty():
+    eshape_catalog.cache_clear()
+    shape_of.cache_clear()
+    assert len(eshape_catalog(60)) == 39811
+    assert shape_of.cache_info().currsize == 0
+    # a hit materialises one shape, equal to the catalog's
+    spec = eshape_catalog(60)[-1].spec
+    assert shape_of(spec) == eshape_catalog(60)[-1]
+    assert shape_of.cache_info().currsize == 1

@@ -177,3 +177,11 @@ def test_degenerate_chain_raises():
     assert chains.d((1, 1)) == 0
     with pytest.raises(chains.DegenerateChainError):
         chains.e((1, 1))
+
+
+def test_d_of_long_chains():
+    # one pass, no recursion: long chains neither overflow the stack nor
+    # stay cached
+    assert chains.d((2,) * 5000) == 5001
+    assert chains.d((3,) + (2,) * 3000) == 2 * 3001 + 1
+    assert not hasattr(chains.d, "cache_info")

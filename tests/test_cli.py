@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +133,40 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "paper")
     assert code == 0
     assert "all searches match" in out
+
+
+def test_long_chain_discriminant(capsys):
+    code, out, _ = run(capsys, "compute", "d", "[(1500)]")
+    assert (code, out) == (0, "1501")
+
+
+def test_bad_bounds_keys_exit_code(capsys, tmp_path):
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps(dict(load_bounds("final_bounds"), delta_gmn=7)))
+    code, _, err = run(capsys, "search", "final-bounds", "--bounds", str(typo))
+    assert code == 1
+    assert err == "error: unknown final-bounds bounds keys: delta_gmn"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],
+    ids=["long-output", "short-output"],
+)
+def test_closed_pipe_exits_without_traceback(argv):
+    # the reader is gone before dgk writes, as in "dgk search xy | head -1";
+    # a short output only meets the closed pipe when it is flushed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a plain shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dgk.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err == b""

@@ -9,6 +9,7 @@ from dgk import chains
 from dgk.barks import eshape_catalog
 from dgk.graphs import parse_chain
 from dgk.predicates import (
+    PREDICATE_NAMES,
     BoundaryCandidate,
     evaluate_predicates,
     lambda_and_p_square,
@@ -18,9 +19,12 @@ from dgk.search import (
     INDEX_PREDICATES,
     load_bounds,
     run_search,
+    _triples_for_rules,
+    search_fiber_pairs,
     search_final_bounds,
     search_k_nonpositive,
     search_xy,
+    validate_bounds,
     verify_suite,
 )
 
@@ -298,3 +302,112 @@ def test_catalog_cap_is_checked():
     with pytest.raises(ValueError, match="up to 21 components"):
         search_k_nonpositive(dict(small, catalog_max_size=20))
     assert search_k_nonpositive(dict(small, catalog_max_size=21))["case1"]
+
+
+# ---------------------------------------------------------------------------
+# twig triples from overlapping rules
+
+
+def reference_triples(rules, d_max):
+    """The rule sweep with a set of every triple yielded so far."""
+    by_d = {dd: sorted(chains.oriented_chains_with_d(dd)) for dd in range(2, d_max + 1)}
+    seen = set()
+    for rule in rules:
+        x = rule["x"]
+        for t1 in by_d.get(x, ()):
+            for y in range(rule["y_min"], rule["y_max"] + 1):
+                for t2 in by_d.get(y, ()):
+                    if (x, t1) > (y, t2):
+                        continue
+                    for z in range(y, rule["z_max"] + 1):
+                        for t3 in by_d.get(z, ()):
+                            if (y, t2) > (z, t3) or (t1, t2, t3) in seen:
+                                continue
+                            seen.add((t1, t2, t3))
+                            yield (t1, t2, t3)
+
+
+def test_overlapping_rules_give_each_triple_once():
+    rules = [
+        {"x": 2, "y_min": 3, "y_max": 6, "z_max": 12},
+        {"x": 2, "y_min": 2, "y_max": 5, "z_max": 15},
+        {"x": 3, "y_min": 2, "y_max": 4, "z_max": 9},
+        {"x": 3, "y_min": 3, "y_max": 3, "z_max": 10},
+        {"x": 2, "y_min": 1, "y_max": 3, "z_max": 8},
+    ]
+    got = [tuple(r.ws for r in t) for t in _triples_for_rules(rules, 15)]
+    assert got == list(reference_triples(rules, 15))
+    assert len(set(got)) == len(got) > 800
+
+
+# ---------------------------------------------------------------------------
+# bounds validation
+
+
+SEARCHES = {
+    "xy": search_xy,
+    "final-bounds": search_final_bounds,
+    "knonpos": search_k_nonpositive,
+    "fiber-pairs": search_fiber_pairs,
+}
+FILES = {
+    "xy": "xy",
+    "final-bounds": "final_bounds",
+    "knonpos": "k_nonpositive",
+    "fiber-pairs": "fiber_pairs",
+}
+
+
+def test_checked_in_bounds_files_validate():
+    for name, file_name in [*FILES.items(), ("final-bounds", "final_bounds_relaxed")]:
+        validate_bounds(name, load_bounds(file_name))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_bounds_with_unknown_key_rejected(name):
+    cfg = dict(load_bounds(FILES[name]), delta_gmn=3)
+    with pytest.raises(ValueError, match="unknown .* bounds keys: delta_gmn"):
+        SEARCHES[name](cfg)
+
+
+def test_bounds_with_missing_key_rejected():
+    cfg = load_bounds("xy")
+    del cfg["z_max"]
+    with pytest.raises(ValueError, match="missing xy bounds keys: z_max"):
+        search_xy(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_bounds_with_unknown_predicate_rejected(name):
+    cfg = load_bounds(FILES[name])
+    cfg["predicates"] = cfg["predicates"] + ["sqaure"]
+    with pytest.raises(ValueError, match="unknown predicates: sqaure"):
+        SEARCHES[name](cfg)
+
+
+@pytest.mark.parametrize("mode", ["H1", "abelian", None])
+def test_bounds_with_unknown_group_order_mode_rejected(mode):
+    cfg = dict(load_bounds("k_nonpositive"), group_order_mode=mode)
+    with pytest.raises(ValueError, match="group_order_mode must be"):
+        search_k_nonpositive(cfg)
+
+
+@pytest.mark.parametrize("gmin", [0, -2, 2.5, "7", True])
+def test_bounds_with_bad_delta_gmin_rejected(gmin):
+    cfg = dict(load_bounds("final_bounds_relaxed"), delta_gmin=gmin)
+    with pytest.raises(ValueError, match="delta_gmin must be null or a positive integer"):
+        search_final_bounds(cfg)
+
+
+def test_predicate_names_are_those_reported():
+    report = evaluate_predicates(
+        BoundaryCandidate(2, (parse_chain("[2]"), parse_chain("[(2)]"), parse_chain("[4,(6)]")),
+                          shape("[4]", 1))
+    )
+    assert tuple(report.entries) == PREDICATE_NAMES
+
+
+def test_named_shape_not_in_catalog_rejected():
+    cfg = dict(load_bounds("fiber_pairs"), eshapes=[["[4]", 1], ["[9]", 0]])
+    with pytest.raises(ValueError, match=r"\['\[9\]', 0\] is not a \[key, epsilon\] pair"):
+        search_fiber_pairs(cfg)
