@@ -356,6 +356,12 @@ def cmd_verify(args) -> tuple[int, object, str]:
     return (0 if ok else 3), results, text
 
 
+JOBS_HELP = (
+    "worker processes for the xy, final-bounds and knonpos scans (default 1),"
+    " capped at the CPU count; fiber-pairs always runs in one process"
+)
+
+
 def _jobs(text: str) -> int:
     """argparse type of --jobs: a worker count of at least 1."""
     if not text.isdigit() or int(text) < 1:
@@ -409,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
         "name", choices=["final-bounds", "xy", "knonpos", "fiber-pairs"]
     )
     p.add_argument("--bounds", default=None, help="path to a bounds JSON file")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("verify", help="run searches against golden files")
     p.add_argument("--suite", default="paper")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -18,19 +18,33 @@ second one having two pairs these specialize to
     (6) d(gamma-2) - gamma  = kappa^2 (c - c')(alpha c' + p') - rho - rho~
 
 where alpha = n + eps + K.E - 4 and h = 3 + alpha.
+
+The solver works in integers only.  rho is kappa^2 for a fiber without a
+boundary curve and (kappa^2 + 1)/2 for one with a single boundary curve, so
+with d = c kappa twice (6) is the integer quadratic in kappa
+
+    qa kappa^2 + qb kappa + qc = 0,
+    qa = 2(c - c')(alpha c' + p') - A,  qb = -2c(gamma - 2),
+    qc = 2 gamma - A0 - 2 rho~,
+
+where (A, A0) = (2, 0) without and (1, 1) with the boundary curve on the
+first fiber.  qa and qb depend on (c', p') alone; each kappa~ dividing
+c(gamma - 2) fixes qc, and kappa comes out of isqrt of the discriminant
+and an exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from . import chains
 from .barks import ExceptionalShape
 from .graphs import Weights, format_chain
-from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
-from .predicates import BoundaryCandidate, evaluate_predicates, is_positive_perfect_square
+from .pairs import CharPairSeq, FiberTree, fiber_numerics, mu_trace, reconstruct_fiber
+from .predicates import BoundaryCandidate, evaluate_predicates
 
 
 def _lcm(values: list[int]) -> int:
@@ -340,64 +354,42 @@ class TwoFiberSolution:
         }
 
 
-def _coprime_pairs_with_length(length: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _coprime_pairs_with_length(length: int) -> tuple[tuple[int, int], ...]:
     """Coprime (c', p'), c' >= p' >= 1, whose Euclid trace has ``length`` steps.
 
     The trace of (c, p) has at least as many steps as the Fibonacci growth
     allows, so c never exceeds Fib(length + 1).
     """
-    from .pairs import mu_trace
-
     fa, fb = 1, 1
     for _ in range(length):
         fa, fb = fb, fa + fb
-    out = []
-    for c in range(1, fb + 1):
-        for p in range(1, c + 1):
-            if gcd(c, p) == 1 and len(mu_trace(c, p)) == length:
-                out.append((c, p))
-    return out
+    return tuple(
+        (c, p)
+        for c in range(1, fb + 1)
+        for p in range(1, c + 1)
+        if gcd(c, p) == 1 and len(mu_trace(c, p)) == length
+    )
 
 
-def _integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
-    """Integer roots of a x^2 + b x + c = 0 (a may be zero)."""
+def _int_quadratic_roots(a: int, b: int, c: int) -> list[int]:
+    """Integer roots of a x^2 + b x + c = 0, ascending; none when a = b = 0."""
     if a == 0:
-        if b == 0:
+        if b == 0 or c % b:
             return []
-        x = -c / b
-        return [int(x)] if x.denominator == 1 else []
+        return [-c // b]
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
-    num = disc.numerator * disc.denominator
-    r = isqrt(num)
-    if r * r != num:
+    r = isqrt(disc)
+    if r * r != disc:
         return []
-    sq = Fraction(r, disc.denominator)
-    roots = []
-    for sign in (1, -1):
-        x = (-b + sign * sq) / (2 * a)
-        if x.denominator == 1:
-            roots.append(int(x))
-    return sorted(set(roots))
+    return sorted({(-b + s) // (2 * a) for s in (r, -r) if (-b + s) % (2 * a) == 0})
 
 
-def _rho_form(delta_size: int) -> tuple[Fraction, Fraction]:
-    """rho as a*kappa^2 + a0: (1, 0) without boundary curves, else the
-    single-boundary-curve form (kappa^2+1)/2."""
-    if delta_size == 0:
-        return Fraction(1), Fraction(0)
-    if delta_size == 1:
-        return Fraction(1, 2), Fraction(1, 2)
-    raise ValueError("only 0 or 1 boundary curves per fiber are supported")
-
-
-def _rho_value(kappa: int, delta_size: int) -> int:
-    a, a0 = _rho_form(delta_size)
-    val = a * kappa * kappa + a0
-    if val.denominator != 1:
-        raise ValueError(f"rho not integral for kappa={kappa}")
-    return int(val)
+def _rho(kappa: int, delta_size: int) -> int:
+    """rho of a fiber: kappa^2 without boundary curves, (kappa^2 + 1)/2 with one."""
+    return kappa * kappa if delta_size == 0 else (kappa * kappa + 1) // 2
 
 
 def solve_two_fiber(
@@ -425,22 +417,41 @@ def solve_two_fiber(
     predicate suite on the reconstructed boundary.
 
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
-    kappa~ <= 3c, with kappa an integer root of the quadratic (6).
+    kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
+    integer coefficients (see the module docstring).
     """
     if eshape.is_fork or len(eshape.e_weights) != 1:
         raise ValueError("the ruling analysis needs an irreducible E")
+    if eshape.size - len(eshape.e_weights) not in (0, 1):
+        raise ValueError("at most one external (-2)-curve is supported here")
+    solutions: list[TwoFiberSolution] = []
+    for fields in _equation_solutions(t1, t2, eshape):
+        sol = _assemble_solution(**fields, t1=t1, t2=t2, eshape=eshape)
+        if sol is None or sol.b not in b_allowed:
+            continue
+        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
+        report = evaluate_predicates(cand, group_order_mode=group_order_mode)
+        if report.passes(predicate_names):
+            solutions.append(sol)
+    solutions.sort(key=lambda s: s.sort_key())
+    return solutions
+
+
+def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
+    """The sweep of :func:`solve_two_fiber` up to the (5)/(6) residual check.
+
+    Yields, in sweep order, the keywords of :func:`_assemble_solution` other
+    than the twigs and the shape for every tuple that passes the gates and
+    satisfies (5) and (6) exactly; ``eshape`` must be an irreducible E with
+    at most one external (-2)-curve.
+    """
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
     ke = eshape.ke
     n_delta_curves = eshape.size - len(eshape.e_weights)
-    if n_delta_curves not in (0, 1):
-        raise ValueError("at most one external (-2)-curve is supported here")
     splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
-
     d2 = chains.d(t2)
     p_over = d2 - chains.d_prime(t2)  # p/c' from the lower chain
-
-    solutions: list[TwoFiberSolution] = []
     for n in (1, 2, 3):
         alpha = n + eps + ke - 4
         if not 0 <= alpha <= n:
@@ -452,22 +463,23 @@ def solve_two_fiber(
         for df, dft in splits:
             c_h = 1 + df
             ct_h = 1 + dft
+            # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
+            # boundary curve
+            a2, a0 = (2, 0) if df == 0 else (1, 1)
             for c_pr, p_pr in _coprime_pairs_with_length(tail_len):
                 c = c_pr * d2
                 p = c_pr * p_over
-                a, a0 = _rho_form(df)
-                at, at0 = _rho_form(dft)
+                g2c = c * (gamma - 2)
+                qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
+                qb = -2 * g2c
                 for kappa_t in range(2, 3 * c + 1):
-                    if (c * (gamma - 2)) % kappa_t:
+                    if g2c % kappa_t:
                         continue
                     if dft == 1 and kappa_t % 2 == 0:
                         continue
-                    rho_t = _rho_value(kappa_t, dft)
-                    # (6) as a quadratic in kappa
-                    qa = Fraction((c - c_pr) * (alpha * c_pr + p_pr)) - a
-                    qb = Fraction(-c * (gamma - 2))
-                    qc = Fraction(gamma) - a0 - rho_t
-                    for kappa in _integer_roots(qa, qb, qc):
+                    rho_t = _rho(kappa_t, dft)
+                    qc = 2 * gamma - a0 - 2 * rho_t
+                    for kappa in _int_quadratic_roots(qa, qb, qc):
                         if kappa < 2:
                             continue
                         if df == 1 and kappa % 2 == 0:
@@ -494,7 +506,7 @@ def solve_two_fiber(
                             continue
                         if (gamma - 2) % gcd(kappa, kappa_t):
                             continue
-                        rho = _rho_value(kappa, df)
+                        rho = _rho(kappa, df)
                         r5, r6 = two_fiber_relations(
                             n=n, gamma=gamma, alpha=alpha, kappa=kappa,
                             kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
@@ -503,23 +515,12 @@ def solve_two_fiber(
                         )
                         if r5 or r6:
                             continue
-                        sol = _assemble_solution(
+                        yield dict(
                             n=n, gamma=gamma, eps=eps, ke=ke, alpha=alpha,
                             h=h, kappa=kappa, kappa_t=kappa_t, c=c, p=p,
                             c_pr=c_pr, p_pr=p_pr, c_t=c_t, p_t=p_t,
                             rho=rho, rho_t=rho_t, df=df, dft=dft,
-                            t1=t1, t2=t2, eshape=eshape,
                         )
-                        if sol is None or sol.b not in b_allowed:
-                            continue
-                        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
-                        report = evaluate_predicates(
-                            cand, group_order_mode=group_order_mode
-                        )
-                        if report.passes(predicate_names):
-                            solutions.append(sol)
-    solutions.sort(key=lambda s: s.sort_key())
-    return solutions
 
 
 def _assemble_solution(
@@ -544,7 +545,7 @@ def _assemble_solution(
             return None
         if z_l_chain(tree) != t2:
             return None
-        zu, z1, _ = first_pair_parts(tree)
+        zu, z1, zl = first_pair_parts(tree)
         zut, z1t, zlt = first_pair_parts(tree_t)
         # adjoint consistency: the section-side chain of the second fiber is
         # determined by its lower chain via e + e' = 1
@@ -553,7 +554,7 @@ def _assemble_solution(
         if zl_inner:
             assert inner_first == chains.chain_from_e(1 - chains.e(zl_inner))
         entries: list[tuple[int, str]] = []
-        for v in reversed(_ordered_from_tree_zl(tree)):
+        for v in reversed(zl):
             entries.append((tree.weights[v], "T2"))
         entries.append((tree.weights[z1], "Z1"))
         for v in zu:
@@ -569,23 +570,22 @@ def _assemble_solution(
         b, t3 = contract_boundary(entries)
     except (ContractionError, ValueError):
         return None
-    d_of_d_frac = (
-        Fraction(chains.d(t1) * chains.d(t2) * chains.d(t3))
-        * (b - chains.e_tilde(t1) - chains.e_tilde(t2) - chains.e_tilde(t3))
+    # d(D) = d1 d2 d3 (b - e~1 - e~2 - e~3), with e~ = d(T minus its last
+    # component)/d(T)
+    d1, d2, d3 = chains.d(t1), chains.d(t2), chains.d(t3)
+    d_of_d = (
+        b * d1 * d2 * d3
+        - chains.d(t1[:-1]) * d2 * d3
+        - d1 * chains.d(t2[:-1]) * d3
+        - d1 * d2 * chains.d(t3[:-1])
     )
-    assert d_of_d_frac.denominator == 1
     return TwoFiberSolution(
         n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa, kappa_t=kappa_t,
         c=c, p=p, c_prime=c_pr, p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
         rho=rho, rho_t=rho_t, b=b, t1=t1, t2=t2, t3=t3, eshape=eshape,
-        d=c * kappa, d_of_d=int(d_of_d_frac),
+        d=c * kappa, d_of_d=d_of_d,
         delta_f_size=df, delta_ft_size=dft,
     )
-
-
-def _ordered_from_tree_zl(tree: FiberTree) -> list[int]:
-    _, z1, z_l = first_pair_parts(tree)
-    return z_l
 
 
 def reconstruct_t3(sol: TwoFiberSolution) -> tuple[int, Weights]:

@@ -103,10 +103,23 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
+# Bounds keys that hold one integer, and the keys of every d_rules entry.
+_INT_KEYS = (
+    "x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max",
+    "catalog_max_size", "twig_d_max",
+)
+_RULE_KEYS = ("x", "y_min", "y_max", "z_max")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # not bool, which JSON keeps apart
+
+
 def validate_bounds(search: str, cfg: dict) -> None:
     """Reject bounds the search ``search`` would misread, before any work:
-    unknown or missing keys, unknown predicate names, an unknown
-    group_order_mode and a delta_gmin that is not null or a positive integer."""
+    unknown or missing keys, values of the wrong type, unknown predicate
+    names, an unknown group_order_mode and a delta_gmin that is not null or
+    a positive integer."""
     if not isinstance(cfg, dict):
         raise ValueError(f"{search} bounds must be a JSON object")
     keys = BOUNDS_KEYS[search]
@@ -116,6 +129,31 @@ def validate_bounds(search: str, cfg: dict) -> None:
     missing = sorted(keys - OPTIONAL_KEYS - set(cfg))
     if missing:
         raise ValueError(f"missing {search} bounds keys: {', '.join(missing)}")
+    for key in _INT_KEYS:
+        if key in cfg and not _is_int(cfg[key]):
+            raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
+    if "b" in cfg and not (
+        isinstance(cfg["b"], list) and all(_is_int(b) for b in cfg["b"])
+    ):
+        raise ValueError(f"b must be a list of integers, got {cfg['b']!r}")
+    if "d_rules" in cfg:
+        rules = cfg["d_rules"]
+        if not isinstance(rules, list) or not all(
+            isinstance(rule, dict) and all(_is_int(rule.get(k)) for k in _RULE_KEYS)
+            for rule in rules
+        ):
+            raise ValueError(
+                "d_rules must be a list of objects with integer"
+                f" {', '.join(_RULE_KEYS)}, got {rules!r}"
+            )
+    flag = cfg.get("exclude_eps2_chains", False)
+    if type(flag) is not bool:
+        raise ValueError(f"exclude_eps2_chains must be true or false, got {flag!r}")
+    if "t1" in cfg and not isinstance(cfg["t1"], str):
+        raise ValueError(f"t1 must be a bracket chain string, got {cfg['t1']!r}")
+    for key in ("predicates", "eshapes"):
+        if key in cfg and not isinstance(cfg[key], list):
+            raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
     bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
     if bad:
         raise ValueError(f"unknown predicates: {', '.join(bad)}")
@@ -124,7 +162,7 @@ def validate_bounds(search: str, cfg: dict) -> None:
             f"group_order_mode must be 'actual' or 'h1', got {cfg['group_order_mode']!r}"
         )
     gmin = cfg.get("delta_gmin")
-    if gmin is not None and (type(gmin) is not int or gmin < 1):
+    if gmin is not None and (not _is_int(gmin) or gmin < 1):
         raise ValueError(f"delta_gmin must be null or a positive integer, got {gmin!r}")
 
 
@@ -242,7 +280,7 @@ def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
 
 def search_xy(bounds: dict | None = None, jobs: int = 1):
     """Candidates passing the general-type predicate suite in the x,y,z box."""
-    cfg = bounds or load_bounds("xy")
+    cfg = load_bounds("xy") if bounds is None else bounds
     validate_bounds("xy", cfg)
     _check_index_predicates(cfg)
     index = spec_index(_named_specs(cfg["eshapes"]))
@@ -264,12 +302,14 @@ def _run_scan(triples, cfg: dict, index, jobs: int = 1):
         cfg.get("delta_gmin"),
         cfg.get("exclude_eps2_chains", False),
     )
-    if jobs <= 1 or len(triples) < 64:
+    # one chunk per worker, and no more workers than CPUs or triples
+    workers = min(jobs, os.cpu_count() or 1, len(triples))
+    if workers <= 1 or len(triples) < 64:
         found = _scan_triples(triples, *args)
     else:
-        chunks = [triples[i::jobs] for i in range(jobs)]
+        chunks = [triples[i::workers] for i in range(workers)]
         found = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_scan_triples, chunk, *args) for chunk in chunks]
             for fut in futures:
                 found.extend(fut.result())
@@ -297,7 +337,7 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
 
 def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
-    cfg = bounds or load_bounds("final_bounds")
+    cfg = load_bounds("final_bounds") if bounds is None else bounds
     validate_bounds("final-bounds", cfg)
     _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
@@ -314,7 +354,7 @@ def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
 
 def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
-    cfg = bounds or load_bounds("k_nonpositive")
+    cfg = load_bounds("k_nonpositive") if bounds is None else bounds
     validate_bounds("knonpos", cfg)
     _check_index_predicates(cfg)
     index = catalog_index(cfg["catalog_max_size"])
@@ -362,7 +402,7 @@ def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
-    cfg = bounds or load_bounds("fiber_pairs")
+    cfg = load_bounds("fiber_pairs") if bounds is None else bounds
     validate_bounds("fiber-pairs", cfg)
     shapes = [shape_of(spec) for spec in _named_specs(cfg["eshapes"])]
     sweep = [

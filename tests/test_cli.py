@@ -149,6 +149,23 @@ def test_bad_bounds_keys_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name,file_name,key,value",
+    [
+        ("xy", "xy", "b", 2),
+        ("final-bounds", "final_bounds", "d_rules", [{"x": "3", "y_min": 3, "y_max": 3, "z_max": 5}]),
+        ("knonpos", "k_nonpositive", "d2_max", "11"),
+        ("fiber-pairs", "fiber_pairs", "twig_d_max", "6"),
+    ],
+)
+def test_wrongly_typed_bounds_exit_code(capsys, tmp_path, name, file_name, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds(file_name), **{key: value})))
+    code, out, err = run(capsys, "search", name, "--bounds", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],
     ids=["long-output", "short-output"],

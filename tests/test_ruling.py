@@ -1,11 +1,20 @@
+from fractions import Fraction
+from math import gcd, isqrt
+from types import SimpleNamespace
+
 import pytest
 
 from dgk import chains
 from dgk.barks import eshape_catalog
 from dgk.graphs import format_chain, parse_chain
+from dgk.pairs import mu_trace
+from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.ruling import (
     RulingFiber,
     RulingScenario,
+    _assemble_solution,
+    _equation_solutions,
+    _int_quadratic_roots,
     check_ruling_equations,
     minimalize_chain,
     minimalized_section_side_32,
@@ -24,6 +33,251 @@ def shape(key, eps):
 
 
 E4 = lambda: shape("[4]", 1)
+SOLVER_SHAPES = (("[2,3]", 2), ("[3]", 2), ("[4]", 1), ("[5]", 1))
+DEFAULT_PREDICATES = solve_two_fiber.__kwdefaults__["predicate_names"]
+
+
+# ---------------------------------------------------------------------------
+# reference route for the two-fiber solver: equation (6) in Fraction
+# arithmetic, with rho as a rational form in kappa and an uncached sweep of
+# the (c', p') pairs
+
+
+def _ref_coprime_pairs_with_length(length):
+    fa, fb = 1, 1
+    for _ in range(length):
+        fa, fb = fb, fa + fb
+    out = []
+    for c in range(1, fb + 1):
+        for p in range(1, c + 1):
+            if gcd(c, p) == 1 and len(mu_trace(c, p)) == length:
+                out.append((c, p))
+    return out
+
+
+def _ref_integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
+    """Integer roots of a x^2 + b x + c = 0 (a may be zero)."""
+    if a == 0:
+        if b == 0:
+            return []
+        x = -c / b
+        return [int(x)] if x.denominator == 1 else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    num = disc.numerator * disc.denominator
+    r = isqrt(num)
+    if r * r != num:
+        return []
+    sq = Fraction(r, disc.denominator)
+    roots = []
+    for sign in (1, -1):
+        x = (-b + sign * sq) / (2 * a)
+        if x.denominator == 1:
+            roots.append(int(x))
+    return sorted(set(roots))
+
+
+def _ref_rho_form(delta_size: int) -> tuple[Fraction, Fraction]:
+    """rho as a*kappa^2 + a0: (1, 0) without boundary curves, else the
+    single-boundary-curve form (kappa^2+1)/2."""
+    if delta_size == 0:
+        return Fraction(1), Fraction(0)
+    if delta_size == 1:
+        return Fraction(1, 2), Fraction(1, 2)
+    raise ValueError("only 0 or 1 boundary curves per fiber are supported")
+
+
+def _ref_rho_value(kappa: int, delta_size: int) -> int:
+    a, a0 = _ref_rho_form(delta_size)
+    val = a * kappa * kappa + a0
+    if val.denominator != 1:
+        raise ValueError(f"rho not integral for kappa={kappa}")
+    return int(val)
+
+
+def reference_equation_solutions(t1, t2, eshape):
+    """The solver's sweep up to the (5)/(6) check, with (6) solved over the
+    rationals; yields the keywords of _assemble_solution."""
+    gamma = eshape.e_weights[0]
+    eps = eshape.epsilon
+    ke = eshape.ke
+    n_delta_curves = eshape.size - len(eshape.e_weights)
+    splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
+    d2 = chains.d(t2)
+    p_over = d2 - chains.d_prime(t2)
+    for n in (1, 2, 3):
+        alpha = n + eps + ke - 4
+        if not 0 <= alpha <= n:
+            continue
+        h = 3 + alpha
+        tail_len = len(t1) - (h - 3)
+        if tail_len < 1:
+            continue
+        for df, dft in splits:
+            c_h = 1 + df
+            ct_h = 1 + dft
+            for c_pr, p_pr in _ref_coprime_pairs_with_length(tail_len):
+                c = c_pr * d2
+                p = c_pr * p_over
+                a, a0 = _ref_rho_form(df)
+                for kappa_t in range(2, 3 * c + 1):
+                    if (c * (gamma - 2)) % kappa_t:
+                        continue
+                    if dft == 1 and kappa_t % 2 == 0:
+                        continue
+                    rho_t = _ref_rho_value(kappa_t, dft)
+                    qa = Fraction((c - c_pr) * (alpha * c_pr + p_pr)) - a
+                    qb = Fraction(-c * (gamma - 2))
+                    qc = Fraction(gamma) - a0 - rho_t
+                    for kappa in _ref_integer_roots(qa, qb, qc):
+                        if kappa < 2 or (df == 1 and kappa % 2 == 0):
+                            continue
+                        if (kappa - (c_h - 1)) % c_h or (kappa - (c_h - 1)) // c_h < 1:
+                            continue
+                        d = c * kappa
+                        if d % kappa_t:
+                            continue
+                        c_t = d // kappa_t
+                        if (kappa_t - (ct_h - 1)) % ct_h:
+                            continue
+                        if (kappa_t - (ct_h - 1)) // ct_h < 1:
+                            continue
+                        num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
+                        if num % kappa_t:
+                            continue
+                        p_t = num // kappa_t
+                        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
+                            continue
+                        if (gamma - 2) % gcd(kappa, kappa_t):
+                            continue
+                        rho = _ref_rho_value(kappa, df)
+                        r5, r6 = two_fiber_relations(
+                            n=n, gamma=gamma, alpha=alpha, kappa=kappa,
+                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
+                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
+                            rho=rho, rho_t=rho_t,
+                        )
+                        if r5 or r6:
+                            continue
+                        yield dict(
+                            n=n, gamma=gamma, eps=eps, ke=ke, alpha=alpha,
+                            h=h, kappa=kappa, kappa_t=kappa_t, c=c, p=p,
+                            c_pr=c_pr, p_pr=p_pr, c_t=c_t, p_t=p_t,
+                            rho=rho, rho_t=rho_t, df=df, dft=dft,
+                        )
+
+
+def reference_solve_two_fiber(t1, t2, eshape, predicate_names):
+    """solve_two_fiber with the default b set and group-order mode."""
+    solutions = []
+    for fields in reference_equation_solutions(t1, t2, eshape):
+        sol = _assemble_solution(**fields, t1=t1, t2=t2, eshape=eshape)
+        if sol is None or sol.b not in (1, 2):
+            continue
+        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
+        if evaluate_predicates(cand).passes(predicate_names):
+            solutions.append(sol)
+    solutions.sort(key=lambda s: s.sort_key())
+    return solutions
+
+
+def oracle_sweep():
+    """Every oriented admissible twig with d <= 7."""
+    return [ws for dd in range(2, 8) for ws in chains.oriented_chains_with_d(dd)]
+
+
+@pytest.mark.parametrize("key,eps", SOLVER_SHAPES)
+def test_equation_solutions_match_fraction_reference(key, eps):
+    # the (5)/(6) tuples themselves, before any boundary is reconstructed
+    es = shape(key, eps)
+    sweep = oracle_sweep()
+    for t1 in sweep:
+        for t2 in sweep:
+            want = list(reference_equation_solutions(t1, t2, es))
+            assert list(_equation_solutions(t1, t2, es)) == want, (t1, t2)
+
+
+def test_equation_solutions_kappa_3_boundary_tuple():
+    # the mixed-boundary tuple: kappa = 3 on a fiber with one boundary curve
+    # (rho = 5) and kappa~ = 4 on one without (rho~ = 16)
+    got = list(_equation_solutions((2,) * 6, (2,), shape("[2,3]", 2)))
+    assert dict(
+        n=1, gamma=3, eps=2, ke=1, alpha=0, h=3, kappa=3, kappa_t=4, c=12,
+        p=6, c_pr=6, p_pr=1, c_t=9, p_t=4, rho=5, rho_t=16, df=1, dft=0,
+    ) in got
+
+
+def test_equation_solutions_match_reference_on_both_rho_forms():
+    # (5)-(6) read only gamma, epsilon, K.E and the number of external
+    # (-2)-curves of E, so stand-in data for an irreducible E plus one such
+    # curve reach the boundary-curve forms of rho on either fiber, which the
+    # catalog shapes of the paper leave unused on the second fiber
+    sweep = [ws for dd in range(2, 7) for ws in chains.oriented_chains_with_d(dd)]
+    splits = set()
+    for gamma in (4, 5, 6):
+        for eps in (0, 1, 2):
+            es = SimpleNamespace(e_weights=(gamma,), epsilon=eps, ke=gamma - 2, size=2)
+            for t1 in sweep:
+                for t2 in sweep:
+                    got = list(_equation_solutions(t1, t2, es))
+                    assert got == list(reference_equation_solutions(t1, t2, es))
+                    splits.update((f["df"], f["dft"]) for f in got)
+    assert splits == {(1, 0), (0, 1)}
+
+
+@pytest.mark.parametrize("key,eps", SOLVER_SHAPES)
+@pytest.mark.parametrize("predicates", ["none", "default"])
+def test_solver_matches_fraction_reference(key, eps, predicates):
+    # every oriented twig pair with d <= 7; with no predicates every solution
+    # of (5)-(6) that reconstructs a boundary is compared
+    es = shape(key, eps)
+    sweep = oracle_sweep()
+    kwargs = {"predicate_names": ()} if predicates == "none" else {}
+    names = () if predicates == "none" else DEFAULT_PREDICATES
+    for t1 in sweep:
+        for t2 in sweep:
+            want = reference_solve_two_fiber(t1, t2, es, names)
+            assert solve_two_fiber(t1, t2, es, **kwargs) == want, (t1, t2)
+
+
+def test_reference_finds_equation_solutions():
+    # the comparison above is not vacuous: without predicates the [4] sweep
+    # has solutions the default predicates reject
+    es = E4()
+    sweep = oracle_sweep()
+    raw = [s for t1 in sweep for t2 in sweep
+           for s in reference_solve_two_fiber(t1, t2, es, ())]
+    kept = [s for t1 in sweep for t2 in sweep
+            for s in reference_solve_two_fiber(t1, t2, es, DEFAULT_PREDICATES)]
+    assert len(raw) > len(kept) >= 3
+
+
+def test_int_quadratic_roots():
+    # a = 0: linear, integral or not, and the degenerate a = b = 0
+    assert _int_quadratic_roots(0, 2, -6) == [3]
+    assert _int_quadratic_roots(0, -4, 6) == []
+    assert _int_quadratic_roots(0, 0, 0) == []
+    assert _int_quadratic_roots(0, 0, 5) == []
+    # negative and non-square discriminants
+    assert _int_quadratic_roots(1, 0, 1) == []
+    assert _int_quadratic_roots(1, 0, -2) == []
+    # a double root is listed once
+    assert _int_quadratic_roots(1, -4, 4) == [2]
+    assert _int_quadratic_roots(-3, 12, -12) == [2]
+    # one integer root, one non-integer root: 2x^2 - 5x + 2 = (2x - 1)(x - 2)
+    assert _int_quadratic_roots(2, -5, 2) == [2]
+    assert _int_quadratic_roots(-2, 5, -2) == [2]
+    # two integer roots, ascending
+    assert _int_quadratic_roots(1, 1, -6) == [-3, 2]
+
+
+def test_int_quadratic_roots_match_fraction_reference():
+    for a in range(-4, 5):
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                want = _ref_integer_roots(Fraction(a, 2), Fraction(b, 2), Fraction(c, 2))
+                assert _int_quadratic_roots(a, b, c) == want, (a, b, c)
 
 
 def test_two_fiber_relations_anchor_tuples():

@@ -2,10 +2,11 @@ import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dgk import chains
+from dgk import chains, search
 from dgk.barks import eshape_catalog
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -143,6 +144,49 @@ def test_parallel_scan_is_deterministic():
     seq = run_search("xy", jobs=1)
     par = run_search("xy", jobs=2)
     assert seq == par
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and the chunks,
+    runs nothing and starts no process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunks = []
+        RecordingPool.started.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, chunk, *args):
+        self.chunks.append(chunk)
+        return SimpleNamespace(result=lambda: [])
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,n_triples,workers",
+    [(3, 2, 100, 2), (3, 4, 100, 3), (2, 1, 100, None), (3, 4, 63, None), (1, 4, 100, None)],
+)
+def test_scan_workers_capped(monkeypatch, jobs, cpus, n_triples, workers):
+    # no more workers than CPUs or chunks; one CPU, few triples or one job
+    # scan in this process
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "_scan_triples", lambda triples, *args: [])
+    RecordingPool.started = []
+    triples = list(range(n_triples))
+    search._run_scan(triples, load_bounds("xy"), {}, jobs)
+    if workers is None:
+        assert RecordingPool.started == []
+        return
+    (pool,) = RecordingPool.started
+    assert pool.max_workers == len(pool.chunks) == workers
+    assert sorted(t for chunk in pool.chunks for t in chunk) == triples
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +411,43 @@ def test_checked_in_bounds_files_validate():
 def test_bounds_with_unknown_key_rejected(name):
     cfg = dict(load_bounds(FILES[name]), delta_gmn=3)
     with pytest.raises(ValueError, match="unknown .* bounds keys: delta_gmn"):
+        SEARCHES[name](cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_empty_bounds_are_not_the_checked_in_file(name):
+    # {} is a bounds dict with every key missing, not a request for defaults
+    with pytest.raises(ValueError, match=f"missing {name} bounds keys"):
+        SEARCHES[name]({})
+
+
+WRONG_TYPES = [
+    ("xy", "b", 2, "b must be a list of integers"),
+    ("xy", "b", [1, "2"], "b must be a list of integers"),
+    ("xy", "b", [True], "b must be a list of integers"),
+    ("xy", "x_max", "4", "x_max must be an integer"),
+    ("xy", "z_max", 41.0, "z_max must be an integer"),
+    ("xy", "eshapes", "[4]", "eshapes must be a list"),
+    ("xy", "exclude_eps2_chains", "false", "exclude_eps2_chains must be true or false"),
+    ("final-bounds", "d_rules", {"x": 3}, "d_rules must be a list of objects"),
+    ("final-bounds", "d_rules", [[3, 3, 3, 5]], "d_rules must be a list of objects"),
+    ("final-bounds", "d_rules", [{"x": "3", "y_min": 3, "y_max": 3, "z_max": 5}],
+     "d_rules must be a list of objects"),
+    ("final-bounds", "d_rules", [{"x": 3, "y_min": 3, "y_max": 3}],
+     "d_rules must be a list of objects"),
+    ("final-bounds", "catalog_max_size", None, "catalog_max_size must be an integer"),
+    ("knonpos", "t1", ["[3]"], "t1 must be a bracket chain string"),
+    ("knonpos", "d2_max", True, "d2_max must be an integer"),
+    ("knonpos", "predicates", "noether", "predicates must be a list"),
+    ("fiber-pairs", "twig_d_max", "6", "twig_d_max must be an integer"),
+    ("fiber-pairs", "eshapes", {"[4]": 1}, "eshapes must be a list"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,message", WRONG_TYPES)
+def test_bounds_with_wrong_types_rejected(name, key, value, message):
+    cfg = dict(load_bounds(FILES[name]), **{key: value})
+    with pytest.raises(ValueError, match=message):
         SEARCHES[name](cfg)
 
 
