@@ -22,7 +22,6 @@ from .graphs import (
     Weights,
     WeightedTree,
     canonical_chain,
-    chain_discriminant,
     exact_solve,
     format_chain,
     is_admissible_chain,
@@ -104,10 +103,7 @@ def bark_fork(fork: Fork) -> BarkCoefficients:
     n = len(tree.weights)
     rhs = [Fraction(len(tree.adj[i]) - 2) for i in range(n)]
     bark = _solve_bark(tree, rhs)
-    dl = sum(chains.delta(t) for t in fork.twigs)
-    ee = sum(chains.e(t) for t in fork.twigs)
-    et = sum(chains.e_tilde(t) for t in fork.twigs)
-    closed = -((dl - 1) ** 2) / (fork.b - et) - ee
+    closed = fork_bark_square(fork)
     assert bark.bk_square == closed, "fork bark disagrees with closed form"
     return bark
 
@@ -444,7 +440,7 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
         bk2 = fork_bark_square(graph)
     else:
         size = len(graph)
-        dd = chain_discriminant(graph)
+        dd = chains.d(graph)
         bk2 = chain_bark_square(graph)
         g = dd
     e_weights, n_delta = _split_external(graph)

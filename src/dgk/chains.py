@@ -195,11 +195,6 @@ def classify_e_plus_alpha(alpha: int) -> Callable[[Weights], bool]:
     return pred
 
 
-def two_runs(count: int) -> Weights:
-    """A chain of ``count`` 2's; the bracket form [(count)]."""
-    return (2,) * count
-
-
 def all_admissible_chains_up_to(limit: int) -> Iterable[Weights]:
     """All oriented admissible chains with discriminant <= limit."""
     for dd in range(2, limit + 1):

@@ -29,14 +29,7 @@ from .graphs import (
     parse_fork,
 )
 from .pairs import CharPairSeq, pairs_from_fiber, reconstruct_fiber
-from .search import (
-    GOLDEN_FILES,
-    golden_dir,
-    load_bounds,
-    run_search,
-    search_fiber_pairs,
-    verify_suite,
-)
+from .search import run_search, verify_suite
 from .ruling import solve_two_fiber
 
 
@@ -317,7 +310,7 @@ def cmd_solve(args) -> tuple[int, object, str]:
 
 
 def cmd_search(args) -> tuple[int, object, str]:
-    result = run_search(args.name, args.bounds, jobs=args.jobs)
+    result = run_search(args.name, args.bounds)
     if args.csv:
         rows = []
         if args.name == "final-bounds":
@@ -349,24 +342,11 @@ def cmd_search(args) -> tuple[int, object, str]:
 def cmd_verify(args) -> tuple[int, object, str]:
     if args.suite != "paper":
         raise DomainError(f"unknown suite {args.suite!r}")
-    results = verify_suite(jobs=args.jobs)
+    results = verify_suite()
     ok = all(r["status"] == "ok" for r in results.values())
     lines = [f"{name}: {r['status']}" for name, r in results.items()]
     text = "\n".join(lines) + ("\nall searches match" if ok else "\nGOLDEN MISMATCH")
     return (0 if ok else 3), results, text
-
-
-JOBS_HELP = (
-    "worker processes for the xy, final-bounds and knonpos scans (default 1),"
-    " capped at the CPU count; fiber-pairs always runs in one process"
-)
-
-
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: a worker count of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,13 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
         "name", choices=["final-bounds", "xy", "knonpos", "fiber-pairs"]
     )
     p.add_argument("--bounds", default=None, help="path to a bounds JSON file")
-    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("verify", help="run searches against golden files")
     p.add_argument("--suite", default="paper")
-    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.set_defaults(fn=cmd_verify)
 
     return ap

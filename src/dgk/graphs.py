@@ -111,14 +111,6 @@ def is_admissible_chain(weights: Weights) -> bool:
     return all(w >= 2 for w in weights)
 
 
-def chain_discriminant(weights: Weights) -> int:
-    """Determinant of the minus intersection matrix of a chain, iteratively."""
-    d_tail2, d_tail = 0, 1
-    for a in reversed(weights):
-        d_tail2, d_tail = d_tail, a * d_tail - d_tail2
-    return d_tail
-
-
 @dataclass(frozen=True)
 class Fork:
     """Branch vertex of weight ``b`` with three tip-first twigs."""
@@ -128,7 +120,9 @@ class Fork:
 
     def sorted_twigs(self) -> tuple[Weights, Weights, Weights]:
         """Twigs in (discriminant, weights) order; the canonical layout."""
-        t = sorted(self.twigs, key=lambda ws: (chain_discriminant(ws), ws))
+        from .chains import d  # chains imports this module
+
+        t = sorted(self.twigs, key=lambda ws: (d(ws), ws))
         return (t[0], t[1], t[2])
 
     def to_json(self) -> str:
@@ -319,10 +313,6 @@ def _int_det(matrix: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def chain_is_negative_definite(weights: Weights) -> bool:
-    return WeightedTree.from_chain(weights).is_negative_definite()
 
 
 def exact_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 from . import chains
 from .barks import ExceptionalShape
 from .graphs import Weights, format_chain
-from .pairs import CharPairSeq, FiberTree, fiber_numerics, mu_trace, reconstruct_fiber
+from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
 from .predicates import BoundaryCandidate, evaluate_predicates
 
 
@@ -358,18 +358,19 @@ class TwoFiberSolution:
 def _coprime_pairs_with_length(length: int) -> tuple[tuple[int, int], ...]:
     """Coprime (c', p'), c' >= p' >= 1, whose Euclid trace has ``length`` steps.
 
-    The trace of (c, p) has at least as many steps as the Fibonacci growth
-    allows, so c never exceeds Fib(length + 1).
+    The pairs grow from (1, 1), whose trace has one step, by inverting the
+    steps of :func:`dgk.pairs.mu_trace`: (x, y) is reached from (x + y, y)
+    always and from (x + y, x) when y < x, so each level holds exactly the
+    pairs whose trace is one step longer.
     """
-    fa, fb = 1, 1
-    for _ in range(length):
-        fa, fb = fb, fa + fb
-    return tuple(
-        (c, p)
-        for c in range(1, fb + 1)
-        for p in range(1, c + 1)
-        if gcd(c, p) == 1 and len(mu_trace(c, p)) == length
-    )
+    level = [(1, 1)] if length >= 1 else []
+    for _ in range(length - 1):
+        level = [
+            before
+            for x, y in level
+            for before in ((x + y, y), (x + y, x))[: 1 + (y < x)]
+        ]
+    return tuple(sorted(level))
 
 
 def _int_quadratic_roots(a: int, b: int, c: int) -> list[int]:

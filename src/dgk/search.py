@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -278,7 +277,7 @@ def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
         )
 
 
-def search_xy(bounds: dict | None = None, jobs: int = 1):
+def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box."""
     cfg = load_bounds("xy") if bounds is None else bounds
     validate_bounds("xy", cfg)
@@ -288,13 +287,14 @@ def search_xy(bounds: dict | None = None, jobs: int = 1):
         {"x": x, "y_min": x, "y_max": cfg["y_max"], "z_max": cfg["z_max"]}
         for x in range(2, cfg["x_max"] + 1)
     ]
-    triples = list(_triples_for_rules(rules, max(cfg["y_max"], cfg["z_max"])))
-    return _run_scan(triples, cfg, index.probes, jobs)
+    triples = _triples_for_rules(rules, max(cfg["y_max"], cfg["z_max"]))
+    return _run_scan(triples, cfg, index.probes)
 
 
-def _run_scan(triples, cfg: dict, index, jobs: int = 1):
+def _run_scan(triples, cfg: dict, index):
     """Scan ``triples`` under the bounds ``cfg``; canonically sorted hits."""
-    args = (
+    found = _scan_triples(
+        triples,
         tuple(cfg["b"]),
         index,
         tuple(cfg["predicates"]),
@@ -302,17 +302,6 @@ def _run_scan(triples, cfg: dict, index, jobs: int = 1):
         cfg.get("delta_gmin"),
         cfg.get("exclude_eps2_chains", False),
     )
-    # one chunk per worker, and no more workers than CPUs or triples
-    workers = min(jobs, os.cpu_count() or 1, len(triples))
-    if workers <= 1 or len(triples) < 64:
-        found = _scan_triples(triples, *args)
-    else:
-        chunks = [triples[i::workers] for i in range(workers)]
-        found = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_scan_triples, chunk, *args) for chunk in chunks]
-            for fut in futures:
-                found.extend(fut.result())
     found.sort(key=lambda pair: pair[0].sort_key())
     return found
 
@@ -335,7 +324,7 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
     return specs
 
 
-def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
+def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
     cfg = load_bounds("final_bounds") if bounds is None else bounds
     validate_bounds("final-bounds", cfg)
@@ -344,7 +333,7 @@ def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
     d_max = max(rule["z_max"] for rule in cfg["d_rules"])
     triples = list(_triples_for_rules(cfg["d_rules"], d_max))
     _check_catalog_reach(triples, cfg["b"], index.reach, cfg["catalog_max_size"])
-    found = _run_scan(triples, cfg, index.probes, jobs)
+    found = _run_scan(triples, cfg, index.probes)
     eshapes = sorted({cand.eshape.key() for cand, _ in found})
     return {
         "eshapes": eshapes,
@@ -352,7 +341,7 @@ def search_final_bounds(bounds: dict | None = None, jobs: int = 1) -> dict:
     }
 
 
-def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
+def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
     cfg = load_bounds("k_nonpositive") if bounds is None else bounds
     validate_bounds("knonpos", cfg)
@@ -391,7 +380,7 @@ def search_k_nonpositive(bounds: dict | None = None, jobs: int = 1) -> dict:
     _check_catalog_reach(
         triples1 + triples2, cfg["b"], index.reach, cfg["catalog_max_size"]
     )
-    found1 = _run_scan(triples1, cfg, index.probes, jobs)
+    found1 = _run_scan(triples1, cfg, index.probes)
     found2 = _run_scan(triples2, cfg, index.probes)
     return {
         "case1": [cand.to_dict() for cand, _ in found1],
@@ -432,30 +421,22 @@ def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
 
 
 def golden_dir() -> Path:
-    """Golden-file location: DGK_GOLDEN_DIR, ./golden, the repository copy,
-    then the copy installed with the package."""
+    """Golden-file location: DGK_GOLDEN_DIR, else the copy installed with
+    the package."""
     env = os.environ.get("DGK_GOLDEN_DIR")
     if env:
         return Path(env)
-    cwd = Path.cwd() / "golden"
-    if cwd.is_dir():
-        return cwd
-    repo = Path(__file__).resolve().parent.parent.parent / "golden"
-    if repo.is_dir():
-        return repo
     return Path(str(resources.files("dgk") / "golden"))
 
 
-def run_search(name: str, bounds_path: str | None = None, jobs: int = 1):
+def run_search(name: str, bounds_path: str | None = None):
     if name == "final-bounds":
-        return search_final_bounds(
-            load_bounds("final_bounds", bounds_path), jobs=jobs
-        )
+        return search_final_bounds(load_bounds("final_bounds", bounds_path))
     if name == "xy":
-        found = search_xy(load_bounds("xy", bounds_path), jobs=jobs)
+        found = search_xy(load_bounds("xy", bounds_path))
         return [cand.to_dict() for cand, _ in found]
     if name == "knonpos":
-        out = search_k_nonpositive(load_bounds("k_nonpositive", bounds_path), jobs=jobs)
+        out = search_k_nonpositive(load_bounds("k_nonpositive", bounds_path))
         return {"case1": out["case1"], "case2": out["case2"]}
     if name == "fiber-pairs":
         sols = search_fiber_pairs(load_bounds("fiber_pairs", bounds_path))
@@ -472,12 +453,12 @@ GOLDEN_FILES = {
 }
 
 
-def verify_suite(directory: Path | None = None, jobs: int = 1) -> dict:
+def verify_suite(directory: Path | None = None) -> dict:
     """Run the four searches and compare against the golden files."""
     gdir = directory or golden_dir()
     results = {}
     for name in ("final-bounds", "xy", "knonpos", "fiber-pairs"):
-        got = run_search(name, jobs=jobs)
+        got = run_search(name)
         path = gdir / GOLDEN_FILES[name]
         if not path.exists():
             results[name] = {"status": "missing-golden", "path": str(path)}

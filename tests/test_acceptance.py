@@ -30,7 +30,7 @@ from dgk.ruling import (
 )
 from dgk.search import GOLDEN_FILES, run_search
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
 
 def report(name, ok, elapsed, budget):

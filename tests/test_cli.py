@@ -66,8 +66,8 @@ def test_domain_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["compute", "nonsense", "[2]"]) == 2
-    # a worker count below one is a usage error, caught before any search
-    code, _, err = run(capsys, "search", "xy", "--jobs", "0")
+    # the scan has no worker option, so --jobs is an unknown argument
+    code, _, err = run(capsys, "search", "xy", "--jobs", "2")
     assert code == 2
     assert "--jobs" in err
 
@@ -118,7 +118,7 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     import shutil
     from pathlib import Path
 
-    src = Path(__file__).resolve().parent.parent / "golden"
+    src = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
     for f in src.glob("*.json"):
         shutil.copy(f, tmp_path / f.name)
     # a tampered golden must be detected and flip the exit code to 3

@@ -20,7 +20,7 @@ from dgk.graphs import Fork, WeightedTree, parse_chain
 from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.search import GOLDEN_FILES, load_bounds
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
 
 def boundary_tree(b, twigs):

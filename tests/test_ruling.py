@@ -13,6 +13,7 @@ from dgk.ruling import (
     RulingFiber,
     RulingScenario,
     _assemble_solution,
+    _coprime_pairs_with_length,
     _equation_solutions,
     _int_quadratic_roots,
     check_ruling_equations,
@@ -44,6 +45,8 @@ DEFAULT_PREDICATES = solve_two_fiber.__kwdefaults__["predicate_names"]
 
 
 def _ref_coprime_pairs_with_length(length):
+    """Brute force: every coprime c >= p >= 1 up to c = Fib(length + 1),
+    which bounds c for a trace of ``length`` steps."""
     fa, fb = 1, 1
     for _ in range(length):
         fa, fb = fb, fa + fb
@@ -278,6 +281,12 @@ def test_int_quadratic_roots_match_fraction_reference():
             for c in range(-6, 7):
                 want = _ref_integer_roots(Fraction(a, 2), Fraction(b, 2), Fraction(c, 2))
                 assert _int_quadratic_roots(a, b, c) == want, (a, b, c)
+
+
+def test_coprime_pairs_match_brute_force():
+    for length in range(13):
+        want = tuple(_ref_coprime_pairs_with_length(length))
+        assert _coprime_pairs_with_length(length) == want, length
 
 
 def test_two_fiber_relations_anchor_tuples():

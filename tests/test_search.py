@@ -2,11 +2,10 @@ import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from dgk import chains, search
+from dgk import chains
 from dgk.barks import eshape_catalog
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -29,7 +28,7 @@ from dgk.search import (
     verify_suite,
 )
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
 
 def shape(key, eps):
@@ -99,7 +98,7 @@ def test_golden_equality_all_searches():
 
 
 def test_verify_suite():
-    results = verify_suite(GOLDEN_DIR)
+    results = verify_suite()
     assert all(r["status"] == "ok" for r in results.values())
 
 
@@ -138,55 +137,6 @@ def test_monotonicity_dropping_a_predicate():
     }
     assert base <= weak
     assert len(weak) > len(base)
-
-
-def test_parallel_scan_is_deterministic():
-    seq = run_search("xy", jobs=1)
-    par = run_search("xy", jobs=2)
-    assert seq == par
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the chunks,
-    runs nothing and starts no process."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunks = []
-        RecordingPool.started.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, chunk, *args):
-        self.chunks.append(chunk)
-        return SimpleNamespace(result=lambda: [])
-
-
-@pytest.mark.parametrize(
-    "jobs,cpus,n_triples,workers",
-    [(3, 2, 100, 2), (3, 4, 100, 3), (2, 1, 100, None), (3, 4, 63, None), (1, 4, 100, None)],
-)
-def test_scan_workers_capped(monkeypatch, jobs, cpus, n_triples, workers):
-    # no more workers than CPUs or chunks; one CPU, few triples or one job
-    # scan in this process
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(search, "_scan_triples", lambda triples, *args: [])
-    RecordingPool.started = []
-    triples = list(range(n_triples))
-    search._run_scan(triples, load_bounds("xy"), {}, jobs)
-    if workers is None:
-        assert RecordingPool.started == []
-        return
-    (pool,) = RecordingPool.started
-    assert pool.max_workers == len(pool.chunks) == workers
-    assert sorted(t for chunk in pool.chunks for t in chunk) == triples
 
 
 # ---------------------------------------------------------------------------
