@@ -4,8 +4,9 @@ The bark of a connected admissible divisor is the rational combination of its
 components solving (K + D - Bk D) . D_i = 0, i.e. Bk . D_i = beta(D_i) - 2.
 For an oriented chain the one-sided bark Bk'(T, T1) instead solves
 T_i . Bk' = -delta_{i,1}; its coefficients are m'_i = d(T_{i+1}+...+T_n)/d(T)
-and Bk'^2 = -e(T).  All coefficients are computed by an exact linear solve
-with the closed forms used as cross-checks.
+and Bk'^2 = -e(T).  Every bark, discriminant and group order here is its
+closed form in integers and Fraction; the dense linear solve and the tree
+determinant they replace are the reference routes of the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .graphs import (
     Weights,
     WeightedTree,
     canonical_chain,
-    exact_solve,
     format_chain,
     is_admissible_chain,
 )
@@ -56,73 +56,70 @@ class BarkCoefficients:
     bk_square: Fraction
 
 
-def _solve_bark(tree: WeightedTree, rhs: list[Fraction]) -> BarkCoefficients:
-    m = [[Fraction(x) for x in row] for row in tree.intersection_matrix()]
-    coeffs = exact_solve(m, rhs)
-    bk2 = sum(c * r for c, r in zip(coeffs, rhs))
-    return BarkCoefficients(tuple(coeffs), bk2)
+def _check_chain(weights: Weights) -> None:
+    if not weights or not is_admissible_chain(weights):
+        raise ValueError(f"chain {format_chain(weights)} is not admissible")
 
 
 def bark_one_sided(weights: Weights) -> BarkCoefficients:
-    """Bk'(T, T1) for an oriented admissible chain, pushing at the first tip."""
-    if not weights or not is_admissible_chain(weights):
-        raise ValueError(f"chain {format_chain(weights)} is not admissible")
-    tree = WeightedTree.from_chain(weights)
-    rhs = [Fraction(-1 if i == 0 else 0) for i in range(len(weights))]
-    bark = _solve_bark(tree, rhs)
+    """Bk'(T, T1) for an oriented admissible chain, pushing at the first tip:
+    m_i = d(T after i)/d(T) and Bk'^2 = -e(T)."""
+    _check_chain(weights)
     dd = chains.d(weights)
-    closed = tuple(Fraction(chains.d(weights[i + 1:]), dd) for i in range(len(weights)))
-    assert bark.coefficients == closed, "one-sided bark disagrees with closed form"
-    assert bark.bk_square == -chains.e(weights)
-    return bark
+    coeffs = tuple(Fraction(chains.d(weights[i + 1:]), dd) for i in range(len(weights)))
+    return BarkCoefficients(coeffs, -coeffs[0])
 
 
 def bark_chain(weights: Weights) -> BarkCoefficients:
-    """Full bark of an admissible chain: Bk = Bk'(T,T1) + Bk'(T,Tn)."""
-    if not weights or not is_admissible_chain(weights):
-        raise ValueError(f"chain {format_chain(weights)} is not admissible")
-    tree = WeightedTree.from_chain(weights)
-    n = len(weights)
-    beta = [len(tree.adj[i]) for i in range(n)]
-    rhs = [Fraction(b - 2) for b in beta]
-    bark = _solve_bark(tree, rhs)
-    inv = chains.invariants(weights)
-    expected = -Fraction(inv.d_prime + chains.d_prime(weights[::-1]) + 2, inv.d)
-    assert bark.bk_square == expected
-    return bark
+    """Full bark of an admissible chain, Bk = Bk'(T,T1) + Bk'(T,Tn):
+    m_i = (d(T after i) + d(T before i))/d(T)."""
+    _check_chain(weights)
+    dd = chains.d(weights)
+    coeffs = tuple(
+        Fraction(chains.d(weights[i + 1:]) + chains.d(weights[:i]), dd)
+        for i in range(len(weights))
+    )
+    return BarkCoefficients(coeffs, chain_bark_square(weights))
 
 
 def bark_fork(fork: Fork) -> BarkCoefficients:
     """Bark of an admissible fork; vertex order is branch then twigs tip-first.
 
-    Bk^2 F = -(delta(F)-1)^2 / (b - e~(F)) - e(F), checked against the solve.
+    The branch coefficient is c_B = (delta(F) - 1)/(b - e~(F)), and vertex i
+    of a twig T gets its one-sided part plus the branch's share,
+    (d(T after i) + c_B * d(T before i))/d(T);
+    Bk^2 F = -(delta(F)-1)^2 / (b - e~(F)) - e(F).
     """
     if not is_admissible_fork(fork):
         raise ValueError("fork is not admissible")
-    tree = WeightedTree.from_fork(fork)
-    n = len(tree.weights)
-    rhs = [Fraction(len(tree.adj[i]) - 2) for i in range(n)]
-    bark = _solve_bark(tree, rhs)
-    closed = fork_bark_square(fork)
-    assert bark.bk_square == closed, "fork bark disagrees with closed form"
-    return bark
+    dl = sum(chains.delta(t) for t in fork.twigs)
+    et = sum(chains.e_tilde(t) for t in fork.twigs)
+    c_b = (dl - 1) / (fork.b - et)
+    coeffs = [c_b]
+    for t in fork.twigs:
+        dd = chains.d(t)
+        coeffs.extend(
+            (chains.d(t[i + 1:]) + c_b * chains.d(t[:i])) / dd for i in range(len(t))
+        )
+    return BarkCoefficients(tuple(coeffs), fork_bark_square(fork))
+
+
+def fork_discriminant(fork: Fork) -> int:
+    """d(F) = b*d1*d2*d3 - sum_i d(T_i minus its last curve) * prod_{j != i} d_j,
+    the determinant expanded at the branch; it equals d1*d2*d3*(b - e~)."""
+    d1, d2, d3 = (chains.d(t) for t in fork.twigs)
+    c1, c2, c3 = (chains.d(t[:-1]) for t in fork.twigs)
+    return fork.b * d1 * d2 * d3 - c1 * d2 * d3 - d1 * c2 * d3 - d1 * d2 * c3
 
 
 def fork_invariants(fork: Fork) -> tuple[int, Fraction, Fraction, Fraction]:
-    """(d, delta, e, e~) of an admissible fork.
-
-    d is evaluated by the closed form d(R1)d(R2)d(R3)(b - e~) and by the
-    determinant of the minus intersection matrix; the two must agree.
-    """
-    et = sum(chains.e_tilde(t) for t in fork.twigs)
-    d1, d2, d3 = (chains.d(t) for t in fork.twigs)
-    closed = d1 * d2 * d3 * (fork.b - et)
-    assert closed.denominator == 1
-    det = WeightedTree.from_fork(fork).discriminant()
-    assert closed == det, f"closed form {closed} != determinant {det}"
+    """(d, delta, e, e~) of a fork with nonempty twigs of nonzero discriminant."""
+    et = sum(chains.e_tilde(t) for t in fork.twigs)  # rejects d = 0 twigs
+    if not all(fork.twigs):
+        raise ValueError("fork twigs must be nonempty")
     dl = sum(chains.delta(t) for t in fork.twigs)
     ee = sum(chains.e(t) for t in fork.twigs)
-    return det, dl, ee, et
+    return fork_discriminant(fork), dl, ee, et
 
 
 def group_order(graph: Weights | Fork) -> int:
@@ -130,19 +127,23 @@ def group_order(graph: Weights | Fork) -> int:
 
     Chains resolve cyclic groups, so the order is the discriminant.  For an
     admissible fork the link is a spherical Seifert space over S^2(d1,d2,d3)
-    and the order is 4*(b - e~) / (delta - 1)^2.  This reproduces the binary
+    and the order is 4*(b - e~) / (delta - 1)^2 = 4*d(F)*D / (S - D)^2 with
+    D = d1*d2*d3 and S = d2*d3 + d1*d3 + d1*d2.  This reproduces the binary
     polyhedral orders on the (-2)-forks (24, 48, 120), the quaternion group
     on the (2,2,2) fork and 24 on the (2,2,3) fork with a [3]-twig.
     """
     if isinstance(graph, Fork):
         if not is_admissible_fork(graph):
             raise ValueError("fork is not admissible")
-        _, dl, _, et = fork_invariants(graph)
-        order = 4 * (graph.b - et) / (dl - 1) ** 2
-        assert order.denominator == 1 and order > 0
-        return int(order)
-    if not graph or not is_admissible_chain(graph):
-        raise ValueError(f"chain {format_chain(graph)} is not admissible")
+        d1, d2, d3 = (chains.d(t) for t in graph.twigs)
+        dd = d1 * d2 * d3
+        order, rest = divmod(
+            4 * fork_discriminant(graph) * dd, (d2 * d3 + d1 * d3 + d1 * d2 - dd) ** 2
+        )
+        if rest:
+            raise ValueError(f"fork {graph.to_json()} has no integral group order")
+        return order
+    _check_chain(graph)
     return chains.d(graph)
 
 
@@ -428,15 +429,8 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     family = spec[0]
     if isinstance(graph, Fork):
         size = 1 + sum(len(t) for t in graph.twigs)
-        et = sum(chains.e_tilde(t) for t in graph.twigs)
-        dl = sum(chains.delta(t) for t in graph.twigs)
-        dd_frac = chains.d(graph.twigs[0]) * chains.d(graph.twigs[1]) * chains.d(
-            graph.twigs[2]
-        ) * (graph.b - et)
-        g_frac = 4 * (graph.b - et) / (dl - 1) ** 2
-        assert dd_frac.denominator == 1 and g_frac.denominator == 1
-        dd = int(dd_frac)
-        g = int(g_frac)
+        dd = fork_discriminant(graph)
+        g = group_order(graph)
         bk2 = fork_bark_square(graph)
     else:
         size = len(graph)

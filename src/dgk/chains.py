@@ -68,14 +68,6 @@ def delta(weights: Weights) -> Fraction:
     return Fraction(1, den)
 
 
-def e_by_recurrence(weights: Weights) -> Fraction:
-    """e via e(T) = 1/(a1 - e(T - T1)); independent of the d'/d route."""
-    value = Fraction(0)
-    for a in reversed(weights):
-        value = 1 / (a - value)
-    return value
-
-
 @dataclass(frozen=True)
 class ChainInvariants:
     d: int
@@ -87,17 +79,16 @@ class ChainInvariants:
 
 
 def invariants(weights: Weights) -> ChainInvariants:
-    """All six invariants; e is computed twice and cross-checked."""
+    """All six invariants."""
     dd = d(weights)
     if dd == 0:
         raise DegenerateChainError(f"chain {weights} has zero discriminant")
-    ee = Fraction(d_prime(weights), dd)
-    assert ee == e_by_recurrence(weights), "d'/d disagrees with the recurrence"
+    dp = d_prime(weights)
     return ChainInvariants(
         d=dd,
-        d_prime=d_prime(weights),
+        d_prime=dp,
         d_second=d_second(weights),
-        e=ee,
+        e=Fraction(dp, dd),
         e_tilde=e(reverse_chain(weights)),
         delta=Fraction(1, dd),
     )

@@ -178,7 +178,6 @@ def cmd_pairs(args) -> tuple[int, object, str]:
 
 
 def _extract_pairs(text: str) -> tuple[int, object, str]:
-    from .graphs import WeightedTree
     from .pairs import FiberTree
 
     text = text.strip()
@@ -208,10 +207,7 @@ def _extract_pairs(text: str) -> tuple[int, object, str]:
             neg = i
     if any(m is None for _, m, _ in entries):
         # recover multiplicities as the primitive kernel vector
-        mat = WeightedTree(
-            tree.weights, [(i, i + 1) for i in range(len(entries) - 1)]
-        ).minus_intersection_matrix()
-        mults = _kernel_vector(mat)
+        mults = _kernel_vector(tree.weights)
         if mults is None:
             raise DomainError("not a fiber: minus matrix has no kernel")
         tree.mults = mults
@@ -237,48 +233,21 @@ def _extract_pairs(text: str) -> tuple[int, object, str]:
     return 0, {"pairs": pairs}, text_out
 
 
-def _kernel_vector(mat: list[list[int]]) -> list[int] | None:
-    from fractions import Fraction
-    from math import gcd
+def _kernel_vector(weights: list[int]) -> list[int] | None:
+    """The positive kernel vector of a chain's minus intersection matrix.
 
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    # eliminate to find a kernel vector with last coordinate 1
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(n):
-                    a[r][c] -= f * a[row][c]
-        piv_cols.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
+    Row i reads w_i*m_i - m_(i-1) - m_(i+1) = 0, so m_0 = 1, m_1 = w_0 and
+    m_(i+1) = w_i*m_i - m_(i-1); the last row must give m_n = 0.  With
+    m_0 = 1 the vector is primitive.
+    """
+    mults: list[int] = []
+    prev, cur = 0, 1
+    for w in weights:
+        mults.append(cur)
+        prev, cur = cur, w * cur - prev
+    if cur != 0 or any(m <= 0 for m in mults):
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for r, col in enumerate(piv_cols):
-        vec[col] = -a[r][fc] / a[r][col]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    out = [int(x * den) for x in vec]
-    if all(v < 0 for v in out):
-        out = [-v for v in out]
-    if any(v <= 0 for v in out):
-        return None
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    return [v // g for v in out]
+    return mults
 
 
 def cmd_solve(args) -> tuple[int, object, str]:

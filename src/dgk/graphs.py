@@ -14,7 +14,6 @@ attached to the branching vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 import re
 
@@ -314,20 +313,3 @@ def _int_det(matrix: list[list[int]]) -> int:
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def exact_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly by Gaussian elimination."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]

@@ -16,7 +16,6 @@ The smooth case is the single pair (1, 0): the fiber is the 0-curve itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .graphs import Weights, WeightedTree
@@ -204,15 +203,13 @@ def mu_trace(c: int, p: int) -> list[int]:
 def mu_sums(c: int, p: int) -> tuple[int, int, int]:
     """(gcd, sum of center multiplicities, sum of their squares) of a group.
 
-    Closed forms: sum mu = c + p - gcd(c,p) and sum mu^2 = c*p; both are
-    asserted against the simulated trace.
+    Closed forms: sum mu = c + p - gcd(c,p) and sum mu^2 = c*p; the
+    simulated :func:`mu_trace` is the reference the tests compare against.
     """
+    if not c >= p >= 1:
+        raise ValueError(f"need c >= p >= 1, got {(c, p)}")
     g = gcd(c, p)
-    trace = mu_trace(c, p)
-    s1 = sum(trace)
-    s2 = sum(m * m for m in trace)
-    assert s1 == c + p - g and s2 == c * p
-    return g, s1, s2
+    return g, c + p - g, c * p
 
 
 def _undo_walks(tree: FiberTree) -> list[list[tuple[int, int]]]:
@@ -382,7 +379,5 @@ def fiber_numerics(seq: CharPairSeq, CE: int, i0: int) -> FiberNumerics:
         raise ValueError("CE must be nonnegative")
     kappa = c_h * CE + chp
     rho = kappa * CE + chp * CE + chp
-    u_c1 = Fraction(seq.c1, c_h)
-    d_contrib = u_c1 * kappa
-    assert d_contrib.denominator == 1
-    return FiberNumerics(CE, c_h, chp, kappa, rho, int(d_contrib))
+    # c_h divides c1 along the gcd chain of the pairs
+    return FiberNumerics(CE, c_h, chp, kappa, rho, seq.c1 // c_h * kappa)

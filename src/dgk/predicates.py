@@ -98,8 +98,6 @@ def lambda_and_p_square(cand: BoundaryCandidate) -> tuple[Fraction, Fraction]:
     v = candidate_values(cand)
     if v.delta >= 1 or v.e_tilde == cand.b:
         raise ValueError("degenerate candidate: needs delta < 1 and e~ != b")
-    assert v.p_square is not None and v.lam is not None
-    assert v.p_square * (v.e_tilde - cand.b) == (1 - v.delta) ** 2
     return v.lam, v.p_square
 
 

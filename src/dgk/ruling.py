@@ -41,8 +41,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from . import chains
-from .barks import ExceptionalShape
-from .graphs import Weights, format_chain
+from .barks import ExceptionalShape, fork_discriminant
+from .graphs import Fork, Weights, format_chain
 from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
 from .predicates import BoundaryCandidate, evaluate_predicates
 
@@ -548,12 +548,6 @@ def _assemble_solution(
             return None
         zu, z1, zl = first_pair_parts(tree)
         zut, z1t, zlt = first_pair_parts(tree_t)
-        # adjoint consistency: the section-side chain of the second fiber is
-        # determined by its lower chain via e + e' = 1
-        inner_first = tuple(tree_t.weights[v] for v in zut) + (tree_t.weights[0],)
-        zl_inner = tuple(tree_t.weights[v] for v in zlt)
-        if zl_inner:
-            assert inner_first == chains.chain_from_e(1 - chains.e(zl_inner))
         entries: list[tuple[int, str]] = []
         for v in reversed(zl):
             entries.append((tree.weights[v], "T2"))
@@ -571,20 +565,11 @@ def _assemble_solution(
         b, t3 = contract_boundary(entries)
     except (ContractionError, ValueError):
         return None
-    # d(D) = d1 d2 d3 (b - e~1 - e~2 - e~3), with e~ = d(T minus its last
-    # component)/d(T)
-    d1, d2, d3 = chains.d(t1), chains.d(t2), chains.d(t3)
-    d_of_d = (
-        b * d1 * d2 * d3
-        - chains.d(t1[:-1]) * d2 * d3
-        - d1 * chains.d(t2[:-1]) * d3
-        - d1 * d2 * chains.d(t3[:-1])
-    )
     return TwoFiberSolution(
         n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa, kappa_t=kappa_t,
         c=c, p=p, c_prime=c_pr, p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
         rho=rho, rho_t=rho_t, b=b, t1=t1, t2=t2, t3=t3, eshape=eshape,
-        d=c * kappa, d_of_d=d_of_d,
+        d=c * kappa, d_of_d=fork_discriminant(Fork(b, (t1, t2, t3))),
         delta_f_size=df, delta_ft_size=dft,
     )
 

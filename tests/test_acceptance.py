@@ -29,6 +29,7 @@ from dgk.ruling import (
     tail_chain_23_branch,
 )
 from dgk.search import GOLDEN_FILES, run_search
+from test_barks import reference_bark_chain, reference_bark_fork, reference_bark_one_sided
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
@@ -119,14 +120,16 @@ def test_criterion_4_bark_cross_validation():
     t0 = time.time()
     ok = True
     for ws in chains.all_admissible_chains_up_to(50):
-        full = bark_chain(ws)  # closed forms asserted inside
+        full = bark_chain(ws)
         one = bark_one_sided(ws)
+        ok = ok and full == reference_bark_chain(ws)
+        ok = ok and one == reference_bark_one_sided(ws)
         ok = ok and full.bk_square >= -2
         ok = ok and ((full.bk_square == -2) == all(w == 2 for w in ws))
         ok = ok and one.bk_square == -chains.e(ws)
     for shape in eshape_catalog(10):
         if shape.is_fork:
-            bark_fork(shape.graph)  # closed form asserted inside
+            ok = ok and bark_fork(shape.graph) == reference_bark_fork(shape.graph)
     anchor = Fork(2, ((2,), (2,), (3,)))
     ok = ok and bark_fork(anchor).bk_square == Fraction(-3, 2)
     ok = ok and group_order(anchor) == 24
@@ -138,8 +141,8 @@ def test_criterion_5_fork_discriminant_and_gate():
     ok = True
     for shape in eshape_catalog(10):
         if shape.is_fork:
-            d, _, _, _ = fork_invariants(shape.graph)  # closed form == oracle
-            ok = ok and d == shape.d
+            d, _, _, _ = fork_invariants(shape.graph)
+            ok = ok and d == shape.d == WeightedTree.from_fork(shape.graph).discriminant()
             triple = tuple(sorted(chains.d(t) for t in shape.graph.twigs))
             t = tuple(sorted(triple))
             ok = ok and (

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from dgk import chains
 from dgk.barks import (
     _make_shape,
     _probe_key,
+    BarkCoefficients,
     bark_chain,
     bark_fork,
     bark_one_sided,
@@ -16,6 +18,7 @@ from dgk.barks import (
     eshape_catalog,
     family_specs,
     fork_bark_square,
+    fork_discriminant,
     fork_invariants,
     group_order,
     is_admissible_fork,
@@ -27,6 +30,63 @@ from dgk.graphs import Fork, WeightedTree, canonical_chain, format_chain, parse_
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+# ---------------------------------------------------------------------------
+# reference route for the barks: the dense intersection matrix of the tree
+# and an exact Gaussian elimination over Fraction
+
+
+def exact_solve(matrix, rhs):
+    """Solve a nonsingular square system exactly by Gaussian elimination."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / pv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def reference_bark(tree, rhs):
+    """The bark solving Bk . D_i = rhs_i, and Bk^2 = sum of coefficient * rhs."""
+    coeffs = exact_solve(tree.intersection_matrix(), rhs)
+    return BarkCoefficients(tuple(coeffs), sum(c * r for c, r in zip(coeffs, rhs)))
+
+
+def reference_bark_one_sided(ws):
+    return reference_bark(WeightedTree.from_chain(ws), [-1] + [0] * (len(ws) - 1))
+
+
+def reference_bark_chain(ws):
+    tree = WeightedTree.from_chain(ws)
+    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(ws))])
+
+
+def reference_bark_fork(fork):
+    tree = WeightedTree.from_fork(fork)
+    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(tree.weights))])
+
+
+def seeded_forks(seed=6, count=60):
+    """Admissible forks with twig triples (2,2,n), (2,3,3), (2,3,4), (2,3,5),
+    b in 1..4 and twigs drawn at random among the oriented chains of each d."""
+    rng = random.Random(seed)
+    triples = [(2, 2, n) for n in range(2, 25)] + [(2, 3, 3), (2, 3, 4), (2, 3, 5)]
+    forks = []
+    while len(forks) < count:
+        twigs = tuple(rng.choice(chains.oriented_chains_with_d(dd)) for dd in rng.choice(triples))
+        fork = Fork(rng.randint(1, 4), twigs)
+        if is_admissible_fork(fork):
+            forks.append(fork)
+    return forks
 
 
 def test_one_sided_examples():
@@ -60,11 +120,14 @@ def test_bark_errors():
 
 
 def test_chain_barks_cross_validate_d50():
-    # linear solve vs closed forms (asserted inside), additivity of the two
-    # one-sided barks, and the -2 bound with its equality case
+    # closed forms vs the dense linear solve, additivity of the two one-sided
+    # barks, and the -2 bound with its equality case
     for ws in chains.all_admissible_chains_up_to(50):
         full = bark_chain(ws)
         left = bark_one_sided(ws)
+        assert full == reference_bark_chain(ws)
+        assert left == reference_bark_one_sided(ws)
+        assert left.bk_square == -chains.e(ws)
         right = bark_one_sided(ws[::-1])
         summed = tuple(
             a + b for a, b in zip(left.coefficients, right.coefficients[::-1])
@@ -138,14 +201,57 @@ def test_admissible_graphs_are_negative_definite():
 
 
 def test_fork_closed_form_vs_determinant():
-    # fork_invariants asserts the closed form against the determinant oracle
+    # d(F) in closed form against the determinant of the tree
     for shape in eshape_catalog(12):
         if shape.is_fork:
             d, dl, e, et = fork_invariants(shape.graph)
-            assert d == shape.d
+            assert d == shape.d == WeightedTree.from_fork(shape.graph).discriminant()
+            assert d == d_of_fork_by_schur(shape.graph)
             assert 1 < dl <= et < 2 <= shape.graph.b
             assert bark_fork(shape.graph).bk_square < -e < -1
             assert -bark_fork(shape.graph).bk_square <= 2
+
+
+def d_of_fork_by_schur(fork):
+    """d1*d2*d3*(b - e~) over Fraction, the Schur complement at the branch."""
+    et = sum(chains.e_tilde(t) for t in fork.twigs)
+    value = chains.d(fork.twigs[0]) * chains.d(fork.twigs[1]) * chains.d(fork.twigs[2])
+    return value * (fork.b - et)
+
+
+def test_fork_discriminant_vs_determinant_on_all_small_forks():
+    # every triple of twigs of length <= 2 over the weights 0..3 and b in
+    # -1..3, admissible or not, including twigs with d = 0
+    twigs = [ws for n in (1, 2) for ws in product((0, 1, 2, 3), repeat=n)]
+    for triple in combinations_with_replacement(twigs, 3):
+        for b in range(-1, 4):
+            fork = Fork(b, triple)
+            assert fork_discriminant(fork) == WeightedTree.from_fork(fork).discriminant()
+
+
+def test_fork_bark_coefficients_match_dense_solve():
+    # the coefficients, not only Bk^2: catalog forks of size <= 12 and
+    # seeded forks over the Platonic triples
+    forks = [s.graph for s in eshape_catalog(12) if s.is_fork] + seeded_forks()
+    assert len(forks) > 60
+    for fork in forks:
+        assert bark_fork(fork) == reference_bark_fork(fork), fork
+
+
+def test_fork_invariants_and_group_order_on_seeded_forks():
+    for fork in seeded_forks(seed=7):
+        d, dl, e, et = fork_invariants(fork)
+        assert d == WeightedTree.from_fork(fork).discriminant() == d_of_fork_by_schur(fork)
+        assert dl == sum(F(1, chains.d(t)) for t in fork.twigs)
+        order = 4 * (fork.b - et) / (dl - 1) ** 2
+        assert group_order(fork) == order and order.denominator == 1
+
+
+def test_fork_invariants_reject_bad_twigs():
+    with pytest.raises(ValueError, match="nonempty"):
+        fork_invariants(Fork(2, ((), (2,), (3,))))
+    with pytest.raises(ValueError, match="zero discriminant"):
+        fork_invariants(Fork(2, ((1, 1), (2,), (3,))))
 
 
 def test_decompose():

@@ -10,6 +10,14 @@ from dgk.graphs import WeightedTree, canonical_chain, parse_chain
 admissible = st.lists(st.integers(2, 6), min_size=0, max_size=10).map(tuple)
 
 
+def e_by_recurrence(weights):
+    """e via e(T) = 1/(a1 - e(T - T1)); independent of the d'/d route."""
+    value = Fraction(0)
+    for a in reversed(weights):
+        value = 1 / (a - value)
+    return value
+
+
 def test_d_examples():
     assert chains.d(()) == 1
     assert chains.d((3, 2)) == 5
@@ -52,13 +60,15 @@ def test_invariants_basic():
 def test_invariant_bounds_small_chains():
     for ws in chains.all_admissible_chains_up_to(50):
         inv = chains.invariants(ws)
+        assert inv.e == e_by_recurrence(ws)
+        assert inv.e_tilde == e_by_recurrence(ws[::-1])
         assert inv.d_prime <= inv.d - 1
         assert inv.delta <= inv.e <= 1 - inv.delta
 
 
 def test_e_two_routes_agree():
     for ws in chains.all_admissible_chains_up_to(50):
-        assert chains.e(ws) == chains.e_by_recurrence(ws)
+        assert chains.e(ws) == e_by_recurrence(ws)
 
 
 def test_chain_from_e():

@@ -64,6 +64,28 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("quantity", ["d", "e", "etilde", "delta"])
+@pytest.mark.parametrize(
+    "twigs,message",
+    [
+        (["[]", "[2]", "[3]"], "fork twigs must be nonempty"),
+        (["[1,1]", "[2]", "[3]"], "zero discriminant"),
+    ],
+)
+def test_bad_fork_exit_code(capsys, quantity, twigs, message):
+    fork = json.dumps({"b": 2, "twigs": twigs})
+    code, _, err = run(capsys, "compute", quantity, fork)
+    assert code == 1
+    assert message in err
+
+
+def test_pairs_extract_without_kernel_exit_code(capsys):
+    # [2,2] has d = 3, so its minus matrix has no kernel
+    code, _, err = run(capsys, "pairs", "extract", "[2,2]")
+    assert code == 1
+    assert "no kernel" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["compute", "nonsense", "[2]"]) == 2
     # the scan has no worker option, so --jobs is an unknown argument

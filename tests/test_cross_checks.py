@@ -15,10 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgk import chains
-from dgk.barks import bark_chain, bark_fork, eshape_catalog
+from dgk.barks import eshape_catalog
 from dgk.graphs import Fork, WeightedTree, parse_chain
 from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.search import GOLDEN_FILES, load_bounds
+from test_barks import reference_bark_chain, reference_bark_fork
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
@@ -67,9 +68,9 @@ def test_golden_candidates_survive_independent_routes():
 
         # exceptional bark square: catalog closed form vs linear solve
         if shape.is_fork:
-            assert bark_fork(shape.graph).bk_square == shape.bk_square
+            assert reference_bark_fork(shape.graph).bk_square == shape.bk_square
         else:
-            assert bark_chain(shape.graph).bk_square == shape.bk_square
+            assert reference_bark_chain(shape.graph).bk_square == shape.bk_square
 
         # the predicate report agrees with the search's verdict
         mode = "h1" if raw in json.loads(

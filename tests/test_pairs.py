@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -137,6 +138,12 @@ def test_mu_trace_and_sums():
         for p in range(1, c + 1):
             g, s1, s2 = mu_sums(c, p)
             assert g == gcd(c, p) and s1 == c + p - g and s2 == c * p
+            # the closed forms against the simulated trace
+            trace = mu_trace(c, p)
+            assert (s1, s2) == (sum(trace), sum(m * m for m in trace))
+    for c, p in ((2, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            mu_sums(c, p)
 
 
 def test_fiber_numerics():
@@ -174,3 +181,4 @@ def test_rho_at_most_kappa_squared():
                         continue
                     fn = fiber_numerics(seq, CE=CE, i0=i0)
                     assert fn.rho <= fn.kappa**2
+                    assert fn.d_contrib == Fraction(seq.c1, c_h) * fn.kappa

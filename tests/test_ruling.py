@@ -7,7 +7,7 @@ import pytest
 from dgk import chains
 from dgk.barks import eshape_catalog
 from dgk.graphs import format_chain, parse_chain
-from dgk.pairs import mu_trace
+from dgk.pairs import mu_trace, reconstruct_fiber
 from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.ruling import (
     RulingFiber,
@@ -17,6 +17,7 @@ from dgk.ruling import (
     _equation_solutions,
     _int_quadratic_roots,
     check_ruling_equations,
+    first_pair_parts,
     minimalize_chain,
     minimalized_section_side_32,
     second_fiber_square_branch,
@@ -396,6 +397,37 @@ def test_adjoint_consistency_on_solutions():
     z_l = (3, 3)  # lower chain of the second fiber for this tuple
     adj = chains.chain_from_e(1 - chains.e(z_l))
     assert chains.e(adj) + chains.e(z_l) == 1
+
+
+def second_fiber_chains(fields):
+    """(section-side chain, lower chain) of the first pair of the second
+    fiber of a (5)/(6) tuple, rebuilt as the solver rebuilds that fiber."""
+    ct_h = 1 + fields["dft"]
+    fiber_t = RulingFiber(
+        ((fields["c_t"], fields["p_t"]),), ct_h, 1 if fields["dft"] else 0,
+        (fields["kappa_t"] - (ct_h - 1)) // ct_h,
+    )
+    tree_t = reconstruct_fiber(fiber_t.full_pairs())
+    zut, _, zlt = first_pair_parts(tree_t)
+    upper = tuple(tree_t.weights[v] for v in zut) + (tree_t.weights[0],)
+    return upper, tuple(tree_t.weights[v] for v in zlt)
+
+
+def test_adjoint_consistency_over_oracle_sweep():
+    # on every (5)/(6) tuple of the oracle sweep, the section-side chain of
+    # the second fiber is the adjoint of its lower chain, e + e' = 1
+    checked = 0
+    sweep = oracle_sweep()
+    for key, eps in SOLVER_SHAPES:
+        es = shape(key, eps)
+        for t1 in sweep:
+            for t2 in sweep:
+                for fields in _equation_solutions(t1, t2, es):
+                    upper, lower = second_fiber_chains(fields)
+                    if lower:
+                        assert upper == chains.chain_from_e(1 - chains.e(lower)), fields
+                        checked += 1
+    assert checked > 0
 
 
 def test_tail_chain_23_branch():
