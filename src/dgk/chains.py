@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .graphs import Weights, canonical_chain, is_admissible_chain, reverse_chain
+from .graphs import Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain
 
 
 class DegenerateChainError(ValueError):
@@ -53,7 +53,7 @@ def d_second(weights: Weights) -> int:
 def e(weights: Weights) -> Fraction:
     den = d(weights)
     if den == 0:
-        raise DegenerateChainError(f"chain {weights} has zero discriminant")
+        raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
     return Fraction(d_prime(weights), den)
 
 
@@ -64,7 +64,7 @@ def e_tilde(weights: Weights) -> Fraction:
 def delta(weights: Weights) -> Fraction:
     den = d(weights)
     if den == 0:
-        raise DegenerateChainError(f"chain {weights} has zero discriminant")
+        raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
     return Fraction(1, den)
 
 
@@ -82,7 +82,7 @@ def invariants(weights: Weights) -> ChainInvariants:
     """All six invariants."""
     dd = d(weights)
     if dd == 0:
-        raise DegenerateChainError(f"chain {weights} has zero discriminant")
+        raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
     dp = d_prime(weights)
     return ChainInvariants(
         d=dd,

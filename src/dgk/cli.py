@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import chains
 from .barks import (
@@ -19,6 +20,7 @@ from .barks import (
     bark_fork,
     bark_one_sided,
     enumerate_exceptional_shapes,
+    fork_invariants,
     group_order,
 )
 from .graphs import (
@@ -29,7 +31,7 @@ from .graphs import (
     parse_fork,
 )
 from .pairs import CharPairSeq, pairs_from_fiber, reconstruct_fiber
-from .search import run_search, verify_suite
+from .search import SEARCHES, run_search, verify_suite
 from .ruling import solve_two_fiber
 
 
@@ -52,29 +54,28 @@ def _parse_graph(text: str):
     return parse_chain(text)
 
 
+def _bark_output(bark) -> tuple[int, object, str]:
+    payload = {
+        "coefficients": [_fr(c) for c in bark.coefficients],
+        "bk_square": _fr(bark.bk_square),
+    }
+    return 0, payload, (
+        "coefficients: " + " ".join(payload["coefficients"])
+        + f"\nBk^2 = {payload['bk_square']}"
+    )
+
+
 def cmd_compute(args) -> tuple[int, object, str]:
     graph = _parse_graph(args.graph)
     what = args.quantity
     if isinstance(graph, Fork):
         if what == "d":
-            from .barks import fork_invariants
-
             val = fork_invariants(graph)[0]
         elif what in ("e", "etilde", "delta"):
-            from .barks import fork_invariants
-
             _, dl, ee, et = fork_invariants(graph)
             val = {"e": ee, "etilde": et, "delta": dl}[what]
         elif what == "bark":
-            bark = bark_fork(graph)
-            payload = {
-                "coefficients": [_fr(c) for c in bark.coefficients],
-                "bk_square": _fr(bark.bk_square),
-            }
-            return 0, payload, (
-                "coefficients: " + " ".join(_fr(c) for c in bark.coefficients)
-                + f"\nBk^2 = {_fr(bark.bk_square)}"
-            )
+            return _bark_output(bark_fork(graph))
         elif what == "group":
             val = group_order(graph)
         else:
@@ -82,18 +83,7 @@ def cmd_compute(args) -> tuple[int, object, str]:
         return 0, {what: _fr(val)}, _fr(val)
     ws = graph
     if what == "bark":
-        if args.one_sided:
-            bark = bark_one_sided(ws)
-        else:
-            bark = bark_chain(ws)
-        payload = {
-            "coefficients": [_fr(c) for c in bark.coefficients],
-            "bk_square": _fr(bark.bk_square),
-        }
-        return 0, payload, (
-            "coefficients: " + " ".join(_fr(c) for c in bark.coefficients)
-            + f"\nBk^2 = {_fr(bark.bk_square)}"
-        )
+        return _bark_output(bark_one_sided(ws) if args.one_sided else bark_chain(ws))
     if what == "group":
         val: object = group_order(ws)
     else:
@@ -162,10 +152,7 @@ def cmd_pairs(args) -> tuple[int, object, str]:
         if len(vals) % 2 or not vals:
             raise DomainError("expected pairs: c1 p1 [c2 p2 ...]")
         seq = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
-        try:
-            tree = reconstruct_fiber(seq)
-        except Exception as exc:
-            raise DomainError(str(exc)) from exc
+        tree = reconstruct_fiber(seq)
         text = _fiber_text(tree)
         payload = {
             "fiber": text,
@@ -318,7 +305,9 @@ def cmd_verify(args) -> tuple[int, object, str]:
     return (0 if ok else 3), results, text
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="dgk",
         description="Exact invariants and case searches for weighted dual graphs.",
@@ -360,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     tw.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("search", help="the four exhaustive case searches")
-    p.add_argument(
-        "name", choices=["final-bounds", "xy", "knonpos", "fiber-pairs"]
-    )
+    p.add_argument("name", choices=list(SEARCHES))
     p.add_argument("--bounds", default=None, help="path to a bounds JSON file")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_search)

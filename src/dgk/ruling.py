@@ -42,7 +42,7 @@ from math import gcd, isqrt
 
 from . import chains
 from .barks import ExceptionalShape, fork_discriminant
-from .graphs import Fork, Weights, format_chain
+from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
 from .predicates import BoundaryCandidate, evaluate_predicates
 
@@ -419,8 +419,12 @@ def solve_two_fiber(
 
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
     kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
-    integer coefficients (see the module docstring).
+    integer coefficients (see the module docstring).  T1 and T2 must be
+    nonempty admissible chains.
     """
+    for name, ws in (("T1", t1), ("T2", t2)):
+        if not ws or not is_admissible_chain(ws):
+            raise ValueError(f"{name} {format_chain(ws)} is not a nonempty admissible chain")
     if eshape.is_fork or len(eshape.e_weights) != 1:
         raise ValueError("the ruling analysis needs an irreducible E")
     if eshape.size - len(eshape.e_weights) not in (0, 1):

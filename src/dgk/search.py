@@ -5,6 +5,12 @@ twigs, an exceptional shape) inside explicit bounds read from a checked-in
 bounds file, evaluates the predicate suite and returns a canonically sorted
 list.  Outputs are compared against golden files for exact equality.
 
+:data:`SEARCHES` is the one table of the searches: for each name its
+``search_*`` function, bounds file, golden file and the bounds keys it reads.
+:func:`parse_bounds` is the one place a bounds file is checked.  Every
+``search_*`` starts with it, so a bad file fails before any work, and the
+scan reads the resulting frozen :class:`Bounds`.
+
 Candidate enumeration is driven by the Zariski identity: given the twigs and
 b, the bark square of the exceptional shape is pinned exactly, so shapes are
 found by hash lookup instead of a product sweep.
@@ -14,11 +20,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chains
 from .barks import ShapeSpec, catalog_index, eshape_catalog, shape_of, spec_index
@@ -36,20 +44,48 @@ from .ruling import TwoFiberSolution, solve_two_fiber
 # candidates the scan never returns.
 INDEX_PREDICATES = ("noether", "zar_b", "zar_delta", "zar_bk2")
 
-# The keys each search reads from a bounds file; the optional ones may be
-# left out.
+# Every scan search reads these keys; the optional keys may be left out.
 _SCAN_KEYS = frozenset(
     {"description", "b", "predicates", "group_order_mode", "delta_gmin", "exclude_eps2_chains"}
 )
-BOUNDS_KEYS = {
-    "xy": _SCAN_KEYS | {"x_max", "y_max", "z_max", "eshapes"},
-    "final-bounds": _SCAN_KEYS | {"d_rules", "catalog_max_size"},
-    "knonpos": _SCAN_KEYS | {"t1", "d2_max", "d3_max", "case2_k_max", "catalog_max_size"},
-    "fiber-pairs": frozenset(
-        {"description", "twig_d_max", "eshapes", "predicates", "group_order_mode"}
+OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
+
+
+class Search(NamedTuple):
+    """One row of :data:`SEARCHES`.  :func:`run_search` looks ``function`` up
+    in the module globals on each call, so a wrapper set on the module
+    attribute is the one run; ``golden_form`` turns its result into what the
+    golden file holds."""
+
+    function: str
+    bounds_file: str
+    golden_file: str
+    keys: frozenset[str]
+    golden_form: Callable
+
+
+SEARCHES = {
+    "final-bounds": Search(
+        "search_final_bounds", "final_bounds", "search_final_bounds.json",
+        _SCAN_KEYS | {"d_rules", "catalog_max_size"},
+        lambda out: out,
+    ),
+    "xy": Search(
+        "search_xy", "xy", "search_xy.json",
+        _SCAN_KEYS | {"x_max", "y_max", "z_max", "eshapes"},
+        lambda found: [cand.to_dict() for cand, _ in found],
+    ),
+    "knonpos": Search(
+        "search_k_nonpositive", "k_nonpositive", "search_k_nonpositive.json",
+        _SCAN_KEYS | {"t1", "d2_max", "d3_max", "case2_k_max", "catalog_max_size"},
+        lambda out: {"case1": out["case1"], "case2": out["case2"]},
+    ),
+    "fiber-pairs": Search(
+        "search_fiber_pairs", "fiber_pairs", "search_fiber_pairs.json",
+        frozenset({"description", "twig_d_max", "eshapes", "predicates", "group_order_mode"}),
+        lambda solutions: [s.to_dict() for s in solutions],
     ),
 }
-OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
 
 
 @dataclass(frozen=True)
@@ -102,79 +138,102 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
-# Bounds keys that hold one integer, and the keys of every d_rules entry.
-_INT_KEYS = (
-    "x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max",
-    "catalog_max_size", "twig_d_max",
-)
-_RULE_KEYS = ("x", "y_min", "y_max", "z_max")
+@dataclass(frozen=True)
+class Bounds:
+    """A checked bounds file: each value the file sets, with lists as tuples,
+    ``t1`` parsed and ``eshapes`` resolved into catalog specs; the default
+    for each key it leaves out."""
+
+    predicates: tuple[str, ...]
+    group_order_mode: str
+    description: object = None
+    b: tuple[int, ...] = ()
+    delta_gmin: int | None = None
+    exclude_eps2_chains: bool = False
+    x_max: int = 0
+    y_max: int = 0
+    z_max: int = 0
+    d_rules: tuple[dict, ...] = ()
+    t1: Weights = ()
+    d2_max: int = 0
+    d3_max: int = 0
+    case2_k_max: int = 0
+    catalog_max_size: int = 0
+    twig_d_max: int = 0
+    eshapes: tuple[ShapeSpec, ...] = ()
 
 
 def _is_int(value) -> bool:
     return type(value) is int  # not bool, which JSON keeps apart
 
 
-def validate_bounds(search: str, cfg: dict) -> None:
-    """Reject bounds the search ``search`` would misread, before any work:
-    unknown or missing keys, values of the wrong type, unknown predicate
-    names, an unknown group_order_mode and a delta_gmin that is not null or
-    a positive integer."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{search} bounds must be a JSON object")
-    keys = BOUNDS_KEYS[search]
-    unknown = sorted(set(cfg) - keys)
-    if unknown:
-        raise ValueError(f"unknown {search} bounds keys: {', '.join(unknown)}")
-    missing = sorted(keys - OPTIONAL_KEYS - set(cfg))
-    if missing:
-        raise ValueError(f"missing {search} bounds keys: {', '.join(missing)}")
-    for key in _INT_KEYS:
-        if key in cfg and not _is_int(cfg[key]):
-            raise ValueError(f"{key} must be an integer, got {cfg[key]!r}")
-    if "b" in cfg and not (
-        isinstance(cfg["b"], list) and all(_is_int(b) for b in cfg["b"])
-    ):
-        raise ValueError(f"b must be a list of integers, got {cfg['b']!r}")
-    if "d_rules" in cfg:
-        rules = cfg["d_rules"]
-        if not isinstance(rules, list) or not all(
+_RULE_KEYS = ("x", "y_min", "y_max", "z_max")
+# For each bounds key, in the order the checks run: a test of its JSON
+# value and what the value must be if the test fails.
+_CHECKS = {
+    **dict.fromkeys(
+        ("x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max",
+         "catalog_max_size", "twig_d_max"),
+        (_is_int, "an integer"),
+    ),
+    "b": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "d_rules": (
+        lambda v: isinstance(v, list) and all(
             isinstance(rule, dict) and all(_is_int(rule.get(k)) for k in _RULE_KEYS)
-            for rule in rules
-        ):
-            raise ValueError(
-                "d_rules must be a list of objects with integer"
-                f" {', '.join(_RULE_KEYS)}, got {rules!r}"
-            )
-    flag = cfg.get("exclude_eps2_chains", False)
-    if type(flag) is not bool:
-        raise ValueError(f"exclude_eps2_chains must be true or false, got {flag!r}")
-    if "t1" in cfg and not isinstance(cfg["t1"], str):
-        raise ValueError(f"t1 must be a bracket chain string, got {cfg['t1']!r}")
-    for key in ("predicates", "eshapes"):
-        if key in cfg and not isinstance(cfg[key], list):
-            raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
+            for rule in v
+        ),
+        f"a list of objects with integer {', '.join(_RULE_KEYS)}",
+    ),
+    "exclude_eps2_chains": (lambda v: type(v) is bool, "true or false"),
+    "t1": (lambda v: isinstance(v, str), "a bracket chain string"),
+    "predicates": (lambda v: isinstance(v, list), "a list"),
+    "eshapes": (lambda v: isinstance(v, list), "a list"),
+    "group_order_mode": (lambda v: v in ("actual", "h1"), "'actual' or 'h1'"),
+    "delta_gmin": (lambda v: v is None or (_is_int(v) and v >= 1), "null or a positive integer"),
+}
+
+
+def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
+    """The bounds of the search ``name``: ``cfg``, or its packaged file when
+    ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
+    type, unknown predicates or ``eshapes`` entries, and for the scan
+    searches a predicate list without :data:`INDEX_PREDICATES`."""
+    search = SEARCHES[name]
+    if cfg is None:
+        cfg = load_bounds(search.bounds_file)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{name} bounds must be a JSON object")
+    unknown = sorted(set(cfg) - search.keys)
+    if unknown:
+        raise ValueError(f"unknown {name} bounds keys: {', '.join(unknown)}")
+    missing = sorted(search.keys - OPTIONAL_KEYS - set(cfg))
+    if missing:
+        raise ValueError(f"missing {name} bounds keys: {', '.join(missing)}")
+    for key, (test, what) in _CHECKS.items():
+        if key in cfg and not test(cfg[key]):
+            raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
     bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
     if bad:
         raise ValueError(f"unknown predicates: {', '.join(bad)}")
-    if cfg["group_order_mode"] not in ("actual", "h1"):
+    absent = [p for p in INDEX_PREDICATES if p not in cfg["predicates"]]
+    if _SCAN_KEYS <= search.keys and absent:
         raise ValueError(
-            f"group_order_mode must be 'actual' or 'h1', got {cfg['group_order_mode']!r}"
+            f"the indexed scan always enforces {', '.join(absent)};"
+            " the predicate list must name them"
         )
-    gmin = cfg.get("delta_gmin")
-    if gmin is not None and (not _is_int(gmin) or gmin < 1):
-        raise ValueError(f"delta_gmin must be null or a positive integer, got {gmin!r}")
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
+    if "t1" in cfg:
+        values["t1"] = _record_of(parse_chain(cfg["t1"])).ws
+    if "eshapes" in cfg:
+        values["eshapes"] = tuple(_named_specs(cfg["eshapes"]))
+    return Bounds(**values)
 
 
 def _scan_triples(
-    triples,
-    b_values,
-    index,
-    predicate_names,
-    group_order_mode,
-    delta_gmin,
-    exclude_eps2_chains=False,
+    triples, bounds: Bounds, index
 ) -> list[tuple[BoundaryCandidate, PredicateReport]]:
-    """Evaluate every (twig triple, b, shape) combination against the suite.
+    """The (twig triple, b, shape) combinations passing ``bounds``, canonically
+    sorted.
 
     Works in integers over D = d1*d2*d3: delta = S/D, e = E/D, e~ = Et/D.
     Each (triple, b) passing the gates makes one probe of ``index``, the
@@ -183,7 +242,7 @@ def _scan_triples(
     A hit's spec becomes its shape through :func:`dgk.barks.shape_of`.
     """
     found: list[tuple[BoundaryCandidate, PredicateReport]] = []
-    names = tuple(predicate_names)
+    names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
     for r1, r2, r3 in triples:
         q1 = r2.d * r3.d
         q2 = r1.d * r3.d
@@ -207,14 +266,15 @@ def _scan_triples(
             g = gcd(num, den)
             for spec in index.get((key + b, num // g, den // g), ()):
                 shape = shape_of(spec)
-                if exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
+                if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
                 cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
                 report = evaluate_predicates(
-                    cand, group_order_mode=group_order_mode
+                    cand, group_order_mode=bounds.group_order_mode
                 )
                 if report.passes(names):
                     found.append((cand, report))
+    found.sort(key=lambda pair: pair[0].sort_key())
     return found
 
 
@@ -246,16 +306,6 @@ def _triples_for_rules(rules: list[dict], d_max_needed: int):
                             yield (r1, r2, r3)
 
 
-def _check_index_predicates(cfg: dict) -> None:
-    missing = [p for p in INDEX_PREDICATES if p not in cfg["predicates"]]
-    if missing:
-        raise ValueError(
-            "the indexed scan always enforces "
-            + ", ".join(missing)
-            + "; the predicate list must name them"
-        )
-
-
 def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
     """Reject a box whose probes could ask for shapes beyond the catalog.
 
@@ -279,31 +329,13 @@ def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
 
 def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box."""
-    cfg = load_bounds("xy") if bounds is None else bounds
-    validate_bounds("xy", cfg)
-    _check_index_predicates(cfg)
-    index = spec_index(_named_specs(cfg["eshapes"]))
+    spec = parse_bounds("xy", bounds)
     rules = [
-        {"x": x, "y_min": x, "y_max": cfg["y_max"], "z_max": cfg["z_max"]}
-        for x in range(2, cfg["x_max"] + 1)
+        {"x": x, "y_min": x, "y_max": spec.y_max, "z_max": spec.z_max}
+        for x in range(2, spec.x_max + 1)
     ]
-    triples = _triples_for_rules(rules, max(cfg["y_max"], cfg["z_max"]))
-    return _run_scan(triples, cfg, index.probes)
-
-
-def _run_scan(triples, cfg: dict, index):
-    """Scan ``triples`` under the bounds ``cfg``; canonically sorted hits."""
-    found = _scan_triples(
-        triples,
-        tuple(cfg["b"]),
-        index,
-        tuple(cfg["predicates"]),
-        cfg["group_order_mode"],
-        cfg.get("delta_gmin"),
-        cfg.get("exclude_eps2_chains", False),
-    )
-    found.sort(key=lambda pair: pair[0].sort_key())
-    return found
+    triples = _triples_for_rules(rules, max(spec.y_max, spec.z_max))
+    return _scan_triples(triples, spec, spec_index(spec.eshapes).probes)
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
@@ -326,62 +358,46 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
 
 def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
-    cfg = load_bounds("final_bounds") if bounds is None else bounds
-    validate_bounds("final-bounds", cfg)
-    _check_index_predicates(cfg)
-    index = catalog_index(cfg["catalog_max_size"])
-    d_max = max(rule["z_max"] for rule in cfg["d_rules"])
-    triples = list(_triples_for_rules(cfg["d_rules"], d_max))
-    _check_catalog_reach(triples, cfg["b"], index.reach, cfg["catalog_max_size"])
-    found = _run_scan(triples, cfg, index.probes)
+    spec = parse_bounds("final-bounds", bounds)
+    index = catalog_index(spec.catalog_max_size)
+    d_max = max(rule["z_max"] for rule in spec.d_rules)
+    triples = list(_triples_for_rules(spec.d_rules, d_max))
+    _check_catalog_reach(triples, spec.b, index.reach, spec.catalog_max_size)
+    found = _scan_triples(triples, spec, index.probes)
     eshapes = sorted({cand.eshape.key() for cand, _ in found})
-    return {
-        "eshapes": eshapes,
-        "candidates": [cand.to_dict() for cand, _ in found],
-    }
+    return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand, _ in found]}
 
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
-    cfg = load_bounds("k_nonpositive") if bounds is None else bounds
-    validate_bounds("knonpos", cfg)
-    _check_index_predicates(cfg)
-    index = catalog_index(cfg["catalog_max_size"])
-    t1 = parse_chain(cfg["t1"])
-    rec1 = _record_of(t1)
-    by_d = _records_by_d(max(cfg["d2_max"], cfg["d3_max"]))
+    spec = parse_bounds("knonpos", bounds)
+    index = catalog_index(spec.catalog_max_size)
+    t1, rec1 = spec.t1, _record_of(spec.t1)
+    by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
+    by_d_ws = lambda r: (r.d, r.ws)  # noqa: E731
 
     def case1_triples():
-        for d2 in range(3, cfg["d2_max"] + 1):
+        for d2 in range(3, spec.d2_max + 1):
             for r2 in by_d[d2]:
-                for d3 in range(d2, cfg["d3_max"] + 1):
+                for d3 in range(d2, spec.d3_max + 1):
                     for r3 in by_d[d3]:
                         if (r2.d, r2.ws) > (r3.d, r3.ws):
                             continue
-                        if (
-                            r2.ws == t1
-                            and len(r3.ws) >= 2
-                            and r3.ws[-2:] == (3, 2)
-                        ):
+                        if r2.ws == t1 and len(r3.ws) >= 2 and r3.ws[-2:] == (3, 2):
                             continue
-                        yield tuple(
-                            sorted((rec1, r2, r3), key=lambda r: (r.d, r.ws))
-                        )
+                        yield tuple(sorted((rec1, r2, r3), key=by_d_ws))
 
     def case2_triples():
-        k_max = cfg["case2_k_max"]
-        for k in range(0, k_max + 1):
+        for k in range(0, spec.case2_k_max + 1):
             for head in ((), (3,), (4,), (2, 3)):
                 r3 = _record_of(head + (2,) * k + (3, 2))
-                yield tuple(sorted((rec1, rec1, r3), key=lambda r: (r.d, r.ws)))
+                yield tuple(sorted((rec1, rec1, r3), key=by_d_ws))
 
     triples1 = list(case1_triples())
     triples2 = list(case2_triples())
-    _check_catalog_reach(
-        triples1 + triples2, cfg["b"], index.reach, cfg["catalog_max_size"]
-    )
-    found1 = _run_scan(triples1, cfg, index.probes)
-    found2 = _run_scan(triples2, cfg, index.probes)
+    _check_catalog_reach(triples1 + triples2, spec.b, index.reach, spec.catalog_max_size)
+    found1 = _scan_triples(triples1, spec, index.probes)
+    found2 = _scan_triples(triples2, spec, index.probes)
     return {
         "case1": [cand.to_dict() for cand, _ in found1],
         "case2": [cand.to_dict() for cand, _ in found2],
@@ -391,27 +407,20 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
-    cfg = load_bounds("fiber_pairs") if bounds is None else bounds
-    validate_bounds("fiber-pairs", cfg)
-    shapes = [shape_of(spec) for spec in _named_specs(cfg["eshapes"])]
+    spec = parse_bounds("fiber-pairs", bounds)
     sweep = [
         ws
-        for dd in range(2, cfg["twig_d_max"] + 1)
+        for dd in range(2, spec.twig_d_max + 1)
         for ws in chains.oriented_chains_with_d(dd)
     ]
     solutions: list[TwoFiberSolution] = []
-    for es in shapes:
+    for es in map(shape_of, spec.eshapes):
         for t1 in sweep:
             for t2 in sweep:
-                solutions.extend(
-                    solve_two_fiber(
-                        t1,
-                        t2,
-                        es,
-                        predicate_names=tuple(cfg["predicates"]),
-                        group_order_mode=cfg["group_order_mode"],
-                    )
-                )
+                solutions.extend(solve_two_fiber(
+                    t1, t2, es, predicate_names=spec.predicates,
+                    group_order_mode=spec.group_order_mode,
+                ))
     solutions.sort(key=lambda s: s.sort_key())
     return solutions
 
@@ -430,45 +439,31 @@ def golden_dir() -> Path:
 
 
 def run_search(name: str, bounds_path: str | None = None):
-    if name == "final-bounds":
-        return search_final_bounds(load_bounds("final_bounds", bounds_path))
-    if name == "xy":
-        found = search_xy(load_bounds("xy", bounds_path))
-        return [cand.to_dict() for cand, _ in found]
-    if name == "knonpos":
-        out = search_k_nonpositive(load_bounds("k_nonpositive", bounds_path))
-        return {"case1": out["case1"], "case2": out["case2"]}
-    if name == "fiber-pairs":
-        sols = search_fiber_pairs(load_bounds("fiber_pairs", bounds_path))
-        return [s.to_dict() for s in sols]
-    raise ValueError(f"unknown search {name!r}")
+    """The output of the search ``name``, in the form of its golden file, on
+    its packaged bounds or on the bounds file at ``bounds_path``."""
+    if name not in SEARCHES:
+        raise ValueError(f"unknown search {name!r}")
+    search = SEARCHES[name]
+    found = globals()[search.function](load_bounds(search.bounds_file, bounds_path))
+    return search.golden_form(found)
 
 
-GOLDEN_FILES = {
-    "final-bounds": "search_final_bounds.json",
-    "xy": "search_xy.json",
-    "knonpos": "search_k_nonpositive.json",
-    "fiber-pairs": "search_fiber_pairs.json",
-    "final-bounds-relaxed": "search_final_bounds_relaxed.json",
-}
+GOLDEN_FILES = {name: search.golden_file for name, search in SEARCHES.items()}
+GOLDEN_FILES["final-bounds-relaxed"] = "search_final_bounds_relaxed.json"
 
 
 def verify_suite(directory: Path | None = None) -> dict:
     """Run the four searches and compare against the golden files."""
     gdir = directory or golden_dir()
     results = {}
-    for name in ("final-bounds", "xy", "knonpos", "fiber-pairs"):
+    for name in SEARCHES:
         got = run_search(name)
         path = gdir / GOLDEN_FILES[name]
         if not path.exists():
             results[name] = {"status": "missing-golden", "path": str(path)}
             continue
         want = json.loads(path.read_text())
-        results[name] = {
-            "status": "ok" if got == want else "mismatch",
-            "path": str(path),
-        }
+        results[name] = {"status": "ok" if got == want else "mismatch", "path": str(path)}
         if got != want:
-            results[name]["got"] = got
-            results[name]["want"] = want
+            results[name].update(got=got, want=want)
     return results

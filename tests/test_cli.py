@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dgk.cli import main
+from dgk.cli import build_parser, main
 from dgk.search import load_bounds
 
 
@@ -109,6 +109,45 @@ def test_bad_bounds_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "search", "final-bounds", "--bounds", str(small))
     assert code == 1
     assert "catalog_max_size is 20" in err
+
+
+def test_parser_is_reused_across_calls(capsys):
+    # one process: a usage error, then two valid calls on the same parser
+    code, _, err = run(capsys, "compute", "nonsense", "[2]")
+    assert code == 2
+    assert "invalid choice" in err
+    assert run(capsys, "compute", "d", "[3,2]") == (0, "5", "")
+    code, out, _ = run(capsys, "--json", "compute", "e", "[2,3]")
+    assert (code, json.loads(out)) == (0, {"e": "3/5"})
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "t1,t2,message",
+    [
+        ("[]", "[4]", "T1 [] is not a nonempty admissible chain"),
+        ("[1]", "[1]", "T1 [1] is not a nonempty admissible chain"),
+        ("[2]", "[]", "T2 [] is not a nonempty admissible chain"),
+    ],
+)
+def test_solve_twofiber_rejects_bad_twigs(capsys, t1, t2, message):
+    code, out, err = run(capsys, "solve", "twofiber", "--t1", t1, "--t2", t2, "--e", "[4]")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}"
+
+
+def test_degenerate_chain_message_uses_bracket_notation(capsys):
+    for graph in ("[1,1]", '{"b": 2, "twigs": ["[1,1]", "[2]", "[3]"]}'):
+        code, _, err = run(capsys, "compute", "e", graph)
+        assert (code, err) == (1, "error: chain [1,1] has zero discriminant")
+
+
+def test_bad_pairs_exit_code(capsys):
+    code, out, err = run(capsys, "pairs", "reconstruct", "3", "14")
+    assert (code, out) == (1, "")
+    assert err == "error: pair 1 is (3, 14); needs c >= p"
+    code, _, err = run(capsys, "pairs", "reconstruct", "6", "4")
+    assert (code, err) == (1, "error: last pair must be coprime")
 
 
 def test_group_order_fork(capsys):

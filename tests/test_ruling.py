@@ -379,6 +379,12 @@ def test_solver_finds_the_three_tuples():
         assert s.gcd_c in (2, 4)
 
 
+@pytest.mark.parametrize("t1,t2", [((), (4,)), ((1,), (1,)), ((2,), ()), ((2,), (3, 0))])
+def test_solver_rejects_bad_twigs(t1, t2):
+    with pytest.raises(ValueError, match="is not a nonempty admissible chain"):
+        solve_two_fiber(t1, t2, E4())
+
+
 def test_t3_reconstruction_values():
     from dgk.ruling import reconstruct_t3
 

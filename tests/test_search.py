@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -14,17 +15,20 @@ from dgk.predicates import (
     evaluate_predicates,
     lambda_and_p_square,
 )
+from dgk import search as dgk_search
 from dgk.search import (
     GOLDEN_FILES,
     INDEX_PREDICATES,
+    SEARCHES,
+    Bounds,
     load_bounds,
+    parse_bounds,
     run_search,
     _triples_for_rules,
     search_fiber_pairs,
     search_final_bounds,
     search_k_nonpositive,
     search_xy,
-    validate_bounds,
     verify_suite,
 )
 
@@ -91,7 +95,7 @@ def cand_delta(cand):
 
 
 def test_golden_equality_all_searches():
-    for name in ("final-bounds", "xy", "knonpos", "fiber-pairs"):
+    for name in SEARCHES:
         got = run_search(name)
         want = json.loads((GOLDEN_DIR / GOLDEN_FILES[name]).read_text())
         assert got == want, f"golden mismatch for {name}"
@@ -338,37 +342,63 @@ def test_overlapping_rules_give_each_triple_once():
 # bounds validation
 
 
-SEARCHES = {
-    "xy": search_xy,
-    "final-bounds": search_final_bounds,
-    "knonpos": search_k_nonpositive,
-    "fiber-pairs": search_fiber_pairs,
-}
-FILES = {
-    "xy": "xy",
-    "final-bounds": "final_bounds",
-    "knonpos": "k_nonpositive",
-    "fiber-pairs": "fiber_pairs",
-}
+def run(name, cfg):
+    """The search ``name`` of the table, called on the bounds ``cfg``."""
+    return getattr(dgk_search, SEARCHES[name].function)(cfg)
+
+
+def file_of(name):
+    return SEARCHES[name].bounds_file
+
+
+CHECKED_IN = [(name, file_of(name)) for name in SEARCHES] + [
+    ("final-bounds", "final_bounds_relaxed")
+]
 
 
 def test_checked_in_bounds_files_validate():
-    for name, file_name in [*FILES.items(), ("final-bounds", "final_bounds_relaxed")]:
-        validate_bounds(name, load_bounds(file_name))
+    for name, file_name in CHECKED_IN:
+        assert isinstance(parse_bounds(name, load_bounds(file_name)), Bounds)
+
+
+def frozen(key, value):
+    """A bounds file's value as a Bounds holds it."""
+    if key == "t1":
+        return parse_chain(value)
+    if key == "eshapes":
+        return tuple(shape(k, eps).spec for k, eps in value)
+    return tuple(value) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("name, file_name", CHECKED_IN)
+def test_checked_in_bounds_files_parse_to_their_values(name, file_name):
+    cfg = load_bounds(file_name)
+    bounds = parse_bounds(name, cfg)
+    for key, value in cfg.items():
+        assert getattr(bounds, key) == frozen(key, value), key
+    if file_name == file_of(name):
+        assert parse_bounds(name) == bounds  # None selects the packaged file
+
+
+def test_parsed_bounds_are_frozen():
+    bounds = parse_bounds("xy")
+    with pytest.raises(AttributeError):
+        bounds.z_max = 60
+    assert isinstance(bounds.b, tuple) and isinstance(bounds.predicates, tuple)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_bounds_with_unknown_key_rejected(name):
-    cfg = dict(load_bounds(FILES[name]), delta_gmn=3)
+    cfg = dict(load_bounds(file_of(name)), delta_gmn=3)
     with pytest.raises(ValueError, match="unknown .* bounds keys: delta_gmn"):
-        SEARCHES[name](cfg)
+        run(name, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_empty_bounds_are_not_the_checked_in_file(name):
     # {} is a bounds dict with every key missing, not a request for defaults
     with pytest.raises(ValueError, match=f"missing {name} bounds keys"):
-        SEARCHES[name]({})
+        run(name, {})
 
 
 WRONG_TYPES = [
@@ -396,9 +426,9 @@ WRONG_TYPES = [
 
 @pytest.mark.parametrize("name,key,value,message", WRONG_TYPES)
 def test_bounds_with_wrong_types_rejected(name, key, value, message):
-    cfg = dict(load_bounds(FILES[name]), **{key: value})
+    cfg = dict(load_bounds(file_of(name)), **{key: value})
     with pytest.raises(ValueError, match=message):
-        SEARCHES[name](cfg)
+        run(name, cfg)
 
 
 def test_bounds_with_missing_key_rejected():
@@ -410,10 +440,10 @@ def test_bounds_with_missing_key_rejected():
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_bounds_with_unknown_predicate_rejected(name):
-    cfg = load_bounds(FILES[name])
+    cfg = load_bounds(file_of(name))
     cfg["predicates"] = cfg["predicates"] + ["sqaure"]
     with pytest.raises(ValueError, match="unknown predicates: sqaure"):
-        SEARCHES[name](cfg)
+        run(name, cfg)
 
 
 @pytest.mark.parametrize("mode", ["H1", "abelian", None])
@@ -428,6 +458,13 @@ def test_bounds_with_bad_delta_gmin_rejected(gmin):
     cfg = dict(load_bounds("final_bounds_relaxed"), delta_gmin=gmin)
     with pytest.raises(ValueError, match="delta_gmin must be null or a positive integer"):
         search_final_bounds(cfg)
+
+
+@pytest.mark.parametrize("t1", ["[1]", "[]"])
+def test_knonpos_rejects_non_admissible_t1_before_any_work(monkeypatch, t1):
+    monkeypatch.setattr(dgk_search, "catalog_index", lambda size: pytest.fail("index built"))
+    with pytest.raises(ValueError, match=re.escape(f"twig {t1} is not an admissible chain")):
+        search_k_nonpositive(dict(load_bounds("k_nonpositive"), t1=t1))
 
 
 def test_predicate_names_are_those_reported():
