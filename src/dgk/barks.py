@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import chains
 from .graphs import (
@@ -473,6 +474,14 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     shapes = [_make_shape(spec) for spec in family_specs(max_size)]
     shapes.sort(key=lambda s: (s.size, s.key(), s.epsilon))
     return tuple(shapes)
+
+
+@lru_cache(maxsize=None)
+def named_shapes() -> Mapping[tuple[str, int], ExceptionalShape]:
+    """The shapes of :func:`eshape_catalog` (12) by (key, epsilon), in
+    catalog order: the table that bounds files and the command line name
+    shapes from."""
+    return MappingProxyType({(s.key(), s.epsilon): s for s in eshape_catalog(12)})
 
 
 def enumerate_exceptional_shapes(max_size: int) -> list[ExceptionalShape]:

@@ -238,13 +238,13 @@ def _kernel_vector(weights: list[int]) -> list[int] | None:
 
 
 def cmd_solve(args) -> tuple[int, object, str]:
-    from .barks import eshape_catalog
+    from .barks import named_shapes
 
     t1 = parse_chain(args.t1)
     t2 = parse_chain(args.t2)
     ekey = args.e.strip()
-    catalog = {(s.key(), s.epsilon): s for s in eshape_catalog(12)}
-    choices = [s for (k, _), s in catalog.items() if k == format_chain(parse_chain(ekey))]
+    key = format_chain(parse_chain(ekey))
+    choices = [s for (k, _), s in named_shapes().items() if k == key]
     if args.epsilon is not None:
         choices = [s for s in choices if s.epsilon == args.epsilon]
     if not choices:

@@ -31,27 +31,26 @@ where (A, A0) = (2, 0) without and (1, 1) with the boundary curve on the
 first fiber.  qa and qb depend on (c', p') alone; each kappa~ dividing
 c(gamma - 2) fixes qc, and kappa comes out of isqrt of the discriminant
 and an exact division.
+
+One solution of (5)/(6) is one frozen :class:`FiberTuple`; its
+:meth:`FiberTuple.fibers` is the one place the two fibers are laid out from
+the tuple.  :class:`TwoFiberSolution` extends the record by the boundary
+(b, T1, T2, T3) that :func:`contract_boundary` leaves after the fibers are
+rebuilt and the chain through the section is minimalized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import chains
 from .barks import ExceptionalShape, fork_discriminant
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
 from .predicates import BoundaryCandidate, evaluate_predicates
-
-
-def _lcm(values: list[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def check_ruling_equations(s: RulingScenario) -> tuple[int, int, int, int]:
         r2 -= kappa * kappa * sum(c * p for c, p in f.upairs) + num.rho
         prod_uc1 *= f.uc1
     r3 = s.d * s.h1_order - prod_uc1
-    r4 = s.d - _lcm([f.uc1 for f in s.fibers])
+    r4 = s.d - lcm(*(f.uc1 for f in s.fibers))
     return r1, r2, r3, r4
 
 
@@ -189,20 +188,6 @@ def first_pair_parts(tree: FiberTree) -> tuple[list[int], int, list[int]]:
     return z_u, z1, z_l
 
 
-def z_l_chain(tree: FiberTree) -> Weights:
-    """Weights of Z_l, tip of the fiber first."""
-    _, _, z_l = first_pair_parts(tree)
-    return tuple(tree.weights[v] for v in reversed(z_l))
-
-
-def second_branch_chain(tree: FiberTree, h: int) -> Weights:
-    """Boundary components of the second branch (groups 2..h-1), tip first."""
-    members = {v for v in range(len(tree)) if 2 <= tree.groups[v] <= h - 1}
-    _, z1, _ = first_pair_parts(tree)
-    order = _ordered_from(tree, members, z1)
-    return tuple(tree.weights[v] for v in reversed(order))
-
-
 # ---------------------------------------------------------------------------
 # boundary minimalization
 
@@ -211,60 +196,49 @@ class ContractionError(ValueError):
     """The boundary chain does not minimalize to an admissible fork."""
 
 
-def minimalize_chain(weights: list[int]) -> list[int]:
-    """Contract weight-1 entries of a chain until none remain."""
-    ws = list(weights)
+def _contract(items: list[list]) -> None:
+    """Blow down the leftmost weight-1 entry [w, True] of the chain ``items``
+    until none is left, lowering the weights of its neighbours."""
     while True:
-        idx = next((i for i, w in enumerate(ws) if w == 1), None)
+        idx = next((i for i, (w, free) in enumerate(items) if w == 1 and free), None)
         if idx is None:
-            return ws
-        if idx > 0:
-            ws[idx - 1] -= 1
-        if idx + 1 < len(ws):
-            ws[idx + 1] -= 1
-        del ws[idx]
-        if any(w <= 0 for w in ws):
-            raise ContractionError(f"contraction produced weight <= 0: {ws}")
-
-
-def contract_boundary(
-    entries: list[tuple[int, str]]
-) -> tuple[int, Weights]:
-    """Minimalize the boundary chain around the branch vertex.
-
-    ``entries`` lists (weight, tag) from the untouched twig side to the far
-    end of the second fiber; tags are T2, Z1, ZONE (the section side), ZT1
-    (the last first-pair curve of the second fiber) and T3L.  Only ZONE and
-    ZT1 components may be contracted.  Returns (b, T3) with T3 tip first.
-    """
-    items = [[w, tag] for w, tag in entries]
-    z1_pos = next(i for i, it in enumerate(items) if it[1] == "Z1")
-    while True:
-        idx = next(
-            (
-                i
-                for i, it in enumerate(items)
-                if it[0] == 1 and it[1] in ("ZONE", "ZT1")
-            ),
-            None,
-        )
-        if idx is None:
-            break
+            return
         if idx > 0:
             items[idx - 1][0] -= 1
         if idx + 1 < len(items):
             items[idx + 1][0] -= 1
         del items[idx]
-        z1_pos = next(i for i, it in enumerate(items) if it[1] == "Z1")
-    b = items[z1_pos][0]
+
+
+def minimalize_chain(weights: list[int]) -> list[int]:
+    """Contract weight-1 entries of a chain until none remain."""
+    items = [[w, True] for w in weights]
+    _contract(items)
+    ws = [w for w, _ in items]
+    # weights only fall, so a weight <= 0 met after any contraction persists
+    if len(ws) < len(weights) and any(w <= 0 for w in ws):
+        raise ContractionError(f"contraction produced weight <= 0: {ws}")
+    return ws
+
+
+def contract_boundary(b: int, entries: list[tuple[int, bool]]) -> tuple[int, Weights]:
+    """Minimalize the boundary chain on the far side of the branch vertex.
+
+    ``b`` is the weight of the branch vertex Z1 and ``entries`` lists
+    (weight, contractible) from Z1 to the far end of the second fiber.  Only
+    contractible weight-1 entries are blown down, leftmost first.  Returns
+    (b, T3) with T3 tip first.
+    """
+    items = [[b, False]] + [[w, free] for w, free in entries]
+    _contract(items)
+    b = items[0][0]
+    t3 = tuple(w for w, _ in reversed(items[1:]))
     if b < 1:
         raise ContractionError(f"branch weight dropped to {b}")
-    right = [it for it in items[z1_pos + 1:]]
-    if not right:
+    if not t3:
         raise ContractionError("third twig contracted away entirely")
-    if any(w <= 1 for w, _ in right):
-        raise ContractionError(f"third twig not admissible: {right}")
-    t3 = tuple(w for w, _ in reversed(right))
+    if any(w <= 1 for w in t3):
+        raise ContractionError(f"third twig not admissible: {list(t3)}")
     return b, t3
 
 
@@ -273,7 +247,11 @@ def contract_boundary(
 
 
 @dataclass(frozen=True)
-class TwoFiberSolution:
+class FiberTuple:
+    """One solution of (5)/(6): the pairs (c, p), (c', p') of the first fiber,
+    (c~, p~) of the second, kappa and kappa~ and the number (0 or 1) of
+    boundary curves on each fiber."""
+
     n: int
     gamma: int
     epsilon: int
@@ -286,17 +264,54 @@ class TwoFiberSolution:
     p_prime: int
     c_tilde: int
     p_tilde: int
-    rho: int
-    rho_t: int
+    delta_f_size: int
+    delta_ft_size: int
+
+    @property
+    def alpha(self) -> int:
+        return self.n + self.epsilon + self.ke - 4
+
+    @property
+    def rho(self) -> int:
+        return _rho(self.kappa, self.delta_f_size)
+
+    @property
+    def rho_t(self) -> int:
+        return _rho(self.kappa_t, self.delta_ft_size)
+
+    @property
+    def d(self) -> int:
+        return self.c * self.kappa
+
+    def fibers(self) -> tuple[RulingFiber, RulingFiber]:
+        """The two fibers.  The first has the pairs (c, p), alpha pairs
+        (c', c') and (c', p'), the second the single pair (c~, p~); a fiber
+        with k boundary curves has c_h = 1 + k, i0 = k and
+        CE = (kappa - k)/(1 + k)."""
+        first = ((self.c, self.p),) + ((self.c_prime, self.c_prime),) * self.alpha
+        return tuple(
+            RulingFiber(upairs, 1 + k, k, (kappa - k) // (1 + k))
+            for upairs, kappa, k in (
+                (first + ((self.c_prime, self.p_prime),), self.kappa, self.delta_f_size),
+                (((self.c_tilde, self.p_tilde),), self.kappa_t, self.delta_ft_size),
+            )
+        )
+
+
+@dataclass(frozen=True)
+class TwoFiberSolution(FiberTuple):
+    """A :class:`FiberTuple` with the boundary its fibers rebuild: the branch
+    weight b, the three twigs and the exceptional shape."""
+
     b: int
     t1: Weights
     t2: Weights
     t3: Weights
     eshape: ExceptionalShape
-    d: int
-    d_of_d: int
-    delta_f_size: int
-    delta_ft_size: int
+
+    @property
+    def d_of_d(self) -> int:
+        return fork_discriminant(Fork(self.b, (self.t1, self.t2, self.t3)))
 
     @property
     def minus_dd_over_de(self) -> Fraction:
@@ -398,7 +413,6 @@ def solve_two_fiber(
     t2: Weights,
     eshape: ExceptionalShape,
     *,
-    b_allowed: tuple[int, ...] = (1, 2),
     predicate_names: tuple[str, ...] = (
         "w2_delta_g",
         "noether",
@@ -420,19 +434,19 @@ def solve_two_fiber(
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
     kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
     integer coefficients (see the module docstring).  T1 and T2 must be
-    nonempty admissible chains.
+    nonempty admissible chains; solutions with b outside {1, 2} are dropped.
     """
-    for name, ws in (("T1", t1), ("T2", t2)):
+    for i, ws in enumerate((t1, t2), 1):
         if not ws or not is_admissible_chain(ws):
-            raise ValueError(f"{name} {format_chain(ws)} is not a nonempty admissible chain")
+            raise ValueError(f"T{i} {format_chain(ws)} is not a nonempty admissible chain")
     if eshape.is_fork or len(eshape.e_weights) != 1:
         raise ValueError("the ruling analysis needs an irreducible E")
     if eshape.size - len(eshape.e_weights) not in (0, 1):
         raise ValueError("at most one external (-2)-curve is supported here")
     solutions: list[TwoFiberSolution] = []
-    for fields in _equation_solutions(t1, t2, eshape):
-        sol = _assemble_solution(**fields, t1=t1, t2=t2, eshape=eshape)
-        if sol is None or sol.b not in b_allowed:
+    for tup in _equation_solutions(t1, t2, eshape):
+        sol = _assemble_solution(tup, t1, t2, eshape)
+        if sol is None or sol.b not in (1, 2):
             continue
         cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
         report = evaluate_predicates(cand, group_order_mode=group_order_mode)
@@ -445,10 +459,9 @@ def solve_two_fiber(
 def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
     """The sweep of :func:`solve_two_fiber` up to the (5)/(6) residual check.
 
-    Yields, in sweep order, the keywords of :func:`_assemble_solution` other
-    than the twigs and the shape for every tuple that passes the gates and
-    satisfies (5) and (6) exactly; ``eshape`` must be an irreducible E with
-    at most one external (-2)-curve.
+    Yields, in sweep order, the :class:`FiberTuple` of every tuple that
+    passes the gates and satisfies (5) and (6) exactly; ``eshape`` must be
+    an irreducible E with at most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
@@ -461,8 +474,7 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
         alpha = n + eps + ke - 4
         if not 0 <= alpha <= n:
             continue
-        h = 3 + alpha
-        tail_len = len(t1) - (h - 3)
+        tail_len = len(t1) - alpha
         if tail_len < 1:
             continue
         for df, dft in splits:
@@ -520,62 +532,42 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
                         )
                         if r5 or r6:
                             continue
-                        yield dict(
-                            n=n, gamma=gamma, eps=eps, ke=ke, alpha=alpha,
-                            h=h, kappa=kappa, kappa_t=kappa_t, c=c, p=p,
-                            c_pr=c_pr, p_pr=p_pr, c_t=c_t, p_t=p_t,
-                            rho=rho, rho_t=rho_t, df=df, dft=dft,
+                        yield FiberTuple(
+                            n, gamma, eps, ke, kappa, kappa_t, c, p,
+                            c_pr, p_pr, c_t, p_t, df, dft,
                         )
 
 
 def _assemble_solution(
-    *, n, gamma, eps, ke, alpha, h, kappa, kappa_t, c, p, c_pr, p_pr,
-    c_t, p_t, rho, rho_t, df, dft, t1, t2, eshape,
+    tup: FiberTuple, t1: Weights | None, t2: Weights, eshape: ExceptionalShape
 ) -> TwoFiberSolution | None:
-    """Rebuild both fibers, check the twigs, contract the boundary to D."""
-    c_h = 1 + df
-    ct_h = 1 + dft
-    f_upairs = ((c, p),) + ((c_pr, c_pr),) * (h - 3) + ((c_pr, p_pr),)
-    ft_upairs = ((c_t, p_t),)
+    """Rebuild both fibers, check the twigs, contract the boundary to D.
+
+    T1 is the second branch of the first fiber (groups 2 to alpha + 2) and
+    T2 its lower first-pair chain Z_l, both tip first; ``t1=None`` takes T1
+    from the fiber.  The chain through the section runs from Z1 along Z_u,
+    G, H, G~ and the section side of the second fiber to its last
+    first-pair curve, all contractible, and on along its lower chain.
+    """
     try:
-        fiber = RulingFiber(f_upairs, c_h, 1 if df else 0, (kappa - (c_h - 1)) // c_h)
-        fiber_t = RulingFiber(
-            ft_upairs, ct_h, 1 if dft else 0, (kappa_t - (ct_h - 1)) // ct_h
-        )
-        tree = reconstruct_fiber(fiber.full_pairs())
-        tree_t = reconstruct_fiber(fiber_t.full_pairs())
-        if t1 is None:
-            t1 = second_branch_chain(tree, h)
-        elif second_branch_chain(tree, h) != t1:
-            return None
-        if z_l_chain(tree) != t2:
-            return None
+        tree, tree_t = (reconstruct_fiber(f.full_pairs()) for f in tup.fibers())
         zu, z1, zl = first_pair_parts(tree)
+        branch = {v for v in range(len(tree)) if 2 <= tree.groups[v] <= tup.alpha + 2}
+        found = tuple(tree.weights[v] for v in reversed(_ordered_from(tree, branch, z1)))
+        t1 = found if t1 is None else t1
+        if (found, tuple(tree.weights[v] for v in reversed(zl))) != (t1, t2):
+            return None
         zut, z1t, zlt = first_pair_parts(tree_t)
-        entries: list[tuple[int, str]] = []
-        for v in reversed(zl):
-            entries.append((tree.weights[v], "T2"))
-        entries.append((tree.weights[z1], "Z1"))
-        for v in zu:
-            entries.append((tree.weights[v], "ZONE"))
-        entries.append((tree.weights[0], "ZONE"))  # G, the section-side tip
-        entries.append((n, "ZONE"))  # H itself
-        entries.append((tree_t.weights[0], "ZONE"))  # G~
-        for v in reversed(zut):
-            entries.append((tree_t.weights[v], "ZONE"))
-        entries.append((tree_t.weights[z1t], "ZT1"))
-        for v in zlt:
-            entries.append((tree_t.weights[v], "T3L"))
-        b, t3 = contract_boundary(entries)
-    except (ContractionError, ValueError):
+        free = [tree.weights[v] for v in (*zu, 0)] + [tup.n]
+        free += [tree_t.weights[v] for v in (0, *reversed(zut), z1t)]
+        b, t3 = contract_boundary(
+            tree.weights[z1],
+            [(w, True) for w in free] + [(tree_t.weights[v], False) for v in zlt],
+        )
+    except ValueError:  # ContractionError included
         return None
-    return TwoFiberSolution(
-        n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa, kappa_t=kappa_t,
-        c=c, p=p, c_prime=c_pr, p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
-        rho=rho, rho_t=rho_t, b=b, t1=t1, t2=t2, t3=t3, eshape=eshape,
-        d=c * kappa, d_of_d=fork_discriminant(Fork(b, (t1, t2, t3))),
-        delta_f_size=df, delta_ft_size=dft,
-    )
+    base = (getattr(tup, f.name) for f in fields(FiberTuple))
+    return TwoFiberSolution(*base, b, t1, t2, t3, eshape)
 
 
 def reconstruct_t3(sol: TwoFiberSolution) -> tuple[int, Weights]:
@@ -585,15 +577,7 @@ def reconstruct_t3(sol: TwoFiberSolution) -> tuple[int, Weights]:
     contracts it; raises ContractionError if the result is not an admissible
     fork boundary.
     """
-    h = 3 + (sol.n + sol.epsilon + sol.ke - 4)
-    redone = _assemble_solution(
-        n=sol.n, gamma=sol.gamma, eps=sol.epsilon, ke=sol.ke,
-        alpha=sol.n + sol.epsilon + sol.ke - 4, h=h, kappa=sol.kappa,
-        kappa_t=sol.kappa_t, c=sol.c, p=sol.p, c_pr=sol.c_prime,
-        p_pr=sol.p_prime, c_t=sol.c_tilde, p_t=sol.p_tilde, rho=sol.rho,
-        rho_t=sol.rho_t, df=sol.delta_f_size, dft=sol.delta_ft_size,
-        t1=sol.t1, t2=sol.t2, eshape=sol.eshape,
-    )
+    redone = _assemble_solution(sol, sol.t1, sol.t2, sol.eshape)
     if redone is None:
         raise ContractionError("solution data does not reconstruct a boundary")
     return redone.b, redone.t3
@@ -674,7 +658,8 @@ def two_run_twig_branch(eshape: ExceptionalShape, c_prime_max: int = 200) -> lis
     Here (c~, p~) = (5, 2), (c, p) = (2c', c') and kappa | 10; the relations
     admit the single family kappa = 2, (c', p') = (25, 6).  The reconstructed
     boundary has d(D) = -25, and -d(D)/d(E) = 25/4 is not a perfect square,
-    so the homology condition rejects it.
+    so the homology condition rejects it.  alpha comes from ``eshape``: the
+    paper's case is [4] with epsilon 1, alpha = 0.
     """
     sols = []
     for kappa in (2, 5, 10):
@@ -686,21 +671,19 @@ def two_run_twig_branch(eshape: ExceptionalShape, c_prime_max: int = 200) -> lis
             for p_pr in range(1, c_pr + 1):
                 if gcd(c_pr, p_pr) != 1:
                     continue
+                tup = FiberTuple(
+                    1, 4, eshape.epsilon, eshape.ke, kappa, kappa_t,
+                    2 * c_pr, c_pr, c_pr, p_pr, 5, 2, 0, 0,
+                )
                 r5, r6 = two_fiber_relations(
-                    n=1, gamma=4, alpha=0, kappa=kappa, kappa_t=kappa_t,
+                    n=1, gamma=4, alpha=tup.alpha, kappa=kappa, kappa_t=kappa_t,
                     c=2 * c_pr, p=c_pr, c_prime=c_pr, p_prime=p_pr,
                     c_tilde=5, p_tilde=2, rho=kappa * kappa,
                     rho_t=kappa_t * kappa_t,
                 )
                 if r5 or r6:
                     continue
-                sol = _assemble_solution(
-                    n=1, gamma=4, eps=eshape.epsilon, ke=eshape.ke, alpha=0,
-                    h=3, kappa=kappa, kappa_t=kappa_t, c=2 * c_pr, p=c_pr,
-                    c_pr=c_pr, p_pr=p_pr, c_t=5, p_t=2, rho=kappa * kappa,
-                    rho_t=kappa_t * kappa_t, df=0, dft=0,
-                    t1=None, t2=(2,), eshape=eshape,
-                )
+                sol = _assemble_solution(tup, None, (2,), eshape)
                 if sol is not None:
                     sols.append(sol)
     return sols
@@ -715,28 +698,6 @@ def minimalized_section_side_32() -> list[int]:
 
 def solution_scenario(sol: TwoFiberSolution, h1_order: int) -> RulingScenario:
     """Assemble the full-scenario view of a two-fiber solution."""
-    h = 3 + (sol.n + sol.epsilon + sol.ke - 4)
-    f_upairs = ((sol.c, sol.p),) + ((sol.c_prime, sol.c_prime),) * (h - 3) + (
-        (sol.c_prime, sol.p_prime),
-    )
-    fiber = RulingFiber(
-        f_upairs,
-        1 + sol.delta_f_size,
-        1 if sol.delta_f_size else 0,
-        (sol.kappa - sol.delta_f_size) // (1 + sol.delta_f_size),
-    )
-    fiber_t = RulingFiber(
-        ((sol.c_tilde, sol.p_tilde),),
-        1 + sol.delta_ft_size,
-        1 if sol.delta_ft_size else 0,
-        (sol.kappa_t - sol.delta_ft_size) // (1 + sol.delta_ft_size),
-    )
     return RulingScenario(
-        n=sol.n,
-        gamma=sol.gamma,
-        epsilon=sol.epsilon,
-        ke=sol.ke,
-        d=sol.d,
-        fibers=(fiber, fiber_t),
-        h1_order=h1_order,
+        sol.n, sol.gamma, sol.epsilon, sol.ke, sol.d, sol.fibers(), h1_order
     )

@@ -216,6 +216,7 @@ def test_bad_bounds_keys_exit_code(capsys, tmp_path):
         ("final-bounds", "final_bounds", "d_rules", [{"x": "3", "y_min": 3, "y_max": 3, "z_max": 5}]),
         ("knonpos", "k_nonpositive", "d2_max", "11"),
         ("fiber-pairs", "fiber_pairs", "twig_d_max", "6"),
+        ("final-bounds", "final_bounds", "d_rules", []),
     ],
 )
 def test_wrongly_typed_bounds_exit_code(capsys, tmp_path, name, file_name, key, value):

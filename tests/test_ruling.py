@@ -10,6 +10,8 @@ from dgk.graphs import format_chain, parse_chain
 from dgk.pairs import mu_trace, reconstruct_fiber
 from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.ruling import (
+    ContractionError,
+    FiberTuple,
     RulingFiber,
     RulingScenario,
     _assemble_solution,
@@ -17,6 +19,7 @@ from dgk.ruling import (
     _equation_solutions,
     _int_quadratic_roots,
     check_ruling_equations,
+    contract_boundary,
     first_pair_parts,
     minimalize_chain,
     minimalized_section_side_32,
@@ -102,7 +105,7 @@ def _ref_rho_value(kappa: int, delta_size: int) -> int:
 
 def reference_equation_solutions(t1, t2, eshape):
     """The solver's sweep up to the (5)/(6) check, with (6) solved over the
-    rationals; yields the keywords of _assemble_solution."""
+    rationals; yields the FiberTuple of each solution."""
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
     ke = eshape.ke
@@ -164,19 +167,19 @@ def reference_equation_solutions(t1, t2, eshape):
                         )
                         if r5 or r6:
                             continue
-                        yield dict(
-                            n=n, gamma=gamma, eps=eps, ke=ke, alpha=alpha,
-                            h=h, kappa=kappa, kappa_t=kappa_t, c=c, p=p,
-                            c_pr=c_pr, p_pr=p_pr, c_t=c_t, p_t=p_t,
-                            rho=rho, rho_t=rho_t, df=df, dft=dft,
+                        yield FiberTuple(
+                            n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa,
+                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
+                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
+                            delta_f_size=df, delta_ft_size=dft,
                         )
 
 
 def reference_solve_two_fiber(t1, t2, eshape, predicate_names):
     """solve_two_fiber with the default b set and group-order mode."""
     solutions = []
-    for fields in reference_equation_solutions(t1, t2, eshape):
-        sol = _assemble_solution(**fields, t1=t1, t2=t2, eshape=eshape)
+    for tup in reference_equation_solutions(t1, t2, eshape):
+        sol = _assemble_solution(tup, t1, t2, eshape)
         if sol is None or sol.b not in (1, 2):
             continue
         cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
@@ -202,14 +205,20 @@ def test_equation_solutions_match_fraction_reference(key, eps):
             assert list(_equation_solutions(t1, t2, es)) == want, (t1, t2)
 
 
+KAPPA_3_TUPLE = FiberTuple(
+    n=1, gamma=3, epsilon=2, ke=1, kappa=3, kappa_t=4, c=12, p=6, c_prime=6,
+    p_prime=1, c_tilde=9, p_tilde=4, delta_f_size=1, delta_ft_size=0,
+)
+
+
 def test_equation_solutions_kappa_3_boundary_tuple():
     # the mixed-boundary tuple: kappa = 3 on a fiber with one boundary curve
     # (rho = 5) and kappa~ = 4 on one without (rho~ = 16)
     got = list(_equation_solutions((2,) * 6, (2,), shape("[2,3]", 2)))
-    assert dict(
-        n=1, gamma=3, eps=2, ke=1, alpha=0, h=3, kappa=3, kappa_t=4, c=12,
-        p=6, c_pr=6, p_pr=1, c_t=9, p_t=4, rho=5, rho_t=16, df=1, dft=0,
-    ) in got
+    assert KAPPA_3_TUPLE in got
+    tup = got[got.index(KAPPA_3_TUPLE)]
+    assert (tup.alpha, tup.rho, tup.rho_t, tup.d) == (0, 5, 16, 36)
+    assert tup.fibers()[0].h == 3  # h = 3 + alpha
 
 
 def test_equation_solutions_match_reference_on_both_rho_forms():
@@ -226,7 +235,7 @@ def test_equation_solutions_match_reference_on_both_rho_forms():
                 for t2 in sweep:
                     got = list(_equation_solutions(t1, t2, es))
                     assert got == list(reference_equation_solutions(t1, t2, es))
-                    splits.update((f["df"], f["dft"]) for f in got)
+                    splits.update((f.delta_f_size, f.delta_ft_size) for f in got)
     assert splits == {(1, 0), (0, 1)}
 
 
@@ -324,6 +333,8 @@ def test_check_ruling_equations_two_fiber():
     )
     r1, r2, r3, r4 = check_ruling_equations(scenario)
     assert (r1, r2) == (0, 0)
+    # the solver lays out the same two fibers from the tuple
+    assert KAPPA_3_TUPLE.fibers() == scenario.fibers
 
 
 def test_single_fiber_forces_kappa_one():
@@ -405,15 +416,10 @@ def test_adjoint_consistency_on_solutions():
     assert chains.e(adj) + chains.e(z_l) == 1
 
 
-def second_fiber_chains(fields):
+def second_fiber_chains(tup):
     """(section-side chain, lower chain) of the first pair of the second
     fiber of a (5)/(6) tuple, rebuilt as the solver rebuilds that fiber."""
-    ct_h = 1 + fields["dft"]
-    fiber_t = RulingFiber(
-        ((fields["c_t"], fields["p_t"]),), ct_h, 1 if fields["dft"] else 0,
-        (fields["kappa_t"] - (ct_h - 1)) // ct_h,
-    )
-    tree_t = reconstruct_fiber(fiber_t.full_pairs())
+    tree_t = reconstruct_fiber(tup.fibers()[1].full_pairs())
     zut, _, zlt = first_pair_parts(tree_t)
     upper = tuple(tree_t.weights[v] for v in zut) + (tree_t.weights[0],)
     return upper, tuple(tree_t.weights[v] for v in zlt)
@@ -428,10 +434,10 @@ def test_adjoint_consistency_over_oracle_sweep():
         es = shape(key, eps)
         for t1 in sweep:
             for t2 in sweep:
-                for fields in _equation_solutions(t1, t2, es):
-                    upper, lower = second_fiber_chains(fields)
+                for tup in _equation_solutions(t1, t2, es):
+                    upper, lower = second_fiber_chains(tup)
                     if lower:
-                        assert upper == chains.chain_from_e(1 - chains.e(lower)), fields
+                        assert upper == chains.chain_from_e(1 - chains.e(lower)), tup
                         checked += 1
     assert checked > 0
 
@@ -472,3 +478,18 @@ def test_minimalize_chain():
     assert minimalize_chain([1]) == []
     assert minimalize_chain([2, 1, 3]) == []
     assert minimalize_chain([4, 1, 4]) == [3, 3]
+    # blowing down the first (-1)-curve leaves the second at weight 0
+    with pytest.raises(ContractionError):
+        minimalize_chain([1, 1])
+
+
+def test_contract_boundary():
+    # b = 5 | 2, 1, 3, then a fixed 4: blowing down the 1 gives 5 | 1, 2, 4,
+    # then 4 | 1, 4 and 3 | 3; the fixed entry is lowered, never blown down
+    assert contract_boundary(5, [(2, True), (1, True), (3, True), (4, False)]) == (3, (3,))
+    with pytest.raises(ContractionError, match="branch weight dropped to 0"):
+        contract_boundary(1, [(1, True), (3, False)])
+    with pytest.raises(ContractionError, match="third twig contracted away entirely"):
+        contract_boundary(3, [(1, True)])
+    with pytest.raises(ContractionError, match=r"third twig not admissible: \[1\]"):
+        contract_boundary(3, [(1, False)])

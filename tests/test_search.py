@@ -421,6 +421,8 @@ WRONG_TYPES = [
     ("knonpos", "predicates", "noether", "predicates must be a list"),
     ("fiber-pairs", "twig_d_max", "6", "twig_d_max must be an integer"),
     ("fiber-pairs", "eshapes", {"[4]": 1}, "eshapes must be a list"),
+    ("final-bounds", "d_rules", [], re.escape("d_rules must be a list of objects with"
+                                             " integer x, y_min, y_max, z_max, got []")),
 ]
 
 
