@@ -9,7 +9,7 @@ from .barks import (
     bark_fork,
     bark_one_sided,
     decompose_exceptional,
-    enumerate_exceptional_shapes,
+    eshape_catalog,
     fork_invariants,
     group_order,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "fork_invariants",
     "group_order",
     "decompose_exceptional",
-    "enumerate_exceptional_shapes",
+    "eshape_catalog",
     "CharPairSeq",
     "reconstruct_fiber",
     "pairs_from_fiber",

@@ -48,7 +48,7 @@ def is_admissible_fork(fork: Fork) -> bool:
     triple = tuple(sorted(chains.d(t) for t in fork.twigs))
     if not is_platonic_triple(triple):  # type: ignore[arg-type]
         return False
-    return fork.b > sum(chains.e_tilde(t) for t in fork.twigs)
+    return fork.b > fork_invariants(fork).e_tilde
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ def bark_fork(fork: Fork) -> BarkCoefficients:
     """
     if not is_admissible_fork(fork):
         raise ValueError("fork is not admissible")
-    dl = sum(chains.delta(t) for t in fork.twigs)
-    et = sum(chains.e_tilde(t) for t in fork.twigs)
-    c_b = (dl - 1) / (fork.b - et)
+    inv = fork_invariants(fork)
+    c_b = (inv.delta - 1) / (fork.b - inv.e_tilde)
     coeffs = [c_b]
     for t in fork.twigs:
         dd = chains.d(t)
         coeffs.extend(
             (chains.d(t[i + 1:]) + c_b * chains.d(t[:i])) / dd for i in range(len(t))
         )
-    return BarkCoefficients(tuple(coeffs), fork_bark_square(fork))
+    return BarkCoefficients(tuple(coeffs), -c_b * (inv.delta - 1) - inv.e)
 
 
 def fork_discriminant(fork: Fork) -> int:
@@ -113,14 +112,24 @@ def fork_discriminant(fork: Fork) -> int:
     return fork.b * d1 * d2 * d3 - c1 * d2 * d3 - d1 * c2 * d3 - d1 * d2 * c3
 
 
-def fork_invariants(fork: Fork) -> tuple[int, Fraction, Fraction, Fraction]:
-    """(d, delta, e, e~) of a fork with nonempty twigs of nonzero discriminant."""
+class ForkInvariants(NamedTuple):
+    """d(F) and the twig sums delta, e and e~ of a fork."""
+
+    d: int
+    delta: Fraction
+    e: Fraction
+    e_tilde: Fraction
+
+
+def fork_invariants(fork: Fork) -> ForkInvariants:
+    """(d, delta, e, e~) of a fork with nonempty twigs of nonzero discriminant:
+    the one place the twig sums are taken."""
     et = sum(chains.e_tilde(t) for t in fork.twigs)  # rejects d = 0 twigs
     if not all(fork.twigs):
         raise ValueError("fork twigs must be nonempty")
     dl = sum(chains.delta(t) for t in fork.twigs)
     ee = sum(chains.e(t) for t in fork.twigs)
-    return fork_discriminant(fork), dl, ee, et
+    return ForkInvariants(fork_discriminant(fork), dl, ee, et)
 
 
 def group_order(graph: Weights | Fork) -> int:
@@ -128,22 +137,18 @@ def group_order(graph: Weights | Fork) -> int:
 
     Chains resolve cyclic groups, so the order is the discriminant.  For an
     admissible fork the link is a spherical Seifert space over S^2(d1,d2,d3)
-    and the order is 4*(b - e~) / (delta - 1)^2 = 4*d(F)*D / (S - D)^2 with
-    D = d1*d2*d3 and S = d2*d3 + d1*d3 + d1*d2.  This reproduces the binary
+    and the order is 4*(b - e~) / (delta - 1)^2.  This reproduces the binary
     polyhedral orders on the (-2)-forks (24, 48, 120), the quaternion group
     on the (2,2,2) fork and 24 on the (2,2,3) fork with a [3]-twig.
     """
     if isinstance(graph, Fork):
         if not is_admissible_fork(graph):
             raise ValueError("fork is not admissible")
-        d1, d2, d3 = (chains.d(t) for t in graph.twigs)
-        dd = d1 * d2 * d3
-        order, rest = divmod(
-            4 * fork_discriminant(graph) * dd, (d2 * d3 + d1 * d3 + d1 * d2 - dd) ** 2
-        )
-        if rest:
+        inv = fork_invariants(graph)
+        order = 4 * (graph.b - inv.e_tilde) / (inv.delta - 1) ** 2
+        if order.denominator != 1:
             raise ValueError(f"fork {graph.to_json()} has no integral group order")
-        return order
+        return order.numerator
     _check_chain(graph)
     return chains.d(graph)
 
@@ -268,10 +273,8 @@ def chain_bark_square(weights: Weights) -> Fraction:
 
 
 def fork_bark_square(fork: Fork) -> Fraction:
-    dl = sum(chains.delta(t) for t in fork.twigs)
-    ee = sum(chains.e(t) for t in fork.twigs)
-    et = sum(chains.e_tilde(t) for t in fork.twigs)
-    return -((dl - 1) ** 2) / (fork.b - et) - ee
+    inv = fork_invariants(fork)
+    return -((inv.delta - 1) ** 2) / (fork.b - inv.e_tilde) - inv.e
 
 
 def _leading_twos(weights: Weights) -> int:
@@ -484,10 +487,6 @@ def named_shapes() -> Mapping[tuple[str, int], ExceptionalShape]:
     return MappingProxyType({(s.key(), s.epsilon): s for s in eshape_catalog(12)})
 
 
-def enumerate_exceptional_shapes(max_size: int) -> list[ExceptionalShape]:
-    return list(eshape_catalog(max_size))
-
-
 def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
     """(index key, epsilon + K.E) of a spec, with no shape built.
 
@@ -495,7 +494,7 @@ def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
     [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], a run of r 2's gives
     [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], and
     Bk^2 = -(d(ws[1:]) + d(ws[:-1]) + 2)/d, all in integers from the runs.
-    The few forks use :func:`fork_bark_square`.
+    The few forks read their shape.
     """
     family = spec[0]
     if family.weights:
@@ -510,12 +509,9 @@ def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
         g = gcd(num, den)
         num, den = num // g, den // g
     else:
-        fork = spec[1]
-        size = 1 + sum(len(t) for t in fork.twigs)
-        e_weights, _ = _split_external(fork)
-        ke = sum(e_weights) - 2 * len(e_weights)
-        bk2 = fork_bark_square(fork)
-        num, den = bk2.numerator, bk2.denominator
+        shape = _make_shape(spec)
+        size, ke = shape.size, shape.ke
+        num, den = shape.bk_square.numerator, shape.bk_square.denominator
     eps = family.epsilon
     return (size - eps - ke, num + eps * den, den), eps + ke
 

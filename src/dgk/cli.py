@@ -19,23 +19,17 @@ from .barks import (
     bark_chain,
     bark_fork,
     bark_one_sided,
-    enumerate_exceptional_shapes,
+    eshape_catalog,
     fork_invariants,
     group_order,
 )
-from .graphs import (
-    ChainParseError,
-    Fork,
-    format_chain,
-    parse_chain,
-    parse_fork,
-)
+from .graphs import Fork, format_chain, parse_chain, parse_fork
 from .pairs import CharPairSeq, pairs_from_fiber, reconstruct_fiber
 from .search import SEARCHES, run_search, verify_suite
 from .ruling import solve_two_fiber
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     pass
 
 
@@ -69,11 +63,9 @@ def cmd_compute(args) -> tuple[int, object, str]:
     graph = _parse_graph(args.graph)
     what = args.quantity
     if isinstance(graph, Fork):
-        if what == "d":
-            val = fork_invariants(graph)[0]
-        elif what in ("e", "etilde", "delta"):
-            _, dl, ee, et = fork_invariants(graph)
-            val = {"e": ee, "etilde": et, "delta": dl}[what]
+        if what in ("d", "e", "etilde", "delta"):
+            inv = fork_invariants(graph)
+            val = {"d": inv.d, "e": inv.e, "etilde": inv.e_tilde, "delta": inv.delta}[what]
         elif what == "bark":
             return _bark_output(bark_fork(graph))
         elif what == "group":
@@ -87,16 +79,13 @@ def cmd_compute(args) -> tuple[int, object, str]:
     if what == "group":
         val: object = group_order(ws)
     else:
-        try:
-            val = {
-                "d": lambda: chains.d(ws),
-                "dprime": lambda: chains.d_prime(ws),
-                "e": lambda: chains.e(ws),
-                "etilde": lambda: chains.e_tilde(ws),
-                "delta": lambda: chains.delta(ws),
-            }[what]()
-        except chains.DegenerateChainError as exc:
-            raise DomainError(str(exc)) from exc
+        val = {
+            "d": chains.d,
+            "dprime": chains.d_prime,
+            "e": chains.e,
+            "etilde": chains.e_tilde,
+            "delta": chains.delta,
+        }[what](ws)
     return 0, {what: _fr(val)}, _fr(val)
 
 
@@ -105,7 +94,7 @@ def cmd_enumerate(args) -> tuple[int, object, str]:
         found = chains.enumerate_admissible_chains(args.d)
         lines = [format_chain(ws) for ws in found]
         return 0, lines, "\n".join(lines)
-    shapes = enumerate_exceptional_shapes(args.max_size)
+    shapes = eshape_catalog(args.max_size)
     payload = [
         {
             "shape": s.key(),
@@ -211,10 +200,7 @@ def _extract_pairs(text: str) -> tuple[int, object, str]:
         else:
             raise DomainError("mark the (-1)-curve with '*'")
     tree.neg_curve = neg
-    try:
-        seq = pairs_from_fiber(tree)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    seq = pairs_from_fiber(tree)
     pairs = [[c, p] for c, p in seq.pairs]
     text_out = " ".join(f"({c},{p})" for c, p in seq.pairs)
     return 0, {"pairs": pairs}, text_out
@@ -369,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload, text = args.fn(args)
-    except (DomainError, ChainParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import isqrt
 
 from . import chains
-from .barks import ExceptionalShape
-from .graphs import Weights, format_chain
+from .barks import ExceptionalShape, fork_invariants
+from .graphs import Fork, Weights, format_chain
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,11 @@ class BoundaryCandidate:
     b: int
     twigs: tuple[Weights, Weights, Weights]
     eshape: ExceptionalShape
+
+    @property
+    def fork(self) -> Fork:
+        """The boundary fork D: branch weight b with the three twigs."""
+        return Fork(self.b, self.twigs)
 
     def sort_key(self) -> tuple:
         return (
@@ -32,52 +37,13 @@ class BoundaryCandidate:
             tuple(sorted((chains.d(t), t) for t in self.twigs)),
         )
 
-    def sorted_twigs(self) -> tuple[Weights, Weights, Weights]:
-        t = sorted(self.twigs, key=lambda ws: (chains.d(ws), ws))
-        return (t[0], t[1], t[2])
-
     def to_dict(self) -> dict:
         return {
             "b": self.b,
-            "twigs": [format_chain(t) for t in self.sorted_twigs()],
+            "twigs": [format_chain(t) for t in self.fork.sorted_twigs()],
             "eshape": self.eshape.key(),
             "epsilon": self.eshape.epsilon,
         }
-
-
-@dataclass(frozen=True)
-class CandidateValues:
-    """Shared exact quantities of a candidate."""
-
-    d1: int
-    d2: int
-    d3: int
-    delta: Fraction
-    e: Fraction
-    e_tilde: Fraction
-    k_dot_d: int
-    size_d: int
-    d_of_d: Fraction
-    p_square: Fraction | None
-    lam: Fraction | None
-
-
-def candidate_values(cand: BoundaryCandidate) -> CandidateValues:
-    t1, t2, t3 = cand.twigs
-    d1, d2, d3 = chains.d(t1), chains.d(t2), chains.d(t3)
-    delta = Fraction(1, d1) + Fraction(1, d2) + Fraction(1, d3)
-    e = chains.e(t1) + chains.e(t2) + chains.e(t3)
-    et = chains.e_tilde(t1) + chains.e_tilde(t2) + chains.e_tilde(t3)
-    k_dot_d = (cand.b - 2) + sum(w - 2 for t in cand.twigs for w in t)
-    size_d = 1 + sum(len(t) for t in cand.twigs)
-    d_of_d = Fraction(d1 * d2 * d3) * (cand.b - et)
-    if et != cand.b and delta != 1:
-        p_square = (1 - delta) ** 2 / (et - cand.b)
-        lam = 1 - (et - cand.b) / (1 - delta)
-    else:
-        p_square = None
-        lam = None
-    return CandidateValues(d1, d2, d3, delta, e, et, k_dot_d, size_d, d_of_d, p_square, lam)
 
 
 @dataclass(frozen=True)
@@ -95,10 +61,10 @@ class PredicateReport:
 
 def lambda_and_p_square(cand: BoundaryCandidate) -> tuple[Fraction, Fraction]:
     """(lambda, P^2) of a candidate; requires delta < 1 and e~ != b."""
-    v = candidate_values(cand)
-    if v.delta >= 1 or v.e_tilde == cand.b:
+    _, delta, _, et = fork_invariants(cand.fork)
+    if delta >= 1 or et == cand.b:
         raise ValueError("degenerate candidate: needs delta < 1 and e~ != b")
-    return v.lam, v.p_square
+    return 1 - (et - cand.b) / (1 - delta), (1 - delta) ** 2 / (et - cand.b)
 
 
 def is_positive_perfect_square(x: Fraction) -> bool:
@@ -133,7 +99,7 @@ PREDICATE_NAMES = (
 def evaluate_predicates(
     cand: BoundaryCandidate, *, group_order_mode: str = "actual"
 ) -> PredicateReport:
-    v = candidate_values(cand)
+    d_of_d, delta, e, et = fork_invariants(cand.fork)
     es = cand.eshape
     eps = es.epsilon
     g = es.group_order_for(group_order_mode)
@@ -144,22 +110,24 @@ def evaluate_predicates(
         entries[name] = (bool(ok), str(witness))
 
     # Noether count: #E + #D = 7 + eps + K.D + K.E
-    lhs = es.size + v.size_d
-    rhs = 7 + eps + v.k_dot_d + es.ke
+    size_d = 1 + sum(len(t) for t in cand.twigs)
+    k_dot_d = (cand.b - 2) + sum(w - 2 for t in cand.twigs for w in t)
+    lhs = es.size + size_d
+    rhs = 7 + eps + k_dot_d + es.ke
     put("noether", lhs == rhs, f"{lhs} vs {rhs}")
 
     # delta <= e = -Bk^2 D <= 1 + eps + Bk^2 E + 3/|G|
     bmy_rhs = 1 + eps + bk2_e + Fraction(3, g)
-    put("bmy", v.delta <= v.e <= bmy_rhs, f"{v.delta} <= {v.e} <= {bmy_rhs}")
+    put("bmy", delta <= e <= bmy_rhs, f"{delta} <= {e} <= {bmy_rhs}")
 
     # the three eps < 2 inequalities (s = 3 twigs throughout)
     if eps < 2:
-        put("eps2_ii", 1 - Fraction(6, g) <= v.delta, f"1-6/{g} vs {v.delta}")
+        put("eps2_ii", 1 - Fraction(6, g) <= delta, f"1-6/{g} vs {delta}")
         val = eps + bk2_e + Fraction(9, g)
         put("eps2_iii", val >= 0, f"{val}")
         if es.delta_empty:
             bound = Fraction(eps) + Fraction(es.ke, 4) + Fraction(1, 2)
-            put("eps2_iv", v.e + v.delta >= bound, f"{v.e + v.delta} vs {bound}")
+            put("eps2_iv", e + delta >= bound, f"{e + delta} vs {bound}")
         else:
             put("eps2_iv", True, "skipped: external (-2)-curves present")
     else:
@@ -167,16 +135,16 @@ def evaluate_predicates(
             put(name, True, "skipped: eps = 2")
 
     # Zariski-decomposition conditions on the fork boundary
-    put("zar_b", cand.b in (1, 2) and cand.b < v.e_tilde, f"b={cand.b}, e~={v.e_tilde}")
-    put("zar_delta", v.delta < 1, f"delta={v.delta}")
-    if v.p_square is not None:
-        rhs_bk = -v.p_square + v.e - 1 - eps
+    put("zar_b", cand.b in (1, 2) and cand.b < et, f"b={cand.b}, e~={et}")
+    put("zar_delta", delta < 1, f"delta={delta}")
+    if et != cand.b and delta != 1:
+        rhs_bk = -((1 - delta) ** 2) / (et - cand.b) + e - 1 - eps
         put("zar_bk2", bk2_e == rhs_bk, f"{bk2_e} vs {rhs_bk}")
     else:
         put("zar_bk2", False, "degenerate: e~ = b or delta = 1")
 
     # -d(D)/d(E) must be a positive perfect square
-    ratio = -v.d_of_d / es.d
+    ratio = Fraction(-d_of_d, es.d)
     put("square", is_positive_perfect_square(ratio), f"-d(D)/d(E) = {ratio}")
 
     # K.E + 2 eps <= 5 with the single allowed exception
@@ -185,20 +153,20 @@ def evaluate_predicates(
 
     # strict inequalities of the general-type intermediate surface
     w2_ok = (
-        v.e_tilde + v.delta < cand.b + 1
-        and v.delta + Fraction(1, g) > 1
+        et + delta < cand.b + 1
+        and delta + Fraction(1, g) > 1
         and eps != 0
     )
     put(
         "w2",
         w2_ok,
-        f"e~+delta={v.e_tilde + v.delta} vs b+1={cand.b + 1};"
-        f" delta+1/|G|={v.delta + Fraction(1, g)}",
+        f"e~+delta={et + delta} vs b+1={cand.b + 1};"
+        f" delta+1/|G|={delta + Fraction(1, g)}",
     )
     put(
         "w2_delta_g",
-        v.delta + Fraction(1, g) > 1,
-        f"{v.delta + Fraction(1, g)}",
+        delta + Fraction(1, g) > 1,
+        f"{delta + Fraction(1, g)}",
     )
 
     # when the external (-2)-part has three components the branch weight is 2
@@ -211,8 +179,8 @@ def evaluate_predicates(
     # context inequality of the nonpositive-Kodaira branch
     put(
         "et_plus_delta_ge_2",
-        v.e_tilde + v.delta >= 2,
-        f"{v.e_tilde + v.delta}",
+        et + delta >= 2,
+        f"{et + delta}",
     )
 
     # boundary contains no chain (2,1,2): at most one twig may end in a
@@ -225,7 +193,7 @@ def evaluate_predicates(
     )
 
     # every twig of minimal discriminant is a single curve
-    dmin = min(v.d1, v.d2, v.d3)
+    dmin = min(chains.d(t) for t in cand.twigs)
     min_ok = all(
         len(t) == 1 for t in cand.twigs if chains.d(t) == dmin
     )

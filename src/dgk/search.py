@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import chains
 from .barks import ShapeSpec, catalog_index, named_shapes, shape_of, spec_index
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .graphs import Weights, format_chain, parse_chain
+from .graphs import Weights, format_chain, is_admissible_chain, parse_chain
 from .predicates import (
     PREDICATE_NAMES,
     BoundaryCandidate,
@@ -95,36 +95,24 @@ class ChainRecord:
     d: int
     d_prime: int  # d of the chain without its tip, so e = d'/d
     d_prime_rev: int  # d' of the reversed chain, so e~ = d'(rev)/d
-    kc: int  # sum of (w - 2)
-    size: int
+    kd: int  # sum of (w - 3): K.T - #T, the chain's share of the probe key
+
+
+def _record_of(ws: Weights) -> ChainRecord:
+    if not ws or not is_admissible_chain(ws):
+        raise ValueError(f"twig {format_chain(ws)} is not an admissible chain")
+    return ChainRecord(
+        ws, chains.d(ws), chains.d_prime(ws), chains.d(ws[:-1]), sum(w - 3 for w in ws)
+    )
 
 
 @lru_cache(maxsize=None)
 def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
-    recs = [
-        ChainRecord(
-            ws,
-            dd,
-            chains.d_prime(ws),
-            chains.d(ws[:-1]),
-            sum(w - 2 for w in ws),
-            len(ws),
-        )
-        for ws in chains.oriented_chains_with_d(dd)
-    ]
-    recs.sort(key=lambda r: r.ws)
-    return tuple(recs)
+    return tuple(map(_record_of, sorted(chains.oriented_chains_with_d(dd))))
 
 
 def _records_by_d(d_max: int) -> dict[int, tuple[ChainRecord, ...]]:
     return {dd: _records_with_d(dd) for dd in range(2, d_max + 1)}
-
-
-def _record_of(ws: Weights) -> ChainRecord:
-    found = [r for r in _records_with_d(chains.d(ws)) if r.ws == ws]
-    if not found:
-        raise ValueError(f"twig {format_chain(ws)} is not an admissible chain")
-    return found[0]
 
 
 def load_bounds(name: str, path: str | None = None) -> dict:
@@ -257,7 +245,7 @@ def _scan_triples(
         e_minus_1 = r1.d_prime * q1 + r2.d_prime * q2 + r3.d_prime * q3 - dd
         et = r1.d_prime_rev * q1 + r2.d_prime_rev * q2 + r3.d_prime_rev * q3
         gap_sq = (dd - s) ** 2
-        key = 4 + r1.kc + r2.kc + r3.kc - r1.size - r2.size - r3.size
+        key = 4 + r1.kd + r2.kd + r3.kd
         for b in b_values:
             slack = et - b * dd
             if slack <= 0:  # b >= e~
@@ -317,10 +305,7 @@ def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
     """
     if not triples or not b_values:
         return
-    key = max(b_values) + max(
-        4 + r1.kc + r2.kc + r3.kc - r1.size - r2.size - r3.size
-        for r1, r2, r3 in triples
-    )
+    key = max(b_values) + max(4 + r1.kd + r2.kd + r3.kd for r1, r2, r3 in triples)
     if key + reach > max_size:
         raise ValueError(
             f"the box asks for exceptional shapes of up to {key + reach}"

@@ -239,12 +239,23 @@ def test_fork_bark_coefficients_match_dense_solve():
 
 
 def test_fork_invariants_and_group_order_on_seeded_forks():
-    for fork in seeded_forks(seed=7):
-        d, dl, e, et = fork_invariants(fork)
+    # the group order against the integer form 4*d(F)*D/(S - D)^2, with
+    # D = d1*d2*d3 and S = d2*d3 + d1*d3 + d1*d2; the library reads
+    # 4*(b - e~)/(delta - 1)^2 off the fork invariants
+    catalog_forks = [s.graph for s in eshape_catalog(12) if s.is_fork]
+    assert catalog_forks
+    for fork in seeded_forks(seed=7) + catalog_forks:
+        inv = fork_invariants(fork)
+        d, dl, e, et = inv
+        assert (inv.d, inv.delta, inv.e, inv.e_tilde) == (d, dl, e, et)
         assert d == WeightedTree.from_fork(fork).discriminant() == d_of_fork_by_schur(fork)
         assert dl == sum(F(1, chains.d(t)) for t in fork.twigs)
-        order = 4 * (fork.b - et) / (dl - 1) ** 2
-        assert group_order(fork) == order and order.denominator == 1
+        assert e == sum(chains.e(t) for t in fork.twigs)
+        assert et == sum(chains.e_tilde(t) for t in fork.twigs)
+        d1, d2, d3 = (chains.d(t) for t in fork.twigs)
+        dd = d1 * d2 * d3
+        order, rest = divmod(4 * d * dd, (d2 * d3 + d1 * d3 + d1 * d2 - dd) ** 2)
+        assert rest == 0 and group_order(fork) == order
 
 
 def test_fork_invariants_reject_bad_twigs():

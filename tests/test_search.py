@@ -2,6 +2,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,42 @@ def cand_delta(cand):
     from dgk import chains
 
     return sum(chains.delta(t) for t in cand.twigs)
+
+
+def reference_square_and_zar_bk2(cand):
+    """The square and zar_bk2 entries by the Fraction route:
+    d(D) = d1*d2*d3*(b - e~) and P^2 = (1 - delta)^2/(e~ - b)."""
+    es = cand.eshape
+    d1, d2, d3 = (chains.d(t) for t in cand.twigs)
+    e = sum(chains.e(t) for t in cand.twigs)
+    et, delta = cand_et(cand), cand_delta(cand)
+    ratio = -(Fraction(d1 * d2 * d3) * (cand.b - et)) / es.d
+    root = isqrt(ratio.numerator) if ratio > 0 else -1
+    is_square = ratio.denominator == 1 and root * root == ratio.numerator
+    square = (is_square, f"-d(D)/d(E) = {ratio}")
+    if et == cand.b or delta == 1:
+        return square, (False, "degenerate: e~ = b or delta = 1")
+    rhs = -((1 - delta) ** 2 / (et - cand.b)) + e - 1 - es.epsilon
+    return square, (es.bk_square == rhs, f"{es.bk_square} vs {rhs}")
+
+
+def test_square_and_zar_bk2_match_the_fraction_route():
+    twigs = [ws for dd in range(2, 8) for ws in chains.oriented_chains_with_d(dd)]
+    shapes = eshape_catalog(8)
+    seen = {"delta = 1": 0, "e~ = b": 0, "square": 0, "zar_bk2": 0}
+    for i, triple in enumerate(combinations_with_replacement(twigs, 3)):
+        for b in (1, 2, 3):
+            cand = BoundaryCandidate(b, triple, shapes[(7 * i + b) % len(shapes)])
+            report = evaluate_predicates(cand)
+            square, zar_bk2 = reference_square_and_zar_bk2(cand)
+            assert report.entries["square"] == square, cand
+            assert report.entries["zar_bk2"] == zar_bk2, cand
+            seen["delta = 1"] += cand_delta(cand) == 1
+            seen["e~ = b"] += cand_et(cand) == b
+            seen["square"] += square[0]
+            seen["zar_bk2"] += zar_bk2[0]
+    # the sweep holds both degenerate cases and passes of both predicates
+    assert all(seen.values()), seen
 
 
 def test_golden_equality_all_searches():
@@ -462,7 +499,7 @@ def test_bounds_with_bad_delta_gmin_rejected(gmin):
         search_final_bounds(cfg)
 
 
-@pytest.mark.parametrize("t1", ["[1]", "[]"])
+@pytest.mark.parametrize("t1", ["[1]", "[]", "[1,1]"])
 def test_knonpos_rejects_non_admissible_t1_before_any_work(monkeypatch, t1):
     monkeypatch.setattr(dgk_search, "catalog_index", lambda size: pytest.fail("index built"))
     with pytest.raises(ValueError, match=re.escape(f"twig {t1} is not an admissible chain")):

@@ -18,3 +18,9 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in dgk.__all__ if not hasattr(dgk, name)]
+    assert missing == []
+    assert len(set(dgk.__all__)) == len(dgk.__all__)
