@@ -24,7 +24,7 @@ from .barks import (
     group_order,
 )
 from .graphs import Fork, format_chain, parse_chain, parse_fork
-from .pairs import CharPairSeq, pairs_from_fiber, reconstruct_fiber
+from .pairs import FiberTree, pairs_from_fiber, reconstruct_fiber
 from .search import SEARCHES, run_search, verify_suite
 from .ruling import solve_two_fiber
 
@@ -154,8 +154,6 @@ def cmd_pairs(args) -> tuple[int, object, str]:
 
 
 def _extract_pairs(text: str) -> tuple[int, object, str]:
-    from .pairs import FiberTree
-
     text = text.strip()
     entries: list[tuple[int, int | None, bool]] = []
     body = text

@@ -135,17 +135,6 @@ class FiberTree:
         edges = [(a, b) for a in range(len(self)) for b in self.adj[a] if a < b]
         return WeightedTree(self.weights, edges)
 
-    def canon(self) -> object:
-        """Canonical form (rooted at U, (-1)-curve marked) for comparisons."""
-
-        def enc(v: int, parent: int | None) -> tuple:
-            kids = sorted(
-                enc(u, v) for u in self.adj[v] if u != parent
-            )
-            return (self.weights[v], self.mults[v], v == self.neg_curve, tuple(kids))
-
-        return enc(0, None)
-
 
 def reconstruct_fiber(seq: CharPairSeq | tuple[tuple[int, int], ...]) -> FiberTree:
     """Build the fiber tree of a pair sequence by simulating the blow-ups."""
@@ -212,68 +201,21 @@ def mu_sums(c: int, p: int) -> tuple[int, int, int]:
     return g, c + p - g, c * p
 
 
-def _undo_walks(tree: FiberTree) -> list[list[tuple[int, int]]]:
-    """All consistent peeling orders, each as a list of (vertex, group-base).
-
-    Walks backwards from the (-1)-curve, undoing blow-ups.  An undo target
-    must currently be a (-1)-curve adjacent to the previous target; a vertex
-    with one neighbour undoes a sprout and closes a group.  Ambiguities fork
-    the walk; impossible branches die out.
-    """
-    n = len(tree)
-    results: list[list[tuple[int, int]]] = []
-
-    def rec(weights: list[int], adj: list[set[int]], alive: set[int],
-            cur: int, trail: list[tuple[int, int]]) -> None:
-        if weights[cur] != 1:
-            return
-        nbrs = sorted(adj[cur] & alive)
-        if len(nbrs) == 1:
-            (a,) = nbrs
-            if tree.mults[cur] != tree.mults[a]:
-                return
-            weights[a] -= 1
-            alive.discard(cur)
-            trail.append((cur, a))
-            if len(alive) == 1:
-                if alive == {0} and weights[0] == 0:
-                    results.append(list(trail))
-            else:
-                rec(weights, adj, alive, a, trail)
-            trail.pop()
-            alive.add(cur)
-            weights[a] += 1
-        elif len(nbrs) == 2:
-            a, b = nbrs
-            if tree.mults[cur] != tree.mults[a] + tree.mults[b]:
-                return
-            weights[a] -= 1
-            weights[b] -= 1
-            adj[a].add(b)
-            adj[b].add(a)
-            alive.discard(cur)
-            trail.append((cur, -1))
-            for nxt in (a, b):
-                rec(weights, adj, alive, nxt, trail)
-            trail.pop()
-            alive.add(cur)
-            adj[a].discard(b)
-            adj[b].discard(a)
-            weights[a] += 1
-            weights[b] += 1
-
-    if tree.neg_curve is not None:
-        rec(list(tree.weights), [set(s) for s in tree.adj],
-            set(range(n)), tree.neg_curve, [])
-    return results
-
-
 def pairs_from_fiber(tree: FiberTree) -> CharPairSeq:
     """Inverse of :func:`reconstruct_fiber`.
 
-    Peels groups off the fiber backwards; candidate (c, p) values for each
-    group are pinned by the multiplicity of its last curve and validated by
-    re-simulating the whole sequence and comparing trees.
+    One backward walk from the marked (-1)-curve undoes the blow-ups newest
+    first.  The curve undone must have weight 1 and one or two neighbours
+    whose multiplicities sum to its own; contracting it lowers their weights
+    by one and joins two neighbours.  With one neighbour it was the first
+    curve of its group, grown on the group's base B, and the walk goes on at
+    B; with two it goes on at the one neighbour other than U now of weight 1
+    (every older curve was touched again, so only the newest has weight 1).
+    Read last group first from g = 1, a group with last curve L gives the
+    pair (g*C, g*P) and g becomes g*C: C = m(L)/m(B), and P is 1 for C = 1,
+    else the inverse mod C of m(x)/m(B) for x L's neighbour towards U.  One
+    re-simulation then checks the pairs vertex by vertex, rebuilt curve i
+    being the i-th curve undone counted from the oldest and U being 0.
     """
     if len(tree) == 1:
         if tree.weights[0] != 0:
@@ -281,66 +223,68 @@ def pairs_from_fiber(tree: FiberTree) -> CharPairSeq:
         return CharPairSeq(((1, 0),))
     if tree.neg_curve is None:
         raise ValueError("singular fiber without a marked (-1)-curve")
+    not_a_fiber = ValueError("tree is not the fiber of any pair sequence")
+    mults = tree.mults
+    if min(mults) < 1:
+        raise not_a_fiber
+    towards_u, queue = {0: 0}, [0]  # each vertex's neighbour on its path to U
+    for v in queue:
+        for u in tree.adj[v] - towards_u.keys():
+            towards_u[u] = v
+            queue.append(u)
 
-    candidates: set[tuple[tuple[int, int], ...]] = set()
-    target = tree.canon()
-    for walk in _undo_walks(tree):
-        # group boundaries are the sprout undos; the walk runs last-to-first
-        groups: list[tuple[list[int], int]] = []
-        current: list[int] = []
-        for v, base in walk:
-            current.append(v)
-            if base >= 0:
-                groups.append((current, base))
-                current = []
-        if current:
+    weights = list(tree.weights)
+    adj = [set(nb) for nb in tree.adj]
+    undone: list[int] = []
+    groups: list[tuple[int, int]] = []  # (last curve, base), last group first
+    last = cur = tree.neg_curve
+    while cur != 0:
+        nbrs = tuple(adj[cur])
+        if weights[cur] != 1 or mults[cur] != sum(mults[u] for u in nbrs):
+            raise not_a_fiber
+        for u in nbrs:
+            weights[u] -= 1
+            adj[u].discard(cur)
+        undone.append(cur)
+        if len(nbrs) == 1:
+            groups.append((last, nbrs[0]))
+            last = cur = nbrs[0]
             continue
-        # rebuild candidate (c, p) values group by group, last group first:
-        # c is pinned by c_next * mult(last curve) / mult(base curve), and p
-        # must reproduce the group's blow-up count
-        per_group: list[tuple[int, list[int]]] = []
-        g_next = 1
-        ok = True
-        for members, base in groups:
-            last = members[0]
-            c_scaled = g_next * tree.mults[last]
-            base_mult = tree.mults[base]
-            if c_scaled % base_mult:
-                ok = False
-                break
-            c = c_scaled // base_mult
-            steps = len(members)
-            ps = [
-                p
-                for p in range(1, c + 1)
-                if gcd(c, p) == g_next and len(mu_trace(c, p)) == steps
-            ]
-            if not ps:
-                ok = False
-                break
-            per_group.append((c, ps))
-            g_next = c
-        if not ok:
-            continue
-        seqs: list[list[tuple[int, int]]] = [[]]
-        for c, ps in reversed(per_group):
-            seqs = [s + [(c, p)] for s in seqs for p in ps]
-        for s in seqs:
-            candidates.add(tuple(s))
+        nxt = [u for u in nbrs if u != 0 and weights[u] == 1]
+        if len(nbrs) != 2 or len(nxt) != 1:
+            raise not_a_fiber
+        a, b = nbrs
+        adj[a].add(b)
+        adj[b].add(a)
+        cur = nxt[0]
 
-    matches = []
-    for cand in sorted(candidates):
-        try:
-            rebuilt = reconstruct_fiber(cand)
-        except PairSequenceError:
-            continue
-        if rebuilt.canon() == target:
-            matches.append(cand)
-    if not matches:
-        raise ValueError("tree is not the fiber of any pair sequence")
-    if len(matches) > 1:
-        raise ValueError(f"ambiguous fiber: pair sequences {matches}")
-    return CharPairSeq(matches[0])
+    pairs: list[tuple[int, int]] = []
+    g = 1
+    try:
+        for last, base in groups:
+            c, r = divmod(mults[last], mults[base])
+            x, s = divmod(mults[towards_u[last]], mults[base])
+            if r or s:
+                raise not_a_fiber
+            pairs.insert(0, (g * c, g * (pow(x, -1, c) if c > 1 else 1)))
+            g *= c
+        seq = CharPairSeq(tuple(pairs))
+    except ValueError:  # a residue without inverse, or a PairSequenceError
+        raise not_a_fiber from None
+
+    # the matching sends the marked curve, undone first, to the rebuilt
+    # (-1)-curve, which is the newest
+    order = [0] + undone[::-1]
+    rebuilt = reconstruct_fiber(seq)
+    index = {v: i for i, v in enumerate(order)}
+    if len(rebuilt) != len(tree) or len(order) != len(tree) or any(
+        rebuilt.weights[i] != tree.weights[v]
+        or rebuilt.mults[i] != mults[v]
+        or rebuilt.adj[i] != {index[u] for u in tree.adj[v]}
+        for i, v in enumerate(order)
+    ):
+        raise not_a_fiber
+    return seq
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,19 @@ def test_pairs_roundtrip(capsys):
     assert (code, out3) == (0, "(14,3)")
 
 
+def test_pairs_extract_long_fiber(capsys):
+    code, out, _ = run(capsys, "pairs", "reconstruct", "1200", "1")
+    assert code == 0
+    code, out2, err = run(capsys, "pairs", "extract", out)
+    assert (code, out2, err) == (0, "(1200,1)", "")
+
+
+def test_pairs_extract_zero_multiplicity_exit_code(capsys):
+    code, out, err = run(capsys, "pairs", "extract", "[1:0,1*:0]")
+    assert (code, out) == (1, "")
+    assert err == "error: tree is not the fiber of any pair sequence"
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "compute", "d", "[3,0]")
     assert code == 1

@@ -94,11 +94,54 @@ def all_sequences(c1_max, h_max):
 
 def test_round_trip_exhaustive_small():
     count = 0
-    for seq in all_sequences(12, 3):
+    for seq in all_sequences(30, 4):
         tree = reconstruct_fiber(seq)
         assert pairs_from_fiber(tree).pairs == seq, seq
         count += 1
-    assert count > 200
+    assert count == 3728
+
+
+NOT_A_FIBER = "tree is not the fiber of any pair sequence"
+
+
+@pytest.mark.parametrize("seq", [((1200, 1),), ((3000, 2999),)])
+def test_round_trip_long_fibers(seq):
+    # a few thousand curves: the inverse walks without recursing
+    assert pairs_from_fiber(reconstruct_fiber(seq)).pairs == seq
+
+
+def test_raising_one_weight_or_multiplicity_is_rejected():
+    count = 0
+    for seq in all_sequences(20, 3):
+        for field in ("weights", "mults"):
+            for v in range(len(reconstruct_fiber(seq))):
+                tree = reconstruct_fiber(seq)
+                getattr(tree, field)[v] += 1
+                with pytest.raises(ValueError, match=NOT_A_FIBER):
+                    pairs_from_fiber(tree)
+                count += 1
+    assert count > 10000
+
+
+@pytest.mark.parametrize("seq", [((1, 1),), ((14, 3),), ((6, 4), (2, 1))])
+def test_zero_multiplicity_is_rejected(seq):
+    for v in range(len(reconstruct_fiber(seq))):
+        tree = reconstruct_fiber(seq)
+        tree.mults[v] = 0
+        with pytest.raises(ValueError, match=NOT_A_FIBER):
+            pairs_from_fiber(tree)
+
+
+@pytest.mark.parametrize("seq", [((14, 3),), ((12, 8), (4, 2), (2, 1))])
+def test_extra_edge_making_a_cycle_is_rejected(seq):
+    tree = reconstruct_fiber(seq)
+    far = max(range(len(tree)), key=lambda v: (len(tree.adj[v]) == 1, v))
+    for v in range(len(tree)):
+        if v != far and v not in tree.adj[far]:
+            cyclic = reconstruct_fiber(seq)
+            cyclic.connect(v, far)
+            with pytest.raises(ValueError, match=NOT_A_FIBER):
+                pairs_from_fiber(cyclic)
 
 
 from hypothesis import given, settings

@@ -24,3 +24,28 @@ def test_every_public_name_resolves():
     missing = [name for name in dgk.__all__ if not hasattr(dgk, name)]
     assert missing == []
     assert len(set(dgk.__all__)) == len(dgk.__all__)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py re-exports by design; an import marked "# noqa" is kept on
+    # purpose (search.py's eshape_catalog is a tracing target)
+    paths = sorted(p for p in PACKAGE_DIR.rglob("*.py") if p.name != "__init__.py")
+    assert len(paths) >= 8
+    unused = []
+    for path in paths:
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
