@@ -7,6 +7,9 @@ T_i . Bk' = -delta_{i,1}; its coefficients are m'_i = d(T_{i+1}+...+T_n)/d(T)
 and Bk'^2 = -e(T).  Every bark, discriminant and group order here is its
 closed form in integers and Fraction; the dense linear solve and the tree
 determinant they replace are the reference routes of the tests.
+
+A fork's twig sums are the integers of :func:`fork_sums`, which the scan
+reads directly and everything else through the :class:`ForkInvariants` record.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import chains
+from .chains import ChainRecord, DegenerateChainError
 from .graphs import (
     Fork,
     Weights,
@@ -36,6 +40,73 @@ def is_platonic_triple(triple: tuple[int, int, int]) -> bool:
     return t in PLATONIC_SPECIAL or (t[0] == 2 and t[1] == 2 and t[2] >= 2)
 
 
+def fork_sums(r1: ChainRecord, r2: ChainRecord, r3: ChainRecord) -> tuple[int, int, int, int]:
+    """(D, S, E, Et) of three twig records, the one place they are formed:
+    D = d1*d2*d3 and, with Q_i = D/d_i, S = sum Q_i, E = sum d'_i*Q_i and
+    Et = sum d(T_i[:-1])*Q_i.  Nothing is divided, so d = 0 twigs are fine."""
+    q1 = r2.d * r3.d
+    q2 = r1.d * r3.d
+    q3 = r1.d * r2.d
+    return (
+        r1.d * q1,
+        q1 + q2 + q3,
+        r1.d_prime * q1 + r2.d_prime * q2 + r3.d_prime * q3,
+        r1.d_prime_rev * q1 + r2.d_prime_rev * q2 + r3.d_prime_rev * q3,
+    )
+
+
+class ForkInvariants(NamedTuple):
+    """The integer record (b, D, S, E, Et) of a fork, with the sums of
+    :func:`fork_sums`; each closed form of the fork is one property."""
+
+    b: int
+    D: int
+    S: int
+    E: int
+    Et: int
+
+    @property
+    def d(self) -> int:
+        """d(F) = d1*d2*d3*(b - e~) = b*D - Et."""
+        return self.b * self.D - self.Et
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.S, self.D)
+
+    @property
+    def e(self) -> Fraction:
+        return Fraction(self.E, self.D)
+
+    @property
+    def e_tilde(self) -> Fraction:
+        return Fraction(self.Et, self.D)
+
+    @property
+    def bk_square(self) -> Fraction:
+        """Bk^2 F = -(delta - 1)^2/(b - e~) - e = -((S - D)^2 + E*d(F))/(D*d(F))."""
+        return Fraction(-((self.S - self.D) ** 2) - self.E * self.d, self.D * self.d)
+
+    @property
+    def group_order(self) -> int:
+        """4*(b - e~)/(delta - 1)^2 = 4*d(F)*D/(S - D)^2; see :func:`group_order`."""
+        order, rest = divmod(4 * self.d * self.D, (self.S - self.D) ** 2)
+        if rest:
+            raise ValueError(f"fork record {self} has no integral group order")
+        return order
+
+
+def fork_invariants(fork: Fork) -> ForkInvariants:
+    """The record of a fork with nonempty twigs of nonzero discriminant."""
+    records = [chains.chain_record(t) for t in fork.twigs]
+    for r in records:
+        if r.d == 0:  # named from the branch end, the end e~ reads a twig from
+            raise DegenerateChainError(f"chain {format_chain(r.ws[::-1])} has zero discriminant")
+    if not all(fork.twigs):
+        raise ValueError("fork twigs must be nonempty")
+    return ForkInvariants(fork.b, *fork_sums(*records))
+
+
 def is_admissible_fork(fork: Fork) -> bool:
     """Admissible twigs, negative definite matrix, Platonic twig triple.
 
@@ -48,7 +119,7 @@ def is_admissible_fork(fork: Fork) -> bool:
     triple = tuple(sorted(chains.d(t) for t in fork.twigs))
     if not is_platonic_triple(triple):  # type: ignore[arg-type]
         return False
-    return fork.b > fork_invariants(fork).e_tilde
+    return fork_invariants(fork).d > 0
 
 
 @dataclass(frozen=True)
@@ -86,50 +157,22 @@ def bark_chain(weights: Weights) -> BarkCoefficients:
 def bark_fork(fork: Fork) -> BarkCoefficients:
     """Bark of an admissible fork; vertex order is branch then twigs tip-first.
 
-    The branch coefficient is c_B = (delta(F) - 1)/(b - e~(F)), and vertex i
-    of a twig T gets its one-sided part plus the branch's share,
-    (d(T after i) + c_B * d(T before i))/d(T);
-    Bk^2 F = -(delta(F)-1)^2 / (b - e~(F)) - e(F).
+    The branch coefficient is c_B = (delta(F) - 1)/(b - e~(F)), which is
+    (S - D)/d(F) in the integers of :class:`ForkInvariants`, and vertex i of
+    a twig T gets its one-sided part plus the branch's share,
+    (d(T after i) + c_B * d(T before i))/d(T); Bk^2 F is the record's.
     """
     if not is_admissible_fork(fork):
         raise ValueError("fork is not admissible")
     inv = fork_invariants(fork)
-    c_b = (inv.delta - 1) / (fork.b - inv.e_tilde)
+    c_b = Fraction(inv.S - inv.D, inv.d)
     coeffs = [c_b]
     for t in fork.twigs:
         dd = chains.d(t)
         coeffs.extend(
             (chains.d(t[i + 1:]) + c_b * chains.d(t[:i])) / dd for i in range(len(t))
         )
-    return BarkCoefficients(tuple(coeffs), -c_b * (inv.delta - 1) - inv.e)
-
-
-def fork_discriminant(fork: Fork) -> int:
-    """d(F) = b*d1*d2*d3 - sum_i d(T_i minus its last curve) * prod_{j != i} d_j,
-    the determinant expanded at the branch; it equals d1*d2*d3*(b - e~)."""
-    d1, d2, d3 = (chains.d(t) for t in fork.twigs)
-    c1, c2, c3 = (chains.d(t[:-1]) for t in fork.twigs)
-    return fork.b * d1 * d2 * d3 - c1 * d2 * d3 - d1 * c2 * d3 - d1 * d2 * c3
-
-
-class ForkInvariants(NamedTuple):
-    """d(F) and the twig sums delta, e and e~ of a fork."""
-
-    d: int
-    delta: Fraction
-    e: Fraction
-    e_tilde: Fraction
-
-
-def fork_invariants(fork: Fork) -> ForkInvariants:
-    """(d, delta, e, e~) of a fork with nonempty twigs of nonzero discriminant:
-    the one place the twig sums are taken."""
-    et = sum(chains.e_tilde(t) for t in fork.twigs)  # rejects d = 0 twigs
-    if not all(fork.twigs):
-        raise ValueError("fork twigs must be nonempty")
-    dl = sum(chains.delta(t) for t in fork.twigs)
-    ee = sum(chains.e(t) for t in fork.twigs)
-    return ForkInvariants(fork_discriminant(fork), dl, ee, et)
+    return BarkCoefficients(tuple(coeffs), inv.bk_square)
 
 
 def group_order(graph: Weights | Fork) -> int:
@@ -144,11 +187,7 @@ def group_order(graph: Weights | Fork) -> int:
     if isinstance(graph, Fork):
         if not is_admissible_fork(graph):
             raise ValueError("fork is not admissible")
-        inv = fork_invariants(graph)
-        order = 4 * (graph.b - inv.e_tilde) / (inv.delta - 1) ** 2
-        if order.denominator != 1:
-            raise ValueError(f"fork {graph.to_json()} has no integral group order")
-        return order.numerator
+        return fork_invariants(graph).group_order
     _check_chain(graph)
     return chains.d(graph)
 
@@ -270,11 +309,6 @@ def chain_bark_square(weights: Weights) -> Fraction:
         d_prev, d_full = d_full, a * d_full - d_prev
         dp_prev, dp = dp, a * dp - dp_prev
     return -Fraction(dp + d_prev + 2, d_full)
-
-
-def fork_bark_square(fork: Fork) -> Fraction:
-    inv = fork_invariants(fork)
-    return -((inv.delta - 1) ** 2) / (fork.b - inv.e_tilde) - inv.e
 
 
 def _leading_twos(weights: Weights) -> int:
@@ -433,9 +467,8 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     family = spec[0]
     if isinstance(graph, Fork):
         size = 1 + sum(len(t) for t in graph.twigs)
-        dd = fork_discriminant(graph)
-        g = group_order(graph)
-        bk2 = fork_bark_square(graph)
+        inv = fork_invariants(graph)
+        dd, g, bk2 = inv.d, inv.group_order, inv.bk_square
     else:
         size = len(graph)
         dd = chains.d(graph)

@@ -69,6 +69,24 @@ def delta(weights: Weights) -> Fraction:
 
 
 @dataclass(frozen=True)
+class ChainRecord:
+    """The integers of one oriented chain that fork sums and scan keys read."""
+
+    ws: Weights
+    d: int
+    d_prime: int  # d of the chain without its tip, so e = d'/d
+    d_prime_rev: int  # d of the chain without its last curve, so e~ = d'(rev)/d
+    kd: int  # sum of (w - 3): K.T - #T, the chain's share of the probe key
+
+
+def chain_record(weights: Weights) -> ChainRecord:
+    """The record of any weights; nothing is divided, so d = 0 is fine."""
+    return ChainRecord(
+        weights, d(weights), d_prime(weights), d(weights[:-1]), sum(w - 3 for w in weights)
+    )
+
+
+@dataclass(frozen=True)
 class ChainInvariants:
     d: int
     d_prime: int

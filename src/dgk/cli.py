@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -23,7 +24,7 @@ from .barks import (
     fork_invariants,
     group_order,
 )
-from .graphs import Fork, format_chain, parse_chain, parse_fork
+from .graphs import ChainParseError, Fork, format_chain, parse_chain, parse_fork
 from .pairs import FiberTree, pairs_from_fiber, reconstruct_fiber
 from .search import SEARCHES, run_search, verify_suite
 from .ruling import solve_two_fiber
@@ -153,24 +154,36 @@ def cmd_pairs(args) -> tuple[int, object, str]:
     return _extract_pairs(args.fiber)
 
 
-def _extract_pairs(text: str) -> tuple[int, object, str]:
-    text = text.strip()
+_FIBER_ENTRY = re.compile(r"\s*(?:\(\s*(\d+)\s*\)|(\d+)\s*(\*?)\s*(?::\s*(\d+))?)\s*")
+
+
+def _parse_fiber(text: str) -> list[tuple[int, int | None, bool]]:
+    """(weight, multiplicity or None, marked) per curve of ``[e1,...,en]``, an
+    entry being w, w*, w:m, w*:m or (k) for k curves of weight 2."""
+    body = text.strip()
+    if not body.startswith("["):
+        raise ChainParseError("expected '['", 0)
     entries: list[tuple[int, int | None, bool]] = []
-    body = text
-    if body.startswith("["):
-        body = body[1:-1]
-    for item in body.split(","):
-        item = item.strip()
-        star = "*" in item
-        item = item.replace("*", "")
-        if item.startswith("(") and item.endswith(")"):
-            entries.extend([(2, None, False)] * int(item[1:-1]))
-            continue
-        if ":" in item:
-            w, m = item.split(":")
-            entries.append((int(w), int(m), star))
+    pos = 1
+    for item in body[1:].removesuffix("]").split(","):
+        m = _FIBER_ENTRY.fullmatch(item)
+        if m is None:
+            raise ChainParseError(f"bad fiber entry {item.strip()!r}", pos)
+        run, w, star, mult = m.groups()
+        if run is None:
+            entries.append((int(w), None if mult is None else int(mult), star == "*"))
         else:
-            entries.append((int(item), None, star))
+            entries.extend([(2, None, False)] * int(run))
+        pos += len(item) + 1
+    if not body.endswith("]"):
+        raise ChainParseError(f"expected ']' after entry {item.strip()!r}", len(body))
+    if not entries:
+        raise ChainParseError(f"fiber {body} has no curves", 0)
+    return entries
+
+
+def _extract_pairs(text: str) -> tuple[int, object, str]:
+    entries = _parse_fiber(text)
     tree = FiberTree()
     neg = None
     for i, (w, m, star) in enumerate(entries):

@@ -130,16 +130,34 @@ class Fork:
         )
 
 
+def is_int(value) -> bool:
+    return type(value) is int  # not bool, which JSON keeps apart
+
+
 def parse_fork(text: str) -> Fork:
+    """The fork of ``{"b": integer, "twigs": [three bracket chains]}``; an
+    error names the key at fault."""
     try:
         data = json.loads(text)
-        b = int(data["b"])
-        twigs = [parse_chain(t) for t in data["twigs"]]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"bad fork description: {exc}") from exc
-    if len(twigs) != 3:
-        raise ValueError("a fork has exactly three twigs")
-    return Fork(b, (twigs[0], twigs[1], twigs[2]))
+    if not isinstance(data, dict):
+        raise ValueError("a fork description must be a JSON object")
+    for key in ("b", "twigs"):
+        if key not in data:
+            raise ValueError(f"fork key {key!r} is missing")
+    b, twigs = data["b"], data["twigs"]
+    if not is_int(b):
+        raise ValueError(f"fork key 'b' must be an integer, got {b!r}")
+    if not (isinstance(twigs, list) and len(twigs) == 3 and all(isinstance(t, str) for t in twigs)):
+        raise ValueError(f"fork key 'twigs' must be a list of three strings, got {twigs!r}")
+    parsed = []
+    for i, t in enumerate(twigs, 1):
+        try:
+            parsed.append(parse_chain(t))
+        except ChainParseError as exc:
+            raise ValueError(f"fork key 'twigs': twig {i} {t!r}: {exc}") from exc
+    return Fork(b, (parsed[0], parsed[1], parsed[2]))
 
 
 class WeightedTree:

@@ -61,7 +61,8 @@ class PredicateReport:
 
 def lambda_and_p_square(cand: BoundaryCandidate) -> tuple[Fraction, Fraction]:
     """(lambda, P^2) of a candidate; requires delta < 1 and e~ != b."""
-    _, delta, _, et = fork_invariants(cand.fork)
+    inv = fork_invariants(cand.fork)
+    delta, et = inv.delta, inv.e_tilde
     if delta >= 1 or et == cand.b:
         raise ValueError("degenerate candidate: needs delta < 1 and e~ != b")
     return 1 - (et - cand.b) / (1 - delta), (1 - delta) ** 2 / (et - cand.b)
@@ -99,7 +100,8 @@ PREDICATE_NAMES = (
 def evaluate_predicates(
     cand: BoundaryCandidate, *, group_order_mode: str = "actual"
 ) -> PredicateReport:
-    d_of_d, delta, e, et = fork_invariants(cand.fork)
+    inv = fork_invariants(cand.fork)
+    delta, e, et = inv.delta, inv.e, inv.e_tilde
     es = cand.eshape
     eps = es.epsilon
     g = es.group_order_for(group_order_mode)
@@ -144,7 +146,7 @@ def evaluate_predicates(
         put("zar_bk2", False, "degenerate: e~ = b or delta = 1")
 
     # -d(D)/d(E) must be a positive perfect square
-    ratio = Fraction(-d_of_d, es.d)
+    ratio = Fraction(-inv.d, es.d)
     put("square", is_positive_perfect_square(ratio), f"-d(D)/d(E) = {ratio}")
 
     # K.E + 2 eps <= 5 with the single allowed exception

@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from . import chains
-from .barks import ExceptionalShape, fork_discriminant
+from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
 from .predicates import BoundaryCandidate, evaluate_predicates
@@ -311,7 +311,7 @@ class TwoFiberSolution(FiberTuple):
 
     @property
     def d_of_d(self) -> int:
-        return fork_discriminant(Fork(self.b, (self.t1, self.t2, self.t3)))
+        return fork_invariants(Fork(self.b, (self.t1, self.t2, self.t3))).d
 
     @property
     def minus_dd_over_de(self) -> Fraction:

@@ -29,9 +29,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import chains
-from .barks import ShapeSpec, catalog_index, named_shapes, shape_of, spec_index
+from .barks import ShapeSpec, catalog_index, fork_sums, named_shapes, shape_of, spec_index
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .graphs import Weights, format_chain, is_admissible_chain, parse_chain
+from .chains import ChainRecord, chain_record
+from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
 from .predicates import (
     PREDICATE_NAMES,
     BoundaryCandidate,
@@ -89,21 +90,10 @@ SEARCHES = {
 }
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    ws: Weights
-    d: int
-    d_prime: int  # d of the chain without its tip, so e = d'/d
-    d_prime_rev: int  # d' of the reversed chain, so e~ = d'(rev)/d
-    kd: int  # sum of (w - 3): K.T - #T, the chain's share of the probe key
-
-
 def _record_of(ws: Weights) -> ChainRecord:
     if not ws or not is_admissible_chain(ws):
         raise ValueError(f"twig {format_chain(ws)} is not an admissible chain")
-    return ChainRecord(
-        ws, chains.d(ws), chains.d_prime(ws), chains.d(ws[:-1]), sum(w - 3 for w in ws)
-    )
+    return chain_record(ws)
 
 
 @lru_cache(maxsize=None)
@@ -152,10 +142,6 @@ class Bounds:
     eshapes: tuple[ShapeSpec, ...] = ()
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # not bool, which JSON keeps apart
-
-
 _RULE_KEYS = ("x", "y_min", "y_max", "z_max")
 # For each bounds key, in the order the checks run: a test of its JSON
 # value and what the value must be if the test fails.
@@ -163,12 +149,12 @@ _CHECKS = {
     **dict.fromkeys(
         ("x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max",
          "catalog_max_size", "twig_d_max"),
-        (_is_int, "an integer"),
+        (is_int, "an integer"),
     ),
-    "b": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "b": (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"),
     "d_rules": (
         lambda v: isinstance(v, list) and bool(v) and all(
-            isinstance(rule, dict) and all(_is_int(rule.get(k)) for k in _RULE_KEYS)
+            isinstance(rule, dict) and all(is_int(rule.get(k)) for k in _RULE_KEYS)
             for rule in v
         ),
         f"a list of objects with integer {', '.join(_RULE_KEYS)}",
@@ -178,7 +164,7 @@ _CHECKS = {
     "predicates": (lambda v: isinstance(v, list), "a list"),
     "eshapes": (lambda v: isinstance(v, list), "a list"),
     "group_order_mode": (lambda v: v in ("actual", "h1"), "'actual' or 'h1'"),
-    "delta_gmin": (lambda v: v is None or (_is_int(v) and v >= 1), "null or a positive integer"),
+    "delta_gmin": (lambda v: v is None or (is_int(v) and v >= 1), "null or a positive integer"),
 }
 
 
@@ -224,26 +210,22 @@ def _scan_triples(
     """The (twig triple, b, shape) combinations passing ``bounds``, canonically
     sorted.
 
-    Works in integers over D = d1*d2*d3: delta = S/D, e = E/D, e~ = Et/D.
-    Each (triple, b) passing the gates makes one probe of ``index``, the
-    ``probes`` of a :class:`dgk.barks.SpecIndex`, with Bk^2(E) + epsilon =
-    e - 1 - P^2 as a reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).
-    A hit's spec becomes its shape through :func:`dgk.barks.shape_of`.
+    Reads the integer twig sums (D, S, E, Et) of :func:`dgk.barks.fork_sums`,
+    so that delta = S/D, e = E/D and e~ = Et/D.  Each (triple, b) passing the
+    gates makes one probe of ``index``, the ``probes`` of a
+    :class:`dgk.barks.SpecIndex`, with Bk^2(E) + epsilon = e - 1 - P^2 as a
+    reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  A hit's spec
+    becomes its shape through :func:`dgk.barks.shape_of`.
     """
     found: list[tuple[BoundaryCandidate, PredicateReport]] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
     for r1, r2, r3 in triples:
-        q1 = r2.d * r3.d
-        q2 = r1.d * r3.d
-        q3 = r1.d * r2.d
-        dd = r1.d * q1
-        s = q1 + q2 + q3
+        dd, s, e, et = fork_sums(r1, r2, r3)
         if s >= dd:  # delta >= 1
             continue
         if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
             continue
-        e_minus_1 = r1.d_prime * q1 + r2.d_prime * q2 + r3.d_prime * q3 - dd
-        et = r1.d_prime_rev * q1 + r2.d_prime_rev * q2 + r3.d_prime_rev * q3
+        e_minus_1 = e - dd
         gap_sq = (dd - s) ** 2
         key = 4 + r1.kd + r2.kd + r3.kd
         for b in b_values:

@@ -141,7 +141,7 @@ def test_criterion_5_fork_discriminant_and_gate():
     ok = True
     for shape in eshape_catalog(10):
         if shape.is_fork:
-            d, _, _, _ = fork_invariants(shape.graph)
+            d = fork_invariants(shape.graph).d
             ok = ok and d == shape.d == WeightedTree.from_fork(shape.graph).discriminant()
             triple = tuple(sorted(chains.d(t) for t in shape.graph.twigs))
             t = tuple(sorted(triple))

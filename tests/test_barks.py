@@ -17,14 +17,14 @@ from dgk.barks import (
     decompose_exceptional,
     eshape_catalog,
     family_specs,
-    fork_bark_square,
-    fork_discriminant,
     fork_invariants,
+    fork_sums,
     group_order,
     is_admissible_fork,
     is_platonic_triple,
     shape_of,
 )
+from dgk.chains import chain_record
 from dgk.graphs import Fork, WeightedTree, canonical_chain, format_chain, parse_chain
 
 
@@ -147,18 +147,18 @@ def test_fork_anchors():
     bk = bark_fork(e8)
     assert all(c == 1 for c in bk.coefficients)
     assert bk.bk_square == -2
-    d, dl, _, _ = fork_invariants(e8)
-    assert d == 1 and dl == F(31, 30)
+    inv = fork_invariants(e8)
+    assert inv.d == 1 and inv.delta == F(31, 30)
 
     fk = Fork(2, ((2,), (2,), (3,)))
     assert bark_fork(fk).bk_square == F(-3, 2)
     assert group_order(fk) == 24
-    assert fork_invariants(fk)[0] == 8
+    assert fork_invariants(fk).d == 8
 
     quat = Fork(2, ((2,), (2,), (2,)))
     assert bark_fork(quat).bk_square == -2
     assert group_order(quat) == 8
-    assert fork_invariants(quat)[0] == 4
+    assert fork_invariants(quat).d == 4
 
 
 def test_binary_polyhedral_orders():
@@ -204,7 +204,8 @@ def test_fork_closed_form_vs_determinant():
     # d(F) in closed form against the determinant of the tree
     for shape in eshape_catalog(12):
         if shape.is_fork:
-            d, dl, e, et = fork_invariants(shape.graph)
+            inv = fork_invariants(shape.graph)
+            d, dl, e, et = inv.d, inv.delta, inv.e, inv.e_tilde
             assert d == shape.d == WeightedTree.from_fork(shape.graph).discriminant()
             assert d == d_of_fork_by_schur(shape.graph)
             assert 1 < dl <= et < 2 <= shape.graph.b
@@ -221,12 +222,13 @@ def d_of_fork_by_schur(fork):
 
 def test_fork_discriminant_vs_determinant_on_all_small_forks():
     # every triple of twigs of length <= 2 over the weights 0..3 and b in
-    # -1..3, admissible or not, including twigs with d = 0
+    # -1..3, admissible or not, including twigs with d = 0: b*D - Et from
+    # fork_sums is the determinant
     twigs = [ws for n in (1, 2) for ws in product((0, 1, 2, 3), repeat=n)]
     for triple in combinations_with_replacement(twigs, 3):
+        dd, _, _, et = fork_sums(*map(chain_record, triple))
         for b in range(-1, 4):
-            fork = Fork(b, triple)
-            assert fork_discriminant(fork) == WeightedTree.from_fork(fork).discriminant()
+            assert b * dd - et == WeightedTree.from_fork(Fork(b, triple)).discriminant()
 
 
 def test_fork_bark_coefficients_match_dense_solve():
@@ -246,8 +248,8 @@ def test_fork_invariants_and_group_order_on_seeded_forks():
     assert catalog_forks
     for fork in seeded_forks(seed=7) + catalog_forks:
         inv = fork_invariants(fork)
-        d, dl, e, et = inv
-        assert (inv.d, inv.delta, inv.e, inv.e_tilde) == (d, dl, e, et)
+        assert inv == (fork.b, *fork_sums(*map(chain_record, fork.twigs)))
+        d, dl, e, et = inv.d, inv.delta, inv.e, inv.e_tilde
         assert d == WeightedTree.from_fork(fork).discriminant() == d_of_fork_by_schur(fork)
         assert dl == sum(F(1, chains.d(t)) for t in fork.twigs)
         assert e == sum(chains.e(t) for t in fork.twigs)
@@ -464,7 +466,7 @@ def test_catalog_index_matches_shape_index(max_size):
 
 def test_integer_probe_keys_match_fraction_keys():
     for s in eshape_catalog(60):
-        bk2 = fork_bark_square(s.graph) if s.is_fork else chain_bark_square(s.graph)
+        bk2 = fork_invariants(s.graph).bk_square if s.is_fork else chain_bark_square(s.graph)
         key = (s.size - s.epsilon - s.ke, bk2.numerator + s.epsilon * bk2.denominator,
                bk2.denominator)
         assert _probe_key(s.spec) == (key, s.epsilon + s.ke)

@@ -92,6 +92,44 @@ def test_bad_fork_exit_code(capsys, quantity, twigs, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "fiber,message",
+    [
+        ("[]", "bad fiber entry '' (at position 1)"),
+        ("[*]", "bad fiber entry '*' (at position 1)"),
+        ("[1:1:1]", "bad fiber entry '1:1:1' (at position 1)"),
+        ("[2,x,2]", "bad fiber entry 'x' (at position 3)"),
+        ("[(0)]", "fiber [(0)] has no curves (at position 0)"),
+        ("[2,1*,22", "expected ']' after entry '22' (at position 8)"),
+        ("2,1*,2", "expected '[' (at position 0)"),
+    ],
+)
+def test_pairs_extract_names_the_bad_entry(capsys, fiber, message):
+    code, out, err = run(capsys, "pairs", "extract", fiber)
+    assert (code, out, err) == (1, "", f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "fork,message",
+    [
+        ('{"b": 2.7, "twigs": ["[2]", "[2]", "[3]"]}', "fork key 'b' must be an integer, got 2.7"),
+        ('{"b": "2", "twigs": ["[2]", "[2]", "[3]"]}', "fork key 'b' must be an integer, got '2'"),
+        ('{"b": true, "twigs": ["[2]", "[2]", "[3]"]}', "fork key 'b' must be an integer, got True"),
+        ('{"b": 2, "twigs": "[2]"}', "fork key 'twigs' must be a list of three strings, got '[2]'"),
+        ('{"b": 2, "twigs": ["[2]", "[3]"]}', "fork key 'twigs' must be a list of three strings"),
+        ('{"b": 2, "twigs": ["[2]", 3, "[3]"]}', "fork key 'twigs' must be a list of three strings"),
+        ('{"b": 2, "twigs": ["[2]", "[2", "[3]"]}', "fork key 'twigs': twig 2 '[2': expected ']'"),
+        ('{"b": 2}', "fork key 'twigs' is missing"),
+        ('{"twigs": ["[2]", "[2]", "[3]"]}', "fork key 'b' is missing"),
+        ('{"b": 2,', "bad fork description: "),
+    ],
+)
+def test_bad_fork_description_names_the_key(capsys, fork, message):
+    code, out, err = run(capsys, "compute", "group", fork)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_pairs_extract_without_kernel_exit_code(capsys):
     # [2,2] has d = 3, so its minus matrix has no kernel
     code, _, err = run(capsys, "pairs", "extract", "[2,2]")

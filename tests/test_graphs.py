@@ -101,3 +101,6 @@ def test_discriminant_against_bareiss():
 def test_fork_json_roundtrip():
     fork = Fork(2, ((2,), (2, 2), (2, 2, 2, 2)))
     assert parse_fork(fork.to_json()) == fork
+    # the command line sends only text starting with '{' here
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        parse_fork("[2, 2]")

@@ -49,3 +49,22 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_chain_fractions_stay_off_the_fork_path():
+    # a fork's twig sums are integers from barks.fork_sums; the Fraction
+    # invariants chains.e, e_tilde and delta serve only the chain commands
+    # of the command line (chains.py defines them, __init__.py re-exports)
+    fractions = {"e", "e_tilde", "delta"}
+    users = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name in ("chains.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in fractions:
+                if isinstance(node.value, ast.Name) and node.value.id == "chains":
+                    users.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("chains"):
+                if fractions & {alias.name for alias in node.names}:
+                    users.add(path.name)
+    assert users == {"cli.py"}
