@@ -107,19 +107,27 @@ def fork_invariants(fork: Fork) -> ForkInvariants:
     return ForkInvariants(fork.b, *fork_sums(*records))
 
 
-def is_admissible_fork(fork: Fork) -> bool:
-    """Admissible twigs, negative definite matrix, Platonic twig triple.
+def admissible_fork_invariants(fork: Fork) -> ForkInvariants | None:
+    """The record of an admissible fork, None for any other fork.
 
-    With admissible twigs the twig blocks are negative definite, and the
-    Schur complement at the branch vertex is b - e~, so the fork is negative
-    definite exactly when d(F) = d1*d2*d3*(b - e~) > 0, i.e. when b > e~.
+    Admissible means admissible twigs, a negative definite matrix and a
+    Platonic twig triple.  With admissible twigs the twig blocks are
+    negative definite, and the Schur complement at the branch vertex is
+    b - e~, so the fork is negative definite exactly when
+    d(F) = d1*d2*d3*(b - e~) > 0, i.e. when b > e~.
     """
     if not all(t and is_admissible_chain(t) for t in fork.twigs):
-        return False
-    triple = tuple(sorted(chains.d(t) for t in fork.twigs))
-    if not is_platonic_triple(triple):  # type: ignore[arg-type]
-        return False
-    return fork_invariants(fork).d > 0
+        return None
+    records = [chains.chain_record(t) for t in fork.twigs]
+    if not is_platonic_triple(tuple(r.d for r in records)):  # type: ignore[arg-type]
+        return None
+    inv = ForkInvariants(fork.b, *fork_sums(*records))
+    return inv if inv.d > 0 else None
+
+
+def is_admissible_fork(fork: Fork) -> bool:
+    """Whether :func:`admissible_fork_invariants` finds a record."""
+    return admissible_fork_invariants(fork) is not None
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,9 @@ def bark_fork(fork: Fork) -> BarkCoefficients:
     a twig T gets its one-sided part plus the branch's share,
     (d(T after i) + c_B * d(T before i))/d(T); Bk^2 F is the record's.
     """
-    if not is_admissible_fork(fork):
+    inv = admissible_fork_invariants(fork)
+    if inv is None:
         raise ValueError("fork is not admissible")
-    inv = fork_invariants(fork)
     c_b = Fraction(inv.S - inv.D, inv.d)
     coeffs = [c_b]
     for t in fork.twigs:
@@ -185,9 +193,10 @@ def group_order(graph: Weights | Fork) -> int:
     on the (2,2,2) fork and 24 on the (2,2,3) fork with a [3]-twig.
     """
     if isinstance(graph, Fork):
-        if not is_admissible_fork(graph):
+        inv = admissible_fork_invariants(graph)
+        if inv is None:
             raise ValueError("fork is not admissible")
-        return fork_invariants(graph).group_order
+        return inv.group_order
     _check_chain(graph)
     return chains.d(graph)
 
@@ -520,8 +529,28 @@ def named_shapes() -> Mapping[tuple[str, int], ExceptionalShape]:
     return MappingProxyType({(s.key(), s.epsilon): s for s in eshape_catalog(12)})
 
 
-def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
-    """(index key, epsilon + K.E) of a spec, with no shape built.
+def _noether_key(spec: ShapeSpec) -> tuple[int, int]:
+    """(#E - epsilon - K.E, epsilon + K.E) of a spec, with no shape built.
+
+    A chain family has #E = sum of the runs + the number of its weights
+    other than 2, and K.E is the sum of w - 2 over those weights, so both
+    entries are the run sum and a constant of the family.  A fork strips its
+    external (-2)-curves in closed form.
+    """
+    family = spec[0]
+    if family.weights:
+        size = sum(spec[1:]) + len(family.weights)
+        e_weights = family.weights
+    else:
+        size = 1 + sum(len(t) for t in spec[1].twigs)
+        e_weights, _ = _split_external(spec[1])
+    ke = sum(e_weights) - 2 * len(e_weights)
+    return size - family.epsilon - ke, family.epsilon + ke
+
+
+def _square_key(spec: ShapeSpec) -> tuple[int, int]:
+    """Bk^2(E) + epsilon of a spec as a reduced (numerator, denominator),
+    with no shape built.
 
     For a chain the product of [[w, -1], [1, 0]] over its weights is
     [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], a run of r 2's gives
@@ -536,47 +565,76 @@ def _probe_key(spec: ShapeSpec) -> tuple[tuple[int, int, int], int]:
         for w, r in zip(family.weights, spec[2:]):
             p, q, s, t = p * w + q, -p, s * w + t, -s
             p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
-        size = sum(spec[1:]) + len(family.weights)
-        ke = sum(family.weights) - 2 * len(family.weights)
         num, den = q - s - 2, p
         g = gcd(num, den)
         num, den = num // g, den // g
     else:
-        shape = _make_shape(spec)
-        size, ke = shape.size, shape.ke
-        num, den = shape.bk_square.numerator, shape.bk_square.denominator
-    eps = family.epsilon
-    return (size - eps - ke, num + eps * den, den), eps + ke
+        bk2 = _make_shape(spec).bk_square
+        num, den = bk2.numerator, bk2.denominator
+    return num + family.epsilon * den, den
 
 
-@dataclass(frozen=True)
+Bucket = Mapping[tuple[int, int], tuple[ShapeSpec, ...]]
+_NO_BUCKET: Bucket = MappingProxyType({})
+
+
 class SpecIndex:
     """Specs keyed for the single scan probe per (twig triple, b).
 
-    The key is (#E - epsilon - K.E, numerator, denominator) of Bk^2(E) +
-    epsilon.  Noether's count pins #E - epsilon - K.E to
+    The full key is (k, numerator, denominator) with k = #E - epsilon - K.E
+    and the fraction Bk^2(E) + epsilon.  Noether's count pins k to
     4 + b + sum K.T_i - sum #T_i and the Zariski identity pins Bk^2(E) +
     epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
-    ``reach`` is the largest epsilon + K.E of the entries, so a probe with
-    first key entry k asks for shapes of at most k + reach components.
+
+    Specs are grouped by k alone when the index is made, from their run
+    sums (:func:`_noether_key`); ``first_keys`` are the k that hold a spec,
+    and the scan joins its twig triples on them.  :meth:`bucket` computes
+    the (numerator, denominator) keys of one k the first time a probe asks
+    for it; ``buckets`` holds those built so far.  ``reach`` is the largest
+    epsilon + K.E of the entries, so a probe with first key entry k asks
+    for shapes of at most k + reach components.
     """
 
-    probes: dict[tuple[int, int, int], tuple[ShapeSpec, ...]]
-    reach: int
+    def __init__(self, specs: Iterable[ShapeSpec]) -> None:
+        groups: dict[int, list[ShapeSpec]] = {}
+        offsets: dict[Family, int] = {}  # a chain family's k minus its run sum
+        reach = 0
+        for spec in specs:
+            family = spec[0]
+            if family.weights:
+                runs = sum(spec[1:])
+                offset = offsets.get(family)
+                if offset is None:
+                    key, eps_ke = _noether_key(spec)
+                    offset = offsets[family] = key - runs
+                    reach = max(reach, eps_ke)
+                key = runs + offset
+            else:
+                key, eps_ke = _noether_key(spec)
+                reach = max(reach, eps_ke)
+            groups.setdefault(key, []).append(spec)
+        self._groups = groups
+        self.first_keys = frozenset(groups)
+        self.reach = reach
+        self.buckets: dict[int, Bucket] = {}
 
-
-def spec_index(specs: Iterable[ShapeSpec]) -> SpecIndex:
-    probes: dict[tuple[int, int, int], tuple[ShapeSpec, ...]] = {}
-    reach = 0
-    for spec in specs:
-        key, eps_ke = _probe_key(spec)
-        probes[key] = probes.get(key, ()) + (spec,)
-        reach = max(reach, eps_ke)
-    return SpecIndex(probes, reach)
+    def bucket(self, k: int) -> Bucket:
+        """The specs of first key ``k`` by the rest of their key; empty when
+        no spec has first key ``k``."""
+        bucket = self.buckets.get(k)
+        if bucket is None:
+            if k not in self._groups:
+                return _NO_BUCKET
+            probes: dict[tuple[int, int], tuple[ShapeSpec, ...]] = {}
+            for spec in self._groups[k]:
+                pair = _square_key(spec)
+                probes[pair] = probes.get(pair, ()) + (spec,)
+            bucket = self.buckets[k] = probes
+        return bucket
 
 
 @lru_cache(maxsize=None)
 def catalog_index(max_size: int) -> SpecIndex:
     """The catalog up to ``max_size`` components as a :class:`SpecIndex`;
     it holds exactly the shapes of :func:`eshape_catalog` but builds none."""
-    return spec_index(family_specs(max_size))
+    return SpecIndex(family_specs(max_size))

@@ -11,9 +11,13 @@ list.  Outputs are compared against golden files for exact equality.
 ``search_*`` starts with it, so a bad file fails before any work, and the
 scan reads the resulting frozen :class:`Bounds`.
 
-Candidate enumeration is driven by the Zariski identity: given the twigs and
-b, the bark square of the exceptional shape is pinned exactly, so shapes are
-found by hash lookup instead of a product sweep.
+Candidate enumeration is driven by two identities.  Noether's count pins
+#E - epsilon - K.E of the exceptional shape to the twig key 4 + b + sum kd,
+and the Zariski identity pins its Bk^2 + epsilon, so shapes are found by
+hash lookup instead of a product sweep.  The sweep is joined on the first
+of the two: a triple is generated only if 4 + b + sum kd is a first key of
+the :class:`dgk.barks.SpecIndex` for some b, and the index computes the
+rest of the keys of a first key only when a probe asks for it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import chains
-from .barks import ShapeSpec, catalog_index, fork_sums, named_shapes, shape_of, spec_index
+from .barks import ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes, shape_of
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
@@ -205,17 +209,19 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
 
 
 def _scan_triples(
-    triples, bounds: Bounds, index
+    triples, bounds: Bounds, index: SpecIndex
 ) -> list[tuple[BoundaryCandidate, PredicateReport]]:
     """The (twig triple, b, shape) combinations passing ``bounds``, canonically
     sorted.
 
     Reads the integer twig sums (D, S, E, Et) of :func:`dgk.barks.fork_sums`,
     so that delta = S/D, e = E/D and e~ = Et/D.  Each (triple, b) passing the
-    gates makes one probe of ``index``, the ``probes`` of a
-    :class:`dgk.barks.SpecIndex`, with Bk^2(E) + epsilon = e - 1 - P^2 as a
-    reduced pair ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  A hit's spec
-    becomes its shape through :func:`dgk.barks.shape_of`.
+    gates looks up the bucket of its Noether key 4 + b + sum kd in ``index``
+    and, when the bucket is not empty, makes one probe of it with
+    Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
+    ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The triples come joined
+    on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
+    hit's spec becomes its shape through :func:`dgk.barks.shape_of`.
     """
     found: list[tuple[BoundaryCandidate, PredicateReport]] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
@@ -232,10 +238,13 @@ def _scan_triples(
             slack = et - b * dd
             if slack <= 0:  # b >= e~
                 continue
+            bucket = index.bucket(key + b)
+            if not bucket:
+                continue
             num = e_minus_1 * slack - gap_sq
             den = dd * slack
             g = gcd(num, den)
-            for spec in index.get((key + b, num // g, den // g), ()):
+            for spec in bucket.get((num // g, den // g), ()):
                 shape = shape_of(spec)
                 if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
@@ -249,14 +258,31 @@ def _scan_triples(
     return found
 
 
-def _triples_for_rules(rules: list[dict], d_max_needed: int):
-    """Sorted oriented-twig triples from per-smallest-discriminant rules.
+def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:
+    """The twig keys 4 + sum kd that meet a first key of ``index`` for some b."""
+    return frozenset(k - b for k in index.first_keys for b in b_values)
 
-    A triple with discriminants (x, y, z) comes from a rule only through
-    (x, y, z), so a discriminant triple an earlier rule covered is skipped
-    whole, and weights are compared only where two discriminants are equal.
-    """
-    by_d = _records_by_d(d_max_needed)
+
+def _third_twigs(by_d: dict[int, tuple[ChainRecord, ...]], keys: frozenset[int] | None):
+    """The choice of the last twig: for (d, base), the records of
+    discriminant d, in order, whose key base + kd is one of ``keys``; all
+    of them when ``keys`` is None.  Each (d, base) is filtered once."""
+    if keys is None:
+        return lambda dd, base: by_d.get(dd, ())
+    chosen: dict[tuple[int, int], tuple[ChainRecord, ...]] = {}
+
+    def pick(dd: int, base: int) -> tuple[ChainRecord, ...]:
+        got = chosen.get((dd, base))
+        if got is None:
+            got = chosen[dd, base] = tuple(r for r in by_d.get(dd, ()) if base + r.kd in keys)
+        return got
+
+    return pick
+
+
+def _rule_cells(rules: list[dict]):
+    """For each rule, its x and (y, [z, ...]) pairs, sorted, without the
+    discriminant triples an earlier rule covered."""
     covered: set[tuple[int, int, int]] = set()
     for rule in rules:
         x = rule["x"]
@@ -265,29 +291,56 @@ def _triples_for_rules(rules: list[dict], d_max_needed: int):
             zs = [z for z in range(y, rule["z_max"] + 1) if (x, y, z) not in covered]
             covered.update((x, y, z) for z in zs)
             yz.append((y, zs))
+        yield x, yz
+
+
+def _triples_for_rules(rules: list[dict], d_max_needed: int, keys: frozenset[int] | None = None):
+    """Sorted oriented-twig triples from per-smallest-discriminant rules.
+
+    A triple with discriminants (x, y, z) comes from a rule only through
+    (x, y, z), so a discriminant triple an earlier rule covered is skipped
+    whole, and weights are compared only where two discriminants are equal.
+    With ``keys``, only the triples whose key 4 + sum kd is one of them are
+    yielded, in the same order.
+    """
+    by_d = _records_by_d(d_max_needed)
+    thirds = _third_twigs(by_d, keys)
+    for x, yz in _rule_cells(rules):
         for r1 in by_d.get(x, ()):
             for y, zs in yz:
                 for r2 in by_d.get(y, ()):
                     if y == x and r1.ws > r2.ws:
                         continue
+                    base = 4 + r1.kd + r2.kd
                     for z in zs:
-                        for r3 in by_d.get(z, ()):
+                        for r3 in thirds(z, base):
                             if z == y and r2.ws > r3.ws:
                                 continue
                             yield (r1, r2, r3)
 
 
-def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
+def _rule_keys(rules: list[dict], d_max_needed: int):
+    """The largest key 4 + sum kd of each discriminant triple of the
+    unpruned rule sweep.  The largest kd = sum (w - 3) at discriminant d is
+    d - 3, that of [d], so (x, y, z) reaches x + y + z - 5."""
+    for x, yz in _rule_cells(rules):
+        if x >= 2:
+            for y, zs in yz:
+                yield from (x + y + z - 5 for z in zs if z <= d_max_needed)
+
+
+def _check_catalog_reach(keys, b_values, reach: int, max_size: int) -> None:
     """Reject a box whose probes could ask for shapes beyond the catalog.
 
-    A probe for (triple, b) matches shapes with #E - epsilon - K.E = key, so
-    the largest #E any probe can ask for is the largest key plus ``reach``,
-    the largest epsilon + K.E of the catalog.  Gates are ignored: the bound
-    is safe.
+    A probe for (triple, b) matches shapes with #E - epsilon - K.E = key + b,
+    so the largest #E any probe can ask for is the largest of the box's
+    ``keys``, plus the largest b, plus ``reach``, the largest epsilon + K.E
+    of the catalog.  Gates and the join are ignored: the bound is safe.
     """
-    if not triples or not b_values:
+    key_max = max(keys, default=None)
+    if key_max is None or not b_values:
         return
-    key = max(b_values) + max(4 + r1.kd + r2.kd + r3.kd for r1, r2, r3 in triples)
+    key = max(b_values) + key_max
     if key + reach > max_size:
         raise ValueError(
             f"the box asks for exceptional shapes of up to {key + reach}"
@@ -295,15 +348,20 @@ def _check_catalog_reach(triples, b_values, reach: int, max_size: int) -> None:
         )
 
 
-def search_xy(bounds: dict | None = None):
-    """Candidates passing the general-type predicate suite in the x,y,z box."""
-    spec = parse_bounds("xy", bounds)
-    rules = [
+def _xy_rules(spec: Bounds) -> list[dict]:
+    return [
         {"x": x, "y_min": x, "y_max": spec.y_max, "z_max": spec.z_max}
         for x in range(2, spec.x_max + 1)
     ]
-    triples = _triples_for_rules(rules, max(spec.y_max, spec.z_max))
-    return _scan_triples(triples, spec, spec_index(spec.eshapes).probes)
+
+
+def search_xy(bounds: dict | None = None):
+    """Candidates passing the general-type predicate suite in the x,y,z box."""
+    spec = parse_bounds("xy", bounds)
+    index = SpecIndex(spec.eshapes)
+    keys = _join_keys(index, spec.b)
+    triples = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
+    return _scan_triples(triples, spec, index)
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
@@ -329,43 +387,65 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     spec = parse_bounds("final-bounds", bounds)
     index = catalog_index(spec.catalog_max_size)
     d_max = max(rule["z_max"] for rule in spec.d_rules)
-    triples = list(_triples_for_rules(spec.d_rules, d_max))
-    _check_catalog_reach(triples, spec.b, index.reach, spec.catalog_max_size)
-    found = _scan_triples(triples, spec, index.probes)
+    _check_catalog_reach(_rule_keys(spec.d_rules, d_max), spec.b, index.reach,
+                         spec.catalog_max_size)
+    triples = _triples_for_rules(spec.d_rules, d_max, _join_keys(index, spec.b))
+    found = _scan_triples(triples, spec, index)
     eshapes = sorted({cand.eshape.key() for cand, _ in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand, _ in found]}
+
+
+def _by_d_ws(r: ChainRecord) -> tuple[int, Weights]:
+    return r.d, r.ws
+
+
+def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
+    """knonpos case 1: T1 pinned, d2 in 3..d2_max, d3 in d2..d3_max, without
+    T2 = T1 with T3 ending in (3, 2); with ``keys``, joined on them as
+    :func:`_triples_for_rules` is."""
+    rec1 = _record_of(spec.t1)
+    by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
+    thirds = _third_twigs(by_d, keys)
+    for d2 in range(3, spec.d2_max + 1):
+        for r2 in by_d[d2]:
+            base = 4 + rec1.kd + r2.kd
+            for d3 in range(d2, spec.d3_max + 1):
+                for r3 in thirds(d3, base):
+                    if (r2.d, r2.ws) > (r3.d, r3.ws):
+                        continue
+                    if r2.ws == spec.t1 and len(r3.ws) >= 2 and r3.ws[-2:] == (3, 2):
+                        continue
+                    yield tuple(sorted((rec1, r2, r3), key=_by_d_ws))
+
+
+def _case1_keys(spec: Bounds):
+    """The largest key of each (d2, d3) of the unpruned case 1, through
+    T2 = [d2] and T3 = [d3] as in :func:`_rule_keys`; [d3] never ends in
+    (3, 2)."""
+    kd1 = _record_of(spec.t1).kd
+    for d2 in range(3, spec.d2_max + 1):
+        yield from (kd1 + d2 + d3 - 2 for d3 in range(d2, spec.d3_max + 1))
+
+
+def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ...]]:
+    """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2)."""
+    rec1 = _record_of(spec.t1)
+    return [
+        tuple(sorted((rec1, rec1, _record_of(head + (2,) * k + (3, 2))), key=_by_d_ws))
+        for k in range(0, spec.case2_k_max + 1)
+        for head in ((), (3,), (4,), (2, 3))
+    ]
 
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
     spec = parse_bounds("knonpos", bounds)
     index = catalog_index(spec.catalog_max_size)
-    t1, rec1 = spec.t1, _record_of(spec.t1)
-    by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
-    by_d_ws = lambda r: (r.d, r.ws)  # noqa: E731
-
-    def case1_triples():
-        for d2 in range(3, spec.d2_max + 1):
-            for r2 in by_d[d2]:
-                for d3 in range(d2, spec.d3_max + 1):
-                    for r3 in by_d[d3]:
-                        if (r2.d, r2.ws) > (r3.d, r3.ws):
-                            continue
-                        if r2.ws == t1 and len(r3.ws) >= 2 and r3.ws[-2:] == (3, 2):
-                            continue
-                        yield tuple(sorted((rec1, r2, r3), key=by_d_ws))
-
-    def case2_triples():
-        for k in range(0, spec.case2_k_max + 1):
-            for head in ((), (3,), (4,), (2, 3)):
-                r3 = _record_of(head + (2,) * k + (3, 2))
-                yield tuple(sorted((rec1, rec1, r3), key=by_d_ws))
-
-    triples1 = list(case1_triples())
-    triples2 = list(case2_triples())
-    _check_catalog_reach(triples1 + triples2, spec.b, index.reach, spec.catalog_max_size)
-    found1 = _scan_triples(triples1, spec, index.probes)
-    found2 = _scan_triples(triples2, spec, index.probes)
+    triples2 = _case2_triples(spec)
+    keys = [*_case1_keys(spec), *(4 + r1.kd + r2.kd + r3.kd for r1, r2, r3 in triples2)]
+    _check_catalog_reach(keys, spec.b, index.reach, spec.catalog_max_size)
+    found1 = _scan_triples(_case1_triples(spec, _join_keys(index, spec.b)), spec, index)
+    found2 = _scan_triples(triples2, spec, index)
     return {
         "case1": [cand.to_dict() for cand, _ in found1],
         "case2": [cand.to_dict() for cand, _ in found2],

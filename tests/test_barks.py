@@ -7,8 +7,10 @@ import pytest
 from dgk import chains
 from dgk.barks import (
     _make_shape,
-    _probe_key,
+    _noether_key,
+    _square_key,
     BarkCoefficients,
+    admissible_fork_invariants,
     bark_chain,
     bark_fork,
     bark_one_sided,
@@ -303,6 +305,8 @@ def test_closed_forms_match_tree_routes():
             assert (b > et) == definite
             platonic = is_platonic_triple(tuple(sorted(chains.d(t) for t in triple)))
             assert is_admissible_fork(fork) == (platonic and definite)
+            inv = admissible_fork_invariants(fork)
+            assert inv == (fork_invariants(fork) if platonic and definite else None)
             e_ws, comps = decompose_exceptional(fork)
             assert _split_external(fork) == (e_ws, len(comps))
             not_definite += not definite
@@ -457,9 +461,17 @@ def test_catalog_matches_reference_enumeration(max_size):
 @pytest.mark.parametrize("max_size", [20, 60])
 def test_catalog_index_matches_shape_index(max_size):
     want = reference_shape_index(eshape_catalog(max_size))
+    catalog_index.cache_clear()
     index = catalog_index(max_size)
-    assert index.probes.keys() == want.keys()
-    for key, specs in index.probes.items():
+    # every bucket, built in reverse key order, keyed in full
+    probes = {
+        (k, *pair): specs
+        for k in sorted(index.first_keys, reverse=True)
+        for pair, specs in index.bucket(k).items()
+    }
+    assert index.buckets.keys() == index.first_keys
+    assert probes.keys() == want.keys()
+    for key, specs in probes.items():
         assert by_key(_make_shape(spec) for spec in specs) == by_key(want[key])
     assert index.reach == max(s.epsilon + s.ke for s in eshape_catalog(max_size))
 
@@ -469,7 +481,16 @@ def test_integer_probe_keys_match_fraction_keys():
         bk2 = fork_invariants(s.graph).bk_square if s.is_fork else chain_bark_square(s.graph)
         key = (s.size - s.epsilon - s.ke, bk2.numerator + s.epsilon * bk2.denominator,
                bk2.denominator)
-        assert _probe_key(s.spec) == (key, s.epsilon + s.ke)
+        k, eps_ke = _noether_key(s.spec)
+        assert ((k, *_square_key(s.spec)), eps_ke) == (key, s.epsilon + s.ke)
+
+
+def test_catalog_index_builds_buckets_on_demand():
+    index = catalog_index(12)
+    k = max(index.first_keys)
+    assert index.bucket(k + 1) == {} and k + 1 not in index.buckets
+    bucket = index.bucket(k)
+    assert bucket and index.bucket(k) is bucket
 
 
 def test_catalog_leaves_the_hit_cache_empty():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from dgk import chains
-from dgk.barks import eshape_catalog
+from dgk.barks import SpecIndex, catalog_index, eshape_catalog
+from dgk.chains import chain_record
 from dgk.graphs import parse_chain
 from dgk.predicates import (
     PREDICATE_NAMES,
@@ -25,7 +26,12 @@ from dgk.search import (
     load_bounds,
     parse_bounds,
     run_search,
+    _case1_triples,
+    _case2_triples,
+    _rule_keys,
+    _scan_triples,
     _triples_for_rules,
+    _xy_rules,
     search_fiber_pairs,
     search_final_bounds,
     search_k_nonpositive,
@@ -518,3 +524,92 @@ def test_named_shape_not_in_catalog_rejected():
     cfg = dict(load_bounds("fiber_pairs"), eshapes=[["[4]", 1], ["[9]", 0]])
     with pytest.raises(ValueError, match=r"\['\[9\]', 0\] is not a \[key, epsilon\] pair"):
         search_fiber_pairs(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the scan joined on the Noether key
+
+
+def key_of(triple):
+    return 4 + sum(r.kd for r in triple)
+
+
+def test_largest_kd_at_a_discriminant_is_the_single_curve():
+    # d >= 1 + sum (w - 1), so kd = sum (w - 3) <= d - 1 - 2n: [d] alone
+    # reaches d - 3
+    for dd in range(2, 101):
+        records = [chain_record(ws) for ws in chains.oriented_chains_with_d(dd)]
+        top = max(r.kd for r in records)
+        assert top == dd - 3
+        assert [r.ws for r in records if r.kd == top] == [(dd,)]
+
+
+def reduced_boxes():
+    """(bounds, index, unpruned triples, the same sweep joined on the keys)
+    for reduced xy, final-bounds and knonpos boxes."""
+    rules = [
+        {"x": 2, "y_min": 4, "y_max": 6, "z_max": 12},
+        {"x": 3, "y_min": 3, "y_max": 3, "z_max": 9},
+    ]
+    spec = parse_bounds("xy", small_xy())
+    index = SpecIndex(spec.eshapes)
+    sweep = lambda keys: _triples_for_rules(_xy_rules(spec), 12, keys)  # noqa: E731
+    yield spec, index, sweep
+    for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
+        cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin)
+        spec = parse_bounds("final-bounds", cfg)
+        yield spec, catalog_index(20), lambda keys: _triples_for_rules(rules, 12, keys)
+    cfg = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3)
+    spec = parse_bounds("knonpos", cfg)
+    yield spec, catalog_index(21), lambda keys, spec=spec: _case1_triples(spec, keys)
+
+
+def test_join_keeps_exactly_the_triples_whose_key_can_hit():
+    for spec, index, sweep in reduced_boxes():
+        keys = dgk_search._join_keys(index, spec.b)
+        unpruned = list(sweep(None))
+        want = [
+            t for t in unpruned if any(key_of(t) + b in index.first_keys for b in spec.b)
+        ]
+        got = list(sweep(keys))
+        assert got == want
+        assert 0 < len(got) < len(unpruned)
+        # the probes of the dropped triples all miss
+        assert _scan_triples(got, spec, index) == _scan_triples(unpruned, spec, index)
+
+
+CATALOG_FILES = [(name, f) for name, f in CHECKED_IN if name in ("final-bounds", "knonpos")]
+
+
+@pytest.mark.parametrize("name, file_name", CATALOG_FILES + [("xy", "xy")])
+def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, file_name):
+    cfg = load_bounds(file_name)
+    spec = parse_bounds(name, cfg)
+    if name == "xy":  # named shapes, no catalog to outgrow: the rule sweep's key
+        d_max = max(spec.y_max, spec.z_max)
+        got = max(_rule_keys(_xy_rules(spec), d_max))
+        unpruned = _triples_for_rules(_xy_rules(spec), d_max)
+    else:
+        seen = []
+        check = dgk_search._check_catalog_reach
+        def spy(keys, *rest):
+            keys = list(keys)
+            seen.append(max(keys))
+            check(keys, *rest)
+
+        monkeypatch.setattr(dgk_search, "_check_catalog_reach", spy)
+        run(name, cfg)
+        (got,) = seen
+        if name == "final-bounds":
+            d_max = max(rule["z_max"] for rule in spec.d_rules)
+            unpruned = _triples_for_rules(list(spec.d_rules), d_max)
+        else:
+            unpruned = [*_case1_triples(spec), *_case2_triples(spec)]
+    assert got == max(map(key_of, unpruned))
+
+
+def test_final_bounds_builds_only_the_buckets_it_probes():
+    catalog_index.cache_clear()
+    run_search("final-bounds")
+    index = catalog_index(60)
+    assert 0 < len(index.buckets) < len(index.first_keys)
