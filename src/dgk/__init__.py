@@ -8,7 +8,6 @@ from .barks import (
     bark_chain,
     bark_fork,
     bark_one_sided,
-    decompose_exceptional,
     eshape_catalog,
     fork_invariants,
     group_order,
@@ -25,7 +24,7 @@ from .chains import (
     enumerate_admissible_chains,
     invariants,
 )
-from .graphs import Fork, WeightedTree, format_chain, parse_chain, parse_fork
+from .graphs import Fork, format_chain, parse_chain, parse_fork
 from .pairs import (
     CharPairSeq,
     fiber_numerics,
@@ -53,7 +52,6 @@ from .search import (
 
 __all__ = [
     "Fork",
-    "WeightedTree",
     "format_chain",
     "parse_chain",
     "parse_fork",
@@ -72,7 +70,6 @@ __all__ = [
     "bark_fork",
     "fork_invariants",
     "group_order",
-    "decompose_exceptional",
     "eshape_catalog",
     "CharPairSeq",
     "reconstruct_fiber",

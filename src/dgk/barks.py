@@ -6,7 +6,7 @@ For an oriented chain the one-sided bark Bk'(T, T1) instead solves
 T_i . Bk' = -delta_{i,1}; its coefficients are m'_i = d(T_{i+1}+...+T_n)/d(T)
 and Bk'^2 = -e(T).  Every bark, discriminant and group order here is its
 closed form in integers and Fraction; the dense linear solve and the tree
-determinant they replace are the reference routes of the tests.
+determinant they replace are reference routes in ``tests/reference.py``.
 
 A fork's twig sums are the integers of :func:`fork_sums`, which the scan
 reads directly and everything else through the :class:`ForkInvariants` record.
@@ -26,7 +26,6 @@ from .chains import ChainRecord, DegenerateChainError
 from .graphs import (
     Fork,
     Weights,
-    WeightedTree,
     canonical_chain,
     format_chain,
     is_admissible_chain,
@@ -201,55 +200,6 @@ def group_order(graph: Weights | Fork) -> int:
     return chains.d(graph)
 
 
-def strip_external_minus_two(tree: WeightedTree) -> tuple[list[int], list[list[int]]]:
-    """Remove (-2)-tips repeatedly; returns (kept vertices, removed components).
-
-    The removed vertices form the divisor of external (-2)-curves; they are
-    grouped into connected components (as subgraphs of the original tree).
-    """
-    n = len(tree.weights)
-    alive = set(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            deg = len(tree.adj[v] & alive)
-            if deg <= 1 and tree.weights[v] == 2:
-                alive.discard(v)
-                changed = True
-    removed = set(range(n)) - alive
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for v in sorted(removed):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in tree.adj[x]:
-                if u in removed and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return sorted(alive), comps
-
-
-def decompose_exceptional(graph: Weights | Fork) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """(weights of E, weight tuples of the external (-2)-components)."""
-    tree = (
-        WeightedTree.from_fork(graph)
-        if isinstance(graph, Fork)
-        else WeightedTree.from_chain(graph)
-    )
-    kept, removed = strip_external_minus_two(tree)
-    e_ws = tuple(tree.weights[v] for v in kept)
-    delta = [tuple(tree.weights[v] for v in comp) for comp in removed]
-    return e_ws, delta
-
-
 @dataclass(frozen=True)
 class ExceptionalShape:
     """One entry of the catalog of exceptional divisors.
@@ -335,7 +285,8 @@ def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
     twig of 2's alone goes entirely; when at most one twig is left and b = 2,
     the branch becomes a (-2)-tip, and it goes with the vanished twigs and the
     branch-side run of 2's of the last twig, all in one component.  The tree
-    route is :func:`decompose_exceptional`; tests compare the two.
+    route is ``decompose_exceptional`` in ``tests/reference.py``; the tests
+    compare the two.
     """
     if isinstance(graph, Fork):
         leads = [_leading_twos(t) for t in graph.twigs]

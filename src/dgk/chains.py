@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .graphs import Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain
 
@@ -202,9 +202,3 @@ def classify_e_plus_alpha(alpha: int) -> Callable[[Weights], bool]:
         )
 
     return pred
-
-
-def all_admissible_chains_up_to(limit: int) -> Iterable[Weights]:
-    """All oriented admissible chains with discriminant <= limit."""
-    for dd in range(2, limit + 1):
-        yield from oriented_chains_with_d(dd)

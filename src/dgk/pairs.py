@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import Weights, WeightedTree
+from .graphs import Weights
 
 
 class PairSequenceError(ValueError):
@@ -131,10 +131,6 @@ class FiberTree:
     def chain_mults(self) -> tuple[int, ...]:
         return tuple(self.mults[v] for v in self.chain_order())
 
-    def to_weighted_tree(self) -> WeightedTree:
-        edges = [(a, b) for a in range(len(self)) for b in self.adj[a] if a < b]
-        return WeightedTree(self.weights, edges)
-
 
 def reconstruct_fiber(seq: CharPairSeq | tuple[tuple[int, int], ...]) -> FiberTree:
     """Build the fiber tree of a pair sequence by simulating the blow-ups."""
@@ -174,26 +170,11 @@ def reconstruct_fiber(seq: CharPairSeq | tuple[tuple[int, int], ...]) -> FiberTr
     return tree
 
 
-def mu_trace(c: int, p: int) -> list[int]:
-    """Multiplicities of the blow-up centers of one pair group, in order."""
-    if not c >= p >= 1:
-        raise ValueError(f"need c >= p >= 1, got {(c, p)}")
-    out = []
-    while c != p:
-        out.append(min(c, p))
-        if c - p >= p:
-            c = c - p
-        else:
-            c, p = p, c - p
-    out.append(c)
-    return out
-
-
 def mu_sums(c: int, p: int) -> tuple[int, int, int]:
     """(gcd, sum of center multiplicities, sum of their squares) of a group.
 
-    Closed forms: sum mu = c + p - gcd(c,p) and sum mu^2 = c*p; the
-    simulated :func:`mu_trace` is the reference the tests compare against.
+    Closed forms: sum mu = c + p - gcd(c,p) and sum mu^2 = c*p; the tests
+    compare them with the simulated ``mu_trace`` of ``tests/reference.py``.
     """
     if not c >= p >= 1:
         raise ValueError(f"need c >= p >= 1, got {(c, p)}")
@@ -302,10 +283,6 @@ class FiberNumerics:
     kappa: int
     rho: int
     d_contrib: int
-
-    @property
-    def kappa_valid(self) -> bool:
-        return self.kappa >= 2
 
 
 def fiber_numerics(seq: CharPairSeq, CE: int, i0: int) -> FiberNumerics:

@@ -374,9 +374,10 @@ def _coprime_pairs_with_length(length: int) -> tuple[tuple[int, int], ...]:
     """Coprime (c', p'), c' >= p' >= 1, whose Euclid trace has ``length`` steps.
 
     The pairs grow from (1, 1), whose trace has one step, by inverting the
-    steps of :func:`dgk.pairs.mu_trace`: (x, y) is reached from (x + y, y)
-    always and from (x + y, x) when y < x, so each level holds exactly the
-    pairs whose trace is one step longer.
+    Euclid steps that ``mu_trace`` in ``tests/reference.py`` simulates:
+    (x, y) is reached from (x + y, y) always and from (x + y, x) when y < x,
+    so each level holds exactly the pairs whose trace is one step longer.
+    The tests compare it with that file's brute-force sweep.
     """
     level = [(1, 1)] if length >= 1 else []
     for _ in range(length - 1):

@@ -395,14 +395,12 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand, _ in found]}
 
 
-def _by_d_ws(r: ChainRecord) -> tuple[int, Weights]:
-    return r.d, r.ws
-
-
 def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
     """knonpos case 1: T1 pinned, d2 in 3..d2_max, d3 in d2..d3_max, without
     T2 = T1 with T3 ending in (3, 2); with ``keys``, joined on them as
-    :func:`_triples_for_rules` is."""
+    :func:`_triples_for_rules` is.  Triples come as (T1, T2, T3): the twig
+    sums and predicates are symmetric in the twigs, and a candidate sorts
+    its twigs itself for its key and its output."""
     rec1 = _record_of(spec.t1)
     by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
     thirds = _third_twigs(by_d, keys)
@@ -415,7 +413,7 @@ def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
                         continue
                     if r2.ws == spec.t1 and len(r3.ws) >= 2 and r3.ws[-2:] == (3, 2):
                         continue
-                    yield tuple(sorted((rec1, r2, r3), key=_by_d_ws))
+                    yield rec1, r2, r3
 
 
 def _case1_keys(spec: Bounds):
@@ -431,7 +429,7 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ...]]:
     """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2)."""
     rec1 = _record_of(spec.t1)
     return [
-        tuple(sorted((rec1, rec1, _record_of(head + (2,) * k + (3, 2))), key=_by_d_ws))
+        (rec1, rec1, _record_of(head + (2,) * k + (3, 2)))
         for k in range(0, spec.case2_k_max + 1)
         for head in ((), (3,), (4,), (2, 3))
     ]

@@ -1,0 +1,543 @@
+"""The reference routes: slow, independent computations the tests compare
+the package against.
+
+The package computes every discriminant, bark, stripped shape and solver
+tuple in closed form.  The generic routes those closed forms replaced live
+here and nowhere else: the weighted tree with its determinant and
+negative-definiteness test, the dense linear solve for barks, the tree
+route that strips external (-2)-curves, the simulated multiplicity trace,
+the continued-fraction recurrence for e, and the two-fiber solver and the
+square/zar_bk2 entries in ``Fraction`` arithmetic.  ``tests/test_source.py``
+keeps them out of the package: every package function must have a caller
+in the package.
+
+Test files import from here with ``from reference import ...``.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from functools import cache
+from math import gcd, isqrt
+
+from dgk import chains
+from dgk.barks import BarkCoefficients, eshape_catalog
+from dgk.graphs import Fork, Weights, format_chain
+from dgk.pairs import FiberTree
+from dgk.predicates import BoundaryCandidate, evaluate_predicates
+from dgk.ruling import FiberTuple, _assemble_solution, two_fiber_relations
+
+# ---------------------------------------------------------------------------
+# weighted trees: intersection matrices, determinants, definiteness
+
+
+class WeightedTree:
+    """A tree of weighted vertices; the common carrier for matrix checks."""
+
+    def __init__(self, weights: list[int], edges: list[tuple[int, int]]):
+        n = len(weights)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n) or a == b:
+                raise ValueError(f"bad edge ({a},{b})")
+            adj[a].add(b)
+            adj[b].add(a)
+        if n and len(edges) != n - 1:
+            raise ValueError("a tree on n vertices has n-1 edges")
+        if n and not self._connected(adj):
+            raise ValueError("graph is not connected")
+        self.weights = list(weights)
+        self.adj = adj
+
+    @staticmethod
+    def _connected(adj: list[set[int]]) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(adj)
+
+    @classmethod
+    def from_chain(cls, weights: Weights) -> "WeightedTree":
+        edges = [(i, i + 1) for i in range(len(weights) - 1)]
+        return cls(list(weights), edges)
+
+    @classmethod
+    def from_fork(cls, fork: Fork) -> "WeightedTree":
+        # vertex 0 is the branch; twigs follow tip-first, so the last vertex
+        # of each twig is wired to the branch.
+        weights = [fork.b]
+        edges = []
+        for twig in fork.twigs:
+            if not twig:
+                raise ValueError("fork twigs must be nonempty")
+            start = len(weights)
+            weights.extend(twig)
+            for i in range(len(twig) - 1):
+                edges.append((start + i, start + i + 1))
+            edges.append((len(weights) - 1, 0))
+        return cls(weights, edges)
+
+    @classmethod
+    def from_fiber(cls, fiber: FiberTree) -> "WeightedTree":
+        edges = [(a, b) for a in range(len(fiber)) for b in fiber.adj[a] if a < b]
+        return cls(fiber.weights, edges)
+
+    def intersection_matrix(self) -> list[list[int]]:
+        """Diagonal -w_i, entry 1 for adjacent vertices."""
+        n = len(self.weights)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = -self.weights[i]
+            for j in self.adj[i]:
+                m[i][j] = 1
+        return m
+
+    def minus_intersection_matrix(self) -> list[list[int]]:
+        n = len(self.weights)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = self.weights[i]
+            for j in self.adj[i]:
+                m[i][j] = -1
+        return m
+
+    def discriminant(self) -> int:
+        """Determinant of the minus intersection matrix; 1 for the empty tree.
+
+        Computed by expanding at a vertex: removing a vertex C splits the tree
+        into components R_i met in C_i, and
+        d = w_C * prod d(R_i) - sum_i d(R_i - C_i) * prod_{j != i} d(R_j).
+        """
+        if not self.weights:
+            return 1
+        return self._disc_connected(frozenset(range(len(self.weights))))
+
+    def _disc_connected(self, nodes: frozenset[int]) -> int:
+        memo = getattr(self, "_disc_memo", None)
+        if memo is None:
+            memo = self._disc_memo = {}
+        cached = memo.get(nodes)
+        if cached is not None:
+            return cached
+        c = next(iter(nodes))
+        comps = self._components(nodes - {c})
+        d_comp = [self._disc_connected(comp) for comp in comps]
+        result = self.weights[c]
+        for d in d_comp:
+            result *= d
+        for i, comp in enumerate(comps):
+            ci = next(v for v in comp if c in self.adj[v])
+            term = self._disc_forest(comp - {ci})
+            for j, d in enumerate(d_comp):
+                if j != i:
+                    term *= d
+            result -= term
+        memo[nodes] = result
+        return result
+
+    def _disc_forest(self, nodes: frozenset[int]) -> int:
+        result = 1
+        for comp in self._components(nodes):
+            result *= self._disc_connected(comp)
+        return result
+
+    def _components(self, nodes: frozenset[int]) -> list[frozenset[int]]:
+        remaining = set(nodes)
+        comps = []
+        while remaining:
+            seed = remaining.pop()
+            comp = {seed}
+            stack = [seed]
+            while stack:
+                v = stack.pop()
+                for u in self.adj[v]:
+                    if u in remaining:
+                        remaining.discard(u)
+                        comp.add(u)
+                        stack.append(u)
+            comps.append(frozenset(comp))
+        return comps
+
+    def is_negative_definite(self) -> bool:
+        """All leading principal minors of the minus matrix positive (exact).
+
+        One fraction-free elimination pass: the Bareiss pivots are exactly the
+        leading principal minors, so the first nonpositive pivot decides.
+        """
+        n = len(self.weights)
+        if n == 0:
+            return True
+        a = self.minus_intersection_matrix()
+        prev = 1
+        for k in range(n):
+            if a[k][k] <= 0:
+                return False
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return True
+
+
+def int_det(matrix: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant over the integers."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def fork_to_json(fork: Fork) -> str:
+    """The fork description :func:`dgk.graphs.parse_fork` reads."""
+    return json.dumps({"b": fork.b, "twigs": [format_chain(t) for t in fork.twigs]})
+
+
+# ---------------------------------------------------------------------------
+# barks: the dense intersection matrix and an exact Gaussian elimination
+
+
+def exact_solve(matrix, rhs):
+    """Solve a nonsingular square system exactly by Gaussian elimination."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / pv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def reference_bark(tree, rhs):
+    """The bark solving Bk . D_i = rhs_i, and Bk^2 = sum of coefficient * rhs."""
+    coeffs = exact_solve(tree.intersection_matrix(), rhs)
+    return BarkCoefficients(tuple(coeffs), sum(c * r for c, r in zip(coeffs, rhs)))
+
+
+def reference_bark_one_sided(ws):
+    return reference_bark(WeightedTree.from_chain(ws), [-1] + [0] * (len(ws) - 1))
+
+
+def reference_bark_chain(ws):
+    tree = WeightedTree.from_chain(ws)
+    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(ws))])
+
+
+def reference_bark_fork(fork):
+    tree = WeightedTree.from_fork(fork)
+    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(tree.weights))])
+
+
+# ---------------------------------------------------------------------------
+# external (-2)-curves stripped on the tree
+
+
+def strip_external_minus_two(tree: WeightedTree) -> tuple[list[int], list[list[int]]]:
+    """Remove (-2)-tips repeatedly; returns (kept vertices, removed components).
+
+    The removed vertices form the divisor of external (-2)-curves; they are
+    grouped into connected components (as subgraphs of the original tree).
+    """
+    n = len(tree.weights)
+    alive = set(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            deg = len(tree.adj[v] & alive)
+            if deg <= 1 and tree.weights[v] == 2:
+                alive.discard(v)
+                changed = True
+    removed = set(range(n)) - alive
+    comps: list[list[int]] = []
+    seen: set[int] = set()
+    for v in sorted(removed):
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for u in tree.adj[x]:
+                if u in removed and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return sorted(alive), comps
+
+
+def decompose_exceptional(graph: Weights | Fork) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(weights of E, weight tuples of the external (-2)-components)."""
+    tree = (
+        WeightedTree.from_fork(graph)
+        if isinstance(graph, Fork)
+        else WeightedTree.from_chain(graph)
+    )
+    kept, removed = strip_external_minus_two(tree)
+    e_ws = tuple(tree.weights[v] for v in kept)
+    delta = [tuple(tree.weights[v] for v in comp) for comp in removed]
+    return e_ws, delta
+
+
+# ---------------------------------------------------------------------------
+# chains, pair sequences and catalog shapes
+
+
+def all_admissible_chains_up_to(limit: int):
+    """All oriented admissible chains with discriminant <= limit."""
+    for dd in range(2, limit + 1):
+        yield from chains.oriented_chains_with_d(dd)
+
+
+def e_by_recurrence(weights):
+    """e via e(T) = 1/(a1 - e(T - T1)); independent of the d'/d route."""
+    value = Fraction(0)
+    for a in reversed(weights):
+        value = 1 / (a - value)
+    return value
+
+
+def mu_trace(c: int, p: int) -> list[int]:
+    """Multiplicities of the blow-up centers of one pair group, in order."""
+    if not c >= p >= 1:
+        raise ValueError(f"need c >= p >= 1, got {(c, p)}")
+    out = []
+    while c != p:
+        out.append(min(c, p))
+        if c - p >= p:
+            c = c - p
+        else:
+            c, p = p, c - p
+    out.append(c)
+    return out
+
+
+def all_sequences(c1_max, h_max):
+    """Every valid pair sequence with c1 <= c1_max and at most h_max pairs."""
+
+    def extend(prefix, c_next):
+        for p in range(1, c_next + 1):
+            nxt = prefix + ((c_next, p),)
+            g = gcd(c_next, p)
+            if g == 1:
+                yield nxt
+            elif len(nxt) < h_max:
+                yield from extend(nxt, g)
+
+    for c1 in range(1, c1_max + 1):
+        yield from extend((), c1)
+
+
+@cache
+def _shapes_by_key(size):
+    return {(s.key(), s.epsilon): s for s in eshape_catalog(size)}
+
+
+def shape(key, eps, size=12):
+    """The catalog shape of at most ``size`` components with this key and epsilon."""
+    return _shapes_by_key(size)[(key, eps)]
+
+
+# ---------------------------------------------------------------------------
+# the square and zar_bk2 predicates in Fraction arithmetic
+
+
+def cand_et(cand):
+    return sum(chains.e_tilde(t) for t in cand.twigs)
+
+
+def cand_delta(cand):
+    return sum(chains.delta(t) for t in cand.twigs)
+
+
+def reference_square_and_zar_bk2(cand):
+    """The square and zar_bk2 entries by the Fraction route:
+    d(D) = d1*d2*d3*(b - e~) and P^2 = (1 - delta)^2/(e~ - b)."""
+    es = cand.eshape
+    d1, d2, d3 = (chains.d(t) for t in cand.twigs)
+    e = sum(chains.e(t) for t in cand.twigs)
+    et, delta = cand_et(cand), cand_delta(cand)
+    ratio = -(Fraction(d1 * d2 * d3) * (cand.b - et)) / es.d
+    root = isqrt(ratio.numerator) if ratio > 0 else -1
+    is_square = ratio.denominator == 1 and root * root == ratio.numerator
+    square = (is_square, f"-d(D)/d(E) = {ratio}")
+    if et == cand.b or delta == 1:
+        return square, (False, "degenerate: e~ = b or delta = 1")
+    rhs = -((1 - delta) ** 2 / (et - cand.b)) + e - 1 - es.epsilon
+    return square, (es.bk_square == rhs, f"{es.bk_square} vs {rhs}")
+
+
+# ---------------------------------------------------------------------------
+# the two-fiber solver: equation (6) in Fraction arithmetic, with rho as a
+# rational form in kappa and an uncached sweep of the (c', p') pairs
+
+
+def coprime_pairs_with_length(length):
+    """Brute force: every coprime c >= p >= 1 up to c = Fib(length + 1),
+    which bounds c for a trace of ``length`` steps."""
+    fa, fb = 1, 1
+    for _ in range(length):
+        fa, fb = fb, fa + fb
+    out = []
+    for c in range(1, fb + 1):
+        for p in range(1, c + 1):
+            if gcd(c, p) == 1 and len(mu_trace(c, p)) == length:
+                out.append((c, p))
+    return out
+
+
+def integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
+    """Integer roots of a x^2 + b x + c = 0 (a may be zero)."""
+    if a == 0:
+        if b == 0:
+            return []
+        x = -c / b
+        return [int(x)] if x.denominator == 1 else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    num = disc.numerator * disc.denominator
+    r = isqrt(num)
+    if r * r != num:
+        return []
+    sq = Fraction(r, disc.denominator)
+    roots = []
+    for sign in (1, -1):
+        x = (-b + sign * sq) / (2 * a)
+        if x.denominator == 1:
+            roots.append(int(x))
+    return sorted(set(roots))
+
+
+def _rho_form(delta_size: int) -> tuple[Fraction, Fraction]:
+    """rho as a*kappa^2 + a0: (1, 0) without boundary curves, else the
+    single-boundary-curve form (kappa^2+1)/2."""
+    if delta_size == 0:
+        return Fraction(1), Fraction(0)
+    if delta_size == 1:
+        return Fraction(1, 2), Fraction(1, 2)
+    raise ValueError("only 0 or 1 boundary curves per fiber are supported")
+
+
+def _rho_value(kappa: int, delta_size: int) -> int:
+    a, a0 = _rho_form(delta_size)
+    val = a * kappa * kappa + a0
+    if val.denominator != 1:
+        raise ValueError(f"rho not integral for kappa={kappa}")
+    return int(val)
+
+
+def reference_equation_solutions(t1, t2, eshape):
+    """The solver's sweep up to the (5)/(6) check, with (6) solved over the
+    rationals; yields the FiberTuple of each solution."""
+    gamma = eshape.e_weights[0]
+    eps = eshape.epsilon
+    ke = eshape.ke
+    n_delta_curves = eshape.size - len(eshape.e_weights)
+    splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
+    d2 = chains.d(t2)
+    p_over = d2 - chains.d_prime(t2)
+    for n in (1, 2, 3):
+        alpha = n + eps + ke - 4
+        if not 0 <= alpha <= n:
+            continue
+        h = 3 + alpha
+        tail_len = len(t1) - (h - 3)
+        if tail_len < 1:
+            continue
+        for df, dft in splits:
+            c_h = 1 + df
+            ct_h = 1 + dft
+            for c_pr, p_pr in coprime_pairs_with_length(tail_len):
+                c = c_pr * d2
+                p = c_pr * p_over
+                a, a0 = _rho_form(df)
+                for kappa_t in range(2, 3 * c + 1):
+                    if (c * (gamma - 2)) % kappa_t:
+                        continue
+                    if dft == 1 and kappa_t % 2 == 0:
+                        continue
+                    rho_t = _rho_value(kappa_t, dft)
+                    qa = Fraction((c - c_pr) * (alpha * c_pr + p_pr)) - a
+                    qb = Fraction(-c * (gamma - 2))
+                    qc = Fraction(gamma) - a0 - rho_t
+                    for kappa in integer_roots(qa, qb, qc):
+                        if kappa < 2 or (df == 1 and kappa % 2 == 0):
+                            continue
+                        if (kappa - (c_h - 1)) % c_h or (kappa - (c_h - 1)) // c_h < 1:
+                            continue
+                        d = c * kappa
+                        if d % kappa_t:
+                            continue
+                        c_t = d // kappa_t
+                        if (kappa_t - (ct_h - 1)) % ct_h:
+                            continue
+                        if (kappa_t - (ct_h - 1)) // ct_h < 1:
+                            continue
+                        num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
+                        if num % kappa_t:
+                            continue
+                        p_t = num // kappa_t
+                        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
+                            continue
+                        if (gamma - 2) % gcd(kappa, kappa_t):
+                            continue
+                        rho = _rho_value(kappa, df)
+                        r5, r6 = two_fiber_relations(
+                            n=n, gamma=gamma, alpha=alpha, kappa=kappa,
+                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
+                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
+                            rho=rho, rho_t=rho_t,
+                        )
+                        if r5 or r6:
+                            continue
+                        yield FiberTuple(
+                            n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa,
+                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
+                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
+                            delta_f_size=df, delta_ft_size=dft,
+                        )
+
+
+def reference_solve_two_fiber(t1, t2, eshape, predicate_names):
+    """solve_two_fiber with the default b set and group-order mode."""
+    solutions = []
+    for tup in reference_equation_solutions(t1, t2, eshape):
+        sol = _assemble_solution(tup, t1, t2, eshape)
+        if sol is None or sol.b not in (1, 2):
+            continue
+        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
+        if evaluate_predicates(cand).passes(predicate_names):
+            solutions.append(sol)
+    solutions.sort(key=lambda s: s.sort_key())
+    return solutions

@@ -22,14 +22,22 @@ from dgk.barks import (
     group_order,
     is_admissible_fork,
 )
-from dgk.graphs import Fork, WeightedTree, canonical_chain, format_chain, parse_chain
-from dgk.pairs import mu_sums, mu_trace, pairs_from_fiber, reconstruct_fiber
+from dgk.graphs import Fork, canonical_chain, parse_chain
+from dgk.pairs import mu_sums, pairs_from_fiber, reconstruct_fiber
 from dgk.ruling import (
     second_fiber_square_branch,
     tail_chain_23_branch,
 )
 from dgk.search import GOLDEN_FILES, run_search
-from test_barks import reference_bark_chain, reference_bark_fork, reference_bark_one_sided
+from reference import (
+    WeightedTree,
+    all_admissible_chains_up_to,
+    all_sequences,
+    mu_trace,
+    reference_bark_chain,
+    reference_bark_fork,
+    reference_bark_one_sided,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
@@ -66,20 +74,6 @@ def test_criterion_1_small_chain_table():
     report("1 small-discriminant chain table", ok, time.time() - t0, 1.0)
 
 
-def _all_sequences(c1_max, h_max):
-    def extend(prefix, c_next):
-        for p in range(1, c_next + 1):
-            nxt = prefix + ((c_next, p),)
-            g = gcd(c_next, p)
-            if g == 1:
-                yield nxt
-            elif len(nxt) < h_max:
-                yield from extend(nxt, g)
-
-    for c1 in range(1, c1_max + 1):
-        yield from extend((), c1)
-
-
 def test_criterion_2_pair_reconstruction():
     t0 = time.time()
     ok = True
@@ -92,7 +86,7 @@ def test_criterion_2_pair_reconstruction():
         t = reconstruct_fiber(((k, k - 1),))
         ok = ok and t.chain_weights() == (2,) * (k - 1) + (1, k)
     count = 0
-    for seq in _all_sequences(40, 3):
+    for seq in all_sequences(40, 3):
         if pairs_from_fiber(reconstruct_fiber(seq)).pairs != seq:
             ok = False
             break
@@ -119,7 +113,7 @@ def test_criterion_3_mu_sum_identities():
 def test_criterion_4_bark_cross_validation():
     t0 = time.time()
     ok = True
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         full = bark_chain(ws)
         one = bark_one_sided(ws)
         ok = ok and full == reference_bark_chain(ws)
@@ -185,6 +179,6 @@ def test_criterion_8_adjoint_chains():
     ok = ok and chains.adjoint_chain((2, 4)) == (3, 2, 2)
     for k in range(2, 11):
         ok = ok and chains.adjoint_chain((2,) * (k - 1) + (3,)) == (k + 1, 2)
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         ok = ok and chains.adjoint_chain(chains.adjoint_chain(ws)) == ws
     report("8 adjoint chain anchors and involution", ok, time.time() - t0, 30.0)

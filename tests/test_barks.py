@@ -9,14 +9,12 @@ from dgk.barks import (
     _make_shape,
     _noether_key,
     _square_key,
-    BarkCoefficients,
     admissible_fork_invariants,
     bark_chain,
     bark_fork,
     bark_one_sided,
     catalog_index,
     chain_bark_square,
-    decompose_exceptional,
     eshape_catalog,
     family_specs,
     fork_invariants,
@@ -27,54 +25,19 @@ from dgk.barks import (
     shape_of,
 )
 from dgk.chains import chain_record
-from dgk.graphs import Fork, WeightedTree, canonical_chain, format_chain, parse_chain
+from dgk.graphs import Fork, canonical_chain, format_chain, parse_chain
+from reference import (
+    WeightedTree,
+    all_admissible_chains_up_to,
+    decompose_exceptional,
+    reference_bark_chain,
+    reference_bark_fork,
+    reference_bark_one_sided,
+)
 
 
 def F(n, d=1):
     return Fraction(n, d)
-
-
-# ---------------------------------------------------------------------------
-# reference route for the barks: the dense intersection matrix of the tree
-# and an exact Gaussian elimination over Fraction
-
-
-def exact_solve(matrix, rhs):
-    """Solve a nonsingular square system exactly by Gaussian elimination."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def reference_bark(tree, rhs):
-    """The bark solving Bk . D_i = rhs_i, and Bk^2 = sum of coefficient * rhs."""
-    coeffs = exact_solve(tree.intersection_matrix(), rhs)
-    return BarkCoefficients(tuple(coeffs), sum(c * r for c, r in zip(coeffs, rhs)))
-
-
-def reference_bark_one_sided(ws):
-    return reference_bark(WeightedTree.from_chain(ws), [-1] + [0] * (len(ws) - 1))
-
-
-def reference_bark_chain(ws):
-    tree = WeightedTree.from_chain(ws)
-    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(ws))])
-
-
-def reference_bark_fork(fork):
-    tree = WeightedTree.from_fork(fork)
-    return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(tree.weights))])
 
 
 def seeded_forks(seed=6, count=60):
@@ -124,7 +87,7 @@ def test_bark_errors():
 def test_chain_barks_cross_validate_d50():
     # closed forms vs the dense linear solve, additivity of the two one-sided
     # barks, and the -2 bound with its equality case
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         full = bark_chain(ws)
         left = bark_one_sided(ws)
         assert full == reference_bark_chain(ws)
@@ -195,7 +158,7 @@ def test_platonic_gate():
 
 
 def test_admissible_graphs_are_negative_definite():
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         assert WeightedTree.from_chain(ws).is_negative_definite()
     for shape in eshape_catalog(10):
         if shape.is_fork:
@@ -286,7 +249,7 @@ def test_decompose():
 
 def test_closed_forms_match_tree_routes():
     # the catalog strips chains and forks in closed form; the tree route is
-    # strip_external_minus_two through decompose_exceptional
+    # decompose_exceptional of the reference module
     from dgk.barks import _split_external
 
     for shape in eshape_catalog(20):

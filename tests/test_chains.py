@@ -5,17 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgk import chains
-from dgk.graphs import WeightedTree, canonical_chain, parse_chain
-
-admissible = st.lists(st.integers(2, 6), min_size=0, max_size=10).map(tuple)
-
-
-def e_by_recurrence(weights):
-    """e via e(T) = 1/(a1 - e(T - T1)); independent of the d'/d route."""
-    value = Fraction(0)
-    for a in reversed(weights):
-        value = 1 / (a - value)
-    return value
+from dgk.graphs import canonical_chain, parse_chain
+from reference import WeightedTree, all_admissible_chains_up_to, e_by_recurrence
 
 
 def test_d_examples():
@@ -58,7 +49,7 @@ def test_invariants_basic():
 
 
 def test_invariant_bounds_small_chains():
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         inv = chains.invariants(ws)
         assert inv.e == e_by_recurrence(ws)
         assert inv.e_tilde == e_by_recurrence(ws[::-1])
@@ -67,7 +58,7 @@ def test_invariant_bounds_small_chains():
 
 
 def test_e_two_routes_agree():
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         assert chains.e(ws) == e_by_recurrence(ws)
 
 
@@ -83,7 +74,7 @@ def test_chain_from_e():
 
 def test_e_is_a_bijection_d_le_50():
     seen = set()
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         val = chains.e(ws)
         assert val not in seen
         seen.add(val)
@@ -98,7 +89,7 @@ def test_adjoint_anchors():
 
 
 def test_adjoint_is_involution():
-    for ws in chains.all_admissible_chains_up_to(50):
+    for ws in all_admissible_chains_up_to(50):
         assert chains.adjoint_chain(chains.adjoint_chain(ws)) == ws
 
 
@@ -149,7 +140,7 @@ def test_classify_e_plus_alpha_examples():
 def test_classify_matches_direct_evaluation():
     for alpha in (1, 2, 3):
         pred = chains.classify_e_plus_alpha(alpha)
-        for ws in chains.all_admissible_chains_up_to(60):
+        for ws in all_admissible_chains_up_to(60):
             direct = chains.e(ws) + Fraction(alpha, chains.d(ws)) == 1
             assert pred(ws) == direct, (alpha, ws)
         # the empty chain
@@ -173,7 +164,7 @@ def test_e_sandwich_for_two_run_prefix():
 
 def test_first_weight_two_identity():
     # d = 2 d' - d'' holds exactly when the first weight is 2
-    for ws in chains.all_admissible_chains_up_to(40):
+    for ws in all_admissible_chains_up_to(40):
         lhs = chains.d(ws)
         rhs = 2 * chains.d_prime(ws) - chains.d_second(ws)
         if ws[0] == 2:

@@ -145,6 +145,12 @@ def test_usage_error_exit_code(capsys):
     assert "--jobs" in err
 
 
+def test_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "foo")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'foo'" in err
+
+
 def test_bad_bounds_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "search", "xy", "--bounds", str(tmp_path / "missing.json"))
     assert code == 1

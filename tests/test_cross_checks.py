@@ -15,30 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgk import chains
-from dgk.barks import eshape_catalog
-from dgk.graphs import Fork, WeightedTree, parse_chain
+from dgk.graphs import Fork, parse_chain
 from dgk.predicates import BoundaryCandidate, evaluate_predicates
 from dgk.search import GOLDEN_FILES, load_bounds
-from test_barks import reference_bark_chain, reference_bark_fork
+from reference import WeightedTree, reference_bark_chain, reference_bark_fork, shape
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
-
-
-def boundary_tree(b, twigs):
-    weights = [b]
-    edges = []
-    for twig in twigs:
-        start = len(weights)
-        weights.extend(twig)
-        for i in range(len(twig) - 1):
-            edges.append((start + i, start + i + 1))
-        edges.append((len(weights) - 1, 0))
-    return WeightedTree(weights, edges)
-
-
-def shape_by_key(key, eps):
-    table = {(s.key(), s.epsilon): s for s in eshape_catalog(60)}
-    return table[(key, eps)]
 
 
 def golden_candidates():
@@ -54,8 +36,8 @@ def golden_candidates():
 def test_golden_candidates_survive_independent_routes():
     for raw in golden_candidates():
         twigs = tuple(parse_chain(t) for t in raw["twigs"])
-        shape = shape_by_key(raw["eshape"], raw["epsilon"])
-        cand = BoundaryCandidate(raw["b"], twigs, shape)
+        es = shape(raw["eshape"], raw["epsilon"], size=60)
+        cand = BoundaryCandidate(raw["b"], twigs, es)
 
         # boundary discriminant: twig-product formula vs determinant
         et = sum(chains.e_tilde(t) for t in twigs)
@@ -64,13 +46,13 @@ def test_golden_candidates_survive_independent_routes():
             prod *= chains.d(t)
         d_formula = prod * (raw["b"] - et)
         assert d_formula.denominator == 1
-        assert boundary_tree(raw["b"], twigs).discriminant() == d_formula
+        assert WeightedTree.from_fork(Fork(raw["b"], twigs)).discriminant() == d_formula
 
         # exceptional bark square: catalog closed form vs linear solve
-        if shape.is_fork:
-            assert reference_bark_fork(shape.graph).bk_square == shape.bk_square
+        if es.is_fork:
+            assert reference_bark_fork(es.graph).bk_square == es.bk_square
         else:
-            assert reference_bark_chain(shape.graph).bk_square == shape.bk_square
+            assert reference_bark_chain(es.graph).bk_square == es.bk_square
 
         # the predicate report agrees with the search's verdict
         mode = "h1" if raw in json.loads(
@@ -83,13 +65,12 @@ def test_golden_candidates_survive_independent_routes():
 def test_solver_divisibility_invariants():
     from dgk.ruling import solve_two_fiber
 
-    table = {(s.key(), s.epsilon): s for s in eshape_catalog(12)}
     sweep = [
         ws for dd in range(2, 7) for ws in chains.oriented_chains_with_d(dd)
     ]
     for t1 in sweep:
         for t2 in sweep:
-            for s in solve_two_fiber(t1, t2, table[("[4]", 1)]):
+            for s in solve_two_fiber(t1, t2, shape("[4]", 1)):
                 assert s.d == s.c * s.kappa == s.c_tilde * s.kappa_t
                 assert (s.gamma - 2) % gcd(s.kappa, s.kappa_t) == 0
                 assert s.rho <= s.kappa**2 and s.rho_t <= s.kappa_t**2

@@ -1,20 +1,16 @@
 from fractions import Fraction
-from math import gcd, isqrt
 from types import SimpleNamespace
 
 import pytest
 
 from dgk import chains
-from dgk.barks import eshape_catalog
 from dgk.graphs import format_chain, parse_chain
-from dgk.pairs import mu_trace, reconstruct_fiber
-from dgk.predicates import BoundaryCandidate, evaluate_predicates
+from dgk.pairs import reconstruct_fiber
 from dgk.ruling import (
     ContractionError,
     FiberTuple,
     RulingFiber,
     RulingScenario,
-    _assemble_solution,
     _coprime_pairs_with_length,
     _equation_solutions,
     _int_quadratic_roots,
@@ -30,163 +26,17 @@ from dgk.ruling import (
     two_fiber_relations,
     two_run_twig_branch,
 )
-
-
-def shape(key, eps):
-    table = {(s.key(), s.epsilon): s for s in eshape_catalog(12)}
-    return table[(key, eps)]
-
+from reference import (
+    coprime_pairs_with_length,
+    integer_roots,
+    reference_equation_solutions,
+    reference_solve_two_fiber,
+    shape,
+)
 
 E4 = lambda: shape("[4]", 1)
 SOLVER_SHAPES = (("[2,3]", 2), ("[3]", 2), ("[4]", 1), ("[5]", 1))
 DEFAULT_PREDICATES = solve_two_fiber.__kwdefaults__["predicate_names"]
-
-
-# ---------------------------------------------------------------------------
-# reference route for the two-fiber solver: equation (6) in Fraction
-# arithmetic, with rho as a rational form in kappa and an uncached sweep of
-# the (c', p') pairs
-
-
-def _ref_coprime_pairs_with_length(length):
-    """Brute force: every coprime c >= p >= 1 up to c = Fib(length + 1),
-    which bounds c for a trace of ``length`` steps."""
-    fa, fb = 1, 1
-    for _ in range(length):
-        fa, fb = fb, fa + fb
-    out = []
-    for c in range(1, fb + 1):
-        for p in range(1, c + 1):
-            if gcd(c, p) == 1 and len(mu_trace(c, p)) == length:
-                out.append((c, p))
-    return out
-
-
-def _ref_integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
-    """Integer roots of a x^2 + b x + c = 0 (a may be zero)."""
-    if a == 0:
-        if b == 0:
-            return []
-        x = -c / b
-        return [int(x)] if x.denominator == 1 else []
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    num = disc.numerator * disc.denominator
-    r = isqrt(num)
-    if r * r != num:
-        return []
-    sq = Fraction(r, disc.denominator)
-    roots = []
-    for sign in (1, -1):
-        x = (-b + sign * sq) / (2 * a)
-        if x.denominator == 1:
-            roots.append(int(x))
-    return sorted(set(roots))
-
-
-def _ref_rho_form(delta_size: int) -> tuple[Fraction, Fraction]:
-    """rho as a*kappa^2 + a0: (1, 0) without boundary curves, else the
-    single-boundary-curve form (kappa^2+1)/2."""
-    if delta_size == 0:
-        return Fraction(1), Fraction(0)
-    if delta_size == 1:
-        return Fraction(1, 2), Fraction(1, 2)
-    raise ValueError("only 0 or 1 boundary curves per fiber are supported")
-
-
-def _ref_rho_value(kappa: int, delta_size: int) -> int:
-    a, a0 = _ref_rho_form(delta_size)
-    val = a * kappa * kappa + a0
-    if val.denominator != 1:
-        raise ValueError(f"rho not integral for kappa={kappa}")
-    return int(val)
-
-
-def reference_equation_solutions(t1, t2, eshape):
-    """The solver's sweep up to the (5)/(6) check, with (6) solved over the
-    rationals; yields the FiberTuple of each solution."""
-    gamma = eshape.e_weights[0]
-    eps = eshape.epsilon
-    ke = eshape.ke
-    n_delta_curves = eshape.size - len(eshape.e_weights)
-    splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
-    d2 = chains.d(t2)
-    p_over = d2 - chains.d_prime(t2)
-    for n in (1, 2, 3):
-        alpha = n + eps + ke - 4
-        if not 0 <= alpha <= n:
-            continue
-        h = 3 + alpha
-        tail_len = len(t1) - (h - 3)
-        if tail_len < 1:
-            continue
-        for df, dft in splits:
-            c_h = 1 + df
-            ct_h = 1 + dft
-            for c_pr, p_pr in _ref_coprime_pairs_with_length(tail_len):
-                c = c_pr * d2
-                p = c_pr * p_over
-                a, a0 = _ref_rho_form(df)
-                for kappa_t in range(2, 3 * c + 1):
-                    if (c * (gamma - 2)) % kappa_t:
-                        continue
-                    if dft == 1 and kappa_t % 2 == 0:
-                        continue
-                    rho_t = _ref_rho_value(kappa_t, dft)
-                    qa = Fraction((c - c_pr) * (alpha * c_pr + p_pr)) - a
-                    qb = Fraction(-c * (gamma - 2))
-                    qc = Fraction(gamma) - a0 - rho_t
-                    for kappa in _ref_integer_roots(qa, qb, qc):
-                        if kappa < 2 or (df == 1 and kappa % 2 == 0):
-                            continue
-                        if (kappa - (c_h - 1)) % c_h or (kappa - (c_h - 1)) // c_h < 1:
-                            continue
-                        d = c * kappa
-                        if d % kappa_t:
-                            continue
-                        c_t = d // kappa_t
-                        if (kappa_t - (ct_h - 1)) % ct_h:
-                            continue
-                        if (kappa_t - (ct_h - 1)) // ct_h < 1:
-                            continue
-                        num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
-                        if num % kappa_t:
-                            continue
-                        p_t = num // kappa_t
-                        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
-                            continue
-                        if (gamma - 2) % gcd(kappa, kappa_t):
-                            continue
-                        rho = _ref_rho_value(kappa, df)
-                        r5, r6 = two_fiber_relations(
-                            n=n, gamma=gamma, alpha=alpha, kappa=kappa,
-                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
-                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
-                            rho=rho, rho_t=rho_t,
-                        )
-                        if r5 or r6:
-                            continue
-                        yield FiberTuple(
-                            n=n, gamma=gamma, epsilon=eps, ke=ke, kappa=kappa,
-                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
-                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
-                            delta_f_size=df, delta_ft_size=dft,
-                        )
-
-
-def reference_solve_two_fiber(t1, t2, eshape, predicate_names):
-    """solve_two_fiber with the default b set and group-order mode."""
-    solutions = []
-    for tup in reference_equation_solutions(t1, t2, eshape):
-        sol = _assemble_solution(tup, t1, t2, eshape)
-        if sol is None or sol.b not in (1, 2):
-            continue
-        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
-        if evaluate_predicates(cand).passes(predicate_names):
-            solutions.append(sol)
-    solutions.sort(key=lambda s: s.sort_key())
-    return solutions
 
 
 def oracle_sweep():
@@ -289,13 +139,13 @@ def test_int_quadratic_roots_match_fraction_reference():
     for a in range(-4, 5):
         for b in range(-6, 7):
             for c in range(-6, 7):
-                want = _ref_integer_roots(Fraction(a, 2), Fraction(b, 2), Fraction(c, 2))
+                want = integer_roots(Fraction(a, 2), Fraction(b, 2), Fraction(c, 2))
                 assert _int_quadratic_roots(a, b, c) == want, (a, b, c)
 
 
 def test_coprime_pairs_match_brute_force():
     for length in range(13):
-        want = tuple(_ref_coprime_pairs_with_length(length))
+        want = tuple(coprime_pairs_with_length(length))
         assert _coprime_pairs_with_length(length) == want, length
 
 

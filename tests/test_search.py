@@ -2,7 +2,6 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -38,13 +37,9 @@ from dgk.search import (
     search_xy,
     verify_suite,
 )
+from reference import cand_delta, cand_et, reference_square_and_zar_bk2, shape
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
-
-
-def shape(key, eps):
-    table = {(s.key(), s.epsilon): s for s in eshape_catalog(12)}
-    return table[(key, eps)]
 
 
 def test_predicate_report_is_complete():
@@ -87,35 +82,6 @@ def test_lambda_and_p_square():
     degenerate = BoundaryCandidate(1, (parse_chain("[2]"),) * 3, shape("[4]", 1))
     with pytest.raises(ValueError):
         lambda_and_p_square(degenerate)
-
-
-def cand_et(cand):
-    from dgk import chains
-
-    return sum(chains.e_tilde(t) for t in cand.twigs)
-
-
-def cand_delta(cand):
-    from dgk import chains
-
-    return sum(chains.delta(t) for t in cand.twigs)
-
-
-def reference_square_and_zar_bk2(cand):
-    """The square and zar_bk2 entries by the Fraction route:
-    d(D) = d1*d2*d3*(b - e~) and P^2 = (1 - delta)^2/(e~ - b)."""
-    es = cand.eshape
-    d1, d2, d3 = (chains.d(t) for t in cand.twigs)
-    e = sum(chains.e(t) for t in cand.twigs)
-    et, delta = cand_et(cand), cand_delta(cand)
-    ratio = -(Fraction(d1 * d2 * d3) * (cand.b - et)) / es.d
-    root = isqrt(ratio.numerator) if ratio > 0 else -1
-    is_square = ratio.denominator == 1 and root * root == ratio.numerator
-    square = (is_square, f"-d(D)/d(E) = {ratio}")
-    if et == cand.b or delta == 1:
-        return square, (False, "degenerate: e~ = b or delta = 1")
-    rhs = -((1 - delta) ** 2 / (et - cand.b)) + e - 1 - es.epsilon
-    return square, (es.bk_square == rhs, f"{es.bk_square} vs {rhs}")
 
 
 def test_square_and_zar_bk2_match_the_fraction_route():
