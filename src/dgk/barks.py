@@ -151,14 +151,15 @@ def bark_one_sided(weights: Weights) -> BarkCoefficients:
 
 def bark_chain(weights: Weights) -> BarkCoefficients:
     """Full bark of an admissible chain, Bk = Bk'(T,T1) + Bk'(T,Tn):
-    m_i = (d(T after i) + d(T before i))/d(T)."""
+    m_i = (d(T after i) + d(T before i))/d(T).  Bk . D_i is -1 at the two
+    ends and 0 inside, so Bk^2 = -(m_1 + m_n) = -(d' + d'~ + 2)/d."""
     _check_chain(weights)
     dd = chains.d(weights)
     coeffs = tuple(
         Fraction(chains.d(weights[i + 1:]) + chains.d(weights[:i]), dd)
         for i in range(len(weights))
     )
-    return BarkCoefficients(coeffs, chain_bark_square(weights))
+    return BarkCoefficients(coeffs, -(coeffs[0] + coeffs[-1]))
 
 
 def bark_fork(fork: Fork) -> BarkCoefficients:
@@ -259,17 +260,6 @@ def _graph_key(graph: Weights | Fork) -> str:
     return format_chain(graph)
 
 
-def chain_bark_square(weights: Weights) -> Fraction:
-    """Bk^2 of an admissible chain by the closed form -(d'+d'(rev)+2)/d."""
-    # one pass of d = a*d_prev - d_prev2 along the chain and along its tail
-    d_prev, d_full = 1, weights[0]
-    dp_prev, dp = 0, 1
-    for a in weights[1:]:
-        d_prev, d_full = d_full, a * d_full - d_prev
-        dp_prev, dp = dp, a * dp - dp_prev
-    return -Fraction(dp + d_prev + 2, d_full)
-
-
 def _leading_twos(weights: Weights) -> int:
     for i, w in enumerate(weights):
         if w != 2:
@@ -312,13 +302,28 @@ def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
 # the catalog of exceptional shapes
 
 
-class Family(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Family:
     """A catalog family: its tag, its epsilon and the weights other than 2
-    of its chains, in order; empty for the fork families b1 and b2."""
+    of its chains, in order; empty for the fork families b1 and b2.
+
+    Two constants are set once per family: ``ke``, K.E = sum(w - 2) over
+    the weights, and ``offset`` = len(weights) - epsilon - K.E.  A chain
+    spec's E is its chain without the end runs, so #E - epsilon - K.E is
+    its run sum plus ``offset``.  A fork family's forks read theirs from
+    their shape.
+    """
 
     name: str
     epsilon: int
     weights: Weights
+    ke: int = field(init=False, compare=False, repr=False)
+    offset: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ke = sum(self.weights) - 2 * len(self.weights)
+        object.__setattr__(self, "ke", ke)
+        object.__setattr__(self, "offset", len(self.weights) - self.epsilon - ke)
 
 
 # A shape spec is (family, r0, r1, ..., rk) for the chain
@@ -422,34 +427,39 @@ def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
     return canonical_chain(chain)
 
 
+def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
+    """(d, -(d' + d'~ + 2)) of a chain spec, so that Bk^2 is their quotient.
+
+    The product of [[w, -1], [1, 0]] over a chain's weights is
+    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], and a run of r 2's
+    contributes [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], so the
+    product takes one step per weight other than 2 and none per 2.
+    """
+    r = spec[1]
+    p, q, s, t = 1 + r, -r, r, 1 - r
+    for w, r in zip(spec[0].weights, spec[2:]):
+        p, q, s, t = p * w + q, -p, s * w + t, -s
+        p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
+    return p, q - s - 2
+
+
 def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     graph = _spec_graph(spec)
     family = spec[0]
-    if isinstance(graph, Fork):
-        size = 1 + sum(len(t) for t in graph.twigs)
-        inv = fork_invariants(graph)
-        dd, g, bk2 = inv.d, inv.group_order, inv.bk_square
-    else:
-        size = len(graph)
-        dd = chains.d(graph)
-        bk2 = chain_bark_square(graph)
-        g = dd
     e_weights, n_delta = _split_external(graph)
     if not e_weights:
         raise ValueError("exceptional shape consists of (-2)-curves only")
-    ke = sum(e_weights) - 2 * len(e_weights)
+    if isinstance(graph, Fork):
+        inv = fork_invariants(graph)
+        size, ke = 1 + sum(map(len, graph.twigs)), sum(e_weights) - 2 * len(e_weights)
+        dd, g, bk2 = inv.d, inv.group_order, inv.bk_square
+    else:
+        dd, num = _chain_continuants(spec)
+        size, ke = sum(spec[1:]) + len(family.weights), family.ke
+        g, bk2 = dd, Fraction(num, dd)
     return ExceptionalShape(
-        graph=graph,
-        epsilon=family.epsilon,
-        families=(family.name,),
-        e_weights=e_weights,
-        n_delta_components=n_delta,
-        ke=ke,
-        size=size,
-        d=dd,
-        bk_square=bk2,
-        g_order=g,
-        spec=spec,
+        graph=graph, epsilon=family.epsilon, families=(family.name,), e_weights=e_weights,
+        n_delta_components=n_delta, ke=ke, size=size, d=dd, bk_square=bk2, g_order=g, spec=spec,
     )
 
 
@@ -457,8 +467,9 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
 def shape_of(spec: ShapeSpec) -> ExceptionalShape:
     """The shape of ``spec``, built on first request.
 
-    The scan resolves index hits here, so the cache holds only the shapes
-    some probe asked for; :func:`eshape_catalog` builds its own.
+    The scan resolves index hits here and :class:`SpecIndex` reads its few
+    forks here, so the cache holds only those shapes; :func:`eshape_catalog`
+    builds its own.
     """
     return _make_shape(spec)
 
@@ -480,51 +491,6 @@ def named_shapes() -> Mapping[tuple[str, int], ExceptionalShape]:
     return MappingProxyType({(s.key(), s.epsilon): s for s in eshape_catalog(12)})
 
 
-def _noether_key(spec: ShapeSpec) -> tuple[int, int]:
-    """(#E - epsilon - K.E, epsilon + K.E) of a spec, with no shape built.
-
-    A chain family has #E = sum of the runs + the number of its weights
-    other than 2, and K.E is the sum of w - 2 over those weights, so both
-    entries are the run sum and a constant of the family.  A fork strips its
-    external (-2)-curves in closed form.
-    """
-    family = spec[0]
-    if family.weights:
-        size = sum(spec[1:]) + len(family.weights)
-        e_weights = family.weights
-    else:
-        size = 1 + sum(len(t) for t in spec[1].twigs)
-        e_weights, _ = _split_external(spec[1])
-    ke = sum(e_weights) - 2 * len(e_weights)
-    return size - family.epsilon - ke, family.epsilon + ke
-
-
-def _square_key(spec: ShapeSpec) -> tuple[int, int]:
-    """Bk^2(E) + epsilon of a spec as a reduced (numerator, denominator),
-    with no shape built.
-
-    For a chain the product of [[w, -1], [1, 0]] over its weights is
-    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], a run of r 2's gives
-    [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], and
-    Bk^2 = -(d(ws[1:]) + d(ws[:-1]) + 2)/d, all in integers from the runs.
-    The few forks read their shape.
-    """
-    family = spec[0]
-    if family.weights:
-        r = spec[1]
-        p, q, s, t = 1 + r, -r, r, 1 - r
-        for w, r in zip(family.weights, spec[2:]):
-            p, q, s, t = p * w + q, -p, s * w + t, -s
-            p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
-        num, den = q - s - 2, p
-        g = gcd(num, den)
-        num, den = num // g, den // g
-    else:
-        bk2 = _make_shape(spec).bk_square
-        num, den = bk2.numerator, bk2.denominator
-    return num + family.epsilon * den, den
-
-
 Bucket = Mapping[tuple[int, int], tuple[ShapeSpec, ...]]
 _NO_BUCKET: Bucket = MappingProxyType({})
 
@@ -537,32 +503,30 @@ class SpecIndex:
     4 + b + sum K.T_i - sum #T_i and the Zariski identity pins Bk^2(E) +
     epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
 
-    Specs are grouped by k alone when the index is made, from their run
-    sums (:func:`_noether_key`); ``first_keys`` are the k that hold a spec,
-    and the scan joins its twig triples on them.  :meth:`bucket` computes
-    the (numerator, denominator) keys of one k the first time a probe asks
-    for it; ``buckets`` holds those built so far.  ``reach`` is the largest
-    epsilon + K.E of the entries, so a probe with first key entry k asks
-    for shapes of at most k + reach components.
+    Specs are grouped by k alone when the index is made: a chain spec's k
+    is its run sum plus its family's ``offset``, and a fork spec reads its
+    shape.  ``first_keys`` are the k that hold a spec, and the scan joins
+    its twig triples on them.  :meth:`bucket` computes the (numerator,
+    denominator) keys of one k the first time a probe asks for it, a chain
+    spec's from :func:`_chain_continuants`; ``buckets`` holds those built
+    so far.  ``reach`` is the largest epsilon + K.E of the entries, so a
+    probe with first key entry k asks for shapes of at most k + reach
+    components.
     """
 
     def __init__(self, specs: Iterable[ShapeSpec]) -> None:
         groups: dict[int, list[ShapeSpec]] = {}
-        offsets: dict[Family, int] = {}  # a chain family's k minus its run sum
-        reach = 0
+        reach, last = 0, None
         for spec in specs:
             family = spec[0]
             if family.weights:
-                runs = sum(spec[1:])
-                offset = offsets.get(family)
-                if offset is None:
-                    key, eps_ke = _noether_key(spec)
-                    offset = offsets[family] = key - runs
-                    reach = max(reach, eps_ke)
-                key = runs + offset
+                key = sum(spec[1:]) + family.offset
+                if family is not last:  # specs come in runs of one family
+                    last, reach = family, max(reach, family.epsilon + family.ke)
             else:
-                key, eps_ke = _noether_key(spec)
-                reach = max(reach, eps_ke)
+                shape = shape_of(spec)
+                key = shape.size - shape.epsilon - shape.ke
+                reach = max(reach, shape.epsilon + shape.ke)
             groups.setdefault(key, []).append(spec)
         self._groups = groups
         self.first_keys = frozenset(groups)
@@ -578,7 +542,14 @@ class SpecIndex:
                 return _NO_BUCKET
             probes: dict[tuple[int, int], tuple[ShapeSpec, ...]] = {}
             for spec in self._groups[k]:
-                pair = _square_key(spec)
+                family = spec[0]
+                if family.weights:
+                    den, num = _chain_continuants(spec)
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+                else:
+                    num, den = shape_of(spec).bk_square.as_integer_ratio()
+                pair = num + family.epsilon * den, den
                 probes[pair] = probes.get(pair, ()) + (spec,)
             bucket = self.buckets[k] = probes
         return bucket
@@ -587,5 +558,6 @@ class SpecIndex:
 @lru_cache(maxsize=None)
 def catalog_index(max_size: int) -> SpecIndex:
     """The catalog up to ``max_size`` components as a :class:`SpecIndex`;
-    it holds exactly the shapes of :func:`eshape_catalog` but builds none."""
+    it holds exactly the shapes of :func:`eshape_catalog` but builds only
+    those of its forks."""
     return SpecIndex(family_specs(max_size))

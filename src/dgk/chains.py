@@ -51,10 +51,7 @@ def d_second(weights: Weights) -> int:
 
 
 def e(weights: Weights) -> Fraction:
-    den = d(weights)
-    if den == 0:
-        raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
-    return Fraction(d_prime(weights), den)
+    return invariants(weights).e
 
 
 def e_tilde(weights: Weights) -> Fraction:
@@ -62,15 +59,13 @@ def e_tilde(weights: Weights) -> Fraction:
 
 
 def delta(weights: Weights) -> Fraction:
-    den = d(weights)
-    if den == 0:
-        raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
-    return Fraction(1, den)
+    return invariants(weights).delta
 
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """The integers of one oriented chain that fork sums and scan keys read."""
+    """The integers of one oriented chain; fork sums and scan keys read them,
+    and the rational invariants are its properties."""
 
     ws: Weights
     d: int
@@ -78,38 +73,42 @@ class ChainRecord:
     d_prime_rev: int  # d of the chain without its last curve, so e~ = d'(rev)/d
     kd: int  # sum of (w - 3): K.T - #T, the chain's share of the probe key
 
+    @property
+    def d_second(self) -> int:
+        return d_second(self.ws)
+
+    @property
+    def e(self) -> Fraction:
+        return Fraction(self.d_prime, self.d)
+
+    @property
+    def e_tilde(self) -> Fraction:
+        return Fraction(self.d_prime_rev, self.d)
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(1, self.d)
+
 
 def chain_record(weights: Weights) -> ChainRecord:
-    """The record of any weights; nothing is divided, so d = 0 is fine."""
-    return ChainRecord(
-        weights, d(weights), d_prime(weights), d(weights[:-1]), sum(w - 3 for w in weights)
-    )
+    """The record of any weights; nothing is divided, so d = 0 is fine.
+
+    One pass multiplies [[a, -1], [1, 0]] over the weights; the product is
+    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], the identity for the
+    empty chain, whose d' and d(ws[:-1]) are both 0.
+    """
+    p, q, s, t = 1, 0, 0, 1
+    for a in weights:
+        p, q, s, t = a * p + q, -p, a * s + t, -s
+    return ChainRecord(weights, p, s, -q, sum(weights) - 3 * len(weights))
 
 
-@dataclass(frozen=True)
-class ChainInvariants:
-    d: int
-    d_prime: int
-    d_second: int
-    e: Fraction
-    e_tilde: Fraction
-    delta: Fraction
-
-
-def invariants(weights: Weights) -> ChainInvariants:
-    """All six invariants."""
-    dd = d(weights)
-    if dd == 0:
+def invariants(weights: Weights) -> ChainRecord:
+    """The record of a chain with d != 0, whose fractions are all defined."""
+    record = chain_record(weights)
+    if record.d == 0:
         raise DegenerateChainError(f"chain {format_chain(weights)} has zero discriminant")
-    dp = d_prime(weights)
-    return ChainInvariants(
-        d=dd,
-        d_prime=dp,
-        d_second=d_second(weights),
-        e=Fraction(dp, dd),
-        e_tilde=e(reverse_chain(weights)),
-        delta=Fraction(1, dd),
-    )
+    return record
 
 
 def chain_from_e(target: Fraction) -> Weights:
@@ -142,26 +141,32 @@ def adjoint_chain(weights: Weights) -> Weights:
 def oriented_chains_with_d(target: int) -> list[Weights]:
     """All oriented admissible chains with discriminant ``target``.
 
-    Walks the prepend recursion d_new = a*d - d' from the empty chain,
-    memoised implicitly by the (d, d') state; d strictly increases at each
-    step, so the search tree is finite.
+    Walks the prepend recursion d_new = a*d - d' from the empty chain with
+    an explicit stack, so a chain of target - 1 curves needs no call depth;
+    d strictly increases at each step, so the search tree is finite.
     """
     if target < 1:
         raise ValueError("discriminant must be >= 1")
     found: list[Weights] = []
-
-    def grow(chain: Weights, dd: int, dp: int) -> None:
-        if dd == target and chain:
-            found.append(chain)
-        a = 2
-        while True:
-            nd = a * dd - dp
-            if nd > target:
-                break
-            grow((a,) + chain, nd, dd)
-            a += 1
-
-    grow((), 1, 0)
+    stack: list[tuple[Weights, int, int]] = [((), 1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chain, dd, dp = pop()
+        if dd == target:
+            if chain:
+                found.append(chain)
+            continue
+        # the children a*dd - dp <= target, walked in increasing a: pushed
+        # last, so popped first, are those of d <= (target + dd)/2, which
+        # have children themselves; the rest are leaves, and only the one
+        # of d = target is kept
+        a = (target + dp) // dd
+        if a * dd - dp == target:
+            push(((a,) + chain, target, dd))
+        a = ((target + dd) // 2 + dp) // dd
+        while a >= 2:
+            push(((a,) + chain, a * dd - dp, dd))
+            a -= 1
     return found
 
 

@@ -95,6 +95,8 @@ def cmd_enumerate(args) -> tuple[int, object, str]:
         found = chains.enumerate_admissible_chains(args.d)
         lines = [format_chain(ws) for ws in found]
         return 0, lines, "\n".join(lines)
+    if args.max_size < 0:
+        raise ValueError("--max-size must be >= 0")
     shapes = eshape_catalog(args.max_size)
     payload = [
         {

@@ -4,9 +4,10 @@ the package against.
 The package computes every discriminant, bark, stripped shape and solver
 tuple in closed form.  The generic routes those closed forms replaced live
 here and nowhere else: the weighted tree with its determinant and
-negative-definiteness test, the dense linear solve for barks, the tree
-route that strips external (-2)-curves, the simulated multiplicity trace,
-the continued-fraction recurrence for e, and the two-fiber solver and the
+negative-definiteness test, the dense linear solve for barks, the
+per-weight recurrence for a chain's Bk^2, the tree route that strips
+external (-2)-curves, the simulated multiplicity trace, the
+continued-fraction recurrence for e, and the two-fiber solver and the
 square/zar_bk2 entries in ``Fraction`` arithmetic.  ``tests/test_source.py``
 keeps them out of the package: every package function must have a caller
 in the package.
@@ -254,6 +255,17 @@ def reference_bark_chain(ws):
 def reference_bark_fork(fork):
     tree = WeightedTree.from_fork(fork)
     return reference_bark(tree, [len(tree.adj[i]) - 2 for i in range(len(tree.weights))])
+
+
+def chain_bark_square(weights: Weights) -> Fraction:
+    """Bk^2 of an admissible chain, -(d(ws[1:]) + d(ws[:-1]) + 2)/d, by one
+    pass of d = a*d_prev - d_prev2 along the chain and along its tail."""
+    d_prev, d_full = 1, weights[0]
+    dp_prev, dp = 0, 1
+    for a in weights[1:]:
+        d_prev, d_full = d_full, a * d_full - d_prev
+        dp_prev, dp = dp, a * dp - dp_prev
+    return -Fraction(dp + d_prev + 2, d_full)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,11 @@ import pytest
 from dgk import chains
 from dgk.barks import (
     _make_shape,
-    _noether_key,
-    _square_key,
     admissible_fork_invariants,
     bark_chain,
     bark_fork,
     bark_one_sided,
     catalog_index,
-    chain_bark_square,
     eshape_catalog,
     family_specs,
     fork_invariants,
@@ -29,6 +26,7 @@ from dgk.graphs import Fork, canonical_chain, format_chain, parse_chain
 from reference import (
     WeightedTree,
     all_admissible_chains_up_to,
+    chain_bark_square,
     decompose_exceptional,
     reference_bark_chain,
     reference_bark_fork,
@@ -439,13 +437,19 @@ def test_catalog_index_matches_shape_index(max_size):
     assert index.reach == max(s.epsilon + s.ke for s in eshape_catalog(max_size))
 
 
-def test_integer_probe_keys_match_fraction_keys():
-    for s in eshape_catalog(60):
-        bk2 = fork_invariants(s.graph).bk_square if s.is_fork else chain_bark_square(s.graph)
-        key = (s.size - s.epsilon - s.ke, bk2.numerator + s.epsilon * bk2.denominator,
-               bk2.denominator)
-        k, eps_ke = _noether_key(s.spec)
-        assert ((k, *_square_key(s.spec)), eps_ke) == (key, s.epsilon + s.ke)
+def test_shape_fields_match_independent_routes():
+    # the catalog reads a chain's size, d and Bk^2 off its runs; here they
+    # come from the weights, by routes that share no code with that product
+    cat = eshape_catalog(60)
+    assert len(cat) == 39811
+    for s in cat:
+        if s.is_fork:
+            inv = fork_invariants(s.graph)
+            want = (1 + sum(map(len, s.graph.twigs)), inv.d, inv.bk_square)
+        else:
+            want = (len(s.graph), chains.d(s.graph), chain_bark_square(s.graph))
+        assert (s.size, s.d, s.bk_square) == want
+        assert s.ke == sum(w - 2 for w in s.e_weights)
 
 
 def test_catalog_index_builds_buckets_on_demand():

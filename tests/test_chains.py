@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -48,6 +49,24 @@ def test_invariants_basic():
     assert inv.e_tilde + inv.delta == Fraction(3, 5)
 
 
+def test_invariants_are_the_chain_record():
+    # one record per chain: its fractions are properties of its integers
+    for ws in all_admissible_chains_up_to(30):
+        inv = chains.invariants(ws)
+        assert inv == chains.chain_record(ws)
+        assert (inv.d, inv.d_prime, inv.d_prime_rev) == (
+            chains.d(ws), chains.d(ws[1:]), chains.d(ws[:-1])
+        )
+        assert inv.d_second == chains.d_second(ws)
+        assert (inv.e, inv.e_tilde, inv.delta) == (
+            chains.e(ws), chains.e_tilde(ws), chains.delta(ws)
+        )
+    empty = chains.invariants(())
+    assert (empty.d, empty.d_prime, empty.d_second, empty.e_tilde) == (1, 0, 0, 0)
+    with pytest.raises(chains.DegenerateChainError, match=r"chain \[1,1\] has zero"):
+        chains.invariants((1, 1))
+
+
 def test_invariant_bounds_small_chains():
     for ws in all_admissible_chains_up_to(50):
         inv = chains.invariants(ws)
@@ -91,6 +110,17 @@ def test_adjoint_anchors():
 def test_adjoint_is_involution():
     for ws in all_admissible_chains_up_to(50):
         assert chains.adjoint_chain(chains.adjoint_chain(ws)) == ws
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 1500])
+def test_oriented_chains_with_d_inverts_e(n):
+    # e is a bijection onto the reduced fractions of (0, 1), so the chains
+    # of discriminant n are the phi(n) chains of k/n with gcd(k, n) = 1;
+    # at n = 1500 the chain of 2's has 1499 curves
+    want = [chains.chain_from_e(Fraction(k, n)) for k in range(1, n) if gcd(k, n) == 1]
+    assert sorted(chains.oriented_chains_with_d(n)) == sorted(want)
+    if n == 1500:
+        assert len(want) == 400 and (2,) * 1499 in want
 
 
 def test_enumerate_small_discriminants():

@@ -46,6 +46,30 @@ def test_enumerate_chains(capsys):
     assert out.splitlines() == ["[(6)]", "[(2),3]", "[2,4]", "[7]"]
 
 
+def test_enumerate_chains_with_a_long_chain_of_twos(capsys):
+    # the chain of 2's has 1499 curves; the 400 oriented chains of
+    # discriminant 1500 hold 8 palindromes, so 204 remain up to reversal
+    code, out, _ = run(capsys, "enumerate", "chains", "--d", "1500")
+    assert code == 0
+    assert len(out.splitlines()) == 204 and out.splitlines()[0] == "[(1499)]"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["chains", "--d", "1"], "discriminant must be >= 2"),
+        (["eshapes", "--max-size", "-3"], "--max-size must be >= 0"),
+    ],
+)
+def test_enumerate_rejects_bad_bounds(capsys, argv, message):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}")
+
+
+def test_enumerate_eshapes_of_size_zero_is_empty(capsys):
+    assert run(capsys, "--json", "enumerate", "eshapes", "--max-size", "0") == (0, "[]", "")
+
+
 def test_pairs_roundtrip(capsys):
     code, out, _ = run(capsys, "pairs", "reconstruct", "14", "3")
     assert code == 0

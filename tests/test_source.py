@@ -72,9 +72,11 @@ def test_chain_fractions_stay_off_the_fork_path():
 
 
 # Functions that only the tests call, each waiting for a reason to stay: the
-# paper checks that are to become entries of `dgk verify`, and the two chain
-# functions the benchmark's queries workload calls.  Every other function
-# only the tests call is a reference route and belongs in tests/reference.py.
+# paper checks that are to become entries of `dgk verify`, and the chain
+# function the benchmark's queries workload calls (its other one,
+# chains.invariants, is the checked route of chains.e and chains.delta).
+# Every other function only the tests call is a reference route and belongs
+# in tests/reference.py.
 AWAITING_MANIFEST = {
     "ruling.tail_chain_23_branch",
     "ruling.second_fiber_square_branch",
@@ -85,7 +87,6 @@ AWAITING_MANIFEST = {
     "chains.classify_e_plus_alpha",
     "pairs.mu_sums",
     "predicates.lambda_and_p_square",
-    "chains.invariants",
     "chains.adjoint_chain",
 }
 
@@ -131,3 +132,26 @@ def test_no_package_function_is_only_called_by_tests():
                 uncalled.add(qualname)
     # the set is exact: a listed name that gains a caller must leave it
     assert uncalled == AWAITING_MANIFEST
+
+
+def test_no_package_function_calls_itself():
+    # a deep input must not meet Python's recursion limit: a walk whose
+    # depth grows with the input keeps an explicit stack instead.  Only a
+    # bare call of the function's own name counts; an attribute call such
+    # as super().__init__() reaches another function, and so does a bare
+    # name inside a method, which resolves in the module and not the class.
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert len(paths) >= 9
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body
+        }
+        for qualname, fn in _functions(tree, path.stem):
+            if id(fn) in methods:
+                continue
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name:
+                    found.append(f"{qualname}:{n.lineno}")
+    assert found == []
