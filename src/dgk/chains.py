@@ -12,14 +12,16 @@ d'(T) drops the first component, d''(T) the first two.  For admissible chains
 
 and e satisfies the continued-fraction recurrence e(T) = 1/(a1 - e(T - T1)),
 which makes e a bijection from oriented admissible chains onto the rationals
-of (0,1) (the empty chain maps to 0).
+of (0,1) (the empty chain maps to 0).  Its inverse is the Hirzebruch-Jung
+continued fraction, which :func:`chain_of` expands in integers; every chain
+this module builds from a fraction or a discriminant comes from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from math import gcd
+from typing import Callable, NamedTuple
 
 from .graphs import Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain
 
@@ -62,8 +64,7 @@ def delta(weights: Weights) -> Fraction:
     return invariants(weights).delta
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     """The integers of one oriented chain; fork sums and scan keys read them,
     and the rational invariants are its properties."""
 
@@ -111,63 +112,51 @@ def invariants(weights: Weights) -> ChainRecord:
     return record
 
 
-def chain_from_e(target: Fraction) -> Weights:
-    """The unique admissible chain with e equal to ``target`` in [0, 1).
+def chain_of(dd: int, k: int) -> Weights:
+    """The admissible chain T with d(T) = dd and d'(T) = k, for coprime 0 <= k < dd.
 
-    Unwinds the continued fraction: a1 is the ceiling of 1/target and the
-    recursion continues on a1 - 1/target.  target == 0 gives the empty chain.
+    The Hirzebruch-Jung expansion of dd/k in integers: a1 is the ceiling of
+    dd/k, and T - T1 is the chain of d = k and d' = a1*k - dd.  k == 0 gives
+    the empty chain.
     """
-    target = Fraction(target)
-    if not 0 <= target < 1:
-        raise ValueError(f"e value must lie in [0,1), got {target}")
     weights: list[int] = []
-    while target != 0:
-        inv = 1 / target
-        a = -((-inv.numerator) // inv.denominator)  # ceiling
+    while k:
+        a = -(-dd // k)
         weights.append(a)
-        target = a - inv
+        dd, k = k, a * k - dd
     return tuple(weights)
 
 
+def chain_from_e(target: Fraction) -> Weights:
+    """The unique admissible chain with e equal to ``target`` in [0, 1)."""
+    if isinstance(target, (float, bool)):
+        raise ValueError(f"e value must be exact, got {target!r}")
+    target = Fraction(target)
+    if not 0 <= target < 1:
+        raise ValueError(f"e value must lie in [0,1), got {target}")
+    return chain_of(target.denominator, target.numerator)
+
+
 def adjoint_chain(weights: Weights) -> Weights:
-    """The admissible chain A with e(A) = 1 - e(T)."""
+    """The admissible chain A with e(A) = 1 - e(T): d(A) = d(T), d'(A) = d(T) - d'(T)."""
     if not weights:
         raise ValueError("the empty chain has no adjoint")
     if not is_admissible_chain(weights):
         raise ValueError(f"chain {weights} is not admissible")
-    return chain_from_e(1 - e(weights))
+    record = chain_record(weights)
+    return chain_of(record.d, record.d - record.d_prime)
 
 
 def oriented_chains_with_d(target: int) -> list[Weights]:
     """All oriented admissible chains with discriminant ``target``.
 
-    Walks the prepend recursion d_new = a*d - d' from the empty chain with
-    an explicit stack, so a chain of target - 1 curves needs no call depth;
-    d strictly increases at each step, so the search tree is finite.
+    One for each k < target coprime to target: the chain with e~ = k/target,
+    the reversal of ``chain_of(target, k)``.  Taken by decreasing k they come
+    in increasing order of their reversed weights.
     """
     if target < 1:
         raise ValueError("discriminant must be >= 1")
-    found: list[Weights] = []
-    stack: list[tuple[Weights, int, int]] = [((), 1, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        chain, dd, dp = pop()
-        if dd == target:
-            if chain:
-                found.append(chain)
-            continue
-        # the children a*dd - dp <= target, walked in increasing a: pushed
-        # last, so popped first, are those of d <= (target + dd)/2, which
-        # have children themselves; the rest are leaves, and only the one
-        # of d = target is kept
-        a = (target + dp) // dd
-        if a * dd - dp == target:
-            push(((a,) + chain, target, dd))
-        a = ((target + dd) // 2 + dp) // dd
-        while a >= 2:
-            push(((a,) + chain, a * dd - dp, dd))
-            a -= 1
-    return found
+    return [chain_of(target, k)[::-1] for k in range(target - 1, 0, -1) if gcd(k, target) == 1]
 
 
 def enumerate_admissible_chains(target: int) -> list[Weights]:

@@ -325,10 +325,43 @@ def decompose_exceptional(graph: Weights | Fork) -> tuple[tuple[int, ...], list[
 # chains, pair sequences and catalog shapes
 
 
+def oriented_chains_by_walk(target: int) -> list[Weights]:
+    """All oriented admissible chains with discriminant ``target``.
+
+    Walks the prepend recursion d_new = a*d - d' from the empty chain with
+    an explicit stack, so a chain of target - 1 curves needs no call depth;
+    d strictly increases at each step, so the search tree is finite.
+    Independent of the continued-fraction inversion the package uses.
+    """
+    if target < 1:
+        raise ValueError("discriminant must be >= 1")
+    found: list[Weights] = []
+    stack: list[tuple[Weights, int, int]] = [((), 1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chain, dd, dp = pop()
+        if dd == target:
+            if chain:
+                found.append(chain)
+            continue
+        # the children a*dd - dp <= target, walked in increasing a: pushed
+        # last, so popped first, are those of d <= (target + dd)/2, which
+        # have children themselves; the rest are leaves, and only the one
+        # of d = target is kept
+        a = (target + dp) // dd
+        if a * dd - dp == target:
+            push(((a,) + chain, target, dd))
+        a = ((target + dd) // 2 + dp) // dd
+        while a >= 2:
+            push(((a,) + chain, a * dd - dp, dd))
+            a -= 1
+    return found
+
+
 def all_admissible_chains_up_to(limit: int):
-    """All oriented admissible chains with discriminant <= limit."""
+    """All oriented admissible chains with discriminant <= limit, by the walk."""
     for dd in range(2, limit + 1):
-        yield from chains.oriented_chains_with_d(dd)
+        yield from oriented_chains_by_walk(dd)
 
 
 def e_by_recurrence(weights):

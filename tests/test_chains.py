@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from dgk import chains
 from dgk.graphs import canonical_chain, parse_chain
-from reference import WeightedTree, all_admissible_chains_up_to, e_by_recurrence
+from reference import (
+    WeightedTree,
+    all_admissible_chains_up_to,
+    e_by_recurrence,
+    oriented_chains_by_walk,
+)
 
 
 def test_d_examples():
@@ -89,6 +94,10 @@ def test_chain_from_e():
         assert chains.chain_from_e(Fraction(n, n + 1)) == (2,) * n
     with pytest.raises(ValueError):
         chains.chain_from_e(Fraction(5, 4))
+    # a float is not exact: 0.1 would be 3602879701896397/2**55
+    for value in (0.1, 0.5, 0.0, True, False):
+        with pytest.raises(ValueError, match=repr(value)):
+            chains.chain_from_e(value)
 
 
 def test_e_is_a_bijection_d_le_50():
@@ -112,15 +121,25 @@ def test_adjoint_is_involution():
         assert chains.adjoint_chain(chains.adjoint_chain(ws)) == ws
 
 
-@pytest.mark.parametrize("n", [*range(1, 61), 1500])
+@pytest.mark.parametrize("n", [*range(1, 121), 1500])
 def test_oriented_chains_with_d_inverts_e(n):
-    # e is a bijection onto the reduced fractions of (0, 1), so the chains
-    # of discriminant n are the phi(n) chains of k/n with gcd(k, n) = 1;
-    # at n = 1500 the chain of 2's has 1499 curves
-    want = [chains.chain_from_e(Fraction(k, n)) for k in range(1, n) if gcd(k, n) == 1]
-    assert sorted(chains.oriented_chains_with_d(n)) == sorted(want)
+    # the inversion of k/n over gcd(k, n) = 1 lists the same chains as the
+    # stack walk of the prepend recursion, in the same order; at n = 1500
+    # the chain of 2's has 1499 curves
+    got = chains.oriented_chains_with_d(n)
+    assert got == oriented_chains_by_walk(n)
     if n == 1500:
-        assert len(want) == 400 and (2,) * 1499 in want
+        assert len(got) == 400 and (2,) * 1499 in got
+
+
+@given(st.integers(2, 3000))
+def test_oriented_chains_with_d_large(n):
+    got = chains.oriented_chains_with_d(n)
+    assert len(got) == sum(1 for k in range(1, n) if gcd(k, n) == 1)
+    assert all(chains.d(ws) == n and min(ws) >= 2 for ws in got)
+    assert len(set(got)) == len(got)
+    backwards = [ws[::-1] for ws in got]
+    assert backwards == sorted(backwards)
 
 
 def test_enumerate_small_discriminants():

@@ -71,9 +71,29 @@ def test_chain_fractions_stay_off_the_fork_path():
     assert users == {"cli.py"}
 
 
+def test_chains_come_from_one_integer_inversion():
+    # chains.chain_of expands a continued fraction in integers, and the
+    # chains of a fraction, an adjoint or a discriminant all come from it:
+    # no Fraction in its body, and oriented_chains_with_d keeps no stack
+    tree = ast.parse((PACKAGE_DIR / "chains.py").read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+    def names(fn):
+        return {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+        }
+
+    assert "Fraction" not in names(functions["chain_of"])
+    for name in ("chain_from_e", "adjoint_chain", "oriented_chains_with_d"):
+        assert "chain_of" in names(functions[name])
+    enumeration = functions["oriented_chains_with_d"]
+    assert not any(isinstance(n, ast.While) for n in ast.walk(enumeration))
+    assert not {"stack", "pop", "push", "append"} & names(enumeration)
+
+
 # Functions that only the tests call, each waiting for a reason to stay: the
 # paper checks that are to become entries of `dgk verify`, and the chain
-# function the benchmark's queries workload calls (its other one,
+# functions the benchmark's queries workload calls (its other one,
 # chains.invariants, is the checked route of chains.e and chains.delta).
 # Every other function only the tests call is a reference route and belongs
 # in tests/reference.py.
@@ -88,6 +108,7 @@ AWAITING_MANIFEST = {
     "pairs.mu_sums",
     "predicates.lambda_and_p_square",
     "chains.adjoint_chain",
+    "chains.chain_from_e",
 }
 
 
