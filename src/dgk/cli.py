@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import chains
@@ -34,14 +33,6 @@ class DomainError(ValueError):
     pass
 
 
-def _fr(x: Fraction | int) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _parse_graph(text: str):
     text = text.strip()
     if text.startswith("{"):
@@ -51,8 +42,8 @@ def _parse_graph(text: str):
 
 def _bark_output(bark) -> tuple[int, object, str]:
     payload = {
-        "coefficients": [_fr(c) for c in bark.coefficients],
-        "bk_square": _fr(bark.bk_square),
+        "coefficients": [str(c) for c in bark.coefficients],
+        "bk_square": str(bark.bk_square),
     }
     return 0, payload, (
         "coefficients: " + " ".join(payload["coefficients"])
@@ -73,7 +64,7 @@ def cmd_compute(args) -> tuple[int, object, str]:
             val = group_order(graph)
         else:
             raise DomainError(f"{what} is not defined for forks")
-        return 0, {what: _fr(val)}, _fr(val)
+        return 0, {what: str(val)}, str(val)
     ws = graph
     if what == "bark":
         return _bark_output(bark_one_sided(ws) if args.one_sided else bark_chain(ws))
@@ -87,7 +78,7 @@ def cmd_compute(args) -> tuple[int, object, str]:
             "etilde": chains.e_tilde,
             "delta": chains.delta,
         }[what](ws)
-    return 0, {what: _fr(val)}, _fr(val)
+    return 0, {what: str(val)}, str(val)
 
 
 def cmd_enumerate(args) -> tuple[int, object, str]:
@@ -105,7 +96,7 @@ def cmd_enumerate(args) -> tuple[int, object, str]:
             "families": list(s.families),
             "d": s.d,
             "ke": s.ke,
-            "bk_square": _fr(s.bk_square),
+            "bk_square": str(s.bk_square),
             "group_order": s.g_order,
         }
         for s in shapes
@@ -257,7 +248,7 @@ def cmd_solve(args) -> tuple[int, object, str]:
         f" (c,p)=({s.c},{s.p}) (c',p')=({s.c_prime},{s.p_prime})"
         f" (c~,p~)=({s.c_tilde},{s.p_tilde}) b={s.b}"
         f" T1={format_chain(s.t1)} T2={format_chain(s.t2)} T3={format_chain(s.t3)}"
-        f" -d(D)/d(E)={_fr(s.minus_dd_over_de)} gcd={s.gcd_c}"
+        f" -d(D)/d(E)={str(s.minus_dd_over_de)} gcd={s.gcd_c}"
         f" homology-check={'fails' if s.rejected_by_square_gcd else 'holds'}"
         for s in solutions
     ]

@@ -50,7 +50,7 @@ from . import chains
 from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
-from .predicates import BoundaryCandidate, evaluate_predicates
+from .predicates import BoundaryCandidate, passes
 
 
 @dataclass(frozen=True)
@@ -450,8 +450,7 @@ def solve_two_fiber(
         if sol is None or sol.b not in (1, 2):
             continue
         cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
-        report = evaluate_predicates(cand, group_order_mode=group_order_mode)
-        if report.passes(predicate_names):
+        if passes(cand, predicate_names, group_order_mode=group_order_mode):
             solutions.append(sol)
     solutions.sort(key=lambda s: s.sort_key())
     return solutions

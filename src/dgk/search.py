@@ -37,12 +37,7 @@ from .barks import ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes,
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
-from .predicates import (
-    PREDICATE_NAMES,
-    BoundaryCandidate,
-    PredicateReport,
-    evaluate_predicates,
-)
+from .predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
 from .ruling import TwoFiberSolution, solve_two_fiber
 
 # The scan's index probe and gates enforce these whatever a bounds file
@@ -102,7 +97,7 @@ def _record_of(ws: Weights) -> ChainRecord:
 
 @lru_cache(maxsize=None)
 def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
-    return tuple(map(_record_of, sorted(chains.oriented_chains_with_d(dd))))
+    return tuple(map(chain_record, sorted(chains.oriented_chains_with_d(dd))))
 
 
 def _records_by_d(d_max: int) -> dict[int, tuple[ChainRecord, ...]]:
@@ -208,9 +203,7 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     return Bounds(**values)
 
 
-def _scan_triples(
-    triples, bounds: Bounds, index: SpecIndex
-) -> list[tuple[BoundaryCandidate, PredicateReport]]:
+def _scan_triples(triples, bounds: Bounds, index: SpecIndex) -> list[BoundaryCandidate]:
     """The (twig triple, b, shape) combinations passing ``bounds``, canonically
     sorted.
 
@@ -221,9 +214,10 @@ def _scan_triples(
     Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The triples come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
-    hit's spec becomes its shape through :func:`dgk.barks.shape_of`.
+    hit's spec becomes its shape through :func:`dgk.barks.shape_of`, and
+    the candidate is kept when :func:`dgk.predicates.passes` says so.
     """
-    found: list[tuple[BoundaryCandidate, PredicateReport]] = []
+    found: list[BoundaryCandidate] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
     for r1, r2, r3 in triples:
         dd, s, e, et = fork_sums(r1, r2, r3)
@@ -249,12 +243,9 @@ def _scan_triples(
                 if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
                 cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
-                report = evaluate_predicates(
-                    cand, group_order_mode=bounds.group_order_mode
-                )
-                if report.passes(names):
-                    found.append((cand, report))
-    found.sort(key=lambda pair: pair[0].sort_key())
+                if passes(cand, names, group_order_mode=bounds.group_order_mode):
+                    found.append(cand)
+    found.sort(key=BoundaryCandidate.sort_key)
     return found
 
 
@@ -356,12 +347,14 @@ def _xy_rules(spec: Bounds) -> list[dict]:
 
 
 def search_xy(bounds: dict | None = None):
-    """Candidates passing the general-type predicate suite in the x,y,z box."""
+    """Candidates passing the general-type predicate suite in the x,y,z box,
+    each with its predicate report."""
     spec = parse_bounds("xy", bounds)
     index = SpecIndex(spec.eshapes)
     keys = _join_keys(index, spec.b)
     triples = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
-    return _scan_triples(triples, spec, index)
+    found = _scan_triples(triples, spec, index)
+    return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
@@ -391,8 +384,8 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
                          spec.catalog_max_size)
     triples = _triples_for_rules(spec.d_rules, d_max, _join_keys(index, spec.b))
     found = _scan_triples(triples, spec, index)
-    eshapes = sorted({cand.eshape.key() for cand, _ in found})
-    return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand, _ in found]}
+    eshapes = sorted({cand.eshape.key() for cand in found})
+    return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
 
 
 def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
@@ -429,7 +422,7 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ...]]:
     """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2)."""
     rec1 = _record_of(spec.t1)
     return [
-        (rec1, rec1, _record_of(head + (2,) * k + (3, 2)))
+        (rec1, rec1, chain_record(head + (2,) * k + (3, 2)))
         for k in range(0, spec.case2_k_max + 1)
         for head in ((), (3,), (4,), (2, 3))
     ]
@@ -445,8 +438,8 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
     found1 = _scan_triples(_case1_triples(spec, _join_keys(index, spec.b)), spec, index)
     found2 = _scan_triples(triples2, spec, index)
     return {
-        "case1": [cand.to_dict() for cand, _ in found1],
-        "case2": [cand.to_dict() for cand, _ in found2],
+        "case1": [cand.to_dict() for cand in found1],
+        "case2": [cand.to_dict() for cand in found2],
     }
 
 
@@ -508,7 +501,10 @@ def verify_suite() -> dict:
         if not path.exists():
             results[name] = {"status": "missing-golden", "path": str(path)}
             continue
-        want = json.loads(path.read_text())
+        try:
+            want = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"golden file {path} is not valid JSON: {exc}") from exc
         results[name] = {"status": "ok" if got == want else "mismatch", "path": str(path)}
         if got != want:
             results[name].update(got=got, want=want)

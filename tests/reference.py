@@ -7,8 +7,9 @@ here and nowhere else: the weighted tree with its determinant and
 negative-definiteness test, the dense linear solve for barks, the
 per-weight recurrence for a chain's Bk^2, the tree route that strips
 external (-2)-curves, the simulated multiplicity trace, the
-continued-fraction recurrence for e, and the two-fiber solver and the
-square/zar_bk2 entries in ``Fraction`` arithmetic.  ``tests/test_source.py``
+continued-fraction recurrence for e, the two-fiber solver and the
+square/zar_bk2 entries in ``Fraction`` arithmetic, and the predicate report
+as one function.  ``tests/test_source.py``
 keeps them out of the package: every package function must have a caller
 in the package.
 
@@ -23,10 +24,10 @@ from functools import cache
 from math import gcd, isqrt
 
 from dgk import chains
-from dgk.barks import BarkCoefficients, eshape_catalog
+from dgk.barks import BarkCoefficients, eshape_catalog, fork_invariants
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
-from dgk.predicates import BoundaryCandidate, evaluate_predicates
+from dgk.predicates import BoundaryCandidate, PredicateReport, is_positive_perfect_square
 from dgk.ruling import FiberTuple, _assemble_solution, two_fiber_relations
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,117 @@ def reference_square_and_zar_bk2(cand):
 
 
 # ---------------------------------------------------------------------------
+# the predicate suite as one function, each predicate put in turn
+
+
+def reference_report(cand: BoundaryCandidate, group_order_mode: str = "actual") -> PredicateReport:
+    """The predicate report as one function with a put per predicate, in
+    the package's order; the oracle of :data:`dgk.predicates.PREDICATES`."""
+    inv = fork_invariants(cand.fork)
+    delta, e, et = inv.delta, inv.e, inv.e_tilde
+    es = cand.eshape
+    eps = es.epsilon
+    g = es.group_order_for(group_order_mode)
+    bk2_e = es.bk_square
+    entries: dict[str, tuple[bool, str]] = {}
+
+    def put(name: str, ok: bool, witness: object) -> None:
+        entries[name] = (bool(ok), str(witness))
+
+    # Noether count: #E + #D = 7 + eps + K.D + K.E
+    size_d = 1 + sum(len(t) for t in cand.twigs)
+    k_dot_d = (cand.b - 2) + sum(w - 2 for t in cand.twigs for w in t)
+    lhs = es.size + size_d
+    rhs = 7 + eps + k_dot_d + es.ke
+    put("noether", lhs == rhs, f"{lhs} vs {rhs}")
+
+    # delta <= e = -Bk^2 D <= 1 + eps + Bk^2 E + 3/|G|
+    bmy_rhs = 1 + eps + bk2_e + Fraction(3, g)
+    put("bmy", delta <= e <= bmy_rhs, f"{delta} <= {e} <= {bmy_rhs}")
+
+    # the three eps < 2 inequalities (s = 3 twigs throughout)
+    if eps < 2:
+        put("eps2_ii", 1 - Fraction(6, g) <= delta, f"1-6/{g} vs {delta}")
+        val = eps + bk2_e + Fraction(9, g)
+        put("eps2_iii", val >= 0, f"{val}")
+        if es.delta_empty:
+            bound = Fraction(eps) + Fraction(es.ke, 4) + Fraction(1, 2)
+            put("eps2_iv", e + delta >= bound, f"{e + delta} vs {bound}")
+        else:
+            put("eps2_iv", True, "skipped: external (-2)-curves present")
+    else:
+        for name in ("eps2_ii", "eps2_iii", "eps2_iv"):
+            put(name, True, "skipped: eps = 2")
+
+    # Zariski-decomposition conditions on the fork boundary
+    put("zar_b", cand.b in (1, 2) and cand.b < et, f"b={cand.b}, e~={et}")
+    put("zar_delta", delta < 1, f"delta={delta}")
+    if et != cand.b and delta != 1:
+        rhs_bk = -((1 - delta) ** 2) / (et - cand.b) + e - 1 - eps
+        put("zar_bk2", bk2_e == rhs_bk, f"{bk2_e} vs {rhs_bk}")
+    else:
+        put("zar_bk2", False, "degenerate: e~ = b or delta = 1")
+
+    # -d(D)/d(E) must be a positive perfect square
+    ratio = Fraction(-inv.d, es.d)
+    put("square", is_positive_perfect_square(ratio), f"-d(D)/d(E) = {ratio}")
+
+    # K.E + 2 eps <= 5 with the single allowed exception
+    exceptional = es.key() == "[4]" and eps == 2
+    put("ke", es.ke + 2 * eps <= 5 or exceptional, f"{es.ke}+2*{eps}")
+
+    # strict inequalities of the general-type intermediate surface
+    w2_ok = (
+        et + delta < cand.b + 1
+        and delta + Fraction(1, g) > 1
+        and eps != 0
+    )
+    put(
+        "w2",
+        w2_ok,
+        f"e~+delta={et + delta} vs b+1={cand.b + 1};"
+        f" delta+1/|G|={delta + Fraction(1, g)}",
+    )
+    put(
+        "w2_delta_g",
+        delta + Fraction(1, g) > 1,
+        f"{delta + Fraction(1, g)}",
+    )
+
+    # when the external (-2)-part has three components the branch weight is 2
+    put(
+        "delta3",
+        es.n_delta_components < 3 or cand.b == 2,
+        f"delta components={es.n_delta_components}, b={cand.b}",
+    )
+
+    # context inequality of the nonpositive-Kodaira branch
+    put(
+        "et_plus_delta_ge_2",
+        et + delta >= 2,
+        f"{et + delta}",
+    )
+
+    # boundary contains no chain (2,1,2): at most one twig may end in a
+    # (-2)-curve when the branch vertex is a (-1)-curve
+    two_ends = sum(1 for t in cand.twigs if t[-1] == 2)
+    put(
+        "no_212",
+        cand.b != 1 or two_ends <= 1,
+        f"b={cand.b}, twigs ending in 2: {two_ends}",
+    )
+
+    # every twig of minimal discriminant is a single curve
+    dmin = min(chains.d(t) for t in cand.twigs)
+    min_ok = all(
+        len(t) == 1 for t in cand.twigs if chains.d(t) == dmin
+    )
+    put("min_twig_irreducible", min_ok, f"d_min={dmin}")
+
+    return PredicateReport(entries)
+
+
+# ---------------------------------------------------------------------------
 # the two-fiber solver: equation (6) in Fraction arithmetic, with rho as a
 # rational form in kappa and an uncached sweep of the (c', p') pairs
 
@@ -582,7 +694,7 @@ def reference_solve_two_fiber(t1, t2, eshape, predicate_names):
         if sol is None or sol.b not in (1, 2):
             continue
         cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
-        if evaluate_predicates(cand).passes(predicate_names):
+        if reference_report(cand).passes(predicate_names):
             solutions.append(sol)
     solutions.sort(key=lambda s: s.sort_key())
     return solutions

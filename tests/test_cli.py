@@ -270,6 +270,11 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "paper")
     assert code == 3
     assert "mismatch" in out
+    # a golden that is not JSON is a domain error that names the file
+    target.write_text("{")
+    code, _, err = run(capsys, "verify", "--suite", "paper")
+    assert code == 1
+    assert f"golden file {target} is not valid JSON" in err
     # restoring the real file brings it back to 0
     shutil.copy(src / "search_xy.json", target)
     code, out, _ = run(capsys, "verify", "--suite", "paper")

@@ -37,7 +37,13 @@ from dgk.search import (
     search_xy,
     verify_suite,
 )
-from reference import cand_delta, cand_et, reference_square_and_zar_bk2, shape
+from reference import (
+    cand_delta,
+    cand_et,
+    reference_report,
+    reference_square_and_zar_bk2,
+    shape,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
@@ -153,7 +159,7 @@ def test_monotonicity_dropping_a_predicate():
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles: plain evaluate_predicates over every (triple, b, shape)
+# brute-force oracles: the reference report over every (triple, b, shape)
 
 
 def oriented(d_max):
@@ -174,7 +180,7 @@ def brute_force(cfg, triples, shapes):
     """The canonical candidate list of the box, with no index and no gates.
 
     When the list names noether, Noether's count #E + #D = 7 + eps + K.D +
-    K.E is tested first in integers; evaluate_predicates then decides.
+    K.E is tested first in integers; the reference report then decides.
     """
     names = tuple(cfg["predicates"])
     gmin = cfg.get("delta_gmin")
@@ -194,7 +200,7 @@ def brute_force(cfg, triples, shapes):
                 ):
                     continue
                 cand = BoundaryCandidate(b, twigs, shape)
-                report = evaluate_predicates(cand, group_order_mode=cfg["group_order_mode"])
+                report = reference_report(cand, cfg["group_order_mode"])
                 if report.passes(names):
                     found.append(cand)
     found.sort(key=BoundaryCandidate.sort_key)

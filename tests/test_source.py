@@ -176,3 +176,39 @@ def test_no_package_function_calls_itself():
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name:
                     found.append(f"{qualname}:{n.lineno}")
     assert found == []
+
+
+def _named(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_each_predicate_is_named_once_in_the_table():
+    # predicates.py names a predicate only as a key of PREDICATES: the
+    # report, the verdict and PREDICATE_NAMES all read the table
+    from dgk.predicates import PREDICATE_NAMES
+
+    tree = ast.parse((PACKAGE_DIR / "predicates.py").read_text())
+    tables = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and [getattr(t, "id", None) for t in node.targets] == ["PREDICATES"]
+    ]
+    keys = [key for table in tables for key in table.keys]
+    stray = [
+        f"{n.lineno}: {n.value}" for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and n.value in PREDICATE_NAMES and not any(n is key for key in keys)
+    ]
+    assert stray == []
+    assert len(tables) == 1
+    assert tuple(key.value for key in keys) == PREDICATE_NAMES
+
+
+def test_the_scans_ask_for_a_verdict_without_a_report():
+    for module, name in (("search", "_scan_triples"), ("ruling", "solve_two_fiber")):
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        assert "evaluate_predicates" not in _named(fn), name
+        assert "passes" in _named(fn), name
