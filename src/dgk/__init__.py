@@ -17,7 +17,6 @@ from .chains import (
     chain_from_e,
     d,
     d_prime,
-    d_second,
     delta,
     e,
     e_tilde,
@@ -27,7 +26,6 @@ from .chains import (
 from .graphs import Fork, format_chain, parse_chain, parse_fork
 from .pairs import (
     CharPairSeq,
-    fiber_numerics,
     mu_sums,
     pairs_from_fiber,
     reconstruct_fiber,
@@ -40,7 +38,6 @@ from .ruling import (
     check_ruling_equations,
     reconstruct_t3,
     solve_two_fiber,
-    two_fiber_relations,
 )
 from .search import (
     search_fiber_pairs,
@@ -57,7 +54,6 @@ __all__ = [
     "parse_fork",
     "d",
     "d_prime",
-    "d_second",
     "e",
     "e_tilde",
     "delta",
@@ -75,7 +71,6 @@ __all__ = [
     "reconstruct_fiber",
     "pairs_from_fiber",
     "mu_sums",
-    "fiber_numerics",
     "BoundaryCandidate",
     "evaluate_predicates",
     "lambda_and_p_square",
@@ -83,7 +78,6 @@ __all__ = [
     "RulingScenario",
     "TwoFiberSolution",
     "check_ruling_equations",
-    "two_fiber_relations",
     "solve_two_fiber",
     "reconstruct_t3",
     "search_final_bounds",

@@ -232,11 +232,6 @@ class ExceptionalShape:
     def delta_empty(self) -> bool:
         return self.n_delta_components == 0
 
-    @property
-    def gamma(self) -> int | None:
-        """Weight of E when E is irreducible."""
-        return self.e_weights[0] if len(self.e_weights) == 1 else None
-
     def key(self) -> str:
         return _graph_key(self.graph)
 

@@ -45,13 +45,6 @@ def d_prime(weights: Weights) -> int:
     return d(weights[1:])
 
 
-def d_second(weights: Weights) -> int:
-    """d' of the chain with its first component removed; 0 if length < 2."""
-    if len(weights) < 2:
-        return 0
-    return d_prime(weights[1:])
-
-
 def e(weights: Weights) -> Fraction:
     return invariants(weights).e
 
@@ -73,10 +66,6 @@ class ChainRecord(NamedTuple):
     d_prime: int  # d of the chain without its tip, so e = d'/d
     d_prime_rev: int  # d of the chain without its last curve, so e~ = d'(rev)/d
     kd: int  # sum of (w - 3): K.T - #T, the chain's share of the probe key
-
-    @property
-    def d_second(self) -> int:
-        return d_second(self.ws)
 
     @property
     def e(self) -> Fraction:

@@ -150,13 +150,15 @@ def cmd_pairs(args) -> tuple[int, object, str]:
 _FIBER_ENTRY = re.compile(r"\s*(?:\(\s*(\d+)\s*\)|(\d+)\s*(\*?)\s*(?::\s*(\d+))?)\s*")
 
 
-def _parse_fiber(text: str) -> list[tuple[int, int | None, bool]]:
-    """(weight, multiplicity or None, marked) per curve of ``[e1,...,en]``, an
-    entry being w, w*, w:m, w*:m or (k) for k curves of weight 2."""
+def _parse_fiber(text: str) -> list[tuple[int, int | None, str]]:
+    """(weight, multiplicity or None, entry text) per curve of ``[e1,...,en]``,
+    an entry being w, w*, w:m, w*:m or (k) for k curves of weight 2; at most
+    one entry carries the mark '*'."""
     body = text.strip()
     if not body.startswith("["):
         raise ChainParseError("expected '['", 0)
-    entries: list[tuple[int, int | None, bool]] = []
+    entries: list[tuple[int, int | None, str]] = []
+    marked = None
     pos = 1
     for item in body[1:].removesuffix("]").split(","):
         m = _FIBER_ENTRY.fullmatch(item)
@@ -164,9 +166,15 @@ def _parse_fiber(text: str) -> list[tuple[int, int | None, bool]]:
             raise ChainParseError(f"bad fiber entry {item.strip()!r}", pos)
         run, w, star, mult = m.groups()
         if run is None:
-            entries.append((int(w), None if mult is None else int(mult), star == "*"))
+            if star:
+                if marked is not None:
+                    raise ChainParseError(
+                        f"fiber entry {item.strip()!r} is a second '*' after {marked!r}", pos
+                    )
+                marked = item.strip()
+            entries.append((int(w), None if mult is None else int(mult), item.strip()))
         else:
-            entries.extend([(2, None, False)] * int(run))
+            entries.extend([(2, None, item.strip())] * int(run))
         pos += len(item) + 1
     if not body.endswith("]"):
         raise ChainParseError(f"expected ']' after entry {item.strip()!r}", len(body))
@@ -179,17 +187,23 @@ def _extract_pairs(text: str) -> tuple[int, object, str]:
     entries = _parse_fiber(text)
     tree = FiberTree()
     neg = None
-    for i, (w, m, star) in enumerate(entries):
+    for i, (w, m, item) in enumerate(entries):
         tree.add_node(w, m or 0, 0)
         if i:
             tree.connect(i - 1, i)
-        if star:
+        if "*" in item:
             neg = i
     if any(m is None for _, m, _ in entries):
-        # recover multiplicities as the primitive kernel vector
+        # recover multiplicities as the primitive kernel vector, which the
+        # multiplicities that are given must match
         mults = _kernel_vector(tree.weights)
         if mults is None:
             raise DomainError("not a fiber: minus matrix has no kernel")
+        for (_, m, item), k in zip(entries, mults):
+            if m is not None and m != k:
+                raise DomainError(
+                    f"fiber entry {item!r} gives multiplicity {m}; the weights give {k}"
+                )
         tree.mults = mults
     if neg is None:
         cands = [

@@ -54,16 +54,8 @@ class CharPairSeq:
             raise PairSequenceError("last pair must be coprime")
 
     @property
-    def h(self) -> int:
-        return len(self.pairs)
-
-    @property
     def smooth(self) -> bool:
         return self.pairs == ((1, 0),)
-
-    @property
-    def c1(self) -> int:
-        return self.pairs[0][0]
 
 
 class FiberTree:
@@ -199,8 +191,9 @@ def pairs_from_fiber(tree: FiberTree) -> CharPairSeq:
     being the i-th curve undone counted from the oldest and U being 0.
     """
     if len(tree) == 1:
-        if tree.weights[0] != 0:
-            raise ValueError("a one-component fiber must be a 0-curve")
+        w, m = tree.weights[0], tree.mults[0]
+        if (w, m) != (0, 1):
+            raise ValueError(f"a one-component fiber must be the 0-curve 0:1, got {w}:{m}")
         return CharPairSeq(((1, 0),))
     if tree.neg_curve is None:
         raise ValueError("singular fiber without a marked (-1)-curve")
@@ -266,39 +259,3 @@ def pairs_from_fiber(tree: FiberTree) -> CharPairSeq:
     ):
         raise not_a_fiber
     return seq
-
-
-@dataclass(frozen=True)
-class FiberNumerics:
-    """Derived integers of one singular fiber of a ruling.
-
-    c_h is the last pair's first entry, i0 the position of the boundary
-    (-2)-component meeting the exceptional curve (0 when there is none),
-    CE the intersection of the fiber's (-1)-curve with that curve.
-    """
-
-    CE: int
-    c_h: int
-    c_h_prime: int
-    kappa: int
-    rho: int
-    d_contrib: int
-
-
-def fiber_numerics(seq: CharPairSeq, CE: int, i0: int) -> FiberNumerics:
-    c_h = seq.pairs[-1][0]
-    k = c_h - 1  # number of boundary (-2)-curves in this fiber
-    if i0 == 0:
-        if k != 0:
-            raise ValueError("i0 = 0 requires c_h = 1")
-        chp = 0
-    else:
-        if not 1 <= i0 <= k:
-            raise ValueError(f"i0 must lie in 1..{k}, got {i0}")
-        chp = c_h - i0
-    if CE < 0:
-        raise ValueError("CE must be nonnegative")
-    kappa = c_h * CE + chp
-    rho = kappa * CE + chp * CE + chp
-    # c_h divides c1 along the gcd chain of the pairs
-    return FiberNumerics(CE, c_h, chp, kappa, rho, seq.c1 // c_h * kappa)

@@ -162,7 +162,9 @@ PREDICATES = {
         lambda f: is_positive_perfect_square(f.ratio),
         lambda f: f"-d(D)/d(E) = {f.ratio}",
     ),
-    # K.E + 2 eps <= 5 with the single allowed exception, [4] with eps = 2
+    # K.E + 2 eps <= 5 with the single allowed exception, [4] with eps = 2;
+    # every catalog family satisfies it, so only a shape built outside the
+    # catalog can fail it
     "ke": Predicate(
         lambda f: f.eshape.ke + 2 * f.eps <= 5 or (f.eps == 2 and f.eshape.key() == "[4]"),
         lambda f: f"{f.eshape.ke}+2*{f.eps}",

@@ -17,7 +17,11 @@ second one having two pairs these specialize to
     (5) d n + gamma - 2     = kappa (p + alpha c' + p') + kappa~ p~
     (6) d(gamma-2) - gamma  = kappa^2 (c - c')(alpha c' + p') - rho - rho~
 
-where alpha = n + eps + K.E - 4 and h = 3 + alpha.
+where alpha = n + eps + K.E - 4 and h = 3 + alpha.  With d = c kappa =
+c~ kappa~, (5) is (1) and (6) is d (1) - (2) on the two fibers that
+:meth:`FiberTuple.fibers` lays out, so (5)/(6) are checked as (1)/(2):
+:func:`check_ruling_equations` on :meth:`FiberTuple.scenario` is the one
+residual route.
 
 The solver works in integers only.  rho is kappa^2 for a fiber without a
 boundary curve and (kappa^2 + 1)/2 for one with a single boundary curve, so
@@ -49,48 +53,58 @@ from math import gcd, isqrt, lcm
 from . import chains
 from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
-from .pairs import CharPairSeq, FiberTree, fiber_numerics, reconstruct_fiber
+from .pairs import CharPairSeq, FiberTree, reconstruct_fiber
 from .predicates import BoundaryCandidate, passes
 
 
 @dataclass(frozen=True)
 class RulingFiber:
-    """One singular fiber: normalized pairs, boundary data and CE."""
+    """One singular fiber: normalized pairs, c_h, the position i0 of the
+    boundary (-2)-curve meeting E (0 when there is none, and then c_h = 1)
+    and CE."""
 
     upairs: tuple[tuple[int, int], ...]
     c_h: int
     i0: int
     CE: int
 
-    @property
-    def h(self) -> int:
-        return len(self.upairs) + 1
+    def __post_init__(self) -> None:
+        if self.i0 == 0:
+            if self.c_h != 1:
+                raise ValueError("i0 = 0 requires c_h = 1")
+        elif not 1 <= self.i0 < self.c_h:
+            raise ValueError(f"i0 must lie in 1..{self.c_h - 1}, got {self.i0}")
+        if self.CE < 0:
+            raise ValueError("CE must be nonnegative")
 
     @property
     def uc1(self) -> int:
         return self.upairs[0][0]
 
+    @property
+    def c_h_prime(self) -> int:
+        return self.c_h - self.i0 if self.i0 else 0
+
+    @property
+    def kappa(self) -> int:
+        return self.c_h * self.CE + self.c_h_prime
+
+    @property
+    def rho(self) -> int:
+        return (self.kappa + self.c_h_prime) * self.CE + self.c_h_prime
+
     def full_pairs(self) -> CharPairSeq:
         scaled = tuple((c * self.c_h, p * self.c_h) for c, p in self.upairs)
         return CharPairSeq(scaled + ((self.c_h, 1),))
-
-    def numerics(self):
-        return fiber_numerics(self.full_pairs(), self.CE, self.i0)
 
 
 @dataclass(frozen=True)
 class RulingScenario:
     n: int
     gamma: int
-    epsilon: int
-    ke: int
     d: int
     fibers: tuple[RulingFiber, ...]
     h1_order: int
-
-    @property
-    def alpha(self) -> int:
-        return self.n + self.epsilon + self.ke - 4
 
 
 def check_ruling_equations(s: RulingScenario) -> tuple[int, int, int, int]:
@@ -99,41 +113,13 @@ def check_ruling_equations(s: RulingScenario) -> tuple[int, int, int, int]:
     r2 = s.n * s.d * s.d + s.gamma
     prod_uc1 = 1
     for f in s.fibers:
-        num = f.numerics()
-        kappa = num.kappa
+        kappa = f.kappa
         r1 -= kappa * (f.uc1 + sum(p for _, p in f.upairs))
-        r2 -= kappa * kappa * sum(c * p for c, p in f.upairs) + num.rho
+        r2 -= kappa * kappa * sum(c * p for c, p in f.upairs) + f.rho
         prod_uc1 *= f.uc1
     r3 = s.d * s.h1_order - prod_uc1
     r4 = s.d - lcm(*(f.uc1 for f in s.fibers))
     return r1, r2, r3, r4
-
-
-def two_fiber_relations(
-    *,
-    n: int,
-    gamma: int,
-    alpha: int,
-    kappa: int,
-    kappa_t: int,
-    c: int,
-    p: int,
-    c_prime: int,
-    p_prime: int,
-    c_tilde: int,
-    p_tilde: int,
-    rho: int,
-    rho_t: int,
-) -> tuple[int, int]:
-    """Exact residuals of equations (5) and (6); requires d = c kappa = c~ kappa~."""
-    d = c * kappa
-    if d != c_tilde * kappa_t:
-        raise ValueError(f"d mismatch: c*kappa = {d}, c~*kappa~ = {c_tilde * kappa_t}")
-    r5 = d * n + gamma - 2 - (kappa * (p + alpha * c_prime + p_prime) + kappa_t * p_tilde)
-    r6 = d * (gamma - 2) - gamma - (
-        kappa * kappa * (c - c_prime) * (alpha * c_prime + p_prime) - rho - rho_t
-    )
-    return r5, r6
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +274,17 @@ class FiberTuple:
         (c', c') and (c', p'), the second the single pair (c~, p~); a fiber
         with k boundary curves has c_h = 1 + k, i0 = k and
         CE = (kappa - k)/(1 + k)."""
-        first = ((self.c, self.p),) + ((self.c_prime, self.c_prime),) * self.alpha
-        return tuple(
-            RulingFiber(upairs, 1 + k, k, (kappa - k) // (1 + k))
-            for upairs, kappa, k in (
-                (first + ((self.c_prime, self.p_prime),), self.kappa, self.delta_f_size),
-                (((self.c_tilde, self.p_tilde),), self.kappa_t, self.delta_ft_size),
-            )
+        c_pr, k, kt = self.c_prime, self.delta_f_size, self.delta_ft_size
+        first = ((self.c, self.p),) + ((c_pr, c_pr),) * self.alpha + ((c_pr, self.p_prime),)
+        second = ((self.c_tilde, self.p_tilde),)
+        return (
+            RulingFiber(first, 1 + k, k, (self.kappa - k) // (1 + k)),
+            RulingFiber(second, 1 + kt, kt, (self.kappa_t - kt) // (1 + kt)),
         )
+
+    def scenario(self, h1_order: int = 1) -> RulingScenario:
+        """The two fibers as a scenario of (1)-(4), with d = c kappa."""
+        return RulingScenario(self.n, self.gamma, self.d, self.fibers(), h1_order)
 
 
 @dataclass(frozen=True)
@@ -457,11 +446,12 @@ def solve_two_fiber(
 
 
 def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
-    """The sweep of :func:`solve_two_fiber` up to the (5)/(6) residual check.
+    """The sweep of :func:`solve_two_fiber` before any boundary is rebuilt.
 
     Yields, in sweep order, the :class:`FiberTuple` of every tuple that
-    passes the gates and satisfies (5) and (6) exactly; ``eshape`` must be
-    an irreducible E with at most one external (-2)-curve.
+    passes the gates; each satisfies (5) and (6) exactly, since kappa is a
+    root of twice (6) and p~ is solved from (5).  ``eshape`` must be an
+    irreducible E with at most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
@@ -478,8 +468,6 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
         if tail_len < 1:
             continue
         for df, dft in splits:
-            c_h = 1 + df
-            ct_h = 1 + dft
             # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
             # boundary curve
             a2, a0 = (2, 0) if df == 0 else (1, 1)
@@ -494,27 +482,16 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
                         continue
                     if dft == 1 and kappa_t % 2 == 0:
                         continue
-                    rho_t = _rho(kappa_t, dft)
-                    qc = 2 * gamma - a0 - 2 * rho_t
+                    qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)
                     for kappa in _int_quadratic_roots(qa, qb, qc):
                         if kappa < 2:
                             continue
                         if df == 1 and kappa % 2 == 0:
                             continue
-                        if (kappa - (c_h - 1)) % c_h:
-                            continue
-                        ce = (kappa - (c_h - 1)) // c_h
-                        if ce < 1:
-                            continue
                         d = c * kappa
                         if d % kappa_t:
                             continue
                         c_t = d // kappa_t
-                        if (kappa_t - (ct_h - 1)) % ct_h:
-                            continue
-                        ce_t = (kappa_t - (ct_h - 1)) // ct_h
-                        if ce_t < 1:
-                            continue
                         num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
                         if num % kappa_t:
                             continue
@@ -522,15 +499,6 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
                         if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
                             continue
                         if (gamma - 2) % gcd(kappa, kappa_t):
-                            continue
-                        rho = _rho(kappa, df)
-                        r5, r6 = two_fiber_relations(
-                            n=n, gamma=gamma, alpha=alpha, kappa=kappa,
-                            kappa_t=kappa_t, c=c, p=p, c_prime=c_pr,
-                            p_prime=p_pr, c_tilde=c_t, p_tilde=p_t,
-                            rho=rho, rho_t=rho_t,
-                        )
-                        if r5 or r6:
                             continue
                         yield FiberTuple(
                             n, gamma, eps, ke, kappa, kappa_t, c, p,
@@ -602,12 +570,8 @@ def tail_chain_23_branch(c_prime_max: int = 10000) -> dict:
         p_pr = (c_pr + 1) // 7
         if p_pr > c_pr or gcd(c_pr, p_pr) != 1:
             continue
-        r5, r6 = two_fiber_relations(
-            n=1, gamma=3, alpha=0, kappa=7, kappa_t=2 * c_pr,
-            c=2 * c_pr, p=c_pr, c_prime=c_pr, p_prime=p_pr,
-            c_tilde=7, p_tilde=3, rho=49, rho_t=4 * c_pr * c_pr,
-        )
-        if r5 == 0 and r6 == 0:
+        tup = FiberTuple(1, 3, 2, 1, 7, 2 * c_pr, 2 * c_pr, c_pr, c_pr, p_pr, 7, 3, 0, 0)
+        if check_ruling_equations(tup.scenario())[:2] == (0, 0):
             solutions.append((c_pr, p_pr))
     disc = 7 * 7 + 4 * 3 * 46
     return {
@@ -638,16 +602,8 @@ def second_fiber_square_branch(k_max: int = 60) -> list[tuple[int, int, int, int
         c_t = d // kappa_t
         if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
             continue
-        scenario = RulingScenario(
-            n=1, gamma=3, epsilon=2, ke=1, d=d,
-            fibers=(
-                RulingFiber(((2 * k + 2, k + 1), (k + 1, 1)), 2, 1, 1),
-                RulingFiber(((c_t, p_t),), 1, 0, kappa_t),
-            ),
-            h1_order=1,
-        )
-        r1, r2, _, _ = check_ruling_equations(scenario)
-        if r1 == 0 and r2 == 0:
+        tup = FiberTuple(1, 3, 2, 1, 3, kappa_t, 2 * k + 2, k + 1, k + 1, 1, c_t, p_t, 1, 0)
+        if check_ruling_equations(tup.scenario())[:2] == (0, 0):
             out.append((k, kappa_t, c_t, p_t))
     return out
 
@@ -675,13 +631,7 @@ def two_run_twig_branch(eshape: ExceptionalShape, c_prime_max: int = 200) -> lis
                     1, 4, eshape.epsilon, eshape.ke, kappa, kappa_t,
                     2 * c_pr, c_pr, c_pr, p_pr, 5, 2, 0, 0,
                 )
-                r5, r6 = two_fiber_relations(
-                    n=1, gamma=4, alpha=tup.alpha, kappa=kappa, kappa_t=kappa_t,
-                    c=2 * c_pr, p=c_pr, c_prime=c_pr, p_prime=p_pr,
-                    c_tilde=5, p_tilde=2, rho=kappa * kappa,
-                    rho_t=kappa_t * kappa_t,
-                )
-                if r5 or r6:
+                if check_ruling_equations(tup.scenario())[:2] != (0, 0):
                     continue
                 sol = _assemble_solution(tup, None, (2,), eshape)
                 if sol is not None:
@@ -695,9 +645,3 @@ def minimalized_section_side_32() -> list[int]:
     chain, clashing with the allowed discriminant classes."""
     return minimalize_chain([2, 3, 2, 2, 1])
 
-
-def solution_scenario(sol: TwoFiberSolution, h1_order: int) -> RulingScenario:
-    """Assemble the full-scenario view of a two-fiber solution."""
-    return RulingScenario(
-        sol.n, sol.gamma, sol.epsilon, sol.ke, sol.d, sol.fibers(), h1_order
-    )

@@ -7,11 +7,11 @@ here and nowhere else: the weighted tree with its determinant and
 negative-definiteness test, the dense linear solve for barks, the
 per-weight recurrence for a chain's Bk^2, the tree route that strips
 external (-2)-curves, the simulated multiplicity trace, the
-continued-fraction recurrence for e, the two-fiber solver and the
-square/zar_bk2 entries in ``Fraction`` arithmetic, and the predicate report
-as one function.  ``tests/test_source.py``
-keeps them out of the package: every package function must have a caller
-in the package.
+continued-fraction recurrence for e, d'' of a chain, the two-fiber solver
+and the square/zar_bk2 entries in ``Fraction`` arithmetic, the ruling
+equations (5)/(6) as the paper writes them, and the predicate report as one
+function.  ``tests/test_source.py`` keeps them out of the package: every
+package function must have a caller in the package.
 
 Test files import from here with ``from reference import ...``.
 """
@@ -28,7 +28,7 @@ from dgk.barks import BarkCoefficients, eshape_catalog, fork_invariants
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
 from dgk.predicates import BoundaryCandidate, PredicateReport, is_positive_perfect_square
-from dgk.ruling import FiberTuple, _assemble_solution, two_fiber_relations
+from dgk.ruling import FiberTuple, _assemble_solution
 
 # ---------------------------------------------------------------------------
 # weighted trees: intersection matrices, determinants, definiteness
@@ -359,6 +359,13 @@ def oriented_chains_by_walk(target: int) -> list[Weights]:
     return found
 
 
+def d_second(weights: Weights) -> int:
+    """d' of the chain with its first component removed; 0 if length < 2."""
+    if len(weights) < 2:
+        return 0
+    return chains.d_prime(weights[1:])
+
+
 def all_admissible_chains_up_to(limit: int):
     """All oriented admissible chains with discriminant <= limit, by the walk."""
     for dd in range(2, limit + 1):
@@ -555,8 +562,9 @@ def reference_report(cand: BoundaryCandidate, group_order_mode: str = "actual") 
 
 
 # ---------------------------------------------------------------------------
-# the two-fiber solver: equation (6) in Fraction arithmetic, with rho as a
-# rational form in kappa and an uncached sweep of the (c', p') pairs
+# the two-fiber solver: equations (5)/(6) as the paper writes them, (6) in
+# Fraction arithmetic with rho as a rational form in kappa, and an uncached
+# sweep of the (c', p') pairs
 
 
 def coprime_pairs_with_length(length):
@@ -612,6 +620,33 @@ def _rho_value(kappa: int, delta_size: int) -> int:
     if val.denominator != 1:
         raise ValueError(f"rho not integral for kappa={kappa}")
     return int(val)
+
+
+def two_fiber_relations(
+    *,
+    n: int,
+    gamma: int,
+    alpha: int,
+    kappa: int,
+    kappa_t: int,
+    c: int,
+    p: int,
+    c_prime: int,
+    p_prime: int,
+    c_tilde: int,
+    p_tilde: int,
+    rho: int,
+    rho_t: int,
+) -> tuple[int, int]:
+    """Exact residuals of equations (5) and (6); requires d = c kappa = c~ kappa~."""
+    d = c * kappa
+    if d != c_tilde * kappa_t:
+        raise ValueError(f"d mismatch: c*kappa = {d}, c~*kappa~ = {c_tilde * kappa_t}")
+    r5 = d * n + gamma - 2 - (kappa * (p + alpha * c_prime + p_prime) + kappa_t * p_tilde)
+    r6 = d * (gamma - 2) - gamma - (
+        kappa * kappa * (c - c_prime) * (alpha * c_prime + p_prime) - rho - rho_t
+    )
+    return r5, r6
 
 
 def reference_equation_solutions(t1, t2, eshape):

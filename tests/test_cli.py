@@ -126,6 +126,11 @@ def test_bad_fork_exit_code(capsys, quantity, twigs, message):
         ("[(0)]", "fiber [(0)] has no curves (at position 0)"),
         ("[2,1*,22", "expected ']' after entry '22' (at position 8)"),
         ("2,1*,2", "expected '[' (at position 0)"),
+        # a given multiplicity is kept, and must match the kernel vector
+        ("[2,1:5,2]", "fiber entry '1:5' gives multiplicity 5; the weights give 2"),
+        ("[2:7,1*,2]", "fiber entry '2:7' gives multiplicity 7; the weights give 1"),
+        ("[2*,1*,2]", "fiber entry '1*' is a second '*' after '2*' (at position 4)"),
+        ("[0:2]", "a one-component fiber must be the 0-curve 0:1, got 0:2"),
     ],
 )
 def test_pairs_extract_names_the_bad_entry(capsys, fiber, message):

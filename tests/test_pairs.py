@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,11 +6,11 @@ from dgk.graphs import parse_chain
 from dgk.pairs import (
     CharPairSeq,
     PairSequenceError,
-    fiber_numerics,
     mu_sums,
     pairs_from_fiber,
     reconstruct_fiber,
 )
+from dgk.ruling import RulingFiber
 from reference import WeightedTree, all_sequences, mu_trace
 
 
@@ -34,6 +33,12 @@ def test_smooth_fiber():
     assert tree.chain_weights() == (0,)
     assert tree.neg_curve is None
     assert pairs_from_fiber(tree).pairs == ((1, 0),)
+    # a lone curve is a fiber only as the 0-curve of multiplicity 1
+    for field, value, got in (("mults", 2, "0:2"), ("weights", 1, "1:1")):
+        bad = reconstruct_fiber(((1, 0),))
+        getattr(bad, field)[0] = value
+        with pytest.raises(ValueError, match=f"must be the 0-curve 0:1, got {got}"):
+            pairs_from_fiber(bad)
 
 
 @pytest.mark.parametrize("k", range(2, 21))
@@ -174,38 +179,37 @@ def test_mu_trace_and_sums():
 
 
 def test_fiber_numerics():
-    seq = CharPairSeq(((1, 1),))
-    fn = fiber_numerics(seq, CE=2, i0=0)
-    assert (fn.kappa, fn.rho) == (2, 4)
-    assert fn.rho == fn.kappa**2  # no boundary curves in the fiber
+    # kappa = c_h CE + c_h' and rho = kappa CE + c_h' CE + c_h' of a fiber,
+    # with c_h' = c_h - i0, or 0 when i0 = 0
+    fiber = RulingFiber(((4, 1),), 1, 0, 2)
+    assert (fiber.c_h_prime, fiber.kappa, fiber.rho) == (0, 2, 4)
+    assert fiber.rho == fiber.kappa**2  # no boundary curves in the fiber
 
-    seq2 = CharPairSeq(((4, 2), (2, 1)))
-    fn2 = fiber_numerics(seq2, CE=1, i0=1)
-    assert (fn2.c_h, fn2.c_h_prime, fn2.kappa, fn2.rho) == (2, 1, 3, 5)
-    assert 2 * fn2.rho == fn2.kappa**2 + 1  # single boundary curve
-    assert fn2.d_contrib == 2 * 3
+    fiber2 = RulingFiber(((2, 1),), 2, 1, 1)
+    assert fiber2.full_pairs() == CharPairSeq(((4, 2), (2, 1)))
+    assert (fiber2.c_h_prime, fiber2.kappa, fiber2.rho) == (1, 3, 5)
+    assert 2 * fiber2.rho == fiber2.kappa**2 + 1  # single boundary curve
+    assert fiber2.uc1 * fiber2.kappa == 2 * 3
 
-    fn3 = fiber_numerics(seq, CE=1, i0=0)
-    assert fn3.kappa == 1
+    assert RulingFiber(((4, 1),), 1, 0, 1).kappa == 1
 
-    with pytest.raises(ValueError):
-        fiber_numerics(seq2, CE=1, i0=0)
-    with pytest.raises(ValueError):
-        fiber_numerics(seq2, CE=1, i0=2)
+    with pytest.raises(ValueError, match="i0 = 0 requires c_h = 1"):
+        RulingFiber(((2, 1),), 2, 0, 1)
+    with pytest.raises(ValueError, match=r"i0 must lie in 1\.\.1, got 2"):
+        RulingFiber(((2, 1),), 2, 2, 1)
+    with pytest.raises(ValueError, match="CE must be nonnegative"):
+        RulingFiber(((4, 1),), 1, 0, -1)
 
 
 def test_rho_at_most_kappa_squared():
     for c_h in range(1, 8):
-        seqs = []
-        if c_h == 1:
-            seqs.append(CharPairSeq(((1, 1),)))
-        else:
-            seqs.append(CharPairSeq(((c_h * 3, c_h), (c_h, 1))))
-        for seq in seqs:
-            for CE in range(0, 5):
-                for i0 in range(0, c_h):
-                    if (i0 == 0) != (c_h == 1):
-                        continue
-                    fn = fiber_numerics(seq, CE=CE, i0=i0)
-                    assert fn.rho <= fn.kappa**2
-                    assert fn.d_contrib == Fraction(seq.c1, c_h) * fn.kappa
+        for CE in range(0, 5):
+            for i0 in range(0, c_h):
+                if (i0 == 0) != (c_h == 1):
+                    continue
+                fiber = RulingFiber(((3, 1),), c_h, i0, CE)
+                assert fiber.full_pairs().pairs == ((3 * c_h, c_h), (c_h, 1))
+                assert fiber.rho <= fiber.kappa**2
+                chp = c_h - i0 if i0 else 0
+                assert fiber.kappa == c_h * CE + chp
+                assert fiber.rho == fiber.kappa * CE + chp * CE + chp

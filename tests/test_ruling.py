@@ -1,4 +1,7 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -20,10 +23,8 @@ from dgk.ruling import (
     minimalize_chain,
     minimalized_section_side_32,
     second_fiber_square_branch,
-    solution_scenario,
     solve_two_fiber,
     tail_chain_23_branch,
-    two_fiber_relations,
     two_run_twig_branch,
 )
 from reference import (
@@ -32,6 +33,7 @@ from reference import (
     reference_equation_solutions,
     reference_solve_two_fiber,
     shape,
+    two_fiber_relations,
 )
 
 E4 = lambda: shape("[4]", 1)
@@ -68,25 +70,87 @@ def test_equation_solutions_kappa_3_boundary_tuple():
     assert KAPPA_3_TUPLE in got
     tup = got[got.index(KAPPA_3_TUPLE)]
     assert (tup.alpha, tup.rho, tup.rho_t, tup.d) == (0, 5, 16, 36)
-    assert tup.fibers()[0].h == 3  # h = 3 + alpha
+    assert len(tup.fibers()[0].upairs) + 1 == 3  # h = 3 + alpha
 
 
-def test_equation_solutions_match_reference_on_both_rho_forms():
-    # (5)-(6) read only gamma, epsilon, K.E and the number of external
-    # (-2)-curves of E, so stand-in data for an irreducible E plus one such
-    # curve reach the boundary-curve forms of rho on either fiber, which the
-    # catalog shapes of the paper leave unused on the second fiber
+def both_rho_forms_sweep():
+    """(T1, T2, stand-in E) over the twigs of d <= 6: (5)-(6) read only
+    gamma, epsilon, K.E and the number of external (-2)-curves of E, so
+    stand-in data for an irreducible E plus one such curve reach the
+    boundary-curve forms of rho on either fiber, which the catalog shapes of
+    the paper leave unused on the second fiber."""
     sweep = [ws for dd in range(2, 7) for ws in chains.oriented_chains_with_d(dd)]
-    splits = set()
     for gamma in (4, 5, 6):
         for eps in (0, 1, 2):
             es = SimpleNamespace(e_weights=(gamma,), epsilon=eps, ke=gamma - 2, size=2)
             for t1 in sweep:
                 for t2 in sweep:
-                    got = list(_equation_solutions(t1, t2, es))
-                    assert got == list(reference_equation_solutions(t1, t2, es))
-                    splits.update((f.delta_f_size, f.delta_ft_size) for f in got)
+                    yield t1, t2, es
+
+
+def test_equation_solutions_match_reference_on_both_rho_forms():
+    splits = set()
+    for t1, t2, es in both_rho_forms_sweep():
+        got = list(_equation_solutions(t1, t2, es))
+        assert got == list(reference_equation_solutions(t1, t2, es))
+        splits.update((f.delta_f_size, f.delta_ft_size) for f in got)
     assert splits == {(1, 0), (0, 1)}
+
+
+def test_equation_solutions_have_zero_ruling_residuals():
+    # the solver checks no residual: kappa is a root of twice (6) and p~ is
+    # solved from (5), so every tuple it yields satisfies (1)/(2) on its two
+    # fibers, on the catalog shapes and on both rho forms
+    sweeps = [(t1, t2, shape(key, eps)) for key, eps in SOLVER_SHAPES
+              for t1 in oracle_sweep() for t2 in oracle_sweep()]
+    count = 0
+    for t1, t2, es in sweeps + list(both_rho_forms_sweep()):
+        for tup in _equation_solutions(t1, t2, es):
+            assert check_ruling_equations(tup.scenario())[:2] == (0, 0), tup
+            count += 1
+    assert count > 100
+
+
+def random_fiber_tuple(rng):
+    """A FiberTuple whose fibers lay out, with d = c kappa = c~ kappa~ and
+    either rho form on each fiber; not in general a solution."""
+    n = rng.randint(1, 3)
+    alpha = rng.randint(0, n)
+    eps = rng.randint(0, 2)
+    df, dft = rng.randint(0, 1), rng.randint(0, 1)
+    # a fiber with a boundary curve has odd kappa, so CE = (kappa - 1)/2
+    kappa = rng.randrange(3 if df else 2, 40, 1 + df)
+    kappa_t = rng.randrange(3 if dft else 2, 40, 1 + dft)
+    d = lcm(kappa, kappa_t) * rng.randint(1, 4)
+    c, c_t = d // kappa, d // kappa_t
+    c_pr = rng.randint(1, 30)
+    return FiberTuple(
+        n, rng.randint(2, 9), eps, alpha + 4 - n - eps, kappa, kappa_t,
+        c, rng.randint(1, c), c_pr, rng.randint(1, c_pr), c_t, rng.randint(1, c_t),
+        df, dft,
+    )
+
+
+def test_equations_5_6_are_1_2_on_the_two_fibers():
+    # with d = c kappa = c~ kappa~: r5 = r1 and r6 = d r1 - r2
+    rng = random.Random(20100)
+    splits = set()
+    for _ in range(3000):
+        tup = random_fiber_tuple(rng)
+        r1, r2, _, _ = check_ruling_equations(tup.scenario())
+        r5, r6 = two_fiber_relations(
+            n=tup.n, gamma=tup.gamma, alpha=tup.alpha, kappa=tup.kappa,
+            kappa_t=tup.kappa_t, c=tup.c, p=tup.p, c_prime=tup.c_prime,
+            p_prime=tup.p_prime, c_tilde=tup.c_tilde, p_tilde=tup.p_tilde,
+            rho=tup.rho, rho_t=tup.rho_t,
+        )
+        assert (r5, r6) == (r1, tup.d * r1 - r2), tup
+        # the fibers carry the tuple's kappa and rho
+        assert [(f.kappa, f.rho) for f in tup.fibers()] == [
+            (tup.kappa, tup.rho), (tup.kappa_t, tup.rho_t)
+        ]
+        splits.add((tup.delta_f_size, tup.delta_ft_size))
+    assert splits == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("key,eps", SOLVER_SHAPES)
@@ -161,6 +225,13 @@ def test_two_fiber_relations_anchor_tuples():
     ]
     for kw in anchors:
         assert two_fiber_relations(**kw) == (0, 0)
+        # and (1)/(2) on the tuple's two fibers, which have no boundary curve
+        tup = FiberTuple(
+            kw["n"], kw["gamma"], 0, kw["alpha"] + 4 - kw["n"], kw["kappa"],
+            kw["kappa_t"], kw["c"], kw["p"], kw["c_prime"], kw["p_prime"],
+            kw["c_tilde"], kw["p_tilde"], 0, 0,
+        )
+        assert check_ruling_equations(tup.scenario())[:2] == (0, 0)
 
 
 def test_two_fiber_relations_d_mismatch():
@@ -174,7 +245,7 @@ def test_two_fiber_relations_d_mismatch():
 def test_check_ruling_equations_two_fiber():
     # the mixed-boundary scenario with kappa = 3: residuals of (1)-(2) vanish
     scenario = RulingScenario(
-        n=1, gamma=3, epsilon=2, ke=1, d=36,
+        n=1, gamma=3, d=36,
         fibers=(
             RulingFiber(((12, 6), (6, 1)), 2, 1, 1),
             RulingFiber(((9, 4),), 1, 0, 4),
@@ -184,16 +255,15 @@ def test_check_ruling_equations_two_fiber():
     r1, r2, r3, r4 = check_ruling_equations(scenario)
     assert (r1, r2) == (0, 0)
     # the solver lays out the same two fibers from the tuple
-    assert KAPPA_3_TUPLE.fibers() == scenario.fibers
+    assert KAPPA_3_TUPLE.scenario() == scenario
 
 
 def test_single_fiber_forces_kappa_one():
     # a lone singular fiber makes (3) read d*|H1| = uc1, i.e. kappa*|H1| = 1
     fiber = RulingFiber(((4, 1),), 1, 0, 2)
-    assert fiber.numerics().kappa == 2
+    assert fiber.kappa == 2
     scenario = RulingScenario(
-        n=1, gamma=4, epsilon=1, ke=2, d=fiber.numerics().d_contrib,
-        fibers=(fiber,), h1_order=1,
+        n=1, gamma=4, d=fiber.uc1 * fiber.kappa, fibers=(fiber,), h1_order=1,
     )
     _, _, r3, _ = check_ruling_equations(scenario)
     assert r3 != 0  # 8*1 - 4: no positive |H1| fits
@@ -202,15 +272,12 @@ def test_single_fiber_forces_kappa_one():
 def test_lcm_residual_detects_scaled_d():
     sols = solve_two_fiber(parse_chain("[2]"), parse_chain("[(3)]"), E4())
     sol = sols[0]
-    good = solution_scenario(sol, h1_order=2)
+    good = sol.scenario(h1_order=2)
     r = check_ruling_equations(good)
     assert r[0] == 0 and r[1] == 0 and r[2] == 0
     # equation (4) is exactly what these tuples fail
     assert r[3] != 0
-    halved = RulingScenario(
-        n=good.n, gamma=good.gamma, epsilon=good.epsilon, ke=good.ke,
-        d=good.d // 2, fibers=good.fibers, h1_order=2,
-    )
+    halved = replace(good, d=good.d // 2)
     assert check_ruling_equations(halved)[3] != check_ruling_equations(good)[3]
 
 
