@@ -3,9 +3,14 @@
 A boundary candidate is a branch weight b together with three oriented
 admissible twigs (tip first; the last weight sits next to the branch vertex)
 and an exceptional shape.  :data:`PREDICATES` names each condition once,
-with its test and its witness.  All conditions are evaluated exactly.  The
-report never short-circuits, so a failing candidate still shows every witness
-value; the verdict :func:`passes` does, at the first failing name.
+with its test and its witness.  Each test decides its condition in integers:
+it cross-multiplies the fork record (b, D, S, E, Et) of
+:func:`dgk.barks.fork_invariants` with the shape's integers (d(E), K.E,
+epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.  The verdict
+:func:`passes` takes the record the scan has already formed and stops at the
+first failing name.  The report :func:`evaluate_predicates` reads every ok
+flag from the same tests and never short-circuits, so a failing candidate
+still shows every witness value; ``Fraction`` appears only in the witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from . import chains
-from .barks import ExceptionalShape, fork_invariants
+from .barks import ExceptionalShape, ForkInvariants, fork_invariants
 from .graphs import Fork, Weights, format_chain
 
 
@@ -71,23 +76,63 @@ def lambda_and_p_square(cand: BoundaryCandidate) -> tuple[Fraction, Fraction]:
     return 1 - (et - cand.b) / (1 - delta), (1 - delta) ** 2 / (et - cand.b)
 
 
-def is_positive_perfect_square(x: Fraction) -> bool:
-    if x <= 0 or x.denominator != 1:
+def _eps2_skip(es: ExceptionalShape) -> str:
+    """Why the eps < 2 inequalities pass unread, or "" when they apply."""
+    return "skipped: eps = 2" if es.epsilon >= 2 else ""
+
+
+def _iv_skip(es: ExceptionalShape) -> str:
+    return _eps2_skip(es) or ("" if es.delta_empty else "skipped: external (-2)-curves present")
+
+
+# The integer tests.  Each reads the fork record (b, D, S, E, Et) with
+# delta = S/D, e = E/D and e~ = Et/D, the twigs, the shape, whose
+# Bk^2(E) = q/r has r > 0, and |G| > 0, and cross-multiplies by D > 0.
+
+
+def _bmy(v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> bool:
+    # delta <= e <= 1 + eps + q/r + 3/|G|
+    q, r = es.bk_square.numerator, es.bk_square.denominator
+    return v.S <= v.E and v.E * r * g <= v.D * (g * r * (1 + es.epsilon) + g * q + 3 * r)
+
+
+def _eps2_iii(v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> object:
+    # eps + q/r + 9/|G| >= 0
+    q, r = es.bk_square.numerator, es.bk_square.denominator
+    return _eps2_skip(es) or (es.epsilon * r + q) * g + 9 * r >= 0
+
+
+def _zar_bk2(v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> bool:
+    # q/r = -(1 - delta)^2/(e~ - b) + e - 1 - eps, over D (Et - bD);
+    # degenerate when e~ = b or delta = 1
+    slack, gap = v.Et - v.b * v.D, v.D - v.S
+    if slack == 0 or gap == 0:
         return False
-    n = x.numerator
-    r = isqrt(n)
-    return r * r == n
+    q, r = es.bk_square.numerator, es.bk_square.denominator
+    return q * v.D * slack == r * ((v.E - v.D - es.epsilon * v.D) * slack - gap * gap)
+
+
+def _square(v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> bool:
+    # -d(D)/d(E) is a positive perfect square
+    quo, rem = divmod(-v.d, es.d)
+    return rem == 0 and quo > 0 and isqrt(quo) ** 2 == quo
+
+
+def _min_twig_irreducible(v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> bool:
+    ds = tuple(map(chains.d, twigs))
+    d_min = min(ds)
+    return all(len(t) == 1 for t, dd in zip(twigs, ds) if dd == d_min)
 
 
 class _Facts:
-    """What the predicates of one candidate read, each value computed once."""
+    """The values the witnesses of one candidate print, each computed once."""
 
-    def __init__(self, cand: BoundaryCandidate, group_order_mode: str) -> None:
-        inv = fork_invariants(cand.fork)
-        self.delta, self.e, self.et = delta, e, et = inv.delta, inv.e, inv.e_tilde
-        self.b, self.twigs, self.eshape = b, twigs, es = cand.b, cand.twigs, cand.eshape
+    def __init__(self, v: ForkInvariants, twigs, es: ExceptionalShape, g: int) -> None:
+        self.delta, self.e, self.et = delta, e, et = v.delta, v.e, v.e_tilde
+        self.b = b = v.b
+        self.eshape = es
         self.eps = eps = es.epsilon
-        self.g = g = es.group_order_for(group_order_mode)
+        self.g = g
         self.delta_g = delta + Fraction(1, g)
         # the two sides of Noether's count
         size_d = 1 + sum(len(t) for t in twigs)
@@ -95,104 +140,101 @@ class _Facts:
         self.noether = es.size + size_d, 7 + eps + k_dot_d + es.ke
         self.bmy = 1 + eps + es.bk_square + Fraction(3, g)
         # the eps < 2 inequalities: a skip message, or the values they compare
-        self.eps2_skip = "skipped: eps = 2" if eps >= 2 else ""
+        self.eps2_skip = _eps2_skip(es)
         self.eps2_iii = None if eps >= 2 else eps + es.bk_square + Fraction(9, g)
-        self.iv_skip = self.eps2_skip or (
-            "" if es.delta_empty else "skipped: external (-2)-curves present"
-        )
+        self.iv_skip = _iv_skip(es)
         self.iv = None if self.iv_skip else (
             e + delta, Fraction(eps) + Fraction(es.ke, 4) + Fraction(1, 2))
         # the right side of the Zariski identity, None when degenerate
         self.zar_rhs = None
         if et != b and delta != 1:
             self.zar_rhs = -((1 - delta) ** 2) / (et - b) + e - 1 - eps
-        self.ratio = Fraction(-inv.d, es.d)
+        self.ratio = Fraction(-v.d, es.d)
         self.et_delta = et + delta
         self.two_ends = sum(1 for t in twigs if t[-1] == 2)
-        self.ds = tuple(map(chains.d, twigs))
-        self.d_min = min(self.ds)
+        self.d_min = min(map(chains.d, twigs))
 
 
 class Predicate(NamedTuple):
-    """A row of :data:`PREDICATES`: a test and a witness text of the facts.
-    A test may return a skip message, which passes."""
+    """A row of :data:`PREDICATES`: an integer test of (fork record, twigs,
+    shape, |G|) and a witness text of the facts.  A test may return a skip
+    message, which passes."""
 
-    test: Callable[[_Facts], object]
+    test: Callable[[ForkInvariants, tuple[Weights, ...], ExceptionalShape, int], object]
     witness: Callable[[_Facts], str]
 
 
 # The predicate suite, in the order a report lists it.
 PREDICATES = {
-    # Noether count: #E + #D = 7 + eps + K.D + K.E
+    # Noether count: #E + #D = 7 + eps + K.D + K.E, that is
+    # #E - eps - K.E = 4 + b + sum (w - 3)
     "noether": Predicate(
-        lambda f: f.noether[0] == f.noether[1],
+        lambda v, tw, es, g: es.size - es.epsilon - es.ke
+        == 4 + v.b + sum(w - 3 for t in tw for w in t),
         lambda f: f"{f.noether[0]} vs {f.noether[1]}",
     ),
     # delta <= e = -Bk^2 D <= 1 + eps + Bk^2 E + 3/|G|
-    "bmy": Predicate(
-        lambda f: f.delta <= f.e <= f.bmy,
-        lambda f: f"{f.delta} <= {f.e} <= {f.bmy}",
-    ),
+    "bmy": Predicate(_bmy, lambda f: f"{f.delta} <= {f.e} <= {f.bmy}"),
     # the three eps < 2 inequalities (s = 3 twigs throughout)
     "eps2_ii": Predicate(
-        lambda f: f.eps2_skip or 1 - Fraction(6, f.g) <= f.delta,
+        lambda v, tw, es, g: _eps2_skip(es) or (g - 6) * v.D <= v.S * g,
         lambda f: f.eps2_skip or f"1-6/{f.g} vs {f.delta}",
     ),
-    "eps2_iii": Predicate(
-        lambda f: f.eps2_skip or f.eps2_iii >= 0,
-        lambda f: f.eps2_skip or f"{f.eps2_iii}",
-    ),
+    "eps2_iii": Predicate(_eps2_iii, lambda f: f.eps2_skip or f"{f.eps2_iii}"),
+    # e + delta >= eps + K.E/4 + 1/2
     "eps2_iv": Predicate(
-        lambda f: f.iv_skip or f.iv[0] >= f.iv[1],
+        lambda v, tw, es, g: _iv_skip(es)
+        or 4 * (v.E + v.S) >= v.D * (4 * es.epsilon + es.ke + 2),
         lambda f: f.iv_skip or f"{f.iv[0]} vs {f.iv[1]}",
     ),
     # Zariski-decomposition conditions on the fork boundary
     "zar_b": Predicate(
-        lambda f: f.b in (1, 2) and f.b < f.et,
+        lambda v, tw, es, g: v.b in (1, 2) and v.b * v.D < v.Et,
         lambda f: f"b={f.b}, e~={f.et}",
     ),
-    "zar_delta": Predicate(lambda f: f.delta < 1, lambda f: f"delta={f.delta}"),
+    "zar_delta": Predicate(lambda v, tw, es, g: v.S < v.D, lambda f: f"delta={f.delta}"),
     "zar_bk2": Predicate(
-        lambda f: f.zar_rhs is not None and f.eshape.bk_square == f.zar_rhs,
+        _zar_bk2,
         lambda f: "degenerate: e~ = b or delta = 1" if f.zar_rhs is None
         else f"{f.eshape.bk_square} vs {f.zar_rhs}",
     ),
     # -d(D)/d(E) must be a positive perfect square
-    "square": Predicate(
-        lambda f: is_positive_perfect_square(f.ratio),
-        lambda f: f"-d(D)/d(E) = {f.ratio}",
-    ),
+    "square": Predicate(_square, lambda f: f"-d(D)/d(E) = {f.ratio}"),
     # K.E + 2 eps <= 5 with the single allowed exception, [4] with eps = 2;
     # every catalog family satisfies it, so only a shape built outside the
     # catalog can fail it
     "ke": Predicate(
-        lambda f: f.eshape.ke + 2 * f.eps <= 5 or (f.eps == 2 and f.eshape.key() == "[4]"),
+        lambda v, tw, es, g: es.ke + 2 * es.epsilon <= 5
+        or (es.epsilon == 2 and es.key() == "[4]"),
         lambda f: f"{f.eshape.ke}+2*{f.eps}",
     ),
-    # strict inequalities of the general-type intermediate surface
+    # strict inequalities of the general-type intermediate surface:
+    # e~ + delta < b + 1, delta + 1/|G| > 1 and eps != 0
     "w2": Predicate(
-        lambda f: f.et_delta < f.b + 1 and f.delta_g > 1 and f.eps != 0,
+        lambda v, tw, es, g: v.Et + v.S < (v.b + 1) * v.D
+        and v.S * g + v.D > v.D * g and es.epsilon != 0,
         lambda f: f"e~+delta={f.et_delta} vs b+1={f.b + 1}; delta+1/|G|={f.delta_g}",
     ),
-    "w2_delta_g": Predicate(lambda f: f.delta_g > 1, lambda f: f"{f.delta_g}"),
+    "w2_delta_g": Predicate(
+        lambda v, tw, es, g: v.S * g + v.D > v.D * g, lambda f: f"{f.delta_g}"
+    ),
     # when the external (-2)-part has three components the branch weight is 2
     "delta3": Predicate(
-        lambda f: f.eshape.n_delta_components < 3 or f.b == 2,
+        lambda v, tw, es, g: es.n_delta_components < 3 or v.b == 2,
         lambda f: f"delta components={f.eshape.n_delta_components}, b={f.b}",
     ),
-    # context inequality of the nonpositive-Kodaira branch
-    "et_plus_delta_ge_2": Predicate(lambda f: f.et_delta >= 2, lambda f: f"{f.et_delta}"),
+    # context inequality of the nonpositive-Kodaira branch: e~ + delta >= 2
+    "et_plus_delta_ge_2": Predicate(
+        lambda v, tw, es, g: v.Et + v.S >= 2 * v.D, lambda f: f"{f.et_delta}"
+    ),
     # boundary contains no chain (2,1,2): at most one twig may end in a
     # (-2)-curve when the branch vertex is a (-1)-curve
     "no_212": Predicate(
-        lambda f: f.b != 1 or f.two_ends <= 1,
+        lambda v, tw, es, g: v.b != 1 or sum(1 for t in tw if t[-1] == 2) <= 1,
         lambda f: f"b={f.b}, twigs ending in 2: {f.two_ends}",
     ),
     # every twig of minimal discriminant is a single curve
-    "min_twig_irreducible": Predicate(
-        lambda f: all(len(t) == 1 for t, dd in zip(f.twigs, f.ds) if dd == f.d_min),
-        lambda f: f"d_min={f.d_min}",
-    ),
+    "min_twig_irreducible": Predicate(_min_twig_irreducible, lambda f: f"d_min={f.d_min}"),
 }
 PREDICATE_NAMES = tuple(PREDICATES)
 
@@ -200,18 +242,33 @@ PREDICATE_NAMES = tuple(PREDICATES)
 def evaluate_predicates(
     cand: BoundaryCandidate, *, group_order_mode: str = "actual"
 ) -> PredicateReport:
-    """Every predicate of :data:`PREDICATES` on ``cand``, with its witness."""
-    f = _Facts(cand, group_order_mode)
+    """Every predicate of :data:`PREDICATES` on ``cand``: the ok flag of its
+    integer test, and its witness."""
+    v = fork_invariants(cand.fork)
+    if v.D < 0:  # the tests multiply through by D
+        raise ValueError("the twig discriminants of a candidate must have a positive product")
+    twigs, es = cand.twigs, cand.eshape
+    g = es.group_order_for(group_order_mode)
+    f = _Facts(v, twigs, es, g)
     return PredicateReport(
-        {name: (bool(p.test(f)), p.witness(f)) for name, p in PREDICATES.items()}
+        {name: (bool(p.test(v, twigs, es, g)), p.witness(f)) for name, p in PREDICATES.items()}
     )
 
 
 def passes(
-    cand: BoundaryCandidate, names: tuple[str, ...], *, group_order_mode: str = "actual"
+    record: ForkInvariants,
+    twigs: tuple[Weights, Weights, Weights],
+    eshape: ExceptionalShape,
+    names: tuple[str, ...],
+    *,
+    group_order_mode: str = "actual",
 ) -> bool:
-    """Whether ``cand`` passes every predicate of ``names``: the verdict of
-    :meth:`PredicateReport.passes`, decided at the first failing name and
-    without formatting a witness."""
-    f = _Facts(cand, group_order_mode)
-    return all(PREDICATES[name].test(f) for name in names)
+    """Whether the candidate (``record.b``, ``twigs``, ``eshape``) passes
+    every predicate of ``names``: the verdict of :meth:`PredicateReport.passes`,
+    decided in integers at the first failing name.  ``record`` is the
+    candidate's :func:`dgk.barks.fork_invariants`, with D > 0."""
+    g = eshape.group_order_for(group_order_mode)
+    for name in names:
+        if not PREDICATES[name].test(record, twigs, eshape, g):
+            return False
+    return True

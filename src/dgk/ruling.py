@@ -54,7 +54,7 @@ from . import chains
 from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, FiberTree, reconstruct_fiber
-from .predicates import BoundaryCandidate, passes
+from .predicates import passes
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,8 @@ def contract_boundary(b: int, entries: list[tuple[int, bool]]) -> tuple[int, Wei
 class FiberTuple:
     """One solution of (5)/(6): the pairs (c, p), (c', p') of the first fiber,
     (c~, p~) of the second, kappa and kappa~ and the number (0 or 1) of
-    boundary curves on each fiber."""
+    boundary curves on each fiber.  A kappa its fiber cannot carry raises
+    ValueError."""
 
     n: int
     gamma: int
@@ -252,6 +253,18 @@ class FiberTuple:
     p_tilde: int
     delta_f_size: int
     delta_ft_size: int
+
+    def __post_init__(self) -> None:
+        # a fiber with k boundary curves has kappa = (1 + k) CE + k, see fibers()
+        for name, kappa, k in (
+            ("kappa", self.kappa, self.delta_f_size),
+            ("kappa_t", self.kappa_t, self.delta_ft_size),
+        ):
+            if (kappa - k) % (1 + k):
+                raise ValueError(
+                    f"{name} = {kappa} is not (1 + k) CE + k on a fiber with k = {k}"
+                    " boundary curves"
+                )
 
     @property
     def alpha(self) -> int:
@@ -438,8 +451,9 @@ def solve_two_fiber(
         sol = _assemble_solution(tup, t1, t2, eshape)
         if sol is None or sol.b not in (1, 2):
             continue
-        cand = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), eshape)
-        if passes(cand, predicate_names, group_order_mode=group_order_mode):
+        twigs = (sol.t1, sol.t2, sol.t3)
+        record = fork_invariants(Fork(sol.b, twigs))
+        if passes(record, twigs, eshape, predicate_names, group_order_mode=group_order_mode):
             solutions.append(sol)
     solutions.sort(key=lambda s: s.sort_key())
     return solutions

@@ -33,7 +33,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import chains
-from .barks import ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes, shape_of
+from .barks import (
+    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes, shape_of,
+)
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
@@ -215,7 +217,9 @@ def _scan_triples(triples, bounds: Bounds, index: SpecIndex) -> list[BoundaryCan
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The triples come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
     hit's spec becomes its shape through :func:`dgk.barks.shape_of`, and
-    the candidate is kept when :func:`dgk.predicates.passes` says so.
+    :func:`dgk.predicates.passes` decides the hit on the integer record
+    (b, D, S, E, Et) formed here; only a hit that passes becomes a
+    candidate.
     """
     found: list[BoundaryCandidate] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
@@ -242,9 +246,10 @@ def _scan_triples(triples, bounds: Bounds, index: SpecIndex) -> list[BoundaryCan
                 shape = shape_of(spec)
                 if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
-                cand = BoundaryCandidate(b, (r1.ws, r2.ws, r3.ws), shape)
-                if passes(cand, names, group_order_mode=bounds.group_order_mode):
-                    found.append(cand)
+                twigs = (r1.ws, r2.ws, r3.ws)
+                if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
+                          group_order_mode=bounds.group_order_mode):
+                    found.append(BoundaryCandidate(b, twigs, shape))
     found.sort(key=BoundaryCandidate.sort_key)
     return found
 

@@ -10,8 +10,9 @@ external (-2)-curves, the simulated multiplicity trace, the
 continued-fraction recurrence for e, d'' of a chain, the two-fiber solver
 and the square/zar_bk2 entries in ``Fraction`` arithmetic, the ruling
 equations (5)/(6) as the paper writes them, and the predicate report as one
-function.  ``tests/test_source.py`` keeps them out of the package: every
-package function must have a caller in the package.
+function in ``Fraction`` arithmetic.  ``tests/test_source.py`` keeps them
+out of the package: every package function must have a caller in the
+package.
 
 Test files import from here with ``from reference import ...``.
 """
@@ -27,7 +28,7 @@ from dgk import chains
 from dgk.barks import BarkCoefficients, eshape_catalog, fork_invariants
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
-from dgk.predicates import BoundaryCandidate, PredicateReport, is_positive_perfect_square
+from dgk.predicates import BoundaryCandidate, PredicateReport
 from dgk.ruling import FiberTuple, _assemble_solution
 
 # ---------------------------------------------------------------------------
@@ -452,6 +453,14 @@ def reference_square_and_zar_bk2(cand):
 
 # ---------------------------------------------------------------------------
 # the predicate suite as one function, each predicate put in turn
+
+
+def is_positive_perfect_square(x: Fraction) -> bool:
+    if x <= 0 or x.denominator != 1:
+        return False
+    n = x.numerator
+    r = isqrt(n)
+    return r * r == n
 
 
 def reference_report(cand: BoundaryCandidate, group_order_mode: str = "actual") -> PredicateReport:

@@ -1,8 +1,9 @@
 """The predicate table against its oracle, the suite as one function.
 
-``reference.reference_report`` evaluates every predicate in turn, as the
-package once did.  The table must give the same report, entry by entry and
-witness by witness, and its verdict ``passes`` the report's verdict.
+``reference.reference_report`` evaluates every predicate in turn in
+``Fraction`` arithmetic, as the package once did.  The table must give the
+same report, entry by entry and witness by witness, and its integer verdict
+``passes`` the report's verdict, predicate by predicate.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from dgk import chains
 from dgk import ruling as dgk_ruling
 from dgk import search as dgk_search
-from dgk.barks import DegenerateChainError, eshape_catalog, family_specs
+from dgk.barks import DegenerateChainError, eshape_catalog, family_specs, fork_invariants
 from dgk.predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
 from dgk.search import (
     load_bounds,
@@ -35,6 +36,12 @@ BOUNDS_FILES = {
     "k_nonpositive": search_k_nonpositive,
     "fiber_pairs": search_fiber_pairs,
 }
+
+
+def verdict(cand, names, mode):
+    """``passes`` on a candidate, with the record the searches hand it."""
+    return passes(fork_invariants(cand.fork), cand.twigs, cand.eshape, names,
+                  group_order_mode=mode)
 
 
 def test_reports_match_the_reference_on_a_sweep():
@@ -78,33 +85,55 @@ def test_bad_candidates_fail_alike(twigs, mode, error):
     with pytest.raises(error, match=message):
         evaluate_predicates(cand, group_order_mode=mode)
     with pytest.raises(error, match=message):
-        passes(cand, (), group_order_mode=mode)
+        verdict(cand, (), mode)
+
+
+def test_a_negative_twig_product_is_refused():
+    # the integer tests multiply through by D = d1*d2*d3 > 0; a twig of
+    # negative discriminant, here d([1,1,1]) = -1, is no admissible twig
+    cand = BoundaryCandidate(2, ((1, 1, 1), (2,), (3,)), shape("[4]", 1))
+    assert fork_invariants(cand.fork).D == -6
+    with pytest.raises(ValueError, match="positive product"):
+        evaluate_predicates(cand)
+
+
+def record_hits(runs):
+    """Every (fork record, candidate, group-order mode) the verdict decides
+    in ``search(cfg)`` for each (search, cfg) of ``runs``."""
+    hits = []
+    with pytest.MonkeyPatch.context() as mp:
+
+        def recording(record, twigs, eshape, names, *, group_order_mode):
+            hits.append((record, BoundaryCandidate(record.b, twigs, eshape), group_order_mode))
+            return passes(record, twigs, eshape, names, group_order_mode=group_order_mode)
+
+        mp.setattr(dgk_search, "passes", recording)
+        mp.setattr(dgk_ruling, "passes", recording)
+        for search, cfg in runs:
+            search(cfg)
+    return hits
 
 
 @pytest.fixture(scope="module")
 def probe_hits():
-    """Every (candidate, group-order mode) the verdict decides in the
-    searches of the five bounds files, with each file's predicate list."""
-    hits, lists = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    """The hits of the searches of the five bounds files, with each file's
+    predicate list."""
+    cfgs = {name: load_bounds(name) for name in BOUNDS_FILES}
+    hits = record_hits((BOUNDS_FILES[name], cfg) for name, cfg in cfgs.items())
+    return hits, [tuple(cfg["predicates"]) for cfg in cfgs.values()]
 
-        def recording(cand, names, *, group_order_mode):
-            hits.append((cand, group_order_mode))
-            return passes(cand, names, group_order_mode=group_order_mode)
 
-        mp.setattr(dgk_search, "passes", recording)
-        mp.setattr(dgk_ruling, "passes", recording)
-        for name, search in BOUNDS_FILES.items():
-            cfg = load_bounds(name)
-            lists.append(tuple(cfg["predicates"]))
-            search(cfg)
-    return hits, lists
+def test_the_searches_hand_the_verdict_the_record_of_each_hit(probe_hits):
+    hits, _ = probe_hits
+    assert len(hits) > 900
+    for record, cand, _ in hits:
+        assert record == fork_invariants(cand.fork), cand
 
 
 def test_reports_match_the_reference_on_every_probe_hit(probe_hits):
     hits, lists = probe_hits
     assert len(hits) > 900
-    for cand, mode in hits:
+    for _, cand, mode in hits:
         assert evaluate_predicates(cand, group_order_mode=mode).to_dict() == (
             reference_report(cand, mode).to_dict()
         )
@@ -115,13 +144,36 @@ def test_the_verdict_matches_the_reference_on_every_probe_hit(probe_hits):
     rng = random.Random(16)
     subsets = [tuple(rng.sample(PREDICATE_NAMES, k)) for k in (1, 2, 3, 5, 8, 13, 16)]
     verdicts = {True: 0, False: 0}
-    for cand, mode in hits:
+    for record, cand, mode in hits:
         want = reference_report(cand, mode)
         for names in lists + subsets:
-            verdict = passes(cand, names, group_order_mode=mode)
-            assert verdict == want.passes(names), (cand, names)
-            verdicts[verdict] += 1
+            got = passes(record, cand.twigs, cand.eshape, names, group_order_mode=mode)
+            assert got == want.passes(names), (cand, names)
+            verdicts[got] += 1
     assert all(verdicts.values()), verdicts
+
+
+def test_each_verdict_matches_the_reference_on_widened_boxes():
+    # the xy box to z_max 150 and the final-bounds rule (2, 3..5, z) to
+    # z_max 84, each hit decided one predicate at a time in both
+    # group-order modes
+    xy = load_bounds("xy")
+    final = load_bounds("final_bounds")
+    final["catalog_max_size"] = 100
+    assert final["d_rules"][1]["x"] == 2
+    final["d_rules"][1]["z_max"] = 84
+    xy_hits = record_hits([(search_xy, dict(xy, z_max=150))])
+    final_hits = record_hits([(search_final_bounds, final)])
+    assert (len(xy_hits), len(final_hits)) == (471, 730)
+    outcomes = Counter()
+    for record, cand, _ in xy_hits + final_hits:
+        for mode in MODES:
+            want = reference_report(cand, mode).entries
+            for name in PREDICATE_NAMES:
+                got = passes(record, cand.twigs, cand.eshape, (name,), group_order_mode=mode)
+                assert got == want[name][0], (cand, mode, name)
+                outcomes[got] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 def test_ke_holds_on_every_catalog_family():

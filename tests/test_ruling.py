@@ -30,6 +30,7 @@ from dgk.ruling import (
 from reference import (
     coprime_pairs_with_length,
     integer_roots,
+    is_positive_perfect_square,
     reference_equation_solutions,
     reference_solve_two_fiber,
     shape,
@@ -97,18 +98,49 @@ def test_equation_solutions_match_reference_on_both_rho_forms():
     assert splits == {(1, 0), (0, 1)}
 
 
+def swept_tuples():
+    """Every tuple the solver yields on the catalog shapes and on both rho
+    forms."""
+    sweeps = [(t1, t2, shape(key, eps)) for key, eps in SOLVER_SHAPES
+              for t1 in oracle_sweep() for t2 in oracle_sweep()]
+    for t1, t2, es in sweeps + list(both_rho_forms_sweep()):
+        yield from _equation_solutions(t1, t2, es)
+
+
 def test_equation_solutions_have_zero_ruling_residuals():
     # the solver checks no residual: kappa is a root of twice (6) and p~ is
     # solved from (5), so every tuple it yields satisfies (1)/(2) on its two
     # fibers, on the catalog shapes and on both rho forms
-    sweeps = [(t1, t2, shape(key, eps)) for key, eps in SOLVER_SHAPES
-              for t1 in oracle_sweep() for t2 in oracle_sweep()]
     count = 0
-    for t1, t2, es in sweeps + list(both_rho_forms_sweep()):
-        for tup in _equation_solutions(t1, t2, es):
-            assert check_ruling_equations(tup.scenario())[:2] == (0, 0), tup
-            count += 1
+    for tup in swept_tuples():
+        assert check_ruling_equations(tup.scenario())[:2] == (0, 0), tup
+        count += 1
     assert count > 100
+
+
+def test_fiber_tuple_refuses_a_kappa_its_fiber_cannot_carry():
+    # with a boundary curve on a fiber, kappa = 2 CE + 1 is odd: kappa = 4
+    # would lay out a first fiber of kappa 3 and rho 5 under kappa 4, rho 8
+    with pytest.raises(ValueError, match="kappa = 4 is not"):
+        FiberTuple(1, 3, 2, 1, 4, 4, 12, 6, 6, 1, 12, 4, 1, 0)
+    with pytest.raises(ValueError, match="kappa_t = 4 is not"):
+        FiberTuple(1, 3, 2, 1, 3, 4, 12, 6, 6, 1, 9, 4, 0, 1)
+
+
+def test_every_swept_tuple_is_accepted_and_its_fibers_carry_it():
+    # the solver's parity tests keep kappa - k divisible by 1 + k on each
+    # fiber, so every tuple of its sweeps builds, and its two fibers carry
+    # its kappa and rho
+    tuples = list(swept_tuples())
+    assert len(tuples) == 144
+    splits = set()
+    for tup in tuples:
+        assert replace(tup) == tup
+        assert [(f.kappa, f.rho) for f in tup.fibers()] == [
+            (tup.kappa, tup.rho), (tup.kappa_t, tup.rho_t)
+        ]
+        splits.add((tup.delta_f_size, tup.delta_ft_size))
+    assert splits == {(0, 0), (1, 0), (0, 1)}
 
 
 def random_fiber_tuple(rng):
@@ -379,8 +411,6 @@ def test_two_run_twig_branch():
     assert s.b == 2
     assert s.d_of_d == -25
     assert s.rejected_by_square_gcd
-    from dgk.predicates import is_positive_perfect_square
-
     assert not is_positive_perfect_square(s.minus_dd_over_de)
 
 

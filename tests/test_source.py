@@ -219,3 +219,38 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
         (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
         assert "evaluate_predicates" not in _named(fn), name
         assert "passes" in _named(fn), name
+
+
+def test_the_decisions_build_no_fraction():
+    # passes and each PREDICATES test decide in integers, and so does every
+    # module-level function or class they name; Fraction is for the
+    # witnesses only
+    tree = ast.parse((PACKAGE_DIR / "predicates.py").read_text())
+    functions = {
+        n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets]
+        == ["PREDICATES"]
+    ]
+    tests = [row.args[0] for row in table.values]
+    assert len(tests) == len(table.keys)
+    route = [functions["passes"]] + [functions.get(getattr(t, "id", None), t) for t in tests]
+    seen = set()
+    while route:
+        node = route.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert "Fraction" not in _named(node), getattr(node, "name", node.lineno)
+        route += [functions[name] for name in _named(node) if name in functions]
+
+
+def test_the_scan_hands_its_record_to_the_verdict():
+    # _scan_triples forms the record (b, D, S, E, Et) from its twig sums and
+    # passes it on; it does not recompute it from the fork
+    tree = ast.parse((PACKAGE_DIR / "search.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_triples"]
+    assert "fork_invariants" not in _named(fn)
+    assert {"ForkInvariants", "passes"} <= _named(fn)
