@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache
 
@@ -23,7 +22,15 @@ from .barks import (
     fork_invariants,
     group_order,
 )
-from .graphs import ChainParseError, Fork, format_chain, parse_chain, parse_fork
+from .graphs import (
+    ChainParseError,
+    Curve,
+    Fork,
+    format_chain,
+    parse_chain,
+    parse_fork,
+    read_brackets,
+)
 from .pairs import FiberTree, pairs_from_fiber, reconstruct_fiber
 from .search import SEARCHES, run_search, verify_suite
 from .ruling import solve_two_fiber
@@ -147,59 +154,36 @@ def cmd_pairs(args) -> tuple[int, object, str]:
     return _extract_pairs(args.fiber)
 
 
-_FIBER_ENTRY = re.compile(r"\s*(?:\(\s*(\d+)\s*\)|(\d+)\s*(\*?)\s*(?::\s*(\d+))?)\s*")
-
-
-def _parse_fiber(text: str) -> list[tuple[int, int | None, str]]:
-    """(weight, multiplicity or None, entry text) per curve of ``[e1,...,en]``,
-    an entry being w, w*, w:m, w*:m or (k) for k curves of weight 2; at most
-    one entry carries the mark '*'."""
-    body = text.strip()
-    if not body.startswith("["):
-        raise ChainParseError("expected '['", 0)
-    entries: list[tuple[int, int | None, str]] = []
-    marked = None
-    pos = 1
-    for item in body[1:].removesuffix("]").split(","):
-        m = _FIBER_ENTRY.fullmatch(item)
-        if m is None:
-            raise ChainParseError(f"bad fiber entry {item.strip()!r}", pos)
-        run, w, star, mult = m.groups()
-        if run is None:
-            if star:
-                if marked is not None:
-                    raise ChainParseError(
-                        f"fiber entry {item.strip()!r} is a second '*' after {marked!r}", pos
-                    )
-                marked = item.strip()
-            entries.append((int(w), None if mult is None else int(mult), item.strip()))
-        else:
-            entries.extend([(2, None, item.strip())] * int(run))
-        pos += len(item) + 1
-    if not body.endswith("]"):
-        raise ChainParseError(f"expected ']' after entry {item.strip()!r}", len(body))
-    if not entries:
-        raise ChainParseError(f"fiber {body} has no curves", 0)
-    return entries
+def _parse_fiber(text: str) -> list[Curve]:
+    """The curves of a fiber in bracket notation: at least one, and at most
+    one of them marked '*'."""
+    curves = read_brackets(text, "fiber")
+    marked = [(entry, pos) for _, mark, _, entry, pos in curves if mark]
+    if len(marked) > 1:
+        (first, _), (second, pos) = marked[:2]
+        raise ChainParseError(f"fiber entry {second!r} is a second '*' after {first!r}", pos)
+    if not curves:
+        raise ChainParseError(f"fiber {text.strip()} has no curves", 0)
+    return curves
 
 
 def _extract_pairs(text: str) -> tuple[int, object, str]:
     entries = _parse_fiber(text)
     tree = FiberTree()
     neg = None
-    for i, (w, m, item) in enumerate(entries):
+    for i, (w, mark, m, _, _) in enumerate(entries):
         tree.add_node(w, m or 0, 0)
         if i:
             tree.connect(i - 1, i)
-        if "*" in item:
+        if mark:
             neg = i
-    if any(m is None for _, m, _ in entries):
+    if any(m is None for _, _, m, _, _ in entries):
         # recover multiplicities as the primitive kernel vector, which the
         # multiplicities that are given must match
         mults = _kernel_vector(tree.weights)
         if mults is None:
             raise DomainError("not a fiber: minus matrix has no kernel")
-        for (_, m, item), k in zip(entries, mults):
+        for (_, _, m, item, _), k in zip(entries, mults):
             if m is not None and m != k:
                 raise DomainError(
                     f"fiber entry {item!r} gives multiplicity {m}; the weights give {k}"

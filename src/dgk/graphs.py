@@ -4,7 +4,9 @@ A weighted chain is stored as a tuple of positive integers: the weight w of a
 vertex means the corresponding curve has self-intersection -w.  A chain is
 *admissible* when every weight is >= 2.  Bracket notation compresses maximal
 runs of at least two consecutive 2's, so ``[3,(2)]`` denotes the chain
-(3, 2, 2) and ``[(0)]`` the empty chain.
+(3, 2, 2) and ``[(0)]`` the empty chain.  A fiber is written in the same
+notation, where an entry may also carry the mark ``*`` of the (-1)-curve and
+a multiplicity, as in ``[5:1,3:5,1*:14]``; a chain is a fiber without them.
 
 Forks are trees with a single branching vertex of valency three; the three
 twigs are stored tip-first (the last entry of each twig is the component
@@ -31,53 +33,52 @@ class ChainParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(\(\s*\d+\s*\)|\d+|,|\[|\])")
+# one curve of a bracket entry: (weight, mark '*', multiplicity or None,
+# entry text, entry position); a run (k) gives k curves of weight 2
+Curve = tuple[int, bool, int | None, str, int]
+
+_ENTRY = re.compile(r"\s*(?:\(\s*(\d+)\s*\)|(\d+)\s*(\*?)\s*(?::\s*(\d+))?)\s*")
+
+
+def read_brackets(text: str, word: str) -> list[Curve]:
+    """The curves of ``[e1,...,en]``, each entry being w, w*, w:m, w*:m or
+    (k); ``word`` ("chain" or "fiber") names the entries in errors, and a
+    position counts from the start of ``text``."""
+    body = text.strip()
+    pos = len(text) - len(text.lstrip())
+    if not body.startswith("["):
+        raise ChainParseError("expected '['", pos)
+    curves: list[Curve] = []
+    for item in body[1:].removesuffix("]").split(","):
+        pos += 1  # past the '[' or the ','
+        entry = item.strip()
+        m = _ENTRY.fullmatch(item)
+        if m is None:
+            raise ChainParseError(f"bad {word} entry {entry!r}", pos)
+        run, w, star, mult = m.groups()
+        if run is None:
+            curves.append((int(w), star == "*", None if mult is None else int(mult), entry, pos))
+        else:
+            curves.extend([(2, False, None, entry, pos)] * int(run))
+        pos += len(item)
+    if not body.endswith("]"):
+        raise ChainParseError(f"expected ']' after entry {entry!r}", pos)
+    return curves
 
 
 def parse_chain(text: str) -> Weights:
-    """Parse bracket notation into a weight tuple.
-
-    Accepts ``[w1,...,wk]`` where each item is a positive integer or ``(m)``
-    with m >= 0 standing for m consecutive 2's.  ``[]`` and ``[(0)]`` give the
-    empty chain.
-    """
-    pos = 0
-    tokens: list[tuple[str, int]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ChainParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    if not tokens or tokens[0][0] != "[":
-        raise ChainParseError("expected '['", 0)
-    if tokens[-1][0] != "]":
-        raise ChainParseError("expected ']'", len(text) - 1)
-    items = tokens[1:-1]
-    weights: list[int] = []
-    expect_item = True
-    for tok, at in items:
-        if expect_item:
-            if tok == ",":
-                raise ChainParseError("expected weight, found ','", at)
-            if tok in "[]":
-                raise ChainParseError(f"unexpected {tok!r}", at)
-            if tok.startswith("("):
-                count = int(tok[1:-1])
-                weights.extend([2] * count)
-            else:
-                w = int(tok)
-                if w <= 0:
-                    raise ChainParseError("weights must be positive", at)
-                weights.append(w)
-            expect_item = False
-        else:
-            if tok != ",":
-                raise ChainParseError("expected ','", at)
-            expect_item = True
-    if items and expect_item:
-        raise ChainParseError("trailing ','", tokens[-1][1])
-    return tuple(weights)
+    """Parse bracket notation into a weight tuple: ``[w1,...,wk]`` where each
+    item is a positive integer or ``(m)``, m >= 0 consecutive 2's.  ``[]`` and
+    ``[(0)]`` give the empty chain."""
+    if "".join(text.split()) == "[]":
+        return ()
+    curves = read_brackets(text, "chain")
+    for w, mark, mult, entry, pos in curves:
+        if mark or mult is not None or not w:
+            raise ChainParseError(
+                f"chain entry {entry!r} must be a positive weight or a run (k)", pos
+            )
+    return tuple([c[0] for c in curves])
 
 
 def format_chain(weights: Weights) -> str:

@@ -151,27 +151,10 @@ def _ordered_from(tree: FiberTree, members: set[int], anchor: int) -> list[int]:
 def first_pair_parts(tree: FiberTree) -> tuple[list[int], int, list[int]]:
     """(Z_u, Z1, Z_l) of a fiber: the curves of the first pair, split at the
     highest-multiplicity one; Z_u is the side facing the base component."""
-    g1 = {v for v in range(len(tree)) if tree.groups[v] == 1}
-    z1 = max(g1)  # vertices are numbered in creation order
-    rest = g1 - {z1}
-    comp_u: set[int] = set()
-    comp_l: set[int] = set()
-    for v in rest:
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in tree.adj[x]:
-                if u in rest and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        if any(0 in tree.adj[x] for x in comp):
-            comp_u |= comp
-        else:
-            comp_l |= comp
-    z_u = _ordered_from(tree, comp_u, z1) if comp_u else []
-    z_l = _ordered_from(tree, comp_l, z1) if comp_l else []
-    return z_u, z1, z_l
+    path = _ordered_from(tree, {v for v in range(len(tree)) if tree.groups[v] == 1}, 0)
+    # Z1 is the newest curve of the pair: vertices are numbered in creation order
+    i = path.index(max(path))
+    return path[:i][::-1], path[i], path[i + 1 :]
 
 
 # ---------------------------------------------------------------------------

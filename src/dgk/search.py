@@ -497,15 +497,15 @@ GOLDEN_FILES["final-bounds-relaxed"] = "search_final_bounds_relaxed.json"
 
 def verify_suite() -> dict:
     """Run the four searches and compare against the golden files in
-    :func:`golden_dir`."""
+    :func:`golden_dir`; a missing golden file is refused before any search."""
     gdir = golden_dir()
-    results = {}
-    for name in SEARCHES:
-        got = run_search(name)
-        path = gdir / GOLDEN_FILES[name]
+    paths = {name: gdir / GOLDEN_FILES[name] for name in SEARCHES}
+    for path in paths.values():
         if not path.exists():
-            results[name] = {"status": "missing-golden", "path": str(path)}
-            continue
+            raise ValueError(f"golden file {path} is missing")
+    results = {}
+    for name, path in paths.items():
+        got = run_search(name)
         try:
             want = json.loads(path.read_text())
         except json.JSONDecodeError as exc:

@@ -29,7 +29,7 @@ from dgk.barks import BarkCoefficients, eshape_catalog, fork_invariants
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
 from dgk.predicates import BoundaryCandidate, PredicateReport
-from dgk.ruling import FiberTuple, _assemble_solution
+from dgk.ruling import FiberTuple, _assemble_solution, _ordered_from
 
 # ---------------------------------------------------------------------------
 # weighted trees: intersection matrices, determinants, definiteness
@@ -410,6 +410,34 @@ def all_sequences(c1_max, h_max):
 
     for c1 in range(1, c1_max + 1):
         yield from extend((), c1)
+
+
+def first_pair_parts_by_components(tree: FiberTree) -> tuple[list[int], int, list[int]]:
+    """(Z_u, Z1, Z_l) of a fiber: the curves of the first pair, split at the
+    highest-multiplicity one; Z_u is the side facing the base component.
+    The route of :func:`dgk.ruling.first_pair_parts` before it became one
+    walk: search the components of the group-1 curves other than Z1."""
+    g1 = {v for v in range(len(tree)) if tree.groups[v] == 1}
+    z1 = max(g1)  # vertices are numbered in creation order
+    rest = g1 - {z1}
+    comp_u: set[int] = set()
+    comp_l: set[int] = set()
+    for v in rest:
+        comp = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for u in tree.adj[x]:
+                if u in rest and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        if any(0 in tree.adj[x] for x in comp):
+            comp_u |= comp
+        else:
+            comp_l |= comp
+    z_u = _ordered_from(tree, comp_u, z1) if comp_u else []
+    z_l = _ordered_from(tree, comp_l, z1) if comp_l else []
+    return z_u, z1, z_l
 
 
 @cache

@@ -1,12 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgk.cli import build_parser, main
+from dgk import search
+from dgk.cli import _parse_fiber, build_parser, main
+from dgk.graphs import parse_chain
 from dgk.search import load_bounds
 
 
@@ -222,6 +228,13 @@ def test_solve_twofiber_rejects_bad_twigs(capsys, t1, t2, message):
     assert err == f"error: {message}"
 
 
+def test_solve_twofiber_ignores_whitespace_around_the_twigs(capsys):
+    plain = run(capsys, "solve", "twofiber", "--t1", "[2]", "--t2", "[(3)]", "--e", "[4]")
+    assert plain[0] == 0
+    padded = ("--t1", "[2] ", "--t2", " [(3)]", "--e", "[4]\n")
+    assert run(capsys, "solve", "twofiber", *padded) == plain
+
+
 def test_degenerate_chain_message_uses_bracket_notation(capsys):
     for graph in ("[1,1]", '{"b": 2, "twigs": ["[1,1]", "[2]", "[3]"]}'):
         code, _, err = run(capsys, "compute", "e", graph)
@@ -280,6 +293,13 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "paper")
     assert code == 1
     assert f"golden file {target} is not valid JSON" in err
+    # a missing golden is a domain error that names the file, raised before
+    # any search runs
+    target.unlink()
+    with monkeypatch.context() as m:
+        m.setattr(search, "run_search", lambda name: pytest.fail(f"search {name} ran"))
+        code, out, err = run(capsys, "verify", "--suite", "paper")
+    assert (code, out, err) == (1, "", f"error: golden file {target} is missing")
     # restoring the real file brings it back to 0
     shutil.copy(src / "search_xy.json", target)
     code, out, _ = run(capsys, "verify", "--suite", "paper")
@@ -340,3 +360,140 @@ def test_closed_pipe_exits_without_traceback(argv):
     assert proc.returncode == 1
     assert b"Traceback" not in err
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# random command lines: every run exits 0, 1 or 2, and none with a traceback
+
+PADDING = st.sampled_from(["", "", " ", "  ", "\n", "\t"])
+# runs stay short: a text such as "(9999999)" would ask for millions of curves
+RUN = st.integers(0, 4).map(lambda k: f"({k})")
+FIBER_ENTRY = st.builds(
+    lambda w, star, mult: f"{w}{star}" + ("" if mult is None else f":{mult}"),
+    st.integers(0, 6),
+    st.sampled_from(["", "*"]),
+    st.none() | st.integers(0, 20),
+)
+BAD_ENTRY = st.sampled_from(
+    ["", "x", "*", ":", "-1", "1:1:1", "((2))", "[2]", "2 3", "( )", "1**", "2:", "0"]
+)
+
+
+def _bracket(lead, open_, entries, close, trail):
+    return lead + open_ + ",".join(entries) + close + trail
+
+
+def _bracket_text(entry, opens=st.just("["), closes=st.just("]")):
+    padded = st.tuples(PADDING, entry, PADDING).map("".join)
+    return st.builds(_bracket, PADDING, opens, st.lists(padded, max_size=5), closes, PADDING)
+
+
+BRACKET_TEXT = st.one_of(
+    _bracket_text(st.integers(1, 8).map(str) | RUN),
+    _bracket_text(st.integers(1, 8).map(str) | RUN | FIBER_ENTRY),
+    _bracket_text(
+        st.integers(0, 12).map(str) | RUN | FIBER_ENTRY | BAD_ENTRY,
+        st.sampled_from(["[", "[", "", "(", "[["]),
+        st.sampled_from(["]", "]", "", ")", "]]", "],"]),
+    ),
+    st.text(alphabet="[](),*:12x -\n", max_size=6),
+)
+FIBER_TEXT = _bracket_text(st.integers(0, 6).map(str) | RUN | FIBER_ENTRY | FIBER_ENTRY)
+JSON_VALUE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.sampled_from(["", "x", "actual", "[4]", "noether"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "y_min", "y_max", "z_max", "b"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _fork_text(b, twigs, drop, cut, lead):
+    data = {"b": b, "twigs": twigs}
+    data.pop(drop, None)
+    text = json.dumps(data)
+    return lead + text[: len(text) - cut]
+
+
+FORK_TEXT = st.builds(
+    _fork_text,
+    st.integers(-2, 6) | JSON_VALUE,
+    st.lists(BRACKET_TEXT, min_size=2, max_size=4) | JSON_VALUE,
+    st.sampled_from([None, None, "b", "twigs"]),
+    st.sampled_from([0, 0, 0, 1, 3]),
+    PADDING,
+)
+QUANTITY = st.sampled_from(["d", "dprime", "e", "etilde", "delta", "bark", "group"])
+COMMAND = st.one_of(
+    st.tuples(st.just("compute"), QUANTITY, BRACKET_TEXT | FORK_TEXT).map(list),
+    st.tuples(st.just("compute"), QUANTITY, BRACKET_TEXT, st.just("--one-sided")).map(list),
+    st.tuples(st.just("pairs"), st.just("extract"), FIBER_TEXT | BRACKET_TEXT).map(list),
+    st.tuples(st.just("pairs"), st.just("extract"), FIBER_TEXT).map(list),
+    st.builds(
+        lambda t1, t2, e: ["solve", "twofiber", "--t1", t1, "--t2", t2, "--e", e],
+        BRACKET_TEXT,
+        BRACKET_TEXT,
+        BRACKET_TEXT | st.sampled_from(["[4]", "[5]", " [2,3]"]),
+    ),
+)
+UNKNOWN_FLAG = st.sampled_from(["--bogus", "-z", "--jobs", "--t3", "--json=1", "--csv"])
+
+
+def exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    return code
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=COMMAND, flag=st.none() | st.tuples(UNKNOWN_FLAG, st.integers(0, 8)))
+def test_random_command_lines_exit_cleanly(argv, flag):
+    if flag is not None:
+        argv.insert(min(flag[1], len(argv)), flag[0])
+    code = exits_cleanly(argv)
+    if flag is not None and flag[0] in ("--bogus", "-z", "--jobs", "--t3"):
+        assert code == 2, argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(search.SEARCHES)),
+    key=st.sampled_from(
+        ["b", "x_max", "z_max", "d_rules", "t1", "predicates", "eshapes", "group_order_mode",
+         "delta_gmin", "exclude_eps2_chains", "catalog_max_size", "twig_d_max", "d2_max"]
+    ),
+    value=JSON_VALUE | BRACKET_TEXT,
+    how=st.sampled_from(["replace", "replace", "drop", "whole", "text"]),
+)
+def test_random_bounds_files_exit_cleanly(tmp_path_factory, name, key, value, how):
+    cfg = load_bounds(search.SEARCHES[name].bounds_file)
+    if how == "replace" and key in cfg:
+        cfg[key] = value
+    elif how == "drop":
+        cfg.pop(key, None)
+    elif how == "whole":
+        cfg = value
+    text = json.dumps(cfg)
+    if how == "text":
+        text = text[: len(text) // 2] if isinstance(value, str) else str(value)
+    path = tmp_path_factory.mktemp("bounds") / "bounds.json"
+    path.write_text(text)
+    exits_cleanly(["search", name, "--bounds", str(path)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(BRACKET_TEXT)
+def test_chain_and_fiber_readers_give_the_same_weights(text):
+    try:
+        chain = parse_chain(text)
+        fiber = _parse_fiber(text)
+    except ValueError:
+        return
+    assert chain == tuple(w for w, _, _, _, _ in fiber)

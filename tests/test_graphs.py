@@ -11,6 +11,7 @@ from dgk.graphs import (
     format_chain,
     parse_chain,
     parse_fork,
+    read_brackets,
     reverse_chain,
 )
 from reference import WeightedTree, fork_to_json, int_det
@@ -23,6 +24,11 @@ def test_parse_basic():
     assert parse_chain("[2,3,4,2]") == (2, 3, 4, 2)
     assert parse_chain("[(3)]") == (2, 2, 2)
     assert parse_chain("[ 4 , (2) ]") == (4, 2, 2)
+    # whitespace around the text is ignored on either side
+    assert parse_chain("[3] ") == (3,)
+    assert parse_chain("[2,3]\n") == (2, 3)
+    assert parse_chain("  [3]") == (3,)
+    assert parse_chain(" [ ] ") == ()
 
 
 @pytest.mark.parametrize(
@@ -31,6 +37,36 @@ def test_parse_basic():
 def test_parse_errors(bad):
     with pytest.raises(ChainParseError):
         parse_chain(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("[x]", "bad chain entry 'x' (at position 1)"),
+        ("  [2, x]", "bad chain entry 'x' (at position 5)"),
+        ("[3,]", "bad chain entry '' (at position 3)"),
+        ("[3", "expected ']' after entry '3' (at position 2)"),
+        (" 3,2", "expected '[' (at position 1)"),
+        # the fiber entries are refused: a chain has no marks or multiplicities
+        ("[2,1*,2]", "chain entry '1*' must be a positive weight or a run (k) (at position 3)"),
+        ("[2:1]", "chain entry '2:1' must be a positive weight or a run (k) (at position 1)"),
+        ("[3,0]", "chain entry '0' must be a positive weight or a run (k) (at position 3)"),
+    ],
+)
+def test_parse_errors_name_the_entry(bad, message):
+    with pytest.raises(ChainParseError) as info:
+        parse_chain(bad)
+    assert str(info.value) == message
+
+
+def test_read_brackets_gives_one_tuple_per_curve():
+    # a run (k) is k curves of weight 2, all from the one entry
+    assert read_brackets("[3, (2)]", "fiber") == [
+        (3, False, None, "3", 1),
+        (2, False, None, "(2)", 3),
+        (2, False, None, "(2)", 3),
+    ]
+    assert read_brackets(" [1*:14]", "fiber") == [(1, True, 14, "1*:14", 2)]
 
 
 def test_format_compresses_runs():

@@ -28,7 +28,9 @@ from dgk.ruling import (
     two_run_twig_branch,
 )
 from reference import (
+    all_sequences,
     coprime_pairs_with_length,
+    first_pair_parts_by_components,
     integer_roots,
     is_positive_perfect_square,
     reference_equation_solutions,
@@ -372,6 +374,17 @@ def second_fiber_chains(tup):
     zut, _, zlt = first_pair_parts(tree_t)
     upper = tuple(tree_t.weights[v] for v in zut) + (tree_t.weights[0],)
     return upper, tuple(tree_t.weights[v] for v in zlt)
+
+
+def test_first_pair_parts_walk_matches_the_component_search():
+    # one walk of the group-1 curves from the base component, split at Z1,
+    # against the component search it replaced, on every fiber of the sweep
+    count = 0
+    for seq in all_sequences(40, 4):
+        tree = reconstruct_fiber(seq)
+        assert first_pair_parts(tree) == first_pair_parts_by_components(tree), seq
+        count += 1
+    assert count == 7360
 
 
 def test_adjoint_consistency_over_oracle_sweep():

@@ -254,3 +254,25 @@ def test_the_scan_hands_its_record_to_the_verdict():
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_triples"]
     assert "fork_invariants" not in _named(fn)
     assert {"ForkInvariants", "passes"} <= _named(fn)
+
+
+def test_one_reader_for_the_bracket_notation():
+    # chains and fibers share one grammar: graphs.py compiles its one entry
+    # regex, and no other module of the package imports re to read brackets
+    importers, compiles = set(), Counter()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and "re" in [a.name for a in node.names]:
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "re":
+                importers.add(path.name)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile"
+                and getattr(node.func.value, "id", None) == "re"
+            ):
+                compiles[path.name] += 1
+    assert importers == {"graphs.py"}
+    assert compiles == Counter({"graphs.py": 1})
