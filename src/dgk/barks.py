@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import chains
 from .chains import ChainRecord, DegenerateChainError
@@ -324,7 +325,7 @@ class Family:
 # A shape spec is (family, r0, r1, ..., rk) for the chain
 # [(r0),w1,(r1),...,wk,(rk)] of a chain family with weights w1..wk, or
 # (family, fork) for a fork family.  Specs are small tuples of small
-# integers sharing their Family, so the size-60 index is cheap to hold.
+# integers sharing their Family.
 ShapeSpec = tuple
 
 _A = tuple(Family("a", 0, (w,)) for w in (5, 6, 7))
@@ -333,6 +334,7 @@ _B3, _B4 = Family("b3", 2, (3,)), Family("b4", 2, (4,))
 _C1 = tuple(Family("c1", 1, (w,)) for w in (4, 5))
 _C2 = tuple(Family("c2", 1, ws) for ws in ((3, 3), (3, 4), (4, 3)))
 _C3 = Family("c3", 1, (3, 3, 3))
+_CHAIN_FAMILIES = (*_A, _B3, _B4, *_C1, *_C2, _C3)
 # (c4): the six chains with E.Delta = 2, [2,4,2], [2,5,2], [2,3,3,2],
 # [2,3,4,2], [(2),4,2] and [(2),5,2], as (weights, runs)
 _C4 = tuple(
@@ -348,21 +350,69 @@ _C4 = tuple(
 )
 
 
-def _generate_specs(max_size: int) -> Iterator[ShapeSpec]:
-    """Every catalog spec with at most ``max_size`` components, once each.
+class Line(NamedTuple):
+    """Specs of one family along a line: ``first`` and the ``count - 1``
+    specs after it, each with run ``rise`` (an index into the spec) one
+    larger and the run after it one smaller than the spec before, so that
+    all have one run sum.  A fork spec, or any single spec, is a line of
+    one."""
+
+    first: ShapeSpec
+    count: int = 1
+    rise: int = 1
+
+    def specs(self) -> Iterator[ShapeSpec]:
+        first, i = self.first, self.rise
+        if self.count == 1:
+            yield first
+            return
+        head, up, down, tail = first[:i], first[i], first[i + 1], first[i + 2:]
+        for t in range(self.count):
+            yield head + (up + t, down - t) + tail
+
+
+def _slice(family: Family, s: int) -> tuple[Line, ...]:
+    """The lines of a chain family's specs of run sum ``s``, each spec once.
+
+    A chain and its reversal are one shape, so where a family holds both the
+    parameters of the second are skipped: b3 keeps r <= x, the c2 chain
+    [4,(y),3] needs x >= 1 (at x = 0 it is [3,(y),4] reversed), and c3 with
+    r = 0 keeps x <= y.  Only c3 has more than one line in a slice, and its
+    lines start along a line too: line r + 1 starts with r one larger and y
+    one smaller than line r.
+    """
+    name = family.name
+    if name == "b3":  # [(r),3,(x)], r rising
+        return (Line((family, 0, s), s // 2 + 1),)
+    if name == "c1":  # [(r),4] and [(r),5]
+        return (Line((family, s, 0)),)
+    if name == "c2":  # [(x),3,(y),3], [(x),3,(y),4], [(x),4,(y),3], x rising
+        x = 1 if family.weights == (4, 3) else 0
+        return (Line((family, x, s - x, 0), s - x + 1),) if x <= s else ()
+    if name == "c3":  # [(r),3,(x),3,(y),3], x rising at each r
+        return (Line((family, 0, 0, s, 0), s // 2 + 1, 2),) + tuple(
+            Line((family, r, 0, s - r, 0), s - r + 1, 2) for r in range(1, s + 1)
+        )
+    return (Line((family, 0, 0)),) if s == 0 else ()  # (a) and b4: one curve
+
+
+def _catalog_slices(max_size: int) -> Iterator[tuple[Line, ...]]:
+    """The slices of every catalog spec with at most ``max_size`` components.
 
     Families: (a) single curves [5],[6],[7] with epsilon 0; (b1)/(b2) the
     forks and (b3) the [(r),3,(x)] chains with epsilon 2, together with [4];
     (c1)-(c4) the epsilon 1 chains.  [4] and [5] occur with two epsilon tags.
-    A chain and its reversal are one shape, so where a family holds both the
-    parameters of the second are skipped: b3 keeps r <= x, c2 with x = 0
-    keeps [3,(y),4] over [4,(y),3], and c3 with r = 0 keeps x <= y.  No
-    chain lies in two families with the same epsilon (the weights other than
-    2 and the end runs tell the family), so each spec has one family tag.
+    A chain family gives its :func:`_slice` of each run sum up to max_size
+    less its number of weights; each fork and each (c4) chain is a slice of
+    one line of one spec.  No chain lies in two families with the same
+    epsilon (the weights other than 2 and the end runs tell the family), so
+    each spec has one family tag.
     """
-    if max_size >= 1:
-        for family in _A:
-            yield family, 0, 0
+    for family in _CHAIN_FAMILIES:
+        for s in range(max_size - len(family.weights) + 1):
+            lines = _slice(family, s)
+            if lines:
+                yield lines
 
     # (b1): branch -2 with twigs A, B, [2]; (b2): branch -3 with the same
     b1_pairs = [((3,), (2, 2)), ((3,), (2, 2, 2)), ((3,), (2, 2, 2, 2)), ((2, 3), (2, 2))]
@@ -373,43 +423,20 @@ def _generate_specs(max_size: int) -> Iterator[ShapeSpec]:
         for a, c in pairs:
             fork = Fork(b, (a, c, (2,)))
             if 2 + len(a) + len(c) <= max_size and is_admissible_fork(fork):
-                yield family, fork
-
-    # (b3): [(r),3,(x)]; [4] also occurs with epsilon 2
-    for r in range(max_size):
-        for x in range(r, max_size - r):
-            yield _B3, r, x
-    if max_size >= 1:
-        yield _B4, 0, 0
-
-    # (c1): [(r),4] and [(r),5]
-    for r in range(max_size):
-        for family in _C1:
-            yield family, r, 0
-
-    # (c2): [(x),3,(y),3], [(x),3,(y),4], [(x),4,(y),3]
-    for x in range(max_size - 1):
-        for y in range(max_size - 1 - x):
-            for family in _C2:
-                if x or family.weights != (4, 3):
-                    yield family, x, y, 0
-
-    # (c3): [(r),3,(x),3,(y),3]
-    for r in range(max_size - 2):
-        for x in range(max_size - 2 - r):
-            for y in range(0 if r else x, max_size - 2 - r - x):
-                yield _C3, r, x, y, 0
+                yield (Line((family, fork)),)
 
     for spec in _C4:
         if sum(spec[1:]) + len(spec[0].weights) <= max_size:
-            yield spec
+            yield (Line(spec),)
 
 
 @lru_cache(maxsize=None)
 def family_specs(max_size: int) -> tuple[ShapeSpec, ...]:
-    """The specs of :func:`_generate_specs`, shared by the catalog and the
-    index of one size so that each spec is held once."""
-    return tuple(_generate_specs(max_size))
+    """Every catalog spec with at most ``max_size`` components, once each:
+    the specs of the slices of :func:`_catalog_slices`."""
+    return tuple(
+        spec for lines in _catalog_slices(max_size) for line in lines for spec in line.specs()
+    )
 
 
 def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
@@ -436,6 +463,56 @@ def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
         p, q, s, t = p * w + q, -p, s * w + t, -s
         p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
     return p, q - s - 2
+
+
+def _quadratic(items: Iterable, ds: Sequence[int], ns: Sequence[int]) -> Iterator[tuple]:
+    """(item, d, num) along ``items`` for the quadratics d and num whose
+    first three values are ``ds`` and ``ns``: four additions an item."""
+    (d, d1, d2), (n, n1, n2) = ds, ns
+    dd, dn = d1 - d, n1 - n
+    dd2, dn2 = d2 - d1 - dd, n2 - n1 - dn
+    for item in items:
+        yield item, d, n
+        d += dd
+        n += dn
+        dd += dd2
+        dn += dn2
+
+
+def _line_fit(line: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(d's, nums) of :func:`_chain_continuants` for the first three specs
+    of a line, or for all of them when it has fewer."""
+    return tuple(zip(*map(_chain_continuants, islice(line.specs(), 3))))
+
+
+def _slice_continuants(lines: Sequence[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
+    """(spec, d, num) for each spec of a chain slice, with (d, num) the
+    :func:`_chain_continuants` of the spec.
+
+    A run of r 2's contributes I + r*N with N^2 = 0, so the product is
+    linear in each run.  Along a line one run rises as the next falls, so d
+    and num are quadratics in the step, and three products fix them.  The
+    lines of a c3 slice start along a line too, r rising as y falls, so the
+    first three values of each line are quadratics in r: the nine products
+    of its first three lines fix the slice.
+    """
+    if len(lines) >= 3 and all(line.count >= 3 for line in lines[:3]):
+        grid = [_line_fit(line) for line in lines[:3]]
+        columns = [
+            _quadratic(lines, [ds[t] for ds, _ in grid], [ns[t] for _, ns in grid])
+            for t in range(3)
+        ]
+        fits = (
+            ((d0, d1, d2), (n0, n1, n2))
+            for (_, d0, n0), (_, d1, n1), (_, d2, n2) in zip(*columns)
+        )
+    else:
+        fits = map(_line_fit, lines)
+    for line, (ds, ns) in zip(lines, fits):
+        if len(ds) == 3:
+            yield from _quadratic(line.specs(), ds, ns)
+        else:
+            yield from zip(line.specs(), ds, ns)
 
 
 def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
@@ -472,7 +549,7 @@ def shape_of(spec: ShapeSpec) -> ExceptionalShape:
 @lru_cache(maxsize=None)
 def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     """All catalog shapes with at most ``max_size`` components, ordered by
-    (size, key, epsilon); see :func:`_generate_specs` for the families."""
+    (size, key, epsilon); see :func:`_catalog_slices` for the families."""
     shapes = [_make_shape(spec) for spec in family_specs(max_size)]
     shapes.sort(key=lambda s: (s.size, s.key(), s.epsilon))
     return tuple(shapes)
@@ -491,38 +568,39 @@ _NO_BUCKET: Bucket = MappingProxyType({})
 
 
 class SpecIndex:
-    """Specs keyed for the single scan probe per (twig triple, b).
+    """Spec slices keyed for the single scan probe per (twig triple, b).
 
     The full key is (k, numerator, denominator) with k = #E - epsilon - K.E
     and the fraction Bk^2(E) + epsilon.  Noether's count pins k to
     4 + b + sum K.T_i - sum #T_i and the Zariski identity pins Bk^2(E) +
     epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
 
-    Specs are grouped by k alone when the index is made: a chain spec's k
-    is its run sum plus its family's ``offset``, and a fork spec reads its
-    shape.  ``first_keys`` are the k that hold a spec, and the scan joins
-    its twig triples on them.  :meth:`bucket` computes the (numerator,
-    denominator) keys of one k the first time a probe asks for it, a chain
-    spec's from :func:`_chain_continuants`; ``buckets`` holds those built
-    so far.  ``reach`` is the largest epsilon + K.E of the entries, so a
-    probe with first key entry k asks for shapes of at most k + reach
-    components.
+    The index holds slices of :class:`Line`s, not specs.  Every spec of a
+    chain slice has the slice's run sum, so its k is that sum plus the
+    family's ``offset``, and the slices are grouped by k when the index is
+    made; a fork, a slice of one spec, reads its k from its shape.
+    ``first_keys`` are the k that hold a slice, and the scan joins its twig
+    triples on them.  ``reach`` is the largest epsilon + K.E of the slices,
+    so a probe with first key k asks for shapes of at most k + reach
+    components.  :meth:`bucket` lists the specs of one k the first time a
+    probe asks for it, keyed by the d and Bk^2 that
+    :func:`_slice_continuants` steps along each slice; ``buckets`` holds
+    those built so far.
     """
 
-    def __init__(self, specs: Iterable[ShapeSpec]) -> None:
-        groups: dict[int, list[ShapeSpec]] = {}
-        reach, last = 0, None
-        for spec in specs:
-            family = spec[0]
+    def __init__(self, slices: Iterable[Sequence[Line]]) -> None:
+        groups: dict[int, list[Sequence[Line]]] = {}
+        reach = 0
+        for lines in slices:
+            first = lines[0].first
+            family = first[0]
             if family.weights:
-                key = sum(spec[1:]) + family.offset
-                if family is not last:  # specs come in runs of one family
-                    last, reach = family, max(reach, family.epsilon + family.ke)
+                key, top = sum(first[1:]) + family.offset, family.epsilon + family.ke
             else:
-                shape = shape_of(spec)
-                key = shape.size - shape.epsilon - shape.ke
-                reach = max(reach, shape.epsilon + shape.ke)
-            groups.setdefault(key, []).append(spec)
+                shape = shape_of(first)
+                key, top = shape.size - shape.epsilon - shape.ke, shape.epsilon + shape.ke
+            reach = max(reach, top)
+            groups.setdefault(key, []).append(lines)
         self._groups = groups
         self.first_keys = frozenset(groups)
         self.reach = reach
@@ -536,16 +614,20 @@ class SpecIndex:
             if k not in self._groups:
                 return _NO_BUCKET
             probes: dict[tuple[int, int], tuple[ShapeSpec, ...]] = {}
-            for spec in self._groups[k]:
-                family = spec[0]
+            for lines in self._groups[k]:
+                first = lines[0].first
+                family = first[0]
                 if family.weights:
-                    den, num = _chain_continuants(spec)
-                    g = gcd(num, den)
-                    num, den = num // g, den // g
+                    entries = _slice_continuants(lines)
                 else:
-                    num, den = shape_of(spec).bk_square.as_integer_ratio()
-                pair = num + family.epsilon * den, den
-                probes[pair] = probes.get(pair, ()) + (spec,)
+                    num, den = shape_of(first).bk_square.as_integer_ratio()
+                    entries = ((first, den, num),)
+                eps = family.epsilon
+                for spec, den, num in entries:
+                    g = gcd(num, den)
+                    den //= g
+                    pair = num // g + eps * den, den
+                    probes[pair] = probes.get(pair, ()) + (spec,)
             bucket = self.buckets[k] = probes
         return bucket
 
@@ -553,6 +635,7 @@ class SpecIndex:
 @lru_cache(maxsize=None)
 def catalog_index(max_size: int) -> SpecIndex:
     """The catalog up to ``max_size`` components as a :class:`SpecIndex`;
-    it holds exactly the shapes of :func:`eshape_catalog` but builds only
-    those of its forks."""
-    return SpecIndex(family_specs(max_size))
+    it holds exactly the shapes of :func:`eshape_catalog`, from the same
+    slices, but lists no spec before a bucket asks for it and builds the
+    shapes of its forks only."""
+    return SpecIndex(_catalog_slices(max_size))

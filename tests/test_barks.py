@@ -6,7 +6,11 @@ import pytest
 
 from dgk import chains
 from dgk.barks import (
+    _CHAIN_FAMILIES,
+    _chain_continuants,
     _make_shape,
+    _slice,
+    _slice_continuants,
     admissible_fork_invariants,
     bark_chain,
     bark_fork,
@@ -419,11 +423,13 @@ def test_catalog_matches_reference_enumeration(max_size):
     assert len(family_specs(max_size)) == len(cat)
 
 
-@pytest.mark.parametrize("max_size", [20, 60])
+@pytest.mark.parametrize("max_size", [0, 1, 2, 3, 12, 20, 60])
 def test_catalog_index_matches_shape_index(max_size):
-    want = reference_shape_index(eshape_catalog(max_size))
+    cat = eshape_catalog(max_size)
+    want = reference_shape_index(cat)
     catalog_index.cache_clear()
     index = catalog_index(max_size)
+    assert index.first_keys == {s.size - s.epsilon - s.ke for s in cat}
     # every bucket, built in reverse key order, keyed in full
     probes = {
         (k, *pair): specs
@@ -432,9 +438,34 @@ def test_catalog_index_matches_shape_index(max_size):
     }
     assert index.buckets.keys() == index.first_keys
     assert probes.keys() == want.keys()
-    for key, specs in probes.items():
+    for key, specs in probes.items():  # the same shapes, each as often
         assert by_key(_make_shape(spec) for spec in specs) == by_key(want[key])
-    assert index.reach == max(s.epsilon + s.ke for s in eshape_catalog(max_size))
+    assert index.reach == max((s.epsilon + s.ke for s in cat), default=0)
+
+
+def test_catalog_index_lists_no_catalog():
+    family_specs.cache_clear()
+    catalog_index.cache_clear()
+    index = catalog_index(60)
+    held = sum(len(specs) for k in index.first_keys for specs in index.bucket(k).values())
+    assert held == 39811
+    info = family_specs.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_slice_stepping_matches_the_product_past_the_catalog_sizes():
+    # each slice steps d and num along its lines, and c3 its line starts
+    # along r; every spec must still get its own product's values, for
+    # small slices (c3 below run sum 4 has lines of fewer than three specs)
+    # and for run sums past the size-60 catalog
+    for family in _CHAIN_FAMILIES:
+        for s in (*range(16), 57, 58, 59, 60, 97, 149, 150):
+            lines = _slice(family, s)
+            got = list(_slice_continuants(lines))
+            assert [spec for spec, _, _ in got] == [sp for line in lines for sp in line.specs()]
+            for spec, d, num in got:
+                assert sum(spec[1:]) == s
+                assert (d, num) == _chain_continuants(spec), spec
 
 
 def test_shape_fields_match_independent_routes():

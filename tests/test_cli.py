@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dgk import search
 from dgk.cli import _parse_fiber, build_parser, main
-from dgk.graphs import parse_chain
+from dgk.graphs import MAX_CURVES, parse_chain
 from dgk.search import load_bounds
 
 
@@ -312,6 +312,17 @@ def test_long_chain_discriminant(capsys):
     assert (code, out) == (0, "1501")
 
 
+def test_a_run_past_the_curve_bound_exits_1_before_it_is_expanded(capsys):
+    # a 14-character text must not ask for a billion curves
+    code, out, err = run(capsys, "compute", "d", "[(1000000000)]")
+    assert (code, out) == (1, "")
+    want = f"error: run '(1000000000)' takes the chain past {MAX_CURVES} curves (at position 1)"
+    assert err == want
+    code, out, err = run(capsys, "pairs", "extract", f"[1*:1,({MAX_CURVES})]")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: run '({MAX_CURVES})' takes the fiber past")
+
+
 def test_bad_bounds_keys_exit_code(capsys, tmp_path):
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps(dict(load_bounds("final_bounds"), delta_gmn=7)))
@@ -367,7 +378,13 @@ def test_closed_pipe_exits_without_traceback(argv):
 
 PADDING = st.sampled_from(["", "", " ", "  ", "\n", "\t"])
 # runs stay short: a text such as "(9999999)" would ask for millions of curves
-RUN = st.integers(0, 4).map(lambda k: f"({k})")
+# now and then a run past graphs.MAX_CURVES, which is refused unexpanded; the
+# two long runs are ones that a reader without the bound expands harmlessly
+# or refuses at once (a list of 10**20 items cannot be asked for)
+RUN = st.one_of(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+    st.sampled_from([MAX_CURVES + 1, 10**20]),
+).map(lambda k: f"({k})")
 FIBER_ENTRY = st.builds(
     lambda w, star, mult: f"{w}{star}" + ("" if mult is None else f":{mult}"),
     st.integers(0, 6),

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgk.graphs import (
+    MAX_CURVES,
     ChainParseError,
     Fork,
     canonical_chain,
@@ -67,6 +68,21 @@ def test_read_brackets_gives_one_tuple_per_curve():
         (2, False, None, "(2)", 3),
     ]
     assert read_brackets(" [1*:14]", "fiber") == [(1, True, 14, "1*:14", 2)]
+
+
+def test_read_brackets_refuses_a_run_past_the_curve_bound():
+    assert len(read_brackets(f"[({MAX_CURVES})]", "chain")) == MAX_CURVES
+    assert len(parse_chain(f"[3,({MAX_CURVES - 1})]")) == MAX_CURVES
+    for text, entry, pos in (
+        (f"[({MAX_CURVES + 1})]", f"({MAX_CURVES + 1})", 1),
+        (f"[3,({MAX_CURVES})]", f"({MAX_CURVES})", 3),
+        ("[(60000), (60000)]", "(60000)", 9),
+        ("[(1000000000000)]", "(1000000000000)", 1),
+    ):
+        with pytest.raises(ChainParseError) as info:
+            read_brackets(text, "fiber")
+        want = f"run {entry!r} takes the fiber past {MAX_CURVES} curves (at position {pos})"
+        assert str(info.value) == want
 
 
 def test_format_compresses_runs():
