@@ -377,9 +377,8 @@ def _slice(family: Family, s: int) -> tuple[Line, ...]:
     A chain and its reversal are one shape, so where a family holds both the
     parameters of the second are skipped: b3 keeps r <= x, the c2 chain
     [4,(y),3] needs x >= 1 (at x = 0 it is [3,(y),4] reversed), and c3 with
-    r = 0 keeps x <= y.  Only c3 has more than one line in a slice, and its
-    lines start along a line too: line r + 1 starts with r one larger and y
-    one smaller than line r.
+    r = 0 keeps x <= y.  Only c3 has more than one line in a slice, one for
+    each r.
     """
     name = family.name
     if name == "b3":  # [(r),3,(x)], r rising
@@ -485,30 +484,16 @@ def _line_fit(line: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(zip(*map(_chain_continuants, islice(line.specs(), 3))))
 
 
-def _slice_continuants(lines: Sequence[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
+def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
     """(spec, d, num) for each spec of a chain slice, with (d, num) the
     :func:`_chain_continuants` of the spec.
 
     A run of r 2's contributes I + r*N with N^2 = 0, so the product is
     linear in each run.  Along a line one run rises as the next falls, so d
-    and num are quadratics in the step, and three products fix them.  The
-    lines of a c3 slice start along a line too, r rising as y falls, so the
-    first three values of each line are quadratics in r: the nine products
-    of its first three lines fix the slice.
+    and num are quadratics in the step, and three products fix them.
     """
-    if len(lines) >= 3 and all(line.count >= 3 for line in lines[:3]):
-        grid = [_line_fit(line) for line in lines[:3]]
-        columns = [
-            _quadratic(lines, [ds[t] for ds, _ in grid], [ns[t] for _, ns in grid])
-            for t in range(3)
-        ]
-        fits = (
-            ((d0, d1, d2), (n0, n1, n2))
-            for (_, d0, n0), (_, d1, n1), (_, d2, n2) in zip(*columns)
-        )
-    else:
-        fits = map(_line_fit, lines)
-    for line, (ds, ns) in zip(lines, fits):
+    for line in lines:
+        ds, ns = _line_fit(line)
         if len(ds) == 3:
             yield from _quadratic(line.specs(), ds, ns)
         else:
@@ -587,6 +572,11 @@ class SpecIndex:
     :func:`_slice_continuants` steps along each slice; ``buckets`` holds
     those built so far.
     """
+
+    @classmethod
+    def of_specs(cls, specs: Iterable[ShapeSpec]) -> SpecIndex:
+        """The index of an explicit spec list, each spec a slice of one."""
+        return cls((Line(spec),) for spec in specs)
 
     def __init__(self, slices: Iterable[Sequence[Line]]) -> None:
         groups: dict[int, list[Sequence[Line]]] = {}

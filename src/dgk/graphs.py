@@ -38,16 +38,17 @@ class ChainParseError(ValueError):
 Curve = tuple[int, bool, int | None, str, int]
 
 _ENTRY = re.compile(r"\s*(?:\(\s*(\d+)\s*\)|(\d+)\s*(\*?)\s*(?::\s*(\d+))?)\s*")
-# the most curves one bracket text may expand to, so that a short run such
-# as (1000000000) is refused before it is expanded
+# the most curves one bracket text may hold, so that a short run such as
+# (1000000000) is refused before it is expanded
 MAX_CURVES = 100_000
 
 
 def read_brackets(text: str, word: str) -> list[Curve]:
     """The curves of ``[e1,...,en]``, each entry being w, w*, w:m, w*:m or
     (k); ``word`` ("chain" or "fiber") names the entries in errors, and a
-    position counts from the start of ``text``.  A run that would take the
-    text past :data:`MAX_CURVES` curves is refused before it is expanded."""
+    position counts from the start of ``text``.  An entry that would take
+    the text past :data:`MAX_CURVES` curves is refused, a run before it is
+    expanded."""
     body = text.strip()
     pos = len(text) - len(text.lstrip())
     if not body.startswith("["):
@@ -60,10 +61,13 @@ def read_brackets(text: str, word: str) -> list[Curve]:
         if m is None:
             raise ChainParseError(f"bad {word} entry {entry!r}", pos)
         run, w, star, mult = m.groups()
+        if len(curves) + (1 if run is None else int(run)) > MAX_CURVES:
+            kind = "entry" if run is None else "run"
+            raise ChainParseError(
+                f"{kind} {entry!r} takes the {word} past {MAX_CURVES} curves", pos
+            )
         if run is None:
             curves.append((int(w), star == "*", None if mult is None else int(mult), entry, pos))
-        elif len(curves) + int(run) > MAX_CURVES:
-            raise ChainParseError(f"run {entry!r} takes the {word} past {MAX_CURVES} curves", pos)
         else:
             curves.extend([(2, False, None, entry, pos)] * int(run))
         pos += len(item)

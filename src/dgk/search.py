@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    ForkInvariants, Line, ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes,
-    shape_of,
+    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes, shape_of,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
@@ -356,7 +355,7 @@ def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box,
     each with its predicate report."""
     spec = parse_bounds("xy", bounds)
-    index = SpecIndex((Line(s),) for s in spec.eshapes)
+    index = SpecIndex.of_specs(spec.eshapes)
     keys = _join_keys(index, spec.b)
     triples = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
     found = _scan_triples(triples, spec, index)

@@ -454,8 +454,8 @@ def test_catalog_index_lists_no_catalog():
 
 
 def test_slice_stepping_matches_the_product_past_the_catalog_sizes():
-    # each slice steps d and num along its lines, and c3 its line starts
-    # along r; every spec must still get its own product's values, for
+    # each slice steps d and num along its lines; every spec must still
+    # get its own product's values, for
     # small slices (c3 below run sum 4 has lines of fewer than three specs)
     # and for run sums past the size-60 catalog
     for family in _CHAIN_FAMILIES:

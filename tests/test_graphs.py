@@ -73,15 +73,17 @@ def test_read_brackets_gives_one_tuple_per_curve():
 def test_read_brackets_refuses_a_run_past_the_curve_bound():
     assert len(read_brackets(f"[({MAX_CURVES})]", "chain")) == MAX_CURVES
     assert len(parse_chain(f"[3,({MAX_CURVES - 1})]")) == MAX_CURVES
-    for text, entry, pos in (
-        (f"[({MAX_CURVES + 1})]", f"({MAX_CURVES + 1})", 1),
-        (f"[3,({MAX_CURVES})]", f"({MAX_CURVES})", 3),
-        ("[(60000), (60000)]", "(60000)", 9),
-        ("[(1000000000000)]", "(1000000000000)", 1),
+    for text, kind, entry, pos in (
+        (f"[({MAX_CURVES + 1})]", "run", f"({MAX_CURVES + 1})", 1),
+        (f"[3,({MAX_CURVES})]", "run", f"({MAX_CURVES})", 3),
+        ("[(60000), (60000)]", "run", "(60000)", 9),
+        ("[(1000000000000)]", "run", "(1000000000000)", 1),
+        (f"[({MAX_CURVES}),3]", "entry", "3", len(f"[({MAX_CURVES}),")),
+        (f"[({MAX_CURVES}),1*:2]", "entry", "1*:2", len(f"[({MAX_CURVES}),")),
     ):
         with pytest.raises(ChainParseError) as info:
             read_brackets(text, "fiber")
-        want = f"run {entry!r} takes the fiber past {MAX_CURVES} curves (at position {pos})"
+        want = f"{kind} {entry!r} takes the fiber past {MAX_CURVES} curves (at position {pos})"
         assert str(info.value) == want
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from dgk import chains
-from dgk.barks import Line, SpecIndex, catalog_index, eshape_catalog
+from dgk.barks import SpecIndex, catalog_index, eshape_catalog
 from dgk.chains import chain_record
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -524,7 +524,7 @@ def reduced_boxes():
         {"x": 3, "y_min": 3, "y_max": 3, "z_max": 9},
     ]
     spec = parse_bounds("xy", small_xy())
-    index = SpecIndex((Line(s),) for s in spec.eshapes)
+    index = SpecIndex.of_specs(spec.eshapes)
     sweep = lambda keys: _triples_for_rules(_xy_rules(spec), 12, keys)  # noqa: E731
     yield spec, index, sweep
     for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
