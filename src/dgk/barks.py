@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -361,14 +360,12 @@ class Line(NamedTuple):
     count: int = 1
     rise: int = 1
 
-    def specs(self) -> Iterator[ShapeSpec]:
+    def specs(self) -> list[ShapeSpec]:
         first, i = self.first, self.rise
         if self.count == 1:
-            yield first
-            return
+            return [first]
         head, up, down, tail = first[:i], first[i], first[i + 1], first[i + 2:]
-        for t in range(self.count):
-            yield head + (up + t, down - t) + tail
+        return [head + (up + t, down - t) + tail for t in range(self.count)]
 
 
 def _slice(family: Family, s: int) -> tuple[Line, ...]:
@@ -464,40 +461,27 @@ def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
     return p, q - s - 2
 
 
-def _quadratic(items: Iterable, ds: Sequence[int], ns: Sequence[int]) -> Iterator[tuple]:
-    """(item, d, num) along ``items`` for the quadratics d and num whose
-    first three values are ``ds`` and ``ns``: four additions an item."""
-    (d, d1, d2), (n, n1, n2) = ds, ns
-    dd, dn = d1 - d, n1 - n
-    dd2, dn2 = d2 - d1 - dd, n2 - n1 - dn
-    for item in items:
-        yield item, d, n
-        d += dd
-        n += dn
-        dd += dd2
-        dn += dn2
-
-
-def _line_fit(line: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(d's, nums) of :func:`_chain_continuants` for the first three specs
-    of a line, or for all of them when it has fewer."""
-    return tuple(zip(*map(_chain_continuants, islice(line.specs(), 3))))
-
-
 def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
     """(spec, d, num) for each spec of a chain slice, with (d, num) the
     :func:`_chain_continuants` of the spec.
 
     A run of r 2's contributes I + r*N with N^2 = 0, so the product is
     linear in each run.  Along a line one run rises as the next falls, so d
-    and num are quadratics in the step, and three products fix them.
+    and num are quadratics in the step: the products of the line's first
+    three specs fix them, and each further spec costs four additions.
     """
     for line in lines:
-        ds, ns = _line_fit(line)
-        if len(ds) == 3:
-            yield from _quadratic(line.specs(), ds, ns)
-        else:
-            yield from zip(line.specs(), ds, ns)
+        specs = line.specs()
+        if len(specs) < 3:
+            for spec in specs:
+                yield (spec, *_chain_continuants(spec))
+            continue
+        (d, n), (d1, n1), (d2, n2) = map(_chain_continuants, specs[:3])
+        dd, dn = d1 - d, n1 - n
+        dd2, dn2 = d2 - d1 - dd, n2 - n1 - dn
+        for spec in specs:
+            yield spec, d, n
+            d, n, dd, dn = d + dd, n + dn, dd + dd2, dn + dn2
 
 
 def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
