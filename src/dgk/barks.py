@@ -124,11 +124,6 @@ def admissible_fork_invariants(fork: Fork) -> ForkInvariants | None:
     return inv if inv.d > 0 else None
 
 
-def is_admissible_fork(fork: Fork) -> bool:
-    """Whether :func:`admissible_fork_invariants` finds a record."""
-    return admissible_fork_invariants(fork) is not None
-
-
 @dataclass(frozen=True)
 class BarkCoefficients:
     coefficients: tuple[Fraction, ...]
@@ -299,41 +294,50 @@ def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
 
 @dataclass(frozen=True, slots=True)
 class Family:
-    """A catalog family: its tag, its epsilon and the weights other than 2
-    of its chains, in order; empty for the fork families b1 and b2.
+    """A catalog family: its tag, its epsilon, the weights other than 2 of
+    its chains in order, and for the fork families b1 and b2 the weight of
+    the branch (0 for a chain family).
 
-    Two constants are set once per family: ``ke``, K.E = sum(w - 2) over
-    the weights, and ``offset`` = len(weights) - epsilon - K.E.  A chain
-    spec's E is its chain without the end runs, so #E - epsilon - K.E is
-    its run sum plus ``offset``.  A fork family's forks read theirs from
-    their shape.
+    Three constants are set once per family: ``curves``, the components
+    outside the runs; ``ke``, K.E = sum(w - 2) over the weights and the
+    branch; and ``offset`` = curves - epsilon - K.E.  A chain spec's E is
+    its chain without the end runs and every fork spec's E is [3], so K.E
+    is the family's, and a spec of run sum s has s + curves components and
+    the Noether key s + offset.
     """
 
     name: str
     epsilon: int
     weights: Weights
+    branch: int = 0
+    curves: int = field(init=False, compare=False, repr=False)
     ke: int = field(init=False, compare=False, repr=False)
     offset: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ke = sum(self.weights) - 2 * len(self.weights)
+        # a fork adds its branch and its [2] twig to the curves of its weights
+        curves = len(self.weights) + (2 if self.branch else 0)
+        ke = sum(self.weights) - 2 * len(self.weights) + max(self.branch - 2, 0)
+        object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "ke", ke)
-        object.__setattr__(self, "offset", len(self.weights) - self.epsilon - ke)
+        object.__setattr__(self, "offset", curves - self.epsilon - ke)
 
 
 # A shape spec is (family, r0, r1, ..., rk) for the chain
 # [(r0),w1,(r1),...,wk,(rk)] of a chain family with weights w1..wk, or
-# (family, fork) for a fork family.  Specs are small tuples of small
-# integers sharing their Family.
+# (family, a, m) for the fork Fork(branch, ([(a),w1,...,wk], [(m)], [2]))
+# of a fork family: b1 is Fork(2, ([(a),3], [(m)], [2])) and b2 is
+# Fork(3, ([(a)], [(m)], [2])).  Specs are small tuples of small integers
+# sharing their Family.
 ShapeSpec = tuple
 
 _A = tuple(Family("a", 0, (w,)) for w in (5, 6, 7))
-_B1, _B2 = Family("b1", 2, ()), Family("b2", 2, ())
+_B1, _B2 = Family("b1", 2, (3,), branch=2), Family("b2", 2, (), branch=3)
 _B3, _B4 = Family("b3", 2, (3,)), Family("b4", 2, (4,))
 _C1 = tuple(Family("c1", 1, (w,)) for w in (4, 5))
 _C2 = tuple(Family("c2", 1, ws) for ws in ((3, 3), (3, 4), (4, 3)))
 _C3 = Family("c3", 1, (3, 3, 3))
-_CHAIN_FAMILIES = (*_A, _B3, _B4, *_C1, *_C2, _C3)
+_FAMILIES = (*_A, _B1, _B2, _B3, _B4, *_C1, *_C2, _C3)
 # (c4): the six chains with E.Delta = 2, [2,4,2], [2,5,2], [2,3,3,2],
 # [2,3,4,2], [(2),4,2] and [(2),5,2], as (weights, runs)
 _C4 = tuple(
@@ -369,15 +373,22 @@ class Line(NamedTuple):
 
 
 def _slice(family: Family, s: int) -> tuple[Line, ...]:
-    """The lines of a chain family's specs of run sum ``s``, each spec once.
+    """The lines of a family's specs of run sum ``s``, each spec once.
 
     A chain and its reversal are one shape, so where a family holds both the
     parameters of the second are skipped: b3 keeps r <= x, the c2 chain
     [4,(y),3] needs x >= 1 (at x = 0 it is [3,(y),4] reversed), and c3 with
     r = 0 keeps x <= y.  Only c3 has more than one line in a slice, one for
-    each r.
+    each r.  A fork family's slice is the fork of its tail, b1 with m = 1
+    and b2 with a = 1, and those of its few forks off the tail, each fork a
+    line of one.
     """
     name = family.name
+    if family.branch:  # (a, m) with a >= 0 and m >= 1
+        tail = (s - 1, 1) if name == "b1" else (1, s - 1)
+        more = ((0, 2), (0, 3), (1, 2), (0, 4)) if name == "b1" else ((2, 2), (2, 3), (2, 4))
+        runs = [(a, m) for a, m in (tail, *more) if a + m == s and a >= 0 and m >= 1]
+        return tuple(Line((family, a, m)) for a, m in runs)
     if name == "b3":  # [(r),3,(x)], r rising
         return (Line((family, 0, s), s // 2 + 1),)
     if name == "c1":  # [(r),4] and [(r),5]
@@ -398,31 +409,20 @@ def _catalog_slices(max_size: int) -> Iterator[tuple[Line, ...]]:
     Families: (a) single curves [5],[6],[7] with epsilon 0; (b1)/(b2) the
     forks and (b3) the [(r),3,(x)] chains with epsilon 2, together with [4];
     (c1)-(c4) the epsilon 1 chains.  [4] and [5] occur with two epsilon tags.
-    A chain family gives its :func:`_slice` of each run sum up to max_size
-    less its number of weights; each fork and each (c4) chain is a slice of
-    one line of one spec.  No chain lies in two families with the same
-    epsilon (the weights other than 2 and the end runs tell the family), so
-    each spec has one family tag.
+    Every family but c4 gives its :func:`_slice` of each run sum up to
+    max_size less its ``curves``; each (c4) chain is a slice of one line of
+    one spec.  No graph lies in two families with the same epsilon (the
+    weights other than 2 and the end runs tell the family), so each spec
+    has one family tag.
     """
-    for family in _CHAIN_FAMILIES:
-        for s in range(max_size - len(family.weights) + 1):
+    for family in _FAMILIES:
+        for s in range(max_size - family.curves + 1):
             lines = _slice(family, s)
             if lines:
                 yield lines
 
-    # (b1): branch -2 with twigs A, B, [2]; (b2): branch -3 with the same
-    b1_pairs = [((3,), (2, 2)), ((3,), (2, 2, 2)), ((3,), (2, 2, 2, 2)), ((2, 3), (2, 2))]
-    b1_pairs += [((2,) * n + (3,), (2,)) for n in range(max_size)]
-    b2_pairs = [((2, 2), (2, 2)), ((2, 2), (2, 2, 2)), ((2, 2), (2, 2, 2, 2))]
-    b2_pairs += [((2,), (2,) * n) for n in range(1, max_size)]
-    for family, b, pairs in ((_B1, 2, b1_pairs), (_B2, 3, b2_pairs)):
-        for a, c in pairs:
-            fork = Fork(b, (a, c, (2,)))
-            if 2 + len(a) + len(c) <= max_size and is_admissible_fork(fork):
-                yield (Line((family, fork)),)
-
     for spec in _C4:
-        if sum(spec[1:]) + len(spec[0].weights) <= max_size:
+        if sum(spec[1:]) + spec[0].curves <= max_size:
             yield (Line(spec),)
 
 
@@ -437,9 +437,9 @@ def family_specs(max_size: int) -> tuple[ShapeSpec, ...]:
 
 def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
     family = spec[0]
-    if not family.weights:
-        return spec[1]
     chain = (2,) * spec[1]
+    if family.branch:
+        return Fork(family.branch, (chain + family.weights, (2,) * spec[2], (2,)))
     for w, r in zip(family.weights, spec[2:]):
         chain += (w,) + (2,) * r
     return canonical_chain(chain)
@@ -461,20 +461,31 @@ def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
     return p, q - s - 2
 
 
-def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
-    """(spec, d, num) for each spec of a chain slice, with (d, num) the
-    :func:`_chain_continuants` of the spec.
+def _continuants(spec: ShapeSpec) -> tuple[int, int]:
+    """(d, num) of any spec, integers with Bk^2 = num/d: the run-length
+    product of a chain spec, and for a fork spec d(F) and d(F)*Bk^2 from
+    its record, which divides exactly since d(F)*Bk^2 is an integer."""
+    if not spec[0].branch:
+        return _chain_continuants(spec)
+    inv = fork_invariants(_spec_graph(spec))
+    return inv.d, (-((inv.S - inv.D) ** 2) - inv.E * inv.d) // inv.D
 
-    A run of r 2's contributes I + r*N with N^2 = 0, so the product is
-    linear in each run.  Along a line one run rises as the next falls, so d
-    and num are quadratics in the step: the products of the line's first
-    three specs fix them, and each further spec costs four additions.
+
+def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
+    """(spec, d, num) for each spec of a slice, with (d, num) the
+    :func:`_continuants` of the spec.
+
+    A run of r 2's contributes I + r*N with N^2 = 0, so a chain's product
+    is linear in each run.  Along a line one run rises as the next falls, so
+    d and num are quadratics in the step: the products of the line's first
+    three specs fix them, and each further spec costs four additions.  A
+    line of fewer than three specs, such as a fork, takes each spec's own.
     """
     for line in lines:
         specs = line.specs()
         if len(specs) < 3:
             for spec in specs:
-                yield (spec, *_chain_continuants(spec))
+                yield (spec, *_continuants(spec))
             continue
         (d, n), (d1, n1), (d2, n2) = map(_chain_continuants, specs[:3])
         dd, dn = d1 - d, n1 - n
@@ -490,17 +501,12 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     e_weights, n_delta = _split_external(graph)
     if not e_weights:
         raise ValueError("exceptional shape consists of (-2)-curves only")
-    if isinstance(graph, Fork):
-        inv = fork_invariants(graph)
-        size, ke = 1 + sum(map(len, graph.twigs)), sum(e_weights) - 2 * len(e_weights)
-        dd, g, bk2 = inv.d, inv.group_order, inv.bk_square
-    else:
-        dd, num = _chain_continuants(spec)
-        size, ke = sum(spec[1:]) + len(family.weights), family.ke
-        g, bk2 = dd, Fraction(num, dd)
+    dd, num = _continuants(spec)
+    g = fork_invariants(graph).group_order if family.branch else dd
     return ExceptionalShape(
         graph=graph, epsilon=family.epsilon, families=(family.name,), e_weights=e_weights,
-        n_delta_components=n_delta, ke=ke, size=size, d=dd, bk_square=bk2, g_order=g, spec=spec,
+        n_delta_components=n_delta, ke=family.ke, size=sum(spec[1:]) + family.curves, d=dd,
+        bk_square=Fraction(num, dd), g_order=g, spec=spec,
     )
 
 
@@ -508,9 +514,9 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
 def shape_of(spec: ShapeSpec) -> ExceptionalShape:
     """The shape of ``spec``, built on first request.
 
-    The scan resolves index hits here and :class:`SpecIndex` reads its few
-    forks here, so the cache holds only those shapes; :func:`eshape_catalog`
-    builds its own.
+    The scan resolves index hits here, and the searches and the command
+    line the shapes they name, so the cache holds only those shapes;
+    :func:`eshape_catalog` builds its own.
     """
     return _make_shape(spec)
 
@@ -525,11 +531,13 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
 
 
 @lru_cache(maxsize=None)
-def named_shapes() -> Mapping[tuple[str, int], ExceptionalShape]:
-    """The shapes of :func:`eshape_catalog` (12) by (key, epsilon), in
-    catalog order: the table that bounds files and the command line name
-    shapes from."""
-    return MappingProxyType({(s.key(), s.epsilon): s for s in eshape_catalog(12)})
+def specs_by_name() -> Mapping[tuple[str, int], ShapeSpec]:
+    """The specs of :func:`family_specs` (12) by the (key, epsilon) of
+    their shapes, sorted, so that a key's epsilons ascend: the table that
+    bounds files and the command line name shapes from.  It builds no
+    shape, only each spec's graph for its key."""
+    names = {(_graph_key(_spec_graph(spec)), spec[0].epsilon): spec for spec in family_specs(12)}
+    return MappingProxyType(dict(sorted(names.items())))
 
 
 Bucket = Mapping[tuple[int, int], tuple[ShapeSpec, ...]]
@@ -545,16 +553,15 @@ class SpecIndex:
     epsilon to e - 1 - P^2; neither side depends on epsilon or K.E.
 
     The index holds slices of :class:`Line`s, not specs.  Every spec of a
-    chain slice has the slice's run sum, so its k is that sum plus the
-    family's ``offset``, and the slices are grouped by k when the index is
-    made; a fork, a slice of one spec, reads its k from its shape.
+    slice has the slice's run sum, so its k is that sum plus the family's
+    ``offset``, and the slices are grouped by k when the index is made.
     ``first_keys`` are the k that hold a slice, and the scan joins its twig
-    triples on them.  ``reach`` is the largest epsilon + K.E of the slices,
-    so a probe with first key k asks for shapes of at most k + reach
-    components.  :meth:`bucket` lists the specs of one k the first time a
-    probe asks for it, keyed by the d and Bk^2 that
-    :func:`_slice_continuants` steps along each slice; ``buckets`` holds
-    those built so far.
+    triples on them.  ``reach`` is the largest epsilon + K.E of the slices'
+    families, so a probe with first key k asks for shapes of at most
+    k + reach components.  :meth:`bucket` lists the specs of one k the first
+    time a probe asks for it, keyed by the d and Bk^2 that
+    :func:`_slice_continuants` gives along each slice; ``buckets`` holds
+    those built so far.  No shape is built for either.
     """
 
     @classmethod
@@ -566,15 +573,9 @@ class SpecIndex:
         groups: dict[int, list[Sequence[Line]]] = {}
         reach = 0
         for lines in slices:
-            first = lines[0].first
-            family = first[0]
-            if family.weights:
-                key, top = sum(first[1:]) + family.offset, family.epsilon + family.ke
-            else:
-                shape = shape_of(first)
-                key, top = shape.size - shape.epsilon - shape.ke, shape.epsilon + shape.ke
-            reach = max(reach, top)
-            groups.setdefault(key, []).append(lines)
+            family, *runs = lines[0].first
+            reach = max(reach, family.epsilon + family.ke)
+            groups.setdefault(sum(runs) + family.offset, []).append(lines)
         self._groups = groups
         self.first_keys = frozenset(groups)
         self.reach = reach
@@ -589,15 +590,8 @@ class SpecIndex:
                 return _NO_BUCKET
             probes: dict[tuple[int, int], tuple[ShapeSpec, ...]] = {}
             for lines in self._groups[k]:
-                first = lines[0].first
-                family = first[0]
-                if family.weights:
-                    entries = _slice_continuants(lines)
-                else:
-                    num, den = shape_of(first).bk_square.as_integer_ratio()
-                    entries = ((first, den, num),)
-                eps = family.epsilon
-                for spec, den, num in entries:
+                eps = lines[0].first[0].epsilon
+                for spec, den, num in _slice_continuants(lines):
                     g = gcd(num, den)
                     den //= g
                     pair = num // g + eps * den, den
@@ -610,6 +604,6 @@ class SpecIndex:
 def catalog_index(max_size: int) -> SpecIndex:
     """The catalog up to ``max_size`` components as a :class:`SpecIndex`;
     it holds exactly the shapes of :func:`eshape_catalog`, from the same
-    slices, but lists no spec before a bucket asks for it and builds the
-    shapes of its forks only."""
+    slices, but lists no spec before a bucket asks for it and builds no
+    shape."""
     return SpecIndex(_catalog_slices(max_size))

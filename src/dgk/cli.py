@@ -226,20 +226,19 @@ def _kernel_vector(weights: list[int]) -> list[int] | None:
 
 
 def cmd_solve(args) -> tuple[int, object, str]:
-    from .barks import named_shapes
+    from .barks import shape_of, specs_by_name
 
     t1 = parse_chain(args.t1)
     t2 = parse_chain(args.t2)
     ekey = args.e.strip()
     key = format_chain(parse_chain(ekey))
-    choices = [s for (k, _), s in named_shapes().items() if k == key]
-    if args.epsilon is not None:
-        choices = [s for s in choices if s.epsilon == args.epsilon]
+    names = specs_by_name()
+    choices = [names[k, eps] for k, eps in names if k == key and args.epsilon in (None, eps)]
     if not choices:
         raise DomainError(f"no catalog shape {ekey}")
     solutions = []
-    for shape in choices:
-        solutions.extend(solve_two_fiber(t1, t2, shape))
+    for spec in choices:
+        solutions.extend(solve_two_fiber(t1, t2, shape_of(spec)))
     payload = [s.to_dict() for s in solutions]
     lines = [
         f"n={s.n} gamma={s.gamma} kappa={s.kappa} kappa~={s.kappa_t}"

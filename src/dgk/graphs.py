@@ -48,7 +48,8 @@ def read_brackets(text: str, word: str) -> list[Curve]:
     (k); ``word`` ("chain" or "fiber") names the entries in errors, and a
     position counts from the start of ``text``.  An entry that would take
     the text past :data:`MAX_CURVES` curves is refused, a run before it is
-    expanded."""
+    expanded, as is an entry with a number of more digits than ``int()``
+    converts."""
     body = text.strip()
     pos = len(text) - len(text.lstrip())
     if not body.startswith("["):
@@ -61,15 +62,19 @@ def read_brackets(text: str, word: str) -> list[Curve]:
         if m is None:
             raise ChainParseError(f"bad {word} entry {entry!r}", pos)
         run, w, star, mult = m.groups()
-        if len(curves) + (1 if run is None else int(run)) > MAX_CURVES:
+        try:  # int() refuses a number of more digits than Python converts
+            run, w, mult = (None if v is None else int(v) for v in (run, w, mult))
+        except ValueError:
+            raise ChainParseError(f"{word} entry {entry!r} has too many digits", pos) from None
+        if len(curves) + (1 if run is None else run) > MAX_CURVES:
             kind = "entry" if run is None else "run"
             raise ChainParseError(
                 f"{kind} {entry!r} takes the {word} past {MAX_CURVES} curves", pos
             )
         if run is None:
-            curves.append((int(w), star == "*", None if mult is None else int(mult), entry, pos))
+            curves.append((w, star == "*", mult, entry, pos))
         else:
-            curves.extend([(2, False, None, entry, pos)] * int(run))
+            curves.extend([(2, False, None, entry, pos)] * run)
         pos += len(item)
     if not body.endswith("]"):
         raise ChainParseError(f"expected ']' after entry {entry!r}", pos)

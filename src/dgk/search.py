@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums, named_shapes, shape_of,
+    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums, shape_of, specs_by_name,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
@@ -364,19 +364,19 @@ def search_xy(bounds: dict | None = None):
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
     """Resolve [key, epsilon] pairs against the catalog of size 12."""
-    table = named_shapes()
+    table = specs_by_name()
     specs = []
     for entry in entries:
         try:
-            shape = table.get(tuple(entry))
+            spec = table.get(tuple(entry))
         except TypeError:  # not a sequence, or unhashable parts
-            shape = None
-        if shape is None:
+            spec = None
+        if spec is None:
             raise ValueError(
                 f"eshapes entry {entry!r} is not a [key, epsilon] pair of a"
                 " catalog shape of at most 12 components"
             )
-        specs.append(shape.spec)
+        specs.append(spec)
     return specs
 
 

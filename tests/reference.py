@@ -25,7 +25,12 @@ from functools import cache
 from math import gcd, isqrt
 
 from dgk import chains
-from dgk.barks import BarkCoefficients, eshape_catalog, fork_invariants
+from dgk.barks import (
+    BarkCoefficients,
+    admissible_fork_invariants,
+    eshape_catalog,
+    fork_invariants,
+)
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
 from dgk.predicates import BoundaryCandidate, PredicateReport
@@ -212,6 +217,12 @@ def int_det(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def is_admissible_fork(fork: Fork) -> bool:
+    """Whether :func:`dgk.barks.admissible_fork_invariants` finds a record:
+    the gate the catalog once applied to each of its forks."""
+    return admissible_fork_invariants(fork) is not None
+
+
 def fork_to_json(fork: Fork) -> str:
     """The fork description :func:`dgk.graphs.parse_fork` reads."""
     return json.dumps({"b": fork.b, "twigs": [format_chain(t) for t in fork.twigs]})
@@ -371,6 +382,17 @@ def all_admissible_chains_up_to(limit: int):
     """All oriented admissible chains with discriminant <= limit, by the walk."""
     for dd in range(2, limit + 1):
         yield from oriented_chains_by_walk(dd)
+
+
+@cache
+def reference_chain_barks(limit: int):
+    """(chain, full bark, one-sided bark) by the dense solve for every
+    oriented admissible chain with discriminant <= limit, computed once a
+    session for the tests that compare the closed forms with it."""
+    return tuple(
+        (ws, reference_bark_chain(ws), reference_bark_one_sided(ws))
+        for ws in all_admissible_chains_up_to(limit)
+    )
 
 
 def e_by_recurrence(weights):

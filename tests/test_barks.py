@@ -6,11 +6,14 @@ import pytest
 
 from dgk import chains
 from dgk.barks import (
-    _CHAIN_FAMILIES,
-    _chain_continuants,
+    _B1,
+    _B2,
+    _FAMILIES,
+    _continuants,
     _make_shape,
     _slice,
     _slice_continuants,
+    _spec_graph,
     admissible_fork_invariants,
     bark_chain,
     bark_fork,
@@ -21,7 +24,6 @@ from dgk.barks import (
     fork_invariants,
     fork_sums,
     group_order,
-    is_admissible_fork,
     is_platonic_triple,
     shape_of,
 )
@@ -32,9 +34,9 @@ from reference import (
     all_admissible_chains_up_to,
     chain_bark_square,
     decompose_exceptional,
-    reference_bark_chain,
+    is_admissible_fork,
     reference_bark_fork,
-    reference_bark_one_sided,
+    reference_chain_barks,
 )
 
 
@@ -89,11 +91,11 @@ def test_bark_errors():
 def test_chain_barks_cross_validate_d50():
     # closed forms vs the dense linear solve, additivity of the two one-sided
     # barks, and the -2 bound with its equality case
-    for ws in all_admissible_chains_up_to(50):
+    for ws, full_by_solve, left_by_solve in reference_chain_barks(50):
         full = bark_chain(ws)
         left = bark_one_sided(ws)
-        assert full == reference_bark_chain(ws)
-        assert left == reference_bark_one_sided(ws)
+        assert full == full_by_solve
+        assert left == left_by_solve
         assert left.bk_square == -chains.e(ws)
         right = bark_one_sided(ws[::-1])
         summed = tuple(
@@ -457,15 +459,60 @@ def test_slice_stepping_matches_the_product_past_the_catalog_sizes():
     # each slice steps d and num along its lines; every spec must still
     # get its own product's values, for
     # small slices (c3 below run sum 4 has lines of fewer than three specs)
-    # and for run sums past the size-60 catalog
-    for family in _CHAIN_FAMILIES:
+    # and for run sums past the size-60 catalog; a fork takes its record's
+    for family in _FAMILIES:
         for s in (*range(16), 57, 58, 59, 60, 97, 149, 150):
             lines = _slice(family, s)
             got = list(_slice_continuants(lines))
             assert [spec for spec, _, _ in got] == [sp for line in lines for sp in line.specs()]
             for spec, d, num in got:
                 assert sum(spec[1:]) == s
-                assert (d, num) == _chain_continuants(spec), spec
+                assert (d, num) == _continuants(spec), spec
+
+
+def test_fork_tails_in_closed_form_past_the_catalog_sizes():
+    # b1's tail Fork(2, ([2]^n + [3], [2], [2])) has first key n + 1 and
+    # b2's Fork(3, ([2], [2]^n, [2])), n >= 1, first key n; both have
+    # d(F) = 4(n + 2) and Bk^2 = -(2n + 3)/(n + 2).  The key counts E on the
+    # tree; bark_fork, quadratic in n, is checked on every tenth n past 100
+    for n in range(400):
+        tails = [((_B1, n, 1), Fork(2, ((2,) * n + (3,), (2,), (2,))), n + 1)]
+        if n >= 1:
+            tails.append(((_B2, 1, n), Fork(3, ((2,), (2,) * n, (2,))), n))
+        for spec, fork, key in tails:
+            family = spec[0]
+            assert _spec_graph(spec) == fork
+            e_weights, _ = decompose_exceptional(fork)
+            size = 1 + sum(map(len, fork.twigs))
+            assert size - family.epsilon - sum(w - 2 for w in e_weights) == key
+            assert sum(spec[1:]) + family.offset == key
+            assert (family.epsilon, family.ke, e_weights) == (2, 1, (3,))
+            inv = fork_invariants(fork)
+            bk2 = F(-(2 * n + 3), n + 2)
+            assert _continuants(spec) == (inv.d, bk2 * inv.d) and inv.d == 4 * (n + 2)
+            assert inv.bk_square == bk2
+            if n < 100 or n % 10 == 0:
+                assert bark_fork(fork).bk_square == bk2
+
+
+def test_fork_slices_hold_the_admissible_forks_of_their_templates():
+    # on the run grid a, m < 80 the b1 and b2 slices hold exactly the forks
+    # Fork(2, ([(a),3], [(m)], [2])) and Fork(3, ([(a)], [(m)], [2])) that
+    # the reference gate accepts, each once up to twig order
+    templates = {
+        _B1: lambda a, m: Fork(2, ((2,) * a + (3,), (2,) * m, (2,))),
+        _B2: lambda a, m: Fork(3, ((2,) * a, (2,) * m, (2,))),
+    }
+    for family, template in templates.items():
+        held = [
+            spec for s in range(2 * 80) for line in _slice(family, s) for spec in line.specs()
+        ]
+        held = [spec for spec in held if max(spec[1:]) < 80]
+        keys = [(fork.b, fork.sorted_twigs()) for fork in map(_spec_graph, held)]
+        assert all(_spec_graph(spec) == template(*spec[1:]) for spec in held)
+        assert len(set(keys)) == len(keys)
+        grid = [template(a, m) for a in range(80) for m in range(80)]
+        assert set(keys) == {(f.b, f.sorted_twigs()) for f in grid if is_admissible_fork(f)}
 
 
 def test_shape_fields_match_independent_routes():

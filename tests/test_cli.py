@@ -323,6 +323,13 @@ def test_a_run_past_the_curve_bound_exits_1_before_it_is_expanded(capsys):
     assert err.startswith(f"error: run '({MAX_CURVES})' takes the fiber past")
 
 
+def test_a_number_past_the_digit_limit_exits_1_naming_the_entry(capsys):
+    nines = "9" * 5000
+    code, out, err = run(capsys, "compute", "d", f"[({nines})]")
+    assert (code, out) == (1, "")
+    assert err == f"error: chain entry '({nines})' has too many digits (at position 1)"
+
+
 def test_bad_bounds_keys_exit_code(capsys, tmp_path):
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps(dict(load_bounds("final_bounds"), delta_gmn=7)))

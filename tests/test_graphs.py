@@ -87,6 +87,20 @@ def test_read_brackets_refuses_a_run_past_the_curve_bound():
         assert str(info.value) == want
 
 
+def test_read_brackets_refuses_a_number_past_the_digit_limit():
+    # int() refuses more than 4,300 digits; the entry and its position are
+    # named instead of Python's own message
+    nines = "9" * 5000
+    for text, word, entry, pos in (
+        (f"[({nines})]", "chain", f"({nines})", 1),
+        (f"[2, {nines}]", "chain", nines, 3),
+        (f"[1*:{nines}]", "fiber", f"1*:{nines}", 1),
+    ):
+        with pytest.raises(ChainParseError) as info:
+            read_brackets(text, word)
+        assert str(info.value) == f"{word} entry {entry!r} has too many digits (at position {pos})"
+
+
 def test_format_compresses_runs():
     assert format_chain((3, 2, 2)) == "[3,(2)]"
     assert format_chain((2,)) == "[2]"

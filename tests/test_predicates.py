@@ -17,7 +17,13 @@ import pytest
 from dgk import chains
 from dgk import ruling as dgk_ruling
 from dgk import search as dgk_search
-from dgk.barks import DegenerateChainError, eshape_catalog, family_specs, fork_invariants
+from dgk.barks import (
+    DegenerateChainError,
+    _spec_graph,
+    eshape_catalog,
+    family_specs,
+    fork_invariants,
+)
 from dgk.predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
 from dgk.search import (
     load_bounds,
@@ -180,16 +186,17 @@ def test_ke_holds_on_every_catalog_family():
     # K.E + 2 eps <= 5 but for [4] with eps = 2, the b4 family, so the ke
     # row fails on no catalog shape.  A chain family's K.E is fixed by its
     # weights other than 2; a fork's is that of its branch and twigs, since
-    # the stripped components are (-2)-curves.
+    # the stripped components are (-2)-curves, and its family's constant.
     specs = family_specs(60)
-    for family in {spec[0] for spec in specs if spec[0].weights}:
+    for family in {spec[0] for spec in specs if not spec[0].branch}:
         total = family.ke + 2 * family.epsilon
         assert total <= 5 or (family.name, total) == ("b4", 6), family
-    forks = [(spec[0], spec[1]) for spec in specs if not spec[0].weights]
+    forks = [(spec[0], _spec_graph(spec)) for spec in specs if spec[0].branch]
     assert {family.name for family, _ in forks} == {"b1", "b2"}
     for family, fork in forks:
         ke = fork.b - 2 + sum(w - 2 for t in fork.twigs for w in t)
         assert ke + 2 * family.epsilon <= 5, fork
+        assert ke == family.ke, fork
     for es in eshape_catalog(12):
         if es.is_fork:
             assert es.ke == es.graph.b - 2 + sum(w - 2 for t in es.graph.twigs for w in t)

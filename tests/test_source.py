@@ -276,3 +276,28 @@ def test_one_reader_for_the_bracket_notation():
                 compiles[path.name] += 1
     assert importers == {"graphs.py"}
     assert compiles == Counter({"graphs.py": 1})
+
+
+def _definitions(module: str) -> dict:
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    return {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_the_index_and_the_names_build_no_shape():
+    # every family, forks too, is read from its constants and its integers:
+    # the index keys and steps its slices without a shape and without asking
+    # which kind of family a slice is, the catalog's slices pass no gate, and
+    # a name resolves to a spec; only the shapes resolved are built
+    barks = _definitions("barks")
+    index = _named(barks["SpecIndex"])
+    assert not {"shape_of", "_make_shape", "weights", "branch"} & index
+    assert {"offset", "_slice_continuants"} <= index
+    assert not [n for n in _named(barks["_catalog_slices"]) if "admissible" in n]
+    lookups = (
+        barks["specs_by_name"],
+        _definitions("search")["_named_specs"],
+        _definitions("cli")["cmd_solve"],
+    )
+    for fn in lookups:
+        assert not {"eshape_catalog", "_make_shape", "ExceptionalShape"} & _named(fn), fn.name
+    assert "specs_by_name" in _named(lookups[1]) and "specs_by_name" in _named(lookups[2])
