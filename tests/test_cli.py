@@ -387,10 +387,11 @@ PADDING = st.sampled_from(["", "", " ", "  ", "\n", "\t"])
 # runs stay short: a text such as "(9999999)" would ask for millions of curves
 # now and then a run past graphs.MAX_CURVES, which is refused unexpanded; the
 # two long runs are ones that a reader without the bound expands harmlessly
-# or refuses at once (a list of 10**20 items cannot be asked for)
+# or refuses at once (a list of 10**20 items cannot be asked for), and the
+# 5,000 nines are more digits than int() converts
 RUN = st.one_of(
     st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
-    st.sampled_from([MAX_CURVES + 1, 10**20]),
+    st.sampled_from([MAX_CURVES + 1, 10**20, "9" * 5000]),
 ).map(lambda k: f"({k})")
 FIBER_ENTRY = st.builds(
     lambda w, star, mult: f"{w}{star}" + ("" if mult is None else f":{mult}"),
