@@ -26,6 +26,7 @@ from .graphs import (
     ChainParseError,
     Curve,
     Fork,
+    canonical_chain,
     format_chain,
     parse_chain,
     parse_fork,
@@ -231,7 +232,7 @@ def cmd_solve(args) -> tuple[int, object, str]:
     t1 = parse_chain(args.t1)
     t2 = parse_chain(args.t2)
     ekey = args.e.strip()
-    key = format_chain(parse_chain(ekey))
+    key = format_chain(canonical_chain(parse_chain(ekey)))  # a chain and its reversal are one shape
     names = specs_by_name()
     choices = [names[k, eps] for k, eps in names if k == key and args.epsilon in (None, eps)]
     if not choices:

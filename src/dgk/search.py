@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums, shape_of, specs_by_name,
+    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums_along, shape_of,
+    specs_by_name,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
@@ -205,16 +206,19 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     return Bounds(**values)
 
 
-def _scan_triples(triples, bounds: Bounds, index: SpecIndex) -> list[BoundaryCandidate]:
+def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCandidate]:
     """The (twig triple, b, shape) combinations passing ``bounds``, canonically
     sorted.
 
-    Reads the integer twig sums (D, S, E, Et) of :func:`dgk.barks.fork_sums`,
-    so that delta = S/D, e = E/D and e~ = Et/D.  Each (triple, b) passing the
-    gates looks up the bucket of its Noether key 4 + b + sum kd in ``index``
-    and, when the bucket is not empty, makes one probe of it with
-    Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
-    ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The triples come joined
+    ``groups`` holds one (T1, T2, thirds) per twig pair, as the sweeps yield
+    them.  For each pair the key base 4 + kd1 + kd2 is formed once, and
+    :func:`dgk.barks.fork_sums_along` steps the integer twig sums
+    (D, S, E, Et) along its third twigs, so that delta = S/D, e = E/D and
+    e~ = Et/D.  Each (triple, b) passing the gates looks up the bucket of its
+    Noether key 4 + b + sum kd in ``index`` (``index.buckets``, built on a
+    miss by ``index.bucket``) and, when the bucket is not empty, makes one
+    probe of it with Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
+    ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The thirds come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
     hit's spec becomes its shape through :func:`dgk.barks.shape_of`, and
     :func:`dgk.predicates.passes` decides the hit on the integer record
@@ -223,33 +227,37 @@ def _scan_triples(triples, bounds: Bounds, index: SpecIndex) -> list[BoundaryCan
     """
     found: list[BoundaryCandidate] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
-    for r1, r2, r3 in triples:
-        dd, s, e, et = fork_sums(r1, r2, r3)
-        if s >= dd:  # delta >= 1
-            continue
-        if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
-            continue
-        e_minus_1 = e - dd
-        gap_sq = (dd - s) ** 2
-        key = 4 + r1.kd + r2.kd + r3.kd
-        for b in b_values:
-            slack = et - b * dd
-            if slack <= 0:  # b >= e~
+    buckets = index.buckets
+    for r1, r2, thirds in groups:
+        base = 4 + r1.kd + r2.kd
+        for r3, dd, s, e, et in fork_sums_along(r1, r2, thirds):
+            if s >= dd:  # delta >= 1
                 continue
-            bucket = index.bucket(key + b)
-            if not bucket:
+            if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
                 continue
-            num = e_minus_1 * slack - gap_sq
-            den = dd * slack
-            g = gcd(num, den)
-            for spec in bucket.get((num // g, den // g), ()):
-                shape = shape_of(spec)
-                if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
+            e_minus_1 = e - dd
+            gap_sq = (dd - s) ** 2
+            key = base + r3.kd
+            for b in b_values:
+                slack = et - b * dd
+                if slack <= 0:  # b >= e~
                     continue
-                twigs = (r1.ws, r2.ws, r3.ws)
-                if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
-                          group_order_mode=bounds.group_order_mode):
-                    found.append(BoundaryCandidate(b, twigs, shape))
+                bucket = buckets.get(key + b)
+                if bucket is None:
+                    bucket = index.bucket(key + b)
+                    if not bucket:
+                        continue
+                num = e_minus_1 * slack - gap_sq
+                den = dd * slack
+                g = gcd(num, den)
+                for spec in bucket.get((num // g, den // g), ()):
+                    shape = shape_of(spec)
+                    if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
+                        continue
+                    twigs = (r1.ws, r2.ws, r3.ws)
+                    if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
+                              group_order_mode=bounds.group_order_mode):
+                        found.append(BoundaryCandidate(b, twigs, shape))
     found.sort(key=BoundaryCandidate.sort_key)
     return found
 
@@ -291,16 +299,19 @@ def _rule_cells(rules: list[dict]):
 
 
 def _triples_for_rules(rules: list[dict], d_max_needed: int, keys: frozenset[int] | None = None):
-    """Sorted oriented-twig triples from per-smallest-discriminant rules.
+    """Oriented-twig triples from per-smallest-discriminant rules, as one
+    group (T1, T2, thirds) per twig pair, sorted, with the pair's third
+    twigs in order.
 
     A triple with discriminants (x, y, z) comes from a rule only through
     (x, y, z), so a discriminant triple an earlier rule covered is skipped
-    whole, and weights are compared only where two discriminants are equal.
-    With ``keys``, only the triples whose key 4 + sum kd is one of them are
-    yielded, in the same order.
+    whole, and weights are compared only where two discriminants are equal:
+    T1 <= T2 where x = y and T2 <= T3 where y = z.  With ``keys``, a group
+    holds only the third twigs whose triple's key 4 + sum kd is one of them;
+    a pair left with none is not yielded.
     """
     by_d = _records_by_d(d_max_needed)
-    thirds = _third_twigs(by_d, keys)
+    pick = _third_twigs(by_d, keys)
     for x, yz in _rule_cells(rules):
         for r1 in by_d.get(x, ()):
             for y, zs in yz:
@@ -308,11 +319,12 @@ def _triples_for_rules(rules: list[dict], d_max_needed: int, keys: frozenset[int
                     if y == x and r1.ws > r2.ws:
                         continue
                     base = 4 + r1.kd + r2.kd
+                    thirds: list[ChainRecord] = []
                     for z in zs:
-                        for r3 in thirds(z, base):
-                            if z == y and r2.ws > r3.ws:
-                                continue
-                            yield (r1, r2, r3)
+                        rs = pick(z, base)
+                        thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if z == y else rs
+                    if thirds:
+                        yield r1, r2, thirds
 
 
 def _rule_keys(rules: list[dict], d_max_needed: int):
@@ -357,8 +369,8 @@ def search_xy(bounds: dict | None = None):
     spec = parse_bounds("xy", bounds)
     index = SpecIndex.of_specs(spec.eshapes)
     keys = _join_keys(index, spec.b)
-    triples = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
-    found = _scan_triples(triples, spec, index)
+    groups = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
+    found = _scan_triples(groups, spec, index)
     return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
 
 
@@ -387,8 +399,8 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     d_max = max(rule["z_max"] for rule in spec.d_rules)
     _check_catalog_reach(_rule_keys(spec.d_rules, d_max), spec.b, index.reach,
                          spec.catalog_max_size)
-    triples = _triples_for_rules(spec.d_rules, d_max, _join_keys(index, spec.b))
-    found = _scan_triples(triples, spec, index)
+    groups = _triples_for_rules(spec.d_rules, d_max, _join_keys(index, spec.b))
+    found = _scan_triples(groups, spec, index)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
 
@@ -396,22 +408,24 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
 def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
     """knonpos case 1: T1 pinned, d2 in 3..d2_max, d3 in d2..d3_max, without
     T2 = T1 with T3 ending in (3, 2); with ``keys``, joined on them as
-    :func:`_triples_for_rules` is.  Triples come as (T1, T2, T3): the twig
-    sums and predicates are symmetric in the twigs, and a candidate sorts
-    its twigs itself for its key and its output."""
+    :func:`_triples_for_rules` is, in groups (T1, T2, thirds) as it yields
+    them.  Triples come as (T1, T2, T3): the twig sums and predicates are
+    symmetric in the twigs, and a candidate sorts its twigs itself for its
+    key and its output."""
     rec1 = _record_of(spec.t1)
     by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
-    thirds = _third_twigs(by_d, keys)
+    pick = _third_twigs(by_d, keys)
     for d2 in range(3, spec.d2_max + 1):
         for r2 in by_d[d2]:
             base = 4 + rec1.kd + r2.kd
+            thirds: list[ChainRecord] = []
             for d3 in range(d2, spec.d3_max + 1):
-                for r3 in thirds(d3, base):
-                    if (r2.d, r2.ws) > (r3.d, r3.ws):
-                        continue
-                    if r2.ws == spec.t1 and len(r3.ws) >= 2 and r3.ws[-2:] == (3, 2):
-                        continue
-                    yield rec1, r2, r3
+                rs = pick(d3, base)
+                thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if d3 == d2 else rs
+            if r2.ws == spec.t1:
+                thirds = [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)]
+            if thirds:
+                yield rec1, r2, thirds
 
 
 def _case1_keys(spec: Bounds):
@@ -423,25 +437,28 @@ def _case1_keys(spec: Bounds):
         yield from (kd1 + d2 + d3 - 2 for d3 in range(d2, spec.d3_max + 1))
 
 
-def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ...]]:
-    """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2)."""
+def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[ChainRecord]]]:
+    """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2),
+    as the one group (T1, T1, tails)."""
     rec1 = _record_of(spec.t1)
-    return [
-        (rec1, rec1, chain_record(head + (2,) * k + (3, 2)))
+    tails = [
+        chain_record(head + (2,) * k + (3, 2))
         for k in range(0, spec.case2_k_max + 1)
         for head in ((), (3,), (4,), (2, 3))
     ]
+    return [(rec1, rec1, tails)]
 
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch."""
     spec = parse_bounds("knonpos", bounds)
     index = catalog_index(spec.catalog_max_size)
-    triples2 = _case2_triples(spec)
-    keys = [*_case1_keys(spec), *(4 + r1.kd + r2.kd + r3.kd for r1, r2, r3 in triples2)]
+    groups2 = _case2_triples(spec)
+    keys = [*_case1_keys(spec),
+            *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
     _check_catalog_reach(keys, spec.b, index.reach, spec.catalog_max_size)
     found1 = _scan_triples(_case1_triples(spec, _join_keys(index, spec.b)), spec, index)
-    found2 = _scan_triples(triples2, spec, index)
+    found2 = _scan_triples(groups2, spec, index)
     return {
         "case1": [cand.to_dict() for cand in found1],
         "case2": [cand.to_dict() for cand in found2],

@@ -9,8 +9,9 @@ per-weight recurrence for a chain's Bk^2, the tree route that strips
 external (-2)-curves, the simulated multiplicity trace, the
 continued-fraction recurrence for e, d'' of a chain, the two-fiber solver
 and the square/zar_bk2 entries in ``Fraction`` arithmetic, the ruling
-equations (5)/(6) as the paper writes them, and the predicate report as one
-function in ``Fraction`` arithmetic.  ``tests/test_source.py`` keeps them
+equations (5)/(6) as the paper writes them, the predicate report as one
+function in ``Fraction`` arithmetic, a fork's twig sums in their symmetric
+form and the scan kernel one twig triple at a time.  ``tests/test_source.py`` keeps them
 out of the package: every package function must have a caller in the
 package.
 
@@ -27,13 +28,16 @@ from math import gcd, isqrt
 from dgk import chains
 from dgk.barks import (
     BarkCoefficients,
+    ForkInvariants,
     admissible_fork_invariants,
     eshape_catalog,
     fork_invariants,
+    fork_sums,
+    shape_of,
 )
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
-from dgk.predicates import BoundaryCandidate, PredicateReport
+from dgk.predicates import BoundaryCandidate, PredicateReport, passes
 from dgk.ruling import FiberTuple, _assemble_solution, _ordered_from
 
 # ---------------------------------------------------------------------------
@@ -470,6 +474,62 @@ def _shapes_by_key(size):
 def shape(key, eps, size=12):
     """The catalog shape of at most ``size`` components with this key and epsilon."""
     return _shapes_by_key(size)[(key, eps)]
+
+
+# ---------------------------------------------------------------------------
+# the twig sums and the scan kernel, one triple at a time
+
+
+def symmetric_fork_sums(r1, r2, r3) -> tuple[int, int, int, int]:
+    """(D, S, E, Et) of three twig records in their symmetric form:
+    D = d1*d2*d3 and, with Q_i = D/d_i, S = sum Q_i, E = sum d'_i*Q_i and
+    Et = sum d(T_i[:-1])*Q_i."""
+    q1 = r2.d * r3.d
+    q2 = r1.d * r3.d
+    q3 = r1.d * r2.d
+    return (
+        r1.d * q1,
+        q1 + q2 + q3,
+        r1.d_prime * q1 + r2.d_prime * q2 + r3.d_prime * q3,
+        r1.d_prime_rev * q1 + r2.d_prime_rev * q2 + r3.d_prime_rev * q3,
+    )
+
+
+def reference_scan_triples(triples, bounds, index) -> list[BoundaryCandidate]:
+    """The scan one (r1, r2, r3) triple at a time, with the twig sums of
+    ``fork_sums`` per triple: the oracle of the pair-major
+    ``dgk.search._scan_triples``."""
+    found: list[BoundaryCandidate] = []
+    names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
+    for r1, r2, r3 in triples:
+        dd, s, e, et = fork_sums(r1, r2, r3)
+        if s >= dd:  # delta >= 1
+            continue
+        if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
+            continue
+        e_minus_1 = e - dd
+        gap_sq = (dd - s) ** 2
+        key = 4 + r1.kd + r2.kd + r3.kd
+        for b in b_values:
+            slack = et - b * dd
+            if slack <= 0:  # b >= e~
+                continue
+            bucket = index.bucket(key + b)
+            if not bucket:
+                continue
+            num = e_minus_1 * slack - gap_sq
+            den = dd * slack
+            g = gcd(num, den)
+            for spec in bucket.get((num // g, den // g), ()):
+                shape = shape_of(spec)
+                if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
+                    continue
+                twigs = (r1.ws, r2.ws, r3.ws)
+                if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
+                          group_order_mode=bounds.group_order_mode):
+                    found.append(BoundaryCandidate(b, twigs, shape))
+    found.sort(key=BoundaryCandidate.sort_key)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from reference import (
     is_admissible_fork,
     reference_bark_fork,
     reference_chain_barks,
+    symmetric_fork_sums,
 )
 
 
@@ -198,6 +199,19 @@ def test_fork_discriminant_vs_determinant_on_all_small_forks():
         dd, _, _, et = fork_sums(*map(chain_record, triple))
         for b in range(-1, 4):
             assert b * dd - et == WeightedTree.from_fork(Fork(b, triple)).discriminant()
+
+
+def test_fork_sums_match_the_symmetric_form():
+    # fork_sums steps from the pair (T1, T2) to T3; every ordered triple of
+    # oriented twigs with d <= 12, and of the small twigs above with d = 0
+    # among them, against D = d1*d2*d3, S = sum D/d_i and the like
+    admissible = [ws for dd in range(2, 13) for ws in chains.oriented_chains_with_d(dd)]
+    small = [ws for n in (1, 2) for ws in product((0, 1, 2, 3), repeat=n)]
+    for twigs in (admissible, small):
+        records = [chain_record(ws) for ws in twigs]
+        for triple in product(records, repeat=3):
+            assert fork_sums(*triple) == symmetric_fork_sums(*triple), triple
+    assert len(admissible) > 40
 
 
 def test_fork_bark_coefficients_match_dense_solve():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dgk import search
 from dgk.cli import _parse_fiber, build_parser, main
-from dgk.graphs import MAX_CURVES, parse_chain
+from dgk.graphs import MAX_CURVES, format_chain, parse_chain
 from dgk.search import load_bounds
 
 
@@ -233,6 +233,17 @@ def test_solve_twofiber_ignores_whitespace_around_the_twigs(capsys):
     assert plain[0] == 0
     padded = ("--t1", "[2] ", "--t2", " [(3)]", "--e", "[4]\n")
     assert run(capsys, "solve", "twofiber", *padded) == plain
+
+
+@pytest.mark.parametrize(
+    "key", ["[3,(2)]", "[4,(2),3]", *(key for key, _ in load_bounds("fiber_pairs")["eshapes"])]
+)
+def test_solve_twofiber_finds_a_shape_in_either_orientation(capsys, key):
+    reverse = format_chain(parse_chain(key)[::-1])
+    argv = ("solve", "twofiber", "--t1", "[2]", "--t2", "[3]")
+    got = run(capsys, *argv, "--e", key)
+    assert "no catalog shape" not in got[2]  # [3,(2)] and [4,(2),3] reach the solver and exit 1
+    assert run(capsys, *argv, "--e", reverse) == got
 
 
 def test_degenerate_chain_message_uses_bracket_notation(capsys):

@@ -41,6 +41,7 @@ from reference import (
     cand_delta,
     cand_et,
     reference_report,
+    reference_scan_triples,
     reference_square_and_zar_bk2,
     shape,
 )
@@ -321,6 +322,11 @@ def test_catalog_cap_is_checked():
 # twig triples from overlapping rules
 
 
+def flatten(groups):
+    """The (r1, r2, r3) triples of a sweep's (r1, r2, thirds) groups, in order."""
+    return [(r1, r2, r3) for r1, r2, thirds in groups for r3 in thirds]
+
+
 def reference_triples(rules, d_max):
     """The rule sweep with a set of every triple yielded so far."""
     by_d = {dd: sorted(chains.oriented_chains_with_d(dd)) for dd in range(2, d_max + 1)}
@@ -348,7 +354,7 @@ def test_overlapping_rules_give_each_triple_once():
         {"x": 3, "y_min": 3, "y_max": 3, "z_max": 10},
         {"x": 2, "y_min": 1, "y_max": 3, "z_max": 8},
     ]
-    got = [tuple(r.ws for r in t) for t in _triples_for_rules(rules, 15)]
+    got = [tuple(r.ws for r in t) for t in flatten(_triples_for_rules(rules, 15))]
     assert got == list(reference_triples(rules, 15))
     assert len(set(got)) == len(got) > 800
 
@@ -539,15 +545,27 @@ def reduced_boxes():
 def test_join_keeps_exactly_the_triples_whose_key_can_hit():
     for spec, index, sweep in reduced_boxes():
         keys = dgk_search._join_keys(index, spec.b)
-        unpruned = list(sweep(None))
+        unpruned = flatten(sweep(None))
         want = [
             t for t in unpruned if any(key_of(t) + b in index.first_keys for b in spec.b)
         ]
-        got = list(sweep(keys))
+        got = flatten(sweep(keys))
         assert got == want
         assert 0 < len(got) < len(unpruned)
         # the probes of the dropped triples all miss
-        assert _scan_triples(got, spec, index) == _scan_triples(unpruned, spec, index)
+        assert _scan_triples(sweep(keys), spec, index) == _scan_triples(sweep(None), spec, index)
+
+
+def test_pair_major_scan_matches_the_triple_scan():
+    # the scan over (T1, T2, thirds) groups against the old kernel, which
+    # forms fork_sums for each triple, with and without the join
+    hits = 0
+    for spec, index, sweep in reduced_boxes():
+        for keys in (None, dgk_search._join_keys(index, spec.b)):
+            got = _scan_triples(sweep(keys), spec, index)
+            assert got == reference_scan_triples(flatten(sweep(keys)), spec, index)
+            hits += len(got)
+    assert hits > 0
 
 
 CATALOG_FILES = [(name, f) for name, f in CHECKED_IN if name in ("final-bounds", "knonpos")]
@@ -560,7 +578,7 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
     if name == "xy":  # named shapes, no catalog to outgrow: the rule sweep's key
         d_max = max(spec.y_max, spec.z_max)
         got = max(_rule_keys(_xy_rules(spec), d_max))
-        unpruned = _triples_for_rules(_xy_rules(spec), d_max)
+        unpruned = flatten(_triples_for_rules(_xy_rules(spec), d_max))
     else:
         seen = []
         check = dgk_search._check_catalog_reach
@@ -574,9 +592,9 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
         (got,) = seen
         if name == "final-bounds":
             d_max = max(rule["z_max"] for rule in spec.d_rules)
-            unpruned = _triples_for_rules(list(spec.d_rules), d_max)
+            unpruned = flatten(_triples_for_rules(list(spec.d_rules), d_max))
         else:
-            unpruned = [*_case1_triples(spec), *_case2_triples(spec)]
+            unpruned = flatten([*_case1_triples(spec), *_case2_triples(spec)])
     assert got == max(map(key_of, unpruned))
 
 

@@ -256,6 +256,26 @@ def test_the_scan_hands_its_record_to_the_verdict():
     assert {"ForkInvariants", "passes"} <= _named(fn)
 
 
+def test_the_scan_steps_the_twig_sums_through_barks():
+    # the twig sums have one route: barks.fork_sums_along forms each pair's
+    # coefficients and steps them along the third twigs, fork_sums reads
+    # one triple through it, and the scan takes its sums from it alone; no
+    # other function of barks.py or search.py reads a record's d' or
+    # d(T[:-1]), so neither holds a second copy of the linear forms
+    tree = ast.parse((PACKAGE_DIR / "search.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_triples"]
+    assert not {"fork_sums", "fork_invariants", "d_prime", "d_prime_rev"} & _named(fn)
+    assert "fork_sums_along" in _named(fn)
+    readers = set()
+    for module in ("barks", "search"):
+        for qualname, node in _functions(ast.parse((PACKAGE_DIR / f"{module}.py").read_text()),
+                                         module):
+            if {"d_prime", "d_prime_rev"} & set(_attributes(node)):
+                readers.add(qualname)
+    assert readers == {"barks.fork_sums_along"}
+    assert "fork_sums_along" in _named(_definitions("barks")["fork_sums"])
+
+
 def test_one_reader_for_the_bracket_notation():
     # chains and fibers share one grammar: graphs.py compiles its one entry
     # regex, and no other module of the package imports re to read brackets
