@@ -25,13 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import chains
 from .chains import ChainRecord, DegenerateChainError
-from .graphs import (
-    Fork,
-    Weights,
-    canonical_chain,
-    format_chain,
-    is_admissible_chain,
-)
+from .graphs import Fork, Weights, canonical_chain, format_chain, is_admissible_chain
 
 PLATONIC_SPECIAL = {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
 
@@ -96,9 +90,14 @@ class ForkInvariants(NamedTuple):
         return Fraction(self.Et, self.D)
 
     @property
+    def d_bk_square(self) -> int:
+        """d(F)*Bk^2 F = -((S - D)^2 + E*d(F))/D, as Bk^2 F = -(delta - 1)^2/(b - e~) - e;
+        an integer, since d(F) clears the bark's coefficients."""
+        return (-((self.S - self.D) ** 2) - self.E * self.d) // self.D
+
+    @property
     def bk_square(self) -> Fraction:
-        """Bk^2 F = -(delta - 1)^2/(b - e~) - e = -((S - D)^2 + E*d(F))/(D*d(F))."""
-        return Fraction(-((self.S - self.D) ** 2) - self.E * self.d, self.D * self.d)
+        return Fraction(self.d_bk_square, self.d)
 
     @property
     def group_order(self) -> int:
@@ -214,16 +213,16 @@ def group_order(graph: Weights | Fork) -> int:
 class ExceptionalShape:
     """One entry of the catalog of exceptional divisors.
 
-    ``graph`` is the full divisor (chain weights or a Fork); ``epsilon`` is
-    the family tag.  Derived data: the components left after stripping
-    external (-2)-tips (E), the stripped components (delta), K.E summed over
-    E, the discriminant, bark square and local group order; ``spec`` is the
-    catalog spec the shape was built from.
+    ``graph`` (chain weights or a Fork) and ``epsilon`` are the shape's
+    identity: no graph lies in two families with the same epsilon.  The rest
+    is read from ``spec``, the catalog spec the shape was built from, whose
+    family is ``spec[0]``: E (the components left after stripping external
+    (-2)-tips), the number of components of Delta (those stripped), K.E over
+    E, the size, discriminant, bark square and local group order.
     """
 
     graph: Weights | Fork
     epsilon: int
-    families: tuple[str, ...]
     e_weights: tuple[int, ...] = field(compare=False)
     n_delta_components: int = field(compare=False)
     ke: int = field(compare=False)
@@ -264,44 +263,6 @@ def _graph_key(graph: Weights | Fork) -> str:
     return format_chain(graph)
 
 
-def _leading_twos(weights: Weights) -> int:
-    for i, w in enumerate(weights):
-        if w != 2:
-            return i
-    return len(weights)
-
-
-def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
-    """(weights of E, number of external (-2)-components) in closed form.
-
-    Stripping (-2)-tips from a chain removes exactly its leading and trailing
-    runs of 2's.  In a fork every twig loses its tip-side run of 2's and a
-    twig of 2's alone goes entirely; when at most one twig is left and b = 2,
-    the branch becomes a (-2)-tip, and it goes with the vanished twigs and the
-    branch-side run of 2's of the last twig, all in one component.  The tree
-    route is ``decompose_exceptional`` in ``tests/reference.py``; the tests
-    compare the two.
-    """
-    if isinstance(graph, Fork):
-        leads = [_leading_twos(t) for t in graph.twigs]
-        kept = [(t[n:], n > 0) for t, n in zip(graph.twigs, leads) if n < len(t)]
-        if len(kept) >= 2 or graph.b != 2:
-            e_weights = (graph.b,) + sum((t for t, _ in kept), ())
-            return e_weights, sum(1 for n in leads if n > 0)
-        if not kept:
-            return (), 1
-        ((rest, tip_run),) = kept
-        # the branch, the vanished twigs and the branch-side run of 2's of the
-        # surviving twig form one component
-        rest = rest + (2,)
-        return rest[:len(rest) - _leading_twos(rest[::-1])], 1 + tip_run
-    lead = _leading_twos(graph)
-    if lead == len(graph):
-        return (), 1
-    trail = _leading_twos(graph[::-1])
-    return graph[lead:len(graph) - trail], (lead > 0) + (trail > 0)
-
-
 # ---------------------------------------------------------------------------
 # the catalog of exceptional shapes
 
@@ -310,14 +271,15 @@ def _split_external(graph: Weights | Fork) -> tuple[Weights, int]:
 class Family:
     """A catalog family: its tag, its epsilon, the weights other than 2 of
     its chains in order, and for the fork families b1 and b2 the weight of
-    the branch (0 for a chain family).
+    the branch (0 for a chain family).  Every weight is at least 3 and a
+    chain family has one, so no spec is made of (-2)-curves only.
 
     Three constants are set once per family: ``curves``, the components
     outside the runs; ``ke``, K.E = sum(w - 2) over the weights and the
     branch; and ``offset`` = curves - epsilon - K.E.  A chain spec's E is
-    its chain without the end runs and every fork spec's E is [3], so K.E
-    is the family's, and a spec of run sum s has s + curves components and
-    the Noether key s + offset.
+    its chain without the end runs and every fork spec's E is [3] (see
+    :func:`_make_shape`), so K.E is the family's, and a spec of run sum s
+    has s + curves components and the Noether key s + offset.
     """
 
     name: str
@@ -329,6 +291,8 @@ class Family:
     offset: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if any(w < 3 for w in self.weights) or not (self.weights or self.branch):
+            raise ValueError(f"family {self.name} needs weights of at least 3, not {self.weights}")
         # a fork adds its branch and its [2] twig to the curves of its weights
         curves = len(self.weights) + (2 if self.branch else 0)
         ke = sum(self.weights) - 2 * len(self.weights) + max(self.branch - 2, 0)
@@ -365,6 +329,9 @@ _C4 = tuple(
         ((5,), (1, 2)),
     )
 )
+
+
+MAX_CATALOG_SIZE = 100  # the specs grow as the cube of the size, the index as its square
 
 
 class Line(NamedTuple):
@@ -427,8 +394,10 @@ def _catalog_slices(max_size: int) -> Iterator[tuple[Line, ...]]:
     max_size less its ``curves``; each (c4) chain is a slice of one line of
     one spec.  No graph lies in two families with the same epsilon (the
     weights other than 2 and the end runs tell the family), so each spec
-    has one family tag.
+    has one family tag.  A size past :data:`MAX_CATALOG_SIZE` is refused.
     """
+    if max_size > MAX_CATALOG_SIZE:
+        raise ValueError(f"catalog size {max_size} is past the bound of {MAX_CATALOG_SIZE}")
     for family in _FAMILIES:
         for s in range(max_size - family.curves + 1):
             lines = _slice(family, s)
@@ -449,14 +418,19 @@ def family_specs(max_size: int) -> tuple[ShapeSpec, ...]:
     )
 
 
+def _spec_chain(spec: ShapeSpec) -> Weights:
+    """The chain [(r0),w1,(r1),...,wk,(rk)] of a chain spec, in its order."""
+    chain = (2,) * spec[1]
+    for w, r in zip(spec[0].weights, spec[2:]):
+        chain += (w,) + (2,) * r
+    return chain
+
+
 def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
     family = spec[0]
-    chain = (2,) * spec[1]
     if family.branch:
-        return Fork(family.branch, (chain + family.weights, (2,) * spec[2], (2,)))
-    for w, r in zip(family.weights, spec[2:]):
-        chain += (w,) + (2,) * r
-    return canonical_chain(chain)
+        return Fork(family.branch, ((2,) * spec[1] + family.weights, (2,) * spec[2], (2,)))
+    return canonical_chain(_spec_chain(spec))
 
 
 def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
@@ -476,13 +450,12 @@ def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
 
 
 def _continuants(spec: ShapeSpec) -> tuple[int, int]:
-    """(d, num) of any spec, integers with Bk^2 = num/d: the run-length
-    product of a chain spec, and for a fork spec d(F) and d(F)*Bk^2 from
-    its record, which divides exactly since d(F)*Bk^2 is an integer."""
+    """(d, num) of any spec, integers with Bk^2 = num/d: a chain spec's
+    run-length product, or d(F) and d(F)*Bk^2 of a fork spec's record."""
     if not spec[0].branch:
         return _chain_continuants(spec)
     inv = fork_invariants(_spec_graph(spec))
-    return inv.d, (-((inv.S - inv.D) ** 2) - inv.E * inv.d) // inv.D
+    return inv.d, inv.d_bk_square
 
 
 def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
@@ -510,17 +483,29 @@ def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, 
 
 
 def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
-    graph = _spec_graph(spec)
-    family = spec[0]
-    e_weights, n_delta = _split_external(graph)
-    if not e_weights:
-        raise ValueError("exceptional shape consists of (-2)-curves only")
-    dd, num = _continuants(spec)
-    g = fork_invariants(graph).group_order if family.branch else dd
+    """The shape of a spec, each field in closed form.  A chain spec's E is
+    its chain without the end runs, the components of Delta.  A fork spec's
+    E is [3]: b1's branch (b = 2) makes one component of Delta with the
+    twigs [(m)] and [2], which in b2 (b = 3) are two, and a first run a > 0
+    is one more; one fork record gives d(F), Bk^2 and |G|."""
+    family, first, last = spec[0], spec[1], spec[-1]
+    if family.branch:
+        graph = _spec_graph(spec)
+        inv = fork_invariants(graph)
+        dd, num, g = inv.d, inv.d_bk_square, inv.group_order
+        e_weights, n_delta = (3,), (first > 0) + 1 + (family.branch != 2)
+    else:
+        chain = _spec_chain(spec)
+        graph = canonical_chain(chain)
+        e_weights = chain[first:len(chain) - last]
+        if graph != chain:  # canonical_chain reversed it
+            e_weights = e_weights[::-1]
+        dd, num = _chain_continuants(spec)
+        g, n_delta = dd, (first > 0) + (last > 0)
     return ExceptionalShape(
-        graph=graph, epsilon=family.epsilon, families=(family.name,), e_weights=e_weights,
-        n_delta_components=n_delta, ke=family.ke, size=sum(spec[1:]) + family.curves, d=dd,
-        bk_square=Fraction(num, dd), g_order=g, spec=spec,
+        graph=graph, epsilon=family.epsilon, e_weights=e_weights, n_delta_components=n_delta,
+        ke=family.ke, size=sum(spec[1:]) + family.curves, d=dd, bk_square=Fraction(num, dd),
+        g_order=g, spec=spec,
     )
 
 
@@ -554,11 +539,10 @@ def specs_by_name() -> Mapping[tuple[str, int], ShapeSpec]:
     return MappingProxyType(dict(sorted(names.items())))
 
 
-Bucket = Mapping[tuple[int, int], tuple[ShapeSpec, ...]]
-_NO_BUCKET: Bucket = MappingProxyType({})
+Bucket = dict[tuple[int, int], tuple[ShapeSpec, ...]]
 
 
-class SpecIndex:
+class SpecIndex(dict[int, Bucket]):
     """Spec slices keyed for the single scan probe per (twig triple, b).
 
     The full key is (k, numerator, denominator) with k = #E - epsilon - K.E
@@ -572,10 +556,10 @@ class SpecIndex:
     ``first_keys`` are the k that hold a slice, and the scan joins its twig
     triples on them.  ``reach`` is the largest epsilon + K.E of the slices'
     families, so a probe with first key k asks for shapes of at most
-    k + reach components.  :meth:`bucket` lists the specs of one k the first
-    time a probe asks for it, keyed by the d and Bk^2 that
-    :func:`_slice_continuants` gives along each slice; ``buckets`` holds
-    those built so far.  No shape is built for either.
+    k + reach components.  The index maps k to its bucket, the specs of
+    first key k keyed by the d and Bk^2 that :func:`_slice_continuants`
+    gives along each slice.  A k's first subscript builds its bucket and
+    keeps it, empty for a k without a slice, and builds no shape.
     """
 
     @classmethod
@@ -584,6 +568,7 @@ class SpecIndex:
         return cls((Line(spec),) for spec in specs)
 
     def __init__(self, slices: Iterable[Sequence[Line]]) -> None:
+        super().__init__()
         groups: dict[int, list[Sequence[Line]]] = {}
         reach = 0
         for lines in slices:
@@ -593,24 +578,17 @@ class SpecIndex:
         self._groups = groups
         self.first_keys = frozenset(groups)
         self.reach = reach
-        self.buckets: dict[int, Bucket] = {}
 
-    def bucket(self, k: int) -> Bucket:
-        """The specs of first key ``k`` by the rest of their key; empty when
-        no spec has first key ``k``."""
-        bucket = self.buckets.get(k)
-        if bucket is None:
-            if k not in self._groups:
-                return _NO_BUCKET
-            probes: dict[tuple[int, int], tuple[ShapeSpec, ...]] = {}
-            for lines in self._groups[k]:
-                eps = lines[0].first[0].epsilon
-                for spec, den, num in _slice_continuants(lines):
-                    g = gcd(num, den)
-                    den //= g
-                    pair = num // g + eps * den, den
-                    probes[pair] = probes.get(pair, ()) + (spec,)
-            bucket = self.buckets[k] = probes
+    def __missing__(self, k: int) -> Bucket:
+        bucket: Bucket = {}
+        for lines in self._groups.get(k, ()):
+            eps = lines[0].first[0].epsilon
+            for spec, den, num in _slice_continuants(lines):
+                g = gcd(num, den)
+                den //= g
+                pair = num // g + eps * den, den
+                bucket[pair] = bucket.get(pair, ()) + (spec,)
+        self[k] = bucket
         return bucket
 
 

@@ -23,7 +23,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .graphs import Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain
+from .graphs import (
+    MAX_CURVES, Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain,
+)
 
 
 class DegenerateChainError(ValueError):
@@ -152,10 +154,13 @@ def enumerate_admissible_chains(target: int) -> list[Weights]:
     """Admissible chains with discriminant ``target``, up to reversal.
 
     Returns canonical forms sorted lexicographically; for target >= 2 the
-    list always contains [target] and the chain of target-1 twos.
+    list always contains [target] and the chain of target-1 twos, so a
+    target past :data:`dgk.graphs.MAX_CURVES` + 1 is refused.
     """
     if target < 2:
         raise ValueError("discriminant must be >= 2")
+    if target - 1 > MAX_CURVES:
+        raise ValueError(f"discriminant {target} gives a chain past {MAX_CURVES} curves")
     out = {canonical_chain(c) for c in oriented_chains_with_d(target)}
     return sorted(out)
 

@@ -101,7 +101,7 @@ def cmd_enumerate(args) -> tuple[int, object, str]:
         {
             "shape": s.key(),
             "epsilon": s.epsilon,
-            "families": list(s.families),
+            "families": [s.spec[0].name],
             "d": s.d,
             "ke": s.ke,
             "bk_square": str(s.bk_square),

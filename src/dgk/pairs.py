@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import Weights
+from .graphs import MAX_CURVES, Weights
 
 
 class PairSequenceError(ValueError):
@@ -124,10 +124,25 @@ class FiberTree:
         return tuple(self.mults[v] for v in self.chain_order())
 
 
+def _fiber_size(seq: CharPairSeq) -> int:
+    """The curves of the fiber of ``seq``: U, and one per blow-up, which is one
+    per Euclidean subtraction, so the partial quotients of each c/p."""
+    size = 1
+    for c, p in seq.pairs:
+        while p:
+            size += c // p
+            c, p = p, c % p
+    return size
+
+
 def reconstruct_fiber(seq: CharPairSeq | tuple[tuple[int, int], ...]) -> FiberTree:
-    """Build the fiber tree of a pair sequence by simulating the blow-ups."""
+    """Build the fiber tree of a pair sequence by simulating the blow-ups;
+    a fiber past :data:`dgk.graphs.MAX_CURVES` curves is refused unbuilt."""
     if not isinstance(seq, CharPairSeq):
         seq = CharPairSeq(tuple(seq))
+    size = _fiber_size(seq)
+    if size > MAX_CURVES:
+        raise PairSequenceError(f"the pairs give a fiber of {size} curves, past {MAX_CURVES}")
     tree = FiberTree()
     u = tree.add_node(0, 1, 0)
     if seq.smooth:

@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums_along, shape_of,
-    specs_by_name,
+    MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums_along,
+    shape_of, specs_by_name,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
@@ -149,9 +149,11 @@ _RULE_KEYS = ("x", "y_min", "y_max", "z_max")
 # value and what the value must be if the test fails.
 _CHECKS = {
     **dict.fromkeys(
-        ("x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max",
-         "catalog_max_size", "twig_d_max"),
+        ("x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max", "twig_d_max"),
         (is_int, "an integer"),
+    ),
+    "catalog_max_size": (
+        lambda v: is_int(v) and v <= MAX_CATALOG_SIZE, f"an integer of at most {MAX_CATALOG_SIZE}"
     ),
     "b": (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"),
     "d_rules": (
@@ -215,8 +217,8 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
     :func:`dgk.barks.fork_sums_along` steps the integer twig sums
     (D, S, E, Et) along its third twigs, so that delta = S/D, e = E/D and
     e~ = Et/D.  Each (triple, b) passing the gates looks up the bucket of its
-    Noether key 4 + b + sum kd in ``index`` (``index.buckets``, built on a
-    miss by ``index.bucket``) and, when the bucket is not empty, makes one
+    Noether key 4 + b + sum kd in ``index`` (one subscript, which builds the
+    bucket the first time) and, when the bucket is not empty, makes one
     probe of it with Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The thirds come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
@@ -227,7 +229,6 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
     """
     found: list[BoundaryCandidate] = []
     names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
-    buckets = index.buckets
     for r1, r2, thirds in groups:
         base = 4 + r1.kd + r2.kd
         for r3, dd, s, e, et in fork_sums_along(r1, r2, thirds):
@@ -242,11 +243,9 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
                 slack = et - b * dd
                 if slack <= 0:  # b >= e~
                     continue
-                bucket = buckets.get(key + b)
-                if bucket is None:
-                    bucket = index.bucket(key + b)
-                    if not bucket:
-                        continue
+                bucket = index[key + b]
+                if not bucket:
+                    continue
                 num = e_minus_1 * slack - gap_sq
                 den = dd * slack
                 g = gcd(num, den)

@@ -514,7 +514,7 @@ def reference_scan_triples(triples, bounds, index) -> list[BoundaryCandidate]:
             slack = et - b * dd
             if slack <= 0:  # b >= e~
                 continue
-            bucket = index.bucket(key + b)
+            bucket = index[key + b]
             if not bucket:
                 continue
             num = e_minus_1 * slack - gap_sq

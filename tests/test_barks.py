@@ -266,11 +266,12 @@ def test_decompose():
 
 
 def test_closed_forms_match_tree_routes():
-    # the catalog strips chains and forks in closed form; the tree route is
-    # decompose_exceptional of the reference module
-    from dgk.barks import _split_external
-
-    for shape in eshape_catalog(20):
+    # a shape reads E and Delta off its spec in closed form; the tree route
+    # is decompose_exceptional of the reference module, on the catalog and
+    # on every fork spec of the size-60 catalog
+    forks = [_make_shape(spec) for spec in family_specs(60) if spec[0].branch]
+    assert len(forks) > 100
+    for shape in [*eshape_catalog(20), *forks]:
         e_ws, comps = decompose_exceptional(shape.graph)
         assert shape.e_weights == e_ws
         assert shape.n_delta_components == len(comps)
@@ -288,8 +289,6 @@ def test_closed_forms_match_tree_routes():
             assert is_admissible_fork(fork) == (platonic and definite)
             inv = admissible_fork_invariants(fork)
             assert inv == (fork_invariants(fork) if platonic and definite else None)
-            e_ws, comps = decompose_exceptional(fork)
-            assert _split_external(fork) == (e_ws, len(comps))
             not_definite += not definite
     assert not_definite > 0
 
@@ -305,7 +304,7 @@ def test_catalog_families():
     assert sorted(s.epsilon for s in by_key["[4]"]) == [1, 2]
     assert [s.epsilon for s in by_key["[3]"]] == [2]
     # the six chains with two external curves
-    c4 = [s for s in cat if "c4" in s.families]
+    c4 = [s for s in cat if s.spec[0].name == "c4"]
     assert len(c4) == 6
     assert all(s.epsilon == 1 for s in c4)
     assert {s.key() for s in c4} == {
@@ -334,6 +333,33 @@ def test_all_minus_two_shape_rejected():
     # the spec of the chain [(1),2,(1)] = (2, 2, 2)
     with pytest.raises(ValueError):
         _make_shape((Family("b3", 2, (2,)), 1, 1))
+
+
+def test_family_refuses_weights_below_three():
+    from dgk.barks import Family
+
+    for weights in ((2,), (3, 2), ()):  # () would be a chain of runs alone
+        with pytest.raises(ValueError, match="at least 3"):
+            Family("c1", 1, weights)
+    assert Family("b2", 2, (), branch=3).ke == 1
+
+
+def test_a_fork_shape_forms_one_graph_and_one_record(monkeypatch):
+    # d(F), Bk^2 and |G| of a fork shape come from one fork_invariants
+    # record of one graph
+    from dgk import barks
+
+    calls = {"fork_invariants": 0, "_spec_graph": 0}
+    for name in calls:
+        def counted(*args, real=getattr(barks, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(barks, name, counted)
+    forks = [spec for spec in family_specs(60) if spec[0].branch]
+    for spec in forks:
+        _make_shape(spec)
+    assert calls == dict.fromkeys(calls, len(forks))
 
 
 def test_small_dihedral_fork_discriminant():
@@ -434,7 +460,8 @@ def by_key(shapes):
 @pytest.mark.parametrize("max_size", [0, 3, 20, 60])
 def test_catalog_matches_reference_enumeration(max_size):
     cat = eshape_catalog(max_size)
-    assert [(s.graph, s.epsilon, s.families) for s in cat] == reference_catalog(max_size)
+    got = [(s.graph, s.epsilon, (s.spec[0].name,)) for s in cat]
+    assert got == reference_catalog(max_size)
     assert {s.spec for s in cat} == set(family_specs(max_size))
     assert len(family_specs(max_size)) == len(cat)
 
@@ -450,9 +477,9 @@ def test_catalog_index_matches_shape_index(max_size):
     probes = {
         (k, *pair): specs
         for k in sorted(index.first_keys, reverse=True)
-        for pair, specs in index.bucket(k).items()
+        for pair, specs in index[k].items()
     }
-    assert index.buckets.keys() == index.first_keys
+    assert index.keys() == index.first_keys
     assert probes.keys() == want.keys()
     for key, specs in probes.items():  # the same shapes, each as often
         assert by_key(_make_shape(spec) for spec in specs) == by_key(want[key])
@@ -463,7 +490,7 @@ def test_catalog_index_lists_no_catalog():
     family_specs.cache_clear()
     catalog_index.cache_clear()
     index = catalog_index(60)
-    held = sum(len(specs) for k in index.first_keys for specs in index.bucket(k).values())
+    held = sum(len(specs) for k in index.first_keys for specs in index[k].values())
     assert held == 39811
     info = family_specs.cache_info()
     assert (info.hits, info.misses) == (0, 0)
@@ -545,11 +572,15 @@ def test_shape_fields_match_independent_routes():
 
 
 def test_catalog_index_builds_buckets_on_demand():
+    catalog_index.cache_clear()
     index = catalog_index(12)
     k = max(index.first_keys)
-    assert index.bucket(k + 1) == {} and k + 1 not in index.buckets
-    bucket = index.bucket(k)
-    assert bucket and index.bucket(k) is bucket
+    assert k not in index and k + 1 not in index
+    # a key without a slice gives an empty bucket, and keeps it
+    empty = index[k + 1]
+    assert empty == {} and k + 1 in index and index[k + 1] is empty
+    bucket = index[k]
+    assert bucket and index[k] is bucket
 
 
 def test_catalog_leaves_the_hit_cache_empty():

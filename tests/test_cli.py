@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgk import search
+from dgk import barks, chains, pairs, search
+from dgk.barks import MAX_CATALOG_SIZE
 from dgk.cli import _parse_fiber, build_parser, main
 from dgk.graphs import MAX_CURVES, format_chain, parse_chain
 from dgk.search import load_bounds
@@ -339,6 +341,56 @@ def test_a_number_past_the_digit_limit_exits_1_naming_the_entry(capsys):
     code, out, err = run(capsys, "compute", "d", f"[({nines})]")
     assert (code, out) == (1, "")
     assert err == f"error: chain entry '({nines})' has too many digits (at position 1)"
+
+
+def unbuilt(*args, **kwargs):
+    raise AssertionError("an input past its bound was built")
+
+
+def test_an_output_chain_past_the_curve_bound_exits_1_unbuilt(capsys, monkeypatch):
+    # [(d - 1)] has discriminant d, so d - 1 curves may not pass the bound
+    monkeypatch.setattr(chains, "oriented_chains_with_d", unbuilt)
+    code, out, err = run(capsys, "enumerate", "chains", "--d", str(MAX_CURVES + 2))
+    assert (code, out) == (1, "")
+    assert err == f"error: discriminant {MAX_CURVES + 2} gives a chain past {MAX_CURVES} curves"
+
+
+def test_a_fiber_past_the_curve_bound_exits_1_unbuilt(capsys, monkeypatch):
+    # the pair (C, 1) blows up C times: with U, C + 1 curves
+    monkeypatch.setattr(pairs, "FiberTree", unbuilt)
+    code, out, err = run(capsys, "pairs", "reconstruct", str(MAX_CURVES), "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: the pairs give a fiber of {MAX_CURVES + 1} curves, past {MAX_CURVES}"
+
+
+def test_a_catalog_past_its_bound_exits_1_unbuilt(capsys, monkeypatch, tmp_path):
+    size = MAX_CATALOG_SIZE + 1
+    monkeypatch.setattr(barks, "_slice", unbuilt)
+    monkeypatch.setattr(search, "catalog_index", unbuilt)
+    code, out, err = run(capsys, "enumerate", "eshapes", "--max-size", str(size))
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog size {size} is past the bound of {MAX_CATALOG_SIZE}"
+    big = tmp_path / "big_catalog.json"
+    big.write_text(json.dumps(dict(load_bounds("final_bounds"), catalog_max_size=size)))
+    code, out, err = run(capsys, "search", "final-bounds", "--bounds", str(big))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: catalog_max_size must be an integer of at most {MAX_CATALOG_SIZE}, got {size}"
+    )
+
+
+def test_enumerate_eshapes_json_is_unchanged():
+    # SHA-256 of the output, final newline included, as the catalog printed
+    # it when a generic stripper still worked out each shape's E and Delta
+    want = {
+        30: "d4ec46e9bea76884fc0af0abd08519fe5153394e417ad2ff9f5f5c9d70f7938f",
+        60: "4db8976a63e86cf0579649a3431935ece878872de2a8548354f647ce79db801e",
+    }
+    for size, digest in want.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["--json", "enumerate", "eshapes", "--max-size", str(size)]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, size
 
 
 def test_bad_bounds_keys_exit_code(capsys, tmp_path):

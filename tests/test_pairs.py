@@ -6,6 +6,7 @@ from dgk.graphs import parse_chain
 from dgk.pairs import (
     CharPairSeq,
     PairSequenceError,
+    _fiber_size,
     mu_sums,
     pairs_from_fiber,
     reconstruct_fiber,
@@ -88,6 +89,12 @@ def test_round_trip_exhaustive_small():
         assert pairs_from_fiber(tree).pairs == seq, seq
         count += 1
     assert count == 3728
+
+
+def test_fiber_size_counts_the_curves_built():
+    # the bound on reconstruct_fiber reads the size off the pairs alone
+    for seq in [((1, 0),), *all_sequences(30, 3), ((1200, 1),), ((3000, 2999),)]:
+        assert _fiber_size(CharPairSeq(seq)) == len(reconstruct_fiber(seq)), seq
 
 
 NOT_A_FIBER = "tree is not the fiber of any pair sequence"

@@ -1,10 +1,13 @@
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgk import chains
 from dgk.barks import SpecIndex, catalog_index, eshape_catalog
@@ -208,6 +211,46 @@ def brute_force(cfg, triples, shapes):
     return [cand.to_dict() for cand in found]
 
 
+def keyed_brute_force(cfg, triples, shapes):
+    """:func:`brute_force` for a list that names noether and zar_bk2, with
+    the shapes grouped by both, so that the reference report meets only the
+    shapes those two pass.
+
+    For each (triple, b) the group is the shapes with Noether's
+    #E - eps - K.E = 7 + K.D - #D and, in Fraction from the twigs' own e,
+    e~ and delta, Bk^2(E) + eps = e - 1 - (1 - delta)^2/(e~ - b); zar_bk2
+    fails where e~ = b or delta = 1.  The report then decides every
+    predicate of the list, these two included.
+    """
+    names = tuple(cfg["predicates"])
+    assert {"noether", "zar_bk2"} <= set(names)
+    groups = {}
+    for s in shapes:
+        groups.setdefault((s.size - s.epsilon - s.ke, s.bk_square + s.epsilon), []).append(s)
+    gmin = cfg.get("delta_gmin")
+    found = []
+    for twigs in triples:
+        delta = sum(Fraction(1, chains.d(t)) for t in twigs)
+        if gmin is not None and delta + Fraction(1, gmin) <= 1:
+            continue
+        e = sum(chains.e(t) for t in twigs)
+        et = sum(chains.e_tilde(t) for t in twigs)
+        size_d = 1 + sum(len(t) for t in twigs)
+        for b in cfg["b"]:
+            if et == b or delta == 1:
+                continue
+            k_dot_d = b - 2 + sum(w - 2 for t in twigs for w in t)
+            key = (7 + k_dot_d - size_d, e - 1 - (1 - delta) ** 2 / (et - b))
+            for shape in groups.get(key, ()):
+                if cfg.get("exclude_eps2_chains") and shape.epsilon == 2 and not shape.is_fork:
+                    continue
+                cand = BoundaryCandidate(b, twigs, shape)
+                if reference_report(cand, cfg["group_order_mode"]).passes(names):
+                    found.append(cand)
+    found.sort(key=BoundaryCandidate.sort_key)
+    return [cand.to_dict() for cand in found]
+
+
 def xy_box(cfg):
     return [
         twigs
@@ -271,23 +314,136 @@ def test_knonpos_scan_matches_brute_force(index_only):
     )
     if index_only:
         cfg["predicates"] = list(INDEX_PREDICATES)
+    case1, case2 = knonpos_boxes(cfg)
+    shapes = eshape_catalog(21)
+    out = search_k_nonpositive(cfg)
+    assert out["case1"] == brute_force(cfg, case1, shapes)
+    assert out["case2"] == brute_force(cfg, case2, shapes)
+    assert out["case1"] and (out["case2"] or not index_only)
+
+
+def knonpos_boxes(cfg):
+    """The sorted twig triples of knonpos's two cases: T1 with T2, T3 of
+    3 <= d2 <= d3 <= d3_max, d2 <= d2_max, but not T2 = T1 with T3 ending
+    in (3, 2); and T1 twice with the tails head + (2)^k + (3, 2)."""
     t1 = parse_chain(cfg["t1"])
     by_key = lambda t: (chains.d(t), t)  # noqa: E731
     case1 = [
         tuple(sorted((t1, t2, t3), key=by_key))
-        for (d2, t2), (d3, t3) in combinations_with_replacement(oriented(12), 2)
-        if 3 <= d2 <= 5 and not (t2 == t1 and t3[-2:] == (3, 2))
+        for (d2, t2), (d3, t3) in combinations_with_replacement(oriented(cfg["d3_max"]), 2)
+        if 3 <= d2 <= cfg["d2_max"] and not (t2 == t1 and t3[-2:] == (3, 2))
     ]
     case2 = [
         tuple(sorted((t1, t1, head + (2,) * k + (3, 2)), key=by_key))
         for k in range(cfg["case2_k_max"] + 1)
         for head in ((), (3,), (4,), (2, 3))
     ]
-    shapes = eshape_catalog(21)
-    out = search_k_nonpositive(cfg)
-    assert out["case1"] == brute_force(cfg, case1, shapes)
-    assert out["case2"] == brute_force(cfg, case2, shapes)
-    assert out["case1"] and (out["case2"] or not index_only)
+    return case1, case2
+
+
+# ---------------------------------------------------------------------------
+# random boxes against brute force
+
+RANDOM_D_MAX = 14  # the largest twig discriminant of a random box
+RANDOM_CAP = 30  # the catalog of the random final-bounds and knonpos boxes
+OTHER_PREDICATES = [p for p in PREDICATE_NAMES if p not in INDEX_PREDICATES]
+SIZE6_NAMES = [[s.key(), s.epsilon] for s in eshape_catalog(6)]
+
+
+@cache
+def all_triples():
+    return list(sorted_triples(RANDOM_D_MAX))
+
+
+def rule_box(rules):
+    """The sorted twig triples in a cell of some rule: d1 = x,
+    max(x, y_min) <= d2 <= y_max and d3 <= z_max."""
+    return [
+        twigs
+        for (d1, d2, d3), twigs in all_triples()
+        if any(
+            r["x"] == d1 and max(r["x"], r["y_min"]) <= d2 <= r["y_max"] and d3 <= r["z_max"]
+            for r in rules
+        )
+    ]
+
+
+@st.composite
+def random_boxes(draw):
+    """(search, bounds, a predicate the list leaves out) for a small random
+    box of xy, final-bounds or knonpos."""
+    name = draw(st.sampled_from(["xy", "final-bounds", "knonpos"]))
+    extra = draw(st.lists(st.sampled_from(OTHER_PREDICATES), unique=True, max_size=3))
+    cfg = dict(
+        load_bounds(SEARCHES[name].bounds_file),
+        b=draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2, unique=True)),
+        delta_gmin=draw(st.sampled_from([None, None, 2, 3, 4, 5, 6, 7])),
+        exclude_eps2_chains=draw(st.booleans()),
+        group_order_mode=draw(st.sampled_from(["actual", "h1"])),
+        predicates=draw(st.permutations([*INDEX_PREDICATES, *extra])),
+    )
+    if name == "xy":
+        x_max = draw(st.integers(2, 3))
+        y_max = draw(st.integers(x_max, 6))
+        kept = draw(st.lists(st.booleans(), min_size=len(SIZE6_NAMES), max_size=len(SIZE6_NAMES)))
+        cfg.update(
+            x_max=x_max, y_max=y_max, z_max=draw(st.integers(y_max, RANDOM_D_MAX)),
+            eshapes=[shape for shape, keep in zip(SIZE6_NAMES, kept) if keep],
+        )
+    elif name == "final-bounds":
+        rules = []
+        for _ in range(draw(st.integers(1, 2))):
+            x, y_min = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+            y_max = draw(st.integers(max(x, y_min), 6))
+            z_max = draw(st.integers(y_max, RANDOM_D_MAX))
+            rules.append({"x": x, "y_min": y_min, "y_max": y_max, "z_max": z_max})
+        cfg.update(d_rules=rules, catalog_max_size=RANDOM_CAP)
+    else:
+        cfg.update(
+            t1=draw(st.sampled_from(["[3]", "[3]", "[2]", "[4]", "[2,3]"])), d2_max=draw(st.integers(3, 6)),
+            d3_max=draw(st.integers(3, RANDOM_D_MAX)), case2_k_max=draw(st.integers(0, 3)),
+            catalog_max_size=RANDOM_CAP,
+        )
+    more = draw(st.sampled_from([p for p in OTHER_PREDICATES if p not in extra]))
+    return name, cfg, more
+
+
+def candidate_lists(name, cfg):
+    """The candidate lists the search ``name`` returns on ``cfg``."""
+    out = SEARCHES[name].golden_form(run(name, cfg))
+    if name == "xy":
+        return [out]
+    return [out["candidates"]] if name == "final-bounds" else [out["case1"], out["case2"]]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(box=random_boxes())
+def test_random_boxes_match_brute_force(box):
+    name, cfg, more = box
+    if name == "knonpos":
+        boxes = knonpos_boxes(cfg)
+    else:
+        boxes = [xy_box(cfg) if name == "xy" else rule_box(cfg["d_rules"])]
+    shapes = named(cfg) if name == "xy" else eshape_catalog(RANDOM_CAP)
+    got = candidate_lists(name, cfg)
+    assert got == [keyed_brute_force(cfg, triples, shapes) for triples in boxes]
+    # a predicate more never adds a candidate
+    stricter = candidate_lists(name, dict(cfg, predicates=[*cfg["predicates"], more]))
+    for fewer, found in zip(stricter, got):
+        assert all(cand in found for cand in fewer)
+
+
+def test_keyed_brute_force_is_the_brute_force():
+    # the grouping by the noether and zar_bk2 keys drops only shapes that
+    # fail one of the two, on the relaxed final-bounds box of the test above
+    rules = [
+        {"x": 2, "y_min": 4, "y_max": 6, "z_max": 6},
+        {"x": 3, "y_min": 3, "y_max": 3, "z_max": 6},
+    ]
+    cfg = dict(load_bounds("final_bounds_relaxed"), d_rules=rules, delta_gmin=6)
+    box = rule_box(rules)
+    want = brute_force(cfg, box, eshape_catalog(20))
+    assert want and keyed_brute_force(cfg, box, eshape_catalog(20)) == want
 
 
 def test_scan_rejects_lists_without_index_predicates():
@@ -602,4 +758,4 @@ def test_final_bounds_builds_only_the_buckets_it_probes():
     catalog_index.cache_clear()
     run_search("final-bounds")
     index = catalog_index(60)
-    assert 0 < len(index.buckets) < len(index.first_keys)
+    assert 0 < sum(1 for bucket in index.values() if bucket) < len(index.first_keys)
