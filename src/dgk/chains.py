@@ -133,7 +133,7 @@ def adjoint_chain(weights: Weights) -> Weights:
     if not weights:
         raise ValueError("the empty chain has no adjoint")
     if not is_admissible_chain(weights):
-        raise ValueError(f"chain {weights} is not admissible")
+        raise ValueError(f"chain {format_chain(weights)} is not admissible")
     record = chain_record(weights)
     return chain_of(record.d, record.d - record.d_prime)
 

@@ -100,11 +100,11 @@ def _record_of(ws: Weights) -> ChainRecord:
 
 @lru_cache(maxsize=None)
 def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
+    """The records of the oriented twigs of discriminant ``dd``, sorted by
+    weights; none below 2.  The one twig table of the four searches."""
+    if dd < 2:
+        return ()
     return tuple(map(chain_record, sorted(chains.oriented_chains_with_d(dd))))
-
-
-def _records_by_d(d_max: int) -> dict[int, tuple[ChainRecord, ...]]:
-    return {dd: _records_with_d(dd) for dd in range(2, d_max + 1)}
 
 
 def load_bounds(name: str, path: str | None = None) -> dict:
@@ -266,74 +266,60 @@ def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:
     return frozenset(k - b for k in index.first_keys for b in b_values)
 
 
-def _third_twigs(by_d: dict[int, tuple[ChainRecord, ...]], keys: frozenset[int] | None):
-    """The choice of the last twig: for (d, base), the records of
-    discriminant d, in order, whose key base + kd is one of ``keys``; all
-    of them when ``keys`` is None.  Each (d, base) is filtered once."""
-    if keys is None:
-        return lambda dd, base: by_d.get(dd, ())
-    chosen: dict[tuple[int, int], tuple[ChainRecord, ...]] = {}
+def _rule_pairs(rules: list[dict]) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
+    """The twig pairs (T1, T2, zs) of per-smallest-discriminant rules, T1-major,
+    with zs the discriminants of their third twigs.
 
-    def pick(dd: int, base: int) -> tuple[ChainRecord, ...]:
-        got = chosen.get((dd, base))
-        if got is None:
-            got = chosen[dd, base] = tuple(r for r in by_d.get(dd, ()) if base + r.kd in keys)
-        return got
-
-    return pick
-
-
-def _rule_cells(rules: list[dict]):
-    """For each rule, its x and (y, [z, ...]) pairs, sorted, without the
-    discriminant triples an earlier rule covered."""
+    A triple with discriminants (x, y, z) comes from a rule only through
+    (x, y, z), so a discriminant triple an earlier rule covered is skipped
+    whole; T1 <= T2 where x = y, and :func:`_groups` keeps T2 <= T3 where
+    y = z.  A pair without third discriminants is left out.
+    """
     covered: set[tuple[int, int, int]] = set()
+    pairs = []
     for rule in rules:
         x = rule["x"]
         yz = []
         for y in range(max(x, rule["y_min"]), rule["y_max"] + 1):
             zs = [z for z in range(y, rule["z_max"] + 1) if (x, y, z) not in covered]
             covered.update((x, y, z) for z in zs)
-            yz.append((y, zs))
-        yield x, yz
+            if zs:
+                yz.append((y, zs))
+        if not yz:
+            continue
+        for r1 in _records_with_d(x):
+            for y, zs in yz:
+                pairs += [(r1, r2, zs) for r2 in _records_with_d(y) if y != x or r1.ws <= r2.ws]
+    return pairs
 
 
-def _triples_for_rules(rules: list[dict], d_max_needed: int, keys: frozenset[int] | None = None):
-    """Oriented-twig triples from per-smallest-discriminant rules, as one
-    group (T1, T2, thirds) per twig pair, sorted, with the pair's third
-    twigs in order.
-
-    A triple with discriminants (x, y, z) comes from a rule only through
-    (x, y, z), so a discriminant triple an earlier rule covered is skipped
-    whole, and weights are compared only where two discriminants are equal:
-    T1 <= T2 where x = y and T2 <= T3 where y = z.  With ``keys``, a group
-    holds only the third twigs whose triple's key 4 + sum kd is one of them;
-    a pair left with none is not yielded.
+def _groups(pairs, keys: frozenset[int] | None = None):
+    """One group (T1, T2, thirds) per pair (T1, T2, zs), in order: the third
+    twigs of discriminant in zs, in order, with T2 <= T3 where z = d(T2).
+    With ``keys``, only those whose triple's key 4 + sum kd is one of them,
+    each (z, key base) filtered once; a pair left with none is not yielded.
     """
-    by_d = _records_by_d(d_max_needed)
-    pick = _third_twigs(by_d, keys)
-    for x, yz in _rule_cells(rules):
-        for r1 in by_d.get(x, ()):
-            for y, zs in yz:
-                for r2 in by_d.get(y, ()):
-                    if y == x and r1.ws > r2.ws:
-                        continue
-                    base = 4 + r1.kd + r2.kd
-                    thirds: list[ChainRecord] = []
-                    for z in zs:
-                        rs = pick(z, base)
-                        thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if z == y else rs
-                    if thirds:
-                        yield r1, r2, thirds
+    chosen: dict[tuple[int, int], tuple[ChainRecord, ...]] = {}
+    for r1, r2, zs in pairs:
+        base = 4 + r1.kd + r2.kd
+        thirds: list[ChainRecord] = []
+        for z in zs:
+            rs = chosen.get((z, base))
+            if rs is None:
+                rs = chosen[z, base] = tuple(
+                    r for r in _records_with_d(z) if keys is None or base + r.kd in keys
+                )
+            thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if z == r2.d else rs
+        if thirds:
+            yield r1, r2, thirds
 
 
-def _rule_keys(rules: list[dict], d_max_needed: int):
-    """The largest key 4 + sum kd of each discriminant triple of the
-    unpruned rule sweep.  The largest kd = sum (w - 3) at discriminant d is
-    d - 3, that of [d], so (x, y, z) reaches x + y + z - 5."""
-    for x, yz in _rule_cells(rules):
-        if x >= 2:
-            for y, zs in yz:
-                yield from (x + y + z - 5 for z in zs if z <= d_max_needed)
+def _pair_keys(pairs):
+    """The largest key 4 + sum kd of each pair's unjoined group.  The
+    largest kd = sum (w - 3) at discriminant z is z - 3, that of [z], and
+    [z] comes after every other twig of discriminant z, so it passes
+    T2 <= T3."""
+    return (1 + r1.kd + r2.kd + max(zs) for r1, r2, zs in pairs)
 
 
 def _check_catalog_reach(keys, b_values, reach: int, max_size: int) -> None:
@@ -367,8 +353,7 @@ def search_xy(bounds: dict | None = None):
     each with its predicate report."""
     spec = parse_bounds("xy", bounds)
     index = SpecIndex.of_specs(spec.eshapes)
-    keys = _join_keys(index, spec.b)
-    groups = _triples_for_rules(_xy_rules(spec), max(spec.y_max, spec.z_max), keys)
+    groups = _groups(_rule_pairs(_xy_rules(spec)), _join_keys(index, spec.b))
     found = _scan_triples(groups, spec, index)
     return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
 
@@ -395,45 +380,24 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
     spec = parse_bounds("final-bounds", bounds)
     index = catalog_index(spec.catalog_max_size)
-    d_max = max(rule["z_max"] for rule in spec.d_rules)
-    _check_catalog_reach(_rule_keys(spec.d_rules, d_max), spec.b, index.reach,
-                         spec.catalog_max_size)
-    groups = _triples_for_rules(spec.d_rules, d_max, _join_keys(index, spec.b))
-    found = _scan_triples(groups, spec, index)
+    pairs = _rule_pairs(spec.d_rules)
+    _check_catalog_reach(_pair_keys(pairs), spec.b, index.reach, spec.catalog_max_size)
+    found = _scan_triples(_groups(pairs, _join_keys(index, spec.b)), spec, index)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
 
 
-def _case1_triples(spec: Bounds, keys: frozenset[int] | None = None):
-    """knonpos case 1: T1 pinned, d2 in 3..d2_max, d3 in d2..d3_max, without
-    T2 = T1 with T3 ending in (3, 2); with ``keys``, joined on them as
-    :func:`_triples_for_rules` is, in groups (T1, T2, thirds) as it yields
-    them.  Triples come as (T1, T2, T3): the twig sums and predicates are
-    symmetric in the twigs, and a candidate sorts its twigs itself for its
-    key and its output."""
+def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
+    """knonpos case 1 as pairs: T1 pinned, each T2 of d2 in 3..d2_max, with
+    zs = d2..d3_max.  Triples come as (T1, T2, T3): the twig sums and
+    predicates are symmetric in the twigs, and a candidate sorts its twigs
+    itself for its key and its output."""
     rec1 = _record_of(spec.t1)
-    by_d = _records_by_d(max(spec.d2_max, spec.d3_max))
-    pick = _third_twigs(by_d, keys)
-    for d2 in range(3, spec.d2_max + 1):
-        for r2 in by_d[d2]:
-            base = 4 + rec1.kd + r2.kd
-            thirds: list[ChainRecord] = []
-            for d3 in range(d2, spec.d3_max + 1):
-                rs = pick(d3, base)
-                thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if d3 == d2 else rs
-            if r2.ws == spec.t1:
-                thirds = [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)]
-            if thirds:
-                yield rec1, r2, thirds
-
-
-def _case1_keys(spec: Bounds):
-    """The largest key of each (d2, d3) of the unpruned case 1, through
-    T2 = [d2] and T3 = [d3] as in :func:`_rule_keys`; [d3] never ends in
-    (3, 2)."""
-    kd1 = _record_of(spec.t1).kd
-    for d2 in range(3, spec.d2_max + 1):
-        yield from (kd1 + d2 + d3 - 2 for d3 in range(d2, spec.d3_max + 1))
+    return [
+        (rec1, r2, list(range(d2, spec.d3_max + 1)))
+        for d2 in range(3, min(spec.d2_max, spec.d3_max) + 1)
+        for r2 in _records_with_d(d2)
+    ]
 
 
 def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[ChainRecord]]]:
@@ -449,28 +413,34 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[Ch
 
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
-    """The two bounded searches of the nonpositive-Kodaira branch."""
+    """The two bounded searches of the nonpositive-Kodaira branch.  Case 1
+    leaves out T2 = T1 with T3 ending in (3, 2), the triples of case 2."""
     spec = parse_bounds("knonpos", bounds)
     index = catalog_index(spec.catalog_max_size)
+    pairs1 = _case1_pairs(spec)
     groups2 = _case2_triples(spec)
-    keys = [*_case1_keys(spec),
+    keys = [*_pair_keys(pairs1),
             *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
     _check_catalog_reach(keys, spec.b, index.reach, spec.catalog_max_size)
-    found1 = _scan_triples(_case1_triples(spec, _join_keys(index, spec.b)), spec, index)
-    found2 = _scan_triples(groups2, spec, index)
+    groups1 = (
+        (r1, r2, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)] if r2.ws == spec.t1 else thirds)
+        for r1, r2, thirds in _groups(pairs1, _join_keys(index, spec.b))
+    )
     return {
-        "case1": [cand.to_dict() for cand in found1],
-        "case2": [cand.to_dict() for cand in found2],
+        "case1": [cand.to_dict() for cand in _scan_triples(groups1, spec, index)],
+        "case2": [cand.to_dict() for cand in _scan_triples(groups2, spec, index)],
     }
 
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
     spec = parse_bounds("fiber-pairs", bounds)
+    # each d's twigs by their reversed weights, as oriented_chains_with_d
+    # lists them: solutions with equal sort keys keep the order of the sweep
     sweep = [
-        ws
+        r.ws
         for dd in range(2, spec.twig_d_max + 1)
-        for ws in chains.oriented_chains_with_d(dd)
+        for r in sorted(_records_with_d(dd), key=lambda r: r.ws[::-1])
     ]
     solutions: list[TwoFiberSolution] = []
     for es in map(shape_of, spec.eshapes):

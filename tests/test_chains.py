@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -115,6 +116,12 @@ def test_adjoint_anchors():
     assert chains.adjoint_chain((2, 4)) == (3, 2, 2)
     for k in range(2, 11):
         assert chains.adjoint_chain((2,) * (k - 1) + (3,)) == (k + 1, 2)
+
+
+@pytest.mark.parametrize("ws, text", [((1,), "[1]"), ((3, 1, 2), "[3,1,2]")])
+def test_adjoint_of_a_non_admissible_chain_names_it_in_brackets(ws, text):
+    with pytest.raises(ValueError, match=re.escape(f"chain {text} is not admissible")):
+        chains.adjoint_chain(ws)
 
 
 def test_adjoint_is_involution():

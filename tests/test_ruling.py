@@ -27,6 +27,7 @@ from dgk.ruling import (
     tail_chain_23_branch,
     two_run_twig_branch,
 )
+from dgk.search import load_bounds
 from reference import (
     all_sequences,
     coprime_pairs_with_length,
@@ -42,6 +43,12 @@ from reference import (
 E4 = lambda: shape("[4]", 1)
 SOLVER_SHAPES = (("[2,3]", 2), ("[3]", 2), ("[4]", 1), ("[5]", 1))
 DEFAULT_PREDICATES = solve_two_fiber.__kwdefaults__["predicate_names"]
+
+
+def test_default_predicates_are_those_of_the_fiber_pairs_file():
+    # dgk solve twofiber and the queries benchmark use the default; dgk search
+    # fiber-pairs reads its file, so the two lists must not drift apart
+    assert DEFAULT_PREDICATES == tuple(load_bounds("fiber_pairs")["predicates"])
 
 
 def oracle_sweep():

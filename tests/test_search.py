@@ -28,11 +28,12 @@ from dgk.search import (
     load_bounds,
     parse_bounds,
     run_search,
-    _case1_triples,
+    _case1_pairs,
     _case2_triples,
-    _rule_keys,
+    _groups,
+    _pair_keys,
+    _rule_pairs,
     _scan_triples,
-    _triples_for_rules,
     _xy_rules,
     search_fiber_pairs,
     search_final_bounds,
@@ -474,6 +475,40 @@ def test_catalog_cap_is_checked():
     assert search_k_nonpositive(dict(small, catalog_max_size=21))["case1"]
 
 
+def index_only(name):
+    return dict(load_bounds(name), predicates=list(INDEX_PREDICATES))
+
+
+def fb_rules(*rules):
+    return [dict(zip(("x", "y_min", "y_max", "z_max"), rule)) for rule in rules]
+
+
+def test_degenerate_boxes_run_as_their_nonempty_parts():
+    # an empty part of a box adds nothing and raises nothing: each result
+    # is that of the box without the empty part, with the counts pinned
+    kn = dict(index_only("k_nonpositive"), catalog_max_size=30)
+    out = search_k_nonpositive(dict(kn, d2_max=5, d3_max=2, case2_k_max=1))
+    want = search_k_nonpositive(dict(kn, d2_max=3, d3_max=3, case2_k_max=1))
+    assert out == {"case1": [], "case2": want["case2"]} and len(out["case2"]) == 8
+    out = search_k_nonpositive(dict(kn, d2_max=5, d3_max=12, case2_k_max=-1))
+    want = search_k_nonpositive(dict(kn, d2_max=5, d3_max=12, case2_k_max=0))
+    assert (len(out["case1"]), len(out["case2"]), len(want["case2"])) == (63, 0, 5)
+    assert out["case1"] == want["case1"]
+    out = search_k_nonpositive(dict(kn, d2_max=9, d3_max=6, case2_k_max=1))
+    assert out == search_k_nonpositive(dict(kn, d2_max=6, d3_max=6, case2_k_max=1))
+    assert (len(out["case1"]), len(out["case2"])) == (17, 8)
+    fb = dict(index_only("final_bounds_relaxed"), catalog_max_size=30)
+    wide, narrow = (2, 4, 6, 12), (3, 3, 3, 9)
+    for rules, kept, count in (
+        ((wide, (2, 4, 5, 10)), (wide,), 75),  # covered by the rule before it
+        (((1, 1, 4, 8), wide), (wide,), 75),  # x < 2
+        (((2, 7, 5, 12), narrow), (narrow,), 28),  # y_min > y_max
+    ):
+        out = search_final_bounds(dict(fb, d_rules=fb_rules(*rules)))
+        assert out == search_final_bounds(dict(fb, d_rules=fb_rules(*kept)))
+        assert len(out["candidates"]) == count
+
+
 # ---------------------------------------------------------------------------
 # twig triples from overlapping rules
 
@@ -510,7 +545,7 @@ def test_overlapping_rules_give_each_triple_once():
         {"x": 3, "y_min": 3, "y_max": 3, "z_max": 10},
         {"x": 2, "y_min": 1, "y_max": 3, "z_max": 8},
     ]
-    got = [tuple(r.ws for r in t) for t in flatten(_triples_for_rules(rules, 15))]
+    got = [tuple(r.ws for r in t) for t in flatten(_groups(_rule_pairs(rules)))]
     assert got == list(reference_triples(rules, 15))
     assert len(set(got)) == len(got) > 800
 
@@ -687,15 +722,15 @@ def reduced_boxes():
     ]
     spec = parse_bounds("xy", small_xy())
     index = SpecIndex.of_specs(spec.eshapes)
-    sweep = lambda keys: _triples_for_rules(_xy_rules(spec), 12, keys)  # noqa: E731
+    sweep = lambda keys: _groups(_rule_pairs(_xy_rules(spec)), keys)  # noqa: E731
     yield spec, index, sweep
     for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
         cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin)
         spec = parse_bounds("final-bounds", cfg)
-        yield spec, catalog_index(20), lambda keys: _triples_for_rules(rules, 12, keys)
+        yield spec, catalog_index(20), lambda keys: _groups(_rule_pairs(rules), keys)
     cfg = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3)
     spec = parse_bounds("knonpos", cfg)
-    yield spec, catalog_index(21), lambda keys, spec=spec: _case1_triples(spec, keys)
+    yield spec, catalog_index(21), lambda keys, spec=spec: _groups(_case1_pairs(spec), keys)
 
 
 def test_join_keeps_exactly_the_triples_whose_key_can_hit():
@@ -732,9 +767,8 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
     cfg = load_bounds(file_name)
     spec = parse_bounds(name, cfg)
     if name == "xy":  # named shapes, no catalog to outgrow: the rule sweep's key
-        d_max = max(spec.y_max, spec.z_max)
-        got = max(_rule_keys(_xy_rules(spec), d_max))
-        unpruned = flatten(_triples_for_rules(_xy_rules(spec), d_max))
+        got = max(_pair_keys(_rule_pairs(_xy_rules(spec))))
+        unpruned = flatten(_groups(_rule_pairs(_xy_rules(spec))))
     else:
         seen = []
         check = dgk_search._check_catalog_reach
@@ -747,10 +781,13 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
         run(name, cfg)
         (got,) = seen
         if name == "final-bounds":
-            d_max = max(rule["z_max"] for rule in spec.d_rules)
-            unpruned = flatten(_triples_for_rules(list(spec.d_rules), d_max))
+            unpruned = flatten(_groups(_rule_pairs(list(spec.d_rules))))
         else:
-            unpruned = flatten([*_case1_triples(spec), *_case2_triples(spec)])
+            case1 = [
+                t for t in flatten(_groups(_case1_pairs(spec)))
+                if not (t[1].ws == spec.t1 and t[2].ws[-2:] == (3, 2))
+            ]
+            unpruned = case1 + flatten(_case2_triples(spec))
     assert got == max(map(key_of, unpruned))
 
 

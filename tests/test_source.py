@@ -321,3 +321,14 @@ def test_the_index_and_the_names_build_no_shape():
     for fn in lookups:
         assert not {"eshape_catalog", "_make_shape", "ExceptionalShape"} & _named(fn), fn.name
     assert "specs_by_name" in _named(lookups[1]) and "specs_by_name" in _named(lookups[2])
+
+
+def test_the_searches_share_one_twig_table():
+    # the four searches take their oriented twigs from the cached
+    # search._records_with_d; no other function of search.py enumerates them
+    namers = {
+        qualname
+        for qualname, fn in _functions(ast.parse((PACKAGE_DIR / "search.py").read_text()), "search")
+        if "oriented_chains_with_d" in _named(fn)
+    }
+    assert namers == {"search._records_with_d"}
