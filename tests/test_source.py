@@ -326,9 +326,9 @@ def test_the_index_and_the_names_build_no_shape():
 def test_the_searches_share_one_twig_table():
     # the four searches take their oriented twigs from the cached
     # search._records_with_d; no other function of search.py enumerates them
+    tree = ast.parse((PACKAGE_DIR / "search.py").read_text())
     namers = {
-        qualname
-        for qualname, fn in _functions(ast.parse((PACKAGE_DIR / "search.py").read_text()), "search")
+        qualname for qualname, fn in _functions(tree, "search")
         if "oriented_chains_with_d" in _named(fn)
     }
     assert namers == {"search._records_with_d"}
