@@ -212,8 +212,8 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
     """The (twig triple, b, shape) combinations passing ``bounds``, canonically
     sorted.
 
-    ``groups`` holds one (T1, T2, thirds) per twig pair, as the sweeps yield
-    them.  For each pair the key base 4 + kd1 + kd2 is formed once, and
+    ``groups`` holds one (T1, T2, thirds) per twig pair, as :func:`_groups`
+    yields them (knonpos's case 2 is one explicit group).  For each pair the key base 4 + kd1 + kd2 is formed once, and
     :func:`dgk.barks.fork_sums_along` steps the integer twig sums
     (D, S, E, Et) along its third twigs, so that delta = S/D, e = E/D and
     e~ = Et/D.  Each (triple, b) passing the gates looks up the bucket of its
