@@ -16,7 +16,6 @@ reads one triple's sums through :func:`fork_sums` and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -137,8 +136,7 @@ def admissible_fork_invariants(fork: Fork) -> ForkInvariants | None:
     return inv if inv.d > 0 else None
 
 
-@dataclass(frozen=True)
-class BarkCoefficients:
+class BarkCoefficients(NamedTuple):
     coefficients: tuple[Fraction, ...]
     bk_square: Fraction
 
@@ -209,28 +207,37 @@ def group_order(graph: Weights | Fork) -> int:
     return chains.d(graph)
 
 
-@dataclass(frozen=True)
-class ExceptionalShape:
+class ExceptionalShape(NamedTuple):
     """One entry of the catalog of exceptional divisors.
 
     ``graph`` (chain weights or a Fork) and ``epsilon`` are the shape's
-    identity: no graph lies in two families with the same epsilon.  The rest
-    is read from ``spec``, the catalog spec the shape was built from, whose
-    family is ``spec[0]``: E (the components left after stripping external
-    (-2)-tips), the number of components of Delta (those stripped), K.E over
-    E, the size, discriminant, bark square and local group order.
+    identity, all that == and hash read: no graph lies in two families with
+    the same epsilon.  The rest is read from ``spec``, the catalog spec the
+    shape was built from, whose family is ``spec[0]``: E (the components left
+    after stripping external (-2)-tips), the number of components of Delta
+    (those stripped), K.E over E, the size, discriminant, bark square and
+    local group order.
     """
 
     graph: Weights | Fork
     epsilon: int
-    e_weights: tuple[int, ...] = field(compare=False)
-    n_delta_components: int = field(compare=False)
-    ke: int = field(compare=False)
-    size: int = field(compare=False)
-    d: int = field(compare=False)
-    bk_square: Fraction = field(compare=False)
-    g_order: int = field(compare=False)
-    spec: ShapeSpec = field(compare=False, repr=False)
+    e_weights: tuple[int, ...]
+    n_delta_components: int
+    ke: int
+    size: int
+    d: int
+    bk_square: Fraction
+    g_order: int
+    spec: ShapeSpec
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExceptionalShape) and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def is_fork(self) -> bool:
@@ -267,14 +274,20 @@ def _graph_key(graph: Weights | Fork) -> str:
 # the catalog of exceptional shapes
 
 
-@dataclass(frozen=True, slots=True)
-class Family:
+class _FamilyFields(NamedTuple):
+    name: str
+    epsilon: int
+    weights: Weights
+    branch: int = 0
+
+
+class Family(_FamilyFields):
     """A catalog family: its tag, its epsilon, the weights other than 2 of
     its chains in order, and for the fork families b1 and b2 the weight of
     the branch (0 for a chain family).  Every weight is at least 3 and a
     chain family has one, so no spec is made of (-2)-curves only.
 
-    Three constants are set once per family: ``curves``, the components
+    Three constants are derived from the fields: ``curves``, the components
     outside the runs; ``ke``, K.E = sum(w - 2) over the weights and the
     branch; and ``offset`` = curves - epsilon - K.E.  A chain spec's E is
     its chain without the end runs and every fork spec's E is [3] (see
@@ -282,23 +295,26 @@ class Family:
     has s + curves components and the Noether key s + offset.
     """
 
-    name: str
-    epsilon: int
-    weights: Weights
-    branch: int = 0
-    curves: int = field(init=False, compare=False, repr=False)
-    ke: int = field(init=False, compare=False, repr=False)
-    offset: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(w < 3 for w in self.weights) or not (self.weights or self.branch):
             raise ValueError(f"family {self.name} needs weights of at least 3, not {self.weights}")
+        return self
+
+    @property
+    def curves(self) -> int:
         # a fork adds its branch and its [2] twig to the curves of its weights
-        curves = len(self.weights) + (2 if self.branch else 0)
-        ke = sum(self.weights) - 2 * len(self.weights) + max(self.branch - 2, 0)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "ke", ke)
-        object.__setattr__(self, "offset", curves - self.epsilon - ke)
+        return len(self.weights) + (2 if self.branch else 0)
+
+    @property
+    def ke(self) -> int:
+        return sum(self.weights) - 2 * len(self.weights) + max(self.branch - 2, 0)
+
+    @property
+    def offset(self) -> int:
+        return self.curves - self.epsilon - self.ke
 
 
 # A shape spec is (family, r0, r1, ..., rk) for the chain

@@ -286,7 +286,10 @@ def cmd_search(args) -> tuple[int, object, str]:
 def cmd_verify(args) -> tuple[int, object, str]:
     results = verify_suite()
     ok = all(r["status"] == "ok" for r in results.values())
-    lines = [f"{name}: {r['status']}" for name, r in results.items()]
+    lines = [
+        f"{name}: {r['status']}" + (f" +{len(r['added'])} -{len(r['removed'])}" if "added" in r else "")
+        for name, r in results.items()
+    ]
     text = "\n".join(lines) + ("\nall searches match" if ok else "\nGOLDEN MISMATCH")
     return (0 if ok else 3), results, text
 

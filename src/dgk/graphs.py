@@ -18,9 +18,9 @@ reference route of the tests, in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import json
 import re
+from typing import NamedTuple
 
 Weights = tuple[int, ...]
 
@@ -129,8 +129,7 @@ def is_admissible_chain(weights: Weights) -> bool:
     return all(w >= 2 for w in weights)
 
 
-@dataclass(frozen=True)
-class Fork:
+class Fork(NamedTuple):
     """Branch vertex of weight ``b`` with three tip-first twigs."""
 
     b: int

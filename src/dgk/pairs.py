@@ -15,8 +15,8 @@ The smooth case is the single pair (1, 0): the fiber is the 0-curve itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .graphs import MAX_CURVES, Weights
 
@@ -25,16 +25,20 @@ class PairSequenceError(ValueError):
     """A pair sequence violating the gcd/order conventions."""
 
 
-@dataclass(frozen=True)
-class CharPairSeq:
+class _CharPairSeqFields(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+
+class CharPairSeq(_CharPairSeqFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ps = self.pairs
         if not ps:
             raise PairSequenceError("empty pair sequence")
         if ps == ((1, 0),):
-            return
+            return self
         for i, (c, p) in enumerate(ps):
             if c < 1 or p < 1:
                 raise PairSequenceError(
@@ -52,6 +56,7 @@ class CharPairSeq:
                 )
         if gcd(*ps[-1]) != 1:
             raise PairSequenceError("last pair must be coprime")
+        return self
 
     @property
     def smooth(self) -> bool:

@@ -16,7 +16,6 @@ still shows every witness value; ``Fraction`` appears only in the witnesses.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -26,8 +25,7 @@ from .barks import ExceptionalShape, ForkInvariants, fork_invariants
 from .graphs import Fork, Weights, format_chain
 
 
-@dataclass(frozen=True)
-class BoundaryCandidate:
+class BoundaryCandidate(NamedTuple):
     b: int
     twigs: tuple[Weights, Weights, Weights]
     eshape: ExceptionalShape
@@ -54,8 +52,7 @@ class BoundaryCandidate:
         }
 
 
-@dataclass(frozen=True)
-class PredicateReport:
+class PredicateReport(NamedTuple):
     """Every predicate evaluated on a candidate, with witnesses."""
 
     entries: dict[str, tuple[bool, str]]

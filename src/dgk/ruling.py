@@ -45,10 +45,10 @@ rebuilt and the chain through the section is minimalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import chains
 from .barks import ExceptionalShape, fork_invariants
@@ -57,18 +57,22 @@ from .pairs import CharPairSeq, FiberTree, reconstruct_fiber
 from .predicates import passes
 
 
-@dataclass(frozen=True)
-class RulingFiber:
-    """One singular fiber: normalized pairs, c_h, the position i0 of the
-    boundary (-2)-curve meeting E (0 when there is none, and then c_h = 1)
-    and CE."""
-
+class _RulingFiberFields(NamedTuple):
     upairs: tuple[tuple[int, int], ...]
     c_h: int
     i0: int
     CE: int
 
-    def __post_init__(self) -> None:
+
+class RulingFiber(_RulingFiberFields):
+    """One singular fiber: normalized pairs, c_h, the position i0 of the
+    boundary (-2)-curve meeting E (0 when there is none, and then c_h = 1)
+    and CE."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.i0 == 0:
             if self.c_h != 1:
                 raise ValueError("i0 = 0 requires c_h = 1")
@@ -76,6 +80,7 @@ class RulingFiber:
             raise ValueError(f"i0 must lie in 1..{self.c_h - 1}, got {self.i0}")
         if self.CE < 0:
             raise ValueError("CE must be nonnegative")
+        return self
 
     @property
     def uc1(self) -> int:
@@ -98,8 +103,7 @@ class RulingFiber:
         return CharPairSeq(scaled + ((self.c_h, 1),))
 
 
-@dataclass(frozen=True)
-class RulingScenario:
+class RulingScenario(NamedTuple):
     n: int
     gamma: int
     d: int
@@ -215,13 +219,7 @@ def contract_boundary(b: int, entries: list[tuple[int, bool]]) -> tuple[int, Wei
 # the two-fiber solver
 
 
-@dataclass(frozen=True)
-class FiberTuple:
-    """One solution of (5)/(6): the pairs (c, p), (c', p') of the first fiber,
-    (c~, p~) of the second, kappa and kappa~ and the number (0 or 1) of
-    boundary curves on each fiber.  A kappa its fiber cannot carry raises
-    ValueError."""
-
+class _FiberTupleFields(NamedTuple):
     n: int
     gamma: int
     epsilon: int
@@ -237,7 +235,17 @@ class FiberTuple:
     delta_f_size: int
     delta_ft_size: int
 
-    def __post_init__(self) -> None:
+
+class FiberTuple(_FiberTupleFields):
+    """One solution of (5)/(6): the pairs (c, p), (c', p') of the first fiber,
+    (c~, p~) of the second, kappa and kappa~ and the number (0 or 1) of
+    boundary curves on each fiber.  A kappa its fiber cannot carry raises
+    ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a fiber with k boundary curves has kappa = (1 + k) CE + k, see fibers()
         for name, kappa, k in (
             ("kappa", self.kappa, self.delta_f_size),
@@ -248,6 +256,7 @@ class FiberTuple:
                     f"{name} = {kappa} is not (1 + k) CE + k on a fiber with k = {k}"
                     " boundary curves"
                 )
+        return self
 
     @property
     def alpha(self) -> int:
@@ -283,16 +292,25 @@ class FiberTuple:
         return RulingScenario(self.n, self.gamma, self.d, self.fibers(), h1_order)
 
 
-@dataclass(frozen=True)
-class TwoFiberSolution(FiberTuple):
-    """A :class:`FiberTuple` with the boundary its fibers rebuild: the branch
-    weight b, the three twigs and the exceptional shape."""
+# the fields of a FiberTuple, then the boundary; a NamedTuple cannot extend another
+_SolutionFields = NamedTuple("_SolutionFields", [
+    *_FiberTupleFields.__annotations__.items(),
+    ("b", int), ("t1", Weights), ("t2", Weights), ("t3", Weights), ("eshape", ExceptionalShape),
+])
 
-    b: int
-    t1: Weights
-    t2: Weights
-    t3: Weights
-    eshape: ExceptionalShape
+
+class TwoFiberSolution(_SolutionFields):
+    """A :class:`FiberTuple`, with its check and its fibers, and the boundary
+    its fibers rebuild: the branch weight b, the three twigs and the shape."""
+
+    __slots__ = ()
+    alpha, rho, rho_t, d = FiberTuple.alpha, FiberTuple.rho, FiberTuple.rho_t, FiberTuple.d
+    fibers, scenario = FiberTuple.fibers, FiberTuple.scenario
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        FiberTuple(*self[:len(FiberTuple._fields)])  # FiberTuple's check of the kappas
+        return self
 
     @property
     def d_of_d(self) -> int:
@@ -324,6 +342,8 @@ class TwoFiberSolution(FiberTuple):
             self.c_tilde,
             self.p_tilde,
             self.eshape.key(),
+            self.epsilon,
+            self.b, self.t1, self.t2, self.t3,  # the boundary, so that no two solutions tie
         )
 
     def to_dict(self) -> dict:
@@ -504,7 +524,7 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
 
 
 def _assemble_solution(
-    tup: FiberTuple, t1: Weights | None, t2: Weights, eshape: ExceptionalShape
+    tup: FiberTuple | TwoFiberSolution, t1: Weights | None, t2: Weights, eshape: ExceptionalShape
 ) -> TwoFiberSolution | None:
     """Rebuild both fibers, check the twigs, contract the boundary to D.
 
@@ -531,8 +551,7 @@ def _assemble_solution(
         )
     except ValueError:  # ContractionError included
         return None
-    base = (getattr(tup, f.name) for f in fields(FiberTuple))
-    return TwoFiberSolution(*base, b, t1, t2, t3, eshape)
+    return TwoFiberSolution(*tup[:len(FiberTuple._fields)], b, t1, t2, t3, eshape)
 
 
 def reconstruct_t3(sol: TwoFiberSolution) -> tuple[int, Weights]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import gcd
@@ -119,8 +119,7 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """A checked bounds file: each value the file sets, with lists as tuples,
     ``t1`` parsed and ``eshapes`` resolved into catalog specs; the default
     for each key it leaves out."""
@@ -481,9 +480,21 @@ GOLDEN_FILES = {name: search.golden_file for name, search in SEARCHES.items()}
 GOLDEN_FILES["final-bounds-relaxed"] = "search_final_bounds_relaxed.json"
 
 
+def _entries(form) -> Counter:
+    """The entries of a golden form as canonical JSON: each item of a list
+    form, and each item of a dict form's lists as {key: item}."""
+    lists = form.items() if isinstance(form, dict) else [(None, form)]
+    return Counter(
+        json.dumps(item if key is None else {key: item}, sort_keys=True)
+        for key, items in lists for item in (items if isinstance(items, list) else [items])
+    )
+
+
 def verify_suite() -> dict:
     """Run the four searches and compare against the golden files in
-    :func:`golden_dir`; a missing golden file is refused before any search."""
+    :func:`golden_dir`; a missing golden file is refused before any search.
+    A mismatch lists the :func:`_entries` ``added`` to the golden and those
+    ``removed``; a mismatch in order alone has neither."""
     gdir = golden_dir()
     paths = {name: gdir / GOLDEN_FILES[name] for name in SEARCHES}
     for path in paths.values():
@@ -498,5 +509,7 @@ def verify_suite() -> dict:
             raise ValueError(f"golden file {path} is not valid JSON: {exc}") from exc
         results[name] = {"status": "ok" if got == want else "mismatch", "path": str(path)}
         if got != want:
-            results[name].update(got=got, want=want)
+            have, had = _entries(got), _entries(want)
+            results[name]["added"] = [json.loads(e) for e in (have - had).elements()]
+            results[name]["removed"] = [json.loads(e) for e in (had - have).elements()]
     return results

@@ -335,6 +335,16 @@ def test_all_minus_two_shape_rejected():
         _make_shape((Family("b3", 2, (2,)), 1, 1))
 
 
+def test_shapes_compare_and_hash_on_graph_and_epsilon():
+    # the other fields are read from the spec; != agrees with ==
+    es = next(es for es in eshape_catalog(8) if es.key() == "[4]" and es.epsilon == 1)
+    same = es._replace(ke=es.ke + 3, spec=None)
+    assert es == same and not es != same and hash(es) == hash(same)
+    other = es._replace(epsilon=2)
+    assert es != other and not es == other
+    assert es != tuple(es)
+
+
 def test_family_refuses_weights_below_three():
     from dgk.barks import Family
 

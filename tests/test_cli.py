@@ -300,7 +300,31 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DGK_GOLDEN_DIR", str(tmp_path))
     code, out, _ = run(capsys, "verify", "--suite", "paper")
     assert code == 3
-    assert "mismatch" in out
+    assert "xy: mismatch +3 -0" in out.splitlines()
+    # a mismatch names the entries added and removed, not both files: here
+    # the golden lacks its first candidate and has its second altered, and
+    # in final-bounds its one eshapes entry is altered
+    xy = json.loads((src / "search_xy.json").read_text())
+    altered = dict(xy[1], b=xy[1]["b"] + 10)
+    target.write_text(json.dumps([altered] + xy[2:]))
+    bounds = json.loads((src / "search_final_bounds.json").read_text())
+    assert bounds["eshapes"] == ["[4]"]
+    bounds["eshapes"] = ["[5]"]
+    (tmp_path / "search_final_bounds.json").write_text(json.dumps(bounds))
+    code, out, _ = run(capsys, "verify", "--suite", "paper")
+    assert code == 3
+    assert out.splitlines() == [
+        "final-bounds: mismatch +1 -1", "xy: mismatch +2 -1", "knonpos: ok", "fiber-pairs: ok",
+        "GOLDEN MISMATCH",
+    ]
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "paper")
+    results = json.loads(out)
+    assert code == 3
+    assert (results["xy"]["added"], results["xy"]["removed"]) == (xy[:2], [altered])
+    assert results["final-bounds"]["added"] == [{"eshapes": "[4]"}]
+    assert results["final-bounds"]["removed"] == [{"eshapes": "[5]"}]
+    assert "added" not in results["knonpos"]
+    shutil.copy(src / "search_final_bounds.json", tmp_path / "search_final_bounds.json")
     # a golden that is not JSON is a domain error that names the file
     target.write_text("{")
     code, _, err = run(capsys, "verify", "--suite", "paper")

@@ -9,7 +9,6 @@ same report, entry by entry and witness by witness, and its integer verdict
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -62,7 +61,7 @@ def test_reports_match_the_reference_on_a_sweep():
         for b in (0, 1, 2, 3):
             es = shapes[(7 * i + b) % len(shapes)]
             if i % 5 == 0:
-                es = replace(es, ke=es.ke + 3)
+                es = es._replace(ke=es.ke + 3)
             cand = BoundaryCandidate(b, triple, es)
             for mode in MODES:
                 want = reference_report(cand, mode)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -14,6 +13,7 @@ from dgk.ruling import (
     FiberTuple,
     RulingFiber,
     RulingScenario,
+    TwoFiberSolution,
     _coprime_pairs_with_length,
     _equation_solutions,
     _int_quadratic_roots,
@@ -129,11 +129,22 @@ def test_equation_solutions_have_zero_ruling_residuals():
 
 def test_fiber_tuple_refuses_a_kappa_its_fiber_cannot_carry():
     # with a boundary curve on a fiber, kappa = 2 CE + 1 is odd: kappa = 4
-    # would lay out a first fiber of kappa 3 and rho 5 under kappa 4, rho 8
-    with pytest.raises(ValueError, match="kappa = 4 is not"):
-        FiberTuple(1, 3, 2, 1, 4, 4, 12, 6, 6, 1, 12, 4, 1, 0)
-    with pytest.raises(ValueError, match="kappa_t = 4 is not"):
-        FiberTuple(1, 3, 2, 1, 3, 4, 12, 6, 6, 1, 9, 4, 0, 1)
+    # would lay out a first fiber of kappa 3 and rho 5 under kappa 4, rho 8.
+    # The check runs however the record is built, and a solution runs it too
+    message = r"{} = 4 is not \(1 \+ k\) CE \+ k on a fiber with k = 1 boundary curves"
+    boundary = (2, (2,), (2, 2), (3, 3), E4())
+    for name, fields in (
+        ("kappa", (1, 3, 2, 1, 4, 4, 12, 6, 6, 1, 12, 4, 1, 0)),
+        ("kappa_t", (1, 3, 2, 1, 3, 4, 12, 6, 6, 1, 9, 4, 0, 1)),
+    ):
+        for build in (
+            lambda: FiberTuple(*fields),
+            lambda: FiberTuple(**dict(zip(FiberTuple._fields, fields))),
+            lambda: TwoFiberSolution(*fields, *boundary),
+            lambda: TwoFiberSolution(**dict(zip(TwoFiberSolution._fields, fields + boundary))),
+        ):
+            with pytest.raises(ValueError, match=message.format(name)):
+                build()
 
 
 def test_every_swept_tuple_is_accepted_and_its_fibers_carry_it():
@@ -144,7 +155,7 @@ def test_every_swept_tuple_is_accepted_and_its_fibers_carry_it():
     assert len(tuples) == 144
     splits = set()
     for tup in tuples:
-        assert replace(tup) == tup
+        assert FiberTuple(*tup) == tup
         assert [(f.kappa, f.rho) for f in tup.fibers()] == [
             (tup.kappa, tup.rho), (tup.kappa_t, tup.rho_t)
         ]
@@ -318,7 +329,7 @@ def test_lcm_residual_detects_scaled_d():
     assert r[0] == 0 and r[1] == 0 and r[2] == 0
     # equation (4) is exactly what these tuples fail
     assert r[3] != 0
-    halved = replace(good, d=good.d // 2)
+    halved = good._replace(d=good.d // 2)
     assert check_ruling_equations(halved)[3] != check_ruling_equations(good)[3]
 
 

@@ -695,6 +695,22 @@ def test_named_shape_not_in_catalog_rejected():
         search_fiber_pairs(cfg)
 
 
+def test_fiber_pairs_solutions_have_distinct_sort_keys():
+    # the key ends with the boundary (b, T1, T2, T3), so the order of the
+    # solutions does not depend on the sweep: without it, b = 2 with
+    # [(2)], [(2)], [(2),3,(2)] and [3,2], [(2)], [(5)] tie on this box
+    irreducible = [
+        [es.key(), es.epsilon] for es in eshape_catalog(12)
+        if not es.is_fork and len(es.e_weights) == 1 and es.size <= 2
+    ]
+    assert len(irreducible) == 10
+    cfg = dict(load_bounds("fiber_pairs"), twig_d_max=9, eshapes=irreducible,
+               predicates=["noether"])
+    keys = [sol.sort_key() for sol in search_fiber_pairs(cfg)]
+    assert len(keys) == len(set(keys)) == 33
+    assert keys == sorted(keys)
+
+
 # ---------------------------------------------------------------------------
 # the scan joined on the Noether key
 

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,20 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_import_loads_no_dataclasses():
+    # the records are NamedTuples: dataclasses, and the inspect and ast it
+    # pulls in, took more than half of the import.  -S keeps site hooks out
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dgk, dgk.cli;"
+        " print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_public_name_resolves():
