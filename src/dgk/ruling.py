@@ -343,7 +343,7 @@ class TwoFiberSolution(_SolutionFields):
             self.p_tilde,
             self.eshape.key(),
             self.epsilon,
-            self.b, self.t1, self.t2, self.t3,  # the boundary, so that no two solutions tie
+            self.b, self.t1, self.t2, self.t3,  # the boundary: two twig pairs never tie
         )
 
     def to_dict(self) -> dict:

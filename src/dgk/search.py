@@ -434,13 +434,8 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
     spec = parse_bounds("fiber-pairs", bounds)
-    # each d's twigs by their reversed weights, as oriented_chains_with_d
-    # lists them: solutions with equal sort keys keep the order of the sweep
-    sweep = [
-        r.ws
-        for dd in range(2, spec.twig_d_max + 1)
-        for r in sorted(_records_with_d(dd), key=lambda r: r.ws[::-1])
-    ]
+    # the sort key holds T1 and T2, so the order of the sweep does not reach the output
+    sweep = [r.ws for dd in range(2, spec.twig_d_max + 1) for r in _records_with_d(dd)]
     solutions: list[TwoFiberSolution] = []
     for es in map(shape_of, spec.eshapes):
         for t1 in sweep:
