@@ -32,9 +32,10 @@ with d = c kappa twice (6) is the integer quadratic in kappa
     qc = 2 gamma - A0 - 2 rho~,
 
 where (A, A0) = (2, 0) without and (1, 1) with the boundary curve on the
-first fiber.  qa and qb depend on (c', p') alone; each kappa~ dividing
-c(gamma - 2) fixes qc, and kappa comes out of isqrt of the discriminant
-and an exact division.
+first fiber.  No pair is swept: T2 gives (c, p) = c' (d(T2), d(T2) - d'(T2))
+and T1 at most len(T1) candidates (c', p') (:func:`_tail_pairs`), which fix
+qa and qb; each kappa~ dividing c(gamma - 2) fixes qc, and kappa comes out
+of isqrt of the discriminant and an exact division.
 
 One solution of (5)/(6) is one frozen :class:`FiberTuple`; its
 :meth:`FiberTuple.fibers` is the one place the two fibers are laid out from
@@ -46,7 +47,6 @@ rebuilt and the chain through the section is minimalized.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -374,24 +374,19 @@ class TwoFiberSolution(_SolutionFields):
         }
 
 
-@lru_cache(maxsize=None)
-def _coprime_pairs_with_length(length: int) -> tuple[tuple[int, int], ...]:
-    """Coprime (c', p'), c' >= p' >= 1, whose Euclid trace has ``length`` steps.
-
-    The pairs grow from (1, 1), whose trace has one step, by inverting the
-    Euclid steps that ``mu_trace`` in ``tests/reference.py`` simulates:
-    (x, y) is reached from (x + y, y) always and from (x + y, x) when y < x,
-    so each level holds exactly the pairs whose trace is one step longer.
-    The tests compare it with that file's brute-force sweep.
-    """
-    level = [(1, 1)] if length >= 1 else []
-    for _ in range(length - 1):
-        level = [
-            before
-            for x, y in level
-            for before in ((x + y, y), (x + y, x))[: 1 + (y < x)]
-        ]
-    return tuple(sorted(level))
+def _tail_pairs(t1: Weights, alpha: int, k: int):
+    """The (c', p'), c' >= p' ascending, of a first fiber with branch T1,
+    alpha pairs (c', c') and k boundary curves.  T1 = A + [2 + k] + B + R:
+    A, [1], B is the chain of the (c', p') group, so d(A + [1] + B) = 1,
+    c' = d(A) and p' = d(B), and R = [1 + ceil(c'/p'), 2, ..., 2] has alpha
+    curves.  Needs len(T1) > alpha; the rebuilt fiber checks each pair."""
+    body, r = t1[:len(t1) - alpha], t1[len(t1) - alpha:]
+    for i, w in enumerate(body):
+        a, b = body[:i], body[i + 1:]
+        if w == 2 + k and chains.d(a + (1,) + b) == 1:
+            c_pr, p_pr = chains.d(a), chains.d(b)
+            if p_pr <= c_pr and r == ((1 - -c_pr // p_pr,) + (2,) * alpha)[:alpha]:
+                yield c_pr, p_pr
 
 
 def _int_quadratic_roots(a: int, b: int, c: int) -> list[int]:
@@ -439,8 +434,9 @@ def solve_two_fiber(
 
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
     kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
-    integer coefficients (see the module docstring).  T1 and T2 must be
-    nonempty admissible chains; solutions with b outside {1, 2} are dropped.
+    integer coefficients (see the module docstring); (c', p') is read off
+    T1.  T1 and T2 must be nonempty admissible chains; solutions with b
+    outside {1, 2} are dropped.
     """
     for i, ws in enumerate((t1, t2), 1):
         if not ws or not is_admissible_chain(ws):
@@ -467,8 +463,9 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
 
     Yields, in sweep order, the :class:`FiberTuple` of every tuple that
     passes the gates; each satisfies (5) and (6) exactly, since kappa is a
-    root of twice (6) and p~ is solved from (5).  ``eshape`` must be an
-    irreducible E with at most one external (-2)-curve.
+    root of twice (6) and p~ is solved from (5).  (c', p') runs over
+    :func:`_tail_pairs` of T1.  ``eshape`` must be an irreducible E with at
+    most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
@@ -479,16 +476,14 @@ def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
     p_over = d2 - chains.d_prime(t2)  # p/c' from the lower chain
     for n in (1, 2, 3):
         alpha = n + eps + ke - 4
-        if not 0 <= alpha <= n:
-            continue
-        tail_len = len(t1) - alpha
-        if tail_len < 1:
+        # T1 holds at least the first curve of the (c', p') group
+        if not 0 <= alpha <= n or len(t1) <= alpha:
             continue
         for df, dft in splits:
             # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
             # boundary curve
             a2, a0 = (2, 0) if df == 0 else (1, 1)
-            for c_pr, p_pr in _coprime_pairs_with_length(tail_len):
+            for c_pr, p_pr in _tail_pairs(t1, alpha, df):
                 c = c_pr * d2
                 p = c_pr * p_over
                 g2c = c * (gamma - 2)

@@ -27,7 +27,6 @@ import os
 from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
-from importlib import resources
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
@@ -110,7 +109,7 @@ def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
 def load_bounds(name: str, path: str | None = None) -> dict:
     """A bounds file: the packaged ``name`` or the JSON file at ``path``."""
     if path is None:
-        return json.loads((resources.files("dgk") / "bounds" / f"{name}.json").read_text())
+        return json.loads((Path(__file__).parent / "bounds" / f"{name}.json").read_text())
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
@@ -458,7 +457,7 @@ def golden_dir() -> Path:
     env = os.environ.get("DGK_GOLDEN_DIR")
     if env:
         return Path(env)
-    return Path(str(resources.files("dgk") / "golden"))
+    return Path(__file__).parent / "golden"
 
 
 def run_search(name: str, bounds_path: str | None = None):

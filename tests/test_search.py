@@ -163,6 +163,49 @@ def test_monotonicity_dropping_a_predicate():
     assert len(weak) > len(base)
 
 
+@pytest.fixture(scope="module")
+def fiber_pairs_ladder():
+    """fiber-pairs on its packaged bounds with twig_d_max 6, 8, 10 and 16."""
+    cfg = load_bounds("fiber_pairs")
+    return {d: search_fiber_pairs(dict(cfg, twig_d_max=d)) for d in (6, 8, 10, 16)}
+
+
+def test_enlarging_a_box_loses_no_candidate(fiber_pairs_ladder):
+    # a larger box edge must not lose a candidate, which a fixed golden box
+    # cannot show: the fiber-pairs ladder and xy at z_max 41 and 84 are nested
+    steps = [
+        {json.dumps(s.to_dict(), sort_keys=True) for s in sols}
+        for sols in fiber_pairs_ladder.values()
+    ]
+    assert [len(step) for step in steps] == [3, 3, 3, 4]
+    assert all(small <= large for small, large in zip(steps, steps[1:]))
+    xy = [
+        {json.dumps(c.to_dict(), sort_keys=True) for c, _ in search_xy(dict(load_bounds("xy"), z_max=z))}
+        for z in (41, 84)
+    ]
+    assert [len(found) for found in xy] == [3, 8]
+    assert xy[0] <= xy[1]
+
+
+def test_every_two_fiber_solution_is_a_scan_candidate(fiber_pairs_ladder):
+    # the sound direction of the two routes: a fiber-pairs solution passes
+    # the scan's predicates, so xy with its one shape finds it on a box that
+    # holds its twig discriminants.  The fourth solution at twig_d_max 16,
+    # b = 1 with [2], [3], [(6),3] on [3] and epsilon 2, lies outside the
+    # fiber-pairs golden box (d([(6),3]) = 15), and the xy golden file drops
+    # it both by w2 and by exclude_eps2_chains
+    predicates = load_bounds("fiber_pairs")["predicates"]
+    for sol in fiber_pairs_ladder[16]:
+        x, y, z = sorted(chains.d(t) for t in (sol.t1, sol.t2, sol.t3))
+        cfg = dict(
+            load_bounds("xy"), b=[1, 2], x_max=x, y_max=y, z_max=z,
+            eshapes=[[sol.eshape.key(), sol.epsilon]], predicates=predicates,
+            exclude_eps2_chains=False, delta_gmin=None,
+        )
+        want = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), sol.eshape).to_dict()
+        assert want in [c.to_dict() for c, _ in search_xy(cfg)], want
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles: the reference report over every (triple, b, shape)
 

@@ -25,10 +25,13 @@ def test_no_assert_statements_in_the_package():
 
 def test_import_loads_no_dataclasses():
     # the records are NamedTuples: dataclasses, and the inspect and ast it
-    # pulls in, took more than half of the import.  -S keeps site hooks out
+    # pulls in, took more than half of the import; the packaged files are
+    # read beside the module, without importlib.resources.  -S keeps site
+    # hooks out
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dgk, dgk.cli;"
-        " print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        " print(sorted({'dataclasses', 'inspect', 'ast', 'importlib.resources'}"
+        " & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(PACKAGE_DIR.parent)],
@@ -348,3 +351,35 @@ def test_the_searches_share_one_twig_table():
         if "oriented_chains_with_d" in _named(fn)
     }
     assert namers == {"search._records_with_d"}
+
+
+FLOAT_MATH = {"sqrt", "log", "exp"}
+
+
+def _float_uses(tree):
+    """Float literals, the name float, and sqrt, log or exp taken from math."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex)):
+            yield n
+        elif isinstance(n, ast.Name) and n.id == "float":
+            yield n
+        elif isinstance(n, ast.ImportFrom) and n.module == "math":
+            if FLOAT_MATH & {alias.name for alias in n.names}:
+                yield n
+        elif isinstance(n, ast.Attribute) and n.attr in FLOAT_MATH:
+            if isinstance(n.value, ast.Name) and n.value.id == "math":
+                yield n
+
+
+def test_the_package_computes_without_floats():
+    # all arithmetic is exact: integers and Fraction.  The one float is the
+    # type chains.chain_from_e refuses
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert len(paths) >= 9
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # a node inside nested functions is named by the innermost one
+        owner = {id(n): qualname for qualname, fn in _functions(tree, path.stem) for n in ast.walk(fn)}
+        found += [f"{owner.get(id(n), path.stem)}: {ast.unparse(n)}" for n in _float_uses(tree)]
+    assert found == ["chains.chain_from_e: float"]
