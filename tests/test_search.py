@@ -179,8 +179,9 @@ def test_enlarging_a_box_loses_no_candidate(fiber_pairs_ladder):
     ]
     assert [len(step) for step in steps] == [3, 3, 3, 4]
     assert all(small <= large for small, large in zip(steps, steps[1:]))
+    cfg = load_bounds("xy")
     xy = [
-        {json.dumps(c.to_dict(), sort_keys=True) for c, _ in search_xy(dict(load_bounds("xy"), z_max=z))}
+        {json.dumps(c.to_dict(), sort_keys=True) for c, _ in search_xy(dict(cfg, z_max=z))}
         for z in (41, 84)
     ]
     assert [len(found) for found in xy] == [3, 8]

@@ -380,6 +380,8 @@ def test_the_package_computes_without_floats():
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         # a node inside nested functions is named by the innermost one
-        owner = {id(n): qualname for qualname, fn in _functions(tree, path.stem) for n in ast.walk(fn)}
+        owner = {
+            id(n): qualname for qualname, fn in _functions(tree, path.stem) for n in ast.walk(fn)
+        }
         found += [f"{owner.get(id(n), path.stem)}: {ast.unparse(n)}" for n in _float_uses(tree)]
     assert found == ["chains.chain_from_e: float"]
