@@ -117,26 +117,6 @@ def cmd_enumerate(args) -> tuple[int, object, str]:
     return 0, payload, text
 
 
-def _fiber_text(tree) -> str:
-    if tree.is_chain():
-        order = tree.chain_order()
-        parts = []
-        for v in order:
-            star = "*" if v == tree.neg_curve else ""
-            parts.append(f"{tree.weights[v]}{star}:{tree.mults[v]}")
-        return "[" + ",".join(parts) + "]"
-    nodes = [
-        {
-            "weight": tree.weights[v],
-            "mult": tree.mults[v],
-            "neg": v == tree.neg_curve,
-        }
-        for v in range(len(tree))
-    ]
-    edges = sorted((a, b) for a in range(len(tree)) for b in tree.adj[a] if a < b)
-    return json.dumps({"nodes": nodes, "edges": edges})
-
-
 def cmd_pairs(args) -> tuple[int, object, str]:
     if args.action == "reconstruct":
         vals = args.numbers
@@ -144,12 +124,27 @@ def cmd_pairs(args) -> tuple[int, object, str]:
             raise DomainError("expected pairs: c1 p1 [c2 p2 ...]")
         seq = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
         tree = reconstruct_fiber(seq)
-        text = _fiber_text(tree)
-        payload = {
-            "fiber": text,
-            "chain": format_chain(tree.chain_weights()) if tree.is_chain() else None,
-            "multiplicities": list(tree.chain_mults()) if tree.is_chain() else None,
-        }
+        payload = {"chain": None, "multiplicities": None}
+        if tree.is_chain():
+            order = tree.chain_order()
+            parts = []
+            for v in order:
+                star = "*" if v == tree.neg_curve else ""
+                parts.append(f"{tree.weights[v]}{star}:{tree.mults[v]}")
+            text = "[" + ",".join(parts) + "]"
+            payload["chain"] = format_chain(tuple(tree.weights[v] for v in order))
+            payload["multiplicities"] = [tree.mults[v] for v in order]
+        else:
+            nodes = [
+                {
+                    "weight": tree.weights[v],
+                    "mult": tree.mults[v],
+                    "neg": v == tree.neg_curve,
+                }
+                for v in range(len(tree))
+            ]
+            text = json.dumps({"nodes": nodes, "edges": tree.edges()})
+        payload["fiber"] = text
         return 0, payload, text
     # extract
     return _extract_pairs(args.fiber)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .graphs import MAX_CURVES, Weights
+from .graphs import MAX_CURVES
 
 
 class PairSequenceError(ValueError):
@@ -66,9 +66,12 @@ class CharPairSeq(_CharPairSeqFields):
 class FiberTree:
     """Fiber produced by a pair sequence: a weighted tree with multiplicities.
 
-    Vertex 0 is U (the component the fiber was produced from); vertices carry
+    Vertex 0 is U (the component the fiber was produced from), a tip of the
+    tree; the other vertices are numbered in creation order and carry
     (weight, multiplicity, group index); ``neg_curve`` is the last curve of
     the construction, the unique (-1)-curve when the fiber is singular.
+    The tree is walked here alone: :meth:`path`, :meth:`chain_order`,
+    :meth:`first_pair_parts` and :meth:`edges` rely on these conventions.
     """
 
     def __init__(self) -> None:
@@ -102,31 +105,45 @@ class FiberTree:
     def is_chain(self) -> bool:
         return all(len(nb) <= 2 for nb in self.adj)
 
-    def chain_order(self) -> list[int]:
-        """Vertices in chain order starting from U's end; requires a path."""
-        if not self.is_chain():
-            raise ValueError("fiber is branched")
-        n = len(self.weights)
-        if n == 1:
-            return [0]
-        tips = [v for v in range(n) if len(self.adj[v]) == 1]
-        start = 0 if len(self.adj[0]) == 1 else min(tips)
-        order = [start]
-        prev = None
-        cur = start
-        while len(order) < n:
-            nxt = next(u for u in self.adj[cur] if u != prev)
-            order.append(nxt)
-            prev, cur = cur, nxt
-        if order[0] != 0 and order[-1] == 0:
-            order.reverse()
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (a, b) with a < b, sorted."""
+        return sorted((a, b) for a in range(len(self)) for b in self.adj[a] if a < b)
+
+    def path(self, anchor: int, members: set[int]) -> list[int]:
+        """The path-shaped vertex set ``members`` in order, starting at the
+        member next to ``anchor``."""
+        if not members:
+            return []
+        start = [v for v in members if anchor in self.adj[v]]
+        if len(start) != 1:
+            raise ValueError("vertex set is not a chain hanging off the anchor")
+        order = [start[0]]
+        prev = anchor
+        while True:
+            nxt = [u for u in self.adj[order[-1]] if u in members and u != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise ValueError("vertex set is not a path")
+            prev = order[-1]
+            order.append(nxt[0])
+        if len(order) != len(members):
+            raise ValueError("vertex set is not connected")
         return order
 
-    def chain_weights(self) -> Weights:
-        return tuple(self.weights[v] for v in self.chain_order())
+    def chain_order(self) -> list[int]:
+        """Vertices in chain order from U, which must be a tip of the path."""
+        if not self.is_chain():
+            raise ValueError("fiber is branched")
+        return [0] + self.path(0, set(range(1, len(self))))
 
-    def chain_mults(self) -> tuple[int, ...]:
-        return tuple(self.mults[v] for v in self.chain_order())
+    def first_pair_parts(self) -> tuple[list[int], int, list[int]]:
+        """(Z_u, Z1, Z_l): the curves of the first pair, split at the
+        highest-multiplicity one; Z_u is the side facing U."""
+        path = self.path(0, {v for v in range(len(self)) if self.groups[v] == 1})
+        # Z1 is the newest curve of the pair: vertices are numbered in creation order
+        i = path.index(max(path))
+        return path[:i][::-1], path[i], path[i + 1 :]
 
 
 def _fiber_size(seq: CharPairSeq) -> int:

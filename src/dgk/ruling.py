@@ -53,7 +53,7 @@ from typing import NamedTuple
 from . import chains
 from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
-from .pairs import CharPairSeq, FiberTree, reconstruct_fiber
+from .pairs import CharPairSeq, reconstruct_fiber
 from .predicates import passes
 
 
@@ -124,41 +124,6 @@ def check_ruling_equations(s: RulingScenario) -> tuple[int, int, int, int]:
     r3 = s.d * s.h1_order - prod_uc1
     r4 = s.d - lcm(*(f.uc1 for f in s.fibers))
     return r1, r2, r3, r4
-
-
-# ---------------------------------------------------------------------------
-# fiber-tree bookkeeping
-
-
-def _ordered_from(tree: FiberTree, members: set[int], anchor: int) -> list[int]:
-    """Order a path-shaped vertex set starting at the member next to anchor."""
-    if not members:
-        return []
-    start = [v for v in members if anchor in tree.adj[v]]
-    if len(start) != 1:
-        raise ValueError("vertex set is not a chain hanging off the anchor")
-    order = [start[0]]
-    prev = anchor
-    while True:
-        nxt = [u for u in tree.adj[order[-1]] if u in members and u != prev]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            raise ValueError("vertex set is not a path")
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(order) != len(members):
-        raise ValueError("vertex set is not connected")
-    return order
-
-
-def first_pair_parts(tree: FiberTree) -> tuple[list[int], int, list[int]]:
-    """(Z_u, Z1, Z_l) of a fiber: the curves of the first pair, split at the
-    highest-multiplicity one; Z_u is the side facing the base component."""
-    path = _ordered_from(tree, {v for v in range(len(tree)) if tree.groups[v] == 1}, 0)
-    # Z1 is the newest curve of the pair: vertices are numbered in creation order
-    i = path.index(max(path))
-    return path[:i][::-1], path[i], path[i + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +496,13 @@ def _assemble_solution(
     """
     try:
         tree, tree_t = (reconstruct_fiber(f.full_pairs()) for f in tup.fibers())
-        zu, z1, zl = first_pair_parts(tree)
+        zu, z1, zl = tree.first_pair_parts()
         branch = {v for v in range(len(tree)) if 2 <= tree.groups[v] <= tup.alpha + 2}
-        found = tuple(tree.weights[v] for v in reversed(_ordered_from(tree, branch, z1)))
+        found = tuple(tree.weights[v] for v in reversed(tree.path(z1, branch)))
         t1 = found if t1 is None else t1
         if (found, tuple(tree.weights[v] for v in reversed(zl))) != (t1, t2):
             return None
-        zut, z1t, zlt = first_pair_parts(tree_t)
+        zut, z1t, zlt = tree_t.first_pair_parts()
         free = [tree.weights[v] for v in (*zu, 0)] + [tup.n]
         free += [tree_t.weights[v] for v in (0, *reversed(zut), z1t)]
         b, t3 = contract_boundary(

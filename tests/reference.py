@@ -38,7 +38,7 @@ from dgk.barks import (
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
 from dgk.predicates import BoundaryCandidate, PredicateReport, passes
-from dgk.ruling import FiberTuple, _assemble_solution, _ordered_from
+from dgk.ruling import FiberTuple, _assemble_solution
 
 # ---------------------------------------------------------------------------
 # weighted trees: intersection matrices, determinants, definiteness
@@ -441,8 +441,9 @@ def all_sequences(c1_max, h_max):
 def first_pair_parts_by_components(tree: FiberTree) -> tuple[list[int], int, list[int]]:
     """(Z_u, Z1, Z_l) of a fiber: the curves of the first pair, split at the
     highest-multiplicity one; Z_u is the side facing the base component.
-    The route of :func:`dgk.ruling.first_pair_parts` before it became one
-    walk: search the components of the group-1 curves other than Z1."""
+    The route of :meth:`dgk.pairs.FiberTree.first_pair_parts` before it
+    became one walk: search the components of the group-1 curves other than
+    Z1, and order each by its breadth-first distance from Z1."""
     g1 = {v for v in range(len(tree)) if tree.groups[v] == 1}
     z1 = max(g1)  # vertices are numbered in creation order
     rest = g1 - {z1}
@@ -461,9 +462,23 @@ def first_pair_parts_by_components(tree: FiberTree) -> tuple[list[int], int, lis
             comp_u |= comp
         else:
             comp_l |= comp
-    z_u = _ordered_from(tree, comp_u, z1) if comp_u else []
-    z_l = _ordered_from(tree, comp_l, z1) if comp_l else []
-    return z_u, z1, z_l
+
+    def by_distance(comp: set[int]) -> list[int]:
+        dist = {z1: 0}
+        queue = [z1]
+        for x in queue:
+            for u in tree.adj[x]:
+                if u in comp and u not in dist:
+                    dist[u] = dist[x] + 1
+                    queue.append(u)
+        return sorted(comp, key=dist.__getitem__)
+
+    return by_distance(comp_u), z1, by_distance(comp_l)
+
+
+def chain_weights(tree: FiberTree) -> Weights:
+    """The weights of an unbranched fiber in chain order from U."""
+    return tuple(tree.weights[v] for v in tree.chain_order())
 
 
 @cache

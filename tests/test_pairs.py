@@ -5,6 +5,7 @@ import pytest
 from dgk.graphs import parse_chain
 from dgk.pairs import (
     CharPairSeq,
+    FiberTree,
     PairSequenceError,
     _fiber_size,
     mu_sums,
@@ -12,7 +13,7 @@ from dgk.pairs import (
     reconstruct_fiber,
 )
 from dgk.ruling import RulingFiber
-from reference import WeightedTree, all_sequences, mu_trace
+from reference import WeightedTree, all_sequences, chain_weights, mu_trace
 
 
 def test_sequence_validation():
@@ -31,7 +32,7 @@ def test_sequence_validation():
 
 def test_smooth_fiber():
     tree = reconstruct_fiber(((1, 0),))
-    assert tree.chain_weights() == (0,)
+    assert chain_weights(tree) == (0,)
     assert tree.neg_curve is None
     assert pairs_from_fiber(tree).pairs == ((1, 0),)
     # a lone curve is a fiber only as the 0-curve of multiplicity 1
@@ -45,16 +46,16 @@ def test_smooth_fiber():
 @pytest.mark.parametrize("k", range(2, 21))
 def test_single_pair_families(k):
     tree = reconstruct_fiber(((k, 1),))
-    assert tree.chain_weights() == (k, 1) + (2,) * (k - 1)
+    assert chain_weights(tree) == (k, 1) + (2,) * (k - 1)
     assert tree.mults[tree.neg_curve] == k
     tree = reconstruct_fiber(((k, k - 1),))
-    assert tree.chain_weights() == (2,) * (k - 1) + (1, k)
+    assert chain_weights(tree) == (2,) * (k - 1) + (1, k)
     assert tree.mults[tree.neg_curve] == k
 
 
 def test_fourteen_three():
     tree = reconstruct_fiber(((14, 3),))
-    assert tree.chain_weights() == parse_chain("[5,3,1,2,3,(3)]")
+    assert chain_weights(tree) == parse_chain("[5,3,1,2,3,(3)]")
     assert tree.mults[tree.neg_curve] == 14
     order = tree.chain_order()
     assert tuple(tree.mults[v] for v in order) == (1, 5, 14, 9, 4, 3, 2, 1)
@@ -78,8 +79,8 @@ def test_fiber_properties():
             )
         # in an unbranched fiber both tips have multiplicity one
         if tree.is_chain():
-            ws = tree.chain_mults()
-            assert ws[0] == 1 and ws[-1] == 1
+            ms = [tree.mults[v] for v in tree.chain_order()]
+            assert ms[0] == 1 and ms[-1] == 1
 
 
 def test_round_trip_exhaustive_small():
@@ -89,6 +90,47 @@ def test_round_trip_exhaustive_small():
         assert pairs_from_fiber(tree).pairs == seq, seq
         count += 1
     assert count == 3728
+
+
+def test_u_is_a_tip_and_chains_are_read_from_it():
+    # FiberTree.chain_order starts its one walk at U, so every rebuilt fiber
+    # must have U at a tip; the order it reads is a Hamiltonian path from U
+    count = 0
+    for seq in [((1, 0),), *all_sequences(40, 4)]:
+        tree = reconstruct_fiber(seq)
+        n = len(tree)
+        assert len(tree.adj[0]) == (n > 1), seq
+        if tree.is_chain():
+            order = tree.chain_order()
+            assert order[0] == 0 and sorted(order) == list(range(n)), seq
+            steps = {frozenset(step) for step in zip(order, order[1:])}
+            assert steps == {frozenset((a, b)) for a in range(n) for b in tree.adj[a]}, seq
+            count += 1
+    assert count == 1958
+
+
+def test_path_refuses_what_is_not_a_chain_off_the_anchor():
+    # hand-built trees: the chain 1 - 0 - 2 with U inside it, then 0 - 1
+    # with 1 forking to 2 and 3, then the chain 0 - 1 - 2 - 3
+    tree = FiberTree()
+    for _ in range(4):
+        tree.add_node(2, 1, 0)
+    tree.connect(0, 1)
+    tree.connect(0, 2)
+    with pytest.raises(ValueError, match="not a chain hanging off the anchor"):
+        tree.chain_order()
+    assert tree.path(0, {2}) == [2]
+    tree.disconnect(0, 2)
+    tree.connect(1, 2)
+    tree.connect(1, 3)
+    with pytest.raises(ValueError, match="not a path"):
+        tree.path(0, {1, 2, 3})
+    tree.disconnect(1, 3)
+    tree.connect(2, 3)
+    assert tree.path(0, {1, 2, 3}) == [1, 2, 3]
+    with pytest.raises(ValueError, match="not connected"):
+        tree.path(0, {1, 3})
+    assert tree.path(0, set()) == []
 
 
 def test_fiber_size_counts_the_curves_built():

@@ -18,11 +18,9 @@ from dgk.ruling import (
     _assemble_solution,
     _equation_solutions,
     _int_quadratic_roots,
-    _ordered_from,
     _tail_pairs,
     check_ruling_equations,
     contract_boundary,
-    first_pair_parts,
     minimalize_chain,
     minimalized_section_side_32,
     second_fiber_square_branch,
@@ -70,9 +68,9 @@ def branch_of(c_pr, p_pr, alpha, k):
     (c', p'), and k boundary curves: its groups 2 to alpha + 2, tip first."""
     upairs = ((2 * c_pr, c_pr),) + ((c_pr, c_pr),) * alpha + ((c_pr, p_pr),)
     tree = reconstruct_fiber(RulingFiber(upairs, 1 + k, k, 1).full_pairs())
-    z1 = first_pair_parts(tree)[1]
+    z1 = tree.first_pair_parts()[1]
     branch = {v for v in range(len(tree)) if 2 <= tree.groups[v] <= alpha + 2}
-    return tuple(tree.weights[v] for v in reversed(_ordered_from(tree, branch, z1)))
+    return tuple(tree.weights[v] for v in reversed(tree.path(z1, branch)))
 
 
 def test_tail_pairs_read_back_the_pair_of_every_fiber():
@@ -455,7 +453,7 @@ def second_fiber_chains(tup):
     """(section-side chain, lower chain) of the first pair of the second
     fiber of a (5)/(6) tuple, rebuilt as the solver rebuilds that fiber."""
     tree_t = reconstruct_fiber(tup.fibers()[1].full_pairs())
-    zut, _, zlt = first_pair_parts(tree_t)
+    zut, _, zlt = tree_t.first_pair_parts()
     upper = tuple(tree_t.weights[v] for v in zut) + (tree_t.weights[0],)
     return upper, tuple(tree_t.weights[v] for v in zlt)
 
@@ -466,7 +464,7 @@ def test_first_pair_parts_walk_matches_the_component_search():
     count = 0
     for seq in all_sequences(40, 4):
         tree = reconstruct_fiber(seq)
-        assert first_pair_parts(tree) == first_pair_parts_by_components(tree), seq
+        assert tree.first_pair_parts() == first_pair_parts_by_components(tree), seq
         count += 1
     assert count == 7360
 

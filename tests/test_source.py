@@ -110,6 +110,23 @@ def test_chains_come_from_one_integer_inversion():
     assert not {"stack", "pop", "push", "append"} & names(enumeration)
 
 
+def test_only_the_fiber_module_reads_adjacency():
+    # pairs.FiberTree fixes a rebuilt fiber's conventions (U is vertex 0 and
+    # a tip, the other curves in creation order), so it alone walks the tree:
+    # every other module reads a fiber through its methods
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "pairs.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "adj"
+        ]
+    assert found == []
+
+
 # Functions that only the tests call, each waiting for a reason to stay: the
 # paper checks that are to become entries of `dgk verify`, and the chain
 # functions the benchmark's queries workload calls (its other one,
