@@ -47,11 +47,12 @@ rebuilt and the chain through the section is minimalized.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import chains
-from .barks import ExceptionalShape, fork_invariants
+from .barks import ExceptionalShape, ForkInvariants, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, reconstruct_fiber
 from .predicates import passes
@@ -182,6 +183,10 @@ def contract_boundary(b: int, entries: list[tuple[int, bool]]) -> tuple[int, Wei
 
 # ---------------------------------------------------------------------------
 # the two-fiber solver
+
+# The (T1, alpha, k) reads :func:`_tail_pairs` keeps: a fiber-pairs sweep at
+# twig_d_max 16 asks for under a thousand.
+TAIL_CACHE_SIZE = 4096
 
 
 class _FiberTupleFields(NamedTuple):
@@ -339,19 +344,34 @@ class TwoFiberSolution(_SolutionFields):
         }
 
 
-def _tail_pairs(t1: Weights, alpha: int, k: int):
+@lru_cache(maxsize=TAIL_CACHE_SIZE)
+def _tail_pairs(t1: Weights, alpha: int, k: int) -> tuple[tuple[int, int], ...]:
     """The (c', p'), c' >= p' ascending, of a first fiber with branch T1,
     alpha pairs (c', c') and k boundary curves.  T1 = A + [2 + k] + B + R:
     A, [1], B is the chain of the (c', p') group, so d(A + [1] + B) = 1,
     c' = d(A) and p' = d(B), and R = [1 + ceil(c'/p'), 2, ..., 2] has alpha
-    curves.  Needs len(T1) > alpha; the rebuilt fiber checks each pair."""
+    curves.  Needs len(T1) > alpha; the rebuilt fiber checks each pair.
+
+    One pass of prefix and suffix continuants reads every split:
+    d(A + [1] + B) = d(A) (d(B) - d(B[1:])) - d(A[:-1]) d(B), where the
+    chain before an empty A, like the one after an empty B, has d = 0.
+    The read depends on (T1, alpha, k) alone, so a solver sweep over T2
+    takes it from the cache."""
     body, r = t1[:len(t1) - alpha], t1[len(t1) - alpha:]
+    pre = [0, 1]  # pre[i + 1] = d(body[:i]), pre[0] = 0
+    for w in body:
+        pre.append(w * pre[-1] - pre[-2])
+    suf = [0, 1]  # reversed below: suf[j] = d(body[j:]), suf[len(body) + 1] = 0
+    for w in reversed(body):
+        suf.append(w * suf[-1] - suf[-2])
+    suf.reverse()
+    pairs = []
     for i, w in enumerate(body):
-        a, b = body[:i], body[i + 1:]
-        if w == 2 + k and chains.d(a + (1,) + b) == 1:
-            c_pr, p_pr = chains.d(a), chains.d(b)
+        c_pr, p_pr = pre[i + 1], suf[i + 1]
+        if w == 2 + k and c_pr * (p_pr - suf[i + 2]) - pre[i] * p_pr == 1:
             if p_pr <= c_pr and r == ((1 - -c_pr // p_pr,) + (2,) * alpha)[:alpha]:
-                yield c_pr, p_pr
+                pairs.append((c_pr, p_pr))
+    return tuple(pairs)
 
 
 def _int_quadratic_roots(a: int, b: int, c: int) -> list[int]:
@@ -395,7 +415,8 @@ def solve_two_fiber(
 ) -> list[TwoFiberSolution]:
     """All two-fiber solutions with prescribed twigs T1 (second branch of the
     first fiber) and T2 (lower first-pair chain), checked against the
-    predicate suite on the reconstructed boundary.
+    predicate suite on the reconstructed boundary: the
+    :func:`two_fiber_candidates` that pass ``predicate_names``, sorted.
 
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
     kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
@@ -406,21 +427,43 @@ def solve_two_fiber(
     for i, ws in enumerate((t1, t2), 1):
         if not ws or not is_admissible_chain(ws):
             raise ValueError(f"T{i} {format_chain(ws)} is not a nonempty admissible chain")
+    check_two_fiber_shape(eshape)
+    solutions = [
+        sol for record, twigs, es, sol in two_fiber_candidates(t1, t2, eshape)
+        if passes(record, twigs, es, predicate_names, group_order_mode=group_order_mode)
+    ]
+    solutions.sort(key=lambda s: s.sort_key())
+    return solutions
+
+
+def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
+    """Refuse a shape the solver does not handle: E must be one curve, with
+    at most one external (-2)-curve."""
     if eshape.is_fork or len(eshape.e_weights) != 1:
         raise ValueError("the ruling analysis needs an irreducible E")
     if eshape.size - len(eshape.e_weights) not in (0, 1):
         raise ValueError("at most one external (-2)-curve is supported here")
-    solutions: list[TwoFiberSolution] = []
+
+
+def two_fiber_candidates(
+    t1: Weights, t2: Weights, eshape: ExceptionalShape
+) -> list[tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape,
+                TwoFiberSolution]]:
+    """The predicate-free half of :func:`solve_two_fiber`: each solution of
+    (5)/(6) whose fibers rebuild T1 and T2 and whose boundary has b in
+    {1, 2}, in sweep order, as (record, twigs, eshape, solution) with
+    ``record`` the boundary's :func:`dgk.barks.fork_invariants`.  T1 and T2
+    must be nonempty admissible chains and ``eshape`` must pass
+    :func:`check_two_fiber_shape`; the callers check them, once per input
+    rather than once per twig pair."""
+    hits = []
     for tup in _equation_solutions(t1, t2, eshape):
         sol = _assemble_solution(tup, t1, t2, eshape)
         if sol is None or sol.b not in (1, 2):
             continue
         twigs = (sol.t1, sol.t2, sol.t3)
-        record = fork_invariants(Fork(sol.b, twigs))
-        if passes(record, twigs, eshape, predicate_names, group_order_mode=group_order_mode):
-            solutions.append(sol)
-    solutions.sort(key=lambda s: s.sort_key())
-    return solutions
+        hits.append((fork_invariants(Fork(sol.b, twigs)), twigs, eshape, sol))
+    return hits
 
 
 def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):

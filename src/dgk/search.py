@@ -18,6 +18,14 @@ hash lookup instead of a product sweep.  The sweep is joined on the first
 of the two: a triple is generated only if 4 + b + sum kd is a first key of
 the :class:`dgk.barks.SpecIndex` for some b, and the index computes the
 rest of the keys of a first key only when a probe asks for it.
+
+Each search is a join and a decision pass.  The join reads only the box
+(:func:`_box`: the edges, ``b``, ``delta_gmin``, the catalog size or the
+named shapes, ``t1``) and gives the hits, each with the record its verdict
+reads; :func:`_join` keeps the hits of the last :data:`JOIN_CACHE_SIZE`
+boxes of the process.  :func:`_decide` applies the flags (the predicate
+list, the group-order convention and the epsilon = 2 exclusion) to the hits
+on every call, so a flag variant of a joined box runs no scan.
 """
 
 from __future__ import annotations
@@ -33,14 +41,15 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index, fork_sums_along,
-    shape_of, specs_by_name,
+    MAX_CATALOG_SIZE, ExceptionalShape, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
+    fork_sums_along, shape_of, specs_by_name,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
 from .predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
-from .ruling import TwoFiberSolution, solve_two_fiber
+from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
+from .ruling import solve_two_fiber  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 # The scan's index probe and gates enforce these whatever a bounds file
 # lists (zar_b only through b < e~), so a list without them would promise
@@ -52,6 +61,11 @@ _SCAN_KEYS = frozenset(
     {"description", "b", "predicates", "group_order_mode", "delta_gmin", "exclude_eps2_chains"}
 )
 OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
+
+# A hit of a join: the fork record, the twigs and the shape a verdict reads,
+# and the result kept if it passes (a BoundaryCandidate, or for fiber-pairs
+# a TwoFiberSolution).
+Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, object]
 
 
 class Search(NamedTuple):
@@ -118,6 +132,16 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
 
+class Rule(NamedTuple):
+    """One ``d_rules`` entry: T1 of discriminant x, T2 of y_min..y_max and
+    T3 of up to z_max."""
+
+    x: int
+    y_min: int
+    y_max: int
+    z_max: int
+
+
 class Bounds(NamedTuple):
     """A checked bounds file: each value the file sets, with lists as tuples,
     ``t1`` parsed and ``eshapes`` resolved into catalog specs; the default
@@ -132,7 +156,7 @@ class Bounds(NamedTuple):
     x_max: int = 0
     y_max: int = 0
     z_max: int = 0
-    d_rules: tuple[dict, ...] = ()
+    d_rules: tuple[Rule, ...] = ()
     t1: Weights = ()
     d2_max: int = 0
     d3_max: int = 0
@@ -142,7 +166,7 @@ class Bounds(NamedTuple):
     eshapes: tuple[ShapeSpec, ...] = ()
 
 
-_RULE_KEYS = ("x", "y_min", "y_max", "z_max")
+_RULE_KEYS = Rule._fields
 # For each bounds key, in the order the checks run: a test of its JSON
 # value and what the value must be if the test fails.
 _CHECKS = {
@@ -199,6 +223,8 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
             " the predicate list must name them"
         )
     values = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
+    if "d_rules" in cfg:
+        values["d_rules"] = tuple(Rule(*map(rule.get, _RULE_KEYS)) for rule in cfg["d_rules"])
     if "t1" in cfg:
         values["t1"] = _record_of(parse_chain(cfg["t1"])).ws
     if "eshapes" in cfg:
@@ -206,12 +232,13 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     return Bounds(**values)
 
 
-def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCandidate]:
-    """The (twig triple, b, shape) combinations passing ``bounds``, canonically
-    sorted.
+def _scan_triples(groups, box: Bounds, index: SpecIndex) -> tuple[Hit, ...]:
+    """The hits of the (twig triple, b, shape) combinations in ``box``, in
+    sweep order: the join of a scan search, which reads no flag.
 
     ``groups`` holds one (T1, T2, thirds) per twig pair, as :func:`_groups`
-    yields them (knonpos's case 2 is one explicit group).  For each pair the key base 4 + kd1 + kd2 is formed once, and
+    yields them (knonpos's case 2 is one explicit group).  For each pair the
+    key base 4 + kd1 + kd2 is formed once, and
     :func:`dgk.barks.fork_sums_along` steps the integer twig sums
     (D, S, E, Et) along its third twigs, so that delta = S/D, e = E/D and
     e~ = Et/D.  Each (triple, b) passing the gates looks up the bucket of its
@@ -221,12 +248,11 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The thirds come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
     hit's spec becomes its shape through :func:`dgk.barks.shape_of`, and
-    :func:`dgk.predicates.passes` decides the hit on the integer record
-    (b, D, S, E, Et) formed here; only a hit that passes becomes a
-    candidate.
+    the hit keeps the integer record (b, D, S, E, Et) formed here for the
+    verdict of :func:`_decide`.
     """
-    found: list[BoundaryCandidate] = []
-    names, b_values, delta_gmin = bounds.predicates, bounds.b, bounds.delta_gmin
+    hits: list[Hit] = []
+    b_values, delta_gmin = box.b, box.delta_gmin
     for r1, r2, thirds in groups:
         base = 4 + r1.kd + r2.kd
         for r3, dd, s, e, et in fork_sums_along(r1, r2, thirds):
@@ -249,13 +275,24 @@ def _scan_triples(groups, bounds: Bounds, index: SpecIndex) -> list[BoundaryCand
                 g = gcd(num, den)
                 for spec in bucket.get((num // g, den // g), ()):
                     shape = shape_of(spec)
-                    if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
-                        continue
                     twigs = (r1.ws, r2.ws, r3.ws)
-                    if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
-                              group_order_mode=bounds.group_order_mode):
-                        found.append(BoundaryCandidate(b, twigs, shape))
-    found.sort(key=BoundaryCandidate.sort_key)
+                    hits.append((ForkInvariants(b, dd, s, e, et), twigs, shape,
+                                 BoundaryCandidate(b, twigs, shape)))
+    return tuple(hits)
+
+
+def _decide(hits: tuple[Hit, ...], spec: Bounds) -> list:
+    """The decision pass of a search: the result of each hit that passes
+    ``spec``'s flags, canonically sorted.  The epsilon = 2 exclusion drops
+    a chain shape of epsilon 2, then :func:`dgk.predicates.passes` decides
+    on the record the join formed."""
+    names, mode, eps2 = spec.predicates, spec.group_order_mode, spec.exclude_eps2_chains
+    found = [
+        result for record, twigs, shape, result in hits
+        if not (eps2 and shape.epsilon == 2 and not shape.is_fork)
+        and passes(record, twigs, shape, names, group_order_mode=mode)
+    ]
+    found.sort(key=lambda result: result.sort_key())
     return found
 
 
@@ -264,9 +301,10 @@ def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:
     return frozenset(k - b for k in index.first_keys for b in b_values)
 
 
-def _rule_pairs(rules: list[dict]) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
-    """The twig pairs (T1, T2, zs) of per-smallest-discriminant rules, T1-major,
-    with zs the discriminants of their third twigs.
+def _rule_pairs(rules: list[Rule] | tuple[Rule, ...]) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
+    """The twig pairs (T1, T2, zs) of per-smallest-discriminant rules
+    (:class:`Rule`), T1-major, with zs the discriminants of their third
+    twigs.
 
     A triple with discriminants (x, y, z) comes from a rule only through
     (x, y, z), so a discriminant triple an earlier rule covered is skipped
@@ -275,11 +313,10 @@ def _rule_pairs(rules: list[dict]) -> list[tuple[ChainRecord, ChainRecord, list[
     """
     covered: set[tuple[int, int, int]] = set()
     pairs = []
-    for rule in rules:
-        x = rule["x"]
+    for x, y_min, y_max, z_max in rules:
         yz = []
-        for y in range(max(x, rule["y_min"]), rule["y_max"] + 1):
-            zs = [z for z in range(y, rule["z_max"] + 1) if (x, y, z) not in covered]
+        for y in range(max(x, y_min), y_max + 1):
+            zs = [z for z in range(y, z_max + 1) if (x, y, z) not in covered]
             covered.update((x, y, z) for z in zs)
             if zs:
                 yz.append((y, zs))
@@ -339,21 +376,25 @@ def _check_catalog_reach(keys, b_values, reach: int, max_size: int) -> None:
         )
 
 
-def _xy_rules(spec: Bounds) -> list[dict]:
-    return [
-        {"x": x, "y_min": x, "y_max": spec.y_max, "z_max": spec.z_max}
-        for x in range(2, spec.x_max + 1)
-    ]
+def _xy_rules(box: Bounds) -> list[Rule]:
+    return [Rule(x, x, box.y_max, box.z_max) for x in range(2, box.x_max + 1)]
 
 
 def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box,
     each with its predicate report."""
     spec = parse_bounds("xy", bounds)
-    index = SpecIndex.of_specs(spec.eshapes)
-    groups = _groups(_rule_pairs(_xy_rules(spec)), _join_keys(index, spec.b))
-    found = _scan_triples(groups, spec, index)
-    return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
+    (hits,) = _join("xy", _box(spec))
+    return [
+        (c, evaluate_predicates(c, group_order_mode=spec.group_order_mode))
+        for c in _decide(hits, spec)
+    ]
+
+
+def _xy_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+    index = SpecIndex.of_specs(box.eshapes)
+    return (_scan_triples(_groups(_rule_pairs(_xy_rules(box)), _join_keys(index, box.b)),
+                          box, index),)
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
@@ -378,11 +419,18 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
     spec = parse_bounds("final-bounds", bounds)
     index = catalog_index(spec.catalog_max_size)
-    pairs = _rule_pairs(spec.d_rules)
-    _check_catalog_reach(_pair_keys(pairs), spec.b, index.reach, spec.catalog_max_size)
-    found = _scan_triples(_groups(pairs, _join_keys(index, spec.b)), spec, index)
+    _check_catalog_reach(_pair_keys(_rule_pairs(spec.d_rules)), spec.b, index.reach,
+                         spec.catalog_max_size)
+    (hits,) = _join("final-bounds", _box(spec))
+    found = _decide(hits, spec)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
+
+
+def _final_bounds_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+    index = catalog_index(box.catalog_max_size)
+    return (_scan_triples(_groups(_rule_pairs(box.d_rules), _join_keys(index, box.b)),
+                          box, index),)
 
 
 def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
@@ -420,31 +468,74 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
     keys = [*_pair_keys(pairs1),
             *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
     _check_catalog_reach(keys, spec.b, index.reach, spec.catalog_max_size)
-    groups1 = (
-        (r1, r2, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)] if r2.ws == spec.t1 else thirds)
-        for r1, r2, thirds in _groups(pairs1, _join_keys(index, spec.b))
-    )
+    case1, case2 = _join("knonpos", _box(spec))
     return {
-        "case1": [cand.to_dict() for cand in _scan_triples(groups1, spec, index)],
-        "case2": [cand.to_dict() for cand in _scan_triples(groups2, spec, index)],
+        "case1": [cand.to_dict() for cand in _decide(case1, spec)],
+        "case2": [cand.to_dict() for cand in _decide(case2, spec)],
     }
+
+
+def _knonpos_join(box: Bounds) -> tuple[tuple[Hit, ...], tuple[Hit, ...]]:
+    index = catalog_index(box.catalog_max_size)
+    groups1 = (
+        (r1, r2, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)] if r2.ws == box.t1 else thirds)
+        for r1, r2, thirds in _groups(_case1_pairs(box), _join_keys(index, box.b))
+    )
+    return (_scan_triples(groups1, box, index),
+            _scan_triples(_case2_triples(box), box, index))
 
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
     spec = parse_bounds("fiber-pairs", bounds)
-    # the sort key holds T1 and T2, so the order of the sweep does not reach the output
-    sweep = [r.ws for dd in range(2, spec.twig_d_max + 1) for r in _records_with_d(dd)]
-    solutions: list[TwoFiberSolution] = []
     for es in map(shape_of, spec.eshapes):
-        for t1 in sweep:
-            for t2 in sweep:
-                solutions.extend(solve_two_fiber(
-                    t1, t2, es, predicate_names=spec.predicates,
-                    group_order_mode=spec.group_order_mode,
-                ))
-    solutions.sort(key=lambda s: s.sort_key())
-    return solutions
+        check_two_fiber_shape(es)
+    (hits,) = _join("fiber-pairs", _box(spec))
+    return _decide(hits, spec)
+
+
+def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+    """The :func:`dgk.ruling.two_fiber_candidates` of every (T1, T2) of
+    d <= twig_d_max on each shape.  The sort key holds T1 and T2, so the
+    order of the sweep does not reach the output."""
+    sweep = [r.ws for dd in range(2, box.twig_d_max + 1) for r in _records_with_d(dd)]
+    return (tuple(
+        hit for es in map(shape_of, box.eshapes) for t1 in sweep for t2 in sweep
+        for hit in two_fiber_candidates(t1, t2, es)
+    ),)
+
+
+# ---------------------------------------------------------------------------
+# the join cache
+
+# The boxes :func:`_join` keeps.  A run of flag variants over a few boxes
+# hits the cache; memory stays bounded whatever boxes a process runs.
+JOIN_CACHE_SIZE = 32
+_JOINS = {
+    "final-bounds": _final_bounds_join,
+    "xy": _xy_join,
+    "knonpos": _knonpos_join,
+    "fiber-pairs": _fiber_pairs_join,
+}
+
+
+def _box(spec: Bounds) -> Bounds:
+    """``spec`` without its flags, the key of :func:`_join`: the
+    description, the predicate list, the group-order convention and the
+    epsilon = 2 exclusion act only in :func:`_decide`."""
+    return spec._replace(description=None, predicates=(), group_order_mode="",
+                         exclude_eps2_chains=False)
+
+
+@lru_cache(maxsize=JOIN_CACHE_SIZE)
+def _join(name: str, box: Bounds) -> tuple[tuple[Hit, ...], ...]:
+    """The hits of the search ``name`` on ``box``, one tuple per output list
+    (knonpos has two, case 1 and case 2).  The join reads only the box, so
+    each box is joined once per process and every flag variant on it takes
+    one :func:`_decide` pass.  A search checks its bounds, the catalog reach
+    and the solver's shapes before it asks, so a refused box never gets
+    here."""
+    return _JOINS[name](box)
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,19 @@ def coprime_pairs_with_length(length):
     return out
 
 
+def tail_pairs_by_splits(t1, alpha, k):
+    """The read of (c', p') off T1 with ``chains.d`` of each split's
+    A + [1] + B, A and B taken afresh: the oracle of the continuant read
+    ``dgk.ruling._tail_pairs``."""
+    body, r = t1[:len(t1) - alpha], t1[len(t1) - alpha:]
+    for i, w in enumerate(body):
+        a, b = body[:i], body[i + 1:]
+        if w == 2 + k and chains.d(a + (1,) + b) == 1:
+            c_pr, p_pr = chains.d(a), chains.d(b)
+            if p_pr <= c_pr and r == ((1 - -c_pr // p_pr,) + (2,) * alpha)[:alpha]:
+                yield c_pr, p_pr
+
+
 def integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
     """Integer roots of a x^2 + b x + c = 0 (a may be zero)."""
     if a == 0:

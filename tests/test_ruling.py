@@ -38,6 +38,7 @@ from reference import (
     reference_equation_solutions,
     reference_solve_two_fiber,
     shape,
+    tail_pairs_by_splits,
     two_fiber_relations,
 )
 
@@ -103,6 +104,20 @@ def test_every_pair_read_off_a_twig_rebuilds_it():
                     assert branch_of(c_pr, p_pr, alpha, k) == t1, (t1, alpha, k, c_pr, p_pr)
                     pairs += 1
     assert pairs == 173
+
+
+def test_the_continuant_read_matches_the_read_split_by_split():
+    # the prefix and suffix continuants give each split's d(A + [1] + B),
+    # d(A) and d(B) as chains.d of the split does, ends included (A or B
+    # empty); every oriented twig of d <= 60, alpha <= 3 and k <= 1
+    reads = 0
+    for t1 in [ws for dd in range(2, 61) for ws in chains.oriented_chains_with_d(dd)]:
+        for alpha in range(min(4, len(t1))):
+            for k in (0, 1):
+                want = tuple(tail_pairs_by_splits(t1, alpha, k))
+                assert _tail_pairs(t1, alpha, k) == want, (t1, alpha, k)
+                reads += bool(want)
+    assert reads == 173
 
 
 def assert_within_reference(t1, t2, es):

@@ -25,11 +25,13 @@ from dgk.search import (
     INDEX_PREDICATES,
     SEARCHES,
     Bounds,
+    Rule,
     load_bounds,
     parse_bounds,
     run_search,
     _case1_pairs,
     _case2_triples,
+    _decide,
     _groups,
     _pair_keys,
     _rule_pairs,
@@ -170,15 +172,22 @@ def fiber_pairs_ladder():
     return {d: search_fiber_pairs(dict(cfg, twig_d_max=d)) for d in (6, 8, 10, 16)}
 
 
+def nested(steps):
+    """Whether each step's set holds the one before it."""
+    return all(small <= large for small, large in zip(steps, steps[1:]))
+
+
 def test_enlarging_a_box_loses_no_candidate(fiber_pairs_ladder):
     # a larger box edge must not lose a candidate, which a fixed golden box
-    # cannot show: the fiber-pairs ladder and xy at z_max 41 and 84 are nested
+    # cannot show: the fiber-pairs ladder, xy at z_max 41 and 84,
+    # final-bounds at rule-2 z_max 20, 30 and 41 and knonpos at
+    # (d3_max, case2_k_max) (20, 5), (30, 7) and (42, 9) are nested
     steps = [
         {json.dumps(s.to_dict(), sort_keys=True) for s in sols}
         for sols in fiber_pairs_ladder.values()
     ]
     assert [len(step) for step in steps] == [3, 3, 3, 4]
-    assert all(small <= large for small, large in zip(steps, steps[1:]))
+    assert nested(steps)
     cfg = load_bounds("xy")
     xy = [
         {json.dumps(c.to_dict(), sort_keys=True) for c, _ in search_xy(dict(cfg, z_max=z))}
@@ -186,6 +195,24 @@ def test_enlarging_a_box_loses_no_candidate(fiber_pairs_ladder):
     ]
     assert [len(found) for found in xy] == [3, 8]
     assert xy[0] <= xy[1]
+    cfg = load_bounds("final_bounds")
+    first, second = cfg["d_rules"]
+    final = [
+        {json.dumps(c, sort_keys=True) for c in search_final_bounds(
+            dict(cfg, d_rules=[first, dict(second, z_max=z)]))["candidates"]}
+        for z in (20, 30, 41)
+    ]
+    assert [len(found) for found in final] == [1, 4, 4]
+    assert nested(final)
+    cfg = load_bounds("k_nonpositive")
+    knonpos = [
+        search_k_nonpositive(dict(cfg, d3_max=d3, case2_k_max=k))
+        for d3, k in ((20, 5), (30, 7), (42, 9))
+    ]
+    for case, count in (("case1", 2), ("case2", 0)):
+        found = [{json.dumps(c, sort_keys=True) for c in out[case]} for out in knonpos]
+        assert [len(step) for step in found] == [count] * 3, case
+        assert nested(found), case
 
 
 def test_every_two_fiber_solution_is_a_scan_candidate(fiber_pairs_ladder):
@@ -589,7 +616,9 @@ def test_overlapping_rules_give_each_triple_once():
         {"x": 3, "y_min": 3, "y_max": 3, "z_max": 10},
         {"x": 2, "y_min": 1, "y_max": 3, "z_max": 8},
     ]
-    got = [tuple(r.ws for r in t) for t in flatten(_groups(_rule_pairs(rules)))]
+    got = [
+        tuple(r.ws for r in t) for t in flatten(_groups(_rule_pairs([Rule(**r) for r in rules])))
+    ]
     assert got == list(reference_triples(rules, 15))
     assert len(set(got)) == len(got) > 800
 
@@ -623,6 +652,8 @@ def frozen(key, value):
         return parse_chain(value)
     if key == "eshapes":
         return tuple(shape(k, eps).spec for k, eps in value)
+    if key == "d_rules":
+        return tuple(Rule(**rule) for rule in value)
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -787,7 +818,7 @@ def reduced_boxes():
     for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
         cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin)
         spec = parse_bounds("final-bounds", cfg)
-        yield spec, catalog_index(20), lambda keys: _groups(_rule_pairs(rules), keys)
+        yield spec, catalog_index(20), lambda keys: _groups(_rule_pairs(spec.d_rules), keys)
     cfg = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3)
     spec = parse_bounds("knonpos", cfg)
     yield spec, catalog_index(21), lambda keys, spec=spec: _groups(_case1_pairs(spec), keys)
@@ -813,7 +844,7 @@ def test_pair_major_scan_matches_the_triple_scan():
     hits = 0
     for spec, index, sweep in reduced_boxes():
         for keys in (None, dgk_search._join_keys(index, spec.b)):
-            got = _scan_triples(sweep(keys), spec, index)
+            got = _decide(_scan_triples(sweep(keys), spec, index), spec)
             assert got == reference_scan_triples(flatten(sweep(keys)), spec, index)
             hits += len(got)
     assert hits > 0
@@ -852,7 +883,9 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
 
 
 def test_final_bounds_builds_only_the_buckets_it_probes():
+    # a joined box probes nothing, so the join is cleared with the index
     catalog_index.cache_clear()
+    dgk_search._join.cache_clear()
     run_search("final-bounds")
     index = catalog_index(60)
     assert 0 < sum(1 for bucket in index.values() if bucket) < len(index.first_keys)

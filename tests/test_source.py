@@ -250,11 +250,18 @@ def test_each_predicate_is_named_once_in_the_table():
 
 
 def test_the_scans_ask_for_a_verdict_without_a_report():
-    for module, name in (("search", "_scan_triples"), ("ruling", "solve_two_fiber")):
+    # the decision passes ask for the verdict; the joins, whose hits the
+    # cache keeps for every predicate list, ask for neither it nor a report
+    for module, name in (("search", "_decide"), ("ruling", "solve_two_fiber")):
         tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
         (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
         assert "evaluate_predicates" not in _named(fn), name
         assert "passes" in _named(fn), name
+    search, ruling = _definitions("search"), _definitions("ruling")
+    joins = [search[name] for name in ("_scan_triples", "_join", "_final_bounds_join",
+                                       "_xy_join", "_knonpos_join", "_fiber_pairs_join")]
+    for fn in joins + [ruling["two_fiber_candidates"]]:
+        assert not {"evaluate_predicates", "passes"} & _named(fn), fn.name
 
 
 def test_the_decisions_build_no_fraction():
@@ -285,11 +292,13 @@ def test_the_decisions_build_no_fraction():
 
 def test_the_scan_hands_its_record_to_the_verdict():
     # _scan_triples forms the record (b, D, S, E, Et) from its twig sums and
-    # passes it on; it does not recompute it from the fork
-    tree = ast.parse((PACKAGE_DIR / "search.py").read_text())
-    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_triples"]
-    assert "fork_invariants" not in _named(fn)
-    assert {"ForkInvariants", "passes"} <= _named(fn)
+    # keeps it in the hit; _decide passes it on.  Neither recomputes it from
+    # the fork
+    search = _definitions("search")
+    scan, decide = search["_scan_triples"], search["_decide"]
+    assert "fork_invariants" not in _named(scan) | _named(decide)
+    assert "ForkInvariants" in _named(scan)
+    assert "passes" in _named(decide)
 
 
 def test_the_scan_steps_the_twig_sums_through_barks():
