@@ -19,13 +19,15 @@ of the two: a triple is generated only if 4 + b + sum kd is a first key of
 the :class:`dgk.barks.SpecIndex` for some b, and the index computes the
 rest of the keys of a first key only when a probe asks for it.
 
-Each search is a join and a decision pass.  The join reads only the box
-(:func:`_box`: the edges, ``b``, ``delta_gmin``, the catalog size or the
-named shapes, ``t1``) and gives the hits, each with the record its verdict
-reads; :func:`_join` keeps the hits of the last :data:`JOIN_CACHE_SIZE`
-boxes of the process.  :func:`_decide` applies the flags (the predicate
-list, the group-order convention and the epsilon = 2 exclusion) to the hits
-on every call, so a flag variant of a joined box runs no scan.
+Each search is a join and a decision pass, run by :func:`_decided`.  The
+join reads only the box (:func:`_box`: the edges, ``b``, ``delta_gmin``,
+the catalog size or the named shapes, ``t1``): it builds the box's pairs or
+shapes once, checks them (the catalog reach, or the solver's shapes) and
+gives the hits, each with the record its verdict reads.  :func:`_join`
+keeps the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
+refused box raises and is not kept.  :func:`_decide` applies the flags (the
+predicate list, the group-order convention and the epsilon = 2 exclusion)
+to the hits on every call, so a flag variant of a joined box runs no scan.
 """
 
 from __future__ import annotations
@@ -70,11 +72,13 @@ Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, 
 
 class Search(NamedTuple):
     """One row of :data:`SEARCHES`.  :func:`run_search` looks ``function`` up
-    in the module globals on each call, so a wrapper set on the module
-    attribute is the one run; ``golden_form`` turns its result into what the
-    golden file holds."""
+    in the module globals on each call, and :func:`_join` looks ``join`` up
+    the same way, so a wrapper set on the module attribute is the one run;
+    ``golden_form`` turns the function's result into what the golden file
+    holds."""
 
     function: str
+    join: str
     bounds_file: str
     golden_file: str
     keys: frozenset[str]
@@ -83,22 +87,22 @@ class Search(NamedTuple):
 
 SEARCHES = {
     "final-bounds": Search(
-        "search_final_bounds", "final_bounds", "search_final_bounds.json",
+        "search_final_bounds", "_final_bounds_join", "final_bounds", "search_final_bounds.json",
         _SCAN_KEYS | {"d_rules", "catalog_max_size"},
         lambda out: out,
     ),
     "xy": Search(
-        "search_xy", "xy", "search_xy.json",
+        "search_xy", "_xy_join", "xy", "search_xy.json",
         _SCAN_KEYS | {"x_max", "y_max", "z_max", "eshapes"},
         lambda found: [cand.to_dict() for cand, _ in found],
     ),
     "knonpos": Search(
-        "search_k_nonpositive", "k_nonpositive", "search_k_nonpositive.json",
+        "search_k_nonpositive", "_knonpos_join", "k_nonpositive", "search_k_nonpositive.json",
         _SCAN_KEYS | {"t1", "d2_max", "d3_max", "case2_k_max", "catalog_max_size"},
         lambda out: out,
     ),
     "fiber-pairs": Search(
-        "search_fiber_pairs", "fiber_pairs", "search_fiber_pairs.json",
+        "search_fiber_pairs", "_fiber_pairs_join", "fiber_pairs", "search_fiber_pairs.json",
         frozenset({"description", "twig_d_max", "eshapes", "predicates", "group_order_mode"}),
         lambda solutions: [s.to_dict() for s in solutions],
     ),
@@ -357,22 +361,24 @@ def _pair_keys(pairs):
     return (1 + r1.kd + r2.kd + max(zs) for r1, r2, zs in pairs)
 
 
-def _check_catalog_reach(keys, b_values, reach: int, max_size: int) -> None:
-    """Reject a box whose probes could ask for shapes beyond the catalog.
+def _check_catalog_reach(keys, box: Bounds, index: SpecIndex) -> None:
+    """Reject a box whose probes could ask for shapes beyond its catalog
+    ``index``, of ``box.catalog_max_size`` components.
 
     A probe for (triple, b) matches shapes with #E - epsilon - K.E = key + b,
     so the largest #E any probe can ask for is the largest of the box's
-    ``keys``, plus the largest b, plus ``reach``, the largest epsilon + K.E
-    of the catalog.  Gates and the join are ignored: the bound is safe.
+    ``keys``, plus the largest b, plus ``index.reach``, the largest
+    epsilon + K.E of the catalog.  Gates and the join are ignored: the bound
+    is safe.
     """
     key_max = max(keys, default=None)
-    if key_max is None or not b_values:
+    if key_max is None or not box.b:
         return
-    key = max(b_values) + key_max
-    if key + reach > max_size:
+    size = max(box.b) + key_max + index.reach
+    if size > box.catalog_max_size:
         raise ValueError(
-            f"the box asks for exceptional shapes of up to {key + reach}"
-            f" components but catalog_max_size is {max_size}"
+            f"the box asks for exceptional shapes of up to {size}"
+            f" components but catalog_max_size is {box.catalog_max_size}"
         )
 
 
@@ -383,12 +389,8 @@ def _xy_rules(box: Bounds) -> list[Rule]:
 def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box,
     each with its predicate report."""
-    spec = parse_bounds("xy", bounds)
-    (hits,) = _join("xy", _box(spec))
-    return [
-        (c, evaluate_predicates(c, group_order_mode=spec.group_order_mode))
-        for c in _decide(hits, spec)
-    ]
+    spec, (found,) = _decided("xy", bounds)
+    return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
 
 
 def _xy_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
@@ -417,20 +419,16 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
 
 def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
-    spec = parse_bounds("final-bounds", bounds)
-    index = catalog_index(spec.catalog_max_size)
-    _check_catalog_reach(_pair_keys(_rule_pairs(spec.d_rules)), spec.b, index.reach,
-                         spec.catalog_max_size)
-    (hits,) = _join("final-bounds", _box(spec))
-    found = _decide(hits, spec)
+    _, (found,) = _decided("final-bounds", bounds)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
 
 
 def _final_bounds_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
     index = catalog_index(box.catalog_max_size)
-    return (_scan_triples(_groups(_rule_pairs(box.d_rules), _join_keys(index, box.b)),
-                          box, index),)
+    pairs = _rule_pairs(box.d_rules)
+    _check_catalog_reach(_pair_keys(pairs), box, index)
+    return (_scan_triples(_groups(pairs, _join_keys(index, box.b)), box, index),)
 
 
 def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
@@ -461,46 +459,40 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[Ch
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch.  Case 1
     leaves out T2 = T1 with T3 ending in (3, 2), the triples of case 2."""
-    spec = parse_bounds("knonpos", bounds)
-    index = catalog_index(spec.catalog_max_size)
-    pairs1 = _case1_pairs(spec)
-    groups2 = _case2_triples(spec)
-    keys = [*_pair_keys(pairs1),
-            *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
-    _check_catalog_reach(keys, spec.b, index.reach, spec.catalog_max_size)
-    case1, case2 = _join("knonpos", _box(spec))
-    return {
-        "case1": [cand.to_dict() for cand in _decide(case1, spec)],
-        "case2": [cand.to_dict() for cand in _decide(case2, spec)],
-    }
+    _, (case1, case2) = _decided("knonpos", bounds)
+    return {"case1": [c.to_dict() for c in case1], "case2": [c.to_dict() for c in case2]}
 
 
 def _knonpos_join(box: Bounds) -> tuple[tuple[Hit, ...], tuple[Hit, ...]]:
     index = catalog_index(box.catalog_max_size)
+    pairs1, groups2 = _case1_pairs(box), _case2_triples(box)
+    keys = [*_pair_keys(pairs1),
+            *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
+    _check_catalog_reach(keys, box, index)
     groups1 = (
         (r1, r2, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)] if r2.ws == box.t1 else thirds)
-        for r1, r2, thirds in _groups(_case1_pairs(box), _join_keys(index, box.b))
+        for r1, r2, thirds in _groups(pairs1, _join_keys(index, box.b))
     )
-    return (_scan_triples(groups1, box, index),
-            _scan_triples(_case2_triples(box), box, index))
+    return _scan_triples(groups1, box, index), _scan_triples(groups2, box, index)
 
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
-    spec = parse_bounds("fiber-pairs", bounds)
-    for es in map(shape_of, spec.eshapes):
-        check_two_fiber_shape(es)
-    (hits,) = _join("fiber-pairs", _box(spec))
-    return _decide(hits, spec)
+    _, (found,) = _decided("fiber-pairs", bounds)
+    return found
 
 
 def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
     """The :func:`dgk.ruling.two_fiber_candidates` of every (T1, T2) of
-    d <= twig_d_max on each shape.  The sort key holds T1 and T2, so the
-    order of the sweep does not reach the output."""
+    d <= twig_d_max on each shape, once every shape passes
+    :func:`dgk.ruling.check_two_fiber_shape`.  The sort key holds T1 and T2,
+    so the order of the sweep does not reach the output."""
+    shapes = list(map(shape_of, box.eshapes))
+    for es in shapes:
+        check_two_fiber_shape(es)
     sweep = [r.ws for dd in range(2, box.twig_d_max + 1) for r in _records_with_d(dd)]
     return (tuple(
-        hit for es in map(shape_of, box.eshapes) for t1 in sweep for t2 in sweep
+        hit for es in shapes for t1 in sweep for t2 in sweep
         for hit in two_fiber_candidates(t1, t2, es)
     ),)
 
@@ -511,12 +503,6 @@ def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
 # The boxes :func:`_join` keeps.  A run of flag variants over a few boxes
 # hits the cache; memory stays bounded whatever boxes a process runs.
 JOIN_CACHE_SIZE = 32
-_JOINS = {
-    "final-bounds": _final_bounds_join,
-    "xy": _xy_join,
-    "knonpos": _knonpos_join,
-    "fiber-pairs": _fiber_pairs_join,
-}
 
 
 def _box(spec: Bounds) -> Bounds:
@@ -530,12 +516,20 @@ def _box(spec: Bounds) -> Bounds:
 @lru_cache(maxsize=JOIN_CACHE_SIZE)
 def _join(name: str, box: Bounds) -> tuple[tuple[Hit, ...], ...]:
     """The hits of the search ``name`` on ``box``, one tuple per output list
-    (knonpos has two, case 1 and case 2).  The join reads only the box, so
-    each box is joined once per process and every flag variant on it takes
-    one :func:`_decide` pass.  A search checks its bounds, the catalog reach
-    and the solver's shapes before it asks, so a refused box never gets
-    here."""
-    return _JOINS[name](box)
+    (knonpos has two, case 1 and case 2), from the join its :class:`Search`
+    row names.  The join reads only the box, so each box is joined once per
+    process and every flag variant on it takes one :func:`_decide` pass.
+    The join checks the catalog reach or the solver's shapes on the pairs or
+    shapes it builds; a refused box raises, so it is never kept and raises
+    again on the next call."""
+    return globals()[SEARCHES[name].join](box)
+
+
+def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[list]]:
+    """The checked bounds of the search ``name`` and, for each of its output
+    lists, the results of its box's hits that pass the bounds' flags."""
+    spec = parse_bounds(name, bounds)
+    return spec, [_decide(hits, spec) for hits in _join(name, _box(spec))]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ its flags cannot see an output that is missing.
 
 import json
 import random
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -79,8 +80,10 @@ def level_boxes():
             yield f"{name}-{level}", name, cfg
 
 
-BOXES = [(f"{name}-{file_name}", name, load_bounds(file_name)) for name, file_name in CHECKED_IN]
-BOXES += list(level_boxes())
+FILE_BOXES = [
+    (f"{name}-{file_name}", name, load_bounds(file_name)) for name, file_name in CHECKED_IN
+]
+BOXES = FILE_BOXES + list(level_boxes())
 
 
 def variants(cfg, name, seed, count=4):
@@ -238,3 +241,65 @@ def test_both_final_bounds_files_return_their_goldens_in_either_order():
         for _ in range(2):
             for name in order:
                 assert search_final_bounds(load_bounds(name)) == want[name], (order, name)
+
+
+# ---------------------------------------------------------------------------
+# the box checks: each join builds its box once and checks what it built
+
+
+REFUSED = [
+    ("final-bounds", dict(load_bounds("final_bounds"), catalog_max_size=20),
+     "catalog_max_size is 20"),
+    # ([3], [5], [12]) with b = 1 asks for 21 components
+    ("knonpos", dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3,
+                     catalog_max_size=20), "up to 21 components"),
+    ("fiber-pairs", dict(load_bounds("fiber_pairs"),
+                         eshapes=[["fork(b=2;[2],[(2)],[2,3])", 2]]),
+     "needs an irreducible E"),
+    ("fiber-pairs", dict(load_bounds("fiber_pairs"), eshapes=[["[(10),3,2]", 2]]),
+     "at most one external \\(-2\\)-curve"),
+]
+
+
+@pytest.mark.parametrize("name, cfg, message", REFUSED,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(REFUSED)])
+def test_a_refused_box_is_refused_on_every_call(name, cfg, message):
+    # the join raises, so the cache keeps nothing and the next call raises too
+    size = dgk_search._join.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            run(name, cfg)
+        assert dgk_search._join.cache_info().currsize == size
+    if name == "knonpos":
+        assert run(name, dict(cfg, catalog_max_size=21))["case1"]
+
+
+BUILDERS = ("_rule_pairs", "_case1_pairs", "_case2_triples", "check_two_fiber_shape")
+
+
+@pytest.mark.parametrize("label, name, cfg", FILE_BOXES,
+                         ids=[label for label, _, _ in FILE_BOXES])
+def test_a_flag_variant_of_a_joined_box_builds_nothing(monkeypatch, label, name, cfg):
+    calls = Counter()
+
+    def spy(builder):
+        real = getattr(dgk_search, builder)
+
+        def counted(*args):
+            calls[builder] += 1
+            return real(*args)
+        return counted
+
+    for builder in BUILDERS:
+        monkeypatch.setattr(dgk_search, builder, spy(builder))
+    dgk_search._join.cache_clear()
+    for variant in variants(cfg, name, label, count=3):
+        run(name, variant)
+    # once per box: the cold call builds, the three variants find it joined
+    want = {
+        "final-bounds": ["_rule_pairs"],
+        "xy": ["_rule_pairs"],
+        "knonpos": ["_case1_pairs", "_case2_triples"],
+        "fiber-pairs": ["check_two_fiber_shape"] * len(cfg.get("eshapes", ())),
+    }[name]
+    assert want and calls == Counter(want), label

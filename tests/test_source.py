@@ -262,6 +262,28 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
                                        "_xy_join", "_knonpos_join", "_fiber_pairs_join")]
     for fn in joins + [ruling["two_fiber_candidates"]]:
         assert not {"evaluate_predicates", "passes"} & _named(fn), fn.name
+    # the one route of every search: parse, join, decide
+    route = _named(search["_decided"])
+    assert {"parse_bounds", "_join", "_decide"} <= route
+    assert not {"evaluate_predicates", "passes"} & route
+
+
+def test_each_search_builds_and_checks_its_box_only_in_its_join():
+    # a search_* function asks _decided for its lists and keeps only its
+    # output form; the pairs, shapes and index of a box, and the checks on
+    # them, are its join's, so a joined box is neither built nor checked again
+    from dgk.search import SEARCHES
+
+    search = _definitions("search")
+    box_work = {
+        "parse_bounds", "_join", "catalog_index", "SpecIndex", "_rule_pairs", "_xy_rules",
+        "_case1_pairs", "_case2_triples", "_groups", "shape_of", "_check_catalog_reach",
+        "check_two_fiber_shape",
+    }
+    for row in SEARCHES.values():
+        named = _named(search[row.function])
+        assert "_decided" in named and not box_work & named, row.function
+        assert isinstance(search[row.join], ast.FunctionDef), row.join
 
 
 def test_the_decisions_build_no_fraction():
