@@ -8,14 +8,16 @@ it cross-multiplies the fork record (b, D, S, E, Et) of
 :func:`dgk.barks.fork_invariants` with the shape's integers (d(E), K.E,
 epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.  The verdict
 :func:`passes` takes the record the scan has already formed and stops at the
-first failing name.  The report :func:`evaluate_predicates` reads every ok
-flag from the same tests and never short-circuits, so a failing candidate
-still shows every witness value; ``Fraction`` appears only in the witnesses.
+first failing name, and :func:`decide` is the one decision pass of the
+searches and the two-fiber solver: the hits that pass, canonically sorted.
+The report :func:`evaluate_predicates` reads every ok flag from the same
+tests and never short-circuits, so a failing candidate still shows every
+witness value; ``Fraction`` appears only in the witnesses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -269,3 +271,19 @@ def passes(
         if not PREDICATES[name].test(record, twigs, eshape, g):
             return False
     return True
+
+
+# A hit of a join: the fork record, twigs and shape a verdict reads, and the
+# result kept if it passes (a BoundaryCandidate or a ruling.TwoFiberSolution).
+Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, object]
+
+
+def decide(hits: Iterable[Hit], names: tuple[str, ...], group_order_mode: str = "actual") -> list:
+    """The decision pass: the result of each hit that :func:`passes`
+    ``names`` on the record the join formed, sorted by its ``sort_key()``."""
+    found = [
+        result for record, twigs, shape, result in hits
+        if passes(record, twigs, shape, names, group_order_mode=group_order_mode)
+    ]
+    found.sort(key=lambda result: result.sort_key())
+    return found

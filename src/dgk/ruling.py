@@ -35,7 +35,11 @@ where (A, A0) = (2, 0) without and (1, 1) with the boundary curve on the
 first fiber.  No pair is swept: T2 gives (c, p) = c' (d(T2), d(T2) - d'(T2))
 and T1 at most len(T1) candidates (c', p') (:func:`_tail_pairs`), which fix
 qa and qb; each kappa~ dividing c(gamma - 2) fixes qc, and kappa comes out
-of isqrt of the discriminant and an exact division.
+of isqrt of the discriminant and an exact division.  The solver takes one
+T1 and every T2 of a sweep row, with the T2 loop inside the loops over n,
+the boundary split and (c', p'), so each (T1, alpha, k) is read once;
+:func:`solve_two_fiber` hands the rebuilt solutions to
+:func:`dgk.predicates.decide`, the decision pass of the searches.
 
 One solution of (5)/(6) is one frozen :class:`FiberTuple`; its
 :meth:`FiberTuple.fibers` is the one place the two fibers are laid out from
@@ -46,16 +50,16 @@ rebuilt and the chain through the section is minimalized.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import chains
-from .barks import ExceptionalShape, ForkInvariants, fork_invariants
+from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, reconstruct_fiber
-from .predicates import passes
+from .predicates import Hit, decide
 
 
 class _RulingFiberFields(NamedTuple):
@@ -184,9 +188,11 @@ def contract_boundary(b: int, entries: list[tuple[int, bool]]) -> tuple[int, Wei
 # ---------------------------------------------------------------------------
 # the two-fiber solver
 
-# The (T1, alpha, k) reads :func:`_tail_pairs` keeps: a fiber-pairs sweep at
-# twig_d_max 16 asks for under a thousand.
-TAIL_CACHE_SIZE = 4096
+# The predicates :func:`solve_two_fiber` decides by, the fiber-pairs file's.
+SOLVER_PREDICATES = (
+    "w2_delta_g", "noether", "bmy", "eps2_ii", "eps2_iii", "eps2_iv", "zar_b", "zar_delta",
+    "zar_bk2", "square",
+)
 
 
 class _FiberTupleFields(NamedTuple):
@@ -344,7 +350,6 @@ class TwoFiberSolution(_SolutionFields):
         }
 
 
-@lru_cache(maxsize=TAIL_CACHE_SIZE)
 def _tail_pairs(t1: Weights, alpha: int, k: int) -> tuple[tuple[int, int], ...]:
     """The (c', p'), c' >= p' ascending, of a first fiber with branch T1,
     alpha pairs (c', c') and k boundary curves.  T1 = A + [2 + k] + B + R:
@@ -354,9 +359,7 @@ def _tail_pairs(t1: Weights, alpha: int, k: int) -> tuple[tuple[int, int], ...]:
 
     One pass of prefix and suffix continuants reads every split:
     d(A + [1] + B) = d(A) (d(B) - d(B[1:])) - d(A[:-1]) d(B), where the
-    chain before an empty A, like the one after an empty B, has d = 0.
-    The read depends on (T1, alpha, k) alone, so a solver sweep over T2
-    takes it from the cache."""
+    chain before an empty A, like the one after an empty B, has d = 0."""
     body, r = t1[:len(t1) - alpha], t1[len(t1) - alpha:]
     pre = [0, 1]  # pre[i + 1] = d(body[:i]), pre[0] = 0
     for w in body:
@@ -394,29 +397,11 @@ def _rho(kappa: int, delta_size: int) -> int:
     return kappa * kappa if delta_size == 0 else (kappa * kappa + 1) // 2
 
 
-def solve_two_fiber(
-    t1: Weights,
-    t2: Weights,
-    eshape: ExceptionalShape,
-    *,
-    predicate_names: tuple[str, ...] = (
-        "w2_delta_g",
-        "noether",
-        "bmy",
-        "eps2_ii",
-        "eps2_iii",
-        "eps2_iv",
-        "zar_b",
-        "zar_delta",
-        "zar_bk2",
-        "square",
-    ),
-    group_order_mode: str = "actual",
-) -> list[TwoFiberSolution]:
+def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[TwoFiberSolution]:
     """All two-fiber solutions with prescribed twigs T1 (second branch of the
     first fiber) and T2 (lower first-pair chain), checked against the
     predicate suite on the reconstructed boundary: the
-    :func:`two_fiber_candidates` that pass ``predicate_names``, sorted.
+    :func:`two_fiber_candidates` that pass :data:`SOLVER_PREDICATES`, sorted.
 
     The search is exhaustive over the bounds n < 4, kappa~ | c(gamma - 2),
     kappa~ <= 3c, with kappa an integer root of twice (6), a quadratic with
@@ -428,12 +413,7 @@ def solve_two_fiber(
         if not ws or not is_admissible_chain(ws):
             raise ValueError(f"T{i} {format_chain(ws)} is not a nonempty admissible chain")
     check_two_fiber_shape(eshape)
-    solutions = [
-        sol for record, twigs, es, sol in two_fiber_candidates(t1, t2, eshape)
-        if passes(record, twigs, es, predicate_names, group_order_mode=group_order_mode)
-    ]
-    solutions.sort(key=lambda s: s.sort_key())
-    return solutions
+    return decide(two_fiber_candidates(t1, (t2,), eshape), SOLVER_PREDICATES)
 
 
 def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
@@ -446,18 +426,17 @@ def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
 
 
 def two_fiber_candidates(
-    t1: Weights, t2: Weights, eshape: ExceptionalShape
-) -> list[tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape,
-                TwoFiberSolution]]:
-    """The predicate-free half of :func:`solve_two_fiber`: each solution of
-    (5)/(6) whose fibers rebuild T1 and T2 and whose boundary has b in
-    {1, 2}, in sweep order, as (record, twigs, eshape, solution) with
-    ``record`` the boundary's :func:`dgk.barks.fork_invariants`.  T1 and T2
-    must be nonempty admissible chains and ``eshape`` must pass
-    :func:`check_two_fiber_shape`; the callers check them, once per input
-    rather than once per twig pair."""
+    t1: Weights, t2s: Iterable[Weights], eshape: ExceptionalShape
+) -> list[Hit]:
+    """The predicate-free half of :func:`solve_two_fiber`, for one T1 and
+    every T2 of ``t2s``: each solution of (5)/(6) whose fibers rebuild T1
+    and its T2 and whose boundary has b in {1, 2}, in sweep order, as the
+    hit (record, twigs, eshape, solution) with ``record`` the boundary's
+    :func:`dgk.barks.fork_invariants`.  T1 and each T2 must be nonempty
+    admissible chains and ``eshape`` must pass :func:`check_two_fiber_shape`;
+    the callers check them, once per input rather than once per twig pair."""
     hits = []
-    for tup in _equation_solutions(t1, t2, eshape):
+    for t2, tup in _equation_solutions(t1, t2s, eshape):
         sol = _assemble_solution(tup, t1, t2, eshape)
         if sol is None or sol.b not in (1, 2):
             continue
@@ -466,64 +445,68 @@ def two_fiber_candidates(
     return hits
 
 
-def _equation_solutions(t1: Weights, t2: Weights, eshape: ExceptionalShape):
-    """The sweep of :func:`solve_two_fiber` before any boundary is rebuilt.
-
-    Yields, in sweep order, the :class:`FiberTuple` of every tuple that
-    passes the gates; each satisfies (5) and (6) exactly, since kappa is a
+def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: ExceptionalShape):
+    """The sweep of :func:`two_fiber_candidates` before any boundary is
+    rebuilt: (T2, :class:`FiberTuple`) of every tuple that passes the gates,
+    in sweep order.  Each satisfies (5) and (6) exactly, since kappa is a
     root of twice (6) and p~ is solved from (5).  (c', p') runs over
-    :func:`_tail_pairs` of T1.  ``eshape`` must be an irreducible E with at
-    most one external (-2)-curve.
+    :func:`_tail_pairs` of T1, read once per (alpha, k), and T2 over ``t2s``
+    inside it, so one (T1, T2) gets the tuples of its own sweep, in order.
+    ``eshape`` must be an irreducible E with at most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
     eps = eshape.epsilon
     ke = eshape.ke
     n_delta_curves = eshape.size - len(eshape.e_weights)
     splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
-    d2 = chains.d(t2)
-    p_over = d2 - chains.d_prime(t2)  # p/c' from the lower chain
+    heads = []  # (n, alpha, df, dft, c', p') in sweep order
     for n in (1, 2, 3):
         alpha = n + eps + ke - 4
         # T1 holds at least the first curve of the (c', p') group
-        if not 0 <= alpha <= n or len(t1) <= alpha:
-            continue
-        for df, dft in splits:
-            # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
-            # boundary curve
-            a2, a0 = (2, 0) if df == 0 else (1, 1)
-            for c_pr, p_pr in _tail_pairs(t1, alpha, df):
-                c = c_pr * d2
-                p = c_pr * p_over
-                g2c = c * (gamma - 2)
-                qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
-                qb = -2 * g2c
-                for kappa_t in range(2, 3 * c + 1):
-                    if g2c % kappa_t:
+        if 0 <= alpha <= n and len(t1) > alpha:
+            heads += [(n, alpha, df, dft, *pair)
+                      for df, dft in splits for pair in _tail_pairs(t1, alpha, df)]
+    if not heads:
+        return
+    # (T2, c/c', p/c') of each lower chain
+    lowers = [(r.ws, r.d, r.d - r.d_prime) for r in map(chains.chain_record, t2s)]
+    for n, alpha, df, dft, c_pr, p_pr in heads:
+        # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
+        # boundary curve
+        a2, a0 = (2, 0) if df == 0 else (1, 1)
+        for t2, d2, p_over in lowers:
+            c = c_pr * d2
+            p = c_pr * p_over
+            g2c = c * (gamma - 2)
+            qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
+            qb = -2 * g2c
+            for kappa_t in range(2, 3 * c + 1):
+                if g2c % kappa_t:
+                    continue
+                if dft == 1 and kappa_t % 2 == 0:
+                    continue
+                qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)
+                for kappa in _int_quadratic_roots(qa, qb, qc):
+                    if kappa < 2:
                         continue
-                    if dft == 1 and kappa_t % 2 == 0:
+                    if df == 1 and kappa % 2 == 0:
                         continue
-                    qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)
-                    for kappa in _int_quadratic_roots(qa, qb, qc):
-                        if kappa < 2:
-                            continue
-                        if df == 1 and kappa % 2 == 0:
-                            continue
-                        d = c * kappa
-                        if d % kappa_t:
-                            continue
-                        c_t = d // kappa_t
-                        num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
-                        if num % kappa_t:
-                            continue
-                        p_t = num // kappa_t
-                        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
-                            continue
-                        if (gamma - 2) % gcd(kappa, kappa_t):
-                            continue
-                        yield FiberTuple(
-                            n, gamma, eps, ke, kappa, kappa_t, c, p,
-                            c_pr, p_pr, c_t, p_t, df, dft,
-                        )
+                    d = c * kappa
+                    if d % kappa_t:
+                        continue
+                    c_t = d // kappa_t
+                    num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
+                    if num % kappa_t:
+                        continue
+                    p_t = num // kappa_t
+                    if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
+                        continue
+                    if (gamma - 2) % gcd(kappa, kappa_t):
+                        continue
+                    yield t2, FiberTuple(
+                        n, gamma, eps, ke, kappa, kappa_t, c, p,
+                        c_pr, p_pr, c_t, p_t, df, dft,
+                    )
 
 
 def _assemble_solution(

@@ -25,9 +25,10 @@ the catalog size or the named shapes, ``t1``): it builds the box's pairs or
 shapes once, checks them (the catalog reach, or the solver's shapes) and
 gives the hits, each with the record its verdict reads.  :func:`_join`
 keeps the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
-refused box raises and is not kept.  :func:`_decide` applies the flags (the
-predicate list, the group-order convention and the epsilon = 2 exclusion)
-to the hits on every call, so a flag variant of a joined box runs no scan.
+refused box raises and is not kept.  :func:`_decide` applies the flags on
+every call, so a flag variant of a joined box runs no scan: the epsilon = 2
+exclusion, then :func:`dgk.predicates.decide` with the predicate list and
+the group-order convention, the decision pass the two-fiber solver shares.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    MAX_CATALOG_SIZE, ExceptionalShape, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
+    MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
     fork_sums_along, shape_of, specs_by_name,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
-from .predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
+from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, decide, evaluate_predicates
 from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
 from .ruling import solve_two_fiber  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -63,11 +64,6 @@ _SCAN_KEYS = frozenset(
     {"description", "b", "predicates", "group_order_mode", "delta_gmin", "exclude_eps2_chains"}
 )
 OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
-
-# A hit of a join: the fork record, the twigs and the shape a verdict reads,
-# and the result kept if it passes (a BoundaryCandidate, or for fiber-pairs
-# a TwoFiberSolution).
-Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, object]
 
 
 class Search(NamedTuple):
@@ -201,8 +197,9 @@ _CHECKS = {
 def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     """The bounds of the search ``name``: ``cfg``, or its packaged file when
     ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
-    type, unknown predicates or ``eshapes`` entries, and for the scan
-    searches a predicate list without :data:`INDEX_PREDICATES`."""
+    type, a repeated ``b`` value, unknown or repeated ``eshapes`` entries,
+    unknown predicates, and for the scan searches a predicate list without
+    :data:`INDEX_PREDICATES`."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -217,6 +214,9 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     for key, (test, what) in _CHECKS.items():
         if key in cfg and not test(cfg[key]):
             raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
+    b_values = cfg.get("b", [])
+    if len(set(b_values)) < len(b_values):
+        raise ValueError(f"b must not repeat a value, got {b_values!r}")
     bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
     if bad:
         raise ValueError(f"unknown predicates: {', '.join(bad)}")
@@ -286,18 +286,12 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> tuple[Hit, ...]:
 
 
 def _decide(hits: tuple[Hit, ...], spec: Bounds) -> list:
-    """The decision pass of a search: the result of each hit that passes
-    ``spec``'s flags, canonically sorted.  The epsilon = 2 exclusion drops
-    a chain shape of epsilon 2, then :func:`dgk.predicates.passes` decides
-    on the record the join formed."""
-    names, mode, eps2 = spec.predicates, spec.group_order_mode, spec.exclude_eps2_chains
-    found = [
-        result for record, twigs, shape, result in hits
-        if not (eps2 and shape.epsilon == 2 and not shape.is_fork)
-        and passes(record, twigs, shape, names, group_order_mode=mode)
-    ]
-    found.sort(key=lambda result: result.sort_key())
-    return found
+    """The decision pass of a search under ``spec``'s flags: the epsilon = 2
+    exclusion drops a chain shape of epsilon 2, then
+    :func:`dgk.predicates.decide` keeps the results that pass, sorted."""
+    if spec.exclude_eps2_chains:
+        hits = [hit for hit in hits if not (hit[2].epsilon == 2 and not hit[2].is_fork)]
+    return decide(hits, spec.predicates, spec.group_order_mode)
 
 
 def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:
@@ -400,7 +394,8 @@ def _xy_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
-    """Resolve [key, epsilon] pairs against the catalog of size 12."""
+    """Resolve [key, epsilon] pairs against the catalog of size 12; an entry
+    may appear once."""
     table = specs_by_name()
     specs = []
     for entry in entries:
@@ -413,6 +408,8 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
                 f"eshapes entry {entry!r} is not a [key, epsilon] pair of a"
                 " catalog shape of at most 12 components"
             )
+        if spec in specs:
+            raise ValueError(f"eshapes entry {entry!r} is repeated")
         specs.append(spec)
     return specs
 
@@ -485,15 +482,15 @@ def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
 def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
     """The :func:`dgk.ruling.two_fiber_candidates` of every (T1, T2) of
     d <= twig_d_max on each shape, once every shape passes
-    :func:`dgk.ruling.check_two_fiber_shape`.  The sort key holds T1 and T2,
-    so the order of the sweep does not reach the output."""
+    :func:`dgk.ruling.check_two_fiber_shape`: one solver call per (shape,
+    T1), over every T2 of the sweep.  The sort key holds T1 and T2, so the
+    order of the sweep does not reach the output."""
     shapes = list(map(shape_of, box.eshapes))
     for es in shapes:
         check_two_fiber_shape(es)
     sweep = [r.ws for dd in range(2, box.twig_d_max + 1) for r in _records_with_d(dd)]
     return (tuple(
-        hit for es in shapes for t1 in sweep for t2 in sweep
-        for hit in two_fiber_candidates(t1, t2, es)
+        hit for es in shapes for t1 in sweep for hit in two_fiber_candidates(t1, sweep, es)
     ),)
 
 

@@ -443,6 +443,15 @@ def test_wrongly_typed_bounds_exit_code(capsys, tmp_path, name, file_name, key, 
     assert err.startswith(f"error: {key} must be")
 
 
+def test_repeated_bounds_value_exit_code(capsys, tmp_path):
+    # a repeated b value used to print a candidate twice with exit 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds("xy"), b=[1, 1, 2])))
+    code, out, err = run(capsys, "search", "xy", "--bounds", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: b must not repeat a value, got [1, 1, 2]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],

@@ -14,8 +14,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from dgk import chains
-from dgk import ruling as dgk_ruling
-from dgk import search as dgk_search
+from dgk import predicates as dgk_predicates
 from dgk.barks import (
     DegenerateChainError,
     _spec_graph,
@@ -112,8 +111,7 @@ def record_hits(runs):
             hits.append((record, BoundaryCandidate(record.b, twigs, eshape), group_order_mode))
             return passes(record, twigs, eshape, names, group_order_mode=group_order_mode)
 
-        mp.setattr(dgk_search, "passes", recording)
-        mp.setattr(dgk_ruling, "passes", recording)
+        mp.setattr(dgk_predicates, "passes", recording)
         for search, cfg in runs:
             search(cfg)
     return hits

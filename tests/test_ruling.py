@@ -14,6 +14,7 @@ from dgk.ruling import (
     FiberTuple,
     RulingFiber,
     RulingScenario,
+    SOLVER_PREDICATES,
     TwoFiberSolution,
     _assemble_solution,
     _equation_solutions,
@@ -26,8 +27,10 @@ from dgk.ruling import (
     second_fiber_square_branch,
     solve_two_fiber,
     tail_chain_23_branch,
+    two_fiber_candidates,
     two_run_twig_branch,
 )
+from dgk.predicates import decide
 from dgk.search import load_bounds
 from reference import (
     all_sequences,
@@ -50,13 +53,19 @@ ONE_CURVE_SHAPES = (
     ("[3]", 2), ("[4]", 1), ("[4]", 2), ("[5]", 0), ("[5]", 1), ("[6]", 0), ("[7]", 0),
     ("[2,3]", 2), ("[2,4]", 1), ("[2,5]", 1),
 )
-DEFAULT_PREDICATES = solve_two_fiber.__kwdefaults__["predicate_names"]
 
 
 def test_default_predicates_are_those_of_the_fiber_pairs_file():
-    # dgk solve twofiber and the queries benchmark use the default; dgk search
-    # fiber-pairs reads its file, so the two lists must not drift apart
-    assert DEFAULT_PREDICATES == tuple(load_bounds("fiber_pairs")["predicates"])
+    # dgk solve twofiber and the queries benchmark use the solver's list; dgk
+    # search fiber-pairs reads its file, so the two lists must not drift apart
+    assert SOLVER_PREDICATES == tuple(load_bounds("fiber_pairs")["predicates"])
+
+
+def equation_solutions(t1, t2, es):
+    """The solver's tuples of the one pair (T1, T2)."""
+    got = list(_equation_solutions(t1, (t2,), es))
+    assert all(lower == t2 for lower, _ in got)
+    return [tup for _, tup in got]
 
 
 def oracle_sweep():
@@ -123,7 +132,7 @@ def test_the_continuant_read_matches_the_read_split_by_split():
 def assert_within_reference(t1, t2, es):
     """The solver's tuples are the reference sweep's in order, with tuples
     left out, and no tuple left out rebuilds T1 and T2; returns them."""
-    got = list(_equation_solutions(t1, t2, es))
+    got = equation_solutions(t1, t2, es)
     rest = iter(reference_equation_solutions(t1, t2, es))
     for tup in got:
         for ref in rest:
@@ -147,6 +156,25 @@ def test_equation_solutions_match_fraction_reference(key, eps):
             assert_within_reference(t1, t2, es)
 
 
+def test_a_sweep_row_gives_each_pair_the_tuples_of_its_own_sweep():
+    # the T2 loop runs inside the loops over n, the split and (c', p'), so
+    # the tuples and hits of a whole row, taken for one T2, are that pair's
+    # own, in its own order
+    sweep = oracle_sweep()
+    tuples = hits = 0
+    for key, eps in SOLVER_SHAPES:
+        es = shape(key, eps)
+        for t1 in sweep:
+            row = list(_equation_solutions(t1, sweep, es))
+            row_hits = two_fiber_candidates(t1, sweep, es)
+            for t2 in sweep:
+                assert [tup for lower, tup in row if lower == t2] == equation_solutions(t1, t2, es)
+                assert ([hit for hit in row_hits if hit[3].t2 == t2]
+                        == two_fiber_candidates(t1, (t2,), es))
+            tuples, hits = tuples + len(row), hits + len(row_hits)
+    assert tuples > hits > 0
+
+
 KAPPA_3_TUPLE = FiberTuple(
     n=1, gamma=3, epsilon=2, ke=1, kappa=3, kappa_t=4, c=12, p=6, c_prime=6,
     p_prime=1, c_tilde=9, p_tilde=4, delta_f_size=1, delta_ft_size=0,
@@ -158,7 +186,7 @@ def test_equation_solutions_kappa_3_boundary_tuple():
     # (rho = 5) and kappa~ = 4 on one without (rho~ = 16), asked of the
     # branch [(5),3] its pair (c', p') = (6, 1) rebuilds
     t1, t2, es = parse_chain("[(5),3]"), (2,), shape("[2,3]", 2)
-    got = list(_equation_solutions(t1, t2, es))
+    got = equation_solutions(t1, t2, es)
     assert KAPPA_3_TUPLE in got
     assert _assemble_solution(KAPPA_3_TUPLE, t1, t2, es) is not None
     tup = got[got.index(KAPPA_3_TUPLE)]
@@ -197,7 +225,7 @@ def swept_tuples():
     sweeps = [(t1, t2, shape(key, eps)) for key, eps in ONE_CURVE_SHAPES
               for t1 in sweep for t2 in sweep]
     return [tup for t1, t2, es in sweeps + list(both_rho_forms_sweep(9))
-            for tup in _equation_solutions(t1, t2, es)]
+            for tup in equation_solutions(t1, t2, es)]
 
 
 def test_equation_solutions_have_zero_ruling_residuals():
@@ -297,12 +325,15 @@ def test_solver_matches_fraction_reference(key, eps, predicates):
     # of (5)-(6) that reconstructs a boundary is compared
     es = shape(key, eps)
     sweep = oracle_sweep()
-    kwargs = {"predicate_names": ()} if predicates == "none" else {}
-    names = () if predicates == "none" else DEFAULT_PREDICATES
+    names = () if predicates == "none" else SOLVER_PREDICATES
     for t1 in sweep:
         for t2 in sweep:
             want = reference_solve_two_fiber(t1, t2, es, names)
-            assert solve_two_fiber(t1, t2, es, **kwargs) == want, (t1, t2)
+            if predicates == "none":
+                got = decide(two_fiber_candidates(t1, (t2,), es), ())
+            else:
+                got = solve_two_fiber(t1, t2, es)
+            assert got == want, (t1, t2)
 
 
 def test_reference_finds_equation_solutions():
@@ -313,7 +344,7 @@ def test_reference_finds_equation_solutions():
     raw = [s for t1 in sweep for t2 in sweep
            for s in reference_solve_two_fiber(t1, t2, es, ())]
     kept = [s for t1 in sweep for t2 in sweep
-            for s in reference_solve_two_fiber(t1, t2, es, DEFAULT_PREDICATES)]
+            for s in reference_solve_two_fiber(t1, t2, es, SOLVER_PREDICATES)]
     assert len(raw) > len(kept) >= 3
 
 
@@ -493,7 +524,7 @@ def test_adjoint_consistency_over_oracle_sweep():
         es = shape(key, eps)
         for t1 in sweep:
             for t2 in sweep:
-                for tup in _equation_solutions(t1, t2, es):
+                for tup in equation_solutions(t1, t2, es):
                     upper, lower = second_fiber_chains(tup)
                     if lower:
                         assert upper == chains.chain_from_e(1 - chains.e(lower)), tup

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgk import chains
-from dgk.barks import SpecIndex, catalog_index, eshape_catalog
+from dgk.barks import SpecIndex, catalog_index, eshape_catalog, shape_of
 from dgk.chains import chain_record
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -19,7 +19,9 @@ from dgk.predicates import (
     evaluate_predicates,
     lambda_and_p_square,
 )
+from dgk import ruling as dgk_ruling
 from dgk import search as dgk_search
+from dgk.ruling import solve_two_fiber
 from dgk.search import (
     GOLDEN_FILES,
     INDEX_PREDICATES,
@@ -232,6 +234,49 @@ def test_every_two_fiber_solution_is_a_scan_candidate(fiber_pairs_ladder):
         )
         want = BoundaryCandidate(sol.b, (sol.t1, sol.t2, sol.t3), sol.eshape).to_dict()
         assert want in [c.to_dict() for c, _ in search_xy(cfg)], want
+
+
+def golden_fiber_pairs_sweep():
+    """The fiber-pairs golden box, its shapes and its twig sweep, in the
+    join's order."""
+    spec = parse_bounds("fiber-pairs")
+    sweep = [ws for dd in range(2, spec.twig_d_max + 1)
+             for ws in sorted(chains.oriented_chains_with_d(dd))]
+    return spec, [shape_of(es) for es in spec.eshapes], sweep
+
+
+def test_the_solver_and_the_search_agree_on_the_golden_box():
+    # solve_two_fiber one (T1, T2) at a time, over every (shape, T1, T2) of
+    # the golden sweep, finds what search_fiber_pairs finds, in its order
+    _, shapes, sweep = golden_fiber_pairs_sweep()
+    found = [sol for es in shapes for t1 in sweep for t2 in sweep
+             for sol in solve_two_fiber(t1, t2, es)]
+    assert len(found) == 3
+    assert sorted(found, key=lambda sol: sol.sort_key()) == search_fiber_pairs()
+
+
+def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
+    # one cold fiber-pairs join calls the solver once per (shape, T1), over
+    # every T2 of the sweep, and the solver reads T1's (c', p') once per
+    # (alpha, k): the reads do not grow with the number of T2
+    spec, shapes, sweep = golden_fiber_pairs_sweep()
+    calls, reads = [], []
+    tail_pairs, candidates = dgk_ruling._tail_pairs, dgk_search.two_fiber_candidates
+
+    def read(t1, alpha, k):
+        reads.append((len(calls), t1, alpha, k))
+        return tail_pairs(t1, alpha, k)
+
+    def solve(t1, t2s, es):
+        calls.append((es, t1, tuple(t2s)))
+        return candidates(t1, t2s, es)
+
+    monkeypatch.setattr(dgk_ruling, "_tail_pairs", read)
+    monkeypatch.setattr(dgk_search, "two_fiber_candidates", solve)
+    dgk_search._fiber_pairs_join(dgk_search._box(spec))
+    assert calls == [(es, t1, tuple(sweep)) for es in shapes for t1 in sweep]
+    assert all(t1 == calls[call - 1][1] for call, t1, _, _ in reads)
+    assert len(set(reads)) == len(reads) > len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +762,24 @@ WRONG_TYPES = [
 def test_bounds_with_wrong_types_rejected(name, key, value, message):
     cfg = dict(load_bounds(file_of(name)), **{key: value})
     with pytest.raises(ValueError, match=message):
+        run(name, cfg)
+
+
+# A repeated b value or eshapes entry would scan or solve the same box twice
+# and return each of its candidates twice.
+REPEATS = [
+    ("xy", "eshapes", [["[4]", 1], ["[4]", 1]]),
+    ("fiber-pairs", "eshapes", [["[4]", 1], ["[4]", 1]]),
+    ("xy", "b", [1, 1, 2]),
+    ("final-bounds", "b", [1, 2, 1]),
+    ("knonpos", "b", [1, 1]),
+]
+
+
+@pytest.mark.parametrize("name,key,value", REPEATS)
+def test_bounds_with_a_repeated_value_rejected(name, key, value):
+    cfg = dict(load_bounds(file_of(name)), **{key: value})
+    with pytest.raises(ValueError, match=f"^{key} .*repeat"):
         run(name, cfg)
 
 

@@ -250,22 +250,38 @@ def test_each_predicate_is_named_once_in_the_table():
 
 
 def test_the_scans_ask_for_a_verdict_without_a_report():
-    # the decision passes ask for the verdict; the joins, whose hits the
-    # cache keeps for every predicate list, ask for neither it nor a report
+    # the decision passes ask predicates.decide for the verdicts; the joins,
+    # whose hits the cache keeps for every predicate list, ask for neither
+    # them nor a report
+    verdicts = {"evaluate_predicates", "passes", "decide"}
     for module, name in (("search", "_decide"), ("ruling", "solve_two_fiber")):
         tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
         (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
         assert "evaluate_predicates" not in _named(fn), name
-        assert "passes" in _named(fn), name
+        assert "decide" in _named(fn), name
     search, ruling = _definitions("search"), _definitions("ruling")
     joins = [search[name] for name in ("_scan_triples", "_join", "_final_bounds_join",
                                        "_xy_join", "_knonpos_join", "_fiber_pairs_join")]
     for fn in joins + [ruling["two_fiber_candidates"]]:
-        assert not {"evaluate_predicates", "passes"} & _named(fn), fn.name
+        assert not verdicts & _named(fn), fn.name
     # the one route of every search: parse, join, decide
     route = _named(search["_decided"])
     assert {"parse_bounds", "_join", "_decide"} <= route
-    assert not {"evaluate_predicates", "passes"} & route
+    assert not verdicts & route
+
+
+def test_only_the_predicate_module_names_the_verdict():
+    # predicates.decide is the one decision pass: it alone asks passes for a
+    # verdict, and the searches and the two-fiber solver hand it their hits
+    found, deciders = [], set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        named = _named(ast.parse(path.read_text(), filename=str(path)))
+        if path.name != "predicates.py" and "passes" in named:
+            found.append(path.name)
+        if "decide" in named:
+            deciders.add(path.name)
+    assert found == []
+    assert {"search.py", "ruling.py"} <= deciders
 
 
 def test_each_search_builds_and_checks_its_box_only_in_its_join():
@@ -287,9 +303,9 @@ def test_each_search_builds_and_checks_its_box_only_in_its_join():
 
 
 def test_the_decisions_build_no_fraction():
-    # passes and each PREDICATES test decide in integers, and so does every
-    # module-level function or class they name; Fraction is for the
-    # witnesses only
+    # decide, passes and each PREDICATES test decide in integers, and so
+    # does every module-level function or class they name; Fraction is for
+    # the witnesses only
     tree = ast.parse((PACKAGE_DIR / "predicates.py").read_text())
     functions = {
         n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
@@ -301,7 +317,8 @@ def test_the_decisions_build_no_fraction():
     ]
     tests = [row.args[0] for row in table.values]
     assert len(tests) == len(table.keys)
-    route = [functions["passes"]] + [functions.get(getattr(t, "id", None), t) for t in tests]
+    route = [functions["decide"], functions["passes"]]
+    route += [functions.get(getattr(t, "id", None), t) for t in tests]
     seen = set()
     while route:
         node = route.pop()
@@ -314,13 +331,13 @@ def test_the_decisions_build_no_fraction():
 
 def test_the_scan_hands_its_record_to_the_verdict():
     # _scan_triples forms the record (b, D, S, E, Et) from its twig sums and
-    # keeps it in the hit; _decide passes it on.  Neither recomputes it from
-    # the fork
+    # keeps it in the hit; _decide hands it to predicates.decide.  Neither
+    # recomputes it from the fork
     search = _definitions("search")
     scan, decide = search["_scan_triples"], search["_decide"]
     assert "fork_invariants" not in _named(scan) | _named(decide)
     assert "ForkInvariants" in _named(scan)
-    assert "passes" in _named(decide)
+    assert "decide" in _named(decide)
 
 
 def test_the_scan_steps_the_twig_sums_through_barks():
