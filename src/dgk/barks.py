@@ -150,8 +150,8 @@ def bark_one_sided(weights: Weights) -> BarkCoefficients:
     """Bk'(T, T1) for an oriented admissible chain, pushing at the first tip:
     m_i = d(T after i)/d(T) and Bk'^2 = -e(T)."""
     _check_chain(weights)
-    dd = chains.d(weights)
-    coeffs = tuple(Fraction(chains.d(weights[i + 1:]), dd) for i in range(len(weights)))
+    _, suf = chains.continuants(weights)
+    coeffs = tuple(Fraction(suf[i + 1], suf[0]) for i in range(len(weights)))
     return BarkCoefficients(coeffs, -coeffs[0])
 
 
@@ -160,11 +160,8 @@ def bark_chain(weights: Weights) -> BarkCoefficients:
     m_i = (d(T after i) + d(T before i))/d(T).  Bk . D_i is -1 at the two
     ends and 0 inside, so Bk^2 = -(m_1 + m_n) = -(d' + d'~ + 2)/d."""
     _check_chain(weights)
-    dd = chains.d(weights)
-    coeffs = tuple(
-        Fraction(chains.d(weights[i + 1:]) + chains.d(weights[:i]), dd)
-        for i in range(len(weights))
-    )
+    pre, suf = chains.continuants(weights)
+    coeffs = tuple(Fraction(suf[i + 1] + pre[i + 1], suf[0]) for i in range(len(weights)))
     return BarkCoefficients(coeffs, -(coeffs[0] + coeffs[-1]))
 
 
@@ -182,10 +179,8 @@ def bark_fork(fork: Fork) -> BarkCoefficients:
     c_b = Fraction(inv.S - inv.D, inv.d)
     coeffs = [c_b]
     for t in fork.twigs:
-        dd = chains.d(t)
-        coeffs.extend(
-            (chains.d(t[i + 1:]) + c_b * chains.d(t[:i])) / dd for i in range(len(t))
-        )
+        pre, suf = chains.continuants(t)
+        coeffs.extend((suf[i + 1] + c_b * pre[i + 1]) / suf[0] for i in range(len(t)))
     return BarkCoefficients(tuple(coeffs), inv.bk_square)
 
 

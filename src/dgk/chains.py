@@ -40,6 +40,17 @@ def d(weights: Weights) -> int:
     return cur
 
 
+def continuants(weights: Weights) -> tuple[list[int], list[int]]:
+    """d of every prefix and suffix in one pass: pre[i + 1] = d(weights[:i])
+    and suf[i] = d(weights[i:]) for 0 <= i <= n, with pre[0] = suf[n + 1] = 0,
+    the d before an empty prefix and after an empty suffix."""
+    pre, suf = [0, 1], [0, 1]
+    for a, z in zip(weights, reversed(weights)):
+        pre.append(a * pre[-1] - pre[-2])
+        suf.append(z * suf[-1] - suf[-2])
+    return pre, suf[::-1]
+
+
 def d_prime(weights: Weights) -> int:
     """d of the chain with its first component removed; 0 for the empty chain."""
     if not weights:

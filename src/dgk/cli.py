@@ -208,15 +208,12 @@ def _kernel_vector(weights: list[int]) -> list[int] | None:
     """The positive kernel vector of a chain's minus intersection matrix.
 
     Row i reads w_i*m_i - m_(i-1) - m_(i+1) = 0, so m_0 = 1, m_1 = w_0 and
-    m_(i+1) = w_i*m_i - m_(i-1); the last row must give m_n = 0.  With
-    m_0 = 1 the vector is primitive.
+    m_(i+1) = w_i*m_i - m_(i-1): m_i = d(weights[:i]), and the last row
+    must give m_n = d(weights) = 0.  With m_0 = 1 the vector is primitive.
     """
-    mults: list[int] = []
-    prev, cur = 0, 1
-    for w in weights:
-        mults.append(cur)
-        prev, cur = cur, w * cur - prev
-    if cur != 0 or any(m <= 0 for m in mults):
+    pre, _ = chains.continuants(weights)
+    mults = pre[1:-1]
+    if pre[-1] != 0 or any(m <= 0 for m in mults):
         return None
     return mults
 

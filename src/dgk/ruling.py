@@ -37,7 +37,7 @@ and T1 at most len(T1) candidates (c', p') (:func:`_tail_pairs`), which fix
 qa and qb; each kappa~ dividing c(gamma - 2) fixes qc, and kappa comes out
 of isqrt of the discriminant and an exact division.  The solver takes one
 T1 and every T2 of a sweep row, with the T2 loop inside the loops over n,
-the boundary split and (c', p'), so each (T1, alpha, k) is read once;
+the boundary split and (c', p'), so each (T1, alpha) is read once;
 :func:`solve_two_fiber` hands the rebuilt solutions to
 :func:`dgk.predicates.decide`, the decision pass of the searches.
 
@@ -350,30 +350,25 @@ class TwoFiberSolution(_SolutionFields):
         }
 
 
-def _tail_pairs(t1: Weights, alpha: int, k: int) -> tuple[tuple[int, int], ...]:
-    """The (c', p'), c' >= p' ascending, of a first fiber with branch T1,
-    alpha pairs (c', c') and k boundary curves.  T1 = A + [2 + k] + B + R:
-    A, [1], B is the chain of the (c', p') group, so d(A + [1] + B) = 1,
-    c' = d(A) and p' = d(B), and R = [1 + ceil(c'/p'), 2, ..., 2] has alpha
-    curves.  Needs len(T1) > alpha; the rebuilt fiber checks each pair.
+def _tail_pairs(t1: Weights, alpha: int) -> tuple[tuple[int, int, int], ...]:
+    """The (k, c', p'), c' >= p' ascending, of the first fibers with branch
+    T1, alpha pairs (c', c') and k in {0, 1} boundary curves.
+    T1 = A + [2 + k] + B + R: A, [1], B is the chain of the (c', p') group,
+    so d(A + [1] + B) = 1, c' = d(A) and p' = d(B), and
+    R = [1 + ceil(c'/p'), 2, ..., 2] has alpha curves.  Needs
+    len(T1) > alpha; the rebuilt fiber checks each pair.
 
-    One pass of prefix and suffix continuants reads every split:
+    One pass of :func:`dgk.chains.continuants` reads every split for both k:
     d(A + [1] + B) = d(A) (d(B) - d(B[1:])) - d(A[:-1]) d(B), where the
     chain before an empty A, like the one after an empty B, has d = 0."""
     body, r = t1[:len(t1) - alpha], t1[len(t1) - alpha:]
-    pre = [0, 1]  # pre[i + 1] = d(body[:i]), pre[0] = 0
-    for w in body:
-        pre.append(w * pre[-1] - pre[-2])
-    suf = [0, 1]  # reversed below: suf[j] = d(body[j:]), suf[len(body) + 1] = 0
-    for w in reversed(body):
-        suf.append(w * suf[-1] - suf[-2])
-    suf.reverse()
+    pre, suf = chains.continuants(body)
     pairs = []
     for i, w in enumerate(body):
         c_pr, p_pr = pre[i + 1], suf[i + 1]
-        if w == 2 + k and c_pr * (p_pr - suf[i + 2]) - pre[i] * p_pr == 1:
+        if w in (2, 3) and c_pr * (p_pr - suf[i + 2]) - pre[i] * p_pr == 1:
             if p_pr <= c_pr and r == ((1 - -c_pr // p_pr,) + (2,) * alpha)[:alpha]:
-                pairs.append((c_pr, p_pr))
+                pairs.append((w - 2, c_pr, p_pr))
     return tuple(pairs)
 
 
@@ -450,8 +445,9 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
     rebuilt: (T2, :class:`FiberTuple`) of every tuple that passes the gates,
     in sweep order.  Each satisfies (5) and (6) exactly, since kappa is a
     root of twice (6) and p~ is solved from (5).  (c', p') runs over
-    :func:`_tail_pairs` of T1, read once per (alpha, k), and T2 over ``t2s``
-    inside it, so one (T1, T2) gets the tuples of its own sweep, in order.
+    :func:`_tail_pairs` of T1, read once per alpha for both splits and
+    taken split by split, and T2 over ``t2s`` inside it, so one (T1, T2)
+    gets the tuples of its own sweep, in order.
     ``eshape`` must be an irreducible E with at most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
@@ -464,8 +460,9 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
         alpha = n + eps + ke - 4
         # T1 holds at least the first curve of the (c', p') group
         if 0 <= alpha <= n and len(t1) > alpha:
-            heads += [(n, alpha, df, dft, *pair)
-                      for df, dft in splits for pair in _tail_pairs(t1, alpha, df)]
+            tails = _tail_pairs(t1, alpha)
+            heads += [(n, alpha, df, dft, c_pr, p_pr)
+                      for df, dft in splits for k, c_pr, p_pr in tails if k == df]
     if not heads:
         return
     # (T2, c/c', p/c') of each lower chain

@@ -23,8 +23,10 @@ Each search is a join and a decision pass, run by :func:`_decided`.  The
 join reads only the box (:func:`_box`: the edges, ``b``, ``delta_gmin``,
 the catalog size or the named shapes, ``t1``): it builds the box's pairs or
 shapes once, checks them (the catalog reach, or the solver's shapes) and
-gives the hits, each with the record its verdict reads.  :func:`_join`
-keeps the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
+gives the hits, each with the record its verdict reads.  xy and
+final-bounds share :func:`_rule_join`: both boxes are ``d_rules`` (xy's
+edges parse into them) and differ only in their shapes.  :func:`_join` keeps
+the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
 refused box raises and is not kept.  :func:`_decide` applies the flags on
 every call, so a flag variant of a joined box runs no scan: the epsilon = 2
 exclusion, then :func:`dgk.predicates.decide` with the predicate list and
@@ -83,12 +85,12 @@ class Search(NamedTuple):
 
 SEARCHES = {
     "final-bounds": Search(
-        "search_final_bounds", "_final_bounds_join", "final_bounds", "search_final_bounds.json",
+        "search_final_bounds", "_rule_join", "final_bounds", "search_final_bounds.json",
         _SCAN_KEYS | {"d_rules", "catalog_max_size"},
         lambda out: out,
     ),
     "xy": Search(
-        "search_xy", "_xy_join", "xy", "search_xy.json",
+        "search_xy", "_rule_join", "xy", "search_xy.json",
         _SCAN_KEYS | {"x_max", "y_max", "z_max", "eshapes"},
         lambda found: [cand.to_dict() for cand, _ in found],
     ),
@@ -144,8 +146,9 @@ class Rule(NamedTuple):
 
 class Bounds(NamedTuple):
     """A checked bounds file: each value the file sets, with lists as tuples,
-    ``t1`` parsed and ``eshapes`` resolved into catalog specs; the default
-    for each key it leaves out."""
+    ``t1`` parsed, ``eshapes`` resolved into catalog specs and xy's edges
+    into the ``d_rules`` they stand for; the default for each key it leaves
+    out, where ``catalog_max_size`` None means no catalog."""
 
     predicates: tuple[str, ...]
     group_order_mode: str
@@ -153,15 +156,12 @@ class Bounds(NamedTuple):
     b: tuple[int, ...] = ()
     delta_gmin: int | None = None
     exclude_eps2_chains: bool = False
-    x_max: int = 0
-    y_max: int = 0
-    z_max: int = 0
     d_rules: tuple[Rule, ...] = ()
     t1: Weights = ()
     d2_max: int = 0
     d3_max: int = 0
     case2_k_max: int = 0
-    catalog_max_size: int = 0
+    catalog_max_size: int | None = None
     twig_d_max: int = 0
     eshapes: tuple[ShapeSpec, ...] = ()
 
@@ -180,7 +180,8 @@ _CHECKS = {
     "b": (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"),
     "d_rules": (
         lambda v: isinstance(v, list) and bool(v) and all(
-            isinstance(rule, dict) and all(is_int(rule.get(k)) for k in _RULE_KEYS)
+            isinstance(rule, dict) and rule.keys() == set(_RULE_KEYS)
+            and all(map(is_int, rule.values()))
             for rule in v
         ),
         f"a list of objects with integer {', '.join(_RULE_KEYS)}",
@@ -228,7 +229,10 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
         )
     values = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
     if "d_rules" in cfg:
-        values["d_rules"] = tuple(Rule(*map(rule.get, _RULE_KEYS)) for rule in cfg["d_rules"])
+        values["d_rules"] = tuple(Rule(**rule) for rule in cfg["d_rules"])
+    if "x_max" in cfg:  # xy's edges stand for the rules (x, x, y_max, z_max)
+        x_max, y_max, z_max = (values.pop(key) for key in ("x_max", "y_max", "z_max"))
+        values["d_rules"] = tuple(Rule(x, x, y_max, z_max) for x in range(2, x_max + 1))
     if "t1" in cfg:
         values["t1"] = _record_of(parse_chain(cfg["t1"])).ws
     if "eshapes" in cfg:
@@ -376,8 +380,17 @@ def _check_catalog_reach(keys, box: Bounds, index: SpecIndex) -> None:
         )
 
 
-def _xy_rules(box: Bounds) -> list[Rule]:
-    return [Rule(x, x, box.y_max, box.z_max) for x in range(2, box.x_max + 1)]
+def _rule_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+    """The join of xy and final-bounds: the pairs of ``box.d_rules`` probed
+    against the named shapes ``eshapes`` (xy, ``catalog_max_size`` None), or
+    against the catalog once :func:`_check_catalog_reach` passes on them."""
+    pairs = _rule_pairs(box.d_rules)
+    if box.catalog_max_size is None:
+        index = SpecIndex.of_specs(box.eshapes)
+    else:
+        index = catalog_index(box.catalog_max_size)
+        _check_catalog_reach(_pair_keys(pairs), box, index)
+    return (_scan_triples(_groups(pairs, _join_keys(index, box.b)), box, index),)
 
 
 def search_xy(bounds: dict | None = None):
@@ -387,22 +400,15 @@ def search_xy(bounds: dict | None = None):
     return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
 
 
-def _xy_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
-    index = SpecIndex.of_specs(box.eshapes)
-    return (_scan_triples(_groups(_rule_pairs(_xy_rules(box)), _join_keys(index, box.b)),
-                          box, index),)
-
-
 def _named_specs(entries: list) -> list[ShapeSpec]:
     """Resolve [key, epsilon] pairs against the catalog of size 12; an entry
     may appear once."""
     table = specs_by_name()
     specs = []
     for entry in entries:
-        try:
-            spec = table.get(tuple(entry))
-        except TypeError:  # not a sequence, or unhashable parts
-            spec = None
+        # [str, int] only: true and 1.0 hash as 1 and would find epsilon 1
+        key, eps = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        spec = table.get((key, eps)) if isinstance(key, str) and is_int(eps) else None
         if spec is None:
             raise ValueError(
                 f"eshapes entry {entry!r} is not a [key, epsilon] pair of a"
@@ -419,13 +425,6 @@ def search_final_bounds(bounds: dict | None = None) -> dict:
     _, (found,) = _decided("final-bounds", bounds)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
-
-
-def _final_bounds_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
-    index = catalog_index(box.catalog_max_size)
-    pairs = _rule_pairs(box.d_rules)
-    _check_catalog_reach(_pair_keys(pairs), box, index)
-    return (_scan_triples(_groups(pairs, _join_keys(index, box.b)), box, index),)
 
 
 def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:

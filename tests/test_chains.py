@@ -23,6 +23,20 @@ def test_d_examples():
     assert chains.d((2, 3, 2)) == 8
 
 
+def test_continuants_are_the_d_of_every_prefix_and_suffix():
+    # one pass each way gives chains.d of every prefix and suffix, with the
+    # two 0 sentinels, on every oriented twig of d <= 40 and the empty chain
+    twigs = [()] + [ws for dd in range(2, 41) for ws in chains.oriented_chains_with_d(dd)]
+    for ws in twigs:
+        pre, suf = chains.continuants(ws)
+        n = len(ws)
+        assert len(pre) == len(suf) == n + 2
+        assert pre[0] == suf[n + 1] == 0
+        assert pre[1:] == [chains.d(ws[:i]) for i in range(n + 1)], ws
+        assert suf[:-1] == [chains.d(ws[i:]) for i in range(n + 1)], ws
+    assert len(twigs) > 400
+
+
 def test_d_matches_determinant_exhaustive():
     # every chain with length <= 12 over a small weight alphabet would be
     # huge; sweep lengths <= 5 exhaustively and longer chains at random

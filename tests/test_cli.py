@@ -433,6 +433,8 @@ def test_bad_bounds_keys_exit_code(capsys, tmp_path):
         ("knonpos", "k_nonpositive", "d2_max", "11"),
         ("fiber-pairs", "fiber_pairs", "twig_d_max", "6"),
         ("final-bounds", "final_bounds", "d_rules", []),
+        ("final-bounds", "final_bounds", "d_rules",
+         [{"x": 3, "y_min": 3, "y_max": 3, "z_max": 5, "z_min": 4}]),
     ],
 )
 def test_wrongly_typed_bounds_exit_code(capsys, tmp_path, name, file_name, key, value):
@@ -441,6 +443,19 @@ def test_wrongly_typed_bounds_exit_code(capsys, tmp_path, name, file_name, key, 
     code, out, err = run(capsys, "search", name, "--bounds", str(bad))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize(
+    "name,file_name,entry",
+    [("xy", "xy", ["[4]", True]), ("fiber-pairs", "fiber_pairs", ["[4]", 1.0])],
+)
+def test_eshapes_entry_not_a_pair_exit_code(capsys, tmp_path, name, file_name, entry):
+    # true and 1.0 hash as 1, so a bare lookup would run epsilon 1 and exit 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds(file_name), eshapes=[entry])))
+    code, out, err = run(capsys, "search", name, "--bounds", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: eshapes entry {entry!r} is not a [key, epsilon] pair")
 
 
 def test_repeated_bounds_value_exit_code(capsys, tmp_path):

@@ -28,7 +28,6 @@ from dgk.search import (
     _case2_triples,
     _groups,
     _rule_pairs,
-    _xy_rules,
     load_bounds,
     parse_bounds,
     search_final_bounds,
@@ -143,7 +142,7 @@ def reference_run(name, cfg):
         ]
         return [sol.to_dict() for sol in sorted(sols, key=lambda s: s.sort_key())]
     if name == "xy":
-        found = reference_scan_triples(flatten(_groups(_rule_pairs(_xy_rules(spec)))), spec,
+        found = reference_scan_triples(flatten(_groups(_rule_pairs(spec.d_rules))), spec,
                                        SpecIndex.of_specs(spec.eshapes))
         return [cand.to_dict() for cand in found]
     index = catalog_index(spec.catalog_max_size)

@@ -38,7 +38,6 @@ from dgk.search import (
     _pair_keys,
     _rule_pairs,
     _scan_triples,
-    _xy_rules,
     search_fiber_pairs,
     search_final_bounds,
     search_k_nonpositive,
@@ -257,15 +256,15 @@ def test_the_solver_and_the_search_agree_on_the_golden_box():
 
 def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
     # one cold fiber-pairs join calls the solver once per (shape, T1), over
-    # every T2 of the sweep, and the solver reads T1's (c', p') once per
-    # (alpha, k): the reads do not grow with the number of T2
+    # every T2 of the sweep, and the solver reads T1's (k, c', p') once per
+    # alpha, for both splits: the reads do not grow with the number of T2
     spec, shapes, sweep = golden_fiber_pairs_sweep()
     calls, reads = [], []
     tail_pairs, candidates = dgk_ruling._tail_pairs, dgk_search.two_fiber_candidates
 
-    def read(t1, alpha, k):
-        reads.append((len(calls), t1, alpha, k))
-        return tail_pairs(t1, alpha, k)
+    def read(t1, alpha):
+        reads.append((len(calls), t1, alpha))
+        return tail_pairs(t1, alpha)
 
     def solve(t1, t2s, es):
         calls.append((es, t1, tuple(t2s)))
@@ -275,7 +274,7 @@ def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
     monkeypatch.setattr(dgk_search, "two_fiber_candidates", solve)
     dgk_search._fiber_pairs_join(dgk_search._box(spec))
     assert calls == [(es, t1, tuple(sweep)) for es in shapes for t1 in sweep]
-    assert all(t1 == calls[call - 1][1] for call, t1, _, _ in reads)
+    assert all(t1 == calls[call - 1][1] for call, t1, _ in reads)
     assert len(set(reads)) == len(reads) > len(calls)
 
 
@@ -706,16 +705,40 @@ def frozen(key, value):
 def test_checked_in_bounds_files_parse_to_their_values(name, file_name):
     cfg = load_bounds(file_name)
     bounds = parse_bounds(name, cfg)
+    edges = ("x_max", "y_max", "z_max")
     for key, value in cfg.items():
-        assert getattr(bounds, key) == frozen(key, value), key
+        if key not in edges:
+            assert getattr(bounds, key) == frozen(key, value), key
+    if name == "xy":  # the edges x <= 4, y <= 11, z <= 41 are the rules they stand for
+        assert [cfg[key] for key in edges] == [4, 11, 41]
+        assert bounds.d_rules == (Rule(2, 2, 11, 41), Rule(3, 3, 11, 41), Rule(4, 4, 11, 41))
+        assert bounds.catalog_max_size is None
     if file_name == file_of(name):
         assert parse_bounds(name) == bounds  # None selects the packaged file
+
+
+def test_xy_edges_are_the_same_box_as_its_d_rules():
+    # xy's box written out as d_rules on its named shapes, without a
+    # catalog, is the Bounds parse_bounds makes of its edges, and a cold
+    # join of each, under either search's name, gives the same hits
+    cfg = load_bounds("xy")
+    edges = cfg.pop("x_max"), cfg.pop("y_max"), cfg.pop("z_max")
+    rules = [{"x": x, "y_min": x, "y_max": 11, "z_max": 41} for x in (2, 3, 4)]
+    as_rules = Bounds(**{key: frozen(key, value) for key, value in cfg.items()},
+                      d_rules=frozen("d_rules", rules))
+    assert edges == (4, 11, 41) and as_rules.catalog_max_size is None
+    assert parse_bounds("xy") == as_rules
+    joined = []
+    for name, spec in (("xy", parse_bounds("xy")), ("final-bounds", as_rules)):
+        dgk_search._join.cache_clear()
+        joined.append(dgk_search._join(name, dgk_search._box(spec)))
+    assert joined[0] == joined[1] and len(joined[0][0]) > 3
 
 
 def test_parsed_bounds_are_frozen():
     bounds = parse_bounds("xy")
     with pytest.raises(AttributeError):
-        bounds.z_max = 60
+        bounds.d_rules = ()
     assert isinstance(bounds.b, tuple) and isinstance(bounds.predicates, tuple)
 
 
@@ -755,6 +778,19 @@ WRONG_TYPES = [
     ("fiber-pairs", "eshapes", {"[4]": 1}, "eshapes must be a list"),
     ("final-bounds", "d_rules", [], re.escape("d_rules must be a list of objects with"
                                              " integer x, y_min, y_max, z_max, got []")),
+    # a d_rules entry has exactly the four keys: an extra one would be ignored
+    ("final-bounds", "d_rules", [{"x": 3, "y_min": 3, "y_max": 3, "z_max": 5, "z_min": 4}],
+     re.escape("d_rules must be a list of objects with integer x, y_min, y_max, z_max, got"
+               " [{'x': 3, 'y_min': 3, 'y_max': 3, 'z_max': 5, 'z_min': 4}]")),
+    # true and 1.0 hash as 1, so a bare lookup would find the shape of epsilon 1
+    ("xy", "eshapes", [["[4]", True]],
+     re.escape("eshapes entry ['[4]', True] is not a [key, epsilon] pair")),
+    ("xy", "eshapes", [["[4]", 1.0]],
+     re.escape("eshapes entry ['[4]', 1.0] is not a [key, epsilon] pair")),
+    ("fiber-pairs", "eshapes", [["[4]", True]], re.escape("eshapes entry ['[4]', True] is not")),
+    ("fiber-pairs", "eshapes", [["[4]", 1], ["[5]", 1.0]],
+     re.escape("eshapes entry ['[5]', 1.0] is not")),
+    ("xy", "eshapes", [[["[4]"], 1]], re.escape("eshapes entry [['[4]'], 1] is not")),
 ]
 
 
@@ -876,7 +912,7 @@ def reduced_boxes():
     ]
     spec = parse_bounds("xy", small_xy())
     index = SpecIndex.of_specs(spec.eshapes)
-    sweep = lambda keys: _groups(_rule_pairs(_xy_rules(spec)), keys)  # noqa: E731
+    sweep = lambda keys: _groups(_rule_pairs(spec.d_rules), keys)  # noqa: E731
     yield spec, index, sweep
     for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
         cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin)
@@ -921,8 +957,8 @@ def test_reach_key_is_the_largest_key_of_the_unpruned_box(monkeypatch, name, fil
     cfg = load_bounds(file_name)
     spec = parse_bounds(name, cfg)
     if name == "xy":  # named shapes, no catalog to outgrow: the rule sweep's key
-        got = max(_pair_keys(_rule_pairs(_xy_rules(spec))))
-        unpruned = flatten(_groups(_rule_pairs(_xy_rules(spec))))
+        got = max(_pair_keys(_rule_pairs(spec.d_rules)))
+        unpruned = flatten(_groups(_rule_pairs(spec.d_rules)))
     else:
         seen = []
         check = dgk_search._check_catalog_reach

@@ -260,8 +260,8 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
         assert "evaluate_predicates" not in _named(fn), name
         assert "decide" in _named(fn), name
     search, ruling = _definitions("search"), _definitions("ruling")
-    joins = [search[name] for name in ("_scan_triples", "_join", "_final_bounds_join",
-                                       "_xy_join", "_knonpos_join", "_fiber_pairs_join")]
+    joins = [search[name] for name in ("_scan_triples", "_join", "_rule_join",
+                                       "_knonpos_join", "_fiber_pairs_join")]
     for fn in joins + [ruling["two_fiber_candidates"]]:
         assert not verdicts & _named(fn), fn.name
     # the one route of every search: parse, join, decide
@@ -292,7 +292,7 @@ def test_each_search_builds_and_checks_its_box_only_in_its_join():
 
     search = _definitions("search")
     box_work = {
-        "parse_bounds", "_join", "catalog_index", "SpecIndex", "_rule_pairs", "_xy_rules",
+        "parse_bounds", "_join", "catalog_index", "SpecIndex", "_rule_pairs",
         "_case1_pairs", "_case2_triples", "_groups", "shape_of", "_check_catalog_reach",
         "check_two_fiber_shape",
     }
@@ -300,6 +300,17 @@ def test_each_search_builds_and_checks_its_box_only_in_its_join():
         named = _named(search[row.function])
         assert "_decided" in named and not box_work & named, row.function
         assert isinstance(search[row.join], ast.FunctionDef), row.join
+
+
+def test_the_two_rule_searches_share_one_join():
+    # xy's edges parse into d_rules, so xy and final-bounds name one join
+    # and the per-search rule joins are gone
+    from dgk.search import SEARCHES
+
+    search = _definitions("search")
+    assert not {"_xy_join", "_xy_rules", "_final_bounds_join"} & set(search)
+    assert SEARCHES["xy"].join == SEARCHES["final-bounds"].join == "_rule_join"
+    assert isinstance(search["_rule_join"], ast.FunctionDef)
 
 
 def test_the_decisions_build_no_fraction():
