@@ -6,19 +6,27 @@ and an exceptional shape.  :data:`PREDICATES` names each condition once,
 with its test and its witness.  Each test decides its condition in integers:
 it cross-multiplies the fork record (b, D, S, E, Et) of
 :func:`dgk.barks.fork_invariants` with the shape's integers (d(E), K.E,
-epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.  The verdict
-:func:`passes` takes the record the scan has already formed and stops at the
-first failing name, and :func:`decide` is the one decision pass of the
-searches and the two-fiber solver: the hits that pass, canonically sorted.
-The report :func:`evaluate_predicates` reads every ok flag from the same
-tests and never short-circuits, so a failing candidate still shows every
-witness value; ``Fraction`` appears only in the witnesses.
+epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
+
+:func:`decide` is the one decision pass of the searches and the two-fiber
+solver: the results of the hits that pass, canonically sorted, each hit
+decided on the record its join formed.  A join's hits are a :class:`Hits`,
+which keeps a verdict table per (group-order mode, predicate name), so a
+predicate is tested on a hit at most once per mode however many lists are
+decided on it.  ``decide`` walks the names in order over the hits still
+alive, testing only those the table holds untested, so on fresh tables it
+makes the tests of a verdict that stops at each hit's first failing name,
+and a list decided before reads the table alone.  The report
+:func:`evaluate_predicates` reads every ok flag from the same tests and
+never short-circuits, so a failing candidate still shows every witness
+value; ``Fraction`` appears only in the witnesses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -254,36 +262,88 @@ def evaluate_predicates(
     )
 
 
-def passes(
-    record: ForkInvariants,
-    twigs: tuple[Weights, Weights, Weights],
-    eshape: ExceptionalShape,
-    names: tuple[str, ...],
-    *,
-    group_order_mode: str = "actual",
-) -> bool:
-    """Whether the candidate (``record.b``, ``twigs``, ``eshape``) passes
-    every predicate of ``names``: the verdict of :meth:`PredicateReport.passes`,
-    decided in integers at the first failing name.  ``record`` is the
-    candidate's :func:`dgk.barks.fork_invariants`, with D > 0."""
-    g = eshape.group_order_for(group_order_mode)
-    for name in names:
-        if not PREDICATES[name].test(record, twigs, eshape, g):
-            return False
-    return True
-
-
 # A hit of a join: the fork record, twigs and shape a verdict reads, and the
 # result kept if it passes (a BoundaryCandidate or a ruling.TwoFiberSolution).
 Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, object]
 
 
-def decide(hits: Iterable[Hit], names: tuple[str, ...], group_order_mode: str = "actual") -> list:
-    """The decision pass: the result of each hit that :func:`passes`
-    ``names`` on the record the join formed, sorted by its ``sort_key()``."""
-    found = [
-        result for record, twigs, shape, result in hits
-        if passes(record, twigs, shape, names, group_order_mode=group_order_mode)
-    ]
+class Hits(tuple):
+    """The hits of a join and the verdicts decided on them so far.
+
+    ``verdicts`` maps a group-order mode to the verdict tables decided
+    under it: for each predicate name a ``bytearray`` with one byte per hit,
+    0 while untested, then 1 if the hit fails and 2 if it passes.  A table
+    lives as long as its ``Hits``: :func:`dgk.search._join` keeps each
+    search's, so a flag variant of a joined box reads the verdicts an
+    earlier one decided."""
+
+    verdicts: dict[str, dict[str, bytearray]]
+
+    def __init__(self, hits: Iterable[Hit]) -> None:
+        self.verdicts = {}
+
+    @cached_property
+    def without_eps2_chains(self) -> list[int]:
+        """The indices of the hits whose shape is not a chain of epsilon 2:
+        the hits a bounds file's epsilon = 2 exclusion keeps."""
+        return [i for i, hit in enumerate(self) if hit[2].epsilon != 2 or hit[2].is_fork]
+
+
+def _group_orders(hits: Sequence[Hit], group_order_mode: str) -> list[int]:
+    """The group order |G| of each hit's shape under ``group_order_mode``."""
+    return [hit[2].group_order_for(group_order_mode) for hit in hits]
+
+
+def decide(
+    hits: Sequence[Hit], names: tuple[str, ...], group_order_mode: str = "actual",
+    alive: Sequence[int] | None = None,
+) -> list:
+    """The decision pass: the result of each hit that passes every predicate
+    of ``names`` on the record the join formed, sorted by its ``sort_key()``.
+
+    ``hits`` is a :class:`Hits`, whose verdict tables this fills, or any
+    sequence of hits, decided on fresh tables.  ``alive`` are the indices of
+    the hits to decide, in order; all of them by default.  The predicates
+    are walked in the order of ``names``, each tested only on the hits still
+    alive that its table under ``group_order_mode`` holds untested, and the
+    walk stops once no hit is alive.  So fresh tables make exactly the tests
+    of a verdict that stops at each hit's first failing name, and a list
+    decided before makes none."""
+    size = len(hits)
+    alive = range(size) if alive is None else alive
+    if not alive:
+        return []
+    verdicts = hits.verdicts if isinstance(hits, Hits) else {}
+    tables = verdicts.setdefault(group_order_mode, {})
+    orders = None  # each hit's group order, read when a first test needs it
+    for name in names:
+        test = PREDICATES[name].test
+        table = tables.get(name)
+        kept = []
+        if table is None:  # a fresh table: every alive hit is untested
+            table = tables[name] = bytearray(size)
+            if orders is None:
+                orders = _group_orders(hits, group_order_mode)
+            for i in alive:
+                record, twigs, shape, _ = hits[i]
+                if test(record, twigs, shape, orders[i]):
+                    table[i] = 2
+                    kept.append(i)
+                else:
+                    table[i] = 1
+        else:
+            for i in alive:
+                verdict = table[i]
+                if not verdict:
+                    if orders is None:
+                        orders = _group_orders(hits, group_order_mode)
+                    record, twigs, shape, _ = hits[i]
+                    verdict = table[i] = 2 if test(record, twigs, shape, orders[i]) else 1
+                if verdict == 2:
+                    kept.append(i)
+        alive = kept
+        if not alive:
+            break
+    found = [hits[i][3] for i in alive]
     found.sort(key=lambda result: result.sort_key())
     return found

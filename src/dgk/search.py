@@ -27,10 +27,13 @@ gives the hits, each with the record its verdict reads.  xy and
 final-bounds share :func:`_rule_join`: both boxes are ``d_rules`` (xy's
 edges parse into them) and differ only in their shapes.  :func:`_join` keeps
 the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
-refused box raises and is not kept.  :func:`_decide` applies the flags on
-every call, so a flag variant of a joined box runs no scan: the epsilon = 2
-exclusion, then :func:`dgk.predicates.decide` with the predicate list and
-the group-order convention, the decision pass the two-fiber solver shares.
+refused box raises and is not kept.  Each output list of a join is a
+:class:`dgk.predicates.Hits`, which carries the verdicts decided on its
+hits, so the one cache keeps them too.  :func:`_decide` applies the flags
+on every call, so a flag variant of a joined box runs no scan and repeats
+no test: the hits the epsilon = 2 exclusion keeps are its starting set,
+then :func:`dgk.predicates.decide` with the predicate list and the
+group-order convention, the decision pass the two-fiber solver shares.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .barks import (
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
-from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, decide, evaluate_predicates
+from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, Hits, decide, evaluate_predicates
 from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
 from .ruling import solve_two_fiber  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -198,7 +201,8 @@ _CHECKS = {
 def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     """The bounds of the search ``name``: ``cfg``, or its packaged file when
     ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
-    type, a repeated ``b`` value, unknown or repeated ``eshapes`` entries,
+    type, a repeated ``b`` value, a ``d_rules`` entry (or xy's edges) that
+    covers no discriminant triple, unknown or repeated ``eshapes`` entries,
     unknown predicates, and for the scan searches a predicate list without
     :data:`INDEX_PREDICATES`."""
     search = SEARCHES[name]
@@ -232,7 +236,18 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
         values["d_rules"] = tuple(Rule(**rule) for rule in cfg["d_rules"])
     if "x_max" in cfg:  # xy's edges stand for the rules (x, x, y_max, z_max)
         x_max, y_max, z_max = (values.pop(key) for key in ("x_max", "y_max", "z_max"))
+        if not 2 <= x_max <= min(y_max, z_max):
+            raise ValueError(
+                "xy's edges must satisfy 2 <= x_max <= y_max and x_max <= z_max,"
+                f" got x_max {x_max}, y_max {y_max}, z_max {z_max}"
+            )
         values["d_rules"] = tuple(Rule(x, x, y_max, z_max) for x in range(2, x_max + 1))
+    for rule in values.get("d_rules", ()):
+        if max(rule.x, rule.y_min) > min(rule.y_max, rule.z_max):
+            raise ValueError(
+                f"d_rules entry {rule._asdict()} covers no discriminant triple:"
+                " max(x, y_min) > min(y_max, z_max)"
+            )
     if "t1" in cfg:
         values["t1"] = _record_of(parse_chain(cfg["t1"])).ws
     if "eshapes" in cfg:
@@ -240,7 +255,7 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     return Bounds(**values)
 
 
-def _scan_triples(groups, box: Bounds, index: SpecIndex) -> tuple[Hit, ...]:
+def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
     """The hits of the (twig triple, b, shape) combinations in ``box``, in
     sweep order: the join of a scan search, which reads no flag.
 
@@ -286,16 +301,16 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> tuple[Hit, ...]:
                     twigs = (r1.ws, r2.ws, r3.ws)
                     hits.append((ForkInvariants(b, dd, s, e, et), twigs, shape,
                                  BoundaryCandidate(b, twigs, shape)))
-    return tuple(hits)
+    return Hits(hits)
 
 
-def _decide(hits: tuple[Hit, ...], spec: Bounds) -> list:
-    """The decision pass of a search under ``spec``'s flags: the epsilon = 2
-    exclusion drops a chain shape of epsilon 2, then
-    :func:`dgk.predicates.decide` keeps the results that pass, sorted."""
-    if spec.exclude_eps2_chains:
-        hits = [hit for hit in hits if not (hit[2].epsilon == 2 and not hit[2].is_fork)]
-    return decide(hits, spec.predicates, spec.group_order_mode)
+def _decide(hits: Hits, spec: Bounds) -> list:
+    """The decision pass of a search under ``spec``'s flags:
+    :func:`dgk.predicates.decide` on the hits and their verdict tables keeps
+    the results that pass, sorted, starting from the hits the epsilon = 2
+    exclusion keeps when the flag is set."""
+    alive = hits.without_eps2_chains if spec.exclude_eps2_chains else None
+    return decide(hits, spec.predicates, spec.group_order_mode, alive)
 
 
 def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:
@@ -380,7 +395,7 @@ def _check_catalog_reach(keys, box: Bounds, index: SpecIndex) -> None:
         )
 
 
-def _rule_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+def _rule_join(box: Bounds) -> tuple[Hits]:
     """The join of xy and final-bounds: the pairs of ``box.d_rules`` probed
     against the named shapes ``eshapes`` (xy, ``catalog_max_size`` None), or
     against the catalog once :func:`_check_catalog_reach` passes on them."""
@@ -459,7 +474,7 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
     return {"case1": [c.to_dict() for c in case1], "case2": [c.to_dict() for c in case2]}
 
 
-def _knonpos_join(box: Bounds) -> tuple[tuple[Hit, ...], tuple[Hit, ...]]:
+def _knonpos_join(box: Bounds) -> tuple[Hits, Hits]:
     index = catalog_index(box.catalog_max_size)
     pairs1, groups2 = _case1_pairs(box), _case2_triples(box)
     keys = [*_pair_keys(pairs1),
@@ -478,7 +493,7 @@ def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     return found
 
 
-def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
+def _fiber_pairs_join(box: Bounds) -> tuple[Hits]:
     """The :func:`dgk.ruling.two_fiber_candidates` of every (T1, T2) of
     d <= twig_d_max on each shape, once every shape passes
     :func:`dgk.ruling.check_two_fiber_shape`: one solver call per (shape,
@@ -488,7 +503,7 @@ def _fiber_pairs_join(box: Bounds) -> tuple[tuple[Hit, ...]]:
     for es in shapes:
         check_two_fiber_shape(es)
     sweep = [r.ws for dd in range(2, box.twig_d_max + 1) for r in _records_with_d(dd)]
-    return (tuple(
+    return (Hits(
         hit for es in shapes for t1 in sweep for hit in two_fiber_candidates(t1, sweep, es)
     ),)
 
@@ -510,7 +525,7 @@ def _box(spec: Bounds) -> Bounds:
 
 
 @lru_cache(maxsize=JOIN_CACHE_SIZE)
-def _join(name: str, box: Bounds) -> tuple[tuple[Hit, ...], ...]:
+def _join(name: str, box: Bounds) -> tuple[Hits, ...]:
     """The hits of the search ``name`` on ``box``, one tuple per output list
     (knonpos has two, case 1 and case 2), from the join its :class:`Search`
     row names.  The join reads only the box, so each box is joined once per

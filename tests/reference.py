@@ -10,8 +10,9 @@ external (-2)-curves, the simulated multiplicity trace, the
 continued-fraction recurrence for e, d'' of a chain, the two-fiber solver
 and the square/zar_bk2 entries in ``Fraction`` arithmetic, the ruling
 equations (5)/(6) as the paper writes them, the predicate report as one
-function in ``Fraction`` arithmetic, a fork's twig sums in their symmetric
-form and the scan kernel one twig triple at a time.  ``tests/test_source.py`` keeps them
+function in ``Fraction`` arithmetic, the verdict one hit at a time, a
+fork's twig sums in their symmetric form and the scan kernel one twig
+triple at a time.  ``tests/test_source.py`` keeps them
 out of the package: every package function must have a caller in the
 package.
 
@@ -37,7 +38,7 @@ from dgk.barks import (
 )
 from dgk.graphs import Fork, Weights, format_chain
 from dgk.pairs import FiberTree
-from dgk.predicates import BoundaryCandidate, PredicateReport, passes
+from dgk.predicates import PREDICATES, BoundaryCandidate, PredicateReport
 from dgk.ruling import FiberTuple, _assemble_solution
 
 # ---------------------------------------------------------------------------
@@ -492,6 +493,19 @@ def shape(key, eps, size=12):
 
 
 # ---------------------------------------------------------------------------
+# the verdict one hit at a time
+
+
+def short_circuit_verdict(record, twigs, eshape, names, group_order_mode="actual") -> bool:
+    """Whether the hit (record, twigs, eshape) passes every predicate of
+    ``names``, its tests made in the order of ``names`` up to the first that
+    fails: the verdict the package once decided hit by hit, and the oracle of
+    the tests ``dgk.predicates.decide`` makes on fresh verdict tables."""
+    g = eshape.group_order_for(group_order_mode)
+    return all(PREDICATES[name].test(record, twigs, eshape, g) for name in names)
+
+
+# ---------------------------------------------------------------------------
 # the twig sums and the scan kernel, one triple at a time
 
 
@@ -540,8 +554,8 @@ def reference_scan_triples(triples, bounds, index) -> list[BoundaryCandidate]:
                 if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue
                 twigs = (r1.ws, r2.ws, r3.ws)
-                if passes(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
-                          group_order_mode=bounds.group_order_mode):
+                if short_circuit_verdict(ForkInvariants(b, dd, s, e, et), twigs, shape, names,
+                                         bounds.group_order_mode):
                     found.append(BoundaryCandidate(b, twigs, shape))
     found.sort(key=BoundaryCandidate.sort_key)
     return found

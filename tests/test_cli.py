@@ -458,6 +458,25 @@ def test_eshapes_entry_not_a_pair_exit_code(capsys, tmp_path, name, file_name, e
     assert err.startswith(f"error: eshapes entry {entry!r} is not a [key, epsilon] pair")
 
 
+@pytest.mark.parametrize(
+    "name,file_name,box,message",
+    [
+        ("xy", "xy", {"x_max": 1}, "error: xy's edges must satisfy 2 <= x_max <= y_max"
+         " and x_max <= z_max, got x_max 1, y_max 11, z_max 41"),
+        ("final-bounds", "final_bounds", {"d_rules": [{"x": 5, "y_min": 3, "y_max": 4, "z_max": 41}]},
+         "error: d_rules entry {'x': 5, 'y_min': 3, 'y_max': 4, 'z_max': 41} covers no"
+         " discriminant triple: max(x, y_min) > min(y_max, z_max)"),
+    ],
+    ids=["xy", "final-bounds"],
+)
+def test_box_without_a_discriminant_triple_exit_code(capsys, tmp_path, name, file_name, box, message):
+    # such a box used to print an empty list with exit 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds(file_name), **box)))
+    code, out, err = run(capsys, "search", name, "--bounds", str(bad))
+    assert (code, out, err) == (1, "", message)
+
+
 def test_repeated_bounds_value_exit_code(capsys, tmp_path):
     # a repeated b value used to print a candidate twice with exit 0
     bad = tmp_path / "bad.json"

@@ -2,8 +2,8 @@
 
 ``reference.reference_report`` evaluates every predicate in turn in
 ``Fraction`` arithmetic, as the package once did.  The table must give the
-same report, entry by entry and witness by witness, and its integer verdict
-``passes`` the report's verdict, predicate by predicate.
+same report, entry by entry and witness by witness, and the decision pass
+``decide`` the report's verdict, predicate by predicate.
 """
 
 import random
@@ -22,30 +22,35 @@ from dgk.barks import (
     family_specs,
     fork_invariants,
 )
-from dgk.predicates import PREDICATE_NAMES, BoundaryCandidate, evaluate_predicates, passes
-from dgk.search import (
-    load_bounds,
-    search_fiber_pairs,
-    search_final_bounds,
-    search_k_nonpositive,
-    search_xy,
+from dgk.predicates import (
+    PREDICATE_NAMES,
+    PREDICATES,
+    BoundaryCandidate,
+    decide,
+    evaluate_predicates,
 )
-from reference import cand_delta, cand_et, reference_report, shape
+from dgk.search import INDEX_PREDICATES, _box, _decided, _join, load_bounds, parse_bounds
+from reference import cand_delta, cand_et, reference_report, shape, short_circuit_verdict
 
 MODES = ("actual", "h1")
 BOUNDS_FILES = {
-    "final_bounds": search_final_bounds,
-    "final_bounds_relaxed": search_final_bounds,
-    "xy": search_xy,
-    "k_nonpositive": search_k_nonpositive,
-    "fiber_pairs": search_fiber_pairs,
+    "final_bounds": "final-bounds",
+    "final_bounds_relaxed": "final-bounds",
+    "xy": "xy",
+    "k_nonpositive": "knonpos",
+    "fiber_pairs": "fiber-pairs",
 }
 
 
+def one_hit(record, twigs, eshape, names, mode):
+    """``decide`` on a one-hit table: whether the hit passes ``names``."""
+    cand = BoundaryCandidate(record.b, twigs, eshape)
+    return decide([(record, twigs, eshape, cand)], names, mode) == [cand]
+
+
 def verdict(cand, names, mode):
-    """``passes`` on a candidate, with the record the searches hand it."""
-    return passes(fork_invariants(cand.fork), cand.twigs, cand.eshape, names,
-                  group_order_mode=mode)
+    """The verdict of a candidate, with the record the searches hand it."""
+    return one_hit(fork_invariants(cand.fork), cand.twigs, cand.eshape, names, mode)
 
 
 def test_reports_match_the_reference_on_a_sweep():
@@ -88,8 +93,9 @@ def test_bad_candidates_fail_alike(twigs, mode, error):
     message = re.escape(str(want.value))
     with pytest.raises(error, match=message):
         evaluate_predicates(cand, group_order_mode=mode)
+    # decide reads the group order when its first test is due
     with pytest.raises(error, match=message):
-        verdict(cand, (), mode)
+        verdict(cand, PREDICATE_NAMES, mode)
 
 
 def test_a_negative_twig_product_is_refused():
@@ -101,19 +107,24 @@ def test_a_negative_twig_product_is_refused():
         evaluate_predicates(cand)
 
 
+def kept_hits(spec, joined):
+    """The hits of ``joined`` the epsilon = 2 exclusion of ``spec`` keeps,
+    read off the shapes."""
+    return [hit for hit in joined
+            if not (spec.exclude_eps2_chains and hit[2].epsilon == 2 and not hit[2].is_fork)]
+
+
 def record_hits(runs):
     """Every (fork record, candidate, group-order mode) the verdict decides
-    in ``search(cfg)`` for each (search, cfg) of ``runs``."""
+    in the search ``name`` on ``cfg`` for each (name, cfg) of ``runs``: each
+    hit of its box's join that the epsilon = 2 exclusion keeps."""
     hits = []
-    with pytest.MonkeyPatch.context() as mp:
-
-        def recording(record, twigs, eshape, names, *, group_order_mode):
-            hits.append((record, BoundaryCandidate(record.b, twigs, eshape), group_order_mode))
-            return passes(record, twigs, eshape, names, group_order_mode=group_order_mode)
-
-        mp.setattr(dgk_predicates, "passes", recording)
-        for search, cfg in runs:
-            search(cfg)
+    for name, cfg in runs:
+        spec = parse_bounds(name, cfg)
+        for joined in _join(name, _box(spec)):
+            for record, twigs, eshape, _ in kept_hits(spec, joined):
+                hits.append((record, BoundaryCandidate(record.b, twigs, eshape),
+                             spec.group_order_mode))
     return hits
 
 
@@ -150,7 +161,7 @@ def test_the_verdict_matches_the_reference_on_every_probe_hit(probe_hits):
     for record, cand, mode in hits:
         want = reference_report(cand, mode)
         for names in lists + subsets:
-            got = passes(record, cand.twigs, cand.eshape, names, group_order_mode=mode)
+            got = one_hit(record, cand.twigs, cand.eshape, names, mode)
             assert got == want.passes(names), (cand, names)
             verdicts[got] += 1
     assert all(verdicts.values()), verdicts
@@ -165,18 +176,145 @@ def test_each_verdict_matches_the_reference_on_widened_boxes():
     final["catalog_max_size"] = 100
     assert final["d_rules"][1]["x"] == 2
     final["d_rules"][1]["z_max"] = 84
-    xy_hits = record_hits([(search_xy, dict(xy, z_max=150))])
-    final_hits = record_hits([(search_final_bounds, final)])
+    xy_hits = record_hits([("xy", dict(xy, z_max=150))])
+    final_hits = record_hits([("final-bounds", final)])
     assert (len(xy_hits), len(final_hits)) == (471, 730)
     outcomes = Counter()
     for record, cand, _ in xy_hits + final_hits:
         for mode in MODES:
             want = reference_report(cand, mode).entries
             for name in PREDICATE_NAMES:
-                got = passes(record, cand.twigs, cand.eshape, (name,), group_order_mode=mode)
+                got = one_hit(record, cand.twigs, cand.eshape, (name,), mode)
                 assert got == want[name][0], (cand, mode, name)
                 outcomes[got] += 1
     assert outcomes[True] and outcomes[False], outcomes
+
+
+# ---------------------------------------------------------------------------
+# the verdict tables: each (hit, predicate, group-order mode) tested at most
+# once per joined box
+
+CHECKED_IN = [(search, name) for name, search in BOUNDS_FILES.items()]
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """A Counter of the (name, record, twigs, shape, |G|) each PREDICATES
+    test is asked, whoever asks it."""
+    calls = Counter()
+    for name, row in PREDICATES.items():
+        def counted(record, twigs, eshape, g, name=name, test=row.test):
+            calls[name, record, twigs, eshape, g] += 1
+            return test(record, twigs, eshape, g)
+        monkeypatch.setitem(dgk_predicates.PREDICATES, name, row._replace(test=counted))
+    return calls
+
+
+def search_run(name, cfg):
+    """The decided lists of the search ``name`` on ``cfg``, through the one
+    route parse, join, decide (xy's report would ask the tests again)."""
+    return _decided(name, cfg)[1]
+
+
+@pytest.mark.parametrize("name, file_name", CHECKED_IN, ids=[f for _, f in CHECKED_IN])
+def test_a_cold_decide_makes_the_tests_of_the_short_circuit_route(tested, name, file_name):
+    spec = parse_bounds(name, load_bounds(file_name))
+    _join.cache_clear()
+    found = search_run(name, load_bounds(file_name))
+    cold = Counter(tested)
+    tested.clear()
+    for joined, got in zip(_join(name, _box(spec)), found, strict=True):
+        assert joined.verdicts  # the join's hits keep the tables the call filled
+        passed = [
+            result for record, twigs, eshape, result in kept_hits(spec, joined)
+            if short_circuit_verdict(record, twigs, eshape, spec.predicates,
+                                     spec.group_order_mode)
+        ]
+        assert got == sorted(passed, key=lambda result: result.sort_key())
+    assert cold and cold == tested and set(cold.values()) == {1}, file_name
+
+
+@pytest.mark.parametrize("name, file_name", CHECKED_IN, ids=[f for _, f in CHECKED_IN])
+def test_a_decided_list_or_its_prefix_makes_no_test(tested, name, file_name):
+    # a prefix of a decided list meets, on each hit, the tests the list made
+    # up to the hit's first failure; a scan's list must name the index
+    # predicates, so its prefixes start at the last of them
+    cfg = load_bounds(file_name)
+    names = cfg["predicates"]
+    first = 0 if name == "fiber-pairs" else 1 + max(map(names.index, INDEX_PREDICATES))
+    prefixes = [dict(cfg, predicates=names[:k]) for k in range(first, len(names) + 1)]
+    _join.cache_clear()
+    want = search_run(name, cfg)
+    assert tested
+    tested.clear()
+    assert search_run(name, cfg) == want
+    warm = [search_run(name, prefix) for prefix in prefixes]
+    assert not tested, file_name
+    assert _join.cache_info().misses == 1
+    for prefix, got in zip(prefixes, warm):
+        _join.cache_clear()
+        assert search_run(name, prefix) == got, (file_name, prefix["predicates"])
+
+
+@pytest.mark.parametrize("name, file_name", CHECKED_IN, ids=[f for _, f in CHECKED_IN])
+def test_no_hit_is_tested_twice_on_one_predicate(tested, name, file_name):
+    # seeded lists of any order in either mode on one joined box: each
+    # (hit, predicate) is tested at most once per mode, and each result is
+    # that of a cold join
+    cfg = load_bounds(file_name)
+    rng = random.Random(file_name)
+    others = [p for p in PREDICATE_NAMES if p not in INDEX_PREDICATES]
+    base = [] if name == "fiber-pairs" else list(INDEX_PREDICATES)
+    _join.cache_clear()
+    variants = []
+    for mode in MODES:
+        tested.clear()
+        for _ in range(3):
+            names = base + rng.sample(others, rng.randrange(len(others)))
+            rng.shuffle(names)
+            variant = dict(cfg, predicates=names, group_order_mode=mode)
+            variants.append((variant, search_run(name, variant)))
+        assert tested and set(tested.values()) == {1}, (file_name, mode)
+    assert _join.cache_info().misses == 1
+    for variant, got in variants:
+        _join.cache_clear()
+        assert search_run(name, variant) == got
+
+
+MODE_LISTS = [
+    ("knonpos", load_bounds("k_nonpositive")),
+    ("final-bounds", dict(load_bounds("final_bounds"),
+                          predicates=[*INDEX_PREDICATES, "bmy"])),
+]
+
+
+@pytest.mark.parametrize("name, cfg", MODE_LISTS, ids=[name for name, _ in MODE_LISTS])
+def test_the_tables_of_one_mode_do_not_decide_the_other(name, cfg):
+    cold = {}
+    for mode in MODES:
+        _join.cache_clear()
+        cold[mode] = search_run(name, dict(cfg, group_order_mode=mode))
+    assert cold["h1"] != cold["actual"], name  # the group order reaches the output
+    for order in (MODES, MODES[::-1]):
+        _join.cache_clear()
+        for mode in order:
+            assert search_run(name, dict(cfg, group_order_mode=mode)) == cold[mode], (order, mode)
+
+
+@pytest.mark.parametrize("name, file_name", CHECKED_IN[:4], ids=[f for _, f in CHECKED_IN[:4]])
+def test_toggling_the_eps2_exclusion_on_a_joined_box(name, file_name):
+    # the exclusion is the starting set of the walk, so the tables decided
+    # from one setting serve the other
+    cold = {}
+    for flag in (True, False):
+        _join.cache_clear()
+        cold[flag] = search_run(name, dict(load_bounds(file_name), exclude_eps2_chains=flag))
+    assert cold[True] != cold[False], file_name
+    _join.cache_clear()
+    for flag in (True, False, True, False):
+        got = search_run(name, dict(load_bounds(file_name), exclude_eps2_chains=flag))
+        assert got == cold[flag], (file_name, flag)
+    assert _join.cache_info().misses == 1
 
 
 def test_ke_holds_on_every_catalog_family():

@@ -599,8 +599,9 @@ def fb_rules(*rules):
 
 
 def test_degenerate_boxes_run_as_their_nonempty_parts():
-    # an empty part of a box adds nothing and raises nothing: each result
-    # is that of the box without the empty part, with the counts pinned
+    # a part of a box without twigs adds nothing and raises nothing: each
+    # result is that of the box without that part, with the counts pinned.
+    # A d_rules entry that covers no discriminant triple is refused instead
     kn = dict(index_only("k_nonpositive"), catalog_max_size=30)
     out = search_k_nonpositive(dict(kn, d2_max=5, d3_max=2, case2_k_max=1))
     want = search_k_nonpositive(dict(kn, d2_max=3, d3_max=3, case2_k_max=1))
@@ -617,11 +618,14 @@ def test_degenerate_boxes_run_as_their_nonempty_parts():
     for rules, kept, count in (
         ((wide, (2, 4, 5, 10)), (wide,), 75),  # covered by the rule before it
         (((1, 1, 4, 8), wide), (wide,), 75),  # x < 2
-        (((2, 7, 5, 12), narrow), (narrow,), 28),  # y_min > y_max
     ):
         out = search_final_bounds(dict(fb, d_rules=fb_rules(*rules)))
         assert out == search_final_bounds(dict(fb, d_rules=fb_rules(*kept)))
         assert len(out["candidates"]) == count
+    assert len(search_final_bounds(dict(fb, d_rules=fb_rules(narrow)))["candidates"]) == 28
+    with pytest.raises(ValueError, match=re.escape(  # y_min > y_max
+            "d_rules entry {'x': 2, 'y_min': 7, 'y_max': 5, 'z_max': 12} covers no")):
+        search_final_bounds(dict(fb, d_rules=fb_rules((2, 7, 5, 12), narrow)))
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +821,46 @@ def test_bounds_with_a_repeated_value_rejected(name, key, value):
     cfg = dict(load_bounds(file_of(name)), **{key: value})
     with pytest.raises(ValueError, match=f"^{key} .*repeat"):
         run(name, cfg)
+
+
+# A box that covers no discriminant triple returned [] with exit 0; each
+# d_rules entry, and xy's edges, must cover one.
+EMPTY_BOXES = [
+    ("xy", {"x_max": 1}, "x_max 1, y_max 11, z_max 41"),
+    ("xy", {"y_max": 1}, "x_max 4, y_max 1, z_max 41"),
+    ("xy", {"x_max": 5, "y_max": 4}, "x_max 5, y_max 4, z_max 41"),
+    ("xy", {"z_max": 3}, "x_max 4, y_max 11, z_max 3"),
+    ("final-bounds", {"d_rules": [{"x": 5, "y_min": 3, "y_max": 4, "z_max": 41}]},
+     "{'x': 5, 'y_min': 3, 'y_max': 4, 'z_max': 41}"),
+    ("final-bounds", {"d_rules": [{"x": 3, "y_min": 3, "y_max": 3, "z_max": 5},
+                                  {"x": 2, "y_min": 6, "y_max": 5, "z_max": 41}]},
+     "{'x': 2, 'y_min': 6, 'y_max': 5, 'z_max': 41}"),
+    ("final-bounds", {"d_rules": [{"x": 2, "y_min": 3, "y_max": 5, "z_max": 2}]},
+     "{'x': 2, 'y_min': 3, 'y_max': 5, 'z_max': 2}"),
+]
+
+
+@pytest.mark.parametrize("name, box, shown", EMPTY_BOXES,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(EMPTY_BOXES)])
+def test_a_box_without_a_discriminant_triple_is_refused(name, box, shown):
+    cfg = dict(load_bounds(file_of(name)), **box)
+    if name == "xy":
+        message = f"xy's edges must satisfy 2 <= x_max <= y_max and x_max <= z_max, got {shown}"
+    else:
+        message = f"d_rules entry {shown} covers no discriminant triple"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        run(name, cfg)
+
+
+@pytest.mark.parametrize("name, box", [
+    ("xy", {"x_max": 2, "y_max": 2, "z_max": 2}),
+    ("final-bounds", {"d_rules": [{"x": 2, "y_min": 2, "y_max": 2, "z_max": 2}]}),
+    ("final-bounds", {"d_rules": [{"x": 3, "y_min": 2, "y_max": 3, "z_max": 3}]}),
+])
+def test_a_box_of_one_discriminant_triple_is_accepted(name, box):
+    # max(x, y_min) = min(y_max, z_max): the one triple (x, y, y)
+    (rule,) = parse_bounds(name, dict(load_bounds(file_of(name)), **box)).d_rules
+    assert len(_rule_pairs([rule])) >= 1
 
 
 def test_bounds_with_missing_key_rejected():

@@ -128,11 +128,12 @@ def test_only_the_fiber_module_reads_adjacency():
 
 
 # Functions that only the tests call, each waiting for a reason to stay: the
-# paper checks that are to become entries of `dgk verify`, and the chain
+# paper checks that are to become entries of `dgk verify`, the chain
 # functions the benchmark's queries workload calls (its other one,
-# chains.invariants, is the checked route of chains.e and chains.delta).
-# Every other function only the tests call is a reference route and belongs
-# in tests/reference.py.
+# chains.invariants, is the checked route of chains.e and chains.delta), and
+# the report's verdict PredicateReport.passes, which the benchmark's
+# fiber-pairs check calls.  Every other function only the tests call is a
+# reference route and belongs in tests/reference.py.
 AWAITING_MANIFEST = {
     "ruling.tail_chain_23_branch",
     "ruling.second_fiber_square_branch",
@@ -144,6 +145,7 @@ AWAITING_MANIFEST = {
     "predicates.lambda_and_p_square",
     "chains.adjoint_chain",
     "chains.chain_from_e",
+    "predicates.PredicateReport.passes",
 }
 
 
@@ -253,7 +255,7 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
     # the decision passes ask predicates.decide for the verdicts; the joins,
     # whose hits the cache keeps for every predicate list, ask for neither
     # them nor a report
-    verdicts = {"evaluate_predicates", "passes", "decide"}
+    verdicts = {"evaluate_predicates", "decide"}
     for module, name in (("search", "_decide"), ("ruling", "solve_two_fiber")):
         tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
         (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
@@ -271,17 +273,37 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
 
 
 def test_only_the_predicate_module_names_the_verdict():
-    # predicates.decide is the one decision pass: it alone asks passes for a
-    # verdict, and the searches and the two-fiber solver hand it their hits
-    found, deciders = [], set()
+    # predicates.decide is the one decision pass: it alone asks a PREDICATES
+    # test for a verdict, outside the report, and the searches and the
+    # two-fiber solver hand it their hits; the per-hit verdict passes is gone
+    readers, deciders = set(), set()
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        named = _named(ast.parse(path.read_text(), filename=str(path)))
-        if path.name != "predicates.py" and "passes" in named:
-            found.append(path.name)
-        if "decide" in named:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if {"PREDICATES", "test"} <= _named(node):
+                    readers.add(f"{path.name}:{node.name}")
+        if "decide" in _named(tree):
             deciders.add(path.name)
-    assert found == []
+    assert readers == {"predicates.py:decide", "predicates.py:evaluate_predicates"}
     assert {"search.py", "ruling.py"} <= deciders
+    assert "passes" not in _definitions("predicates")
+
+
+def test_the_verdicts_live_in_the_one_join_cache():
+    # the verdict tables ride on the hits search._join keeps, so a flag
+    # variant reads them without a cache of its own: predicates.py caches
+    # nothing, and search.py's caches are the twig table and _join alone
+    cached = {}
+    for module in ("predicates", "search", "ruling"):
+        for name, node in _definitions(module).items():
+            for deco in getattr(node, "decorator_list", ()):
+                call = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(call, "id", None) in ("lru_cache", "cache"):
+                    cached[f"{module}.{name}"] = deco
+    assert set(cached) == {"search._records_with_d", "search._join"}
+    (size,) = cached["search._join"].keywords
+    assert (size.arg, size.value.id) == ("maxsize", "JOIN_CACHE_SIZE")
 
 
 def test_each_search_builds_and_checks_its_box_only_in_its_join():
@@ -314,9 +336,9 @@ def test_the_two_rule_searches_share_one_join():
 
 
 def test_the_decisions_build_no_fraction():
-    # decide, passes and each PREDICATES test decide in integers, and so
-    # does every module-level function or class they name; Fraction is for
-    # the witnesses only
+    # decide and each PREDICATES test decide in integers, and so does every
+    # module-level function or class they name; Fraction is for the
+    # witnesses only
     tree = ast.parse((PACKAGE_DIR / "predicates.py").read_text())
     functions = {
         n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
@@ -328,7 +350,7 @@ def test_the_decisions_build_no_fraction():
     ]
     tests = [row.args[0] for row in table.values]
     assert len(tests) == len(table.keys)
-    route = [functions["decide"], functions["passes"]]
+    route = [functions["decide"]]
     route += [functions.get(getattr(t, "id", None), t) for t in tests]
     seen = set()
     while route:
