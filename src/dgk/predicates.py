@@ -10,13 +10,13 @@ epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
 
 :func:`decide` is the one decision pass of the searches and the two-fiber
 solver: the results of the hits that pass, canonically sorted, each hit
-decided on the record its join formed.  A join's hits are a :class:`Hits`,
-which keeps a verdict table per (group-order mode, predicate name), so a
-predicate is tested on a hit at most once per mode however many lists are
-decided on it.  ``decide`` walks the names in order over the hits still
-alive, testing only those the table holds untested, so on fresh tables it
-makes the tests of a verdict that stops at each hit's first failing name,
-and a list decided before reads the table alone.  The report
+decided on the record its join formed.  Each hit is tested in the order of
+the names up to its first failing predicate.  A join's hits are a
+:class:`Hits`, which keeps a verdict table per (group-order mode, predicate
+name), so a predicate is tested on a hit at most once per mode however many
+lists are decided on it: once a mode has tables, ``decide`` walks the names
+in order over the hits still alive, testing only those the table holds
+untested, and a list decided before reads the table alone.  The report
 :func:`evaluate_predicates` reads every ok flag from the same tests and
 never short-circuits, so a failing candidate still shows every witness
 value; ``Fraction`` appears only in the witnesses.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -282,17 +281,6 @@ class Hits(tuple):
     def __init__(self, hits: Iterable[Hit]) -> None:
         self.verdicts = {}
 
-    @cached_property
-    def without_eps2_chains(self) -> list[int]:
-        """The indices of the hits whose shape is not a chain of epsilon 2:
-        the hits a bounds file's epsilon = 2 exclusion keeps."""
-        return [i for i, hit in enumerate(self) if hit[2].epsilon != 2 or hit[2].is_fork]
-
-
-def _group_orders(hits: Sequence[Hit], group_order_mode: str) -> list[int]:
-    """The group order |G| of each hit's shape under ``group_order_mode``."""
-    return [hit[2].group_order_for(group_order_mode) for hit in hits]
-
 
 def decide(
     hits: Sequence[Hit], names: tuple[str, ...], group_order_mode: str = "actual",
@@ -301,49 +289,67 @@ def decide(
     """The decision pass: the result of each hit that passes every predicate
     of ``names`` on the record the join formed, sorted by its ``sort_key()``.
 
-    ``hits`` is a :class:`Hits`, whose verdict tables this fills, or any
-    sequence of hits, decided on fresh tables.  ``alive`` are the indices of
-    the hits to decide, in order; all of them by default.  The predicates
-    are walked in the order of ``names``, each tested only on the hits still
-    alive that its table under ``group_order_mode`` holds untested, and the
-    walk stops once no hit is alive.  So fresh tables make exactly the tests
-    of a verdict that stops at each hit's first failing name, and a list
-    decided before makes none."""
-    size = len(hits)
-    alive = range(size) if alive is None else alive
+    ``alive`` are the indices of the hits to decide, in order; all of them
+    by default.  A hit is tested in the order of ``names`` up to its first
+    failing predicate, and a :class:`Hits` keeps each verdict in its table
+    under ``group_order_mode``: once the mode has tables, the names are
+    walked in order over the hits still alive, each tested only on those
+    its table holds untested, and the walk stops once no hit is alive.  So
+    every decide makes the tests of a verdict that stops at each hit's first
+    failing name, less those made before, and a list decided before makes
+    none.  Any other sequence, such as the two-fiber solver's, keeps no
+    verdict."""
+    if group_order_mode not in ("actual", "h1"):
+        raise ValueError(f"unknown group order mode {group_order_mode!r}")
+    alive = range(len(hits)) if alive is None else alive
     if not alive:
         return []
-    verdicts = hits.verdicts if isinstance(hits, Hits) else {}
-    tables = verdicts.setdefault(group_order_mode, {})
-    orders = None  # each hit's group order, read when a first test needs it
-    for name in names:
-        test = PREDICATES[name].test
-        table = tables.get(name)
-        kept = []
-        if table is None:  # a fresh table: every alive hit is untested
-            table = tables[name] = bytearray(size)
-            if orders is None:
-                orders = _group_orders(hits, group_order_mode)
-            for i in alive:
-                record, twigs, shape, _ = hits[i]
-                if test(record, twigs, shape, orders[i]):
-                    table[i] = 2
-                    kept.append(i)
-                else:
-                    table[i] = 1
-        else:
+    verdicts = getattr(hits, "verdicts", None)
+    tables = None if verdicts is None else verdicts.setdefault(group_order_mode, {})
+    if tables:  # the mode has tables: walk the names, testing what is untested
+        orders = None  # the group orders of the alive hits, read when a test is due
+        for name in names:
+            if not alive:
+                break
+            table = tables.get(name)
+            if table is None:
+                table = tables[name] = bytearray(len(hits))
+            test = PREDICATES[name].test
+            kept = []
             for i in alive:
                 verdict = table[i]
                 if not verdict:
                     if orders is None:
-                        orders = _group_orders(hits, group_order_mode)
+                        orders = {j: hits[j][2].group_order_for(group_order_mode) for j in alive}
                     record, twigs, shape, _ = hits[i]
                     verdict = table[i] = 2 if test(record, twigs, shape, orders[i]) else 1
                 if verdict == 2:
                     kept.append(i)
-        alive = kept
-        if not alive:
-            break
-    found = [hits[i][3] for i in alive]
+            alive = kept
+        found = [hits[i][3] for i in alive]
+    elif tables is None:  # no table to keep: each hit stops at its first failing name
+        found = []
+        for i in alive:
+            record, twigs, shape, result = hits[i]
+            g = shape.group_order_for(group_order_mode)
+            for name in names:
+                if not PREDICATES[name].test(record, twigs, shape, g):
+                    break
+            else:
+                found.append(result)
+    else:  # the mode's first decide: the same walk, writing each verdict
+        rows = [(PREDICATES[name].test, tables.setdefault(name, bytearray(len(hits))))
+                for name in names]
+        found = []
+        for i in alive:
+            record, twigs, shape, result = hits[i]
+            g = shape.group_order_for(group_order_mode)
+            for test, table in rows:
+                if not test(record, twigs, shape, g):
+                    table[i] = 1
+                    break
+                table[i] = 2
+            else:
+                found.append(result)
     found.sort(key=lambda result: result.sort_key())
     return found

@@ -309,8 +309,20 @@ def _decide(hits: Hits, spec: Bounds) -> list:
     :func:`dgk.predicates.decide` on the hits and their verdict tables keeps
     the results that pass, sorted, starting from the hits the epsilon = 2
     exclusion keeps when the flag is set."""
-    alive = hits.without_eps2_chains if spec.exclude_eps2_chains else None
+    alive = _eps2_start(hits) if spec.exclude_eps2_chains else None
     return decide(hits, spec.predicates, spec.group_order_mode, alive)
+
+
+def _eps2_start(hits: Hits) -> list[int]:
+    """The indices of the hits whose shape is not a chain of epsilon 2: the
+    starting set of a decide under the epsilon = 2 exclusion, computed once
+    and kept on ``hits`` beside its verdicts."""
+    start = getattr(hits, "eps2_start", None)
+    if start is None:
+        start = hits.eps2_start = [
+            i for i, hit in enumerate(hits) if hit[2].epsilon != 2 or hit[2].is_fork
+        ]
+    return start
 
 
 def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:

@@ -500,7 +500,7 @@ def short_circuit_verdict(record, twigs, eshape, names, group_order_mode="actual
     """Whether the hit (record, twigs, eshape) passes every predicate of
     ``names``, its tests made in the order of ``names`` up to the first that
     fails: the verdict the package once decided hit by hit, and the oracle of
-    the tests ``dgk.predicates.decide`` makes on fresh verdict tables."""
+    the tests ``dgk.predicates.decide`` makes in a mode it has no table of."""
     g = eshape.group_order_for(group_order_mode)
     return all(PREDICATES[name].test(record, twigs, eshape, g) for name in names)
 

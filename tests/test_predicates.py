@@ -26,10 +26,19 @@ from dgk.predicates import (
     PREDICATE_NAMES,
     PREDICATES,
     BoundaryCandidate,
+    Hits,
     decide,
     evaluate_predicates,
 )
-from dgk.search import INDEX_PREDICATES, _box, _decided, _join, load_bounds, parse_bounds
+from dgk.search import (
+    INDEX_PREDICATES,
+    _box,
+    _decided,
+    _eps2_start,
+    _join,
+    load_bounds,
+    parse_bounds,
+)
 from reference import cand_delta, cand_et, reference_report, shape, short_circuit_verdict
 
 MODES = ("actual", "h1")
@@ -42,15 +51,16 @@ BOUNDS_FILES = {
 }
 
 
-def one_hit(record, twigs, eshape, names, mode):
-    """``decide`` on a one-hit table: whether the hit passes ``names``."""
+def one_hit(record, twigs, eshape, names, mode, kept=Hits):
+    """``decide`` on one hit, as ``kept`` holds it (a :class:`Hits` with
+    its tables, or a plain list): whether the hit passes ``names``."""
     cand = BoundaryCandidate(record.b, twigs, eshape)
-    return decide([(record, twigs, eshape, cand)], names, mode) == [cand]
+    return decide(kept([(record, twigs, eshape, cand)]), names, mode) == [cand]
 
 
-def verdict(cand, names, mode):
+def verdict(cand, names, mode, kept=Hits):
     """The verdict of a candidate, with the record the searches hand it."""
-    return one_hit(fork_invariants(cand.fork), cand.twigs, cand.eshape, names, mode)
+    return one_hit(fork_invariants(cand.fork), cand.twigs, cand.eshape, names, mode, kept)
 
 
 def test_reports_match_the_reference_on_a_sweep():
@@ -93,9 +103,20 @@ def test_bad_candidates_fail_alike(twigs, mode, error):
     message = re.escape(str(want.value))
     with pytest.raises(error, match=message):
         evaluate_predicates(cand, group_order_mode=mode)
-    # decide reads the group order when its first test is due
-    with pytest.raises(error, match=message):
-        verdict(cand, PREDICATE_NAMES, mode)
+    for names in ((), PREDICATE_NAMES):
+        for kept in (Hits, list):
+            with pytest.raises(error, match=message):
+                verdict(cand, names, mode, kept)
+
+
+def test_an_unknown_group_order_mode_is_refused_before_any_test():
+    # decide refuses the mode itself, so a call with no hit to test fails
+    # as one with tests does, and keeps no table under the mode
+    hits = Hits([])
+    for names in ((), PREDICATE_NAMES):
+        with pytest.raises(ValueError, match="unknown group order mode 'abelian'"):
+            decide(hits, names, "abelian")
+    assert hits.verdicts == {}
 
 
 def test_a_negative_twig_product_is_refused():
@@ -108,10 +129,8 @@ def test_a_negative_twig_product_is_refused():
 
 
 def kept_hits(spec, joined):
-    """The hits of ``joined`` the epsilon = 2 exclusion of ``spec`` keeps,
-    read off the shapes."""
-    return [hit for hit in joined
-            if not (spec.exclude_eps2_chains and hit[2].epsilon == 2 and not hit[2].is_fork)]
+    """The hits of ``joined`` a decide under ``spec`` starts from."""
+    return [joined[i] for i in _eps2_start(joined)] if spec.exclude_eps2_chains else joined
 
 
 def record_hits(runs):
@@ -161,9 +180,10 @@ def test_the_verdict_matches_the_reference_on_every_probe_hit(probe_hits):
     for record, cand, mode in hits:
         want = reference_report(cand, mode)
         for names in lists + subsets:
-            got = one_hit(record, cand.twigs, cand.eshape, names, mode)
-            assert got == want.passes(names), (cand, names)
-            verdicts[got] += 1
+            for kept in (Hits, list):
+                got = one_hit(record, cand.twigs, cand.eshape, names, mode, kept)
+                assert got == want.passes(names), (cand, names, kept)
+                verdicts[got] += 1
     assert all(verdicts.values()), verdicts
 
 
