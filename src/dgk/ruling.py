@@ -440,6 +440,17 @@ def two_fiber_candidates(
     return hits
 
 
+def _divisors(n: int, top: int) -> list[int]:
+    """The divisors of ``n`` > 0 in [2, ``top``], ascending."""
+    low, high = [], []
+    for k in range(1, isqrt(n) + 1):
+        if n % k == 0:
+            low.append(k)
+            if k * k < n:
+                high.append(n // k)
+    return [k for k in low + high[::-1] if 2 <= k <= top]
+
+
 def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: ExceptionalShape):
     """The sweep of :func:`two_fiber_candidates` before any boundary is
     rebuilt: (T2, :class:`FiberTuple`) of every tuple that passes the gates,
@@ -477,9 +488,8 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
             g2c = c * (gamma - 2)
             qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
             qb = -2 * g2c
-            for kappa_t in range(2, 3 * c + 1):
-                if g2c % kappa_t:
-                    continue
+            # kappa~ divides c (gamma - 2); every kappa~ divides 0
+            for kappa_t in _divisors(abs(g2c), 3 * c) if g2c else range(2, 3 * c + 1):
                 if dft == 1 and kappa_t % 2 == 0:
                     continue
                 qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)

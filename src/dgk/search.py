@@ -28,12 +28,13 @@ final-bounds share :func:`_rule_join`: both boxes are ``d_rules`` (xy's
 edges parse into them) and differ only in their shapes.  :func:`_join` keeps
 the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
 refused box raises and is not kept.  Each output list of a join is a
-:class:`dgk.predicates.Hits`, which carries the verdicts decided on its
-hits, so the one cache keeps them too.  :func:`_decide` applies the flags
-on every call, so a flag variant of a joined box runs no scan and repeats
-no test: the hits the epsilon = 2 exclusion keeps are its starting set,
-then :func:`dgk.predicates.decide` with the predicate list and the
-group-order convention, the decision pass the two-fiber solver shares.
+:class:`dgk.predicates.Hits`, which carries the verdict masks decided on
+its hits, the sort keys of those that passed and xy's reports, so the one
+cache keeps them too.  :func:`_decide` applies the flags on every call, so
+a flag variant of a joined box runs no scan and repeats no test: the hits
+the epsilon = 2 exclusion keeps are its starting set, then
+:func:`dgk.predicates.decide` with the predicate list and the group-order
+convention, the decision pass the two-fiber solver shares.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from .barks import (
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
 from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
-from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, Hits, decide, evaluate_predicates
+from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, Hits, decide
+from .predicates import evaluate_predicates  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
 from .ruling import solve_two_fiber  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -202,9 +204,9 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     """The bounds of the search ``name``: ``cfg``, or its packaged file when
     ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
     type, a repeated ``b`` value, a ``d_rules`` entry (or xy's edges) that
-    covers no discriminant triple, unknown or repeated ``eshapes`` entries,
-    unknown predicates, and for the scan searches a predicate list without
-    :data:`INDEX_PREDICATES`."""
+    covers no discriminant triple (x < 2 among them), unknown or repeated
+    ``eshapes`` entries, unknown predicates, and for the scan searches a
+    predicate list without :data:`INDEX_PREDICATES`."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -243,6 +245,10 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
             )
         values["d_rules"] = tuple(Rule(x, x, y_max, z_max) for x in range(2, x_max + 1))
     for rule in values.get("d_rules", ()):
+        if rule.x < 2:  # no twig has a discriminant below 2
+            raise ValueError(
+                f"d_rules entry {rule._asdict()} covers no discriminant triple: x < 2"
+            )
         if max(rule.x, rule.y_min) > min(rule.y_max, rule.z_max):
             raise ValueError(
                 f"d_rules entry {rule._asdict()} covers no discriminant triple:"
@@ -304,24 +310,25 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
     return Hits(hits)
 
 
-def _decide(hits: Hits, spec: Bounds) -> list:
+def _decide(hits: Hits, spec: Bounds) -> list[int]:
     """The decision pass of a search under ``spec``'s flags:
-    :func:`dgk.predicates.decide` on the hits and their verdict tables keeps
-    the results that pass, sorted, starting from the hits the epsilon = 2
-    exclusion keeps when the flag is set."""
+    :func:`dgk.predicates.decide` on the hits and their verdict masks gives
+    the indices of the hits that pass, in the sorted order of their
+    results, starting from the hits the epsilon = 2 exclusion keeps when
+    the flag is set."""
     alive = _eps2_start(hits) if spec.exclude_eps2_chains else None
-    return decide(hits, spec.predicates, spec.group_order_mode, alive)
+    return decide(hits, spec.predicates, spec.group_order_mode, alive, indices=True)
 
 
-def _eps2_start(hits: Hits) -> list[int]:
-    """The indices of the hits whose shape is not a chain of epsilon 2: the
-    starting set of a decide under the epsilon = 2 exclusion, computed once
-    and kept on ``hits`` beside its verdicts."""
+def _eps2_start(hits: Hits) -> int:
+    """The bit mask of the hits whose shape is not a chain of epsilon 2, bit
+    i for ``hits[i]``: the starting set of a decide under the epsilon = 2
+    exclusion, computed once and kept on ``hits`` beside its verdicts."""
     start = getattr(hits, "eps2_start", None)
     if start is None:
-        start = hits.eps2_start = [
-            i for i, hit in enumerate(hits) if hit[2].epsilon != 2 or hit[2].is_fork
-        ]
+        start = hits.eps2_start = sum(
+            1 << i for i, hit in enumerate(hits) if hit[2].epsilon != 2 or hit[2].is_fork
+        )
     return start
 
 
@@ -422,9 +429,9 @@ def _rule_join(box: Bounds) -> tuple[Hits]:
 
 def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box,
-    each with its predicate report."""
-    spec, (found,) = _decided("xy", bounds)
-    return [(c, evaluate_predicates(c, group_order_mode=spec.group_order_mode)) for c in found]
+    each with its predicate report, kept read-only on the join's hits."""
+    spec, _, ((hits, kept),) = _decided("xy", bounds)
+    return [(hits[i][3], hits.report(i, spec.group_order_mode)) for i in kept]
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
@@ -449,7 +456,7 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
 
 def search_final_bounds(bounds: dict | None = None) -> dict:
     """The terminal bounding search: which exceptional shapes survive."""
-    _, (found,) = _decided("final-bounds", bounds)
+    _, (found,), _ = _decided("final-bounds", bounds)
     eshapes = sorted({cand.eshape.key() for cand in found})
     return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
 
@@ -482,7 +489,7 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[Ch
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch.  Case 1
     leaves out T2 = T1 with T3 ending in (3, 2), the triples of case 2."""
-    _, (case1, case2) = _decided("knonpos", bounds)
+    _, (case1, case2), _ = _decided("knonpos", bounds)
     return {"case1": [c.to_dict() for c in case1], "case2": [c.to_dict() for c in case2]}
 
 
@@ -501,7 +508,7 @@ def _knonpos_join(box: Bounds) -> tuple[Hits, Hits]:
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
-    _, (found,) = _decided("fiber-pairs", bounds)
+    _, (found,), _ = _decided("fiber-pairs", bounds)
     return found
 
 
@@ -548,11 +555,14 @@ def _join(name: str, box: Bounds) -> tuple[Hits, ...]:
     return globals()[SEARCHES[name].join](box)
 
 
-def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[list]]:
-    """The checked bounds of the search ``name`` and, for each of its output
-    lists, the results of its box's hits that pass the bounds' flags."""
+def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[list], list]:
+    """The checked bounds of the search ``name``; for each of its output
+    lists, the results of its box's hits that pass the bounds' flags; and
+    beside them, per list, its :class:`Hits` with the indices of those
+    results."""
     spec = parse_bounds(name, bounds)
-    return spec, [_decide(hits, spec) for hits in _join(name, _box(spec))]
+    kept = [(hits, _decide(hits, spec)) for hits in _join(name, _box(spec))]
+    return spec, [[hits[i][3] for i in indices] for hits, indices in kept], kept
 
 
 # ---------------------------------------------------------------------------

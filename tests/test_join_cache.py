@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from dgk import chains
+from dgk import predicates as dgk_predicates
 from dgk import search as dgk_search
 from dgk.barks import SpecIndex, catalog_index, shape_of
 from dgk.predicates import PREDICATE_NAMES, BoundaryCandidate
@@ -31,6 +32,7 @@ from dgk.search import (
     load_bounds,
     parse_bounds,
     search_final_bounds,
+    search_xy,
 )
 from reference import reference_equation_solutions, reference_report, reference_scan_triples
 
@@ -176,6 +178,51 @@ def test_flag_variants_of_a_box_match_a_cold_join_and_the_reference(label, name,
     # the flags reach the output: the variants do not all agree, except on
     # knonpos level 1, whose b = [2] leaves the box without a hit
     assert len(seen) > 1 or label == "knonpos-1", label
+
+
+# ---------------------------------------------------------------------------
+# xy's reports, kept on the joined hits per (group-order mode, hit)
+
+XY_BOXES = [(label, cfg) for label, name, cfg in BOXES if name == "xy"]
+
+
+@pytest.mark.parametrize("label, cfg", XY_BOXES, ids=[label for label, _ in XY_BOXES])
+def test_xy_keeps_each_report_on_its_joined_hits(monkeypatch, label, cfg):
+    evaluated = Counter()
+    real = dgk_predicates.evaluate_predicates
+
+    def counted(cand, *, group_order_mode):
+        evaluated[cand, group_order_mode] += 1
+        return real(cand, group_order_mode=group_order_mode)
+
+    monkeypatch.setattr(dgk_predicates, "evaluate_predicates", counted)
+    flags = [dict(cfg, group_order_mode=mode, exclude_eps2_chains=eps2)
+             for mode in ("actual", "h1") for eps2 in (True, False)]
+    cold = []
+    for variant in flags:
+        dgk_search._join.cache_clear()
+        cold.append(search_xy(variant))
+    dgk_search._join.cache_clear()
+    evaluated.clear()
+    reports = 0
+    for variant, want in zip(flags, cold):
+        got = search_xy(variant)
+        assert got == want, (label, variant)
+        for cand, report in got:
+            assert report == reference_report(cand, variant["group_order_mode"]), cand
+            reports += 1
+    # one report per (candidate, mode), whichever variant asked for it first
+    assert reports and set(evaluated.values()) == {1}, label
+    evaluated.clear()
+    for variant, want in zip(flags, cold):
+        got = search_xy(variant)
+        assert got == want, (label, variant)
+        for _, report in got:
+            with pytest.raises(TypeError):
+                report.entries["noether"] = (False, "written by a caller")
+    assert not evaluated, label
+    assert dgk_search._join.cache_info().misses == 1
+    assert search_xy(flags[0]) == cold[0]
 
 
 # ---------------------------------------------------------------------------

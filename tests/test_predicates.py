@@ -12,6 +12,8 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dgk import chains
 from dgk import predicates as dgk_predicates
@@ -130,7 +132,10 @@ def test_a_negative_twig_product_is_refused():
 
 def kept_hits(spec, joined):
     """The hits of ``joined`` a decide under ``spec`` starts from."""
-    return [joined[i] for i in _eps2_start(joined)] if spec.exclude_eps2_chains else joined
+    if not spec.exclude_eps2_chains:
+        return joined
+    start = _eps2_start(joined)
+    return [hit for i, hit in enumerate(joined) if start >> i & 1]
 
 
 def record_hits(runs):
@@ -299,6 +304,61 @@ def test_no_hit_is_tested_twice_on_one_predicate(tested, name, file_name):
     for variant, got in variants:
         _join.cache_clear()
         assert search_run(name, variant) == got
+
+
+@pytest.fixture
+def fresh_joins():
+    """A fresh :class:`Hits` copy of each output list of the five bounds
+    files' joins, kept across the examples of a test, and a memo of the
+    reference verdicts of their hits."""
+    lists = []
+    for file_name, name in BOUNDS_FILES.items():
+        spec = parse_bounds(name, load_bounds(file_name))
+        lists += [Hits(joined) for joined in _join(name, _box(spec))]
+    return lists, {}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
+    # random alive sets, name orders and modes on kept joins: the result is
+    # the short-circuit route's, each tested bit's passed bit is the
+    # predicate's own verdict, and no (hit, name, mode) is tested twice
+    lists, reference = fresh_joins
+    k = data.draw(st.integers(0, len(lists) - 1), label="list")
+    hits = lists[k]
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    order = data.draw(st.permutations(PREDICATE_NAMES), label="order")
+    names = tuple(order[:data.draw(st.integers(0, len(order)), label="count")])
+    alive = data.draw(st.none() | st.integers(0, (1 << len(hits)) - 1), label="alive")
+    before = Counter(tested)
+    got = decide(hits, names, mode, alive)
+    made = Counter(tested)
+    made.subtract(before)
+    made = +made
+    # each call counted here is this example's, on list k in this mode
+    seen = reference.setdefault(("made", k, mode), Counter())
+    seen.update(made)
+    assert set(seen.values()) <= {1}, (k, mode)
+    decided = [i for i in range(len(hits)) if alive is None or alive >> i & 1]
+    want = [hits[i][3] for i in decided
+            if short_circuit_verdict(*hits[i][:3], names, mode)]
+    assert got == sorted(want, key=lambda result: result.sort_key())
+    tables = hits.verdicts.get(mode)
+    assert tables is not None or alive == 0  # only a decide of no hit keeps no masks
+    for name in names if tables is not None else ():
+        tested_bits, passed_bits = tables[name]
+        for i in range(len(hits)):
+            if tested_bits >> i & 1:
+                key = (k, i, mode)
+                if key not in reference:
+                    record, twigs, eshape, _ = hits[i]
+                    reference[key] = reference_report(
+                        BoundaryCandidate(record.b, twigs, eshape), mode).entries
+                assert bool(passed_bits >> i & 1) == reference[key][name][0], (k, i, name)
+            else:
+                assert not passed_bits >> i & 1, (k, i, name)
 
 
 MODE_LISTS = [

@@ -17,6 +17,7 @@ from dgk.ruling import (
     SOLVER_PREDICATES,
     TwoFiberSolution,
     _assemble_solution,
+    _divisors,
     _equation_solutions,
     _int_quadratic_roots,
     _tail_pairs,
@@ -159,6 +160,25 @@ def test_equation_solutions_match_fraction_reference(key, eps):
     for t1 in sweep:
         for t2 in sweep:
             assert_within_reference(t1, t2, es)
+
+
+def test_kappa_t_runs_over_the_divisors_of_c_times_gamma_minus_2():
+    # kappa~ divides c (gamma - 2), so the solver runs over those divisors
+    # in [2, 3c], ascending, where the reference runs over the whole range;
+    # where gamma = 2 every kappa~ divides 0 and the solver keeps the range
+    # (no catalog E has gamma = 2, so a hand-built one takes that route)
+    for n in range(1, 300):
+        for top in (1, 2, 3, n // 2, n, 3 * n):
+            assert _divisors(n, top) == [k for k in range(2, top + 1) if n % k == 0], (n, top)
+    sweep = [ws for dd in range(2, 6) for ws in chains.oriented_chains_with_d(dd)]
+    shapes = [shape(key, eps) for key, eps in ONE_CURVE_SHAPES]
+    gamma_2 = shape("[4]", 1)._replace(e_weights=(2,))
+    found = 0
+    for es in shapes + [gamma_2]:
+        for t1 in sweep:
+            for t2 in sweep:
+                found += len(assert_within_reference(t1, t2, es))
+    assert found > 0
 
 
 def test_a_sweep_row_gives_each_pair_the_tuples_of_its_own_sweep():

@@ -601,7 +601,8 @@ def fb_rules(*rules):
 def test_degenerate_boxes_run_as_their_nonempty_parts():
     # a part of a box without twigs adds nothing and raises nothing: each
     # result is that of the box without that part, with the counts pinned.
-    # A d_rules entry that covers no discriminant triple is refused instead
+    # A d_rules entry that covers no discriminant triple is refused instead,
+    # among them one with x < 2, since no twig has a discriminant below 2
     kn = dict(index_only("k_nonpositive"), catalog_max_size=30)
     out = search_k_nonpositive(dict(kn, d2_max=5, d3_max=2, case2_k_max=1))
     want = search_k_nonpositive(dict(kn, d2_max=3, d3_max=3, case2_k_max=1))
@@ -615,13 +616,14 @@ def test_degenerate_boxes_run_as_their_nonempty_parts():
     assert (len(out["case1"]), len(out["case2"])) == (17, 8)
     fb = dict(index_only("final_bounds_relaxed"), catalog_max_size=30)
     wide, narrow = (2, 4, 6, 12), (3, 3, 3, 9)
-    for rules, kept, count in (
-        ((wide, (2, 4, 5, 10)), (wide,), 75),  # covered by the rule before it
-        (((1, 1, 4, 8), wide), (wide,), 75),  # x < 2
-    ):
-        out = search_final_bounds(dict(fb, d_rules=fb_rules(*rules)))
-        assert out == search_final_bounds(dict(fb, d_rules=fb_rules(*kept)))
-        assert len(out["candidates"]) == count
+    # the second rule is covered by the one before it
+    out = search_final_bounds(dict(fb, d_rules=fb_rules(wide, (2, 4, 5, 10))))
+    assert out == search_final_bounds(dict(fb, d_rules=fb_rules(wide)))
+    assert len(out["candidates"]) == 75
+    with pytest.raises(ValueError, match=re.escape(  # x < 2
+            "d_rules entry {'x': 1, 'y_min': 1, 'y_max': 4, 'z_max': 8} covers no"
+            " discriminant triple: x < 2")):
+        search_final_bounds(dict(fb, d_rules=fb_rules((1, 1, 4, 8), wide)))
     assert len(search_final_bounds(dict(fb, d_rules=fb_rules(narrow)))["candidates"]) == 28
     with pytest.raises(ValueError, match=re.escape(  # y_min > y_max
             "d_rules entry {'x': 2, 'y_min': 7, 'y_max': 5, 'z_max': 12} covers no")):
@@ -837,6 +839,8 @@ EMPTY_BOXES = [
      "{'x': 2, 'y_min': 6, 'y_max': 5, 'z_max': 41}"),
     ("final-bounds", {"d_rules": [{"x": 2, "y_min": 3, "y_max": 5, "z_max": 2}]},
      "{'x': 2, 'y_min': 3, 'y_max': 5, 'z_max': 2}"),
+    ("final-bounds", {"d_rules": [{"x": 1, "y_min": 2, "y_max": 5, "z_max": 41}]},
+     "{'x': 1, 'y_min': 2, 'y_max': 5, 'z_max': 41}"),
 ]
 
 
@@ -987,7 +991,8 @@ def test_pair_major_scan_matches_the_triple_scan():
     hits = 0
     for spec, index, sweep in reduced_boxes():
         for keys in (None, dgk_search._join_keys(index, spec.b)):
-            got = _decide(_scan_triples(sweep(keys), spec, index), spec)
+            joined = _scan_triples(sweep(keys), spec, index)
+            got = [joined[i][3] for i in _decide(joined, spec)]
             assert got == reference_scan_triples(flatten(sweep(keys)), spec, index)
             hits += len(got)
     assert hits > 0
