@@ -8,20 +8,19 @@ it cross-multiplies the fork record (b, D, S, E, Et) of
 :func:`dgk.barks.fork_invariants` with the shape's integers (d(E), K.E,
 epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
 
-:func:`decide` is the one decision pass of the searches and the two-fiber
-solver: the results of the hits that pass, canonically sorted, each hit
-decided on the record its join formed.  Each hit is tested in the order of
-the names up to its first failing predicate.  A join's hits are a
-:class:`Hits`, which keeps two bit masks per (group-order mode, predicate
+A join's hits are a :class:`Hits`, sorted by their results' ``sort_key()``
+once, when it is built.  :func:`decide` is the one decision pass of the
+searches and the two-fiber solver: the indices of the hits that pass,
+ascending and so in sorted order, each hit decided on the record its join
+formed.  The ``Hits`` keeps two bit masks per (group-order mode, predicate
 name), the hits tested and the hits passed, so a predicate is tested on a
-hit at most once per mode however many lists are decided on it: once a
-mode has masks, ``decide`` takes ``alive &= passed`` name by name, testing
-only the alive hits not yet tested, and a list decided before costs one
-step per name and one per survivor.  A ``Hits`` also keeps each survivor's
-sort key and, for xy, each report asked for (:meth:`Hits.report`,
-read-only).  The report :func:`evaluate_predicates` reads every ok flag
-from the same tests and never short-circuits, so a failing candidate still
-shows every witness value; ``Fraction`` appears only in the witnesses.
+hit at most once per mode however many lists are decided on it: name by
+name, ``decide`` tests only the alive hits not yet tested and takes
+``alive &= passed``.  A ``Hits`` also keeps, for xy, each report asked for
+(:meth:`Hits.report`, read-only).  The report :func:`evaluate_predicates`
+reads every ok flag from the same tests and never short-circuits, so a
+failing candidate still shows every witness value; ``Fraction`` appears
+only in the witnesses.
 """
 
 from __future__ import annotations
@@ -271,24 +270,27 @@ Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, 
 
 
 class Hits(tuple):
-    """The hits of a join and what has been decided on them so far.
+    """The hits of a join, sorted by their results' ``sort_key()``, and what
+    has been decided on them so far.
 
+    The sort is stable, so hits of equal keys keep the order they came in,
+    and the survivors in index order are the survivors sorted.
     ``verdicts`` maps a group-order mode to its verdict masks: for each
     predicate name a pair of bit masks (tested, passed), bit i for hit i,
     set in ``tested`` once the predicate is tested on the hit and in
-    ``passed`` if it passed (a :class:`_Masks`).  ``sort_keys`` holds each
-    hit's ``sort_key()`` from the first time it passes a decide, and
-    ``reports`` each :meth:`report` asked for, per mode.  They live as long
-    as the ``Hits``: :func:`dgk.search._join` keeps each search's, so a flag
-    variant of a joined box reads what an earlier one decided."""
+    ``passed`` if it passed.  ``reports`` holds each :meth:`report` asked
+    for, per mode.  They live as long as the ``Hits``:
+    :func:`dgk.search._join` keeps each search's, so a flag variant of a
+    joined box reads what an earlier one decided."""
 
-    verdicts: dict[str, _Masks]
-    sort_keys: list
+    verdicts: dict[str, dict[str, tuple[int, int]]]
     reports: dict[str, dict[int, PredicateReport]]
+
+    def __new__(cls, hits: Iterable[Hit]) -> Hits:
+        return super().__new__(cls, sorted(hits, key=lambda hit: hit[3].sort_key()))
 
     def __init__(self, hits: Iterable[Hit]) -> None:
         self.verdicts = {}
-        self.sort_keys = [None] * len(self)
         self.reports = {}
 
     def report(self, i: int, group_order_mode: str) -> PredicateReport:
@@ -301,28 +303,6 @@ class Hits(tuple):
             entries = evaluate_predicates(self[i][3], group_order_mode=group_order_mode).entries
             report = reports[i] = PredicateReport(MappingProxyType(entries))
         return report
-
-
-class _Masks(dict):
-    """The (tested, passed) masks of one group-order mode, by predicate name.
-
-    The mode's first decide leaves its ``names`` and, per hit, 1 + the
-    number of them the hit passed (0 if it was not decided), so the walk
-    writes one byte per hit; a name's masks are read off those bytes the
-    first time they are asked for, and a name never tested has none."""
-
-    def __init__(self, names: tuple[str, ...], stops: bytearray) -> None:
-        self.names = names
-        self.digits = stops[::-1]  # the last hit first, as int() reads a number
-
-    def __missing__(self, name: str) -> tuple[int, int]:
-        if name not in self.names:
-            return 0, 0
-        j = self.names.index(name)  # tested once it passed the j names before
-        tested, passed = (int(self.digits.translate(b"0" * (k + 1) + b"1" * (255 - k)), 2)
-                          for k in (j, j + 1))
-        self[name] = tested, passed
-        return tested, passed
 
 
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -343,78 +323,35 @@ def _bits(mask: int) -> list[int]:
 
 def decide(
     hits: Sequence[Hit], names: tuple[str, ...], group_order_mode: str = "actual",
-    alive: int | None = None, indices: bool = False,
-) -> list:
-    """The decision pass: the result of each hit that passes every predicate
-    of ``names`` on the record the join formed, sorted by its ``sort_key()``;
-    with ``indices``, a :class:`Hits` gives the indices of those hits in
-    that order instead.
+    alive: int | None = None,
+) -> list[int]:
+    """The decision pass: the indices, ascending, of the hits that pass
+    every predicate of ``names`` on the record the join formed.  ``hits``
+    is a :class:`Hits`, so the indices are in the sorted order of the
+    results.
 
     ``alive`` is the bit mask of the hits to decide, bit i for ``hits[i]``;
-    all of them by default.  A hit is tested in the order of ``names`` up to
-    its first failing predicate.  A :class:`Hits` keeps each verdict in its
-    masks under ``group_order_mode`` and each survivor's sort key: the
-    mode's first decide walks hit by hit, writing a byte per hit that the
-    masks are read off (:class:`_Masks`); once the mode has masks, each name
-    takes ``alive &= passed`` after testing only the alive hits it holds
-    untested, and the walk stops once no hit is alive.  So every decide
-    makes the tests of a verdict that stops at each hit's first failing
-    name, less those made before, and a list decided before makes none.
-    Any other sequence, such as the two-fiber solver's, keeps nothing."""
+    all of them by default.  Each verdict is kept in the masks of
+    ``group_order_mode``: each name in turn tests only the alive hits it
+    holds untested, then takes ``alive &= passed``, and the walk stops once
+    no hit is alive.  So a hit is tested in the order of ``names`` up to
+    its first failing predicate, less the tests made before, and a list
+    decided before makes none."""
     if group_order_mode not in ("actual", "h1"):
         raise ValueError(f"unknown group order mode {group_order_mode!r}")
-    if not hits or alive == 0:
-        return []
-    verdicts = getattr(hits, "verdicts", None)
-    if verdicts is None:  # nothing to keep: each hit stops at its first failing name
-        found = []
-        for i in range(len(hits)) if alive is None else _bits(alive):
-            record, twigs, shape, result = hits[i]
-            g = shape.group_order_for(group_order_mode)
-            for name in names:
-                if not PREDICATES[name].test(record, twigs, shape, g):
-                    break
-            else:
-                found.append(result)
-        found.sort(key=lambda result: result.sort_key())
-        return found
-    tables = verdicts.get(group_order_mode)
-    if tables is None:  # the mode's first decide: each hit up to its first failing name
-        names = tuple(dict.fromkeys(names))  # a repeat tests nothing new
-        tests = [PREDICATES[name].test for name in names]
-        stops = bytearray(len(hits))
-        kept = []
-        for i in range(len(hits)) if alive is None else _bits(alive):
-            record, twigs, shape, _ = hits[i]
-            g = shape.group_order_for(group_order_mode)
-            k = 1
-            for test in tests:
-                if not test(record, twigs, shape, g):
-                    break
-                k += 1
-            else:
-                kept.append(i)
-            stops[i] = k
-        verdicts[group_order_mode] = _Masks(names, stops)
-    else:  # the mode has masks: walk the names, testing what is untested
-        alive = (1 << len(hits)) - 1 if alive is None else alive
-        for name in names:
-            if not alive:
-                break
-            tested, passed = tables[name]
-            new = alive & ~tested
-            if new:
-                test = PREDICATES[name].test
-                for i in _bits(new):
-                    record, twigs, shape, _ = hits[i]
-                    if test(record, twigs, shape, shape.group_order_for(group_order_mode)):
-                        passed |= 1 << i
-                tables[name] = tested | new, passed
-            alive &= passed
-        kept = _bits(alive)
-    sort_keys = hits.sort_keys
-    for i in kept:
-        if sort_keys[i] is None:
-            sort_keys[i] = hits[i][3].sort_key()
-    kept.sort(key=sort_keys.__getitem__)
-    return kept if indices else [hits[i][3] for i in kept]
+    masks = hits.verdicts.setdefault(group_order_mode, {})
+    alive = (1 << len(hits)) - 1 if alive is None else alive
+    for name in names:
+        if not alive:
+            break
+        tested, passed = masks.get(name, (0, 0))
+        new = alive & ~tested
+        if new:
+            test = PREDICATES[name].test
+            for i in _bits(new):
+                record, twigs, shape, _ = hits[i]
+                if test(record, twigs, shape, shape.group_order_for(group_order_mode)):
+                    passed |= 1 << i
+            masks[name] = tested | new, passed
+        alive &= passed
+    return _bits(alive)

@@ -38,8 +38,9 @@ qa and qb; each kappa~ dividing c(gamma - 2) fixes qc, and kappa comes out
 of isqrt of the discriminant and an exact division.  The solver takes one
 T1 and every T2 of a sweep row, with the T2 loop inside the loops over n,
 the boundary split and (c', p'), so each (T1, alpha) is read once;
-:func:`solve_two_fiber` hands the rebuilt solutions to
-:func:`dgk.predicates.decide`, the decision pass of the searches.
+:func:`solve_two_fiber` hands the rebuilt solutions, as a sorted
+:class:`dgk.predicates.Hits`, to :func:`dgk.predicates.decide`, the
+decision pass of the searches.
 
 One solution of (5)/(6) is one frozen :class:`FiberTuple`; its
 :meth:`FiberTuple.fibers` is the one place the two fibers are laid out from
@@ -59,7 +60,7 @@ from . import chains
 from .barks import ExceptionalShape, fork_invariants
 from .graphs import Fork, Weights, format_chain, is_admissible_chain
 from .pairs import CharPairSeq, reconstruct_fiber
-from .predicates import Hit, decide
+from .predicates import Hit, Hits, decide
 
 
 class _RulingFiberFields(NamedTuple):
@@ -408,7 +409,8 @@ def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[
         if not ws or not is_admissible_chain(ws):
             raise ValueError(f"T{i} {format_chain(ws)} is not a nonempty admissible chain")
     check_two_fiber_shape(eshape)
-    return decide(two_fiber_candidates(t1, (t2,), eshape), SOLVER_PREDICATES)
+    hits = Hits(two_fiber_candidates(t1, (t2,), eshape))
+    return [hits[i][3] for i in decide(hits, SOLVER_PREDICATES)]
 
 
 def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
@@ -478,6 +480,8 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
         return
     # (T2, c/c', p/c') of each lower chain
     lowers = [(r.ws, r.d, r.d - r.d_prime) for r in map(chains.chain_record, t2s)]
+    # the kappa~ of each c: c (gamma - 2) depends on T2 only through d(T2)
+    kappas_t = {}
     for n, alpha, df, dft, c_pr, p_pr in heads:
         # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
         # boundary curve
@@ -488,8 +492,9 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
             g2c = c * (gamma - 2)
             qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
             qb = -2 * g2c
-            # kappa~ divides c (gamma - 2); every kappa~ divides 0
-            for kappa_t in _divisors(abs(g2c), 3 * c) if g2c else range(2, 3 * c + 1):
+            if c not in kappas_t:  # kappa~ divides c (gamma - 2); every kappa~ divides 0
+                kappas_t[c] = _divisors(abs(g2c), 3 * c) if g2c else range(2, 3 * c + 1)
+            for kappa_t in kappas_t[c]:
                 if dft == 1 and kappa_t % 2 == 0:
                     continue
                 qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)

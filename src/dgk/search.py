@@ -28,13 +28,14 @@ final-bounds share :func:`_rule_join`: both boxes are ``d_rules`` (xy's
 edges parse into them) and differ only in their shapes.  :func:`_join` keeps
 the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
 refused box raises and is not kept.  Each output list of a join is a
-:class:`dgk.predicates.Hits`, which carries the verdict masks decided on
-its hits, the sort keys of those that passed and xy's reports, so the one
-cache keeps them too.  :func:`_decide` applies the flags on every call, so
-a flag variant of a joined box runs no scan and repeats no test: the hits
-the epsilon = 2 exclusion keeps are its starting set, then
-:func:`dgk.predicates.decide` with the predicate list and the group-order
-convention, the decision pass the two-fiber solver shares.
+:class:`dgk.predicates.Hits`, sorted by the results' sort keys when it is
+built, which carries the verdict masks decided on its hits and xy's
+reports, so the one cache keeps them too.  :func:`_decide` applies the
+flags on every call, so a flag variant of a joined box runs no scan and
+repeats no test: the hits the epsilon = 2 exclusion keeps are its starting
+set, then :func:`dgk.predicates.decide` with the predicate list and the
+group-order convention, the decision pass the two-fiber solver shares.  Its
+indices come ascending, so the results come sorted.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
 
 
 def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
-    """The hits of the (twig triple, b, shape) combinations in ``box``, in
-    sweep order: the join of a scan search, which reads no flag.
+    """The hits of the (twig triple, b, shape) combinations in ``box``, as
+    a :class:`Hits`, sorted: the join of a scan search, which reads no flag.
 
     ``groups`` holds one (T1, T2, thirds) per twig pair, as :func:`_groups`
     yields them (knonpos's case 2 is one explicit group).  For each pair the
@@ -313,11 +314,11 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
 def _decide(hits: Hits, spec: Bounds) -> list[int]:
     """The decision pass of a search under ``spec``'s flags:
     :func:`dgk.predicates.decide` on the hits and their verdict masks gives
-    the indices of the hits that pass, in the sorted order of their
-    results, starting from the hits the epsilon = 2 exclusion keeps when
-    the flag is set."""
+    the indices of the hits that pass, ascending, which is the sorted order
+    of their results, starting from the hits the epsilon = 2 exclusion
+    keeps when the flag is set."""
     alive = _eps2_start(hits) if spec.exclude_eps2_chains else None
-    return decide(hits, spec.predicates, spec.group_order_mode, alive, indices=True)
+    return decide(hits, spec.predicates, spec.group_order_mode, alive)
 
 
 def _eps2_start(hits: Hits) -> int:

@@ -53,16 +53,21 @@ BOUNDS_FILES = {
 }
 
 
-def one_hit(record, twigs, eshape, names, mode, kept=Hits):
-    """``decide`` on one hit, as ``kept`` holds it (a :class:`Hits` with
-    its tables, or a plain list): whether the hit passes ``names``."""
+def survivors(hits, names, mode, alive=None):
+    """The results of the hits ``decide`` keeps, in the order of its indices."""
+    return [hits[i][3] for i in decide(hits, names, mode, alive)]
+
+
+def one_hit(record, twigs, eshape, names, mode):
+    """``decide`` on one hit in a :class:`Hits`: whether the hit passes
+    ``names``."""
     cand = BoundaryCandidate(record.b, twigs, eshape)
-    return decide(kept([(record, twigs, eshape, cand)]), names, mode) == [cand]
+    return survivors(Hits([(record, twigs, eshape, cand)]), names, mode) == [cand]
 
 
-def verdict(cand, names, mode, kept=Hits):
+def verdict(cand, names, mode):
     """The verdict of a candidate, with the record the searches hand it."""
-    return one_hit(fork_invariants(cand.fork), cand.twigs, cand.eshape, names, mode, kept)
+    return one_hit(fork_invariants(cand.fork), cand.twigs, cand.eshape, names, mode)
 
 
 def test_reports_match_the_reference_on_a_sweep():
@@ -106,9 +111,8 @@ def test_bad_candidates_fail_alike(twigs, mode, error):
     with pytest.raises(error, match=message):
         evaluate_predicates(cand, group_order_mode=mode)
     for names in ((), PREDICATE_NAMES):
-        for kept in (Hits, list):
-            with pytest.raises(error, match=message):
-                verdict(cand, names, mode, kept)
+        with pytest.raises(error, match=message):
+            verdict(cand, names, mode)
 
 
 def test_an_unknown_group_order_mode_is_refused_before_any_test():
@@ -185,10 +189,9 @@ def test_the_verdict_matches_the_reference_on_every_probe_hit(probe_hits):
     for record, cand, mode in hits:
         want = reference_report(cand, mode)
         for names in lists + subsets:
-            for kept in (Hits, list):
-                got = one_hit(record, cand.twigs, cand.eshape, names, mode, kept)
-                assert got == want.passes(names), (cand, names, kept)
-                verdicts[got] += 1
+            got = one_hit(record, cand.twigs, cand.eshape, names, mode)
+            assert got == want.passes(names), (cand, names)
+            verdicts[got] += 1
     assert all(verdicts.values()), verdicts
 
 
@@ -333,7 +336,7 @@ def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
     names = tuple(order[:data.draw(st.integers(0, len(order)), label="count")])
     alive = data.draw(st.none() | st.integers(0, (1 << len(hits)) - 1), label="alive")
     before = Counter(tested)
-    got = decide(hits, names, mode, alive)
+    got = survivors(hits, names, mode, alive)
     made = Counter(tested)
     made.subtract(before)
     made = +made
@@ -345,10 +348,9 @@ def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
     want = [hits[i][3] for i in decided
             if short_circuit_verdict(*hits[i][:3], names, mode)]
     assert got == sorted(want, key=lambda result: result.sort_key())
-    tables = hits.verdicts.get(mode)
-    assert tables is not None or alive == 0  # only a decide of no hit keeps no masks
-    for name in names if tables is not None else ():
-        tested_bits, passed_bits = tables[name]
+    tables = hits.verdicts[mode]  # every decide keeps its mode's masks
+    for name in names:
+        tested_bits, passed_bits = tables.get(name, (0, 0))  # a name not reached has none
         for i in range(len(hits)):
             if tested_bits >> i & 1:
                 key = (k, i, mode)
@@ -359,6 +361,26 @@ def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
                 assert bool(passed_bits >> i & 1) == reference[key][name][0], (k, i, name)
             else:
                 assert not passed_bits >> i & 1, (k, i, name)
+
+
+@pytest.mark.parametrize("file_name, name", BOUNDS_FILES.items(), ids=list(BOUNDS_FILES))
+def test_the_hits_come_sorted_and_decide_keeps_their_order(file_name, name):
+    # a Hits sorts what it is built from by the results' sort keys, so a
+    # shuffled copy of a join list builds the join's Hits; decide's indices
+    # come ascending, which is the sorted order of the results, in both
+    # modes, from every hit or from the epsilon = 2 start
+    spec = parse_bounds(name, load_bounds(file_name))
+    rng = random.Random(file_name)
+    for joined in _join(name, _box(spec)):
+        shuffled = list(joined)
+        rng.shuffle(shuffled)
+        assert Hits(shuffled) == joined, file_name
+        for mode in MODES:
+            for alive in (None, _eps2_start(joined)):
+                got = decide(joined, spec.predicates, mode, alive)
+                assert got == sorted(got), (file_name, mode)
+                results = [joined[i][3] for i in got]
+                assert results == sorted(results, key=lambda result: result.sort_key())
 
 
 MODE_LISTS = [

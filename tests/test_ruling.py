@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgk import chains
+from dgk import chains, ruling
 from dgk.graphs import format_chain, parse_chain
 from dgk.pairs import reconstruct_fiber
 from dgk.ruling import (
@@ -31,7 +31,7 @@ from dgk.ruling import (
     two_fiber_candidates,
     two_run_twig_branch,
 )
-from dgk.predicates import decide
+from dgk.predicates import Hits, decide
 from dgk.search import load_bounds
 from reference import (
     all_sequences,
@@ -179,6 +179,27 @@ def test_kappa_t_runs_over_the_divisors_of_c_times_gamma_minus_2():
             for t2 in sweep:
                 found += len(assert_within_reference(t1, t2, es))
     assert found > 0
+
+
+def test_a_solver_call_finds_the_divisors_once_per_c(monkeypatch):
+    # c (gamma - 2) reads T2 only through c = c' d(T2), so one call over a
+    # sweep row asks _divisors at most once per c, and every tuple it
+    # yields ran kappa~ over the divisors of its own c
+    sweep = oracle_sweep()
+    asked = []
+    monkeypatch.setattr(ruling, "_divisors",
+                        lambda n, top: asked.append((n, top)) or _divisors(n, top))
+    tuples = 0
+    for key, eps in SOLVER_SHAPES:
+        es = shape(key, eps)
+        gamma = es.e_weights[0]
+        for t1 in sweep:
+            asked.clear()
+            for _, tup in _equation_solutions(t1, sweep, es):
+                assert (tup.c * (gamma - 2), 3 * tup.c) in asked, (key, eps, t1, tup)
+                tuples += 1
+            assert len(asked) == len(set(asked)), (key, eps, t1)
+    assert tuples > 0
 
 
 def test_a_sweep_row_gives_each_pair_the_tuples_of_its_own_sweep():
@@ -355,7 +376,8 @@ def test_solver_matches_fraction_reference(key, eps, predicates):
         for t2 in sweep:
             want = reference_solve_two_fiber(t1, t2, es, names)
             if predicates == "none":
-                got = decide(two_fiber_candidates(t1, (t2,), es), ())
+                hits = Hits(two_fiber_candidates(t1, (t2,), es))
+                got = [hits[i][3] for i in decide(hits, ())]
             else:
                 got = solve_two_fiber(t1, t2, es)
             assert got == want, (t1, t2)

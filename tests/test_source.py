@@ -290,6 +290,22 @@ def test_only_the_predicate_module_names_the_verdict():
     assert "passes" not in _definitions("predicates")
 
 
+def test_decide_is_one_walk_over_the_names():
+    # a Hits comes sorted, so decide is the mask walk alone: one loop over
+    # the names, no first walk writing bytes, no sort and no kept sort keys,
+    # and its indices are its one output.  decide names no Hits: the walk
+    # would reach Hits.report and the report's Fraction witnesses
+    predicates = _definitions("predicates")
+    decide = predicates["decide"]
+    loops = [n for n in ast.walk(decide)
+             if isinstance(n, ast.For) and getattr(n.iter, "id", None) == "names"]
+    assert len(loops) == 1
+    assert not {"Hits", "sort", "sorted", "sort_key"} & _named(decide)
+    assert "indices" not in [a.arg for a in decide.args.args + decide.args.kwonlyargs]
+    assert "_Masks" not in predicates
+    assert "sort_keys" not in _named(ast.parse((PACKAGE_DIR / "predicates.py").read_text()))
+
+
 def test_the_verdicts_live_in_the_one_join_cache():
     # the verdict tables ride on the hits search._join keeps, so a flag
     # variant reads them without a cache of its own: predicates.py caches
