@@ -11,7 +11,8 @@ determinant they replace are reference routes in ``tests/reference.py``.
 A fork's twig sums are the integers formed by :func:`fork_sums_along`: the
 scan steps it along the third twigs of each twig pair, and everything else
 reads one triple's sums through :func:`fork_sums` and the
-:class:`ForkInvariants` record.
+:class:`ForkInvariants` record.  :func:`specs_named` is the one reader of a
+shape's name.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import chains
 from .chains import ChainRecord, DegenerateChainError
-from .graphs import Fork, Weights, canonical_chain, format_chain, is_admissible_chain
+from .graphs import (
+    ChainParseError, Fork, Weights, canonical_chain, format_chain, is_admissible_chain,
+    parse_chain, require_admissible,
+)
 
 PLATONIC_SPECIAL = {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
 
@@ -141,16 +144,10 @@ class BarkCoefficients(NamedTuple):
     bk_square: Fraction
 
 
-def _check_chain(weights: Weights) -> None:
-    if not weights or not is_admissible_chain(weights):
-        raise ValueError(f"chain {format_chain(weights)} is not admissible")
-
-
 def bark_one_sided(weights: Weights) -> BarkCoefficients:
     """Bk'(T, T1) for an oriented admissible chain, pushing at the first tip:
     m_i = d(T after i)/d(T) and Bk'^2 = -e(T)."""
-    _check_chain(weights)
-    _, suf = chains.continuants(weights)
+    _, suf = chains.continuants(require_admissible(weights, "chain"))
     coeffs = tuple(Fraction(suf[i + 1], suf[0]) for i in range(len(weights)))
     return BarkCoefficients(coeffs, -coeffs[0])
 
@@ -159,8 +156,7 @@ def bark_chain(weights: Weights) -> BarkCoefficients:
     """Full bark of an admissible chain, Bk = Bk'(T,T1) + Bk'(T,Tn):
     m_i = (d(T after i) + d(T before i))/d(T).  Bk . D_i is -1 at the two
     ends and 0 inside, so Bk^2 = -(m_1 + m_n) = -(d' + d'~ + 2)/d."""
-    _check_chain(weights)
-    pre, suf = chains.continuants(weights)
+    pre, suf = chains.continuants(require_admissible(weights, "chain"))
     coeffs = tuple(Fraction(suf[i + 1] + pre[i + 1], suf[0]) for i in range(len(weights)))
     return BarkCoefficients(coeffs, -(coeffs[0] + coeffs[-1]))
 
@@ -198,8 +194,7 @@ def group_order(graph: Weights | Fork) -> int:
         if inv is None:
             raise ValueError("fork is not admissible")
         return inv.group_order
-    _check_chain(graph)
-    return chains.d(graph)
+    return chains.d(require_admissible(graph, "chain"))
 
 
 class ExceptionalShape(NamedTuple):
@@ -541,13 +536,28 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
 
 
 @lru_cache(maxsize=None)
-def specs_by_name() -> Mapping[tuple[str, int], ShapeSpec]:
-    """The specs of :func:`family_specs` (12) by the (key, epsilon) of
-    their shapes, sorted, so that a key's epsilons ascend: the table that
-    bounds files and the command line name shapes from.  It builds no
-    shape, only each spec's graph for its key."""
-    names = {(_graph_key(_spec_graph(spec)), spec[0].epsilon): spec for spec in family_specs(12)}
-    return MappingProxyType(dict(sorted(names.items())))
+def _catalog_names() -> dict[str, tuple[ShapeSpec, ...]]:
+    """The specs of :func:`family_specs` (12) by the key of their shapes,
+    epsilons ascending; it builds no shape, only each spec's graph for its key."""
+    names: dict[str, tuple[ShapeSpec, ...]] = {}
+    for spec in sorted(family_specs(12), key=lambda spec: spec[0].epsilon):
+        key = _graph_key(_spec_graph(spec))
+        names[key] = names.get(key, ()) + (spec,)
+    return names
+
+
+def specs_named(name: str) -> dict[int, ShapeSpec]:
+    """{epsilon: spec} of the size-12 catalog shapes ``name`` names, empty
+    for none: the one reader of a shape name.  A name is a shape's key, or a
+    chain in bracket notation in either orientation, any run notation and
+    whitespace around it; a key is found as given, and only a miss parsed."""
+    names = _catalog_names()
+    if name not in names:
+        try:
+            name = format_chain(canonical_chain(parse_chain(name)))
+        except ChainParseError:  # not a chain, so at most a fork key
+            name = name.strip()
+    return {spec[0].epsilon: spec for spec in names.get(name, ())}
 
 
 Bucket = dict[tuple[int, int], tuple[ShapeSpec, ...]]

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .graphs import (
-    MAX_CURVES, Weights, canonical_chain, format_chain, is_admissible_chain, reverse_chain,
+    MAX_CURVES, Weights, canonical_chain, format_chain, require_admissible, reverse_chain,
 )
 
 
@@ -141,11 +141,7 @@ def chain_from_e(target: Fraction) -> Weights:
 
 def adjoint_chain(weights: Weights) -> Weights:
     """The admissible chain A with e(A) = 1 - e(T): d(A) = d(T), d'(A) = d(T) - d'(T)."""
-    if not weights:
-        raise ValueError("the empty chain has no adjoint")
-    if not is_admissible_chain(weights):
-        raise ValueError(f"chain {format_chain(weights)} is not admissible")
-    record = chain_record(weights)
+    record = chain_record(require_admissible(weights, "chain"))
     return chain_of(record.d, record.d - record.d_prime)
 
 

@@ -21,12 +21,13 @@ from .barks import (
     eshape_catalog,
     fork_invariants,
     group_order,
+    shape_of,
+    specs_named,
 )
 from .graphs import (
     ChainParseError,
     Curve,
     Fork,
-    canonical_chain,
     format_chain,
     parse_chain,
     parse_fork,
@@ -219,16 +220,13 @@ def _kernel_vector(weights: list[int]) -> list[int] | None:
 
 
 def cmd_solve(args) -> tuple[int, object, str]:
-    from .barks import shape_of, specs_by_name
-
     t1 = parse_chain(args.t1)
     t2 = parse_chain(args.t2)
-    ekey = args.e.strip()
-    key = format_chain(canonical_chain(parse_chain(ekey)))  # a chain and its reversal are one shape
-    names = specs_by_name()
-    choices = [names[k, eps] for k, eps in names if k == key and args.epsilon in (None, eps)]
-    if not choices:
-        raise DomainError(f"no catalog shape {ekey}")
+    named = specs_named(args.e)
+    choices = [spec for eps, spec in named.items() if args.epsilon in (None, eps)]
+    if not choices:  # name the epsilons the shape has, if any
+        known = f" with epsilon {args.epsilon}; its epsilons are {', '.join(map(str, named))}"
+        raise DomainError(f"no catalog shape {args.e.strip()}{known if named else ''}")
     solutions = []
     for spec in choices:
         solutions.extend(solve_two_fiber(t1, t2, shape_of(spec)))

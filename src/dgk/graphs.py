@@ -10,7 +10,8 @@ a multiplicity, as in ``[5:1,3:5,1*:14]``; a chain is a fiber without them.
 
 Forks are trees with a single branching vertex of valency three; the three
 twigs are stored tip-first (the last entry of each twig is the component
-attached to the branching vertex).  The package works on chains and forks
+attached to the branching vertex); :func:`require_admissible` is the one
+check and refusal of a twig.  The package works on chains and forks
 through their discriminants in closed form; the generic weighted tree with
 its intersection matrix, determinant and negative-definiteness test is the
 reference route of the tests, in ``tests/reference.py``.
@@ -127,6 +128,14 @@ def canonical_chain(weights: Weights) -> Weights:
 
 def is_admissible_chain(weights: Weights) -> bool:
     return all(w >= 2 for w in weights)
+
+
+def require_admissible(weights: Weights, what: str) -> Weights:
+    """``weights``, if they are a nonempty admissible chain; the one refusal
+    of a twig that is not, naming it as ``what`` in bracket notation."""
+    if not weights or not is_admissible_chain(weights):
+        raise ValueError(f"{what} {format_chain(weights)} is not a nonempty admissible chain")
+    return weights
 
 
 class Fork(NamedTuple):

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import ExceptionalShape, fork_invariants
-from .graphs import Fork, Weights, format_chain, is_admissible_chain
+from .graphs import Fork, Weights, format_chain, require_admissible
 from .pairs import CharPairSeq, reconstruct_fiber
 from .predicates import Hit, Hits, decide
 
@@ -405,9 +405,8 @@ def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[
     T1.  T1 and T2 must be nonempty admissible chains; solutions with b
     outside {1, 2} are dropped.
     """
-    for i, ws in enumerate((t1, t2), 1):
-        if not ws or not is_admissible_chain(ws):
-            raise ValueError(f"T{i} {format_chain(ws)} is not a nonempty admissible chain")
+    require_admissible(t1, "T1")
+    require_admissible(t2, "T2")
     check_two_fiber_shape(eshape)
     hits = Hits(two_fiber_candidates(t1, (t2,), eshape))
     return [hits[i][3] for i in decide(hits, SOLVER_PREDICATES)]
@@ -569,7 +568,7 @@ def reconstruct_t3(sol: TwoFiberSolution) -> tuple[int, Weights]:
 # terminal eliminations of the final case analysis
 
 
-def tail_chain_23_branch(c_prime_max: int = 10000) -> dict:
+def tail_chain_23_branch() -> dict:
     """Dead end of the [2,3]-twig case.
 
     Here gamma = 3, n = 1, alpha = 0, the second fiber has (c~, p~) = (7, 3)
@@ -578,12 +577,8 @@ def tail_chain_23_branch(c_prime_max: int = 10000) -> dict:
     3c'^2 - 7c' - 46 = 0, which has no integer root.
     """
     solutions = []
-    for c_pr in range(1, c_prime_max):
-        if (c_pr + 1) % 7:
-            continue
-        p_pr = (c_pr + 1) // 7
-        if p_pr > c_pr or gcd(c_pr, p_pr) != 1:
-            continue
+    for c_pr in range(6, 10000, 7):  # c' < 10000 with 7 | c' + 1
+        p_pr = (c_pr + 1) // 7  # below c' and coprime to it, as it divides c' + 1
         tup = FiberTuple(1, 3, 2, 1, 7, 2 * c_pr, 2 * c_pr, c_pr, c_pr, p_pr, 7, 3, 0, 0)
         if check_ruling_equations(tup.scenario())[:2] == (0, 0):
             solutions.append((c_pr, p_pr))
@@ -596,7 +591,7 @@ def tail_chain_23_branch(c_prime_max: int = 10000) -> dict:
     }
 
 
-def second_fiber_square_branch(k_max: int = 60) -> list[tuple[int, int, int, int]]:
+def second_fiber_square_branch() -> list[tuple[int, int, int, int]]:
     """Dead end of the single-boundary-curve case: kappa~^2 = 3k + 1.
 
     The first fiber has pairs (4k+4, 2k+2), (2k+2, 2), (2, 1) and kappa = 3;
@@ -605,24 +600,20 @@ def second_fiber_square_branch(k_max: int = 60) -> list[tuple[int, int, int, int
     (c~, p~), pinning (k, c~, p~) = (5, 9, 4).
     """
     out = []
-    for k in range(1, k_max + 1):
+    for k in range(1, 61):
         d = 6 * k + 6
-        kappa_t = gcd(d, 3 * k + 1)
+        kappa_t = gcd(d, 3 * k + 1)  # so p~ < c~ below are coprime
         if kappa_t < 2:
-            continue
-        if (3 * k + 1) % kappa_t or d % kappa_t:
             continue
         p_t = (3 * k + 1) // kappa_t
         c_t = d // kappa_t
-        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
-            continue
         tup = FiberTuple(1, 3, 2, 1, 3, kappa_t, 2 * k + 2, k + 1, k + 1, 1, c_t, p_t, 1, 0)
         if check_ruling_equations(tup.scenario())[:2] == (0, 0):
             out.append((k, kappa_t, c_t, p_t))
     return out
 
 
-def two_run_twig_branch(eshape: ExceptionalShape, c_prime_max: int = 200) -> list[TwoFiberSolution]:
+def two_run_twig_branch(eshape: ExceptionalShape) -> list[TwoFiberSolution]:
     """Dead end of the [(2)]-twig case with gamma = 4.
 
     Here (c~, p~) = (5, 2), (c, p) = (2c', c') and kappa | 10; the relations
@@ -633,7 +624,7 @@ def two_run_twig_branch(eshape: ExceptionalShape, c_prime_max: int = 200) -> lis
     """
     sols = []
     for kappa in (2, 5, 10):
-        for c_pr in range(1, c_prime_max):
+        for c_pr in range(1, 200):
             d = 2 * c_pr * kappa
             if d % 5:
                 continue

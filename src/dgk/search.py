@@ -7,7 +7,9 @@ list.  Outputs are compared against golden files for exact equality.
 
 :data:`SEARCHES` is the one table of the searches: for each name its
 ``search_*`` function, bounds file, golden file and the bounds keys it reads.
-:func:`parse_bounds` is the one place a bounds file is checked.  Every
+:func:`parse_bounds` is the one place a bounds file is checked, with the
+readers the command line shares: :func:`dgk.barks.specs_named` for shape
+names and :func:`dgk.graphs.require_admissible` for ``t1``.  Every
 ``search_*`` starts with it, so a bad file fails before any work, and the
 scan reads the resulting frozen :class:`Bounds`.
 
@@ -52,11 +54,11 @@ from typing import NamedTuple
 from . import chains
 from .barks import (
     MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
-    fork_sums_along, shape_of, specs_by_name,
+    fork_sums_along, shape_of, specs_named,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
-from .graphs import Weights, format_chain, is_admissible_chain, is_int, parse_chain
+from .graphs import Weights, is_int, parse_chain, require_admissible
 from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, Hits, decide
 from .predicates import evaluate_predicates  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
@@ -111,12 +113,6 @@ SEARCHES = {
         lambda solutions: [s.to_dict() for s in solutions],
     ),
 }
-
-
-def _record_of(ws: Weights) -> ChainRecord:
-    if not ws or not is_admissible_chain(ws):
-        raise ValueError(f"twig {format_chain(ws)} is not an admissible chain")
-    return chain_record(ws)
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +252,7 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
                 " max(x, y_min) > min(y_max, z_max)"
             )
     if "t1" in cfg:
-        values["t1"] = _record_of(parse_chain(cfg["t1"])).ws
+        values["t1"] = require_admissible(parse_chain(cfg["t1"]), "t1")
     if "eshapes" in cfg:
         values["eshapes"] = tuple(_named_specs(cfg["eshapes"]))
     return Bounds(**values)
@@ -436,14 +432,13 @@ def search_xy(bounds: dict | None = None):
 
 
 def _named_specs(entries: list) -> list[ShapeSpec]:
-    """Resolve [key, epsilon] pairs against the catalog of size 12; an entry
-    may appear once."""
-    table = specs_by_name()
+    """Resolve [name, epsilon] pairs through :func:`dgk.barks.specs_named`;
+    a shape may appear once, whatever its spelling."""
     specs = []
     for entry in entries:
         # [str, int] only: true and 1.0 hash as 1 and would find epsilon 1
-        key, eps = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
-        spec = table.get((key, eps)) if isinstance(key, str) and is_int(eps) else None
+        name, eps = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        spec = specs_named(name).get(eps) if isinstance(name, str) and is_int(eps) else None
         if spec is None:
             raise ValueError(
                 f"eshapes entry {entry!r} is not a [key, epsilon] pair of a"
@@ -467,7 +462,7 @@ def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]
     zs = d2..d3_max.  Triples come as (T1, T2, T3): the twig sums and
     predicates are symmetric in the twigs, and a candidate sorts its twigs
     itself for its key and its output."""
-    rec1 = _record_of(spec.t1)
+    rec1 = chain_record(spec.t1)
     return [
         (rec1, r2, list(range(d2, spec.d3_max + 1)))
         for d2 in range(3, min(spec.d2_max, spec.d3_max) + 1)
@@ -478,7 +473,7 @@ def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]
 def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[ChainRecord]]]:
     """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2),
     as the one group (T1, T1, tails)."""
-    rec1 = _record_of(spec.t1)
+    rec1 = chain_record(spec.t1)
     tails = [
         chain_record(head + (2,) * k + (3, 2))
         for k in range(0, spec.case2_k_max + 1)

@@ -134,7 +134,7 @@ def test_adjoint_anchors():
 
 @pytest.mark.parametrize("ws, text", [((1,), "[1]"), ((3, 1, 2), "[3,1,2]")])
 def test_adjoint_of_a_non_admissible_chain_names_it_in_brackets(ws, text):
-    with pytest.raises(ValueError, match=re.escape(f"chain {text} is not admissible")):
+    with pytest.raises(ValueError, match=re.escape(f"chain {text} is not a nonempty admissible chain")):
         chains.adjoint_chain(ws)
 
 

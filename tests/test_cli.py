@@ -248,6 +248,56 @@ def test_solve_twofiber_finds_a_shape_in_either_orientation(capsys, key):
     assert run(capsys, *argv, "--e", reverse) == got
 
 
+def test_solve_twofiber_names_the_epsilons_a_shape_has(capsys):
+    argv = ("solve", "twofiber", "--t1", "[2]", "--t2", "[3]", "--e", "[4]", "--epsilon", "0")
+    assert run(capsys, *argv) == (
+        1, "", "error: no catalog shape [4] with epsilon 0; its epsilons are 1, 2"
+    )
+    assert run(capsys, *argv[:-4], "--e", "[9]") == (1, "", "error: no catalog shape [9]")
+
+
+def test_solve_twofiber_takes_a_fork_key_to_the_solver(capsys):
+    # --e reads a name as a bounds file does, so a fork key names its shape,
+    # which the solver refuses
+    argv = ("solve", "twofiber", "--t1", "[2]", "--t2", "[3]", "--e", "fork(b=2;[2],[2],[(2),3])")
+    assert run(capsys, *argv) == (1, "", "error: the ruling analysis needs an irreducible E")
+
+
+def _twig_refusal(capsys, tmp_path, route, twig):
+    """The exit code, output and error of ``route`` on the chain ``twig``."""
+    if route == "adjoint_chain":
+        with pytest.raises(ValueError) as exc:
+            chains.adjoint_chain(parse_chain(twig))
+        return 1, "", f"error: {exc.value}"
+    if route == "knonpos t1":
+        bounds = tmp_path / "knonpos.json"
+        bounds.write_text(json.dumps(dict(load_bounds("k_nonpositive"), t1=twig)))
+        return run(capsys, "search", "knonpos", "--bounds", str(bounds))
+    argv = {
+        "compute bark": ("compute", "bark", twig),
+        "compute group": ("compute", "group", twig),
+        "solve twofiber --t1": ("solve", "twofiber", "--t1", twig, "--t2", "[3]", "--e", "[4]"),
+    }[route]
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("twig", ["[]", "[1]", "[3,1,2]"])
+@pytest.mark.parametrize(
+    "route,what",
+    [
+        ("compute bark", "chain"),
+        ("compute group", "chain"),
+        ("solve twofiber --t1", "T1"),
+        ("knonpos t1", "t1"),
+        ("adjoint_chain", "chain"),
+    ],
+)
+def test_every_route_refuses_a_twig_in_one_form(capsys, tmp_path, route, what, twig):
+    assert _twig_refusal(capsys, tmp_path, route, twig) == (
+        1, "", f"error: {what} {twig} is not a nonempty admissible chain"
+    )
+
+
 def test_degenerate_chain_message_uses_bracket_notation(capsys):
     for graph in ("[1,1]", '{"b": 2, "twigs": ["[1,1]", "[2]", "[3]"]}'):
         code, _, err = run(capsys, "compute", "e", graph)

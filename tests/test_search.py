@@ -815,6 +815,9 @@ REPEATS = [
     ("xy", "b", [1, 1, 2]),
     ("final-bounds", "b", [1, 2, 1]),
     ("knonpos", "b", [1, 1]),
+    # one shape in two spellings is one shape
+    ("xy", "eshapes", [["[2,3]", 2], ["[3,2]", 2]]),
+    ("fiber-pairs", "eshapes", [["[(2),3]", 2], [" [2,2,3]", 2]]),
 ]
 
 
@@ -899,7 +902,7 @@ def test_bounds_with_bad_delta_gmin_rejected(gmin):
 @pytest.mark.parametrize("t1", ["[1]", "[]", "[1,1]"])
 def test_knonpos_rejects_non_admissible_t1_before_any_work(monkeypatch, t1):
     monkeypatch.setattr(dgk_search, "catalog_index", lambda size: pytest.fail("index built"))
-    with pytest.raises(ValueError, match=re.escape(f"twig {t1} is not an admissible chain")):
+    with pytest.raises(ValueError, match=re.escape(f"t1 {t1} is not a nonempty admissible chain")):
         search_k_nonpositive(dict(load_bounds("k_nonpositive"), t1=t1))
 
 
@@ -909,6 +912,30 @@ def test_predicate_names_are_those_reported():
                           shape("[4]", 1))
     )
     assert tuple(report.entries) == PREDICATE_NAMES
+
+
+# A shape name is read by barks.specs_named alone: either orientation, any
+# run notation and whitespace around it name the shape of its key.
+@pytest.mark.parametrize(
+    "key,spelling",
+    [("[2,3]", "[3,2]"), ("[2,3]", " [2,3] "), ("[(2),3]", "[2,2,3]"), ("[(2),3]", "[3,(2)]")],
+)
+def test_a_shape_name_in_any_spelling_names_its_spec(key, spelling):
+    cfg = dict(load_bounds("fiber_pairs"), eshapes=[[spelling, 2]])
+    assert parse_bounds("fiber-pairs", cfg).eshapes == (shape(key, 2).spec,)
+
+
+@pytest.mark.parametrize("spelling", ["[3,2]", " [2,3] "])
+@pytest.mark.parametrize("name", ["xy", "fiber-pairs"])
+def test_a_respelled_eshapes_entry_is_the_same_box(name, spelling):
+    cfg = load_bounds(file_of(name))
+    respelled = dict(cfg, eshapes=[
+        [spelling if key == "[2,3]" else key, eps] for key, eps in cfg["eshapes"]
+    ])
+    assert respelled["eshapes"] != cfg["eshapes"]
+    assert parse_bounds(name, respelled).eshapes == parse_bounds(name, cfg).eshapes
+    form = SEARCHES[name].golden_form
+    assert form(run(name, respelled)) == form(run(name, cfg))
 
 
 def test_named_shape_not_in_catalog_rejected():

@@ -447,13 +447,35 @@ def test_the_index_and_the_names_build_no_shape():
     assert {"offset", "_slice_continuants"} <= index
     assert not [n for n in _named(barks["_catalog_slices"]) if "admissible" in n]
     lookups = (
-        barks["specs_by_name"],
+        barks["_catalog_names"],
+        barks["specs_named"],
         _definitions("search")["_named_specs"],
         _definitions("cli")["cmd_solve"],
     )
     for fn in lookups:
         assert not {"eshape_catalog", "_make_shape", "ExceptionalShape"} & _named(fn), fn.name
-    assert "specs_by_name" in _named(lookups[1]) and "specs_by_name" in _named(lookups[2])
+    assert "_catalog_names" in _named(lookups[1])
+    assert all("specs_named" in _named(fn) for fn in lookups[2:])
+
+
+def test_one_function_reads_each_input():
+    # graphs.require_admissible is the one check, and the one refusal, of a
+    # twig, and barks.specs_named the one reader of a shape name: the bounds
+    # files and the command line normalise no name of their own
+    raisers = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, fn in _functions(tree, path.stem):
+            for raise_ in (n for n in ast.walk(fn) if isinstance(n, ast.Raise)):
+                if any(
+                    isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and "is not a nonempty admissible chain" in n.value
+                    for n in ast.walk(raise_)
+                ):
+                    raisers.add(qualname)
+    assert raisers == {"graphs.require_admissible"}
+    for fn in (_definitions("search")["_named_specs"], _definitions("cli")["cmd_solve"]):
+        assert not {"canonical_chain", "specs_by_name"} & _named(fn), fn.name
 
 
 def test_the_searches_share_one_twig_table():
