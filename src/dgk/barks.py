@@ -17,16 +17,18 @@ shape's name.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chains
 from .chains import ChainRecord, DegenerateChainError
 from .graphs import (
-    ChainParseError, Fork, Weights, canonical_chain, format_chain, is_admissible_chain,
-    parse_chain, require_admissible,
+    ChainParseError, Fork, Weights, canonical_chain, format_chain, parse_chain, require_admissible,
 )
 
 PLATONIC_SPECIAL = {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
@@ -121,22 +123,30 @@ def fork_invariants(fork: Fork) -> ForkInvariants:
     return ForkInvariants(fork.b, *fork_sums(*records))
 
 
-def admissible_fork_invariants(fork: Fork) -> ForkInvariants | None:
-    """The record of an admissible fork, None for any other fork.
+def require_admissible_fork(fork: Fork) -> ForkInvariants:
+    """The record of an admissible fork; the one refusal of any other fork,
+    naming the fork and the condition it fails.
 
-    Admissible means admissible twigs, a negative definite matrix and a
-    Platonic twig triple.  With admissible twigs the twig blocks are
-    negative definite, and the Schur complement at the branch vertex is
+    Admissible means admissible twigs (a bad twig keeps
+    :func:`dgk.graphs.require_admissible`'s refusal), a Platonic twig triple
+    and a negative definite matrix.  With admissible twigs the twig blocks
+    are negative definite, and the Schur complement at the branch vertex is
     b - e~, so the fork is negative definite exactly when
     d(F) = d1*d2*d3*(b - e~) > 0, i.e. when b > e~.
     """
-    if not all(t and is_admissible_chain(t) for t in fork.twigs):
-        return None
-    records = [chains.chain_record(t) for t in fork.twigs]
-    if not is_platonic_triple(tuple(r.d for r in records)):  # type: ignore[arg-type]
-        return None
+    records = [chains.chain_record(require_admissible(t, "twig")) for t in fork.twigs]
+    ds = tuple(r.d for r in records)
+    if not is_platonic_triple(ds):  # type: ignore[arg-type]
+        raise ValueError(
+            f"{_graph_key(fork)} is not admissible:"
+            f" its twig discriminants {ds} are not a Platonic triple"
+        )
     inv = ForkInvariants(fork.b, *fork_sums(*records))
-    return inv if inv.d > 0 else None
+    if inv.d <= 0:
+        raise ValueError(
+            f"{_graph_key(fork)} is not admissible: b = {fork.b} is not above e~ = {inv.e_tilde}"
+        )
+    return inv
 
 
 class BarkCoefficients(NamedTuple):
@@ -169,9 +179,7 @@ def bark_fork(fork: Fork) -> BarkCoefficients:
     a twig T gets its one-sided part plus the branch's share,
     (d(T after i) + c_B * d(T before i))/d(T); Bk^2 F is the record's.
     """
-    inv = admissible_fork_invariants(fork)
-    if inv is None:
-        raise ValueError("fork is not admissible")
+    inv = require_admissible_fork(fork)
     c_b = Fraction(inv.S - inv.D, inv.d)
     coeffs = [c_b]
     for t in fork.twigs:
@@ -190,10 +198,7 @@ def group_order(graph: Weights | Fork) -> int:
     on the (2,2,2) fork and 24 on the (2,2,3) fork with a [3]-twig.
     """
     if isinstance(graph, Fork):
-        inv = admissible_fork_invariants(graph)
-        if inv is None:
-            raise ValueError("fork is not admissible")
-        return inv.group_order
+        return require_admissible_fork(graph).group_order
     return chains.d(require_admissible(graph, "chain"))
 
 
@@ -241,16 +246,25 @@ class ExceptionalShape(NamedTuple):
         return _graph_key(self.graph)
 
     def group_order_for(self, mode: str) -> int:
-        """|G| under the chosen convention.
+        """|G| under the group-order convention ``mode``; see
+        :func:`group_order_reader`."""
+        return group_order_reader(mode)(self)
 
-        "actual" is the true local group order; "h1" substitutes the
-        abelianization order d (they agree on chains).
-        """
-        if mode == "actual":
-            return self.g_order
-        if mode == "h1":
-            return self.d
+
+# |G| under each group-order convention: "actual" is the true local group
+# order, "h1" substitutes the abelianization order d (they agree on chains).
+_GROUP_ORDERS = {"actual": attrgetter("g_order"), "h1": attrgetter("d")}
+GROUP_ORDER_MODES = " or ".join(map(repr, _GROUP_ORDERS))
+
+
+def group_order_reader(mode: object) -> Callable[[ExceptionalShape], int]:
+    """The |G| of a shape under the group-order convention ``mode``, one of
+    :data:`GROUP_ORDER_MODES`: the one reader of a mode, and the one
+    refusal of any other."""
+    reader = _GROUP_ORDERS.get(mode) if isinstance(mode, str) else None
+    if reader is None:
         raise ValueError(f"unknown group order mode {mode!r}")
+    return reader
 
 
 def _graph_key(graph: Weights | Fork) -> str:
@@ -351,6 +365,13 @@ class Line(NamedTuple):
     count: int = 1
     rise: int = 1
 
+    def spec(self, step: int) -> ShapeSpec:
+        """The spec ``step`` places along the line, ``first`` at 0."""
+        if not step:
+            return self.first
+        first, i = self.first, self.rise
+        return first[:i] + (first[i] + step, first[i + 1] - step) + first[i + 2:]
+
     def specs(self) -> list[ShapeSpec]:
         first, i = self.first, self.rise
         if self.count == 1:
@@ -439,19 +460,26 @@ def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
     return canonical_chain(_spec_chain(spec))
 
 
-def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
-    """(d, -(d' + d'~ + 2)) of a chain spec, so that Bk^2 is their quotient.
+def _run_product(runs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, int, int]:
+    """(p, q, s, t), the product [[p, q], [s, t]] of [[w, -1], [1, 0]] over
+    the weights of the chain [(r0),w1,(r1),...,wk,(rk)] of ``runs`` r0..rk.
 
-    The product of [[w, -1], [1, 0]] over a chain's weights is
-    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], and a run of r 2's
-    contributes [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], so the
-    product takes one step per weight other than 2 and none per 2.
+    A run of r 2's contributes [[r+1, -r], [r, 1-r]] = I + r*N with
+    N = [[1, -1], [1, -1]], so the product takes one step per weight other
+    than 2 and none per 2.
     """
-    r = spec[1]
+    r = runs[0]
     p, q, s, t = 1 + r, -r, r, 1 - r
-    for w, r in zip(spec[0].weights, spec[2:]):
+    for w, r in zip(weights, runs[1:]):
         p, q, s, t = p * w + q, -p, s * w + t, -s
         p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
+    return p, q, s, t
+
+
+def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
+    """(d, -(d' + d'~ + 2)) of a chain spec, so that Bk^2 is their quotient:
+    the chain's :func:`_run_product` is [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]]."""
+    p, q, s, _ = _run_product(spec[1:], spec[0].weights)
     return p, q - s - 2
 
 
@@ -464,27 +492,54 @@ def _continuants(spec: ShapeSpec) -> tuple[int, int]:
     return inv.d, inv.d_bk_square
 
 
-def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[ShapeSpec, int, int]]:
-    """(spec, d, num) for each spec of a slice, with (d, num) the
-    :func:`_continuants` of the spec.
+def _line_start(line: Line) -> tuple[int, int, int, int, int, int]:
+    """(d, num) of a chain line's first spec and their first and second
+    differences along the line, from one run-length product.
 
-    A run of r 2's contributes I + r*N with N^2 = 0, so a chain's product
-    is linear in each run.  Along a line one run rises as the next falls, so
-    d and num are quadratics in the step: the products of the line's first
-    three specs fix them, and each further spec costs four additions.  A
-    line of fewer than three specs, such as a fork, takes each spec's own.
+    Let w be the weight between the rising run and the falling one, W its
+    factor [[w, -1], [1, 0]], R(r) = I + r*N the factor of a run of r 2's,
+    A the :func:`_run_product` of the runs up to and with the rising one and
+    B that from the falling run on, both at the first spec.  As
+    R(x + y) = R(x) R(y), the spec at step t has the product
+    A R(t) W R(-t) B, and as N W N = (w - 2) N,
+
+        R(t) W R(-t) = W + (w - 2) [[-t^2, t + t^2], [t - t^2, t^2]].
+
+    So a row x of A and a column y of B meet in their entry of A W B plus
+    (w - 2)(t (x0 y1 + x1 y0) + t^2 (x0 + x1)(y1 - y0)), and d (entry
+    (0, 0)) and num (entry (0, 1) less entry (1, 0), less 2) are quadratics
+    in t.
+    """
+    family, *runs = line.first
+    i, weights = line.rise - 1, family.weights
+    w = weights[i]
+    a, b, c, e = _run_product(runs[:i + 1], weights[:i])  # A
+    p, q, s, t = _run_product(runs[i + 1:], weights[i + 1:])  # B
+    d = (a * w + b) * p - a * s
+    num = (a * w + b) * q - a * t - (c * w + e) * p + c * s - 2
+    d1, d2 = (w - 2) * (a * s + b * p), (w - 2) * (a + b) * (s - p)
+    n1 = (w - 2) * (a * t + b * q - c * s - e * p)
+    n2 = (w - 2) * ((a + b) * (t - q) - (c + e) * (s - p))
+    return d, num, d1 + d2, n1 + n2, 2 * d2, 2 * n2
+
+
+def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[int, int]]:
+    """(d, num) of each spec of a slice, line by line and step by step, with
+    (d, num) the :func:`_continuants` of the spec.
+
+    Along a line of three or more specs d and num are quadratics in the
+    step, so :func:`_line_start` fixes them and each further spec costs four
+    additions; no spec is built.  A line of fewer specs, such as a fork,
+    takes each spec's own.
     """
     for line in lines:
-        specs = line.specs()
-        if len(specs) < 3:
-            for spec in specs:
-                yield (spec, *_continuants(spec))
+        if line.count < 3:
+            for step in range(line.count):
+                yield _continuants(line.spec(step))
             continue
-        (d, n), (d1, n1), (d2, n2) = map(_chain_continuants, specs[:3])
-        dd, dn = d1 - d, n1 - n
-        dd2, dn2 = d2 - d1 - dd, n2 - n1 - dn
-        for spec in specs:
-            yield spec, d, n
+        d, n, dd, dn, dd2, dn2 = _line_start(line)
+        for _ in range(line.count):
+            yield d, n
             d, n, dd, dn = d + dd, n + dn, dd + dd2, dn + dn2
 
 
@@ -560,7 +615,9 @@ def specs_named(name: str) -> dict[int, ShapeSpec]:
     return {spec[0].epsilon: spec for spec in names.get(name, ())}
 
 
-Bucket = dict[tuple[int, int], tuple[ShapeSpec, ...]]
+# A bucket maps a reduced pair to the position of its spec, or to the
+# positions of its specs when several share the pair; see SpecIndex.specs_at.
+Bucket = dict[tuple[int, int], int | tuple[int, ...]]
 
 
 class SpecIndex(dict[int, Bucket]):
@@ -577,10 +634,14 @@ class SpecIndex(dict[int, Bucket]):
     ``first_keys`` are the k that hold a slice, and the scan joins its twig
     triples on them.  ``reach`` is the largest epsilon + K.E of the slices'
     families, so a probe with first key k asks for shapes of at most
-    k + reach components.  The index maps k to its bucket, the specs of
-    first key k keyed by the d and Bk^2 that :func:`_slice_continuants`
-    gives along each slice.  A k's first subscript builds its bucket and
-    keeps it, empty for a k without a slice, and builds no shape.
+    k + reach components.  The index maps k to its bucket, which keys each
+    spec of first key k by the d and Bk^2 that :func:`_slice_continuants`
+    steps along its slice.  A bucket holds no spec, only where each spec
+    sits: its position, the number of specs before it in the slices' order
+    (for the catalog, its index in :func:`family_specs`), which
+    :meth:`specs_at` turns back into the spec.  A k's first subscript builds
+    its bucket and keeps it, empty for a k without a slice, and builds no
+    spec and no shape.
     """
 
     @classmethod
@@ -590,27 +651,43 @@ class SpecIndex(dict[int, Bucket]):
 
     def __init__(self, slices: Iterable[Sequence[Line]]) -> None:
         super().__init__()
-        groups: dict[int, list[Sequence[Line]]] = {}
+        groups: dict[int, list[tuple[int, Sequence[Line]]]] = {}  # (first line, slice)
+        lines: list[Line] = []
         reach = 0
-        for lines in slices:
-            family, *runs = lines[0].first
+        for slice_ in slices:
+            family, *runs = slice_[0].first
             reach = max(reach, family.epsilon + family.ke)
-            groups.setdefault(sum(runs) + family.offset, []).append(lines)
-        self._groups = groups
+            groups.setdefault(sum(runs) + family.offset, []).append((len(lines), slice_))
+            lines += slice_
+        self._groups, self._lines = groups, lines
+        # the position of each line's first spec
+        self._starts = list(accumulate((line.count for line in lines), initial=0))
         self.first_keys = frozenset(groups)
         self.reach = reach
 
     def __missing__(self, k: int) -> Bucket:
         bucket: Bucket = {}
-        for lines in self._groups.get(k, ()):
-            eps = lines[0].first[0].epsilon
-            for spec, den, num in _slice_continuants(lines):
+        for first, lines in self._groups.get(k, ()):
+            eps, position = lines[0].first[0].epsilon, self._starts[first]
+            for den, num in _slice_continuants(lines):
                 g = gcd(num, den)
                 den //= g
                 pair = num // g + eps * den, den
-                bucket[pair] = bucket.get(pair, ()) + (spec,)
+                held = bucket.setdefault(pair, position)
+                if held != position:  # the pair of an earlier spec too
+                    bucket[pair] = (*held, position) if type(held) is tuple else (held, position)
+                position += 1
         self[k] = bucket
         return bucket
+
+    def specs_at(self, held: int | tuple[int, ...]) -> list[ShapeSpec]:
+        """The specs at the positions a bucket holds for one pair, in the
+        order they were keyed: the one decoder of a bucket's values."""
+        specs = []
+        for position in (held,) if type(held) is int else held:
+            i = bisect_right(self._starts, position) - 1
+            specs.append(self._lines[i].spec(position - self._starts[i]))
+        return specs
 
 
 @lru_cache(maxsize=None)

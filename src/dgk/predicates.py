@@ -9,18 +9,18 @@ it cross-multiplies the fork record (b, D, S, E, Et) of
 epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
 
 A join's hits are a :class:`Hits`, sorted by their results' ``sort_key()``
-once, when it is built.  :func:`decide` is the one decision pass of the
-searches and the two-fiber solver: the indices of the hits that pass,
-ascending and so in sorted order, each hit decided on the record its join
-formed.  The ``Hits`` keeps two bit masks per (group-order mode, predicate
-name), the hits tested and the hits passed, so a predicate is tested on a
-hit at most once per mode however many lists are decided on it: name by
-name, ``decide`` tests only the alive hits not yet tested and takes
-``alive &= passed``.  A ``Hits`` also keeps, for xy, each report asked for
-(:meth:`Hits.report`, read-only).  The report :func:`evaluate_predicates`
-reads every ok flag from the same tests and never short-circuits, so a
-failing candidate still shows every witness value; ``Fraction`` appears
-only in the witnesses.
+once, when it is built, with each distinct shape's key formatted once.
+:func:`decide` is the one decision pass of the searches and the two-fiber
+solver: the indices of the hits that pass, ascending and so in sorted
+order, each hit decided on the record its join formed.  The ``Hits``
+keeps two bit masks per (group-order mode, predicate name), the hits
+tested and the hits passed, so a predicate is tested on a hit at most once
+per mode however many lists are decided on it: name by name, ``decide``
+tests only the alive hits not yet tested and takes ``alive &= passed``.
+A ``Hits`` also keeps, for xy, each report asked for (:meth:`Hits.report`,
+read-only).  The report :func:`evaluate_predicates` reads every ok flag
+from the same tests and never short-circuits, so a failing candidate still
+shows every witness value; ``Fraction`` appears only in the witnesses.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import chains
-from .barks import ExceptionalShape, ForkInvariants, fork_invariants
+from .barks import ExceptionalShape, ForkInvariants, fork_invariants, group_order_reader
 from .graphs import Fork, Weights, format_chain
 
 
@@ -47,9 +47,12 @@ class BoundaryCandidate(NamedTuple):
         """The boundary fork D: branch weight b with the three twigs."""
         return Fork(self.b, self.twigs)
 
-    def sort_key(self) -> tuple:
+    def sort_key(self, shape_key: str | None = None) -> tuple:
+        """The order of the results: the shape's key (``shape_key`` when the
+        caller has formatted it already) and epsilon, b, and the twigs by
+        discriminant."""
         return (
-            self.eshape.key(),
+            self.eshape.key() if shape_key is None else shape_key,
             self.eshape.epsilon,
             self.b,
             tuple(sorted((chains.d(t), t) for t in self.twigs)),
@@ -271,7 +274,8 @@ Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, 
 
 class Hits(tuple):
     """The hits of a join, sorted by their results' ``sort_key()``, and what
-    has been decided on them so far.
+    has been decided on them so far.  The sort formats each distinct
+    shape's key once and hands it to ``sort_key``, not once per hit.
 
     The sort is stable, so hits of equal keys keep the order they came in,
     and the survivors in index order are the survivors sorted.
@@ -287,7 +291,16 @@ class Hits(tuple):
     reports: dict[str, dict[int, PredicateReport]]
 
     def __new__(cls, hits: Iterable[Hit]) -> Hits:
-        return super().__new__(cls, sorted(hits, key=lambda hit: hit[3].sort_key()))
+        shape_keys: dict[ExceptionalShape, str] = {}
+
+        def sort_key(hit: Hit) -> tuple:
+            shape = hit[2]
+            key = shape_keys.get(shape)
+            if key is None:  # each distinct shape's key is formatted once
+                key = shape_keys[shape] = shape.key()
+            return hit[3].sort_key(key)
+
+        return super().__new__(cls, sorted(hits, key=sort_key))
 
     def __init__(self, hits: Iterable[Hit]) -> None:
         self.verdicts = {}
@@ -337,8 +350,7 @@ def decide(
     no hit is alive.  So a hit is tested in the order of ``names`` up to
     its first failing predicate, less the tests made before, and a list
     decided before makes none."""
-    if group_order_mode not in ("actual", "h1"):
-        raise ValueError(f"unknown group order mode {group_order_mode!r}")
+    group_order = group_order_reader(group_order_mode)  # refused before any mask is kept
     masks = hits.verdicts.setdefault(group_order_mode, {})
     alive = (1 << len(hits)) - 1 if alive is None else alive
     for name in names:
@@ -350,7 +362,7 @@ def decide(
             test = PREDICATES[name].test
             for i in _bits(new):
                 record, twigs, shape, _ = hits[i]
-                if test(record, twigs, shape, shape.group_order_for(group_order_mode)):
+                if test(record, twigs, shape, group_order(shape)):
                     passed |= 1 << i
             masks[name] = tested | new, passed
         alive &= passed

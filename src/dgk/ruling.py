@@ -306,7 +306,9 @@ class TwoFiberSolution(_SolutionFields):
         """The homology cross-check -d(D)/d(E) = gcd(uc1, uc1~)^2."""
         return self.minus_dd_over_de != self.gcd_c**2
 
-    def sort_key(self) -> tuple:
+    def sort_key(self, shape_key: str | None = None) -> tuple:
+        """The order of the solutions, the shape's key (``shape_key`` when
+        the caller has formatted it already) after the tuple's integers."""
         return (
             self.n,
             self.gamma,
@@ -318,7 +320,7 @@ class TwoFiberSolution(_SolutionFields):
             self.p_prime,
             self.c_tilde,
             self.p_tilde,
-            self.eshape.key(),
+            self.eshape.key() if shape_key is None else shape_key,
             self.epsilon,
             self.b, self.t1, self.t2, self.t3,  # the boundary: two twig pairs never tie
         )
@@ -408,7 +410,10 @@ def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[
     require_admissible(t1, "T1")
     require_admissible(t2, "T2")
     check_two_fiber_shape(eshape)
-    hits = Hits(two_fiber_candidates(t1, (t2,), eshape))
+    found = two_fiber_candidates(t1, (t2,), eshape)
+    if not found:  # most (T1, T2) have no solution: no Hits to sort or decide
+        return []
+    hits = Hits(found)
     return [hits[i][3] for i in decide(hits, SOLVER_PREDICATES)]
 
 

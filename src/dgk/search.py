@@ -19,7 +19,9 @@ and the Zariski identity pins its Bk^2 + epsilon, so shapes are found by
 hash lookup instead of a product sweep.  The sweep is joined on the first
 of the two: a triple is generated only if 4 + b + sum kd is a first key of
 the :class:`dgk.barks.SpecIndex` for some b, and the index computes the
-rest of the keys of a first key only when a probe asks for it.
+rest of the keys of a first key only when a probe asks for it.  A bucket
+keeps where each spec sits, not the spec: a hit decodes its positions
+through :meth:`dgk.barks.SpecIndex.specs_at`.
 
 Each search is a join and a decision pass, run by :func:`_decided`.  The
 join reads only the box (:func:`_box`: the edges, ``b``, ``delta_gmin``,
@@ -53,8 +55,8 @@ from typing import NamedTuple
 
 from . import chains
 from .barks import (
-    MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
-    fork_sums_along, shape_of, specs_named,
+    GROUP_ORDER_MODES, MAX_CATALOG_SIZE, ForkInvariants, ShapeSpec, SpecIndex, catalog_index,
+    fork_sums_along, group_order_reader, shape_of, specs_named,
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
@@ -169,6 +171,17 @@ class Bounds(NamedTuple):
 
 
 _RULE_KEYS = Rule._fields
+
+
+def _is_group_order_mode(value: object) -> bool:
+    """Whether :func:`dgk.barks.group_order_reader` takes ``value``."""
+    try:
+        group_order_reader(value)
+    except ValueError:
+        return False
+    return True
+
+
 # For each bounds key, in the order the checks run: a test of its JSON
 # value and what the value must be if the test fails.
 _CHECKS = {
@@ -192,7 +205,7 @@ _CHECKS = {
     "t1": (lambda v: isinstance(v, str), "a bracket chain string"),
     "predicates": (lambda v: isinstance(v, list), "a list"),
     "eshapes": (lambda v: isinstance(v, list), "a list"),
-    "group_order_mode": (lambda v: v in ("actual", "h1"), "'actual' or 'h1'"),
+    "group_order_mode": (_is_group_order_mode, GROUP_ORDER_MODES),
     "delta_gmin": (lambda v: v is None or (is_int(v) and v >= 1), "null or a positive integer"),
 }
 
@@ -273,7 +286,8 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
     probe of it with Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The thirds come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
-    hit's spec becomes its shape through :func:`dgk.barks.shape_of`, and
+    hit's positions become specs through :meth:`dgk.barks.SpecIndex.specs_at`
+    and each spec its shape through :func:`dgk.barks.shape_of`, and
     the hit keeps the integer record (b, D, S, E, Et) formed here for the
     verdict of :func:`_decide`.
     """
@@ -299,7 +313,10 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
                 num = e_minus_1 * slack - gap_sq
                 den = dd * slack
                 g = gcd(num, den)
-                for spec in bucket.get((num // g, den // g), ()):
+                held = bucket.get((num // g, den // g))
+                if held is None:
+                    continue
+                for spec in index.specs_at(held):
                     shape = shape_of(spec)
                     twigs = (r1.ws, r2.ws, r3.ws)
                     hits.append((ForkInvariants(b, dd, s, e, et), twigs, shape,

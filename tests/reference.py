@@ -30,10 +30,10 @@ from dgk import chains
 from dgk.barks import (
     BarkCoefficients,
     ForkInvariants,
-    admissible_fork_invariants,
     eshape_catalog,
     fork_invariants,
     fork_sums,
+    require_admissible_fork,
     shape_of,
 )
 from dgk.graphs import Fork, Weights, format_chain
@@ -223,9 +223,13 @@ def int_det(matrix: list[list[int]]) -> int:
 
 
 def is_admissible_fork(fork: Fork) -> bool:
-    """Whether :func:`dgk.barks.admissible_fork_invariants` finds a record:
+    """Whether :func:`dgk.barks.require_admissible_fork` takes the fork:
     the gate the catalog once applied to each of its forks."""
-    return admissible_fork_invariants(fork) is not None
+    try:
+        require_admissible_fork(fork)
+    except ValueError:
+        return False
+    return True
 
 
 def fork_to_json(fork: Fork) -> str:
@@ -549,7 +553,8 @@ def reference_scan_triples(triples, bounds, index) -> list[BoundaryCandidate]:
             num = e_minus_1 * slack - gap_sq
             den = dd * slack
             g = gcd(num, den)
-            for spec in bucket.get((num // g, den // g), ()):
+            held = bucket.get((num // g, den // g))
+            for spec in () if held is None else index.specs_at(held):
                 shape = shape_of(spec)
                 if bounds.exclude_eps2_chains and shape.epsilon == 2 and not shape.is_fork:
                     continue

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 import pytest
 
@@ -9,12 +11,12 @@ from dgk.barks import (
     _B1,
     _B2,
     _FAMILIES,
+    SpecIndex,
     _continuants,
     _make_shape,
     _slice,
     _slice_continuants,
     _spec_graph,
-    admissible_fork_invariants,
     bark_chain,
     bark_fork,
     bark_one_sided,
@@ -25,6 +27,7 @@ from dgk.barks import (
     fork_sums,
     group_order,
     is_platonic_triple,
+    require_admissible_fork,
     shape_of,
 )
 from dgk.chains import chain_record
@@ -287,8 +290,8 @@ def test_closed_forms_match_tree_routes():
             assert (b > et) == definite
             platonic = is_platonic_triple(tuple(sorted(chains.d(t) for t in triple)))
             assert is_admissible_fork(fork) == (platonic and definite)
-            inv = admissible_fork_invariants(fork)
-            assert inv == (fork_invariants(fork) if platonic and definite else None)
+            if platonic and definite:
+                assert require_admissible_fork(fork) == fork_invariants(fork)
             not_definite += not definite
     assert not_definite > 0
 
@@ -485,9 +488,9 @@ def test_catalog_index_matches_shape_index(max_size):
     assert index.first_keys == {s.size - s.epsilon - s.ke for s in cat}
     # every bucket, built in reverse key order, keyed in full
     probes = {
-        (k, *pair): specs
+        (k, *pair): index.specs_at(held)
         for k in sorted(index.first_keys, reverse=True)
-        for pair, specs in index[k].items()
+        for pair, held in index[k].items()
     }
     assert index.keys() == index.first_keys
     assert probes.keys() == want.keys()
@@ -500,10 +503,34 @@ def test_catalog_index_lists_no_catalog():
     family_specs.cache_clear()
     catalog_index.cache_clear()
     index = catalog_index(60)
-    held = sum(len(specs) for k in index.first_keys for specs in index[k].values())
+    held = sum(
+        len(index.specs_at(held)) for k in index.first_keys for held in index[k].values()
+    )
     assert held == 39811
     info = family_specs.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+def test_every_bucket_position_decodes_to_a_spec_of_its_key():
+    # a bucket holds positions, not specs: decoded, each is a spec whose own
+    # product gives the bucket's k and reduced pair, and together they are
+    # the catalog, each spec once
+    catalog_index.cache_clear()
+    index = catalog_index(60)
+    decoded = []
+    for k in index.first_keys:
+        for (num, den), held in index[k].items():
+            specs = index.specs_at(held)
+            assert len(specs) == (1 if type(held) is int else len(held)) >= 1
+            for spec in specs:
+                family = spec[0]
+                d, n = _continuants(spec)
+                assert sum(spec[1:]) + family.offset == k
+                assert Fraction(num, den) == Fraction(n, d) + family.epsilon, spec
+                assert den > 0 and gcd(num, den) == 1
+            decoded += specs
+    assert len(decoded) == 39811
+    assert Counter(decoded) == Counter(family_specs(60))
 
 
 def test_slice_stepping_matches_the_product_past_the_catalog_sizes():
@@ -511,12 +538,15 @@ def test_slice_stepping_matches_the_product_past_the_catalog_sizes():
     # get its own product's values, for
     # small slices (c3 below run sum 4 has lines of fewer than three specs)
     # and for run sums past the size-60 catalog; a fork takes its record's
+    # each spec read back from its position, the i-th spec of the slice
     for family in _FAMILIES:
         for s in (*range(16), 57, 58, 59, 60, 97, 149, 150):
             lines = _slice(family, s)
             got = list(_slice_continuants(lines))
-            assert [spec for spec, _, _ in got] == [sp for line in lines for sp in line.specs()]
-            for spec, d, num in got:
+            index = SpecIndex([lines] if lines else [])
+            specs = [spec for i in range(len(got)) for spec in index.specs_at(i)]
+            assert specs == [sp for line in lines for sp in line.specs()]
+            for spec, (d, num) in zip(specs, got):
                 assert sum(spec[1:]) == s
                 assert (d, num) == _continuants(spec), spec
 

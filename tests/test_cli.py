@@ -298,6 +298,24 @@ def test_every_route_refuses_a_twig_in_one_form(capsys, tmp_path, route, what, t
     )
 
 
+@pytest.mark.parametrize("quantity", ["bark", "group"])
+@pytest.mark.parametrize(
+    "fork,refusal",
+    [
+        ('{"b":1,"twigs":["[2]","[2]","[2]"]}',
+         "fork(b=1;[2],[2],[2]) is not admissible: b = 1 is not above e~ = 3/2"),
+        ('{"b":2,"twigs":["[]","[2]","[2]"]}', "twig [] is not a nonempty admissible chain"),
+        ('{"b":2,"twigs":["[2]","[1]","[2]"]}', "twig [1] is not a nonempty admissible chain"),
+        ('{"b":2,"twigs":["[3]","[3]","[3]"]}',
+         "fork(b=2;[3],[3],[3]) is not admissible:"
+         " its twig discriminants (3, 3, 3) are not a Platonic triple"),
+    ],
+)
+def test_a_fork_is_refused_with_the_condition_it_fails(capsys, quantity, fork, refusal):
+    # barks.require_admissible_fork is the one refusal of both commands
+    assert run(capsys, "compute", quantity, fork) == (1, "", f"error: {refusal}")
+
+
 def test_degenerate_chain_message_uses_bracket_notation(capsys):
     for graph in ("[1,1]", '{"b": 2, "twigs": ["[1,1]", "[2]", "[3]"]}'):
         code, _, err = run(capsys, "compute", "e", graph)

@@ -383,6 +383,17 @@ def test_solver_matches_fraction_reference(key, eps, predicates):
             assert got == want, (t1, t2)
 
 
+def test_an_empty_solver_call_builds_no_hits(monkeypatch):
+    # most twig pairs have no solution: the solver returns before it sorts
+    # or decides anything; a pair with solutions still builds its Hits
+    built = []
+    monkeypatch.setattr(ruling, "Hits", lambda hits: built.append(hits) or Hits(hits))
+    es = E4()
+    assert two_fiber_candidates((2,), ((5,),), es) == []
+    assert solve_two_fiber((2,), (5,), es) == [] and built == []
+    assert len(solve_two_fiber((2,), (4,), es)) == 1 and len(built) == 1
+
+
 def test_reference_finds_equation_solutions():
     # the comparison above is not vacuous: without predicates the [4] sweep
     # has solutions the default predicates reject

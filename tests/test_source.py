@@ -458,6 +458,69 @@ def test_the_index_and_the_names_build_no_shape():
     assert all("specs_named" in _named(fn) for fn in lookups[2:])
 
 
+def test_the_bucket_build_lists_no_line_of_three_or_more_specs():
+    # a bucket keys positions stepped along each line: only a line of fewer
+    # than three specs (a fork, a single spec) has its specs built, one by
+    # one, and a longer line's start is one run-length product, not one
+    # product per spec
+    barks = _definitions("barks")
+    build = barks["SpecIndex"].body
+    missing = next(n for n in build if getattr(n, "name", None) == "__missing__")
+    stepping, start = barks["_slice_continuants"], barks["_line_start"]
+    for fn in (missing, stepping, start):
+        assert "specs" not in _named(fn), fn.name
+    assert not {"spec", "_chain_continuants", "_continuants"} & (_named(missing) | _named(start))
+    assert "_run_product" in _named(start) and "_line_start" in _named(stepping)
+    # in the stepping, a spec is built only under the test count < 3
+    short = [n for n in ast.walk(stepping) if isinstance(n, ast.If)
+             and ast.unparse(n.test) == "line.count < 3"]
+    assert len(short) == 1
+    inside = {id(n) for stmt in short[0].body for n in ast.walk(stmt)}
+    spec_uses = [n for n in ast.walk(stepping)
+                 if isinstance(n, ast.Attribute) and n.attr == "spec"]
+    assert spec_uses and all(id(n) in inside for n in spec_uses)
+
+
+def test_one_function_refuses_each_fork_and_each_group_order_mode():
+    # barks.require_admissible_fork is the one refusal of a fork and
+    # barks.group_order_reader the one reader of a group-order mode: no
+    # other function raises either refusal, tests a mode against its
+    # spelling, or spells the modes out
+    raisers = {"is not admissible": set(), "group order mode": set()}
+    spellers = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, fn in _functions(tree, path.stem):
+            for raise_ in (n for n in ast.walk(fn) if isinstance(n, ast.Raise)):
+                text = " ".join(
+                    n.value for n in ast.walk(raise_)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+                raisers.update({k: v | {qualname} for k, v in raisers.items() if k in text})
+        defaults = {
+            id(d) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for d in fn.args.defaults + fn.args.kw_defaults if d is not None
+        }
+        owner = {
+            id(n): qualname for qualname, fn in _functions(tree, path.stem) for n in ast.walk(fn)
+        }
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in defaults
+                    and (n.value in ("actual", "h1") or "'actual'" in n.value)):
+                spellers.add(owner.get(id(n), path.stem))
+    assert raisers == {
+        "is not admissible": {"barks.require_admissible_fork"},
+        "group order mode": {"barks.group_order_reader"},
+    }
+    # the one table of modes, at module level in barks beside its reader
+    assert spellers == {"barks"}
+    assert "group_order_reader" in _named(_definitions("search")["_is_group_order_mode"])
+    assert "group_order_reader" in _named(_definitions("predicates")["decide"])
+    methods = {n.name: n for n in _definitions("barks")["ExceptionalShape"].body
+               if isinstance(n, ast.FunctionDef)}
+    assert "group_order_reader" in _named(methods["group_order_for"])
+
+
 def test_one_function_reads_each_input():
     # graphs.require_admissible is the one check, and the one refusal, of a
     # twig, and barks.specs_named the one reader of a shape name: the bounds
