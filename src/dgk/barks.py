@@ -127,14 +127,17 @@ def require_admissible_fork(fork: Fork) -> ForkInvariants:
     """The record of an admissible fork; the one refusal of any other fork,
     naming the fork and the condition it fails.
 
-    Admissible means admissible twigs (a bad twig keeps
-    :func:`dgk.graphs.require_admissible`'s refusal), a Platonic twig triple
-    and a negative definite matrix.  With admissible twigs the twig blocks
-    are negative definite, and the Schur complement at the branch vertex is
-    b - e~, so the fork is negative definite exactly when
+    Admissible means admissible twigs (a bad twig's refusal is
+    :func:`dgk.graphs.require_admissible`'s, after the fork), a Platonic
+    twig triple and a negative definite matrix.  With admissible twigs the
+    twig blocks are negative definite, and the Schur complement at the
+    branch vertex is b - e~, so the fork is negative definite exactly when
     d(F) = d1*d2*d3*(b - e~) > 0, i.e. when b > e~.
     """
-    records = [chains.chain_record(require_admissible(t, "twig")) for t in fork.twigs]
+    try:
+        records = [chains.chain_record(require_admissible(t, "twig")) for t in fork.twigs]
+    except ValueError as err:
+        raise ValueError(f"{_graph_key(fork)} is not admissible: {err}") from None
     ds = tuple(r.d for r in records)
     if not is_platonic_triple(ds):  # type: ignore[arg-type]
         raise ValueError(
@@ -373,11 +376,7 @@ class Line(NamedTuple):
         return first[:i] + (first[i] + step, first[i + 1] - step) + first[i + 2:]
 
     def specs(self) -> list[ShapeSpec]:
-        first, i = self.first, self.rise
-        if self.count == 1:
-            return [first]
-        head, up, down, tail = first[:i], first[i], first[i + 1], first[i + 2:]
-        return [head + (up + t, down - t) + tail for t in range(self.count)]
+        return [self.spec(step) for step in range(self.count)]
 
 
 def _slice(family: Family, s: int) -> tuple[Line, ...]:
@@ -460,26 +459,19 @@ def _spec_graph(spec: ShapeSpec) -> Weights | Fork:
     return canonical_chain(_spec_chain(spec))
 
 
-def _run_product(runs: Sequence[int], weights: Sequence[int]) -> tuple[int, int, int, int]:
-    """(p, q, s, t), the product [[p, q], [s, t]] of [[w, -1], [1, 0]] over
-    the weights of the chain [(r0),w1,(r1),...,wk,(rk)] of ``runs`` r0..rk.
+def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
+    """(d, -(d' + d'~ + 2)) of a chain spec, so that Bk^2 is their quotient.
 
-    A run of r 2's contributes [[r+1, -r], [r, 1-r]] = I + r*N with
-    N = [[1, -1], [1, -1]], so the product takes one step per weight other
-    than 2 and none per 2.
+    The product of [[w, -1], [1, 0]] over a chain's weights is
+    [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]], and a run of r 2's
+    contributes [[r+1, -r], [r, 1-r]] = I + r*[[1, -1], [1, -1]], so the
+    product takes one step per weight other than 2 and none per 2.
     """
-    r = runs[0]
+    r = spec[1]
     p, q, s, t = 1 + r, -r, r, 1 - r
-    for w, r in zip(weights, runs[1:]):
+    for w, r in zip(spec[0].weights, spec[2:]):
         p, q, s, t = p * w + q, -p, s * w + t, -s
         p, q, s, t = p + r * (p + q), q - r * (p + q), s + r * (s + t), t - r * (s + t)
-    return p, q, s, t
-
-
-def _chain_continuants(spec: ShapeSpec) -> tuple[int, int]:
-    """(d, -(d' + d'~ + 2)) of a chain spec, so that Bk^2 is their quotient:
-    the chain's :func:`_run_product` is [[d, -d(ws[:-1])], [d(ws[1:]), -d(ws[1:-1])]]."""
-    p, q, s, _ = _run_product(spec[1:], spec[0].weights)
     return p, q - s - 2
 
 
@@ -492,52 +484,25 @@ def _continuants(spec: ShapeSpec) -> tuple[int, int]:
     return inv.d, inv.d_bk_square
 
 
-def _line_start(line: Line) -> tuple[int, int, int, int, int, int]:
-    """(d, num) of a chain line's first spec and their first and second
-    differences along the line, from one run-length product.
-
-    Let w be the weight between the rising run and the falling one, W its
-    factor [[w, -1], [1, 0]], R(r) = I + r*N the factor of a run of r 2's,
-    A the :func:`_run_product` of the runs up to and with the rising one and
-    B that from the falling run on, both at the first spec.  As
-    R(x + y) = R(x) R(y), the spec at step t has the product
-    A R(t) W R(-t) B, and as N W N = (w - 2) N,
-
-        R(t) W R(-t) = W + (w - 2) [[-t^2, t + t^2], [t - t^2, t^2]].
-
-    So a row x of A and a column y of B meet in their entry of A W B plus
-    (w - 2)(t (x0 y1 + x1 y0) + t^2 (x0 + x1)(y1 - y0)), and d (entry
-    (0, 0)) and num (entry (0, 1) less entry (1, 0), less 2) are quadratics
-    in t.
-    """
-    family, *runs = line.first
-    i, weights = line.rise - 1, family.weights
-    w = weights[i]
-    a, b, c, e = _run_product(runs[:i + 1], weights[:i])  # A
-    p, q, s, t = _run_product(runs[i + 1:], weights[i + 1:])  # B
-    d = (a * w + b) * p - a * s
-    num = (a * w + b) * q - a * t - (c * w + e) * p + c * s - 2
-    d1, d2 = (w - 2) * (a * s + b * p), (w - 2) * (a + b) * (s - p)
-    n1 = (w - 2) * (a * t + b * q - c * s - e * p)
-    n2 = (w - 2) * ((a + b) * (t - q) - (c + e) * (s - p))
-    return d, num, d1 + d2, n1 + n2, 2 * d2, 2 * n2
-
-
 def _slice_continuants(lines: Iterable[Line]) -> Iterator[tuple[int, int]]:
     """(d, num) of each spec of a slice, line by line and step by step, with
     (d, num) the :func:`_continuants` of the spec.
 
-    Along a line of three or more specs d and num are quadratics in the
-    step, so :func:`_line_start` fixes them and each further spec costs four
-    additions; no spec is built.  A line of fewer specs, such as a fork,
-    takes each spec's own.
+    A run of r 2's contributes I + r*N with N^2 = 0, so a chain's product
+    is linear in each run.  Along a line one run rises as the next falls, so
+    d and num are quadratics in the step: the products of the line's first
+    three specs fix them, and each further spec costs four additions and
+    builds no spec.  A line of fewer than three specs, such as a fork, takes
+    each spec's own.
     """
     for line in lines:
         if line.count < 3:
             for step in range(line.count):
                 yield _continuants(line.spec(step))
             continue
-        d, n, dd, dn, dd2, dn2 = _line_start(line)
+        (d, n), (d1, n1), (d2, n2) = (_chain_continuants(line.spec(step)) for step in range(3))
+        dd, dn = d1 - d, n1 - n
+        dd2, dn2 = d2 - d1 - dd, n2 - n1 - dn
         for _ in range(line.count):
             yield d, n
             d, n, dd, dn = d + dd, n + dn, dd + dd2, dn + dn2

@@ -304,8 +304,10 @@ def test_every_route_refuses_a_twig_in_one_form(capsys, tmp_path, route, what, t
     [
         ('{"b":1,"twigs":["[2]","[2]","[2]"]}',
          "fork(b=1;[2],[2],[2]) is not admissible: b = 1 is not above e~ = 3/2"),
-        ('{"b":2,"twigs":["[]","[2]","[2]"]}', "twig [] is not a nonempty admissible chain"),
-        ('{"b":2,"twigs":["[2]","[1]","[2]"]}', "twig [1] is not a nonempty admissible chain"),
+        ('{"b":2,"twigs":["[]","[2]","[2]"]}',
+         "fork(b=2;[],[2],[2]) is not admissible: twig [] is not a nonempty admissible chain"),
+        ('{"b":2,"twigs":["[2]","[1]","[2]"]}',
+         "fork(b=2;[1],[2],[2]) is not admissible: twig [1] is not a nonempty admissible chain"),
         ('{"b":2,"twigs":["[3]","[3]","[3]"]}',
          "fork(b=2;[3],[3],[3]) is not admissible:"
          " its twig discriminants (3, 3, 3) are not a Platonic triple"),

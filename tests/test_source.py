@@ -459,26 +459,26 @@ def test_the_index_and_the_names_build_no_shape():
 
 
 def test_the_bucket_build_lists_no_line_of_three_or_more_specs():
-    # a bucket keys positions stepped along each line: only a line of fewer
-    # than three specs (a fork, a single spec) has its specs built, one by
-    # one, and a longer line's start is one run-length product, not one
-    # product per spec
+    # a bucket keys positions stepped along each line: no line's specs are
+    # listed, a line of fewer than three specs (a fork, a single spec) has
+    # its specs built one by one, and a longer line only its first three,
+    # whose products start the stepping
     barks = _definitions("barks")
     build = barks["SpecIndex"].body
     missing = next(n for n in build if getattr(n, "name", None) == "__missing__")
-    stepping, start = barks["_slice_continuants"], barks["_line_start"]
-    for fn in (missing, stepping, start):
+    stepping = barks["_slice_continuants"]
+    for fn in (missing, stepping):
         assert "specs" not in _named(fn), fn.name
-    assert not {"spec", "_chain_continuants", "_continuants"} & (_named(missing) | _named(start))
-    assert "_run_product" in _named(start) and "_line_start" in _named(stepping)
-    # in the stepping, a spec is built only under the test count < 3
+    assert not {"spec", "_chain_continuants", "_continuants"} & _named(missing)
     short = [n for n in ast.walk(stepping) if isinstance(n, ast.If)
              and ast.unparse(n.test) == "line.count < 3"]
-    assert len(short) == 1
-    inside = {id(n) for stmt in short[0].body for n in ast.walk(stmt)}
+    starts = [n for n in ast.walk(stepping) if isinstance(n, ast.GeneratorExp)
+              and ast.unparse(n.generators[0].iter) == "range(3)"]
+    assert len(short) == len(starts) == 1
+    inside = {id(n) for node in (*short[0].body, starts[0]) for n in ast.walk(node)}
     spec_uses = [n for n in ast.walk(stepping)
                  if isinstance(n, ast.Attribute) and n.attr == "spec"]
-    assert spec_uses and all(id(n) in inside for n in spec_uses)
+    assert len(spec_uses) == 2 and all(id(n) in inside for n in spec_uses)
 
 
 def test_one_function_refuses_each_fork_and_each_group_order_mode():
