@@ -8,11 +8,13 @@ and Bk'^2 = -e(T).  Every bark, discriminant and group order here is its
 closed form in integers and Fraction; the dense linear solve and the tree
 determinant they replace are reference routes in ``tests/reference.py``.
 
-A fork's twig sums are the integers formed by :func:`fork_sums_along`: the
-scan steps it along the third twigs of each twig pair, and everything else
-reads one triple's sums through :func:`fork_sums` and the
-:class:`ForkInvariants` record.  :func:`specs_named` is the one reader of a
-shape's name.
+A fork's twig sums are the integers formed by :func:`fork_sums_along`, once
+per twig pair and third discriminant z: D and S, and the parts of E and Et
+that T3 does not enter, so that each third of discriminant z adds one term
+to each.  The scan calls it once per block of thirds of one discriminant,
+and everything else reads one triple's sums through :func:`fork_sums` and
+the :class:`ForkInvariants` record.  :func:`specs_named` is the one reader
+of a shape's name.
 """
 
 from __future__ import annotations
@@ -39,31 +41,32 @@ def is_platonic_triple(triple: tuple[int, int, int]) -> bool:
     return t in PLATONIC_SPECIAL or (t[0] == 2 and t[1] == 2 and t[2] >= 2)
 
 
-def fork_sums_along(
-    r1: ChainRecord, r2: ChainRecord, thirds: Iterable[ChainRecord]
-) -> Iterator[tuple[ChainRecord, int, int, int, int]]:
-    """(T3, D, S, E, Et) for each third twig record T3 of ``thirds`` beside
-    the pair (T1, T2), the one place the twig sums are formed.
+def fork_sums_along(r1: ChainRecord, r2: ChainRecord, z: int) -> tuple[int, int, int, int, int]:
+    """(a, D, S, E0, Et0) of the pair (T1, T2) with any third twig T3 of
+    discriminant z, the one place a pair's twig sums are formed.
 
     D = d1*d2*d3 and, with Q_i = D/d_i, S = sum Q_i, E = sum d'_i*Q_i and
-    Et = sum d(T_i[:-1])*Q_i, so each sum is linear in T3's record.  The
-    pair's record (a, p, e12, et12) = (d1*d2, d1 + d2, d'_1*d2 + d'_2*d1,
-    d(T1[:-1])*d2 + d(T2[:-1])*d1) is formed once, and then D = a*d3,
-    S = p*d3 + a, E = e12*d3 + a*d'_3 and Et = et12*d3 + a*d(T3[:-1]).
-    Nothing is divided, so d = 0 twigs are fine.
+    Et = sum d(T_i[:-1])*Q_i.  With a = d1*d2 and d3 = z, D = a*z and
+    S = (d1 + d2)*z + a depend on T3 only through z, and so do
+    E0 = (d'_1*d2 + d'_2*d1)*z and Et0 = (d(T1[:-1])*d2 + d(T2[:-1])*d1)*z,
+    so that E = E0 + a*d'_3 and Et = Et0 + a*d(T3[:-1]).  The scan calls it
+    once per block of thirds of one discriminant.  Nothing is divided, so
+    d = 0 twigs are fine.
     """
-    a, p = r1.d * r2.d, r1.d + r2.d
-    e12 = r1.d_prime * r2.d + r2.d_prime * r1.d
-    et12 = r1.d_prime_rev * r2.d + r2.d_prime_rev * r1.d
-    for r3 in thirds:
-        d3 = r3.d
-        yield r3, a * d3, p * d3 + a, e12 * d3 + a * r3.d_prime, et12 * d3 + a * r3.d_prime_rev
+    a = r1.d * r2.d
+    return (
+        a,
+        a * z,
+        (r1.d + r2.d) * z + a,
+        (r1.d_prime * r2.d + r2.d_prime * r1.d) * z,
+        (r1.d_prime_rev * r2.d + r2.d_prime_rev * r1.d) * z,
+    )
 
 
 def fork_sums(r1: ChainRecord, r2: ChainRecord, r3: ChainRecord) -> tuple[int, int, int, int]:
     """(D, S, E, Et) of three twig records, from :func:`fork_sums_along`."""
-    _, dd, s, e, et = next(fork_sums_along(r1, r2, (r3,)))
-    return dd, s, e, et
+    a, dd, s, e0, et0 = fork_sums_along(r1, r2, r3.d)
+    return dd, s, e0 + a * r3.d_prime, et0 + a * r3.d_prime_rev
 
 
 class ForkInvariants(NamedTuple):

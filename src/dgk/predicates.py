@@ -9,7 +9,8 @@ it cross-multiplies the fork record (b, D, S, E, Et) of
 epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
 
 A join's hits are a :class:`Hits`, sorted by their results' ``sort_key()``
-once, when it is built, with each distinct shape's key formatted once.
+once, when it is built, with each distinct shape's key formatted once and
+each distinct twig's discriminant taken once (:class:`TwigKeys`).
 :func:`decide` is the one decision pass of the searches and the two-fiber
 solver: the indices of the hits that pass, ascending and so in sorted
 order, each hit decided on the record its join formed.  The ``Hits``
@@ -37,6 +38,15 @@ from .barks import ExceptionalShape, ForkInvariants, fork_invariants, group_orde
 from .graphs import Fork, Weights, format_chain
 
 
+class TwigKeys(dict):
+    """The sort key (d(T), T) of each twig T looked up, formed on its first
+    lookup."""
+
+    def __missing__(self, twig: Weights) -> tuple[int, Weights]:
+        key = self[twig] = (chains.d(twig), twig)
+        return key
+
+
 class BoundaryCandidate(NamedTuple):
     b: int
     twigs: tuple[Weights, Weights, Weights]
@@ -47,15 +57,17 @@ class BoundaryCandidate(NamedTuple):
         """The boundary fork D: branch weight b with the three twigs."""
         return Fork(self.b, self.twigs)
 
-    def sort_key(self, shape_key: str | None = None) -> tuple:
+    def sort_key(self, shape_key: str | None = None, twig_keys: TwigKeys | None = None) -> tuple:
         """The order of the results: the shape's key (``shape_key`` when the
         caller has formatted it already) and epsilon, b, and the twigs by
-        discriminant."""
+        discriminant, each twig's (d, T) read from ``twig_keys`` when the
+        caller keeps one."""
+        twig_keys = TwigKeys() if twig_keys is None else twig_keys
         return (
             self.eshape.key() if shape_key is None else shape_key,
             self.eshape.epsilon,
             self.b,
-            tuple(sorted((chains.d(t), t) for t in self.twigs)),
+            tuple(sorted([twig_keys[t] for t in self.twigs])),
         )
 
     def to_dict(self) -> dict:
@@ -275,7 +287,8 @@ Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, 
 class Hits(tuple):
     """The hits of a join, sorted by their results' ``sort_key()``, and what
     has been decided on them so far.  The sort formats each distinct
-    shape's key once and hands it to ``sort_key``, not once per hit.
+    shape's key and forms each distinct twig's (d, T) once and hands them
+    to ``sort_key``, not once per hit.
 
     The sort is stable, so hits of equal keys keep the order they came in,
     and the survivors in index order are the survivors sorted.
@@ -292,13 +305,14 @@ class Hits(tuple):
 
     def __new__(cls, hits: Iterable[Hit]) -> Hits:
         shape_keys: dict[ExceptionalShape, str] = {}
+        twig_keys = TwigKeys()
 
         def sort_key(hit: Hit) -> tuple:
             shape = hit[2]
             key = shape_keys.get(shape)
             if key is None:  # each distinct shape's key is formatted once
                 key = shape_keys[shape] = shape.key()
-            return hit[3].sort_key(key)
+            return hit[3].sort_key(key, twig_keys)
 
         return super().__new__(cls, sorted(hits, key=sort_key))
 

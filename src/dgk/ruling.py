@@ -306,9 +306,11 @@ class TwoFiberSolution(_SolutionFields):
         """The homology cross-check -d(D)/d(E) = gcd(uc1, uc1~)^2."""
         return self.minus_dd_over_de != self.gcd_c**2
 
-    def sort_key(self, shape_key: str | None = None) -> tuple:
+    def sort_key(self, shape_key: str | None = None, twig_keys: object = None) -> tuple:
         """The order of the solutions, the shape's key (``shape_key`` when
-        the caller has formatted it already) after the tuple's integers."""
+        the caller has formatted it already) after the tuple's integers.
+        The twigs come last, as weights, so ``twig_keys``, which
+        :class:`dgk.predicates.Hits` hands every result, is not read."""
         return (
             self.n,
             self.gamma,

@@ -21,7 +21,13 @@ of the two: a triple is generated only if 4 + b + sum kd is a first key of
 the :class:`dgk.barks.SpecIndex` for some b, and the index computes the
 rest of the keys of a first key only when a probe asks for it.  A bucket
 keeps where each spec sits, not the spec: a hit decodes its positions
-through :meth:`dgk.barks.SpecIndex.specs_at`.
+through :meth:`dgk.barks.SpecIndex.specs_at`.  :func:`_groups` hands the
+scan each twig pair's thirds in blocks of one discriminant z, and the twig
+sums D and S, the delta gates and (D - S)^2 depend on T3 only through z, so
+:func:`_scan_triples` forms them once per block through
+:func:`dgk.barks.fork_sums_along`; each third adds its own term to E and
+Et.  The b values run ascending, and the first b >= e~ ends a third's b
+loop.
 
 Each search is a join and a decision pass, run by :func:`_decided`.  The
 join reads only the box (:func:`_box`: the edges, ``b``, ``delta_gmin``,
@@ -150,9 +156,9 @@ class Rule(NamedTuple):
 
 class Bounds(NamedTuple):
     """A checked bounds file: each value the file sets, with lists as tuples,
-    ``t1`` parsed, ``eshapes`` resolved into catalog specs and xy's edges
-    into the ``d_rules`` they stand for; the default for each key it leaves
-    out, where ``catalog_max_size`` None means no catalog."""
+    ``b`` ascending, ``t1`` parsed, ``eshapes`` resolved into catalog specs
+    and xy's edges into the ``d_rules`` they stand for; the default for each
+    key it leaves out, where ``catalog_max_size`` None means no catalog."""
 
     predicates: tuple[str, ...]
     group_order_mode: str
@@ -213,10 +219,12 @@ _CHECKS = {
 def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     """The bounds of the search ``name``: ``cfg``, or its packaged file when
     ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
-    type, a repeated ``b`` value, a ``d_rules`` entry (or xy's edges) that
-    covers no discriminant triple (x < 2 among them), unknown or repeated
-    ``eshapes`` entries, unknown predicates, and for the scan searches a
-    predicate list without :data:`INDEX_PREDICATES`."""
+    type, an empty ``b`` list, a repeated ``b`` value or one other than 1
+    and 2, the only ones zar_b passes, a ``d_rules`` entry (or xy's edges)
+    that covers no discriminant triple (x < 2 among them), unknown or
+    repeated ``eshapes`` entries, unknown predicates, and for the scan
+    searches a predicate list without :data:`INDEX_PREDICATES`.  ``b`` is
+    stored ascending."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -234,6 +242,11 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     b_values = cfg.get("b", [])
     if len(set(b_values)) < len(b_values):
         raise ValueError(f"b must not repeat a value, got {b_values!r}")
+    if "b" in cfg and not b_values:
+        raise ValueError("b must list at least one value, got []")
+    for b in b_values:
+        if b not in (1, 2):  # zar_b
+            raise ValueError(f"b value {b!r} can never pass zar_b, which needs b = 1 or 2")
     bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
     if bad:
         raise ValueError(f"unknown predicates: {', '.join(bad)}")
@@ -244,6 +257,8 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
             " the predicate list must name them"
         )
     values = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
+    if "b" in cfg:  # ascending, for the scan's break and one join per b set
+        values["b"] = tuple(sorted(b_values))
     if "d_rules" in cfg:
         values["d_rules"] = tuple(Rule(**rule) for rule in cfg["d_rules"])
     if "x_max" in cfg:  # xy's edges stand for the rules (x, x, y_max, z_max)
@@ -275,15 +290,21 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
     """The hits of the (twig triple, b, shape) combinations in ``box``, as
     a :class:`Hits`, sorted: the join of a scan search, which reads no flag.
 
-    ``groups`` holds one (T1, T2, thirds) per twig pair, as :func:`_groups`
-    yields them (knonpos's case 2 is one explicit group).  For each pair the
-    key base 4 + kd1 + kd2 is formed once, and
-    :func:`dgk.barks.fork_sums_along` steps the integer twig sums
-    (D, S, E, Et) along its third twigs, so that delta = S/D, e = E/D and
-    e~ = Et/D.  Each (triple, b) passing the gates looks up the bucket of its
-    Noether key 4 + b + sum kd in ``index`` (one subscript, which builds the
-    bucket the first time) and, when the bucket is not empty, makes one
-    probe of it with Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
+    ``groups`` holds one (T1, T2, blocks) per twig pair, as :func:`_groups`
+    yields them (knonpos's case 2 is one explicit group), and each block
+    (z, thirds) the pair's third twigs of discriminant z.  For each pair the
+    key base 4 + kd1 + kd2 is formed once, and for each block
+    :func:`dgk.barks.fork_sums_along` forms the integer twig sums D and S,
+    so that delta = S/D, and the parts E0 and Et0 of E and Et that T3 does
+    not enter; the gates on delta and (D - S)^2 are applied once per block.
+    Each third then forms only E = E0 + a d'_3, Et = Et0 + a d(T3[:-1]),
+    so that e = E/D and e~ = Et/D, and its key.  The b values run ascending
+    (:func:`parse_bounds` stores them so) and the slack Et - bD falls as b
+    rises, so the first b >= e~ ends the third's b loop.  Each (triple, b)
+    with b < e~ looks up the bucket of its Noether key 4 + b + sum kd in
+    ``index`` (one subscript, which builds the bucket the first time) and,
+    when the bucket is not empty, makes one probe of it with
+    Bk^2(E) + epsilon = e - 1 - P^2 as a reduced pair
     ((E - D)(Et - bD) - (D - S)^2) / (D (Et - bD)).  The thirds come joined
     on the key (:func:`_join_keys`), so most (triple, b) find a bucket.  A
     hit's positions become specs through :meth:`dgk.barks.SpecIndex.specs_at`
@@ -293,34 +314,37 @@ def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
     """
     hits: list[Hit] = []
     b_values, delta_gmin = box.b, box.delta_gmin
-    for r1, r2, thirds in groups:
+    for r1, r2, blocks in groups:
         base = 4 + r1.kd + r2.kd
-        for r3, dd, s, e, et in fork_sums_along(r1, r2, thirds):
+        for z, thirds in blocks:
+            a, dd, s, e0, et0 = fork_sums_along(r1, r2, z)
             if s >= dd:  # delta >= 1
                 continue
             if delta_gmin is not None and s * delta_gmin + dd <= dd * delta_gmin:
                 continue
-            e_minus_1 = e - dd
             gap_sq = (dd - s) ** 2
-            key = base + r3.kd
-            for b in b_values:
-                slack = et - b * dd
-                if slack <= 0:  # b >= e~
-                    continue
-                bucket = index[key + b]
-                if not bucket:
-                    continue
-                num = e_minus_1 * slack - gap_sq
-                den = dd * slack
-                g = gcd(num, den)
-                held = bucket.get((num // g, den // g))
-                if held is None:
-                    continue
-                for spec in index.specs_at(held):
-                    shape = shape_of(spec)
-                    twigs = (r1.ws, r2.ws, r3.ws)
-                    hits.append((ForkInvariants(b, dd, s, e, et), twigs, shape,
-                                 BoundaryCandidate(b, twigs, shape)))
+            for r3 in thirds:
+                e = e0 + a * r3.d_prime
+                et = et0 + a * r3.d_prime_rev
+                key = base + r3.kd
+                for b in b_values:
+                    slack = et - b * dd
+                    if slack <= 0:  # b >= e~, and so every later b
+                        break
+                    bucket = index[key + b]
+                    if not bucket:
+                        continue
+                    num = (e - dd) * slack - gap_sq
+                    den = dd * slack
+                    g = gcd(num, den)
+                    held = bucket.get((num // g, den // g))
+                    if held is None:
+                        continue
+                    for spec in index.specs_at(held):
+                        shape = shape_of(spec)
+                        twigs = (r1.ws, r2.ws, r3.ws)
+                        hits.append((ForkInvariants(b, dd, s, e, et), twigs, shape,
+                                     BoundaryCandidate(b, twigs, shape)))
     return Hits(hits)
 
 
@@ -379,24 +403,29 @@ def _rule_pairs(rules: list[Rule] | tuple[Rule, ...]) -> list[tuple[ChainRecord,
 
 
 def _groups(pairs, keys: frozenset[int] | None = None):
-    """One group (T1, T2, thirds) per pair (T1, T2, zs), in order: the third
-    twigs of discriminant in zs, in order, with T2 <= T3 where z = d(T2).
-    With ``keys``, only those whose triple's key 4 + sum kd is one of them,
-    each (z, key base) filtered once; a pair left with none is not yielded.
+    """One group (T1, T2, blocks) per pair (T1, T2, zs), in order: for each
+    z of zs, in order, the block (z, thirds) of the third twigs of
+    discriminant z, in order, with T2 <= T3 where z = d(T2).  With ``keys``,
+    only the thirds whose triple's key 4 + sum kd is one of them, each
+    (z, key base) filtered once; an empty block is left out, and a pair
+    left with none is not yielded.
     """
-    chosen: dict[tuple[int, int], tuple[ChainRecord, ...]] = {}
+    chosen: dict[tuple[int, int], tuple[int, tuple[ChainRecord, ...]]] = {}
     for r1, r2, zs in pairs:
         base = 4 + r1.kd + r2.kd
-        thirds: list[ChainRecord] = []
+        blocks = []
         for z in zs:
-            rs = chosen.get((z, base))
-            if rs is None:
-                rs = chosen[z, base] = tuple(
+            block = chosen.get((z, base))
+            if block is None:
+                block = chosen[z, base] = (z, tuple(
                     r for r in _records_with_d(z) if keys is None or base + r.kd in keys
-                )
-            thirds += [r3 for r3 in rs if r2.ws <= r3.ws] if z == r2.d else rs
-        if thirds:
-            yield r1, r2, thirds
+                ))
+            if z == r2.d:
+                block = (z, tuple(r3 for r3 in block[1] if r2.ws <= r3.ws))
+            if block[1]:
+                blocks.append(block)
+        if blocks:
+            yield r1, r2, blocks
 
 
 def _pair_keys(pairs):
@@ -418,7 +447,7 @@ def _check_catalog_reach(keys, box: Bounds, index: SpecIndex) -> None:
     is safe.
     """
     key_max = max(keys, default=None)
-    if key_max is None or not box.b:
+    if key_max is None:
         return
     size = max(box.b) + key_max + index.reach
     if size > box.catalog_max_size:
@@ -487,16 +516,17 @@ def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]
     ]
 
 
-def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[ChainRecord]]]:
+def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list]]:
     """knonpos case 2: T1 twice, with the tail families head + (2)^k + (3, 2),
-    as the one group (T1, T1, tails)."""
+    as the one group (T1, T1, blocks), the tails in one block per
+    discriminant."""
     rec1 = chain_record(spec.t1)
-    tails = [
-        chain_record(head + (2,) * k + (3, 2))
-        for k in range(0, spec.case2_k_max + 1)
-        for head in ((), (3,), (4,), (2, 3))
-    ]
-    return [(rec1, rec1, tails)]
+    blocks: dict[int, list[ChainRecord]] = {}
+    for k in range(0, spec.case2_k_max + 1):
+        for head in ((), (3,), (4,), (2, 3)):
+            tail = chain_record(head + (2,) * k + (3, 2))
+            blocks.setdefault(tail.d, []).append(tail)
+    return [(rec1, rec1, list(blocks.items()))]
 
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
@@ -509,12 +539,14 @@ def search_k_nonpositive(bounds: dict | None = None) -> dict:
 def _knonpos_join(box: Bounds) -> tuple[Hits, Hits]:
     index = catalog_index(box.catalog_max_size)
     pairs1, groups2 = _case1_pairs(box), _case2_triples(box)
-    keys = [*_pair_keys(pairs1),
-            *(4 + r1.kd + r2.kd + r3.kd for r1, r2, thirds in groups2 for r3 in thirds)]
+    keys = [*_pair_keys(pairs1), *(4 + r1.kd + r2.kd + r3.kd
+                                   for r1, r2, blocks in groups2 for _, thirds in blocks
+                                   for r3 in thirds)]
     _check_catalog_reach(keys, box, index)
     groups1 = (
-        (r1, r2, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)] if r2.ws == box.t1 else thirds)
-        for r1, r2, thirds in _groups(pairs1, _join_keys(index, box.b))
+        (r1, r2, [(z, [r3 for r3 in thirds if r3.ws[-2:] != (3, 2)]) for z, thirds in blocks]
+         if r2.ws == box.t1 else blocks)
+        for r1, r2, blocks in _groups(pairs1, _join_keys(index, box.b))
     )
     return _scan_triples(groups1, box, index), _scan_triples(groups2, box, index)
 

@@ -557,6 +557,26 @@ def test_repeated_bounds_value_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "b, message",
+    [
+        ([0], "b value 0 can never pass zar_b, which needs b = 1 or 2"),
+        ([3], "b value 3 can never pass zar_b, which needs b = 1 or 2"),
+        ([], "b must list at least one value, got []"),
+        ([-1, 1], "b value -1 can never pass zar_b, which needs b = 1 or 2"),
+    ],
+)
+def test_a_b_value_that_can_never_pass_exit_code(capsys, tmp_path, b, message):
+    # zar_b passes only b = 1 or 2: such a box used to scan for nothing and
+    # print [] with exit 0
+    for name, file_name in (("xy", "xy"), ("final-bounds", "final_bounds"),
+                            ("knonpos", "k_nonpositive")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(load_bounds(file_name), b=b)))
+        code, out, err = run(capsys, "search", name, "--bounds", str(bad))
+        assert (code, out, err) == (1, "", f"error: {message}"), name
+
+
+@pytest.mark.parametrize(
     "argv",
     [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],
     ids=["long-output", "short-output"],

@@ -129,8 +129,14 @@ def fiber_pair_solutions(twig_d_max, specs):
 
 
 def flatten(groups):
-    """The (r1, r2, r3) triples of a sweep's (r1, r2, thirds) groups, in order."""
-    return [(r1, r2, r3) for r1, r2, thirds in groups for r3 in thirds]
+    """The (r1, r2, r3) triples of a sweep's (r1, r2, blocks) groups, in
+    order, each block (z, thirds) holding thirds of discriminant z."""
+    triples = []
+    for r1, r2, blocks in groups:
+        for z, thirds in blocks:
+            assert all(r3.d == z for r3 in thirds), (r1.ws, r2.ws, z)
+            triples += [(r1, r2, r3) for r3 in thirds]
+    return triples
 
 
 def reference_run(name, cfg):
@@ -272,6 +278,18 @@ def test_changing_one_box_field_misses_the_cache(name, file_name, key, value):
     # a catalog that still covers the box's reach changes nothing found
     assert (warm == base) == (key == "catalog_max_size"), key
     assert run(name, cfg) == base
+
+
+@pytest.mark.parametrize("name, file_name", [c for c in CHECKED_IN if c[0] != "fiber-pairs"])
+def test_b_in_either_order_is_one_box(name, file_name):
+    # parse_bounds stores b ascending, which the scan's break needs, so
+    # [2, 1] is the box of [1, 2]: the same output from the same join
+    cfg = dict(load_bounds(file_name), b=[1, 2])
+    dgk_search._join.cache_clear()
+    want = run(name, cfg)
+    assert run(name, dict(cfg, b=[2, 1])) == want
+    assert dgk_search._join.cache_info().misses == 1
+    assert parse_bounds(name, dict(cfg, b=[2, 1])).b == (1, 2)
 
 
 def test_both_final_bounds_files_return_their_goldens_in_either_order():

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgk import chains
-from dgk.barks import SpecIndex, catalog_index, eshape_catalog, shape_of
+from dgk.barks import (
+    ForkInvariants, SpecIndex, catalog_index, eshape_catalog, fork_sums, shape_of,
+)
 from dgk.chains import chain_record
 from dgk.graphs import parse_chain
 from dgk.predicates import (
@@ -635,8 +637,14 @@ def test_degenerate_boxes_run_as_their_nonempty_parts():
 
 
 def flatten(groups):
-    """The (r1, r2, r3) triples of a sweep's (r1, r2, thirds) groups, in order."""
-    return [(r1, r2, r3) for r1, r2, thirds in groups for r3 in thirds]
+    """The (r1, r2, r3) triples of a sweep's (r1, r2, blocks) groups, in
+    order, each block (z, thirds) holding thirds of discriminant z."""
+    triples = []
+    for r1, r2, blocks in groups:
+        for z, thirds in blocks:
+            assert all(r3.d == z for r3 in thirds), (r1.ws, r2.ws, z)
+            triples += [(r1, r2, r3) for r3 in thirds]
+    return triples
 
 
 def reference_triples(rules, d_max):
@@ -979,8 +987,9 @@ def test_largest_kd_at_a_discriminant_is_the_single_curve():
 
 
 def reduced_boxes():
-    """(bounds, index, unpruned triples, the same sweep joined on the keys)
-    for reduced xy, final-bounds and knonpos boxes."""
+    """(bounds, index, the box's sweep as a function of the join keys, None
+    for the unpruned sweep) for reduced xy, final-bounds and knonpos boxes:
+    b = [1, 2], [2] alone, and delta_gmin None, 2 and 3."""
     rules = [
         {"x": 2, "y_min": 4, "y_max": 6, "z_max": 12},
         {"x": 3, "y_min": 3, "y_max": 3, "z_max": 9},
@@ -989,13 +998,18 @@ def reduced_boxes():
     index = SpecIndex.of_specs(spec.eshapes)
     sweep = lambda keys: _groups(_rule_pairs(spec.d_rules), keys)  # noqa: E731
     yield spec, index, sweep
-    for name, gmin in (("final_bounds", None), ("final_bounds_relaxed", 2)):
-        cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin)
+    for name, gmin, b in (("final_bounds", None, [1, 2]), ("final_bounds_relaxed", 2, [1, 2]),
+                          ("final_bounds", None, [2])):
+        cfg = dict(load_bounds(name), d_rules=rules, catalog_max_size=20, delta_gmin=gmin, b=b)
         spec = parse_bounds("final-bounds", cfg)
-        yield spec, catalog_index(20), lambda keys: _groups(_rule_pairs(spec.d_rules), keys)
-    cfg = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3)
-    spec = parse_bounds("knonpos", cfg)
-    yield spec, catalog_index(21), lambda keys, spec=spec: _groups(_case1_pairs(spec), keys)
+        yield spec, catalog_index(20), lambda keys, spec=spec: _groups(
+            _rule_pairs(spec.d_rules), keys
+        )
+    for gmin in (None, 3):
+        cfg = dict(load_bounds("k_nonpositive"), d2_max=5, d3_max=12, case2_k_max=3,
+                   delta_gmin=gmin)
+        spec = parse_bounds("knonpos", cfg)
+        yield spec, catalog_index(21), lambda keys, spec=spec: _groups(_case1_pairs(spec), keys)
 
 
 def test_join_keeps_exactly_the_triples_whose_key_can_hit():
@@ -1023,6 +1037,22 @@ def test_pair_major_scan_matches_the_triple_scan():
             assert got == reference_scan_triples(flatten(sweep(keys)), spec, index)
             hits += len(got)
     assert hits > 0
+
+
+def test_every_hit_keeps_the_fork_record_of_its_twigs():
+    # the scan forms (D, S, E0, Et0) once per block and E and Et per third;
+    # each hit's record is the one fork_sums forms from its three twigs
+    joins = [
+        dgk_search._join(name, dgk_search._box(parse_bounds(name, load_bounds(file_name))))
+        for name, file_name in CHECKED_IN if name != "fiber-pairs"
+    ]
+    joins += [(_scan_triples(sweep(keys), spec, index),)
+              for spec, index, sweep in reduced_boxes()
+              for keys in (None, dgk_search._join_keys(index, spec.b))]
+    hits = [hit for join in joins for found in join for hit in found]
+    for record, twigs, _, cand in hits:
+        assert record == ForkInvariants(cand.b, *fork_sums(*map(chain_record, twigs))), cand
+    assert len(hits) > 1000
 
 
 CATALOG_FILES = [(name, f) for name, f in CHECKED_IN if name in ("final-bounds", "knonpos")]

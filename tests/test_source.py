@@ -390,23 +390,39 @@ def test_the_scan_hands_its_record_to_the_verdict():
 
 
 def test_the_scan_steps_the_twig_sums_through_barks():
-    # the twig sums have one route: barks.fork_sums_along forms each pair's
-    # coefficients and steps them along the third twigs, fork_sums reads
-    # one triple through it, and the scan takes its sums from it alone; no
-    # other function of barks.py or search.py reads a record's d' or
-    # d(T[:-1]), so neither holds a second copy of the linear forms
-    tree = ast.parse((PACKAGE_DIR / "search.py").read_text())
-    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_triples"]
-    assert not {"fork_sums", "fork_invariants", "d_prime", "d_prime_rev"} & _named(fn)
-    assert "fork_sums_along" in _named(fn)
-    readers = set()
+    # the twig sums have one route: barks.fork_sums_along alone forms a
+    # pair's coefficients, once per third discriminant, and fork_sums and
+    # the scan each add one third's own terms to what it returns.  So only
+    # these three functions of barks.py and search.py read a record's d' or
+    # d(T[:-1]), and fork_sums and the scan read them of one record, the
+    # third, so neither module holds a second copy of a pair's linear forms.
+    # The scan calls fork_sums_along once per block of thirds, outside its
+    # loop over the thirds
+    readers = {}
     for module in ("barks", "search"):
         for qualname, node in _functions(ast.parse((PACKAGE_DIR / f"{module}.py").read_text()),
                                          module):
-            if {"d_prime", "d_prime_rev"} & set(_attributes(node)):
-                readers.add(qualname)
-    assert readers == {"barks.fork_sums_along"}
+            records = {
+                ast.unparse(n.value) for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr in ("d_prime", "d_prime_rev")
+            }
+            if records:
+                readers[qualname] = records
+    assert readers.keys() == {"barks.fork_sums_along", "barks.fork_sums", "search._scan_triples"}
+    for qualname in ("barks.fork_sums", "search._scan_triples"):
+        assert len(readers[qualname]) == 1, (qualname, readers[qualname])
     assert "fork_sums_along" in _named(_definitions("barks")["fork_sums"])
+    scan = _definitions("search")["_scan_triples"]
+    assert not {"fork_sums", "fork_invariants"} & _named(scan)
+    calls = [
+        n for n in ast.walk(scan)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "fork_sums_along"
+    ]
+    (third,) = readers["search._scan_triples"]
+    (loop,) = [
+        n for n in ast.walk(scan) if isinstance(n, ast.For) and ast.unparse(n.target) == third
+    ]
+    assert len(calls) == 1 and calls[0] not in set(ast.walk(loop))
 
 
 def test_one_reader_for_the_bracket_notation():
