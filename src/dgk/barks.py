@@ -230,6 +230,7 @@ class ExceptionalShape(NamedTuple):
     bk_square: Fraction
     g_order: int
     spec: ShapeSpec
+    key_text: str
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExceptionalShape) and self[:2] == other[:2]
@@ -249,7 +250,7 @@ class ExceptionalShape(NamedTuple):
         return self.n_delta_components == 0
 
     def key(self) -> str:
-        return _graph_key(self.graph)
+        return self.key_text
 
     def group_order_for(self, mode: str) -> int:
         """|G| under the group-order convention ``mode``; see
@@ -534,7 +535,7 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     return ExceptionalShape(
         graph=graph, epsilon=family.epsilon, e_weights=e_weights, n_delta_components=n_delta,
         ke=family.ke, size=sum(spec[1:]) + family.curves, d=dd, bk_square=Fraction(num, dd),
-        g_order=g, spec=spec,
+        g_order=g, spec=spec, key_text=_graph_key(graph),
     )
 
 
@@ -554,7 +555,7 @@ def eshape_catalog(max_size: int) -> tuple[ExceptionalShape, ...]:
     """All catalog shapes with at most ``max_size`` components, ordered by
     (size, key, epsilon); see :func:`_catalog_slices` for the families."""
     shapes = [_make_shape(spec) for spec in family_specs(max_size)]
-    shapes.sort(key=lambda s: (s.size, s.key(), s.epsilon))
+    shapes.sort(key=lambda s: (s.size, s.key_text, s.epsilon))
     return tuple(shapes)
 
 

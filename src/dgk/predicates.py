@@ -9,15 +9,15 @@ it cross-multiplies the fork record (b, D, S, E, Et) of
 epsilon, |G| and Bk^2(E) = q/r) and builds no ``Fraction``.
 
 A join's hits are a :class:`Hits`, sorted by their results' ``sort_key()``
-once, when it is built, with each distinct shape's key formatted once and
-each distinct twig's discriminant taken once (:class:`TwigKeys`).
+once, when it is built; a result's key reads its shape's stored key.
 :func:`decide` is the one decision pass of the searches and the two-fiber
 solver: the indices of the hits that pass, ascending and so in sorted
 order, each hit decided on the record its join formed.  The ``Hits``
 keeps two bit masks per (group-order mode, predicate name), the hits
 tested and the hits passed, so a predicate is tested on a hit at most once
 per mode however many lists are decided on it: name by name, ``decide``
-tests only the alive hits not yet tested and takes ``alive &= passed``.
+starts from every hit, tests only the alive hits not yet tested and takes
+``alive &= passed``.
 A ``Hits`` also keeps, for xy, each report asked for (:meth:`Hits.report`,
 read-only).  The report :func:`evaluate_predicates` reads every ok flag
 from the same tests and never short-circuits, so a failing candidate still
@@ -38,15 +38,6 @@ from .barks import ExceptionalShape, ForkInvariants, fork_invariants, group_orde
 from .graphs import Fork, Weights, format_chain
 
 
-class TwigKeys(dict):
-    """The sort key (d(T), T) of each twig T looked up, formed on its first
-    lookup."""
-
-    def __missing__(self, twig: Weights) -> tuple[int, Weights]:
-        key = self[twig] = (chains.d(twig), twig)
-        return key
-
-
 class BoundaryCandidate(NamedTuple):
     b: int
     twigs: tuple[Weights, Weights, Weights]
@@ -57,17 +48,14 @@ class BoundaryCandidate(NamedTuple):
         """The boundary fork D: branch weight b with the three twigs."""
         return Fork(self.b, self.twigs)
 
-    def sort_key(self, shape_key: str | None = None, twig_keys: TwigKeys | None = None) -> tuple:
-        """The order of the results: the shape's key (``shape_key`` when the
-        caller has formatted it already) and epsilon, b, and the twigs by
-        discriminant, each twig's (d, T) read from ``twig_keys`` when the
-        caller keeps one."""
-        twig_keys = TwigKeys() if twig_keys is None else twig_keys
+    def sort_key(self) -> tuple:
+        """The order of the results: the shape's key and epsilon, b, and the
+        twigs by discriminant, as (d, T)."""
         return (
-            self.eshape.key() if shape_key is None else shape_key,
+            self.eshape.key_text,
             self.eshape.epsilon,
             self.b,
-            tuple(sorted([twig_keys[t] for t in self.twigs])),
+            tuple(sorted([(chains.d(t), t) for t in self.twigs])),
         )
 
     def to_dict(self) -> dict:
@@ -286,9 +274,7 @@ Hit = tuple[ForkInvariants, tuple[Weights, Weights, Weights], ExceptionalShape, 
 
 class Hits(tuple):
     """The hits of a join, sorted by their results' ``sort_key()``, and what
-    has been decided on them so far.  The sort formats each distinct
-    shape's key and forms each distinct twig's (d, T) once and hands them
-    to ``sort_key``, not once per hit.
+    has been decided on them so far.
 
     The sort is stable, so hits of equal keys keep the order they came in,
     and the survivors in index order are the survivors sorted.
@@ -304,17 +290,7 @@ class Hits(tuple):
     reports: dict[str, dict[int, PredicateReport]]
 
     def __new__(cls, hits: Iterable[Hit]) -> Hits:
-        shape_keys: dict[ExceptionalShape, str] = {}
-        twig_keys = TwigKeys()
-
-        def sort_key(hit: Hit) -> tuple:
-            shape = hit[2]
-            key = shape_keys.get(shape)
-            if key is None:  # each distinct shape's key is formatted once
-                key = shape_keys[shape] = shape.key()
-            return hit[3].sort_key(key, twig_keys)
-
-        return super().__new__(cls, sorted(hits, key=sort_key))
+        return super().__new__(cls, sorted(hits, key=lambda hit: hit[3].sort_key()))
 
     def __init__(self, hits: Iterable[Hit]) -> None:
         self.verdicts = {}
@@ -349,16 +325,14 @@ def _bits(mask: int) -> list[int]:
 
 
 def decide(
-    hits: Sequence[Hit], names: tuple[str, ...], group_order_mode: str = "actual",
-    alive: int | None = None,
+    hits: Sequence[Hit], names: tuple[str, ...], group_order_mode: str = "actual"
 ) -> list[int]:
     """The decision pass: the indices, ascending, of the hits that pass
     every predicate of ``names`` on the record the join formed.  ``hits``
     is a :class:`Hits`, so the indices are in the sorted order of the
     results.
 
-    ``alive`` is the bit mask of the hits to decide, bit i for ``hits[i]``;
-    all of them by default.  Each verdict is kept in the masks of
+    Every hit starts alive, and each verdict is kept in the masks of
     ``group_order_mode``: each name in turn tests only the alive hits it
     holds untested, then takes ``alive &= passed``, and the walk stops once
     no hit is alive.  So a hit is tested in the order of ``names`` up to
@@ -366,7 +340,7 @@ def decide(
     decided before makes none."""
     group_order = group_order_reader(group_order_mode)  # refused before any mask is kept
     masks = hits.verdicts.setdefault(group_order_mode, {})
-    alive = (1 << len(hits)) - 1 if alive is None else alive
+    alive = (1 << len(hits)) - 1
     for name in names:
         if not alive:
             break

@@ -306,11 +306,9 @@ class TwoFiberSolution(_SolutionFields):
         """The homology cross-check -d(D)/d(E) = gcd(uc1, uc1~)^2."""
         return self.minus_dd_over_de != self.gcd_c**2
 
-    def sort_key(self, shape_key: str | None = None, twig_keys: object = None) -> tuple:
-        """The order of the solutions, the shape's key (``shape_key`` when
-        the caller has formatted it already) after the tuple's integers.
-        The twigs come last, as weights, so ``twig_keys``, which
-        :class:`dgk.predicates.Hits` hands every result, is not read."""
+    def sort_key(self) -> tuple:
+        """The order of the solutions: the tuple's integers, then the
+        shape's key and epsilon, then the boundary, its twigs as weights."""
         return (
             self.n,
             self.gamma,
@@ -322,7 +320,7 @@ class TwoFiberSolution(_SolutionFields):
             self.p_prime,
             self.c_tilde,
             self.p_tilde,
-            self.eshape.key() if shape_key is None else shape_key,
+            self.eshape.key_text,
             self.epsilon,
             self.b, self.t1, self.t2, self.t3,  # the boundary: two twig pairs never tie
         )

@@ -42,10 +42,10 @@ refused box raises and is not kept.  Each output list of a join is a
 built, which carries the verdict masks decided on its hits and xy's
 reports, so the one cache keeps them too.  :func:`_decide` applies the
 flags on every call, so a flag variant of a joined box runs no scan and
-repeats no test: the hits the epsilon = 2 exclusion keeps are its starting
-set, then :func:`dgk.predicates.decide` with the predicate list and the
-group-order convention, the decision pass the two-fiber solver shares.  Its
-indices come ascending, so the results come sorted.
+repeats no test: :func:`dgk.predicates.decide` with the predicate list and
+the group-order convention, the decision pass the two-fiber solver shares,
+then the epsilon = 2 exclusion on its survivors.  Its indices come
+ascending, so the results come sorted.
 """
 
 from __future__ import annotations
@@ -191,10 +191,10 @@ def _is_group_order_mode(value: object) -> bool:
 # For each bounds key, in the order the checks run: a test of its JSON
 # value and what the value must be if the test fails.
 _CHECKS = {
-    **dict.fromkeys(
-        ("x_max", "y_max", "z_max", "d2_max", "d3_max", "case2_k_max", "twig_d_max"),
-        (is_int, "an integer"),
-    ),
+    **dict.fromkeys(("x_max", "y_max", "z_max", "d2_max", "d3_max"), (is_int, "an integer")),
+    # below these, case 2 has no tail and fiber-pairs no twig
+    "case2_k_max": (lambda v: is_int(v) and v >= 0, "a nonnegative integer"),
+    "twig_d_max": (lambda v: is_int(v) and v >= 2, "an integer of at least 2"),
     "catalog_max_size": (
         lambda v: is_int(v) and v <= MAX_CATALOG_SIZE, f"an integer of at most {MAX_CATALOG_SIZE}"
     ),
@@ -221,10 +221,11 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
     type, an empty ``b`` list, a repeated ``b`` value or one other than 1
     and 2, the only ones zar_b passes, a ``d_rules`` entry (or xy's edges)
-    that covers no discriminant triple (x < 2 among them), unknown or
-    repeated ``eshapes`` entries, unknown predicates, and for the scan
-    searches a predicate list without :data:`INDEX_PREDICATES`.  ``b`` is
-    stored ascending."""
+    that covers no discriminant triple (x < 2 among them), a
+    ``twig_d_max`` below 2, a ``case2_k_max`` below 0, an empty
+    ``eshapes`` list, unknown or repeated ``eshapes`` entries, unknown
+    predicates, and for the scan searches a predicate list without
+    :data:`INDEX_PREDICATES`.  ``b`` is stored ascending."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -242,8 +243,9 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     b_values = cfg.get("b", [])
     if len(set(b_values)) < len(b_values):
         raise ValueError(f"b must not repeat a value, got {b_values!r}")
-    if "b" in cfg and not b_values:
-        raise ValueError("b must list at least one value, got []")
+    for key in ("b", "eshapes"):  # no b value, or no shape, covers nothing
+        if cfg.get(key) == []:
+            raise ValueError(f"{key} must list at least one value, got []")
     for b in b_values:
         if b not in (1, 2):  # zar_b
             raise ValueError(f"b value {b!r} can never pass zar_b, which needs b = 1 or 2")
@@ -352,22 +354,12 @@ def _decide(hits: Hits, spec: Bounds) -> list[int]:
     """The decision pass of a search under ``spec``'s flags:
     :func:`dgk.predicates.decide` on the hits and their verdict masks gives
     the indices of the hits that pass, ascending, which is the sorted order
-    of their results, starting from the hits the epsilon = 2 exclusion
-    keeps when the flag is set."""
-    alive = _eps2_start(hits) if spec.exclude_eps2_chains else None
-    return decide(hits, spec.predicates, spec.group_order_mode, alive)
-
-
-def _eps2_start(hits: Hits) -> int:
-    """The bit mask of the hits whose shape is not a chain of epsilon 2, bit
-    i for ``hits[i]``: the starting set of a decide under the epsilon = 2
-    exclusion, computed once and kept on ``hits`` beside its verdicts."""
-    start = getattr(hits, "eps2_start", None)
-    if start is None:
-        start = hits.eps2_start = sum(
-            1 << i for i, hit in enumerate(hits) if hit[2].epsilon != 2 or hit[2].is_fork
-        )
-    return start
+    of their results; the epsilon = 2 exclusion, when the flag is set, then
+    drops each survivor whose shape is a chain of epsilon 2."""
+    kept = decide(hits, spec.predicates, spec.group_order_mode)
+    if spec.exclude_eps2_chains:
+        kept = [i for i in kept if hits[i][2].is_fork or hits[i][2].epsilon != 2]
+    return kept
 
 
 def _join_keys(index: SpecIndex, b_values) -> frozenset[int]:

@@ -13,6 +13,7 @@ from dgk.barks import (
     _FAMILIES,
     SpecIndex,
     _continuants,
+    _graph_key,
     _make_shape,
     _slice,
     _slice_continuants,
@@ -294,6 +295,13 @@ def test_closed_forms_match_tree_routes():
                 assert require_admissible_fork(fork) == fork_invariants(fork)
             not_definite += not definite
     assert not_definite > 0
+
+
+@pytest.mark.parametrize("max_size", [12, 60])
+def test_each_shape_keeps_its_printed_key(max_size):
+    # the key is formatted once, when the shape is built, from its graph
+    for es in eshape_catalog(max_size):
+        assert es.key() == _graph_key(es.graph), es.spec
 
 
 def test_catalog_families():

@@ -577,6 +577,28 @@ def test_a_b_value_that_can_never_pass_exit_code(capsys, tmp_path, b, message):
 
 
 @pytest.mark.parametrize(
+    "name, file_name, key, value, message",
+    [
+        ("xy", "xy", "eshapes", [], "eshapes must list at least one value, got []"),
+        ("fiber-pairs", "fiber_pairs", "eshapes", [], "eshapes must list at least one value, got []"),
+        ("fiber-pairs", "fiber_pairs", "twig_d_max", 1,
+         "twig_d_max must be an integer of at least 2, got 1"),
+        ("knonpos", "k_nonpositive", "case2_k_max", -1,
+         "case2_k_max must be a nonnegative integer, got -1"),
+    ],
+    ids=["xy-eshapes", "fiber-pairs-eshapes", "twig_d_max", "case2_k_max"],
+)
+def test_a_box_that_covers_nothing_exit_code(capsys, tmp_path, name, file_name, key, value,
+                                             message):
+    # no shape, no twig or no case-2 tail: the first three used to print []
+    # with exit 0, and the last an empty case 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds(file_name), **{key: value})))
+    code, out, err = run(capsys, "search", name, "--bounds", str(bad))
+    assert (code, out, err) == (1, "", f"error: {message}")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],
     ids=["long-output", "short-output"],

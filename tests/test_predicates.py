@@ -35,8 +35,8 @@ from dgk.predicates import (
 from dgk.search import (
     INDEX_PREDICATES,
     _box,
+    _decide,
     _decided,
-    _eps2_start,
     _join,
     load_bounds,
     parse_bounds,
@@ -53,9 +53,9 @@ BOUNDS_FILES = {
 }
 
 
-def survivors(hits, names, mode, alive=None):
+def survivors(hits, names, mode):
     """The results of the hits ``decide`` keeps, in the order of its indices."""
-    return [hits[i][3] for i in decide(hits, names, mode, alive)]
+    return [hits[i][3] for i in decide(hits, names, mode)]
 
 
 def one_hit(record, twigs, eshape, names, mode):
@@ -134,23 +134,20 @@ def test_a_negative_twig_product_is_refused():
         evaluate_predicates(cand)
 
 
-def kept_hits(spec, joined):
-    """The hits of ``joined`` a decide under ``spec`` starts from."""
-    if not spec.exclude_eps2_chains:
-        return joined
-    start = _eps2_start(joined)
-    return [hit for i, hit in enumerate(joined) if start >> i & 1]
+def is_eps2_chain(eshape):
+    """Whether the epsilon = 2 exclusion drops a survivor of shape ``eshape``."""
+    return not eshape.is_fork and eshape.epsilon == 2
 
 
 def record_hits(runs):
     """Every (fork record, candidate, group-order mode) the verdict decides
     in the search ``name`` on ``cfg`` for each (name, cfg) of ``runs``: each
-    hit of its box's join that the epsilon = 2 exclusion keeps."""
+    hit of its box's join."""
     hits = []
     for name, cfg in runs:
         spec = parse_bounds(name, cfg)
         for joined in _join(name, _box(spec)):
-            for record, twigs, eshape, _ in kept_hits(spec, joined):
+            for record, twigs, eshape, _ in joined:
                 hits.append((record, BoundaryCandidate(record.b, twigs, eshape),
                              spec.group_order_mode))
     return hits
@@ -197,8 +194,8 @@ def test_the_verdict_matches_the_reference_on_every_probe_hit(probe_hits):
 
 def test_each_verdict_matches_the_reference_on_widened_boxes():
     # the xy box to z_max 150 and the final-bounds rule (2, 3..5, z) to
-    # z_max 84, each hit decided one predicate at a time in both
-    # group-order modes
+    # z_max 84, each join hit, the epsilon = 2 chains among them, decided
+    # one predicate at a time in both group-order modes
     xy = load_bounds("xy")
     final = load_bounds("final_bounds")
     final["catalog_max_size"] = 100
@@ -206,7 +203,7 @@ def test_each_verdict_matches_the_reference_on_widened_boxes():
     final["d_rules"][1]["z_max"] = 84
     xy_hits = record_hits([("xy", dict(xy, z_max=150))])
     final_hits = record_hits([("final-bounds", final)])
-    assert (len(xy_hits), len(final_hits)) == (471, 730)
+    assert (len(xy_hits), len(final_hits)) == (569, 875)
     outcomes = Counter()
     for record, cand, _ in xy_hits + final_hits:
         for mode in MODES:
@@ -254,9 +251,10 @@ def test_a_cold_decide_makes_the_tests_of_the_short_circuit_route(tested, name, 
     for joined, got in zip(_join(name, _box(spec)), found, strict=True):
         assert joined.verdicts  # the join's hits keep the tables the call filled
         passed = [
-            result for record, twigs, eshape, result in kept_hits(spec, joined)
+            result for record, twigs, eshape, result in joined
             if short_circuit_verdict(record, twigs, eshape, spec.predicates,
                                      spec.group_order_mode)
+            and not (spec.exclude_eps2_chains and is_eps2_chain(eshape))
         ]
         assert got == sorted(passed, key=lambda result: result.sort_key())
     assert cold and cold == tested and set(cold.values()) == {1}, file_name
@@ -325,18 +323,17 @@ def fresh_joins():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
-    # random alive sets, name orders and modes on kept joins: the result is
-    # the short-circuit route's, each tested bit's passed bit is the
-    # predicate's own verdict, and no (hit, name, mode) is tested twice
+    # random name orders and modes on kept joins: the result is the
+    # short-circuit route's, each tested bit's passed bit is the predicate's
+    # own verdict, and no (hit, name, mode) is tested twice
     lists, reference = fresh_joins
     k = data.draw(st.integers(0, len(lists) - 1), label="list")
     hits = lists[k]
     mode = data.draw(st.sampled_from(MODES), label="mode")
     order = data.draw(st.permutations(PREDICATE_NAMES), label="order")
     names = tuple(order[:data.draw(st.integers(0, len(order)), label="count")])
-    alive = data.draw(st.none() | st.integers(0, (1 << len(hits)) - 1), label="alive")
     before = Counter(tested)
-    got = survivors(hits, names, mode, alive)
+    got = survivors(hits, names, mode)
     made = Counter(tested)
     made.subtract(before)
     made = +made
@@ -344,9 +341,7 @@ def test_the_masks_decide_as_the_short_circuit_route(tested, fresh_joins, data):
     seen = reference.setdefault(("made", k, mode), Counter())
     seen.update(made)
     assert set(seen.values()) <= {1}, (k, mode)
-    decided = [i for i in range(len(hits)) if alive is None or alive >> i & 1]
-    want = [hits[i][3] for i in decided
-            if short_circuit_verdict(*hits[i][:3], names, mode)]
+    want = [hit[3] for hit in hits if short_circuit_verdict(*hit[:3], names, mode)]
     assert got == sorted(want, key=lambda result: result.sort_key())
     tables = hits.verdicts[mode]  # every decide keeps its mode's masks
     for name in names:
@@ -368,7 +363,7 @@ def test_the_hits_come_sorted_and_decide_keeps_their_order(file_name, name):
     # a Hits sorts what it is built from by the results' sort keys, so a
     # shuffled copy of a join list builds the join's Hits; decide's indices
     # come ascending, which is the sorted order of the results, in both
-    # modes, from every hit or from the epsilon = 2 start
+    # modes
     spec = parse_bounds(name, load_bounds(file_name))
     rng = random.Random(file_name)
     for joined in _join(name, _box(spec)):
@@ -376,11 +371,10 @@ def test_the_hits_come_sorted_and_decide_keeps_their_order(file_name, name):
         rng.shuffle(shuffled)
         assert Hits(shuffled) == joined, file_name
         for mode in MODES:
-            for alive in (None, _eps2_start(joined)):
-                got = decide(joined, spec.predicates, mode, alive)
-                assert got == sorted(got), (file_name, mode)
-                results = [joined[i][3] for i in got]
-                assert results == sorted(results, key=lambda result: result.sort_key())
+            got = decide(joined, spec.predicates, mode)
+            assert got == sorted(got), (file_name, mode)
+            results = [joined[i][3] for i in got]
+            assert results == sorted(results, key=lambda result: result.sort_key())
 
 
 MODE_LISTS = [
@@ -405,8 +399,8 @@ def test_the_tables_of_one_mode_do_not_decide_the_other(name, cfg):
 
 @pytest.mark.parametrize("name, file_name", CHECKED_IN[:4], ids=[f for _, f in CHECKED_IN[:4]])
 def test_toggling_the_eps2_exclusion_on_a_joined_box(name, file_name):
-    # the exclusion is the starting set of the walk, so the tables decided
-    # from one setting serve the other
+    # the exclusion drops survivors after the walk, so the tables decided
+    # under one setting serve the other
     cold = {}
     for flag in (True, False):
         _join.cache_clear()
@@ -437,3 +431,21 @@ def test_ke_holds_on_every_catalog_family():
     for es in eshape_catalog(12):
         if es.is_fork:
             assert es.ke == es.graph.b - 2 + sum(w - 2 for t in es.graph.twigs for w in t)
+
+
+@pytest.mark.parametrize("file_name, name", BOUNDS_FILES.items(), ids=list(BOUNDS_FILES))
+def test_the_eps2_exclusion_drops_the_eps2_chains_from_the_survivors(file_name, name):
+    # with the flag set, _decide keeps what it keeps without it, less the
+    # hits whose shape is a chain of epsilon 2, in both modes
+    spec = parse_bounds(name, load_bounds(file_name))
+    dropped = 0
+    for joined in _join(name, _box(spec)):
+        for mode in MODES:
+            plain, excluding = (
+                _decide(joined, spec._replace(group_order_mode=mode, exclude_eps2_chains=flag))
+                for flag in (False, True)
+            )
+            want = [i for i in plain if not is_eps2_chain(joined[i][2])]
+            assert excluding == want, (file_name, mode)
+            dropped += len(plain) - len(want)
+    assert dropped or name == "fiber-pairs", file_name

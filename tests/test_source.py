@@ -306,6 +306,33 @@ def test_decide_is_one_walk_over_the_names():
     assert "sort_keys" not in _named(ast.parse((PACKAGE_DIR / "predicates.py").read_text()))
 
 
+def test_each_result_forms_its_sort_key_alone():
+    # a sort key reads its own result and the shape's stored key, so no
+    # caller hands it a memo; decide starts from every hit, and the
+    # epsilon = 2 exclusion is search._decide's filter on the survivors
+    keyed = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, fn in _functions(tree, path.stem):
+            if fn.name == "sort_key":
+                args = fn.args
+                keyed.append(qualname)
+                assert [a.arg for a in args.posonlyargs + args.args] == ["self"], qualname
+                assert not (args.kwonlyargs or args.vararg or args.kwarg), qualname
+        stray = {"TwigKeys", "eps2_start", "_eps2_start"} & (
+            set(_references(tree)) | {n.name for n in ast.walk(tree) if hasattr(n, "name")}
+            | {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+        )
+        assert not stray, (path.name, stray)
+    assert keyed == ["predicates.BoundaryCandidate.sort_key", "ruling.TwoFiberSolution.sort_key"]
+    predicates = _definitions("predicates")
+    new = next(fn for fn in predicates["Hits"].body if getattr(fn, "name", None) == "__new__")
+    assert "key" not in _named(new)
+    args = predicates["decide"].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["hits", "names", "group_order_mode"]
+    assert not (args.kwonlyargs or args.vararg or args.kwarg)
+
+
 def test_the_verdicts_live_in_the_one_join_cache():
     # the verdict tables ride on the hits search._join keeps, so a flag
     # variant reads them without a cache of its own: predicates.py caches
