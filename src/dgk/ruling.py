@@ -35,12 +35,12 @@ where (A, A0) = (2, 0) without and (1, 1) with the boundary curve on the
 first fiber.  No pair is swept: T2 gives (c, p) = c' (d(T2), d(T2) - d'(T2))
 and T1 at most len(T1) candidates (c', p') (:func:`_tail_pairs`), which fix
 qa and qb; each kappa~ dividing c(gamma - 2) fixes qc, and kappa comes out
-of isqrt of the discriminant and an exact division.  The solver takes one
-T1 and every T2 of a sweep row, with the T2 loop inside the loops over n,
-the boundary split and (c', p'), so each (T1, alpha) is read once;
-:func:`solve_two_fiber` hands the rebuilt solutions, as a sorted
-:class:`dgk.predicates.Hits`, to :func:`dgk.predicates.decide`, the
-decision pass of the searches.
+of isqrt of the discriminant and an exact division.  All of it reads T2
+through d(T2) alone, so the solver takes one T1 and the search's twig
+table as rows (d(T2), records): the kappa~ and kappa loops run once per
+(head, d(T2)), and only p and p~ per record.  :func:`solve_two_fiber`
+hands the rebuilt solutions, as a sorted :class:`dgk.predicates.Hits`, to
+:func:`dgk.predicates.decide`, the decision pass of the searches.
 
 One solution of (5)/(6) is one frozen :class:`FiberTuple`; its
 :meth:`FiberTuple.fibers` is the one place the two fibers are laid out from
@@ -51,7 +51,6 @@ rebuilt and the chain through the section is minimalized.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
@@ -410,7 +409,8 @@ def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[
     require_admissible(t1, "T1")
     require_admissible(t2, "T2")
     check_two_fiber_shape(eshape)
-    found = two_fiber_candidates(t1, (t2,), eshape)
+    r = chains.chain_record(t2)
+    found = two_fiber_candidates(t1, [(r.d, (r,))], eshape)
     if not found:  # most (T1, T2) have no solution: no Hits to sort or decide
         return []
     hits = Hits(found)
@@ -426,18 +426,20 @@ def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
         raise ValueError("at most one external (-2)-curve is supported here")
 
 
-def two_fiber_candidates(
-    t1: Weights, t2s: Iterable[Weights], eshape: ExceptionalShape
-) -> list[Hit]:
+# the twig table as rows (d, the records of twigs of discriminant d)
+TwigRows = list[tuple[int, tuple[chains.ChainRecord, ...]]]
+
+
+def two_fiber_candidates(t1: Weights, rows: TwigRows, eshape: ExceptionalShape) -> list[Hit]:
     """The predicate-free half of :func:`solve_two_fiber`, for one T1 and
-    every T2 of ``t2s``: each solution of (5)/(6) whose fibers rebuild T1
+    every T2 of ``rows``: each solution of (5)/(6) whose fibers rebuild T1
     and its T2 and whose boundary has b in {1, 2}, in sweep order, as the
     hit (record, twigs, eshape, solution) with ``record`` the boundary's
     :func:`dgk.barks.fork_invariants`.  T1 and each T2 must be nonempty
     admissible chains and ``eshape`` must pass :func:`check_two_fiber_shape`;
     the callers check them, once per input rather than once per twig pair."""
     hits = []
-    for t2, tup in _equation_solutions(t1, t2s, eshape):
+    for t2, tup in _equation_solutions(t1, rows, eshape):
         sol = _assemble_solution(tup, t1, t2, eshape)
         if sol is None or sol.b not in (1, 2):
             continue
@@ -457,14 +459,14 @@ def _divisors(n: int, top: int) -> list[int]:
     return [k for k in low + high[::-1] if 2 <= k <= top]
 
 
-def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: ExceptionalShape):
+def _equation_solutions(t1: Weights, rows: TwigRows, eshape: ExceptionalShape):
     """The sweep of :func:`two_fiber_candidates` before any boundary is
     rebuilt: (T2, :class:`FiberTuple`) of every tuple that passes the gates,
     in sweep order.  Each satisfies (5) and (6) exactly, since kappa is a
     root of twice (6) and p~ is solved from (5).  (c', p') runs over
     :func:`_tail_pairs` of T1, read once per alpha for both splits and
-    taken split by split, and T2 over ``t2s`` inside it, so one (T1, T2)
-    gets the tuples of its own sweep, in order.
+    taken split by split, then the rows (d(T2), records), kappa~, kappa and
+    the row's records last, so one (T1, T2) gets its own tuples, in order.
     ``eshape`` must be an irreducible E with at most one external (-2)-curve.
     """
     gamma = eshape.e_weights[0]
@@ -480,25 +482,17 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
             tails = _tail_pairs(t1, alpha)
             heads += [(n, alpha, df, dft, c_pr, p_pr)
                       for df, dft in splits for k, c_pr, p_pr in tails if k == df]
-    if not heads:
-        return
-    # (T2, c/c', p/c') of each lower chain
-    lowers = [(r.ws, r.d, r.d - r.d_prime) for r in map(chains.chain_record, t2s)]
-    # the kappa~ of each c: c (gamma - 2) depends on T2 only through d(T2)
-    kappas_t = {}
     for n, alpha, df, dft, c_pr, p_pr in heads:
         # 2 rho = A kappa^2 + A0: (A, A0) = (2, 0), or (1, 1) with a
         # boundary curve
         a2, a0 = (2, 0) if df == 0 else (1, 1)
-        for t2, d2, p_over in lowers:
+        for d2, records in rows:
             c = c_pr * d2
-            p = c_pr * p_over
             g2c = c * (gamma - 2)
             qa = 2 * (c - c_pr) * (alpha * c_pr + p_pr) - a2
             qb = -2 * g2c
-            if c not in kappas_t:  # kappa~ divides c (gamma - 2); every kappa~ divides 0
-                kappas_t[c] = _divisors(abs(g2c), 3 * c) if g2c else range(2, 3 * c + 1)
-            for kappa_t in kappas_t[c]:
+            # kappa~ divides c (gamma - 2); every kappa~ divides 0
+            for kappa_t in _divisors(abs(g2c), 3 * c) if g2c else range(2, 3 * c + 1):
                 if dft == 1 and kappa_t % 2 == 0:
                     continue
                 qc = 2 * gamma - a0 - 2 * _rho(kappa_t, dft)
@@ -508,21 +502,21 @@ def _equation_solutions(t1: Weights, t2s: Iterable[Weights], eshape: Exceptional
                     if df == 1 and kappa % 2 == 0:
                         continue
                     d = c * kappa
-                    if d % kappa_t:
+                    if d % kappa_t or (gamma - 2) % gcd(kappa, kappa_t):
                         continue
                     c_t = d // kappa_t
-                    num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
-                    if num % kappa_t:
-                        continue
-                    p_t = num // kappa_t
-                    if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
-                        continue
-                    if (gamma - 2) % gcd(kappa, kappa_t):
-                        continue
-                    yield t2, FiberTuple(
-                        n, gamma, eps, ke, kappa, kappa_t, c, p,
-                        c_pr, p_pr, c_t, p_t, df, dft,
-                    )
+                    for r in records:
+                        p = c_pr * (d2 - r.d_prime)
+                        num = d * n + gamma - 2 - kappa * (p + alpha * c_pr + p_pr)
+                        if num % kappa_t:
+                            continue
+                        p_t = num // kappa_t
+                        if not 1 <= p_t <= c_t or gcd(c_t, p_t) != 1:
+                            continue
+                        yield r.ws, FiberTuple(
+                            n, gamma, eps, ke, kappa, kappa_t, c, p,
+                            c_pr, p_pr, c_t, p_t, df, dft,
+                        )
 
 
 def _assemble_solution(

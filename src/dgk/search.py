@@ -125,11 +125,12 @@ SEARCHES = {
 
 @lru_cache(maxsize=None)
 def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
-    """The records of the oriented twigs of discriminant ``dd``, sorted by
-    weights; none below 2.  The one twig table of the four searches."""
+    """The records of the oriented twigs of discriminant ``dd``, in the
+    order of :func:`dgk.chains.oriented_chains_with_d`; none below 2.  The
+    one twig table of the four searches, whose outputs ``Hits`` sorts."""
     if dd < 2:
         return ()
-    return tuple(map(chain_record, sorted(chains.oriented_chains_with_d(dd))))
+    return tuple(map(chain_record, chains.oriented_chains_with_d(dd)))
 
 
 def load_bounds(name: str, path: str | None = None) -> dict:
@@ -553,14 +554,15 @@ def _fiber_pairs_join(box: Bounds) -> tuple[Hits]:
     """The :func:`dgk.ruling.two_fiber_candidates` of every (T1, T2) of
     d <= twig_d_max on each shape, once every shape passes
     :func:`dgk.ruling.check_two_fiber_shape`: one solver call per (shape,
-    T1), over every T2 of the sweep.  The sort key holds T1 and T2, so the
-    order of the sweep does not reach the output."""
+    T1), over the box's rows (d, :func:`_records_with_d`) of T2.  The sort
+    key holds T1 and T2, so the table's order does not reach the output."""
     shapes = list(map(shape_of, box.eshapes))
     for es in shapes:
         check_two_fiber_shape(es)
-    sweep = [r.ws for dd in range(2, box.twig_d_max + 1) for r in _records_with_d(dd)]
+    rows = [(dd, _records_with_d(dd)) for dd in range(2, box.twig_d_max + 1)]
     return (Hits(
-        hit for es in shapes for t1 in sweep for hit in two_fiber_candidates(t1, sweep, es)
+        hit for es in shapes for _, records in rows for r1 in records
+        for hit in two_fiber_candidates(r1.ws, rows, es)
     ),)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dgk import chains
+from dgk import chains, search
 from dgk.graphs import canonical_chain, parse_chain
 from reference import (
     WeightedTree,
@@ -15,6 +15,19 @@ from reference import (
     e_by_recurrence,
     oriented_chains_by_walk,
 )
+
+
+def test_the_twig_table_is_the_closed_form_in_k():
+    # the table's records of discriminant d are the twigs chain_of(d, k)
+    # reversed, by decreasing k coprime to d, and each has d'(rev) = k and
+    # d' = k^-1 mod d: the closed form a table solved by congruence reads
+    for dd in range(2, 300):
+        ks = [k for k in range(dd - 1, 0, -1) if gcd(k, dd) == 1]
+        records = search._records_with_d(dd)
+        assert [r.ws for r in records] == [chains.chain_of(dd, k)[::-1] for k in ks]
+        for k, r in zip(ks, records):
+            assert (r.d, r.d_prime_rev) == (dd, k), r
+            assert r.d_prime * k % dd == 1, r
 
 
 def test_d_examples():

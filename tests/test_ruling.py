@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import lcm
 from types import SimpleNamespace
 
@@ -62,9 +63,16 @@ def test_default_predicates_are_those_of_the_fiber_pairs_file():
     assert SOLVER_PREDICATES == tuple(load_bounds("fiber_pairs")["predicates"])
 
 
+def rows_of(sweep):
+    """The twigs of a weight sweep as the solver's rows (d, records), one row
+    per run of equal discriminants, in the sweep's order."""
+    records = map(chains.chain_record, sweep)
+    return [(dd, tuple(row)) for dd, row in groupby(records, key=lambda r: r.d)]
+
+
 def equation_solutions(t1, t2, es):
     """The solver's tuples of the one pair (T1, T2)."""
-    got = list(_equation_solutions(t1, (t2,), es))
+    got = list(_equation_solutions(t1, rows_of([t2]), es))
     assert all(lower == t2 for lower, _ in got)
     return [tup for _, tup in got]
 
@@ -181,42 +189,53 @@ def test_kappa_t_runs_over_the_divisors_of_c_times_gamma_minus_2():
     assert found > 0
 
 
-def test_a_solver_call_finds_the_divisors_once_per_c(monkeypatch):
-    # c (gamma - 2) reads T2 only through c = c' d(T2), so one call over a
-    # sweep row asks _divisors at most once per c, and every tuple it
-    # yields ran kappa~ over the divisors of its own c
+def test_a_solver_call_finds_the_divisors_once_per_head_and_row(monkeypatch):
+    # c (gamma - 2) reads T2 only through c = c' d(T2), so one call asks
+    # _divisors at most once per (head, row), the heads being the
+    # (n, split, c', p') read off T1 through _tail_pairs, and every tuple
+    # it yields ran kappa~ over the divisors of its own c (gamma - 2).
+    # These shapes have gamma > 2, so no c (gamma - 2) is 0 and each
+    # (head, row) asks exactly once
     sweep = oracle_sweep()
-    asked = []
+    rows = rows_of(sweep)
+    assert len(rows) == 6
+    asked, tails = [], []
     monkeypatch.setattr(ruling, "_divisors",
                         lambda n, top: asked.append((n, top)) or _divisors(n, top))
+    monkeypatch.setattr(ruling, "_tail_pairs",
+                        lambda t1, alpha: tails.append(_tail_pairs(t1, alpha)) or tails[-1])
     tuples = 0
     for key, eps in SOLVER_SHAPES:
         es = shape(key, eps)
         gamma = es.e_weights[0]
+        splits = (0,) if es.size == len(es.e_weights) else (1, 0)
         for t1 in sweep:
             asked.clear()
-            for _, tup in _equation_solutions(t1, sweep, es):
+            tails.clear()
+            for _, tup in _equation_solutions(t1, rows, es):
                 assert (tup.c * (gamma - 2), 3 * tup.c) in asked, (key, eps, t1, tup)
                 tuples += 1
-            assert len(asked) == len(set(asked)), (key, eps, t1)
+            heads = sum(k == df for read in tails for k, _, _ in read for df in splits)
+            assert len(asked) == heads * len(rows), (key, eps, t1)
     assert tuples > 0
 
 
 def test_a_sweep_row_gives_each_pair_the_tuples_of_its_own_sweep():
-    # the T2 loop runs inside the loops over n, the split and (c', p'), so
-    # the tuples and hits of a whole row, taken for one T2, are that pair's
-    # own, in its own order
+    # the rows run inside the loops over n, the split and (c', p'), and a
+    # row's records innermost, so the tuples and hits of the whole table,
+    # taken for one T2, are that pair's own, in its own order
     sweep = oracle_sweep()
+    rows = rows_of(sweep)
     tuples = hits = 0
     for key, eps in SOLVER_SHAPES:
         es = shape(key, eps)
         for t1 in sweep:
-            row = list(_equation_solutions(t1, sweep, es))
-            row_hits = two_fiber_candidates(t1, sweep, es)
+            row = list(_equation_solutions(t1, rows, es))
+            row_hits = two_fiber_candidates(t1, rows, es)
             for t2 in sweep:
                 assert [tup for lower, tup in row if lower == t2] == equation_solutions(t1, t2, es)
                 assert ([hit for hit in row_hits if hit[3].t2 == t2]
-                        == two_fiber_candidates(t1, (t2,), es))
+                        == two_fiber_candidates(t1, rows_of([t2]), es))
             tuples, hits = tuples + len(row), hits + len(row_hits)
     assert tuples > hits > 0
 
@@ -376,7 +395,7 @@ def test_solver_matches_fraction_reference(key, eps, predicates):
         for t2 in sweep:
             want = reference_solve_two_fiber(t1, t2, es, names)
             if predicates == "none":
-                hits = Hits(two_fiber_candidates(t1, (t2,), es))
+                hits = Hits(two_fiber_candidates(t1, rows_of([t2]), es))
                 got = [hits[i][3] for i in decide(hits, ())]
             else:
                 got = solve_two_fiber(t1, t2, es)
@@ -389,7 +408,7 @@ def test_an_empty_solver_call_builds_no_hits(monkeypatch):
     built = []
     monkeypatch.setattr(ruling, "Hits", lambda hits: built.append(hits) or Hits(hits))
     es = E4()
-    assert two_fiber_candidates((2,), ((5,),), es) == []
+    assert two_fiber_candidates((2,), rows_of([(5,)]), es) == []
     assert solve_two_fiber((2,), (5,), es) == [] and built == []
     assert len(solve_two_fiber((2,), (4,), es)) == 1 and len(built) == 1
 

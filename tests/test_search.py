@@ -14,7 +14,7 @@ from dgk.barks import (
     ForkInvariants, SpecIndex, catalog_index, eshape_catalog, fork_sums, shape_of,
 )
 from dgk.chains import chain_record
-from dgk.graphs import parse_chain
+from dgk.graphs import format_chain, parse_chain
 from dgk.predicates import (
     PREDICATE_NAMES,
     BoundaryCandidate,
@@ -237,12 +237,32 @@ def test_every_two_fiber_solution_is_a_scan_candidate(fiber_pairs_ladder):
         assert want in [c.to_dict() for c, _ in search_xy(cfg)], want
 
 
+def test_fiber_pairs_reaches_its_seven_solutions_at_40():
+    # the reach the per-discriminant solver buys, as a guard: twig_d_max 40
+    # runs in a fraction of a second and gives the 7 solutions, 6
+    # boundaries, that the weight-by-weight sweep gave
+    cfg = load_bounds("fiber_pairs")
+    found = [
+        (s.b, format_chain(s.t1), format_chain(s.t2), format_chain(s.t3), s.eshape.key(), s.epsilon)
+        for s in search_fiber_pairs(dict(cfg, twig_d_max=40))
+    ]
+    assert found == [
+        (1, "[2]", "[(6),3]", "[3]", "[3]", 2),
+        (1, "[2]", "[(5),3,3]", "[3]", "[2,3]", 2),
+        (1, "[3]", "[(6),4]", "[2]", "[2,3]", 2),
+        (2, "[2]", "[(3)]", "[3,3,(4)]", "[4]", 1),
+        (1, "[2]", "[4]", "[(8),4]", "[4]", 1),
+        (1, "[2]", "[(8),4]", "[4]", "[4]", 1),
+        (2, "[(2)]", "[2]", "[4,(6)]", "[4]", 1),
+    ]
+
+
 def golden_fiber_pairs_sweep():
     """The fiber-pairs golden box, its shapes and its twig sweep, in the
     join's order."""
     spec = parse_bounds("fiber-pairs")
     sweep = [ws for dd in range(2, spec.twig_d_max + 1)
-             for ws in sorted(chains.oriented_chains_with_d(dd))]
+             for ws in chains.oriented_chains_with_d(dd)]
     return spec, [shape_of(es) for es in spec.eshapes], sweep
 
 
@@ -257,10 +277,13 @@ def test_the_solver_and_the_search_agree_on_the_golden_box():
 
 
 def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
-    # one cold fiber-pairs join calls the solver once per (shape, T1), over
-    # every T2 of the sweep, and the solver reads T1's (k, c', p') once per
-    # alpha, for both splits: the reads do not grow with the number of T2
+    # one cold fiber-pairs join calls the solver once per (shape, T1), with
+    # the twig table as rows (d, records) of every T2 of the sweep, and the
+    # solver reads T1's (k, c', p') once per alpha, for both splits: the
+    # reads do not grow with the number of T2
     spec, shapes, sweep = golden_fiber_pairs_sweep()
+    rows = [(dd, tuple(map(chain_record, chains.oriented_chains_with_d(dd))))
+            for dd in range(2, spec.twig_d_max + 1)]
     calls, reads = [], []
     tail_pairs, candidates = dgk_ruling._tail_pairs, dgk_search.two_fiber_candidates
 
@@ -268,14 +291,14 @@ def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
         reads.append((len(calls), t1, alpha))
         return tail_pairs(t1, alpha)
 
-    def solve(t1, t2s, es):
-        calls.append((es, t1, tuple(t2s)))
-        return candidates(t1, t2s, es)
+    def solve(t1, table, es):
+        calls.append((es, t1, table))
+        return candidates(t1, table, es)
 
     monkeypatch.setattr(dgk_ruling, "_tail_pairs", read)
     monkeypatch.setattr(dgk_search, "two_fiber_candidates", solve)
     dgk_search._fiber_pairs_join(dgk_search._box(spec))
-    assert calls == [(es, t1, tuple(sweep)) for es in shapes for t1 in sweep]
+    assert calls == [(es, t1, rows) for es in shapes for t1 in sweep]
     assert all(t1 == calls[call - 1][1] for call, t1, _ in reads)
     assert len(set(reads)) == len(reads) > len(calls)
 
@@ -651,7 +674,7 @@ def flatten(groups):
 
 def reference_triples(rules, d_max):
     """The rule sweep with a set of every triple yielded so far."""
-    by_d = {dd: sorted(chains.oriented_chains_with_d(dd)) for dd in range(2, d_max + 1)}
+    by_d = {dd: chains.oriented_chains_with_d(dd) for dd in range(2, d_max + 1)}
     seen = set()
     for rule in rules:
         x = rule["x"]

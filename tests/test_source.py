@@ -595,6 +595,25 @@ def test_the_searches_share_one_twig_table():
     assert namers == {"search._records_with_d"}
 
 
+def test_the_solver_reads_the_join_twig_table():
+    # the solver takes the search's twig records as rows (d, records): its
+    # sweep builds no record and no memo of its own, solve_two_fiber alone
+    # wraps its one T2 in a record, and the table keeps the order its twigs
+    # are enumerated in
+    tree = ast.parse((PACKAGE_DIR / "ruling.py").read_text())
+    ruling = _definitions("ruling")
+    for name in ("_equation_solutions", "two_fiber_candidates"):
+        fn = ruling[name]
+        assert "chain_record" not in _named(fn), name
+        dicts = [n for n in ast.walk(fn) if isinstance(n, (ast.Dict, ast.DictComp))
+                 or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "dict"]
+        assert dicts == [], name
+    callers = {qualname for qualname, fn in _functions(tree, "ruling")
+               if "chain_record" in _named(fn)}
+    assert callers == {"ruling.solve_two_fiber"}
+    assert "sorted" not in _named(_definitions("search")["_records_with_d"])
+
+
 FLOAT_MATH = {"sqrt", "log", "exp"}
 
 
