@@ -262,12 +262,13 @@ def cmd_search(args) -> tuple[int, object, str]:
             for c in result:
                 rows.append(f"{c['b']},{'|'.join(c['twigs'])},{c['eshape']},{c['epsilon']}")
         else:
-            rows.append("n,gamma,kappa,kappa_tilde,c,p,c_prime,p_prime,c_tilde,p_tilde,b,t1,t2,t3")
+            rows.append("n,gamma,kappa,kappa_tilde,c,p,c_prime,p_prime,c_tilde,p_tilde,b,t1,t2,t3,"
+                        "eshape,epsilon")
             for s in result:
                 rows.append(
                     f"{s['n']},{s['gamma']},{s['kappa']},{s['kappa_tilde']},{s['c']},{s['p']},"
                     f"{s['c_prime']},{s['p_prime']},{s['c_tilde']},{s['p_tilde']},{s['b']},"
-                    f"{s['t1']},{s['t2']},{s['t3']}"
+                    f"{s['t1']},{s['t2']},{s['t3']},{s['eshape']},{s['epsilon']}"
                 )
         return 0, result, "\n".join(rows)
     return 0, result, json.dumps(result, indent=2, sort_keys=True)

@@ -19,9 +19,11 @@ per mode however many lists are decided on it: name by name, ``decide``
 starts from every hit, tests only the alive hits not yet tested and takes
 ``alive &= passed``.
 A ``Hits`` also keeps, for xy, each report asked for (:meth:`Hits.report`,
-read-only).  The report :func:`evaluate_predicates` reads every ok flag
-from the same tests and never short-circuits, so a failing candidate still
-shows every witness value; ``Fraction`` appears only in the witnesses.
+read-only), and for final-bounds and knonpos each survivor's golden-file
+row (:meth:`Hits.rows`), printed once whatever the mode.  The report
+:func:`evaluate_predicates` reads every ok flag from the same tests and
+never short-circuits, so a failing candidate still shows every witness
+value; ``Fraction`` appears only in the witnesses.
 """
 
 from __future__ import annotations
@@ -282,12 +284,13 @@ class Hits(tuple):
     predicate name a pair of bit masks (tested, passed), bit i for hit i,
     set in ``tested`` once the predicate is tested on the hit and in
     ``passed`` if it passed.  ``reports`` holds each :meth:`report` asked
-    for, per mode.  They live as long as the ``Hits``:
-    :func:`dgk.search._join` keeps each search's, so a flag variant of a
-    joined box reads what an earlier one decided."""
+    for, per mode, and ``printed`` each row :meth:`rows` built.  They live
+    as long as the ``Hits``: :func:`dgk.search._join` keeps each search's, so a flag
+    variant of a joined box reads what an earlier one decided and printed."""
 
     verdicts: dict[str, dict[str, tuple[int, int]]]
     reports: dict[str, dict[int, PredicateReport]]
+    printed: dict[int, dict]
 
     def __new__(cls, hits: Iterable[Hit]) -> Hits:
         return super().__new__(cls, sorted(hits, key=lambda hit: hit[3].sort_key()))
@@ -295,6 +298,23 @@ class Hits(tuple):
     def __init__(self, hits: Iterable[Hit]) -> None:
         self.verdicts = {}
         self.reports = {}
+        self.printed = {}
+
+    def rows(self, indices: Iterable[int]) -> list[dict]:
+        """The ``to_dict()`` of the candidates of the hits at ``indices``,
+        their golden-file rows, each built on its first request and kept.
+        Each call returns new dicts with new ``twigs`` lists, so a caller
+        that edits its output changes nothing kept."""
+        printed = self.printed
+        out = []
+        for i in indices:
+            row = printed.get(i)
+            if row is None:
+                row = printed[i] = self[i][3].to_dict()
+            row = row.copy()
+            row["twigs"] = row["twigs"].copy()
+            out.append(row)
+        return out
 
     def report(self, i: int, group_order_mode: str) -> PredicateReport:
         """The :func:`evaluate_predicates` report of hit ``i``'s candidate,

@@ -39,13 +39,14 @@ edges parse into them) and differ only in their shapes.  :func:`_join` keeps
 the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
 refused box raises and is not kept.  Each output list of a join is a
 :class:`dgk.predicates.Hits`, sorted by the results' sort keys when it is
-built, which carries the verdict masks decided on its hits and xy's
-reports, so the one cache keeps them too.  :func:`_decide` applies the
-flags on every call, so a flag variant of a joined box runs no scan and
-repeats no test: :func:`dgk.predicates.decide` with the predicate list and
-the group-order convention, the decision pass the two-fiber solver shares,
-then the epsilon = 2 exclusion on its survivors.  Its indices come
-ascending, so the results come sorted.
+built, which carries the verdict masks decided on its hits, xy's reports
+and the rows final-bounds and knonpos print, so the one cache keeps them
+too.  :func:`_decide` applies the flags on every call, so a flag variant
+of a joined box runs no scan, repeats no test and prints no row twice:
+:func:`dgk.predicates.decide` with the predicate list and the group-order
+convention, the decision pass the two-fiber solver shares, then the
+epsilon = 2 exclusion on its survivors.  Its indices come ascending, so
+the results come sorted.
 """
 
 from __future__ import annotations
@@ -226,7 +227,11 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     ``twig_d_max`` below 2, a ``case2_k_max`` below 0, an empty
     ``eshapes`` list, unknown or repeated ``eshapes`` entries, unknown
     predicates, and for the scan searches a predicate list without
-    :data:`INDEX_PREDICATES`.  ``b`` is stored ascending."""
+    :data:`INDEX_PREDICATES`.  ``b`` is stored ascending.
+
+    A knonpos box whose ``d2_max`` or ``d3_max`` is below 3 is kept, not
+    refused: it has no case-1 T2, so it runs case 2 alone and prints an
+    empty ``case1``."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -466,7 +471,7 @@ def _rule_join(box: Bounds) -> tuple[Hits]:
 def search_xy(bounds: dict | None = None):
     """Candidates passing the general-type predicate suite in the x,y,z box,
     each with its predicate report, kept read-only on the join's hits."""
-    spec, _, ((hits, kept),) = _decided("xy", bounds)
+    spec, ((hits, kept),) = _decided("xy", bounds)
     return [(hits[i][3], hits.report(i, spec.group_order_mode)) for i in kept]
 
 
@@ -490,10 +495,11 @@ def _named_specs(entries: list) -> list[ShapeSpec]:
 
 
 def search_final_bounds(bounds: dict | None = None) -> dict:
-    """The terminal bounding search: which exceptional shapes survive."""
-    _, (found,), _ = _decided("final-bounds", bounds)
-    eshapes = sorted({cand.eshape.key() for cand in found})
-    return {"eshapes": eshapes, "candidates": [cand.to_dict() for cand in found]}
+    """The terminal bounding search: which exceptional shapes survive, and
+    the survivors' rows, kept on the join's hits (:meth:`Hits.rows`)."""
+    _, ((hits, kept),) = _decided("final-bounds", bounds)
+    candidates = hits.rows(kept)
+    return {"eshapes": sorted({row["eshape"] for row in candidates}), "candidates": candidates}
 
 
 def _case1_pairs(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list[int]]]:
@@ -524,9 +530,11 @@ def _case2_triples(spec: Bounds) -> list[tuple[ChainRecord, ChainRecord, list]]:
 
 def search_k_nonpositive(bounds: dict | None = None) -> dict:
     """The two bounded searches of the nonpositive-Kodaira branch.  Case 1
-    leaves out T2 = T1 with T3 ending in (3, 2), the triples of case 2."""
-    _, (case1, case2), _ = _decided("knonpos", bounds)
-    return {"case1": [c.to_dict() for c in case1], "case2": [c.to_dict() for c in case2]}
+    leaves out T2 = T1 with T3 ending in (3, 2), the triples of case 2.
+    The survivors' rows are kept on the join's hits (:meth:`Hits.rows`)."""
+    _, kept = _decided("knonpos", bounds)
+    return {case: hits.rows(indices)
+            for case, (hits, indices) in zip(("case1", "case2"), kept, strict=True)}
 
 
 def _knonpos_join(box: Bounds) -> tuple[Hits, Hits]:
@@ -546,8 +554,8 @@ def _knonpos_join(box: Bounds) -> tuple[Hits, Hits]:
 
 def search_fiber_pairs(bounds: dict | None = None) -> list[TwoFiberSolution]:
     """Sweep both short twigs over the small-discriminant list and solve."""
-    _, (found,), _ = _decided("fiber-pairs", bounds)
-    return found
+    _, ((hits, kept),) = _decided("fiber-pairs", bounds)
+    return [hits[i][3] for i in kept]
 
 
 def _fiber_pairs_join(box: Bounds) -> tuple[Hits]:
@@ -594,14 +602,12 @@ def _join(name: str, box: Bounds) -> tuple[Hits, ...]:
     return globals()[SEARCHES[name].join](box)
 
 
-def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[list], list]:
-    """The checked bounds of the search ``name``; for each of its output
-    lists, the results of its box's hits that pass the bounds' flags; and
-    beside them, per list, its :class:`Hits` with the indices of those
-    results."""
+def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[tuple[Hits, list[int]]]]:
+    """The checked bounds of the search ``name`` and, for each of its output
+    lists, its box's :class:`Hits` with the indices of the hits that pass
+    the bounds' flags, ascending, so their results come sorted."""
     spec = parse_bounds(name, bounds)
-    kept = [(hits, _decide(hits, spec)) for hits in _join(name, _box(spec))]
-    return spec, [[hits[i][3] for i in indices] for hits, indices in kept], kept
+    return spec, [(hits, _decide(hits, spec)) for hits in _join(name, _box(spec))]
 
 
 # ---------------------------------------------------------------------------

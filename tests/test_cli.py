@@ -764,3 +764,55 @@ def test_chain_and_fiber_readers_give_the_same_weights(text):
     except ValueError:
         return
     assert chain == tuple(w for w, _, _, _, _ in fiber)
+
+
+# ---------------------------------------------------------------------------
+# --csv: a header and one row per result of the JSON output
+
+CSV_HEADERS = {
+    "final-bounds": "eshape",
+    "xy": "b,twigs,eshape,epsilon",
+    "knonpos": "case,b,twigs,eshape,epsilon",
+    "fiber-pairs": "n,gamma,kappa,kappa_tilde,c,p,c_prime,p_prime,c_tilde,p_tilde,b,t1,t2,t3,"
+                   "eshape,epsilon",
+}
+
+
+def csv_results(name, result):
+    """The results of a search's JSON output that its CSV prints a row for:
+    final-bounds' shapes, knonpos's two cases, the other lists whole."""
+    if name == "final-bounds":
+        return result["eshapes"]
+    if name == "knonpos":
+        return result["case1"] + result["case2"]
+    return result
+
+
+@pytest.mark.parametrize("name", list(search.SEARCHES))
+def test_search_csv_prints_a_header_and_a_row_per_result(capsys, name):
+    code, out, _ = run(capsys, "search", name)
+    assert code == 0
+    results = csv_results(name, json.loads(out))
+    code, out, _ = run(capsys, "search", name, "--csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == CSV_HEADERS[name]
+    assert results and len(rows) == len(results)
+
+
+def test_fiber_pairs_csv_rows_name_their_shape(capsys, tmp_path):
+    # at twig_d_max 40 the [3] and the two [2,3] solutions of epsilon 2 all
+    # have gamma 3; each row ends in its shape and epsilon, as in the JSON
+    bounds = tmp_path / "fiber_pairs_40.json"
+    bounds.write_text(json.dumps(dict(load_bounds("fiber_pairs"), twig_d_max=40)))
+    code, out, _ = run(capsys, "search", "fiber-pairs", "--bounds", str(bounds))
+    assert code == 0
+    solutions = json.loads(out)
+    code, out, _ = run(capsys, "search", "fiber-pairs", "--bounds", str(bounds), "--csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(solutions) == 7
+    for row, s in zip(rows, solutions):
+        assert row.endswith(f",{s['t3']},{s['eshape']},{s['epsilon']}"), row
+    gamma_3 = [(s["eshape"], s["epsilon"]) for s in solutions if s["gamma"] == 3]
+    assert sorted(gamma_3) == [("[2,3]", 2), ("[2,3]", 2), ("[3]", 2)]

@@ -107,6 +107,22 @@ def run(name, cfg):
     return SEARCHES[name].golden_form(getattr(dgk_search, SEARCHES[name].function)(cfg))
 
 
+# The output lists of the searches that print rows, as their golden forms hold them.
+ROW_LISTS = {
+    "final-bounds": lambda form: [form["candidates"]],
+    "knonpos": lambda form: [form["case1"], form["case2"]],
+}
+
+
+def cold_rows(name, cfg):
+    """The ``to_dict()`` of each result a cold join keeps under ``cfg``'s
+    flags, per output list; the join is left in the cache."""
+    spec = parse_bounds(name, cfg)
+    dgk_search._join.cache_clear()
+    return [[hits[i][3].to_dict() for i in dgk_search._decide(hits, spec)]
+            for hits in dgk_search._join(name, dgk_search._box(spec))]
+
+
 # ---------------------------------------------------------------------------
 # the reference route: the scan one triple at a time over the unjoined
 # sweep, and the fiber-pairs solver's Fraction sweep with the reference report
@@ -178,6 +194,8 @@ def test_flag_variants_of_a_box_match_a_cold_join_and_the_reference(label, name,
         # every variant after the first finds its box joined
         assert dgk_search._join.cache_info().hits == hits + (i > 0)
         assert warm == reference_run(name, variant), (label, i)
+        if name in ROW_LISTS:  # the kept rows are those a cold join prints
+            assert ROW_LISTS[name](warm) == cold_rows(name, variant), (label, i)
         dgk_search._join.cache_clear()
         assert run(name, variant) == warm, (label, i)
         seen.add(json.dumps(warm, sort_keys=True))
@@ -229,6 +247,48 @@ def test_xy_keeps_each_report_on_its_joined_hits(monkeypatch, label, cfg):
     assert not evaluated, label
     assert dgk_search._join.cache_info().misses == 1
     assert search_xy(flags[0]) == cold[0]
+
+
+# ---------------------------------------------------------------------------
+# final-bounds' and knonpos's rows, kept on the joined hits per hit
+
+ROW_BOXES = [(label, name, cfg) for label, name, cfg in BOXES if name in ROW_LISTS]
+
+
+@pytest.mark.parametrize("label, name, cfg", ROW_BOXES, ids=[label for label, _, _ in ROW_BOXES])
+def test_each_row_is_printed_once_and_handed_out_as_a_copy(monkeypatch, label, name, cfg):
+    printed = Counter()
+    real = BoundaryCandidate.to_dict
+
+    def counted(cand):
+        printed[cand] += 1
+        return real(cand)
+
+    monkeypatch.setattr(BoundaryCandidate, "to_dict", counted)
+    flags = [dict(cfg, predicates=list(INDEX_PREDICATES), group_order_mode=mode,
+                  exclude_eps2_chains=eps2)
+             for mode in ("actual", "h1") for eps2 in (False, True)]
+    dgk_search._join.cache_clear()
+    first = [run(name, variant) for variant in flags]
+    rows = [row for form in first for listed in ROW_LISTS[name](form) for row in listed]
+    # one row per hit, whichever mode or variant asked for it first; knonpos
+    # level 1, whose b = [2] leaves the box without a hit, prints none
+    assert set(printed.values()) == ({1} if label != "knonpos-1" else set()), label
+    printed.clear()
+    # a caller that edits what it was handed changes nothing kept
+    for row in rows:
+        row["b"] = 0
+        row["twigs"].append("[9]")
+        row["twigs"][0] = "[written by a caller]"
+        del row["eshape"]
+    again = [run(name, variant) for variant in flags]
+    assert not printed, label
+    assert dgk_search._join.cache_info().misses == 1
+    for variant, got in zip(flags, again):
+        assert ROW_LISTS[name](got) == cold_rows(name, variant), (label, variant)
+    fresh = [row for form in again for listed in ROW_LISTS[name](form) for row in listed]
+    assert not {id(row) for row in rows} & {id(row) for row in fresh}
+    assert not {id(row["twigs"]) for row in rows} & {id(row["twigs"]) for row in fresh}
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def tested(monkeypatch):
 def search_run(name, cfg):
     """The decided lists of the search ``name`` on ``cfg``, through the one
     route parse, join, decide (xy's report would ask the tests again)."""
-    return _decided(name, cfg)[1]
+    return [[hits[i][3] for i in kept] for hits, kept in _decided(name, cfg)[1]]
 
 
 @pytest.mark.parametrize("name, file_name", CHECKED_IN, ids=[f for _, f in CHECKED_IN])

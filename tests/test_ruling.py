@@ -220,6 +220,28 @@ def test_a_solver_call_finds_the_divisors_once_per_head_and_row(monkeypatch):
     assert tuples > 0
 
 
+def test_the_solver_reads_the_tails_of_every_head_up_to_n_3(monkeypatch):
+    # the heads run n = 1, 2, 3: each n with 0 <= alpha <= n, alpha =
+    # n + eps + K.E - 4, reads T1's tails once for its alpha when T1 holds
+    # more than alpha curves, so on a T1 long enough the n = 3 alpha is
+    # asked for on each of the four shapes
+    sweep = oracle_sweep()
+    rows = rows_of(sweep)
+    asked = []
+    monkeypatch.setattr(ruling, "_tail_pairs",
+                        lambda t1, alpha: asked.append(alpha) or _tail_pairs(t1, alpha))
+    for key, eps in SOLVER_SHAPES:
+        es = shape(key, eps)
+        alphas = {n: n + eps + es.ke - 4 for n in (1, 2, 3)}
+        long_enough = [t1 for t1 in sweep if len(t1) > alphas[3]]
+        assert long_enough and 0 <= alphas[3] <= 3, (key, eps)
+        for t1 in long_enough:
+            asked.clear()
+            list(_equation_solutions(t1, rows, es))
+            assert alphas[3] in asked, (key, eps, t1)
+            assert asked == [a for n, a in alphas.items() if 0 <= a <= n and len(t1) > a]
+
+
 def test_a_sweep_row_gives_each_pair_the_tuples_of_its_own_sweep():
     # the rows run inside the loops over n, the split and (c', p'), and a
     # row's records innermost, so the tuples and hits of the whole table,

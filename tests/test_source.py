@@ -367,6 +367,18 @@ def test_each_search_builds_and_checks_its_box_only_in_its_join():
         assert isinstance(search[row.join], ast.FunctionDef), row.join
 
 
+def test_the_row_searches_print_through_the_kept_rows():
+    # final-bounds and knonpos read each survivor's row off the join's hits
+    # (Hits.rows), which prints it once per hit; neither calls to_dict itself
+    search = _definitions("search")
+    for name in ("search_final_bounds", "search_k_nonpositive"):
+        named = _named(search[name])
+        assert "to_dict" not in named and "rows" in named, name
+    (hits,) = [n for n in _definitions("predicates")["Hits"].body
+               if isinstance(n, ast.FunctionDef) and n.name == "rows"]
+    assert "to_dict" in _named(hits)
+
+
 def test_the_two_rule_searches_share_one_join():
     # xy's edges parse into d_rules, so xy and final-bounds name one join
     # and the per-search rule joins are gone
