@@ -8,6 +8,7 @@ is exact (integers or p/q fractions); --json mirrors every table.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -243,34 +244,41 @@ def cmd_solve(args) -> tuple[int, object, str]:
     return 0, payload, "\n".join(lines) if lines else "(no solutions)"
 
 
+# The columns of each search's --csv; "twigs" prints its list joined by "|".
+CSV_COLUMNS = {
+    "final-bounds": ("eshape",),
+    "xy": ("b", "twigs", "eshape", "epsilon"),
+    "knonpos": ("case", "b", "twigs", "eshape", "epsilon"),
+    "fiber-pairs": ("n", "gamma", "kappa", "kappa_tilde", "c", "p", "c_prime", "p_prime",
+                    "c_tilde", "p_tilde", "b", "t1", "t2", "t3", "eshape", "epsilon"),
+}
+
+
+def _csv_records(name: str, result) -> list[dict]:
+    """The records of a search's output that its CSV prints a row for:
+    final-bounds' shapes, knonpos's two cases in turn, the other lists
+    whole."""
+    if name == "final-bounds":
+        return [{"eshape": eshape} for eshape in result["eshapes"]]
+    if name == "knonpos":
+        return [{"case": case, **c} for case in ("case1", "case2") for c in result[case]]
+    return result
+
+
 def cmd_search(args) -> tuple[int, object, str]:
     result = run_search(args.name, args.bounds)
     if args.csv:
-        rows = []
-        if args.name == "final-bounds":
-            rows.append("eshape")
-            rows.extend(result["eshapes"])
-        elif args.name == "knonpos":
-            rows.append("case,b,twigs,eshape,epsilon")
-            for case in ("case1", "case2"):
-                for c in result[case]:
-                    rows.append(
-                        f"{case},{c['b']},{'|'.join(c['twigs'])},{c['eshape']},{c['epsilon']}"
-                    )
-        elif args.name == "xy":
-            rows.append("b,twigs,eshape,epsilon")
-            for c in result:
-                rows.append(f"{c['b']},{'|'.join(c['twigs'])},{c['eshape']},{c['epsilon']}")
-        else:
-            rows.append("n,gamma,kappa,kappa_tilde,c,p,c_prime,p_prime,c_tilde,p_tilde,b,t1,t2,t3,"
-                        "eshape,epsilon")
-            for s in result:
-                rows.append(
-                    f"{s['n']},{s['gamma']},{s['kappa']},{s['kappa_tilde']},{s['c']},{s['p']},"
-                    f"{s['c_prime']},{s['p_prime']},{s['c_tilde']},{s['p_tilde']},{s['b']},"
-                    f"{s['t1']},{s['t2']},{s['t3']},{s['eshape']},{s['epsilon']}"
-                )
-        return 0, result, "\n".join(rows)
+        import csv  # only here, so that no other command pays for its import
+
+        columns = CSV_COLUMNS[args.name]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(
+            ["|".join(record[k]) if k == "twigs" else record[k] for k in columns]
+            for record in _csv_records(args.name, result)
+        )
+        return 0, result, text.getvalue().rstrip("\n")
     return 0, result, json.dumps(result, indent=2, sort_keys=True)
 
 

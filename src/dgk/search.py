@@ -9,9 +9,10 @@ list.  Outputs are compared against golden files for exact equality.
 ``search_*`` function, bounds file, golden file and the bounds keys it reads.
 :func:`parse_bounds` is the one place a bounds file is checked, with the
 readers the command line shares: :func:`dgk.barks.specs_named` for shape
-names and :func:`dgk.graphs.require_admissible` for ``t1``.  Every
-``search_*`` starts with it, so a bad file fails before any work, and the
-scan reads the resulting frozen :class:`Bounds`.
+names and :func:`dgk.graphs.require_admissible` for ``t1``.  Its halves
+run in every ``search_*`` (the box half only for a box not yet joined), so
+a bad file fails before any work, and the scan reads the resulting frozen
+:class:`Bounds`.
 
 Candidate enumeration is driven by two identities.  Noether's count pins
 #E - epsilon - K.E of the exceptional shape to the twig key 4 + b + sum kd,
@@ -29,24 +30,31 @@ sums D and S, the delta gates and (D - S)^2 depend on T3 only through z, so
 Et.  The b values run ascending, and the first b >= e~ ends a third's b
 loop.
 
-Each search is a join and a decision pass, run by :func:`_decided`.  The
-join reads only the box (:func:`_box`: the edges, ``b``, ``delta_gmin``,
-the catalog size or the named shapes, ``t1``): it builds the box's pairs or
-shapes once, checks them (the catalog reach, or the solver's shapes) and
-gives the hits, each with the record its verdict reads.  xy and
-final-bounds share :func:`_rule_join`: both boxes are ``d_rules`` (xy's
-edges parse into them) and differ only in their shapes.  :func:`_join` keeps
-the hits of the last :data:`JOIN_CACHE_SIZE` boxes of the process; a
-refused box raises and is not kept.  Each output list of a join is a
-:class:`dgk.predicates.Hits`, sorted by the results' sort keys when it is
-built, which carries the verdict masks decided on its hits, xy's reports
-and the rows final-bounds and knonpos print, so the one cache keeps them
-too.  :func:`_decide` applies the flags on every call, so a flag variant
-of a joined box runs no scan, repeats no test and prints no row twice:
-:func:`dgk.predicates.decide` with the predicate list and the group-order
-convention, the decision pass the two-fiber solver shares, then the
-epsilon = 2 exclusion on its survivors.  Its indices come ascending, so
-the results come sorted.
+Each search is a join and a decision pass, run by :func:`_decided`.  A
+bounds file has two halves: the flags (:data:`FLAG_KEYS`: the
+description, the predicate list, the group-order convention and the
+epsilon = 2 exclusion), which only the decision pass reads, and the box,
+every other key (the edges, ``b``, ``delta_gmin``, the catalog size or the
+named shapes, ``t1``), which only the join reads.  :func:`_join` is keyed
+on the box as written (:func:`_written`: each entry's value with its exact
+type), and only its miss checks and builds the box (:func:`_parse_box`)
+and joins it: it builds the box's pairs or shapes once, checks them (the
+catalog reach, or the solver's shapes) and gives the hits, each with the
+record its verdict reads.  So a call checks its key set and its flags
+(:func:`_parse_flags`), and a box it has seen is neither checked nor built
+again.  xy and final-bounds share :func:`_rule_join`: both boxes are
+``d_rules`` (xy's edges parse into them) and differ only in their shapes.
+:func:`_join` keeps the hits of the last :data:`JOIN_CACHE_SIZE` boxes of
+the process; a refused box raises and is not kept.  Each output list of a
+join is a :class:`dgk.predicates.Hits`, sorted by the results' sort keys
+when it is built, which carries the verdict masks decided on its hits,
+xy's reports and the rows final-bounds and knonpos print, so the one cache
+keeps them too.  :func:`_decide` applies the flags on every call, so a flag
+variant of a joined box runs no scan, repeats no test and prints no row
+twice: :func:`dgk.predicates.decide` with the predicate list and the
+group-order convention, the decision pass the two-fiber solver shares,
+then the epsilon = 2 exclusion on its survivors.  Its indices come
+ascending, so the results come sorted.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from .barks import (
 )
 from .barks import eshape_catalog  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .chains import ChainRecord, chain_record
-from .graphs import Weights, is_int, parse_chain, require_admissible
+from .graphs import ChainParseError, Weights, is_int, parse_chain, require_admissible
 from .predicates import PREDICATE_NAMES, BoundaryCandidate, Hit, Hits, decide
 from .predicates import evaluate_predicates  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .ruling import TwoFiberSolution, check_two_fiber_shape, two_fiber_candidates
@@ -83,6 +91,8 @@ _SCAN_KEYS = frozenset(
     {"description", "b", "predicates", "group_order_mode", "delta_gmin", "exclude_eps2_chains"}
 )
 OPTIONAL_KEYS = frozenset({"description", "delta_gmin", "exclude_eps2_chains"})
+# The keys only the decision pass reads; every other key is the box's.
+FLAG_KEYS = frozenset({"description", "predicates", "group_order_mode", "exclude_eps2_chains"})
 
 
 class Search(NamedTuple):
@@ -216,6 +226,8 @@ _CHECKS = {
     "group_order_mode": (_is_group_order_mode, GROUP_ORDER_MODES),
     "delta_gmin": (lambda v: v is None or (is_int(v) and v >= 1), "null or a positive integer"),
 }
+_FLAG_CHECKS = [(key, check) for key, check in _CHECKS.items() if key in FLAG_KEYS]
+_BOX_CHECKS = [(key, check) for key, check in _CHECKS.items() if key not in FLAG_KEYS]
 
 
 def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
@@ -229,9 +241,22 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     predicates, and for the scan searches a predicate list without
     :data:`INDEX_PREDICATES`.  ``b`` is stored ascending.
 
+    The key set is checked first, then the flags (:func:`_parse_flags`),
+    then the box (:func:`_parse_box`), which is the order a search checks
+    them in.
+
     A knonpos box whose ``d2_max`` or ``d3_max`` is below 3 is kept, not
     refused: it has no case-1 T2, so it runs case 2 alone and prints an
     empty ``case1``."""
+    cfg = _checked_keys(name, cfg)
+    flags = _parse_flags(name, cfg)
+    return _parse_box(cfg)._replace(**flags)
+
+
+def _checked_keys(name: str, cfg: dict | None) -> dict:
+    """``cfg``, or the packaged bounds file of the search ``name`` when it
+    is None, once it is an object that holds every key of the search but
+    the optional ones, and no other."""
     search = SEARCHES[name]
     if cfg is None:
         cfg = load_bounds(search.bounds_file)
@@ -243,7 +268,33 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     missing = sorted(search.keys - OPTIONAL_KEYS - set(cfg))
     if missing:
         raise ValueError(f"missing {name} bounds keys: {', '.join(missing)}")
-    for key, (test, what) in _CHECKS.items():
+    return cfg
+
+
+def _parse_flags(name: str, cfg: dict) -> dict:
+    """The flag half of :func:`parse_bounds`: the checked :data:`FLAG_KEYS`
+    entries of ``cfg``, lists as tuples, what :func:`_decide` reads."""
+    for key, (test, what) in _FLAG_CHECKS:
+        if key in cfg and not test(cfg[key]):
+            raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
+    bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
+    if bad:
+        raise ValueError(f"unknown predicates: {', '.join(bad)}")
+    absent = [p for p in INDEX_PREDICATES if p not in cfg["predicates"]]
+    if _SCAN_KEYS <= SEARCHES[name].keys and absent:
+        raise ValueError(
+            f"the indexed scan always enforces {', '.join(absent)};"
+            " the predicate list must name them"
+        )
+    return {key: tuple(v) if isinstance(v, list) else v
+            for key, v in cfg.items() if key in FLAG_KEYS}
+
+
+def _parse_box(cfg: dict) -> Bounds:
+    """The box half of :func:`parse_bounds`: the checked box entries of
+    ``cfg`` (every key but :data:`FLAG_KEYS`), built, as a :class:`Bounds`
+    with empty flags, what a join reads."""
+    for key, (test, what) in _BOX_CHECKS:
         if key in cfg and not test(cfg[key]):
             raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
     b_values = cfg.get("b", [])
@@ -255,17 +306,9 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
     for b in b_values:
         if b not in (1, 2):  # zar_b
             raise ValueError(f"b value {b!r} can never pass zar_b, which needs b = 1 or 2")
-    bad = [str(p) for p in cfg["predicates"] if p not in PREDICATE_NAMES]
-    if bad:
-        raise ValueError(f"unknown predicates: {', '.join(bad)}")
-    absent = [p for p in INDEX_PREDICATES if p not in cfg["predicates"]]
-    if _SCAN_KEYS <= search.keys and absent:
-        raise ValueError(
-            f"the indexed scan always enforces {', '.join(absent)};"
-            " the predicate list must name them"
-        )
-    values = {key: tuple(v) if isinstance(v, list) else v for key, v in cfg.items()}
-    if "b" in cfg:  # ascending, for the scan's break and one join per b set
+    values = {key: tuple(v) if isinstance(v, list) else v
+              for key, v in cfg.items() if key not in FLAG_KEYS}
+    if "b" in cfg:  # ascending, for the scan's break
         values["b"] = tuple(sorted(b_values))
     if "d_rules" in cfg:
         values["d_rules"] = tuple(Rule(**rule) for rule in cfg["d_rules"])
@@ -288,10 +331,14 @@ def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
                 " max(x, y_min) > min(y_max, z_max)"
             )
     if "t1" in cfg:
-        values["t1"] = require_admissible(parse_chain(cfg["t1"]), "t1")
+        try:
+            t1 = parse_chain(cfg["t1"])
+        except ChainParseError as exc:  # named as parse_fork names a twig
+            raise ValueError(f"t1 {cfg['t1']!r}: {exc}") from exc
+        values["t1"] = require_admissible(t1, "t1")
     if "eshapes" in cfg:
         values["eshapes"] = tuple(_named_specs(cfg["eshapes"]))
-    return Bounds(**values)
+    return Bounds(predicates=(), group_order_mode="", **values)
 
 
 def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
@@ -582,32 +629,94 @@ def _fiber_pairs_join(box: Bounds) -> tuple[Hits]:
 JOIN_CACHE_SIZE = 32
 
 
-def _box(spec: Bounds) -> Bounds:
-    """``spec`` without its flags, the key of :func:`_join`: the
-    description, the predicate list, the group-order convention and the
-    epsilon = 2 exclusion act only in :func:`_decide`."""
-    return spec._replace(description=None, predicates=(), group_order_mode="",
-                         exclude_eps2_chains=False)
+def _image(value) -> tuple:
+    """A box value as written, exact to the two levels a box value has
+    (``d_rules`` is a list of objects, ``eshapes`` a list of pairs): a list
+    as ``list`` and its items' :func:`_item_image`, any other value as its
+    exact type and itself, so that true, 1 and 1.0 differ."""
+    if isinstance(value, list):  # read with isinstance, as parse_bounds reads it
+        return list, tuple(map(_item_image, value))
+    return type(value), value
+
+
+def _item_image(value) -> tuple:
+    """An item of a box list: a list as ``list`` and its items, a dict as
+    ``dict`` and its (key, value) items, each with its exact type; any other
+    item as its exact type and itself."""
+    if isinstance(value, list):
+        return list, tuple(zip(map(type, value), value))
+    if isinstance(value, dict):
+        keys, values = value.keys(), value.values()
+        return dict, tuple(zip(map(type, keys), keys, map(type, values), values))
+    return type(value), value
+
+
+def _as_written(image: tuple):
+    """The box value whose :func:`_image` is ``image``."""
+    tag, value = image
+    return [*map(_item_written, value)] if tag is list else value
+
+
+def _item_written(image: tuple):
+    """The box-list item whose :func:`_item_image` is ``image``."""
+    tag, value = image
+    if tag is list:
+        return [item for _, item in value]
+    if tag is dict:
+        return {k: v for _, k, _, v in value}
+    return value
+
+
+def _written(cfg: dict) -> tuple | None:
+    """The key of :func:`_join`: each box entry of ``cfg`` (every key but
+    :data:`FLAG_KEYS`) as (key, :func:`_image` of its value), by key.  The
+    one ``b`` that passes its checks out of order, [2, 1], is written
+    [1, 2] first, the box it is; any other ``b`` keeps its order for its
+    refusal.  Two cfgs with the same key are the same box, or both are
+    refused: a refused box is never kept, so each call that refuses parses
+    its own values.  None when the entries are unhashable (a set, or a list
+    deeper than any box value): values no box key takes."""
+    b = cfg.get("b")
+    if b == [2, 1] and all(map(is_int, b)):
+        cfg = dict(cfg, b=[1, 2])
+    written = tuple(sorted((key, _image(v)) for key, v in cfg.items() if key not in FLAG_KEYS))
+    try:
+        hash(written)
+    except TypeError:
+        return None
+    return written
 
 
 @lru_cache(maxsize=JOIN_CACHE_SIZE)
-def _join(name: str, box: Bounds) -> tuple[Hits, ...]:
-    """The hits of the search ``name`` on ``box``, one tuple per output list
-    (knonpos has two, case 1 and case 2), from the join its :class:`Search`
-    row names.  The join reads only the box, so each box is joined once per
-    process and every flag variant on it takes one :func:`_decide` pass.
-    The join checks the catalog reach or the solver's shapes on the pairs or
-    shapes it builds; a refused box raises, so it is never kept and raises
-    again on the next call."""
+def _join(name: str, written: tuple) -> tuple[Hits, ...]:
+    """The hits of the search ``name`` on the box ``written``
+    (:func:`_written`), one tuple per output list (knonpos has two, case 1
+    and case 2), from the join its :class:`Search` row names, run on the
+    box :func:`_parse_box` checks and builds from the entries.  The join
+    reads only the box, so each box as written is checked, built and joined
+    once per process, and every flag variant on it takes one
+    :func:`_decide` pass.  The key holds the entries as written, so a
+    respelled ``eshapes`` name, or the same shapes in another order, is
+    another key and joins once more.  The join checks the catalog reach or
+    the solver's shapes on the pairs or shapes it builds; a refused box
+    raises, so it is never kept and raises again on the next call."""
+    box = _parse_box({key: _as_written(image) for key, image in written})
     return globals()[SEARCHES[name].join](box)
 
 
 def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[tuple[Hits, list[int]]]]:
-    """The checked bounds of the search ``name`` and, for each of its output
-    lists, its box's :class:`Hits` with the indices of the hits that pass
-    the bounds' flags, ascending, so their results come sorted."""
-    spec = parse_bounds(name, bounds)
-    return spec, [(hits, _decide(hits, spec)) for hits in _join(name, _box(spec))]
+    """The checked flags of the bounds of the search ``name``, as a
+    :class:`Bounds` whose box entries keep their defaults, and for each of
+    its output lists its box's :class:`Hits` with the indices of the hits
+    that pass the flags, ascending, so their results come sorted.  A call
+    checks the key set and the flags, and its box only when :func:`_join`
+    has not kept it."""
+    cfg = _checked_keys(name, bounds)
+    flags = Bounds(**_parse_flags(name, cfg))
+    written = _written(cfg)
+    if written is None:  # a value without an image, which the box checks refuse
+        parse_bounds(name, cfg)
+    return flags, [(hits, _decide(hits, flags)) for hits in _join(name, written)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -599,6 +600,22 @@ def test_a_box_that_covers_nothing_exit_code(capsys, tmp_path, name, file_name, 
 
 
 @pytest.mark.parametrize(
+    "t1, message",
+    [
+        ("[3", "t1 '[3': expected ']' after entry '3' (at position 2)"),
+        ("", "t1 '': expected '[' (at position 0)"),
+    ],
+    ids=["unclosed", "empty"],
+)
+def test_an_unreadable_t1_names_its_key(capsys, tmp_path, t1, message):
+    # the parse error used to be printed alone, without the key it is in
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(load_bounds("k_nonpositive"), t1=t1)))
+    code, out, err = run(capsys, "search", "knonpos", "--bounds", str(bad))
+    assert (code, out, err) == (1, "", f"error: {message}")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["enumerate", "eshapes", "--max-size", "20"], ["compute", "d", "[3,2]"]],
     ids=["long-output", "short-output"],
@@ -778,26 +795,33 @@ CSV_HEADERS = {
 }
 
 
-def csv_results(name, result):
-    """The results of a search's JSON output that its CSV prints a row for:
-    final-bounds' shapes, knonpos's two cases, the other lists whole."""
+def csv_fields(name, result):
+    """The fields the CSV of a search prints for its JSON output, one list
+    per row: final-bounds' shapes, knonpos's two cases, the other lists
+    whole, the twigs joined by "|"."""
+    columns = CSV_HEADERS[name].split(",")
     if name == "final-bounds":
-        return result["eshapes"]
-    if name == "knonpos":
-        return result["case1"] + result["case2"]
-    return result
+        records = [{"eshape": eshape} for eshape in result["eshapes"]]
+    elif name == "knonpos":
+        records = [dict(c, case=case) for case in ("case1", "case2") for c in result[case]]
+    else:
+        records = result
+    return [["|".join(r[k]) if k == "twigs" else str(r[k]) for k in columns] for r in records]
 
 
 @pytest.mark.parametrize("name", list(search.SEARCHES))
 def test_search_csv_prints_a_header_and_a_row_per_result(capsys, name):
     code, out, _ = run(capsys, "search", name)
     assert code == 0
-    results = csv_results(name, json.loads(out))
+    want = csv_fields(name, json.loads(out))
     code, out, _ = run(capsys, "search", name, "--csv")
     assert code == 0
-    header, *rows = out.splitlines()
-    assert header == CSV_HEADERS[name]
-    assert results and len(rows) == len(results)
+    header, *rows = csv.reader(io.StringIO(out))
+    assert ",".join(header) == CSV_HEADERS[name] == out.splitlines()[0]
+    # each row reads back as the fields of its result, commas in a twig or
+    # a shape quoted
+    assert want and rows == want
+    assert len(out.splitlines()) == len(want) + 1
 
 
 def test_fiber_pairs_csv_rows_name_their_shape(capsys, tmp_path):
@@ -810,9 +834,18 @@ def test_fiber_pairs_csv_rows_name_their_shape(capsys, tmp_path):
     solutions = json.loads(out)
     code, out, _ = run(capsys, "search", "fiber-pairs", "--bounds", str(bounds), "--csv")
     assert code == 0
-    rows = out.splitlines()[1:]
+    rows = list(csv.reader(io.StringIO(out)))[1:]
     assert len(rows) == len(solutions) == 7
+    assert rows == csv_fields("fiber-pairs", solutions)
     for row, s in zip(rows, solutions):
-        assert row.endswith(f",{s['t3']},{s['eshape']},{s['epsilon']}"), row
+        assert row[-3:] == [s["t3"], s["eshape"], str(s["epsilon"])], row
     gamma_3 = [(s["eshape"], s["epsilon"]) for s in solutions if s["gamma"] == 3]
     assert sorted(gamma_3) == [("[2,3]", 2), ("[2,3]", 2), ("[3]", 2)]
+
+
+def test_search_csv_quotes_a_field_with_a_comma(capsys):
+    # a twig or a shape with a comma used to split its row into more
+    # fields than the header has
+    code, out, _ = run(capsys, "search", "xy", "--csv")
+    assert code == 0
+    assert out.splitlines()[1] == '1,"[2]|[4]|[(8),4]",[4],1'

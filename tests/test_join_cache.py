@@ -14,6 +14,8 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgk import chains
 from dgk import predicates as dgk_predicates
@@ -35,6 +37,7 @@ from dgk.search import (
     search_xy,
 )
 from reference import reference_equation_solutions, reference_report, reference_scan_triples
+from test_cli import BRACKET_TEXT, JSON_VALUE
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "src" / "dgk" / "golden"
 
@@ -120,7 +123,7 @@ def cold_rows(name, cfg):
     spec = parse_bounds(name, cfg)
     dgk_search._join.cache_clear()
     return [[hits[i][3].to_dict() for i in dgk_search._decide(hits, spec)]
-            for hits in dgk_search._join(name, dgk_search._box(spec))]
+            for hits in dgk_search._join(name, dgk_search._written(cfg))]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +401,10 @@ def test_a_refused_box_is_refused_on_every_call(name, cfg, message):
         assert run(name, dict(cfg, catalog_max_size=21))["case1"]
 
 
-BUILDERS = ("_rule_pairs", "_case1_pairs", "_case2_triples", "check_two_fiber_shape")
+# The box readers and builders: a warm call resolves no shape name, parses
+# no t1 and builds no pair or shape.
+BUILDERS = ("_rule_pairs", "_case1_pairs", "_case2_triples", "check_two_fiber_shape",
+            "_named_specs", "require_admissible")
 
 
 @pytest.mark.parametrize("label, name, cfg", FILE_BOXES,
@@ -422,8 +428,111 @@ def test_a_flag_variant_of_a_joined_box_builds_nothing(monkeypatch, label, name,
     # once per box: the cold call builds, the three variants find it joined
     want = {
         "final-bounds": ["_rule_pairs"],
-        "xy": ["_rule_pairs"],
-        "knonpos": ["_case1_pairs", "_case2_triples"],
-        "fiber-pairs": ["check_two_fiber_shape"] * len(cfg.get("eshapes", ())),
+        "xy": ["_rule_pairs", "_named_specs"],
+        "knonpos": ["_case1_pairs", "_case2_triples", "require_admissible"],
+        "fiber-pairs": ["check_two_fiber_shape"] * len(cfg.get("eshapes", ())) + ["_named_specs"],
     }[name]
     assert want and calls == Counter(want), label
+
+
+# ---------------------------------------------------------------------------
+# the key is the box as written: exact, so a warm call is the cold one
+
+
+class Listed(list):
+    """A list subclass, which parse_bounds reads as a list."""
+
+
+def retyped(value):
+    """Each value that equals ``value`` with one part written in another
+    type: an int as a float (and 0 or 1 as a bool), a list as a tuple or a
+    :class:`Listed`."""
+    if type(value) is int:
+        yield float(value)
+        if value in (0, 1):
+            yield bool(value)
+    elif isinstance(value, list):
+        yield tuple(value)
+        yield Listed(value)
+        for i, item in enumerate(value):
+            yield from (value[:i] + [other] + value[i + 1:] for other in retyped(item))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from ({**value, key: other} for other in retyped(item))
+
+
+def outcome(name, cfg):
+    """The search's golden form on ``cfg``, or the message it refuses with."""
+    try:
+        return "output", run(name, cfg)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_call_after_the_packaged_box_is_joined_is_the_cold_call(data):
+    # with the packaged box joined, a cfg with one key replaced gives what a
+    # cold call gives: the same output or the same refusal.  Values equal to
+    # the packaged ones in another type (true, 1.0, a tuple) are refused
+    # cold, so a key blind to the types would find the packaged box warm
+    name, file_name = data.draw(st.sampled_from(CHECKED_IN), label="file")
+    base = load_bounds(file_name)
+    key = data.draw(st.sampled_from(sorted(SEARCHES[name].keys)), label="key")
+    values = [JSON_VALUE, BRACKET_TEXT,
+              st.sampled_from([True, 1.0, (1, 2), Listed([1, 2]), {1, 2}, [[[1]]]])]
+    same = list(retyped(base.get(key)))
+    value = data.draw(st.one_of(*values, *[st.sampled_from(same)] * bool(same)), label="value")
+    cfg = dict(base, **{key: value})
+    dgk_search._join.cache_clear()
+    run(name, base)
+    warm = outcome(name, cfg)
+    dgk_search._join.cache_clear()
+    assert outcome(name, cfg) == warm, (name, key, value)
+
+
+# Values equal to the packaged ones (60.0 == 60, hashing alike) in a type
+# parse_bounds refuses.
+RETYPED = [
+    ("final-bounds", "final_bounds", "catalog_max_size", 60.0),
+    ("final-bounds", "final_bounds", "b", [1.0, 2]),
+    ("xy", "xy", "x_max", 4.0),
+    ("xy", "xy", "b", [True, 2]),
+    ("knonpos", "k_nonpositive", "d2_max", 11.0),
+    ("knonpos", "k_nonpositive", "case2_k_max", 9.0),
+    ("fiber-pairs", "fiber_pairs", "twig_d_max", 6.0),
+]
+
+
+@pytest.mark.parametrize("name, file_name, key, value", RETYPED,
+                         ids=[f"{name}-{key}" for name, _, key, _ in RETYPED])
+def test_a_joined_value_in_another_type_is_refused(name, file_name, key, value):
+    base = load_bounds(file_name)
+    assert base[key] == value
+    dgk_search._join.cache_clear()
+    run(name, base)
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        run(name, dict(base, **{key: value}))
+    assert dgk_search._join.cache_info().currsize == 1
+
+
+# Values with no image: a set, and lists nested deeper than any box value.
+IMAGELESS = [
+    ("fiber-pairs", "fiber_pairs", "eshapes", {("[4]", 1)}),
+    ("fiber-pairs", "fiber_pairs", "eshapes", [[["[4]"], 1]]),
+    ("xy", "xy", "b", [{1}]),
+    ("knonpos", "k_nonpositive", "t1", {"[3]"}),
+    ("final-bounds", "final_bounds", "d_rules", [{"x": [3], "y_min": 3, "y_max": 3, "z_max": 5}]),
+]
+
+
+@pytest.mark.parametrize("name, file_name, key, value", IMAGELESS,
+                         ids=[f"{name}-{key}-{i}" for i, (name, _, key, _) in enumerate(IMAGELESS)])
+def test_a_value_with_no_image_is_refused_as_parse_bounds_refuses_it(name, file_name, key, value):
+    cfg = dict(load_bounds(file_name), **{key: value})
+    assert dgk_search._written(cfg) is None
+    with pytest.raises(ValueError) as parsed:
+        parse_bounds(name, cfg)
+    with pytest.raises(ValueError) as searched:
+        run(name, cfg)
+    assert str(searched.value) == str(parsed.value)

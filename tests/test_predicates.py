@@ -34,10 +34,10 @@ from dgk.predicates import (
 )
 from dgk.search import (
     INDEX_PREDICATES,
-    _box,
     _decide,
     _decided,
     _join,
+    _written,
     load_bounds,
     parse_bounds,
 )
@@ -146,7 +146,7 @@ def record_hits(runs):
     hits = []
     for name, cfg in runs:
         spec = parse_bounds(name, cfg)
-        for joined in _join(name, _box(spec)):
+        for joined in _join(name, _written(cfg)):
             for record, twigs, eshape, _ in joined:
                 hits.append((record, BoundaryCandidate(record.b, twigs, eshape),
                              spec.group_order_mode))
@@ -248,7 +248,7 @@ def test_a_cold_decide_makes_the_tests_of_the_short_circuit_route(tested, name, 
     found = search_run(name, load_bounds(file_name))
     cold = Counter(tested)
     tested.clear()
-    for joined, got in zip(_join(name, _box(spec)), found, strict=True):
+    for joined, got in zip(_join(name, _written(load_bounds(file_name))), found, strict=True):
         assert joined.verdicts  # the join's hits keep the tables the call filled
         passed = [
             result for record, twigs, eshape, result in joined
@@ -314,8 +314,7 @@ def fresh_joins():
     reference verdicts of their hits."""
     lists = []
     for file_name, name in BOUNDS_FILES.items():
-        spec = parse_bounds(name, load_bounds(file_name))
-        lists += [Hits(joined) for joined in _join(name, _box(spec))]
+        lists += [Hits(joined) for joined in _join(name, _written(load_bounds(file_name)))]
     return lists, {}
 
 
@@ -366,7 +365,7 @@ def test_the_hits_come_sorted_and_decide_keeps_their_order(file_name, name):
     # modes
     spec = parse_bounds(name, load_bounds(file_name))
     rng = random.Random(file_name)
-    for joined in _join(name, _box(spec)):
+    for joined in _join(name, _written(load_bounds(file_name))):
         shuffled = list(joined)
         rng.shuffle(shuffled)
         assert Hits(shuffled) == joined, file_name
@@ -439,7 +438,7 @@ def test_the_eps2_exclusion_drops_the_eps2_chains_from_the_survivors(file_name, 
     # hits whose shape is a chain of epsilon 2, in both modes
     spec = parse_bounds(name, load_bounds(file_name))
     dropped = 0
-    for joined in _join(name, _box(spec)):
+    for joined in _join(name, _written(load_bounds(file_name))):
         for mode in MODES:
             plain, excluding = (
                 _decide(joined, spec._replace(group_order_mode=mode, exclude_eps2_chains=flag))

@@ -297,7 +297,7 @@ def test_the_join_reads_each_tail_once_per_shape_and_t1(monkeypatch):
 
     monkeypatch.setattr(dgk_ruling, "_tail_pairs", read)
     monkeypatch.setattr(dgk_search, "two_fiber_candidates", solve)
-    dgk_search._fiber_pairs_join(dgk_search._box(spec))
+    dgk_search._fiber_pairs_join(spec)
     assert calls == [(es, t1, rows) for es in shapes for t1 in sweep]
     assert all(t1 == calls[call - 1][1] for call, t1, _ in reads)
     assert len(set(reads)) == len(reads) > len(calls)
@@ -768,9 +768,9 @@ def test_xy_edges_are_the_same_box_as_its_d_rules():
     assert edges == (4, 11, 41) and as_rules.catalog_max_size is None
     assert parse_bounds("xy") == as_rules
     joined = []
-    for name, spec in (("xy", parse_bounds("xy")), ("final-bounds", as_rules)):
+    for name, entries in (("xy", load_bounds("xy")), ("final-bounds", dict(cfg, d_rules=rules))):
         dgk_search._join.cache_clear()
-        joined.append(dgk_search._join(name, dgk_search._box(spec)))
+        joined.append(dgk_search._join(name, dgk_search._written(entries)))
     assert joined[0] == joined[1] and len(joined[0][0]) > 3
 
 
@@ -1068,7 +1068,7 @@ def test_every_hit_keeps_the_fork_record_of_its_twigs():
     # the scan forms (D, S, E0, Et0) once per block and E and Et per third;
     # each hit's record is the one fork_sums forms from its three twigs
     joins = [
-        dgk_search._join(name, dgk_search._box(parse_bounds(name, load_bounds(file_name))))
+        dgk_search._join(name, dgk_search._written(load_bounds(file_name)))
         for name, file_name in CHECKED_IN if name != "fiber-pairs"
     ]
     joins += [(_scan_triples(sweep(keys), spec, index),)
@@ -1121,3 +1121,28 @@ def test_final_bounds_builds_only_the_buckets_it_probes():
     run_search("final-bounds")
     index = catalog_index(60)
     assert 0 < sum(1 for bucket in index.values() if bucket) < len(index.first_keys)
+
+
+# ---------------------------------------------------------------------------
+# knonpos case 2's k bound, derived from Noether's count
+
+
+@pytest.mark.parametrize("head", [(), (3,), (4,), (2, 3)], ids=["none", "3", "4", "2,3"])
+def test_case2_ends_where_its_noether_key_leaves_every_catalog(head):
+    # a case-2 triple (T1, T1, head + (2)^k + (3, 2)) with b probes the key
+    # 4 + b + sum kd, and no shape sits below the smallest first key of the
+    # catalog, -4 at size 100 as at 60.  kd((2)^k) = -k, so past
+    # k = 8 + kd(head) every key is below it: case 2 is empty for every k,
+    # and case2_k_max = 9, the bound of the head (4), follows from the count
+    spec = parse_bounds("knonpos")
+    floor = min(catalog_index(100).first_keys)
+    assert floor == min(catalog_index(spec.catalog_max_size).first_keys) == -4
+    base = 4 + max(spec.b) + 2 * chain_record(spec.t1).kd
+
+    def key(k):
+        return base + chain_record(head + (2,) * k + (3, 2)).kd
+
+    bound = 8 + sum(w - 3 for w in head)
+    assert key(bound) >= floor
+    assert all(key(k) < floor for k in range(bound + 1, 51)), head
+    assert bound <= spec.case2_k_max and (bound == spec.case2_k_max) == (head == (4,))
