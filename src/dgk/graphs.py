@@ -153,7 +153,7 @@ class Fork(NamedTuple):
 
 
 def is_int(value) -> bool:
-    return type(value) is int  # not bool, which JSON keeps apart
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON keeps bool apart
 
 
 def parse_fork(text: str) -> Fork:

@@ -9,10 +9,10 @@ list.  Outputs are compared against golden files for exact equality.
 ``search_*`` function, bounds file, golden file and the bounds keys it reads.
 :func:`parse_bounds` is the one place a bounds file is checked, with the
 readers the command line shares: :func:`dgk.barks.specs_named` for shape
-names and :func:`dgk.graphs.require_admissible` for ``t1``.  Its halves
-run in every ``search_*`` (the box half only for a box not yet joined), so
-a bad file fails before any work, and the scan reads the resulting frozen
-:class:`Bounds`.
+names and :func:`dgk.graphs.require_admissible` for ``t1``.  Every
+``search_*`` checks the key set and the flags of its file, and
+:func:`parse_bounds` runs on each box not yet joined, so a bad file fails
+before any work, and the join reads the resulting frozen :class:`Bounds`.
 
 Candidate enumeration is driven by two identities.  Noether's count pins
 #E - epsilon - K.E of the exceptional shape to the twig key 4 + b + sum kd,
@@ -36,14 +36,17 @@ description, the predicate list, the group-order convention and the
 epsilon = 2 exclusion), which only the decision pass reads, and the box,
 every other key (the edges, ``b``, ``delta_gmin``, the catalog size or the
 named shapes, ``t1``), which only the join reads.  :func:`_join` is keyed
-on the box as written (:func:`_written`: each entry's value with its exact
-type), and only its miss checks and builds the box (:func:`_parse_box`)
-and joins it: it builds the box's pairs or shapes once, checks them (the
-catalog reach, or the solver's shapes) and gives the hits, each with the
-record its verdict reads.  So a call checks its key set and its flags
-(:func:`_parse_flags`), and a box it has seen is neither checked nor built
-again.  xy and final-bounds share :func:`_rule_join`: both boxes are
-``d_rules`` (xy's edges parse into them) and differ only in their shapes.
+on the box as written (:func:`_written`: the ``repr`` of the box entries,
+which writes each value with its type), and only its miss runs
+:func:`parse_bounds` and hands the :class:`Bounds` to the join: it builds
+the box's pairs or shapes once, checks them (the catalog reach, or the
+solver's shapes) and gives the hits, each with the record its verdict
+reads.  The join is handed the flags too and reads none: one that read
+a flag would answer every variant as the first.  So a call checks its key
+set and its flags (:func:`_parse_flags`), and a box it has seen is
+neither checked nor built again.  xy and final-bounds share
+:func:`_rule_join`: both boxes are ``d_rules`` (xy's edges parse into
+them) and differ only in their shapes.
 :func:`_join` keeps the hits of the last :data:`JOIN_CACHE_SIZE` boxes of
 the process; a refused box raises and is not kept.  Each output list of a
 join is a :class:`dgk.predicates.Hits`, sorted by the results' sort keys
@@ -147,11 +150,13 @@ def _records_with_d(dd: int) -> tuple[ChainRecord, ...]:
 def load_bounds(name: str, path: str | None = None) -> dict:
     """A bounds file: the packaged ``name`` or the JSON file at ``path``."""
     if path is None:
-        return json.loads((Path(__file__).parent / "bounds" / f"{name}.json").read_text())
+        return json.loads((Path(__file__).parent / "bounds" / f"{name}.json").read_text("utf-8"))
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text("utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read bounds file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bounds file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
 
@@ -230,29 +235,6 @@ _FLAG_CHECKS = [(key, check) for key, check in _CHECKS.items() if key in FLAG_KE
 _BOX_CHECKS = [(key, check) for key, check in _CHECKS.items() if key not in FLAG_KEYS]
 
 
-def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
-    """The bounds of the search ``name``: ``cfg``, or its packaged file when
-    ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
-    type, an empty ``b`` list, a repeated ``b`` value or one other than 1
-    and 2, the only ones zar_b passes, a ``d_rules`` entry (or xy's edges)
-    that covers no discriminant triple (x < 2 among them), a
-    ``twig_d_max`` below 2, a ``case2_k_max`` below 0, an empty
-    ``eshapes`` list, unknown or repeated ``eshapes`` entries, unknown
-    predicates, and for the scan searches a predicate list without
-    :data:`INDEX_PREDICATES`.  ``b`` is stored ascending.
-
-    The key set is checked first, then the flags (:func:`_parse_flags`),
-    then the box (:func:`_parse_box`), which is the order a search checks
-    them in.
-
-    A knonpos box whose ``d2_max`` or ``d3_max`` is below 3 is kept, not
-    refused: it has no case-1 T2, so it runs case 2 alone and prints an
-    empty ``case1``."""
-    cfg = _checked_keys(name, cfg)
-    flags = _parse_flags(name, cfg)
-    return _parse_box(cfg)._replace(**flags)
-
-
 def _checked_keys(name: str, cfg: dict | None) -> dict:
     """``cfg``, or the packaged bounds file of the search ``name`` when it
     is None, once it is an object that holds every key of the search but
@@ -272,8 +254,8 @@ def _checked_keys(name: str, cfg: dict | None) -> dict:
 
 
 def _parse_flags(name: str, cfg: dict) -> dict:
-    """The flag half of :func:`parse_bounds`: the checked :data:`FLAG_KEYS`
-    entries of ``cfg``, lists as tuples, what :func:`_decide` reads."""
+    """The checked :data:`FLAG_KEYS` entries of ``cfg``, lists as tuples,
+    what :func:`_decide` reads."""
     for key, (test, what) in _FLAG_CHECKS:
         if key in cfg and not test(cfg[key]):
             raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
@@ -290,10 +272,27 @@ def _parse_flags(name: str, cfg: dict) -> dict:
             for key, v in cfg.items() if key in FLAG_KEYS}
 
 
-def _parse_box(cfg: dict) -> Bounds:
-    """The box half of :func:`parse_bounds`: the checked box entries of
-    ``cfg`` (every key but :data:`FLAG_KEYS`), built, as a :class:`Bounds`
-    with empty flags, what a join reads."""
+def parse_bounds(name: str, cfg: dict | None = None) -> Bounds:
+    """The bounds of the search ``name``: ``cfg``, or its packaged file when
+    ``cfg`` is None.  Rejects unknown or missing keys, values of the wrong
+    type, an empty ``b`` list, a repeated ``b`` value or one other than 1
+    and 2, the only ones zar_b passes, a ``d_rules`` entry (or xy's edges)
+    that covers no discriminant triple (x < 2 among them), a
+    ``twig_d_max`` below 2, a ``case2_k_max`` below 0, an empty
+    ``eshapes`` list, unknown or repeated ``eshapes`` entries, unknown
+    predicates, and for the scan searches a predicate list without
+    :data:`INDEX_PREDICATES`.  ``b`` is stored ascending.
+
+    The key set is checked first, then the flags (:func:`_parse_flags`),
+    then the box: every other key, which is what a join reads.  The one
+    box parser of the package: :func:`_join` runs it on each box it has
+    not kept.
+
+    A knonpos box whose ``d2_max`` or ``d3_max`` is below 3 is kept, not
+    refused: it has no case-1 T2, so it runs case 2 alone and prints an
+    empty ``case1``."""
+    cfg = _checked_keys(name, cfg)
+    values = _parse_flags(name, cfg)
     for key, (test, what) in _BOX_CHECKS:
         if key in cfg and not test(cfg[key]):
             raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
@@ -306,8 +305,8 @@ def _parse_box(cfg: dict) -> Bounds:
     for b in b_values:
         if b not in (1, 2):  # zar_b
             raise ValueError(f"b value {b!r} can never pass zar_b, which needs b = 1 or 2")
-    values = {key: tuple(v) if isinstance(v, list) else v
-              for key, v in cfg.items() if key not in FLAG_KEYS}
+    values.update((key, tuple(v) if isinstance(v, list) else v)
+                  for key, v in cfg.items() if key not in FLAG_KEYS)
     if "b" in cfg:  # ascending, for the scan's break
         values["b"] = tuple(sorted(b_values))
     if "d_rules" in cfg:
@@ -338,7 +337,7 @@ def _parse_box(cfg: dict) -> Bounds:
         values["t1"] = require_admissible(t1, "t1")
     if "eshapes" in cfg:
         values["eshapes"] = tuple(_named_specs(cfg["eshapes"]))
-    return Bounds(predicates=(), group_order_mode="", **values)
+    return Bounds(**values)
 
 
 def _scan_triples(groups, box: Bounds, index: SpecIndex) -> Hits:
@@ -629,79 +628,50 @@ def _fiber_pairs_join(box: Bounds) -> tuple[Hits]:
 JOIN_CACHE_SIZE = 32
 
 
-def _image(value) -> tuple:
-    """A box value as written, exact to the two levels a box value has
-    (``d_rules`` is a list of objects, ``eshapes`` a list of pairs): a list
-    as ``list`` and its items' :func:`_item_image`, any other value as its
-    exact type and itself, so that true, 1 and 1.0 differ."""
-    if isinstance(value, list):  # read with isinstance, as parse_bounds reads it
-        return list, tuple(map(_item_image, value))
-    return type(value), value
+class _Written(str):
+    """A :func:`_written` key: its text, which the cache hashes and
+    compares, and the ``cfg`` it was written from, which a miss reads."""
+
+    cfg: dict
 
 
-def _item_image(value) -> tuple:
-    """An item of a box list: a list as ``list`` and its items, a dict as
-    ``dict`` and its (key, value) items, each with its exact type; any other
-    item as its exact type and itself."""
-    if isinstance(value, list):
-        return list, tuple(zip(map(type, value), value))
-    if isinstance(value, dict):
-        keys, values = value.keys(), value.values()
-        return dict, tuple(zip(map(type, keys), keys, map(type, values), values))
-    return type(value), value
-
-
-def _as_written(image: tuple):
-    """The box value whose :func:`_image` is ``image``."""
-    tag, value = image
-    return [*map(_item_written, value)] if tag is list else value
-
-
-def _item_written(image: tuple):
-    """The box-list item whose :func:`_item_image` is ``image``."""
-    tag, value = image
-    if tag is list:
-        return [item for _, item in value]
-    if tag is dict:
-        return {k: v for _, k, _, v in value}
-    return value
-
-
-def _written(cfg: dict) -> tuple | None:
-    """The key of :func:`_join`: each box entry of ``cfg`` (every key but
-    :data:`FLAG_KEYS`) as (key, :func:`_image` of its value), by key.  The
-    one ``b`` that passes its checks out of order, [2, 1], is written
-    [1, 2] first, the box it is; any other ``b`` keeps its order for its
-    refusal.  Two cfgs with the same key are the same box, or both are
-    refused: a refused box is never kept, so each call that refuses parses
-    its own values.  None when the entries are unhashable (a set, or a list
-    deeper than any box value): values no box key takes."""
-    b = cfg.get("b")
-    if b == [2, 1] and all(map(is_int, b)):
-        cfg = dict(cfg, b=[1, 2])
-    written = tuple(sorted((key, _image(v)) for key, v in cfg.items() if key not in FLAG_KEYS))
-    try:
-        hash(written)
-    except TypeError:
-        return None
+def _written(cfg: dict) -> _Written:
+    """The key of :func:`_join`: the ``repr`` of the box entries of ``cfg``
+    (every key but :data:`FLAG_KEYS`) as (key, value) pairs, by key.
+    ``repr`` writes each value with its type, so true, 1 and 1.0 are three
+    keys, and a list, a tuple and a set are three more.  A ``delta_gmin``
+    of None, its default, is left out, and the one ``b`` that passes its
+    checks out of order, [2, 1], is written [1, 2], the box it is; any
+    other ``b`` keeps its order for its refusal.  Two cfgs with the same
+    key are the same box, or both are refused: a refused box is never
+    kept, so each call that refuses parses its own values.  That holds
+    for JSON values, and for subclasses that keep their base's ``repr``
+    as long as the checks read them as their base (``is_int`` does)."""
+    box = {key: v for key, v in cfg.items() if key not in FLAG_KEYS}
+    if "delta_gmin" in box and box["delta_gmin"] is None:
+        del box["delta_gmin"]
+    if box.get("b") == [2, 1] and all(map(is_int, box["b"])):
+        box["b"] = [1, 2]
+    written = _Written(repr(sorted(box.items())))
+    written.cfg = cfg
     return written
 
 
 @lru_cache(maxsize=JOIN_CACHE_SIZE)
-def _join(name: str, written: tuple) -> tuple[Hits, ...]:
+def _join(name: str, written: _Written) -> tuple[Hits, ...]:
     """The hits of the search ``name`` on the box ``written``
     (:func:`_written`), one tuple per output list (knonpos has two, case 1
-    and case 2), from the join its :class:`Search` row names, run on the
-    box :func:`_parse_box` checks and builds from the entries.  The join
-    reads only the box, so each box as written is checked, built and joined
-    once per process, and every flag variant on it takes one
+    and case 2): :func:`parse_bounds` on the key's ``cfg``, and the join
+    its :class:`Search` row names on the resulting :class:`Bounds`.  The
+    join reads only the box, so each box as written is checked, built and
+    joined once per process, and every flag variant on it takes one
     :func:`_decide` pass.  The key holds the entries as written, so a
-    respelled ``eshapes`` name, or the same shapes in another order, is
-    another key and joins once more.  The join checks the catalog reach or
-    the solver's shapes on the pairs or shapes it builds; a refused box
-    raises, so it is never kept and raises again on the next call."""
-    box = _parse_box({key: _as_written(image) for key, image in written})
-    return globals()[SEARCHES[name].join](box)
+    respelled ``eshapes`` name, the same shapes in another order or a
+    ``d_rules`` entry with its keys in another order is another key and
+    joins once more.  The join checks the catalog reach or the solver's
+    shapes on the pairs or shapes it builds; a refused box raises, so it
+    is never kept and raises again on the next call."""
+    return globals()[SEARCHES[name].join](parse_bounds(name, written.cfg))
 
 
 def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[tuple[Hits, list[int]]]]:
@@ -713,10 +683,7 @@ def _decided(name: str, bounds: dict | None) -> tuple[Bounds, list[tuple[Hits, l
     has not kept it."""
     cfg = _checked_keys(name, bounds)
     flags = Bounds(**_parse_flags(name, cfg))
-    written = _written(cfg)
-    if written is None:  # a value without an image, which the box checks refuse
-        parse_bounds(name, cfg)
-    return flags, [(hits, _decide(hits, flags)) for hits in _join(name, written)]
+    return flags, [(hits, _decide(hits, flags)) for hits in _join(name, _written(cfg))]
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +737,9 @@ def verify_suite() -> dict:
     for name, path in paths.items():
         got = run_search(name)
         try:
-            want = json.loads(path.read_text())
+            want = json.loads(path.read_text("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"golden file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"golden file {path} is not valid JSON: {exc}") from exc
         results[name] = {"status": "ok" if got == want else "mismatch", "path": str(path)}

@@ -198,6 +198,12 @@ def test_bad_bounds_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "search", "xy", "--bounds", str(broken))
     assert code == 1
     assert "not valid JSON" in err
+    # bytes that do not decode are refused naming the file, whatever the locale
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"description": "caf\xe9"}')
+    code, out, err = run(capsys, "search", "xy", "--bounds", str(latin))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bounds file {latin} is not UTF-8 text: 'utf-8' codec")
     # a box the catalog cannot cover is a domain error too
     small = tmp_path / "small_catalog.json"
     small.write_text(json.dumps(dict(load_bounds("final_bounds"), catalog_max_size=20)))
@@ -401,6 +407,11 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "paper")
     assert code == 1
     assert f"golden file {target} is not valid JSON" in err
+    # and so is one that is not UTF-8 text
+    target.write_bytes(b"\xff[]")
+    code, out, err = run(capsys, "verify", "--suite", "paper")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: golden file {target} is not UTF-8 text: 'utf-8' codec")
     # a missing golden is a domain error that names the file, raised before
     # any search runs
     target.unlink()

@@ -355,6 +355,19 @@ def test_b_in_either_order_is_one_box(name, file_name):
     assert parse_bounds(name, dict(cfg, b=[2, 1])).b == (1, 2)
 
 
+@pytest.mark.parametrize("name, file_name", [c for c in CHECKED_IN if c[0] != "fiber-pairs"])
+def test_a_null_delta_gmin_is_the_box_without_it(name, file_name):
+    # None is delta_gmin's default, so a file that sets it null and one that
+    # leaves it out are one box: the same output from the same join
+    cfg = dict(load_bounds(file_name), delta_gmin=None)
+    without = {key: v for key, v in cfg.items() if key != "delta_gmin"}
+    dgk_search._join.cache_clear()
+    want = run(name, cfg)
+    assert run(name, without) == want
+    assert dgk_search._join.cache_info().misses == 1
+    assert parse_bounds(name, without) == parse_bounds(name, cfg)
+
+
 def test_both_final_bounds_files_return_their_goldens_in_either_order():
     # the two files share their box except delta_gmin; whichever runs first
     # fills the cache, and the other still returns its own golden
@@ -436,19 +449,26 @@ def test_a_flag_variant_of_a_joined_box_builds_nothing(monkeypatch, label, name,
 
 
 # ---------------------------------------------------------------------------
-# the key is the box as written: exact, so a warm call is the cold one
+# the key is the repr of the box as written: exact, so a warm call is the
+# cold one
 
 
 class Listed(list):
     """A list subclass, which parse_bounds reads as a list."""
 
 
+class Whole(int):
+    """An int subclass, which parse_bounds reads as an int; its repr is
+    the int's."""
+
+
 def retyped(value):
     """Each value that equals ``value`` with one part written in another
-    type: an int as a float (and 0 or 1 as a bool), a list as a tuple or a
-    :class:`Listed`."""
+    type: an int as a float, a :class:`Whole` (and 0 or 1 as a bool), a
+    list as a tuple or a :class:`Listed`."""
     if type(value) is int:
         yield float(value)
+        yield Whole(value)
         if value in (0, 1):
             yield bool(value)
     elif isinstance(value, list):
@@ -475,7 +495,8 @@ def test_a_call_after_the_packaged_box_is_joined_is_the_cold_call(data):
     # with the packaged box joined, a cfg with one key replaced gives what a
     # cold call gives: the same output or the same refusal.  Values equal to
     # the packaged ones in another type (true, 1.0, a tuple) are refused
-    # cold, so a key blind to the types would find the packaged box warm
+    # cold, so a key blind to the types would find the packaged box warm;
+    # a Whole writes the int's key, so it must be read as the int cold too
     name, file_name = data.draw(st.sampled_from(CHECKED_IN), label="file")
     base = load_bounds(file_name)
     key = data.draw(st.sampled_from(sorted(SEARCHES[name].keys)), label="key")
@@ -516,7 +537,7 @@ def test_a_joined_value_in_another_type_is_refused(name, file_name, key, value):
     assert dgk_search._join.cache_info().currsize == 1
 
 
-# Values with no image: a set, and lists nested deeper than any box value.
+# Values no box takes: a set, and lists nested deeper than any box value.
 IMAGELESS = [
     ("fiber-pairs", "fiber_pairs", "eshapes", {("[4]", 1)}),
     ("fiber-pairs", "fiber_pairs", "eshapes", [[["[4]"], 1]]),
@@ -530,9 +551,11 @@ IMAGELESS = [
                          ids=[f"{name}-{key}-{i}" for i, (name, _, key, _) in enumerate(IMAGELESS)])
 def test_a_value_with_no_image_is_refused_as_parse_bounds_refuses_it(name, file_name, key, value):
     cfg = dict(load_bounds(file_name), **{key: value})
-    assert dgk_search._written(cfg) is None
+    size = dgk_search._join.cache_info().currsize
     with pytest.raises(ValueError) as parsed:
         parse_bounds(name, cfg)
     with pytest.raises(ValueError) as searched:
         run(name, cfg)
     assert str(searched.value) == str(parsed.value)
+    # the refused box is not kept
+    assert dgk_search._join.cache_info().currsize == size

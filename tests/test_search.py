@@ -758,8 +758,9 @@ def test_checked_in_bounds_files_parse_to_their_values(name, file_name):
 
 def test_xy_edges_are_the_same_box_as_its_d_rules():
     # xy's box written out as d_rules on its named shapes, without a
-    # catalog, is the Bounds parse_bounds makes of its edges, and a cold
-    # join of each, under either search's name, gives the same hits
+    # catalog, is the Bounds parse_bounds makes of its edges, and xy's
+    # cold join gives the hits of the rule join, which final-bounds shares,
+    # run on that Bounds
     cfg = load_bounds("xy")
     edges = cfg.pop("x_max"), cfg.pop("y_max"), cfg.pop("z_max")
     rules = [{"x": x, "y_min": x, "y_max": 11, "z_max": 41} for x in (2, 3, 4)]
@@ -767,11 +768,10 @@ def test_xy_edges_are_the_same_box_as_its_d_rules():
                       d_rules=frozen("d_rules", rules))
     assert edges == (4, 11, 41) and as_rules.catalog_max_size is None
     assert parse_bounds("xy") == as_rules
-    joined = []
-    for name, entries in (("xy", load_bounds("xy")), ("final-bounds", dict(cfg, d_rules=rules))):
-        dgk_search._join.cache_clear()
-        joined.append(dgk_search._join(name, dgk_search._written(entries)))
-    assert joined[0] == joined[1] and len(joined[0][0]) > 3
+    assert SEARCHES["xy"].join == SEARCHES["final-bounds"].join == "_rule_join"
+    dgk_search._join.cache_clear()
+    joined = dgk_search._join("xy", dgk_search._written(load_bounds("xy")))
+    assert joined == dgk_search._rule_join(as_rules) and len(joined[0]) > 3
 
 
 def test_parsed_bounds_are_frozen():

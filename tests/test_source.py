@@ -266,10 +266,25 @@ def test_the_scans_ask_for_a_verdict_without_a_report():
                                        "_knonpos_join", "_fiber_pairs_join")]
     for fn in joins + [ruling["two_fiber_candidates"]]:
         assert not verdicts & _named(fn), fn.name
-    # the one route of every search: parse, join, decide
+    # the one route of every search: the flags, the join, the decision;
+    # the join's miss runs the one box parser
     route = _named(search["_decided"])
-    assert {"parse_bounds", "_join", "_decide"} <= route
+    assert {"_parse_flags", "_join", "_decide"} <= route
     assert not verdicts & route
+    assert "parse_bounds" in _named(search["_join"])
+
+
+def test_no_join_reads_a_flag():
+    # a join is handed the whole Bounds, flags too, and the cache keeps its
+    # hits per box: a join that read a flag would answer every flag variant
+    # of the box as the first
+    flags = {"predicates", "group_order_mode", "exclude_eps2_chains", "description"}
+    search, ruling = _definitions("search"), _definitions("ruling")
+    joins = [search[name] for name in ("_scan_triples", "_rule_join", "_knonpos_join",
+                                       "_fiber_pairs_join", "_check_catalog_reach",
+                                       "_case1_pairs", "_case2_triples")]
+    for fn in joins + [ruling["two_fiber_candidates"]]:
+        assert not flags & _named(fn), fn.name
 
 
 def test_only_the_predicate_module_names_the_verdict():
