@@ -211,18 +211,18 @@ def group_order(graph: Weights | Fork) -> int:
 class ExceptionalShape(NamedTuple):
     """One entry of the catalog of exceptional divisors.
 
-    ``graph`` (chain weights or a Fork) and ``epsilon`` are the shape's
-    identity, all that == and hash read: no graph lies in two families with
-    the same epsilon.  The rest is read from ``spec``, the catalog spec the
-    shape was built from, whose family is ``spec[0]``: E (the components left
-    after stripping external (-2)-tips), the number of components of Delta
-    (those stripped), K.E over E, the size, discriminant, bark square and
-    local group order.
+    A shape holds its ``spec``, the catalog spec it was built from, whose
+    family is ``spec[0]``, and the integers read from it: epsilon, the
+    number of components of Delta (the external (-2)-tips stripped to leave
+    E), K.E over E, the size, discriminant, bark square and local group
+    order, with its printed key.  It stores no weights: ``graph`` (chain
+    weights or a Fork) and ``e_weights`` (E) are worked out from the spec
+    when they are read.  ``graph`` and ``epsilon`` are the shape's identity,
+    all that == and hash read: no graph lies in two families with the same
+    epsilon.
     """
 
-    graph: Weights | Fork
     epsilon: int
-    e_weights: tuple[int, ...]
     n_delta_components: int
     ke: int
     size: int
@@ -233,17 +233,34 @@ class ExceptionalShape(NamedTuple):
     key_text: str
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExceptionalShape) and self[:2] == other[:2]
+        return isinstance(other, ExceptionalShape) and (
+            (self.graph, self.epsilon) == (other.graph, other.epsilon)
+        )
 
     def __ne__(self, other) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:2])
+        return hash((self.graph, self.epsilon))
+
+    @property
+    def graph(self) -> Weights | Fork:
+        return _spec_graph(self.spec)
+
+    @property
+    def e_weights(self) -> tuple[int, ...]:
+        """E in closed form: a chain spec's chain without its end runs, the
+        components of Delta, in the graph's orientation; [3] for a fork."""
+        spec = self.spec
+        if spec[0].branch:
+            return (3,)
+        chain = _spec_chain(spec)
+        e_weights = chain[spec[1]:len(chain) - spec[-1]]
+        return e_weights if canonical_chain(chain) == chain else e_weights[::-1]
 
     @property
     def is_fork(self) -> bool:
-        return isinstance(self.graph, Fork)
+        return bool(self.spec[0].branch)
 
     @property
     def delta_empty(self) -> bool:
@@ -302,8 +319,8 @@ class Family(_FamilyFields):
     outside the runs; ``ke``, K.E = sum(w - 2) over the weights and the
     branch; and ``offset`` = curves - epsilon - K.E.  A chain spec's E is
     its chain without the end runs and every fork spec's E is [3] (see
-    :func:`_make_shape`), so K.E is the family's, and a spec of run sum s
-    has s + curves components and the Noether key s + offset.
+    :attr:`ExceptionalShape.e_weights`), so K.E is the family's, and a spec
+    of run sum s has s + curves components and the Noether key s + offset.
     """
 
     __slots__ = ()
@@ -517,25 +534,22 @@ def _make_shape(spec: ShapeSpec) -> ExceptionalShape:
     its chain without the end runs, the components of Delta.  A fork spec's
     E is [3]: b1's branch (b = 2) makes one component of Delta with the
     twigs [(m)] and [2], which in b2 (b = 3) are two, and a first run a > 0
-    is one more; one fork record gives d(F), Bk^2 and |G|."""
+    is one more; one fork record gives d(F), Bk^2 and |G|.  The graph is
+    built once, for the key and a fork's record, and not kept: the shape's
+    ``graph`` and ``e_weights`` are read from the spec."""
     family, first, last = spec[0], spec[1], spec[-1]
+    graph = _spec_graph(spec)
     if family.branch:
-        graph = _spec_graph(spec)
         inv = fork_invariants(graph)
         dd, num, g = inv.d, inv.d_bk_square, inv.group_order
-        e_weights, n_delta = (3,), (first > 0) + 1 + (family.branch != 2)
+        n_delta = (first > 0) + 1 + (family.branch != 2)
     else:
-        chain = _spec_chain(spec)
-        graph = canonical_chain(chain)
-        e_weights = chain[first:len(chain) - last]
-        if graph != chain:  # canonical_chain reversed it
-            e_weights = e_weights[::-1]
         dd, num = _chain_continuants(spec)
         g, n_delta = dd, (first > 0) + (last > 0)
     return ExceptionalShape(
-        graph=graph, epsilon=family.epsilon, e_weights=e_weights, n_delta_components=n_delta,
-        ke=family.ke, size=sum(spec[1:]) + family.curves, d=dd, bk_square=Fraction(num, dd),
-        g_order=g, spec=spec, key_text=_graph_key(graph),
+        epsilon=family.epsilon, n_delta_components=n_delta, ke=family.ke,
+        size=sum(spec[1:]) + family.curves, d=dd, bk_square=Fraction(num, dd), g_order=g,
+        spec=spec, key_text=_graph_key(graph),
     )
 
 

@@ -161,7 +161,7 @@ def parse_fork(text: str) -> Fork:
     error names the key at fault."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past Python's limit on digits
         raise ValueError(f"bad fork description: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("a fork description must be a JSON object")

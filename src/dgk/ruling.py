@@ -420,9 +420,10 @@ def solve_two_fiber(t1: Weights, t2: Weights, eshape: ExceptionalShape) -> list[
 def check_two_fiber_shape(eshape: ExceptionalShape) -> None:
     """Refuse a shape the solver does not handle: E must be one curve, with
     at most one external (-2)-curve."""
-    if eshape.is_fork or len(eshape.e_weights) != 1:
+    e_weights = eshape.e_weights
+    if eshape.is_fork or len(e_weights) != 1:
         raise ValueError("the ruling analysis needs an irreducible E")
-    if eshape.size - len(eshape.e_weights) not in (0, 1):
+    if eshape.size - len(e_weights) not in (0, 1):
         raise ValueError("at most one external (-2)-curve is supported here")
 
 
@@ -469,10 +470,11 @@ def _equation_solutions(t1: Weights, rows: TwigRows, eshape: ExceptionalShape):
     the row's records last, so one (T1, T2) gets its own tuples, in order.
     ``eshape`` must be an irreducible E with at most one external (-2)-curve.
     """
-    gamma = eshape.e_weights[0]
+    e_weights = eshape.e_weights
+    gamma = e_weights[0]
     eps = eshape.epsilon
     ke = eshape.ke
-    n_delta_curves = eshape.size - len(eshape.e_weights)
+    n_delta_curves = eshape.size - len(e_weights)
     splits = [(0, 0)] if n_delta_curves == 0 else [(1, 0), (0, 1)]
     heads = []  # (n, alpha, df, dft, c', p') in sweep order
     for n in (1, 2, 3):

@@ -159,6 +159,8 @@ def load_bounds(name: str, path: str | None = None) -> dict:
         raise ValueError(f"bounds file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"bounds file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's limit on digits
+        raise ValueError(f"bounds file {path} cannot be read: {exc}") from exc
 
 
 class Rule(NamedTuple):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -8,6 +9,7 @@ import pytest
 
 from dgk import chains
 from dgk.barks import (
+    ExceptionalShape,
     _B1,
     _B2,
     _FAMILIES,
@@ -347,13 +349,16 @@ def test_all_minus_two_shape_rejected():
 
 
 def test_shapes_compare_and_hash_on_graph_and_epsilon():
-    # the other fields are read from the spec; != agrees with ==
+    # the graph is read from the spec, and the fields outside the identity
+    # are not compared; != agrees with ==, and the hash is (graph, epsilon)'s
     es = next(es for es in eshape_catalog(8) if es.key() == "[4]" and es.epsilon == 1)
-    same = es._replace(ke=es.ke + 3, spec=None)
+    same = es._replace(ke=es.ke + 3, d=es.d + 1, size=es.size + 2)
     assert es == same and not es != same and hash(es) == hash(same)
     other = es._replace(epsilon=2)
     assert es != other and not es == other
     assert es != tuple(es)
+    for es in eshape_catalog(12):
+        assert hash(es) == hash((es.graph, es.epsilon)), es.key()
 
 
 def test_family_refuses_weights_below_three():
@@ -381,6 +386,47 @@ def test_a_fork_shape_forms_one_graph_and_one_record(monkeypatch):
     for spec in forks:
         _make_shape(spec)
     assert calls == dict.fromkeys(calls, len(forks))
+
+
+def test_a_cold_verify_builds_graphs_only_for_shapes_keys_and_fork_records(monkeypatch):
+    # a shape stores no weights: graph and E are read from its spec when
+    # asked for.  A cold verify builds each graph where it is needed once:
+    # once per shape _make_shape builds, once per spec of the names table,
+    # and once per fork spec the probe index keys; none for _decide, the
+    # predicates or the solver, which read a shape's integers and its spec
+    from dgk import barks, search
+
+    calls, made = Counter(), Counter()
+
+    def counted(spec, real=barks._spec_graph):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(spec)
+
+    def make(spec, real=barks._make_shape):
+        made[spec] += 1
+        return real(spec)
+
+    cold = (barks.shape_of, barks.catalog_index, barks._catalog_names, search._join)
+    for cached in cold:
+        cached.cache_clear()
+    monkeypatch.setattr(barks, "_spec_graph", counted)
+    monkeypatch.setattr(barks, "_make_shape", make)
+    try:
+        assert {r["status"] for r in search.verify_suite().values()} == {"ok"}
+    finally:
+        for cached in cold:
+            cached.cache_clear()
+    assert made and set(made.values()) == {1}
+    assert calls.keys() <= {"_make_shape", "_catalog_names", "_continuants"}, calls
+    assert calls["_make_shape"] == sum(made.values())
+    assert calls["_catalog_names"] == len(family_specs(12))
+    forks = {spec for spec in family_specs(60) if spec[0].branch}
+    assert calls["_continuants"] <= len(forks)
+    for es in eshape_catalog(12):
+        held = [v for v in es if isinstance(v, Fork) or type(v) is tuple and v
+                and all(type(w) is int for w in v)]
+        assert held == [], (es._fields, held)
+    assert not {"graph", "e_weights"} & set(ExceptionalShape._fields)
 
 
 def test_small_dihedral_fork_discriminant():

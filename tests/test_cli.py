@@ -160,6 +160,9 @@ def test_pairs_extract_names_the_bad_entry(capsys, fiber, message):
         ('{"b": 2}', "fork key 'twigs' is missing"),
         ('{"twigs": ["[2]", "[2]", "[3]"]}', "fork key 'b' is missing"),
         ('{"b": 2,', "bad fork description: "),
+        # json.loads refuses an integer of more than 4,300 digits with a plain ValueError
+        pytest.param('{"b": ' + "9" * 5000 + ', "twigs": ["[2]", "[2]", "[3]"]}',
+                     "bad fork description: Exceeds the limit", id="b-past-the-digit-limit"),
     ],
 )
 def test_bad_fork_description_names_the_key(capsys, fork, message):
@@ -210,6 +213,16 @@ def test_bad_bounds_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "search", "final-bounds", "--bounds", str(small))
     assert code == 1
     assert "catalog_max_size is 20" in err
+
+
+def test_an_integer_past_the_digit_limit_in_a_bounds_file_names_the_file(capsys, tmp_path):
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError; the refusal names the file, as for a file that is not JSON
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(load_bounds("xy"))[:-1] + ', "z_max": ' + "9" * 5000 + "}")
+    code, out, err = run(capsys, "search", "xy", "--bounds", str(huge))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bounds file {huge} cannot be read: Exceeds the limit")
 
 
 def test_parser_is_reused_across_calls(capsys):

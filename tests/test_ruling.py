@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from dgk import chains, ruling
+from dgk.barks import ExceptionalShape
 from dgk.graphs import format_chain, parse_chain
 from dgk.pairs import reconstruct_fiber
 from dgk.ruling import (
@@ -170,6 +171,17 @@ def test_equation_solutions_match_fraction_reference(key, eps):
             assert_within_reference(t1, t2, es)
 
 
+class GammaTwo(ExceptionalShape):
+    """A shape whose E reads [2]: Family refuses weight 2, so no spec gives
+    one, and E is read from the spec."""
+
+    __slots__ = ()
+
+    @property
+    def e_weights(self):
+        return (2,)
+
+
 def test_kappa_t_runs_over_the_divisors_of_c_times_gamma_minus_2():
     # kappa~ divides c (gamma - 2), so the solver runs over those divisors
     # in [2, 3c], ascending, where the reference runs over the whole range;
@@ -180,7 +192,7 @@ def test_kappa_t_runs_over_the_divisors_of_c_times_gamma_minus_2():
             assert _divisors(n, top) == [k for k in range(2, top + 1) if n % k == 0], (n, top)
     sweep = [ws for dd in range(2, 6) for ws in chains.oriented_chains_with_d(dd)]
     shapes = [shape(key, eps) for key, eps in ONE_CURVE_SHAPES]
-    gamma_2 = shape("[4]", 1)._replace(e_weights=(2,))
+    gamma_2 = GammaTwo(*shape("[4]", 1))
     found = 0
     for es in shapes + [gamma_2]:
         for t1 in sweep:
