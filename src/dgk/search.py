@@ -744,6 +744,8 @@ def verify_suite() -> dict:
             raise ValueError(f"golden file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"golden file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's limit on digits
+            raise ValueError(f"golden file {path} cannot be read: {exc}") from exc
         results[name] = {"status": "ok" if got == want else "mismatch", "path": str(path)}
         if got != want:
             have, had = _entries(got), _entries(want)

@@ -393,24 +393,41 @@ def test_a_cold_verify_builds_graphs_only_for_shapes_keys_and_fork_records(monke
     # asked for.  A cold verify builds each graph where it is needed once:
     # once per shape _make_shape builds, once per spec of the names table,
     # and once per fork spec the probe index keys; none for _decide, the
-    # predicates or the solver, which read a shape's integers and its spec
-    from dgk import barks, search
+    # predicates or the solver, which read a shape's integers and its spec.
+    # A chain spec's chain is built only for a graph or for E, and E is
+    # read at most once per check_two_fiber_shape or _equation_solutions call
+    from dgk import barks, ruling, search
 
-    calls, made = Counter(), Counter()
+    calls, chains_built, made, solver = Counter(), Counter(), Counter(), Counter()
 
     def counted(spec, real=barks._spec_graph):
         calls[sys._getframe(1).f_code.co_name] += 1
+        return real(spec)
+
+    def counted_chain(spec, real=barks._spec_chain):
+        chains_built[sys._getframe(1).f_code.co_name] += 1
         return real(spec)
 
     def make(spec, real=barks._make_shape):
         made[spec] += 1
         return real(spec)
 
+    def solver_step(real):
+        def step(*args):
+            solver[real.__name__] += 1
+            return real(*args)
+        return step
+
     cold = (barks.shape_of, barks.catalog_index, barks._catalog_names, search._join)
     for cached in cold:
         cached.cache_clear()
     monkeypatch.setattr(barks, "_spec_graph", counted)
+    monkeypatch.setattr(barks, "_spec_chain", counted_chain)
     monkeypatch.setattr(barks, "_make_shape", make)
+    check = solver_step(ruling.check_two_fiber_shape)
+    monkeypatch.setattr(ruling, "check_two_fiber_shape", check)
+    monkeypatch.setattr(search, "check_two_fiber_shape", check)
+    monkeypatch.setattr(ruling, "_equation_solutions", solver_step(ruling._equation_solutions))
     try:
         assert {r["status"] for r in search.verify_suite().values()} == {"ok"}
     finally:
@@ -422,6 +439,10 @@ def test_a_cold_verify_builds_graphs_only_for_shapes_keys_and_fork_records(monke
     assert calls["_catalog_names"] == len(family_specs(12))
     forks = {spec for spec in family_specs(60) if spec[0].branch}
     assert calls["_continuants"] <= len(forks)
+    assert chains_built.keys() <= {"_spec_graph", "e_weights"}, chains_built
+    assert chains_built["_spec_graph"] <= sum(calls.values())
+    assert solver["check_two_fiber_shape"] and solver["_equation_solutions"], solver
+    assert chains_built["e_weights"] <= sum(solver.values()), (chains_built, solver)
     for es in eshape_catalog(12):
         held = [v for v in es if isinstance(v, Fork) or type(v) is tuple and v
                 and all(type(w) is int for w in v)]

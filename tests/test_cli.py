@@ -425,6 +425,12 @@ def test_verify_golden_dir_override_and_mismatch(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "paper")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: golden file {target} is not UTF-8 text: 'utf-8' codec")
+    # and so is one with an integer past Python's 4,300-digit limit, which
+    # json.loads refuses with a plain ValueError
+    target.write_text("[" + "9" * 5000 + "]")
+    code, out, err = run(capsys, "verify", "--suite", "paper")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: golden file {target} cannot be read: Exceeds the limit")
     # a missing golden is a domain error that names the file, raised before
     # any search runs
     target.unlink()
